@@ -8,8 +8,9 @@ on operational carbon in the asymmetric two-site scenario.
 
 Timed cases run with telemetry spans *enabled*, so the wall-clock budget
 doubles as the instrumentation-overhead bar, and each labelled case's
-wall clock + per-phase breakdown lands in ``BENCH_fleet_scaling.json`` at
-the repo root for cross-PR trajectory tracking.
+wall clock + per-phase breakdown lands in the untracked
+``.bench_out/BENCH_fleet_scaling.json`` (the input of ``python -m repro
+bench record/check``), so running the suite never modifies a tracked file.
 """
 
 import json
@@ -64,6 +65,7 @@ DEMAND = DiurnalDemand(
 
 BENCH_JSON = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    ".bench_out",
     "BENCH_fleet_scaling.json",
 )
 
@@ -73,7 +75,7 @@ _CASES = []
 
 @pytest.fixture(scope="module", autouse=True)
 def _write_bench_json():
-    """Flush every labelled case to ``BENCH_fleet_scaling.json`` on teardown."""
+    """Flush every labelled case to :data:`BENCH_JSON` on teardown."""
     yield
     if not _CASES:
         return
@@ -84,6 +86,7 @@ def _write_bench_json():
         "wall_clock_budget_s": WALL_CLOCK_BUDGET_S,
         "cases": _CASES,
     }
+    os.makedirs(os.path.dirname(BENCH_JSON), exist_ok=True)
     with open(BENCH_JSON, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -3,7 +3,7 @@
 
 ``repro.telemetry`` instruments the simulation layers without perturbing
 them: nested wall-clock spans time every phase (site build, the per-day
-fleet loop, the hindsight twin, the DES latency probe, economics), counters
+fleet loop, the hindsight replay, the DES latency probe, economics), counters
 record what the run did (setpoints clipped by ledger physics, waterfill
 segments touched), and a run manifest ties it all to the spec hash and seed
 so a recorded profile is attributable to an exact, reproducible run.

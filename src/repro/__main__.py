@@ -898,9 +898,12 @@ def main(argv=None) -> int:
     )
     bench_parser.add_argument(
         "--bench-json",
-        default="BENCH_fleet_scaling.json",
+        default=".bench_out/BENCH_fleet_scaling.json",
         metavar="PATH",
-        help="benchmark snapshot to record/check (default: BENCH_fleet_scaling.json)",
+        help=(
+            "benchmark snapshot to record/check "
+            "(default: .bench_out/BENCH_fleet_scaling.json)"
+        ),
     )
     bench_parser.add_argument(
         "--history",

@@ -744,31 +744,21 @@ def fig12_forecast_regret(
     if bad:
         raise ValueError(f"noise sigma must be non-negative, got {bad[0]}")
     base = _carbon_buffer_base("forecast-buffer", n_days, n_devices_per_site, seed)
-    # The hindsight baseline is shared across the whole sweep (only forecast
-    # quality varies), so the oracle cell runs once and every other cell
-    # reuses its avoided-carbon figure instead of re-simulating a twin.
-    oracle = ScenarioRunner(base.with_overrides({"forecast.model": "perfect"})).run()
-    hindsight = oracle.carbon_avoided_g
 
     def run_cell(overrides):
-        return ScenarioRunner(
-            base.with_overrides(overrides), hindsight_avoided_g=hindsight
-        ).run()
+        return ScenarioRunner(base.with_overrides(overrides)).run()
 
-    noisy = {}
-    for sigma in sigmas:
-        noisy[float(sigma)] = (
-            oracle
+    noisy = {
+        float(sigma): run_cell(
+            {"forecast.model": "perfect"}
             if sigma == 0
-            else run_cell(
-                {"forecast.model": "noisy", "forecast.noise_sigma": sigma}
-            )
+            else {"forecast.model": "noisy", "forecast.noise_sigma": sigma}
         )
+        for sigma in sigmas
+    }
     return Figure12Data(
         noisy=noisy,
         persistence=run_cell({"forecast.model": "persistence"}),
-        heuristic=ScenarioRunner(
-            base.with_overrides({"forecast.model": "none"})
-        ).run(),
+        heuristic=run_cell({"forecast.model": "none"}),
         n_days=n_days,
     )

@@ -43,6 +43,7 @@ the same sites and policy on the discrete-event engine of
 from __future__ import annotations
 
 import abc
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -304,6 +305,10 @@ class FleetSimulation:
     ``shards`` are pure performance knobs: every setting produces
     bitwise-identical reports, counters, and RNG streams (locked by
     ``tests/fleet/test_execution_identity.py``).
+
+    Pass A never reads the dispatch policy, so its recordings are kept
+    after :meth:`run`: :meth:`replay_avoided_g` prices another policy on
+    the same fleet by re-running Pass B's dispatch alone.
     """
 
     def __init__(
@@ -332,6 +337,10 @@ class FleetSimulation:
         #: way, and a disabled audit never even imports the module.
         self.audit = bool(audit)
         self.audit_report = None
+        #: The last :meth:`run`'s dispatch inputs — per-pack intensity,
+        #: device energy (kWh), physical utilisation and day-start counts —
+        #: and its report, for :meth:`replay_avoided_g`.
+        self._recorded = None
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise ValueError(f"site names must be unique, got {names}")
@@ -499,6 +508,7 @@ class FleetSimulation:
             )
         cohort_energy_kwh = device_kwh
         total_kwh = self._per_site(device_kwh) + peripheral_kwh
+        recorded = (intensity_packs, device_kwh, utilization_all, counts_day)
 
         clipped_setpoints = 0
         clipped_energy_kwh = 0.0
@@ -514,10 +524,6 @@ class FleetSimulation:
             soc = np.ones((n_steps, n_sites))
             energy_kwh_all = total_kwh
         else:
-            # Idle headroom is physical: a device the routing derate shed
-            # is sitting idle and can charge.
-            idle_fraction = 1.0 - utilization_all
-            device_j = device_kwh * units.JOULES_PER_KWH
             with tele.span("dispatch_day", calls=n_days):
                 (
                     battery_j,
@@ -526,17 +532,8 @@ class FleetSimulation:
                     shortfall_j,
                     _,
                     shard_manifests,
-                ) = execute_dispatch(
-                    self.sites,
-                    self.dispatch,
-                    intensity_packs,
-                    device_j,
-                    idle_fraction,
-                    counts_day,
-                    step_s,
-                    self._site_starts,
-                    shards=self.shards,
-                    telemetry_enabled=tele.enabled,
+                ) = self._run_dispatch(
+                    self.dispatch, recorded, step_s, tele.enabled
                 )
             for manifest in shard_manifests:
                 tele.add_child(manifest)
@@ -614,7 +611,7 @@ class FleetSimulation:
                     telemetry=tele if tele.enabled else None,
                 )
 
-        return FleetReport(
+        report = FleetReport(
             policy_name=self.policy.name,
             site_names=tuple(site.name for site in self.sites),
             hours=np.arange(n_steps, dtype=float) * HOURS_PER_STEP,
@@ -660,6 +657,56 @@ class FleetSimulation:
             cohort_deployed=cohort_deployed,
             clipped_setpoints=clipped_setpoints,
             clipped_energy_kwh=clipped_energy_kwh,
+        )
+        self._recorded = (recorded, report)
+        return report
+
+    def replay_avoided_g(self, dispatch: DispatchPolicy) -> float:
+        """Carbon (g) ``dispatch`` would have avoided on the last run's fleet.
+
+        Routing and churn never read the dispatch policy, so running the
+        same fleet under another policy changes Pass B alone: this replays
+        the dispatch over the recorded Pass A inputs and reduces it with
+        the report's own :meth:`~repro.fleet.reporting.FleetReport.
+        carbon_avoided_g`.  Bitwise-identical to re-simulating the whole
+        fleet under ``dispatch``; records no telemetry.
+        """
+        if self._recorded is None:
+            raise RuntimeError("replay_avoided_g needs a finished run()")
+        recorded, report = self._recorded
+        battery_j, charge_j, *_ = self._run_dispatch(
+            dispatch, recorded, report.step_s, telemetry_enabled=False
+        )
+        return dataclasses.replace(
+            report,
+            battery_kwh=self._per_site(battery_j / units.JOULES_PER_KWH),
+            charge_kwh=self._per_site(charge_j / units.JOULES_PER_KWH),
+        ).carbon_avoided_g()
+
+    def _run_dispatch(
+        self,
+        dispatch: DispatchPolicy,
+        recorded: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        step_s: float,
+        telemetry_enabled: bool,
+    ):
+        """Pass B's dispatch: :func:`~repro.fleet.execution.execute_dispatch`
+        of ``dispatch`` over the ``(intensity, device_kwh, utilization,
+        counts_day)`` Pass A recorded."""
+        intensity, device_kwh, utilization, counts_day = recorded
+        # Idle headroom is physical: a device the routing derate shed is
+        # sitting idle and can charge.
+        return execute_dispatch(
+            self.sites,
+            dispatch,
+            intensity,
+            device_kwh * units.JOULES_PER_KWH,
+            1.0 - utilization,
+            counts_day,
+            step_s,
+            self._site_starts,
+            shards=self.shards,
+            telemetry_enabled=telemetry_enabled,
         )
 
     # -- per-day phases ----------------------------------------------------

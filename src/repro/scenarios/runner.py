@@ -3,8 +3,10 @@
 The runner is the single place where declarative specs meet the live
 subsystems: it builds :class:`~repro.fleet.sites.FleetSite` objects from the
 spec (devices catalog, grid traces, churn policies), runs the vectorized
-fleet simulation under the named routing policy, optionally probes request
-latency on the discrete-event engine, prices the realised churn through
+fleet simulation under the named routing policy, prices forecast regret by
+replaying that run's dispatch under a perfect forecast (no second fleet
+simulation), optionally probes request latency on the discrete-event
+engine, prices the realised churn through
 :class:`~repro.economics.FleetCostModel`, and estimates smart-charging
 headroom — returning everything as one :class:`ScenarioResult`.
 
@@ -189,31 +191,18 @@ class ScenarioResult:
 class ScenarioRunner:
     """Builds and runs the fleet experiment a :class:`ScenarioSpec` describes.
 
-    ``hindsight_avoided_g`` optionally injects a precomputed hindsight-optimal
-    carbon-avoided figure for the regret accounting.  The hindsight twin
-    depends only on the fleet/demand/routing/horizon side of the spec — not
-    on the forecast model or its noise — so a sweep varying only forecast
-    quality (e.g. :func:`~repro.analysis.figures.fig12_forecast_regret`) can
-    run the perfect-forecast cell once and share its result instead of
-    re-simulating an identical twin per cell.
-
     ``telemetry`` optionally instruments the run: the runner brackets its
-    stages with spans (``build_sites`` / ``main_run`` / ``hindsight_twin`` /
-    ``economics`` / ``latency_probe`` / ``charging_savings``), the main
+    stages with spans (``build_sites`` / ``main_run`` / ``hindsight_twin``
+    — the regret baseline's dispatch replay — / ``economics`` /
+    ``latency_probe`` / ``charging_savings``), the main
     fleet simulation records its per-day phases and counters into the same
     context, and the result carries a counter snapshot
     (:attr:`ScenarioResult.telemetry`).  Telemetry never perturbs the
     simulation: instrumented and un-instrumented runs are bitwise-identical.
     """
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        hindsight_avoided_g: Optional[float] = None,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, telemetry=None) -> None:
         self.spec = spec
-        self.hindsight_avoided_g = hindsight_avoided_g
         self.telemetry = ensure_telemetry(telemetry)
         #: The invariant-audit outcome of the last :meth:`run`
         #: (:class:`~repro.telemetry.observatory.audit.AuditReport`), or
@@ -408,7 +397,7 @@ class ScenarioRunner:
         The planner's utilisation estimate follows the scenario's own demand
         level (clipped into the planner's ``(0, 1]`` domain), so a lightly
         loaded fleet plans with the idle headroom it actually has — and the
-        hindsight twin is parameterized identically.
+        hindsight baseline's replay is parameterized identically.
         """
         forecast = self.spec.forecast
         demand_fraction = min(
@@ -470,10 +459,8 @@ class ScenarioRunner:
             )
             with tele.span("main_run"):
                 report = simulation.run(spec.duration_days)
-            # The hindsight twin is never audited: only the main run's
-            # matrices feed the report the user sees.
             self.last_audit = simulation.audit_report
-            report = self._account_regret(report, policy)
+            report = self._account_regret(report, simulation)
             with tele.span("economics"):
                 site_costs = self._price_churn(sites, report)
             with tele.span("latency_probe"):
@@ -495,37 +482,31 @@ class ScenarioRunner:
             ),
         )
 
-    def _account_regret(self, report: FleetReport, policy) -> FleetReport:
-        """Attach the hindsight-optimal counterfactual to a forecast run.
+    def _account_regret(
+        self, report: FleetReport, simulation: FleetSimulation
+    ) -> FleetReport:
+        """Attach the hindsight baseline to a forecast run.
 
-        The hindsight baseline is the same scenario — identical seeds,
-        fleets, demand, and routing — dispatched by the lookahead planner
-        with a *perfect* forecast, so the only difference is forecast skill.
-        A perfect forecast is its own hindsight plan (regret 0 with no
-        second simulation); other models pay one extra fleet run unless the
-        caller injected a precomputed ``hindsight_avoided_g``.
+        The baseline is the same run — identical seeds, fleets, demand, and
+        routing — dispatched by the lookahead planner with a *perfect*
+        forecast, so the only difference is forecast skill.  Routing and
+        churn never read the dispatch policy, so the baseline replays only
+        the dispatch over the main run's own recordings
+        (:meth:`~repro.fleet.scheduler.FleetSimulation.replay_avoided_g`).
+        A perfect forecast is its own baseline (regret 0, no replay).
         """
         spec = self.spec
         if spec.charging.coupling != "dispatch" or spec.forecast.model == "none":
             return report
-        if self.hindsight_avoided_g is not None:
-            hindsight_avoided = self.hindsight_avoided_g
-        elif spec.forecast.model == "perfect":
+        if spec.forecast.model == "perfect":
             hindsight_avoided = report.carbon_avoided_g()
         else:
-            # The twin runs un-instrumented (its phases land under the
-            # hindsight_twin span, its counters would pollute the main
-            # run's) — the span prices the stage's total cost.
+            # The span keeps its name: the benchmark's per-layer
+            # ``hindsight.twin_s`` metric reads it.
             with self.telemetry.span("hindsight_twin"):
-                hindsight = FleetSimulation(
-                    self.build_sites(),
-                    policy,
-                    self.build_demand(),
-                    dispatch=self._forecast_dispatch(PerfectForecast()),
-                    block_days=spec.execution.block_days,
-                    shards=spec.execution.shards,
-                ).run(spec.duration_days)
-            hindsight_avoided = hindsight.carbon_avoided_g()
+                hindsight_avoided = simulation.replay_avoided_g(
+                    self._forecast_dispatch(PerfectForecast())
+                )
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)
 
     def _cost_model(self, site: FleetSite, entry, peripherals) -> FleetCostModel:

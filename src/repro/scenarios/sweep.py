@@ -15,15 +15,10 @@ one simulation, worker results are reassembled by key into row-major grid
 order, and — because every simulation is fully seeded — a parallel sweep is
 bitwise-identical to the serial one regardless of completion order.
 
-Hindsight-twin sharing: a forecast-dispatch cell's regret accounting needs a
-perfect-forecast twin simulation, and that twin depends only on the
-forecast-*stripped* spec (fleet, demand, routing, horizon — not the model or
-its noise).  A sweep whose axes vary only forecast quality would therefore
-re-simulate an identical twin per cell; instead the sweep groups cells by
-the hash of their perfect-forecast twin spec, simulates one twin per group
-(reusing a grid cell's own run when the twin *is* a grid cell), and injects
-the shared ``hindsight_avoided_g`` into the rest — bitwise-identical to
-per-cell twins because every simulation is fully seeded.
+Forecast cells need no coordination: each cell prices its own regret by
+replaying its run's dispatch under a perfect forecast (see
+:class:`~repro.scenarios.runner.ScenarioRunner`), so a cell's result
+depends on its spec alone.
 """
 
 from __future__ import annotations
@@ -129,64 +124,29 @@ def _cell_manifest(
 
 
 def _run_spec_json(
-    text: str,
-    hindsight_avoided_g: Optional[float] = None,
-    with_telemetry: bool = False,
+    text: str, with_telemetry: bool = False
 ) -> Tuple[ScenarioResult, Optional[Dict[str, Any]]]:
     """Process-pool entry point: rebuild the cell's spec and run it.
 
     Ships the spec as JSON rather than a pickled object so a worker always
     re-validates through the same :meth:`ScenarioSpec.from_json` path the
-    CLI and registry use.  ``hindsight_avoided_g`` injects a shared
-    hindsight-twin figure for the regret accounting.  With
-    ``with_telemetry`` the worker instruments its run and ships the cell
-    manifest back for the parent to reassemble (spans stay in the child
-    manifest — a worker's clock is not comparable to the parent's).
+    CLI and registry use.  With ``with_telemetry`` the worker instruments
+    its run and ships the cell manifest back for the parent to reassemble
+    (spans stay in the child manifest — a worker's clock is not comparable
+    to the parent's).
     """
     spec = ScenarioSpec.from_json(text)
     telemetry = Telemetry() if with_telemetry else None
-    result = ScenarioRunner(
-        spec, hindsight_avoided_g=hindsight_avoided_g, telemetry=telemetry
-    ).run()
+    result = ScenarioRunner(spec, telemetry=telemetry).run()
     manifest = (
         _cell_manifest(telemetry, spec, spec_hash(spec)) if with_telemetry else None
     )
     return result, manifest
 
 
-#: What a hindsight twin's ``carbon_avoided_g`` does *not* depend on: the
-#: forecast model/noise it replaces, plus the side analyses (DES latency
-#: probe, dollar pricing) whose results the twin run would discard.  The
-#: same canonical form keys twin *reuse*, so a perfect grid cell covers any
-#: twin that matches it after this normalisation.
-_TWIN_CANONICAL_OVERRIDES = {
-    "forecast.model": "perfect",
-    "forecast.noise_sigma": 0.0,
-    "routing.latency_probe_s": 0.0,
-    "economics.enabled": False,
-}
-
-
-def _hindsight_twin(spec: ScenarioSpec) -> Optional[ScenarioSpec]:
-    """The perfect-forecast twin whose run prices ``spec``'s regret.
-
-    ``None`` when the cell needs no twin: no coupled dispatch, no forecast,
-    or a perfect forecast (which is its own hindsight plan).  The twin
-    strips exactly what the hindsight figure ignores — the forecast model
-    and its noise, the latency probe, the economics — and keeps everything
-    it *does* depend on (fleet, demand, routing, horizon, refresh, seed).
-    """
-    if spec.charging.coupling != "dispatch":
-        return None
-    if spec.forecast.model in ("none", "perfect"):
-        return None
-    return spec.with_overrides(_TWIN_CANONICAL_OVERRIDES)
-
-
 def _run_unique(
     unique: Dict[str, ScenarioSpec],
     jobs: Optional[int],
-    hindsight: Optional[Dict[str, float]] = None,
     with_telemetry: bool = False,
     persist: Optional[Any] = None,
     progress: Optional[Any] = None,
@@ -210,14 +170,11 @@ def _run_unique(
     observes completions only — it never feeds anything back, so results
     are bitwise-identical with or without it.
     """
-    hindsight = hindsight or {}
     if jobs is None or jobs == 1 or len(unique) <= 1:
         out: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
         for key, cell_spec in unique.items():
             child = Telemetry() if with_telemetry else None
-            result = ScenarioRunner(
-                cell_spec, hindsight_avoided_g=hindsight.get(key), telemetry=child
-            ).run()
+            result = ScenarioRunner(cell_spec, telemetry=child).run()
             manifest = (
                 _cell_manifest(child, cell_spec, key) if with_telemetry else None
             )
@@ -229,12 +186,7 @@ def _run_unique(
         return out
     with ProcessPoolExecutor(max_workers=min(jobs, len(unique))) as pool:
         futures = {
-            key: pool.submit(
-                _run_spec_json,
-                cell_spec.to_json(),
-                hindsight.get(key),
-                with_telemetry,
-            )
+            key: pool.submit(_run_spec_json, cell_spec.to_json(), with_telemetry)
             for key, cell_spec in unique.items()
         }
         out = {}
@@ -252,22 +204,16 @@ def _fold_sweep_telemetry(
     telemetry: Telemetry,
     keys: Sequence[str],
     pairs: Mapping[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]],
-    dedicated_twins: Sequence[str] = (),
 ) -> None:
-    """Fold per-cell manifests into the sweep's telemetry, in grid order.
+    """Fold per-cell manifests into the sweep's telemetry, in ``keys`` order.
 
-    Children (and therefore the folded counter sums) follow the grid's
-    first-occurrence order — never worker completion order — then any
-    dedicated hindsight-twin runs in group order, so a parallel sweep's
-    merged telemetry is identical to the serial one's.
+    ``keys`` are the unique cells in the grid's first-occurrence order —
+    never worker completion order — so a parallel sweep's merged telemetry
+    is identical to the serial one's.
     """
     if not telemetry.enabled:
         return
-    seen: set = set()
-    for key in list(keys) + list(dedicated_twins):
-        if key in seen:
-            continue
-        seen.add(key)
+    for key in keys:
         manifest = pairs[key][1]
         if manifest is not None:
             telemetry.add_child(manifest)
@@ -276,7 +222,6 @@ def _fold_sweep_telemetry(
 def _run_cells(
     specs: Sequence[ScenarioSpec],
     jobs: Optional[int],
-    share_hindsight: bool = True,
     telemetry: Optional[Telemetry] = None,
     store: Optional[Any] = None,
     progress: Optional[Any] = None,
@@ -285,23 +230,20 @@ def _run_cells(
 
     Cells are keyed by spec hash either way: cells that hash equal share one
     simulation, and results are reassembled in grid order, so the serial and
-    parallel paths return identical tables.  With ``share_hindsight`` (the
-    default), forecast cells that share a forecast-stripped twin run one
-    hindsight simulation per group instead of one per cell — results are
-    bitwise-identical either way.
+    parallel paths return identical tables.
 
     With an enabled ``telemetry``, each unique simulation is instrumented
     (workers ship their manifests back), per-cell manifests become the
-    sweep telemetry's children in deterministic grid order, and the
-    dedup/twin-sharing bookkeeping is recorded as ``sweep.*`` counters.
+    sweep telemetry's children in deterministic grid order, and the dedup
+    bookkeeping is recorded as ``sweep.*`` counters.
 
     With a ``store`` (an :class:`~repro.store.ExperimentStore`), cells whose
     spec hash already has an entry are *loaded* instead of simulated, every
-    freshly simulated cell (hindsight twins included) is persisted as soon
-    as its result reaches this process, and the hit/miss/write bookkeeping
-    lands in ``store.*`` counters — because every simulation is fully
-    seeded, a cache-hit sweep is bitwise-identical to a from-scratch one,
-    and a sweep killed mid-grid resumes from the completed cells.
+    freshly simulated cell is persisted as soon as its result reaches this
+    process, and the hit/miss/write bookkeeping lands in ``store.*``
+    counters — because every simulation is fully seeded, a cache-hit sweep
+    is bitwise-identical to a from-scratch one, and a sweep killed mid-grid
+    resumes from the completed cells.
     """
     telemetry = ensure_telemetry(telemetry)
     if jobs is not None and jobs < 1:
@@ -313,20 +255,8 @@ def _run_cells(
     if progress is not None:
         progress.set_total_cells(len(unique))
 
-    twin_keys: Dict[str, str] = {}
-    twins: Dict[str, ScenarioSpec] = {}
-    if share_hindsight:
-        for key, cell_spec in unique.items():
-            twin = _hindsight_twin(cell_spec)
-            if twin is None:
-                continue
-            twin_key = spec_hash(twin)
-            twin_keys[key] = twin_key
-            twins.setdefault(twin_key, twin)
-
     # Store lookup: every unique cell already persisted loads instead of
-    # simulating.  ``pairs`` accumulates key -> (result, manifest) from
-    # whatever source — store, phase A, or phase B.
+    # simulating.
     pairs: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
     if store is not None:
         for key in unique:
@@ -349,121 +279,22 @@ def _run_cells(
         telemetry.count("sweep.cells", len(keys))
         telemetry.count("sweep.unique_cells", len(unique))
         telemetry.count("sweep.dedup_hits", len(keys) - len(unique))
-        telemetry.count("sweep.twin_groups", len(twins))
         if store is not None:
             telemetry.count("store.hits", len(pairs))
             telemetry.count("store.misses", len(pending))
 
-    # Forecast cells loaded from the store carry their hindsight figure
-    # already, so only *pending* forecast cells still need a twin.
-    needed_twin_cells = [key for key in pending if key in twin_keys]
-    if not needed_twin_cells:
-        pairs.update(
-            _run_unique(
-                pending,
-                jobs,
-                with_telemetry=telemetry.enabled,
-                persist=persist,
-                progress=progress,
-            )
-        )
-        if telemetry.enabled and store is not None:
-            telemetry.count("store.writes", writes)
-        _fold_sweep_telemetry(telemetry, keys, pairs)
-        return [pairs[key][0] for key in keys]
-
-    # A perfect-forecast grid cell covers any twin that matches it after
-    # canonical normalisation (sigma/probe/economics stripped — none affect
-    # carbon_avoided_g): map the canonical hash to the cell's key so the
-    # twin reuses its run instead of simulating again.  Cached grid cells
-    # count — their loaded results price twins without any simulation.
-    covered_by: Dict[str, str] = {}
-    for key, cell_spec in unique.items():
-        if key in twin_keys:
-            continue
-        if (
-            cell_spec.charging.coupling == "dispatch"
-            and cell_spec.forecast.model == "perfect"
-        ):
-            canonical = spec_hash(
-                cell_spec.with_overrides(_TWIN_CANONICAL_OVERRIDES)
-            )
-            covered_by.setdefault(canonical, key)
-
-    # Each needed twin resolves, in order of preference, to: a grid cell
-    # covering it, a stored entry from an earlier sweep, or (last resort) a
-    # dedicated phase-A simulation — which is then persisted like any cell.
-    needed_twins = [
-        twin_key
-        for twin_key in twins
-        if twin_key in {twin_keys[key] for key in needed_twin_cells}
-    ]
-    twin_store_hits = 0
-    dedicated_twins = []
-    for twin_key in needed_twins:
-        if twin_key in covered_by:
-            continue
-        entry = store.get_entry_or_none(twin_key) if store is not None else None
-        if entry is not None:
-            pairs[twin_key] = (entry.result, entry.manifest)
-            twin_store_hits += 1
-        else:
-            dedicated_twins.append(twin_key)
-
-    # Phase A: the dedicated twins plus every pending cell that needs no
-    # injection (a twin a grid cell already covers is simulated exactly
-    # once, as that cell).
-    phase_a = {twin_key: twins[twin_key] for twin_key in dedicated_twins}
-    phase_a.update(
-        {key: cell_spec for key, cell_spec in pending.items() if key not in twin_keys}
-    )
-    if progress is not None and dedicated_twins:
-        progress.add_total_cells(len(dedicated_twins))
     pairs.update(
         _run_unique(
-            phase_a,
+            pending,
             jobs,
             with_telemetry=telemetry.enabled,
             persist=persist,
             progress=progress,
         )
     )
-    hindsight = {
-        key: pairs[covered_by.get(twin_keys[key], twin_keys[key])][
-            0
-        ].report.carbon_avoided_g()
-        for key in needed_twin_cells
-    }
-
-    # Phase B: the pending forecast cells, each pricing regret against its
-    # group's shared hindsight figure instead of re-simulating the twin.
-    phase_b = {key: pending[key] for key in needed_twin_cells}
-    pairs.update(
-        _run_unique(
-            phase_b,
-            jobs,
-            hindsight=hindsight,
-            with_telemetry=telemetry.enabled,
-            persist=persist,
-            progress=progress,
-        )
-    )
-    if telemetry.enabled:
-        # Twin needs met without a fresh dedicated twin simulation: group
-        # sharing, perfect grid cells whose own runs double as twins, and
-        # twins loaded back from the store.
-        telemetry.count(
-            "sweep.twin_cache_hits", len(needed_twin_cells) - len(dedicated_twins)
-        )
-        if store is not None:
-            telemetry.count("store.twin_hits", twin_store_hits)
-            telemetry.count("store.writes", writes)
-    _fold_sweep_telemetry(
-        telemetry,
-        keys,
-        pairs,
-        dedicated_twins=[t for t in needed_twins if t in pairs and t not in keys],
-    )
+    if telemetry.enabled and store is not None:
+        telemetry.count("store.writes", writes)
+    _fold_sweep_telemetry(telemetry, list(unique), pairs)
     return [pairs[key][0] for key in keys]
 
 
@@ -471,7 +302,6 @@ def sweep_scenario(
     spec: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]],
     jobs: Optional[int] = None,
-    share_hindsight: bool = True,
     telemetry: Optional[Telemetry] = None,
     store: Optional[Any] = None,
     progress: Optional[Any] = None,
@@ -490,15 +320,9 @@ def sweep_scenario(
     number in every cell, is identical either way: simulations are fully
     seeded and results are reassembled by spec hash into grid order.
 
-    ``share_hindsight`` groups forecast-dispatch cells by their
-    forecast-stripped twin spec and simulates one hindsight twin per group
-    (see the module docstring); ``False`` re-simulates a twin per cell.
-    The results are bitwise-identical — the flag exists for that assertion
-    and for profiling.
-
     ``telemetry`` (default: the no-op null) instruments the sweep: per-cell
-    run manifests become its children in grid order and dedup/twin-sharing
-    bookkeeping lands in ``sweep.*`` counters.  Telemetry never feeds back
+    run manifests become its children in grid order and dedup bookkeeping
+    lands in ``sweep.*`` counters.  Telemetry never feeds back
     into the simulations, so an instrumented sweep's numbers are
     bitwise-identical to an uninstrumented one's.
 
@@ -511,8 +335,7 @@ def sweep_scenario(
 
     ``progress`` (a
     :class:`~repro.telemetry.observatory.progress.ProgressReporter`) emits
-    live heartbeats as cells complete — store hits tick immediately,
-    dedicated hindsight twins extend the total when they are discovered.
+    live heartbeats as cells complete — store hits tick immediately.
     Progress observes; it never feeds back, so results are identical with
     or without it.
     """
@@ -543,7 +366,6 @@ def sweep_scenario(
         results = _run_cells(
             specs,
             jobs,
-            share_hindsight=share_hindsight,
             telemetry=tele,
             store=store,
             progress=progress,

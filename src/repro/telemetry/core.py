@@ -3,10 +3,9 @@
 Zero-dependency instrumentation for the hot layers.  A simulation (or the
 scenario runner around it) holds one :class:`Telemetry` object and brackets
 its phases with ``with tele.span("dispatch_day"): ...`` — spans nest, so a
-phase inside the hindsight-twin run records under
-``scenario/hindsight_twin/dispatch_day`` while the main run's identical
-phase records under ``scenario/main_run/dispatch_day``, and the two never
-blur.  Counters are monotonic (``tele.count("dispatch.clipped_setpoints",
+phase records under its full path: the scenario runner's fleet run puts
+it at ``scenario/main_run/dispatch_day``, a bare fleet simulation at
+``dispatch_day``, and the two never blur.  Counters are monotonic (``tele.count("dispatch.clipped_setpoints",
 3)``); gauges are last-write-wins (``tele.gauge("fleet.n_cohorts", 4)``).
 
 Two hard rules keep telemetry safe to thread through simulation code:
@@ -165,8 +164,8 @@ class Telemetry:
     def phase_totals(self) -> Dict[str, Tuple[int, float]]:
         """Aggregate spans by path: ``{path: (calls, total_s)}``.
 
-        Paths keep nesting distinct, so a phase that runs both inside the
-        main simulation and inside a hindsight twin shows up as two rows.
+        Paths keep nesting distinct, so a phase recorded under two parents
+        shows up as two rows.
         Insertion order follows first completion of each path.
         """
         totals: Dict[str, Tuple[int, float]] = {}

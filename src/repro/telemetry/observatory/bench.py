@@ -1,8 +1,8 @@
 """Benchmark history: an append-only trajectory of recorded bench runs.
 
 ``BENCH_fleet_scaling.json`` is a *snapshot* — the benchmark suite
-rewrites it wholesale every run, so CI could only ever compare against
-the single committed state.  ``BENCH_history.jsonl`` is the trajectory:
+rewrites it wholesale every run, under the untracked ``.bench_out/``
+directory, so a single file can only ever hold one state.  ``BENCH_history.jsonl`` is the trajectory:
 ``python -m repro bench record`` appends one record per benchmark case
 (case name, wall clock, throughput, git SHA, timestamp) after each
 recorded run, and ``bench check`` compares a fresh bench JSON against a
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.telemetry.profile import _format_table
 
 #: Default locations, relative to the repo root / current directory.
-BENCH_JSON_DEFAULT = "BENCH_fleet_scaling.json"
+BENCH_JSON_DEFAULT = ".bench_out/BENCH_fleet_scaling.json"
 HISTORY_DEFAULT = "BENCH_history.jsonl"
 
 #: ``bench check`` defaults: >25% above the rolling median fails, and the

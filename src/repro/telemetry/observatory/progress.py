@@ -66,9 +66,6 @@ class ProgressReporter:
     def set_total_cells(self, total: int) -> None:
         self.total_cells = total
 
-    def add_total_cells(self, extra: int) -> None:
-        self.total_cells = (self.total_cells or 0) + extra
-
     def day_done(self, days: int = 1) -> None:
         self.days_done += days
         self.emit()
@@ -167,8 +164,9 @@ class ProgressReporter:
 class ProgressTelemetry(Telemetry):
     """A Telemetry that feeds a :class:`ProgressReporter` from completions.
 
-    Every ``step_population`` span that completes outside the hindsight
-    twin is one simulated day (``calls`` days for batched spans), and the
+    Every ``step_population`` span that completes is one simulated day
+    (``calls`` days for batched spans) — only the main fleet run steps the
+    population, the hindsight baseline replays dispatch alone — and the
     ``fleet.n_devices`` gauge carries the fleet size for the throughput
     figure.  The hooks run strictly *after* the parent class recorded the
     span/gauge, on data already collected — the simulation sees the exact
@@ -185,9 +183,7 @@ class ProgressTelemetry(Telemetry):
         self, path: str, depth: int, start: float, duration: float, calls: int = 1
     ) -> None:
         super()._record(path, depth, start, duration, calls)
-        if path.rsplit("/", 1)[-1] == "step_population" and (
-            "hindsight" not in path
-        ):
+        if path.rsplit("/", 1)[-1] == "step_population":
             self.reporter.day_done(max(int(calls), 1))
 
     def gauge(self, name: str, value: float) -> None:

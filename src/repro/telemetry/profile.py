@@ -22,6 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+#: The fleet loop's per-day phases: one span call covers one simulated day.
+FLEET_DAY_PHASES = frozenset(
+    ("allocate_day", "step_population", "site_energy_kwh", "dispatch_day")
+)
+
 
 def _format_table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
     widths = [len(h) for h in headers]
@@ -86,22 +91,23 @@ def render_profile(manifest: Dict[str, object]) -> str:
 
     # Per-phase throughput: each call of a fleet-loop phase covers one
     # simulated day across the whole fleet, so device-days per wall second
-    # is gauge(fleet.n_devices) x calls / total_s — the scaling figure of
-    # merit ("how close is this phase to a million devices?").
+    # is gauge(fleet.n_devices) x calls / total_s.  Other spans' calls are
+    # not days, so their throughput cell stays blank.
     n_devices = manifest.get("gauges", {}).get("fleet.n_devices")
 
     rows = []
     for row in _sorted_phase_rows(list(manifest.get("phases", []))):
         depth = row["path"].count("/")
+        name = row["path"].rsplit("/", 1)[-1]
         calls = row["calls"]
         total_s = row["total_s"]
-        if n_devices and calls and total_s > 0:
+        if name in FLEET_DAY_PHASES and n_devices and calls and total_s > 0:
             throughput = f"{n_devices * calls / total_s:,.0f}"
         else:
             throughput = "-"
         rows.append(
             [
-                "  " * depth + row["path"].rsplit("/", 1)[-1],
+                "  " * depth + name,
                 str(calls),
                 f"{total_s:.4f}",
                 f"{row['fraction']:.1%}",

@@ -112,7 +112,7 @@ def test_sweep_progress_counts_cells_and_changes_nothing():
         assert ours.usd_per_request == theirs.usd_per_request
 
 
-def test_sweep_progress_ticks_store_hits_and_twins(tmp_path):
+def test_sweep_progress_ticks_store_hits(tmp_path):
     from repro.store import ExperimentStore
 
     spec = _fast_spec("forecast-buffer").with_overrides(
@@ -122,14 +122,14 @@ def test_sweep_progress_ticks_store_hits_and_twins(tmp_path):
     store = ExperimentStore(str(tmp_path / "es"))
     first = _silent_reporter()
     sweep_scenario(spec, axes, store=store, progress=first)
-    # Two noisy cells plus one dedicated hindsight twin.
-    assert first.total_cells == 3
-    assert first.cells_done == 3
+    # Two forecast cells; each prices its hindsight baseline inside its own
+    # run, so the total is the unique-cell count.
+    assert first.total_cells == 2
+    assert first.cells_done == 2
 
     second = _silent_reporter()
     rerun = sweep_scenario(spec, axes, store=store, progress=second)
-    # Every grid cell is a store hit now; the twin is cached inside its
-    # cells' stored results, so it is neither counted nor re-run.
+    # Every grid cell is a store hit now and ticks without a simulation.
     assert second.total_cells == 2
     assert second.cells_done == 2
     assert len(rerun.cells) == 2

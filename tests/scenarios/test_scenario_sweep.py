@@ -192,8 +192,8 @@ class TestParseSweepOverride:
             parse_sweep_override("routing.policy")
 
 
-class TestHindsightTwinSharing:
-    """Forecast cells sharing one hindsight twin per forecast-stripped group."""
+class TestForecastSweeps:
+    """Forecast cells price regret by replaying their own run's dispatch."""
 
     @staticmethod
     def _forecast_spec():
@@ -210,75 +210,54 @@ class TestHindsightTwinSharing:
             }
         )
 
-    def test_shared_twins_are_bitwise_identical_to_per_cell_twins(self):
-        axes = {"forecast.noise_sigma": [0.3, 0.6]}
-        shared = sweep_scenario(self._forecast_spec(), axes)
-        per_cell = sweep_scenario(
-            self._forecast_spec(), axes, share_hindsight=False
-        )
-        for ours, theirs in zip(shared.cells, per_cell.cells):
-            assert ours.result.summary_dict() == theirs.result.summary_dict()
-            assert (
-                ours.result.report.hindsight_avoided_g
-                == theirs.result.report.hindsight_avoided_g
-            )
-            assert np.array_equal(
-                ours.result.report.battery_kwh, theirs.result.report.battery_kwh
-            )
-
-    def test_sharing_simulates_fewer_fleets(self):
-        """One twin per group instead of one per cell."""
-        from repro.fleet.scheduler import FleetSimulation
-
-        counts = []
-
-        def counted(run):
-            def wrapper(self, n_days):
-                counts[-1] += 1
-                return run(self, n_days)
-
-            return wrapper
-
-        original = FleetSimulation.run
-        FleetSimulation.run = counted(original)
-        try:
-            axes = {"forecast.noise_sigma": [0.3, 0.6]}
-            counts.append(0)
-            sweep_scenario(self._forecast_spec(), axes)
-            with_sharing = counts[-1]
-            counts.append(0)
-            sweep_scenario(self._forecast_spec(), axes, share_hindsight=False)
-            without_sharing = counts[-1]
-        finally:
-            FleetSimulation.run = original
-        # Sharing: one perfect twin + one main run per cell = 3.
-        # Per-cell: each of the two cells pays main + its own twin = 4.
-        assert with_sharing == 3
-        assert without_sharing == 4
-
-    def test_twin_reuses_a_grid_cell_when_it_is_one(self):
-        """A grid that contains the perfect cell needs no extra twin run."""
+    @staticmethod
+    def _count_fleet_runs(monkeypatch):
         from repro.fleet.scheduler import FleetSimulation
 
         counts = {"n": 0}
         original = FleetSimulation.run
 
-        def wrapper(self, n_days):
+        def counted(self, n_days):
             counts["n"] += 1
             return original(self, n_days)
 
-        FleetSimulation.run = wrapper
-        try:
-            sweep = sweep_scenario(
-                self._forecast_spec(),
-                {"forecast.model": ["perfect", "noisy"]},
+        monkeypatch.setattr(FleetSimulation, "run", counted)
+        return counts
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_forecast_cells_match_standalone_runs(self, jobs):
+        from repro.scenarios import run_scenario
+
+        sweep = sweep_scenario(
+            self._forecast_spec(), {"forecast.noise_sigma": [0.3, 0.6]}, jobs=jobs
+        )
+        for cell in sweep.cells:
+            alone = run_scenario(cell.result.spec)
+            assert cell.result.summary_dict() == alone.summary_dict()
+            assert (
+                cell.result.report.hindsight_avoided_g
+                == alone.report.hindsight_avoided_g
             )
-        finally:
-            FleetSimulation.run = original
-        # perfect cell (its own hindsight, 1 run) doubles as the noisy
-        # cell's twin; the noisy cell adds one more run.
+            assert np.array_equal(
+                cell.result.report.battery_kwh, alone.report.battery_kwh
+            )
+
+    def test_each_forecast_cell_simulates_one_fleet(self, monkeypatch):
+        counts = self._count_fleet_runs(monkeypatch)
+        sweep = sweep_scenario(
+            self._forecast_spec(), {"forecast.noise_sigma": [0.3, 0.6]}
+        )
+        assert counts["n"] == 2  # the baseline is a replay, not a twin run
+        assert all(cell.result.report.has_regret_accounting for cell in sweep.cells)
+
+    def test_noisy_baseline_equals_the_perfect_cell(self, monkeypatch):
+        counts = self._count_fleet_runs(monkeypatch)
+        sweep = sweep_scenario(
+            self._forecast_spec(), {"forecast.model": ["perfect", "noisy"]}
+        )
         assert counts["n"] == 2
         perfect, noisy = sweep.cells
-        assert noisy.result.report.hindsight_avoided_g == pytest.approx(
-            perfect.result.report.carbon_avoided_g()
+        assert (
+            noisy.result.report.hindsight_avoided_g
+            == perfect.result.report.carbon_avoided_g()
         )

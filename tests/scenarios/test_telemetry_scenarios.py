@@ -110,17 +110,20 @@ def test_sweep_counters_identical_serial_vs_parallel():
         assert ours.usd_per_request == theirs.usd_per_request
 
 
-def test_sweep_counts_twin_sharing():
+def test_forecast_sweep_runs_no_hindsight_twins():
     spec = _fast_spec("forecast-buffer").with_overrides(
         {"forecast.model": "persistence"}
     )
     tele = Telemetry()
     sweep_scenario(spec, {"forecast.noise_sigma": [0.1, 0.3]}, telemetry=tele)
-    # Two noisy cells share one forecast-stripped hindsight twin: one twin
-    # group, one dedicated twin simulation, one cache hit.
-    assert tele.counters["sweep.twin_groups"] == 1
-    assert tele.counters["sweep.twin_cache_hits"] == 1
-    assert len(tele.children) == 3  # 2 grid cells + 1 dedicated twin
+    # Each cell replays its own hindsight baseline: one child per grid
+    # cell, no twin runs to count, and the baseline span holds no phases.
+    assert len(tele.children) == 2
+    assert not any("twin" in name for name in tele.counters)
+    for child in tele.children:
+        paths = [row["path"] for row in child["phases"]]
+        assert "scenario/hindsight_twin" in paths
+        assert not any(path.startswith("scenario/hindsight_twin/") for path in paths)
 
 
 def test_clipped_setpoint_counter_matches_report():

@@ -19,8 +19,8 @@ from repro.telemetry import Telemetry
 
 FAST = {"duration_days": 2, "routing.latency_probe_s": 0.0}
 
-#: A 4-cell grid with twin structure: the perfect cells double as the noisy
-#: cells' hindsight twins, so the sweep exercises every store code path.
+#: A 4-cell forecast grid: perfect cells plus noisy cells carrying regret
+#: accounting, so stored results must round-trip the hindsight baseline.
 FORECAST_AXES = {
     "forecast.model": ["perfect", "noisy"],
     "forecast.noise_sigma": [0.1, 0.3],
@@ -87,6 +87,8 @@ def test_second_pass_simulates_zero_cells(tmp_path, monkeypatch, jobs):
 
 @pytest.mark.parametrize("jobs", [None, 2])
 def test_second_pass_with_twins_simulates_zero_cells(tmp_path, monkeypatch, jobs):
+    """A forecast grid, whose perfect cells are its noisy cells' hindsight
+    twins, re-runs from the store with zero simulation."""
     spec = _spec("forecast-buffer")
     store = ExperimentStore(str(tmp_path / "es"))
     first = sweep_scenario(spec, FORECAST_AXES, jobs=jobs, store=store)
@@ -168,15 +170,16 @@ def test_interrupted_parallel_sweep_resumes_bitwise_identical(tmp_path):
     _assert_sweeps_identical(reference, resumed)
 
 
-def test_stored_twin_is_reused_without_simulation(tmp_path, monkeypatch):
-    """A hindsight twin persisted by one sweep prices later sweeps' regret."""
+def test_forecast_cells_store_one_entry_each(tmp_path, monkeypatch):
+    """A forecast cell persists alone: its regret needs no stored twin."""
     spec = _spec("forecast-buffer")
     store = ExperimentStore(str(tmp_path / "es"))
     noisy_axes = {"forecast.model": ["noisy"], "forecast.noise_sigma": [0.1]}
-    sweep_scenario(spec, noisy_axes, store=store)
-    assert len(store) == 2  # the noisy cell plus its dedicated twin
+    first = sweep_scenario(spec, noisy_axes, store=store)
+    assert len(store) == 1
+    assert first.cells[0].result.report.has_regret_accounting
 
-    # A different sigma needs the same twin: it must load, not re-simulate.
+    # A different sigma simulates only its own cell.
     calls = _count_runs(monkeypatch)
     telemetry = Telemetry()
     sweep_scenario(
@@ -185,9 +188,10 @@ def test_stored_twin_is_reused_without_simulation(tmp_path, monkeypatch):
         telemetry=telemetry,
         store=store,
     )
-    assert telemetry.counters["store.twin_hits"] == 1
-    assert len(calls) == 1  # only the new noisy cell simulated
-    assert len(store) == 3
+    assert telemetry.counters["store.misses"] == 1
+    assert not any("twin" in name for name in telemetry.counters)
+    assert len(calls) == 1
+    assert len(store) == 2
 
 
 def test_store_counters_absent_without_a_store(tmp_path):

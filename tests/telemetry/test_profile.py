@@ -104,3 +104,29 @@ def test_live_manifest_includes_shard_rss(tmp_path):
     text = render_profile(manifest)
     assert "peak RSS:" in text
     assert "peak RSS (max shard):" in text
+
+
+def test_throughput_only_on_fleet_day_phases():
+    """Stage spans (probe, economics, ...) count calls, not simulated days."""
+    from repro.scenarios import ScenarioRunner, get_scenario
+    from repro.telemetry.profile import FLEET_DAY_PHASES
+
+    spec = get_scenario("carbon-buffer").with_overrides(
+        {"duration_days": 2, "routing.latency_probe_s": 0.05}
+    )
+    tele = Telemetry()
+    ScenarioRunner(spec, telemetry=tele).run()
+    lines = render_profile(build_manifest(tele, name="probe-run")).splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("phase")) + 2
+    throughput = {}
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        cells = line.split()
+        throughput[cells[0]] = cells[-1]
+    assert "latency_probe" in throughput and "dispatch_day" in throughput
+    for phase, cell in throughput.items():
+        if phase in FLEET_DAY_PHASES:
+            assert float(cell.replace(",", "")) > 0, phase
+        else:
+            assert cell == "-", phase
