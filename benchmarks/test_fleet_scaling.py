@@ -39,7 +39,7 @@ N_DAYS = 366
 WALL_CLOCK_BUDGET_S = 60.0
 
 #: 2 sites x 500,000 devices = the million-device scale-out target, run for
-#: two simulated years with the batched + sharded execution path.  Churn is
+#: two simulated years.  Churn is
 #: the per-device floor (~1 uniform draw per device-day), so the budget is
 #: sized off that: ~36 s measured on a dev box, 120 s leaves >3x headroom
 #: for slower CI runners.
@@ -100,8 +100,6 @@ def _run(
     devices_per_site: int = DEVICES_PER_SITE,
     n_days: int = N_DAYS,
     demand=None,
-    block_days: int = 1,
-    shards: int = 1,
     churn_sampler: str = "device",
 ):
     """Run one labelled fleet case; a ``case`` label records it for the JSON."""
@@ -115,8 +113,6 @@ def _run(
         demand if demand is not None else DEMAND,
         dispatch=dispatch,
         telemetry=telemetry,
-        block_days=block_days,
-        shards=shards,
     )
     result = simulation.run(n_days)
     elapsed = time.perf_counter() - start
@@ -127,8 +123,6 @@ def _run(
                 "case": case,
                 "devices": devices,
                 "n_days": n_days,
-                "block_days": block_days,
-                "shards": shards,
                 "churn_sampler": churn_sampler,
                 "wall_s": round(elapsed, 4),
                 "device_days_per_s": round(devices * n_days / elapsed, 1),
@@ -213,12 +207,10 @@ def test_fleet_year_is_deterministic(report):
 
 
 def test_million_devices_two_years_within_wall_clock_budget(report):
-    """The scale-out target: 1M devices x 2 years with the batched path.
+    """The scale-out target: 1M devices x 2 years.
 
-    Runs the full coupled stack (carbon-buffer dispatch on every pack) with
-    whole-run day batching and site-sharded dispatch — the configuration the
-    vectorized execution work exists for.  Identity of this configuration
-    with the serial reference is locked separately by
+    Runs the full coupled stack (carbon-buffer dispatch on every pack).
+    Bitwise identity of the fleet loop is locked separately by
     ``tests/fleet/test_execution_identity.py``; this case pins the speed.
     """
     demand = DiurnalDemand(
@@ -231,14 +223,12 @@ def test_million_devices_two_years_within_wall_clock_budget(report):
         devices_per_site=MILLION_DEVICES_PER_SITE,
         n_days=MILLION_N_DAYS,
         demand=demand,
-        block_days=366,
-        shards=2,
     )
 
     devices = 2 * MILLION_DEVICES_PER_SITE
     throughput = devices * MILLION_N_DAYS / elapsed
     report(
-        "Fleet scaling (1M devices, 2 years, batched + sharded dispatch)",
+        "Fleet scaling (1M devices, 2 years, dispatch)",
         f"wall clock: {elapsed:.2f} s "
         f"({throughput / 1e6:.1f}M device-days/s)\n"
         f"battery served {result.total_battery_discharge_kwh:.1f} kWh, "
@@ -275,8 +265,6 @@ def test_million_devices_bucket_churn_within_third_of_budget(report):
         devices_per_site=MILLION_DEVICES_PER_SITE,
         n_days=MILLION_N_DAYS,
         demand=demand,
-        block_days=366,
-        shards=2,
         churn_sampler="bucket",
     )
 
@@ -328,8 +316,6 @@ def test_ten_million_devices_year_with_bucket_churn(report):
         devices_per_site=TEN_MILLION_DEVICES_PER_SITE,
         n_days=TEN_MILLION_N_DAYS,
         demand=demand,
-        block_days=366,
-        shards=2,
         churn_sampler="bucket",
     )
 

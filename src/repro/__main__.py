@@ -8,10 +8,6 @@ Usage::
     python -m repro scenarios            # list registered scenario presets
     python -m repro run scenario two-site-asymmetric \
         --set duration_days=2 --set routing.policy=round-robin
-    python -m repro run scenario carbon-buffer \
-        --set execution.block_days=366 --set execution.shards=4
-        # execution.* are pure performance knobs (day batching, site-sharded
-        # dispatch): results are bitwise-identical at any setting
     python -m repro sweep scenario carbon-buffer \
         --set routing.policy=round-robin,greedy-lowest-intensity \
         --set demand.fraction_of_capacity=0.3,0.6

@@ -36,6 +36,8 @@ surfacing the marginal wear cost that the discrete swap counters only
 realise after a full cycle-life crossing.
 
 * :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics;
+* :func:`replay_dispatch` — the fleet loop's dispatch pass: one policy and
+  one ledger stepped day by day over a run's recorded inputs;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
 * :class:`ForecastDispatch` — the forecast-aware policy: a
   :class:`~repro.forecast.planner.LookaheadPlanner` ranks a forecast window
@@ -88,13 +90,6 @@ class DispatchPolicy(abc.ABC):
     name: str = "dispatch"
     #: SoC floor the ledger never discharges below (backup-power margin).
     min_state_of_charge: float = 0.25
-    #: True when :meth:`day_modes` is a pure function of its arguments (no
-    #: live ledger reads, no per-run state): the scheduler may then compute
-    #: every day's modes up front and advance the ledger over the whole run
-    #: in one :meth:`EnergyLedger.step_block` call.  Policies that plan
-    #: against live SoC (e.g. :class:`ForecastDispatch`) must leave this
-    #: False so modes and ledger stepping interleave day by day.
-    stateless_day_modes: bool = False
 
     def make_ledger(self, sites: Sequence[FleetSite]) -> "EnergyLedger":
         """A fresh ledger for one simulation run."""
@@ -138,7 +133,6 @@ class GridOnlyDispatch(DispatchPolicy):
     """The decoupled baseline: batteries stay full, everything is grid power."""
 
     name = "grid-only"
-    stateless_day_modes = True
 
     def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
         return np.full(len(site_packs(sites)), np.nan)
@@ -160,7 +154,6 @@ class CarbonBufferDispatch(DispatchPolicy):
     """
 
     name = "carbon-buffer"
-    stateless_day_modes = True
 
     def __init__(
         self,
@@ -275,11 +268,6 @@ class ForecastDispatch(DispatchPolicy):
         #: wait here and execute before the next forecast refresh — planning
         #: cadence follows ``refresh_h``, not the simulation's day batching.
         self._pending: Dict[int, np.ndarray] = {}
-        #: Fleet-global index of this policy's first site.  Sharded dispatch
-        #: replay hands each worker a contiguous site slice; forecast windows
-        #: stay keyed on the global site index so a noisy model draws the
-        #: same noise under any shard layout.
-        self.site_offset = 0
         #: Recorded day-start device counts (:meth:`set_pack_counts`), or
         #: ``None`` for live cohort reads.
         self._pack_counts: Optional[np.ndarray] = None
@@ -336,7 +324,7 @@ class ForecastDispatch(DispatchPolicy):
     ) -> Optional[np.ndarray]:
         """One pack's planned modes for the day, or ``None`` to fall back.
 
-        The forecast window is keyed on the *fleet-global site* index — every
+        The forecast window is keyed on the *site* index — every
         pack at a mixed site plans against the same forecast of their shared
         grid (a noisy model must not perturb one physical quantity two ways)
         — while SoC and capacity are per pack.
@@ -391,7 +379,7 @@ class ForecastDispatch(DispatchPolicy):
                 site.trace,
                 day_start_s + covered * units.SECONDS_PER_HOUR,
                 self.horizon_h,
-                site_index=self.site_offset + site_index,
+                site_index=site_index,
             )
             if window is None:
                 if covered == 0:
@@ -503,35 +491,18 @@ class EnergyLedger:
     ):
         """Apply one hour of dispatch decisions; returns ``(battery_j, charge_j)``.
 
-        All arrays are per pack.  ``device_energy_j`` is the device-only
-        energy each cohort must deliver this hour (peripherals always stay
-        on the grid); ``idle_fraction`` scales the aggregate charge rate —
-        only idle headroom charges the pack, devices busy serving requests
-        do not.  Charging and discharging are mutually exclusive by
-        construction, discharge stops at the SoC floor, and charging stops
-        at a full pack.
+        All arrays are per pack — the one-row case of :meth:`step_block`,
+        which holds the physics.
         """
-        modes = np.asarray(modes)
-        usable = self._has_battery & (capacity_j > 0)
-        # Backup-power guarantee: below the floor, charging is forced
-        # regardless of the policy's verdict (mirrors the per-device study).
-        modes = np.where(usable & (self.soc < self.min_soc), DISPATCH_CHARGE, modes)
-
-        discharging = usable & (modes == DISPATCH_DISCHARGE)
-        available_j = np.clip(self.soc - self.min_soc, 0.0, None) * capacity_j
-        battery_j = np.where(
-            discharging, np.minimum(device_energy_j, available_j), 0.0
+        battery_j, charge_j, _ = self.step_block(
+            np.asarray(modes)[None, :],
+            device_energy_j,
+            step_s,
+            capacity_j,
+            charge_rate_w,
+            idle_fraction,
         )
-
-        charging = usable & (modes == DISPATCH_CHARGE)
-        headroom_j = np.clip(1.0 - self.soc, 0.0, None) * capacity_j
-        deliverable_j = charge_rate_w * np.clip(idle_fraction, 0.0, 1.0) * step_s
-        charge_j = np.where(charging, np.minimum(headroom_j, deliverable_j), 0.0)
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            delta = np.where(capacity_j > 0, (charge_j - battery_j) / capacity_j, 0.0)
-        self.soc = np.clip(self.soc + delta, 0.0, 1.0)
-        return battery_j, charge_j
+        return battery_j[0], charge_j[0]
 
     def step_block(
         self,
@@ -542,104 +513,122 @@ class EnergyLedger:
         charge_rate_w: np.ndarray,
         idle_fraction: np.ndarray,
     ):
-        """Advance all packs over a block of hours in one vectorized pass.
+        """Advance all packs hour by hour over a block of rows.
 
-        Bitwise-exact batching of :meth:`step`: every input is an ``(H, C)``
-        matrix (or broadcastable to one — capabilities may vary per row when
-        the block spans churn days), and the return is the per-row
-        ``(battery_j, charge_j, soc)`` series :meth:`step` would have
-        produced hour by hour, with ``self.soc`` left at the final row.
+        Every input is an ``(H, C)`` matrix, or broadcastable to one
+        (capabilities may vary per row); returns the per-row ``(battery_j,
+        charge_j, soc)`` series with ``self.soc`` left at the final row.
+        ``device_energy_j`` is the device-only energy each pack must
+        deliver per hour (peripherals always stay on the grid), and
+        ``idle_fraction`` scales the charge rate — only idle headroom
+        charges a pack, devices busy serving requests do not.
 
-        The fast path assumes no physics constraint binds: candidate
-        discharge is the full device energy, candidate charge the full
-        deliverable power, and the SoC trajectory is the running cumulative
-        sum of the per-hour deltas (NumPy's ``cumsum`` accumulates strictly
-        left-to-right, so the partial sums are bitwise-identical to
-        sequential stepping).  Columns where any row violates an assumption
-        — SoC clipping at either bound, the below-floor forced recharge, a
-        discharge truncated at the floor, or a charge truncated at a full
-        pack — fall back to exact sequential stepping for that column only;
-        every ledger operation is elementwise per pack, so the hybrid
-        result is identical to stepping all columns sequentially.
+        Hours run in sequence, each one vectorized across packs.  Below the
+        SoC floor charging is forced whatever the policy says (the backup-
+        power guarantee of the per-device study); charging and discharging
+        are mutually exclusive, discharge stops at the floor, and charging
+        stops at a full pack.
         """
         modes = np.asarray(modes)
         n_rows, n_packs = modes.shape
-        capacity_j = np.broadcast_to(
-            np.asarray(capacity_j, dtype=float), (n_rows, n_packs)
-        )
-        charge_rate_w = np.broadcast_to(
-            np.asarray(charge_rate_w, dtype=float), (n_rows, n_packs)
-        )
+        shape = (n_rows, n_packs)
+        capacity_j = np.broadcast_to(np.asarray(capacity_j, dtype=float), shape)
+        charge_rate_w = np.broadcast_to(np.asarray(charge_rate_w, dtype=float), shape)
         device_energy_j = np.broadcast_to(
-            np.asarray(device_energy_j, dtype=float), (n_rows, n_packs)
+            np.asarray(device_energy_j, dtype=float), shape
         )
-        idle_fraction = np.broadcast_to(
-            np.asarray(idle_fraction, dtype=float), (n_rows, n_packs)
-        )
-        usable = self._has_battery[None, :] & (capacity_j > 0)
+        idle_fraction = np.broadcast_to(np.asarray(idle_fraction, dtype=float), shape)
+        has_capacity = capacity_j > 0
+        usable = self._has_battery[None, :] & has_capacity
+        wants_discharge = usable & (modes == DISPATCH_DISCHARGE)
+        wants_charge = usable & (modes == DISPATCH_CHARGE)
         deliverable_j = charge_rate_w * np.clip(idle_fraction, 0.0, 1.0) * step_s
 
-        discharging = usable & (modes == DISPATCH_DISCHARGE)
-        charging = usable & (modes == DISPATCH_CHARGE)
-        battery_j = np.where(discharging, device_energy_j, 0.0)
-        charge_j = np.where(charging, deliverable_j, 0.0)
+        battery_j = np.empty(shape)
+        charge_j = np.empty(shape)
+        soc = np.empty(shape)
+        state = self.soc
         with np.errstate(invalid="ignore", divide="ignore"):
-            delta = np.where(
-                capacity_j > 0, (charge_j - battery_j) / capacity_j, 0.0
-            )
-        # Cumulative partial sums seeded with the entry SoC: cumsum row k+1
-        # is (((soc0 + d0) + d1) + ...) + dk — the exact sequential chain.
-        stacked = np.empty((n_rows + 1, n_packs))
-        stacked[0] = self.soc
-        stacked[1:] = delta
-        trajectory = np.cumsum(stacked, axis=0)
-        before = trajectory[:-1]
-        soc = trajectory[1:]
-
-        available_j = np.clip(before - self.min_soc, 0.0, None) * capacity_j
-        headroom_j = np.clip(1.0 - before, 0.0, None) * capacity_j
-        violated = (
-            ((soc < 0.0) | (soc > 1.0))  # clip would bind
-            | (usable & (before < self.min_soc) & (modes != DISPATCH_CHARGE))
-            | (discharging & (device_energy_j > available_j))
-            | (charging & (deliverable_j > headroom_j))
-        )
-        bad = np.nonzero(violated.any(axis=0))[0]
-        if bad.size:
-            state = stacked[0, bad].copy()
             for row in range(n_rows):
-                row_modes = modes[row, bad]
-                row_usable = usable[row, bad]
-                row_capacity = capacity_j[row, bad]
-                row_modes = np.where(
-                    row_usable & (state < self.min_soc), DISPATCH_CHARGE, row_modes
-                )
-                row_discharging = row_usable & (row_modes == DISPATCH_DISCHARGE)
-                row_available = np.clip(state - self.min_soc, 0.0, None) * row_capacity
-                row_battery = np.where(
-                    row_discharging,
-                    np.minimum(device_energy_j[row, bad], row_available),
+                forced = usable[row] & (state < self.min_soc)
+                capacity = capacity_j[row]
+                available = np.clip(state - self.min_soc, 0.0, None) * capacity
+                battery = np.where(
+                    wants_discharge[row] & ~forced,
+                    np.minimum(device_energy_j[row], available),
                     0.0,
                 )
-                row_charging = row_usable & (row_modes == DISPATCH_CHARGE)
-                row_headroom = np.clip(1.0 - state, 0.0, None) * row_capacity
-                row_charge = np.where(
-                    row_charging,
-                    np.minimum(row_headroom, deliverable_j[row, bad]),
+                headroom = np.clip(1.0 - state, 0.0, None) * capacity
+                charge = np.where(
+                    wants_charge[row] | forced,
+                    np.minimum(headroom, deliverable_j[row]),
                     0.0,
                 )
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    row_delta = np.where(
-                        row_capacity > 0,
-                        (row_charge - row_battery) / row_capacity,
-                        0.0,
-                    )
-                state = np.clip(state + row_delta, 0.0, 1.0)
-                battery_j[row, bad] = row_battery
-                charge_j[row, bad] = row_charge
-                soc[row, bad] = state
-        self.soc = soc[-1].copy()
+                delta = np.where(
+                    has_capacity[row], (charge - battery) / capacity, 0.0
+                )
+                state = np.clip(state + delta, 0.0, 1.0)
+                battery_j[row] = battery
+                charge_j[row] = charge
+                soc[row] = state
+        self.soc = state
         return battery_j, charge_j, soc
+
+
+def replay_dispatch(
+    sites: Sequence[FleetSite],
+    dispatch: DispatchPolicy,
+    intensity: np.ndarray,
+    device_j: np.ndarray,
+    idle_fraction: np.ndarray,
+    counts_day: np.ndarray,
+    step_s: float,
+):
+    """Replay a run's dispatch timeline, day by day, over recorded inputs.
+
+    The fleet loop records routing and churn first; the battery ledger
+    only consumes what that pass left behind.  All matrices are ``(n_steps,
+    n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
+    device counts, from which each day's pack capabilities are re-derived
+    bit for bit.  Each day the policy sets thresholds from the previous
+    day's intensity, plans its modes (forecast policies read the ledger's
+    live SoC here), and the ledger steps that day's rows.
+
+    Returns ``(battery_j, charge_j, soc, shortfall_j)``; ``shortfall_j`` is
+    the per-``(hour, pack)`` discharge energy the ledger could not deliver
+    against the *policy's* (pre-override) modes, for clip accounting.
+    """
+    n_steps, n_packs = intensity.shape
+    n_days = counts_day.shape[0]
+    hours_per_day = n_steps // n_days
+    ledger = dispatch.make_ledger(sites)
+    modes = np.empty((n_steps, n_packs), dtype=np.int8)
+    battery_j = np.empty((n_steps, n_packs))
+    charge_j = np.empty((n_steps, n_packs))
+    soc = np.empty((n_steps, n_packs))
+    previous_intensity: Optional[np.ndarray] = None
+    for day in range(n_days):
+        rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
+        thresholds = dispatch.day_thresholds(previous_intensity, sites)
+        dispatch.set_pack_counts(counts_day[day])
+        modes[rows] = dispatch.day_modes(intensity[rows], thresholds)
+        capacity_j, charge_rate_w = ledger.day_capabilities(counts_day[day])
+        battery_j[rows], charge_j[rows], soc[rows] = ledger.step_block(
+            modes[rows],
+            device_j[rows],
+            step_s,
+            capacity_j,
+            charge_rate_w,
+            idle_fraction[rows],
+        )
+        previous_intensity = intensity[rows]
+    dispatch.set_pack_counts(None)
+    shortfall_j = np.where(
+        modes == DISPATCH_DISCHARGE,
+        np.maximum(device_j - battery_j, 0.0),
+        0.0,
+    )
+    return battery_j, charge_j, soc, shortfall_j
 
 
 def estimate_cohort_savings(

@@ -50,8 +50,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.fleet.dispatch import DispatchPolicy, site_packs
-from repro.fleet.execution import execute_dispatch
+from repro.fleet.dispatch import DispatchPolicy, replay_dispatch, site_packs
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite, SiteCohort
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
@@ -295,16 +294,12 @@ class FleetSimulation:
     capacity follows churn and churn follows realised utilisation, so
     allocation and population stepping must alternate day by day — but the
     purely time-indexed inputs (demand series, grid intensities, marginal
-    CCI) are hoisted and precomputed ``block_days`` days at a time
-    (bitwise-identical: they are elementwise functions of exactly
-    representable hour indices).  Pass B replays the entire dispatch
-    timeline afterwards from what Pass A recorded, through the ledger's
-    vectorized :meth:`~repro.fleet.dispatch.EnergyLedger.step_block`,
-    optionally sharded across ``shards`` worker processes by contiguous
-    site ranges (see :mod:`repro.fleet.execution`).  ``block_days`` and
-    ``shards`` are pure performance knobs: every setting produces
-    bitwise-identical reports, counters, and RNG streams (locked by
-    ``tests/fleet/test_execution_identity.py``).
+    CCI) are precomputed once for the whole run.  Pass B replays the
+    dispatch timeline afterwards from what Pass A recorded
+    (:func:`~repro.fleet.dispatch.replay_dispatch`), one day of the
+    ledger's :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` at a
+    time.  Every report is locked bitwise against recorded digests
+    (``tests/fleet/test_execution_identity.py``).
 
     Pass A never reads the dispatch policy, so its recordings are kept
     after :meth:`run`: :meth:`replay_avoided_g` prices another policy on
@@ -318,18 +313,10 @@ class FleetSimulation:
         demand: DiurnalDemand,
         dispatch: Optional[DispatchPolicy] = None,
         telemetry=None,
-        block_days: int = 1,
-        shards: int = 1,
         audit: bool = False,
     ) -> None:
         if not sites:
             raise ValueError("a fleet needs at least one site")
-        if block_days < 1:
-            raise ValueError(f"block_days must be >= 1, got {block_days}")
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.block_days = int(block_days)
-        self.shards = int(shards)
         #: Opt-in invariant audit: after Pass B, re-derive the conservation
         #: laws the report must obey (see
         #: :mod:`repro.telemetry.observatory.audit`).  The auditor only
@@ -386,8 +373,6 @@ class FleetSimulation:
 
         # Pass A recordings: what the deferred dispatch replay will consume.
         alloc_all = np.empty((n_steps, n_cohorts))
-        demand_all = np.empty(n_steps)
-        intensity_packs = np.empty((n_steps, n_cohorts))
         utilization_all = np.empty((n_steps, n_cohorts))
         counts_day = np.zeros((n_days, n_cohorts), dtype=np.int64)
 
@@ -409,67 +394,54 @@ class FleetSimulation:
         # Allocation and churn are irreducibly day-sequential (capacity for
         # day d+1 depends on churn at day d, churn depends on realised
         # utilisation), but the time-indexed inputs hoist: one precompute
-        # per block covers demand, intensity, and marginal CCI for every
-        # day in it (calls=0: setup time folds into the phase without
-        # inflating its invocation count).
-        for block_start in range(0, n_days, self.block_days):
-            block_stop = min(block_start + self.block_days, n_days)
-            with tele.span("allocate_day", calls=0):
-                block_demand, block_intensity, block_marginal = (
-                    self._precompute_block(
-                        block_start, block_stop, hours_per_day, step_s
-                    )
-                )
-            block_rows = slice(
-                block_start * hours_per_day, block_stop * hours_per_day
+        # covers demand, intensity, and marginal CCI for the whole run
+        # (calls=0: setup time folds into the phase without inflating its
+        # invocation count).
+        with tele.span("allocate_day", calls=0):
+            demand_all, intensity_packs, marginal_all = self._precompute_inputs(
+                n_steps, step_s
             )
-            demand_all[block_rows] = block_demand
-            intensity_packs[block_rows] = block_intensity
-            for day in range(block_start, block_stop):
-                offset = (day - block_start) * hours_per_day
-                local = slice(offset, offset + hours_per_day)
-                rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
-                with tele.span("allocate_day"):
-                    alloc = self._allocate_day(
-                        hours_per_day,
-                        step_s,
-                        block_demand[local],
-                        block_intensity[local],
-                        block_marginal[local],
-                    )
-                alloc_all[rows] = alloc
-                if tele.enabled:
-                    # "Segments touched": (hour, segment) cells the
-                    # waterfill actually routed load through this day.
-                    tele.count(
-                        "routing.waterfill_segments_touched",
-                        int(np.count_nonzero(alloc)),
-                    )
-                # Day-start counts — what the legacy per-day loop's live
-                # capability reads saw — recorded before churn moves them.
-                counts_day[day] = [
-                    entry.cohort.active_count for _, entry in self.segments
-                ]
-
-                # Daily population step at the realised utilisation; the
-                # same matrix feeds dispatch idle headroom in Pass B.
-                with tele.span("step_population"):
-                    utilization = self._physical_utilization(alloc)
-                    day_step = self._step_population(utilization)
-                utilization_all[rows] = utilization
-                cohort_active[day] = day_step["active"]
-                cohort_replacement_g[day] = day_step["replacement_carbon_g"]
-                cohort_swaps[day] = day_step["battery_swaps"]
-                cohort_failures[day] = day_step["failures"]
-                cohort_deployed[day] = day_step["deployed"]
-                cohort_retirements[day] = day_step["retirements"]
-                active[day] = self._per_site(day_step["active"])
-                replacement_g[day] = self._per_site(
-                    day_step["replacement_carbon_g"]
+        for day in range(n_days):
+            rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
+            with tele.span("allocate_day"):
+                alloc = self._allocate_day(
+                    hours_per_day,
+                    step_s,
+                    demand_all[rows],
+                    intensity_packs[rows],
+                    marginal_all[rows],
                 )
-                battery_swaps[day] = self._per_site(day_step["battery_swaps"])
-                failures[day] = self._per_site(day_step["failures"])
-                deployed[day] = self._per_site(day_step["deployed"])
+            alloc_all[rows] = alloc
+            if tele.enabled:
+                # "Segments touched": (hour, segment) cells the waterfill
+                # actually routed load through this day.
+                tele.count(
+                    "routing.waterfill_segments_touched",
+                    int(np.count_nonzero(alloc)),
+                )
+            # Day-start counts — what the allocation's live capability
+            # reads saw — recorded before churn moves them.
+            counts_day[day] = [
+                entry.cohort.active_count for _, entry in self.segments
+            ]
+
+            # Daily population step at the realised utilisation; the same
+            # matrix feeds dispatch idle headroom in Pass B.
+            with tele.span("step_population"):
+                utilization = self._physical_utilization(alloc)
+                day_step = self._step_population(utilization)
+            utilization_all[rows] = utilization
+            cohort_active[day] = day_step["active"]
+            cohort_replacement_g[day] = day_step["replacement_carbon_g"]
+            cohort_swaps[day] = day_step["battery_swaps"]
+            cohort_failures[day] = day_step["failures"]
+            cohort_deployed[day] = day_step["deployed"]
+            cohort_retirements[day] = day_step["retirements"]
+            active[day] = self._per_site(day_step["active"])
+            replacement_g[day] = self._per_site(day_step["replacement_carbon_g"])
+            battery_swaps[day] = self._per_site(day_step["battery_swaps"])
+            failures[day] = self._per_site(day_step["failures"])
+            deployed[day] = self._per_site(day_step["deployed"])
 
         if tele.enabled:
             # Which churn engine stepped this run, and how many distinct
@@ -525,18 +497,9 @@ class FleetSimulation:
             energy_kwh_all = total_kwh
         else:
             with tele.span("dispatch_day", calls=n_days):
-                (
-                    battery_j,
-                    charge_j,
-                    pack_soc,
-                    shortfall_j,
-                    _,
-                    shard_manifests,
-                ) = self._run_dispatch(
-                    self.dispatch, recorded, step_s, tele.enabled
+                battery_j, charge_j, pack_soc, shortfall_j = self._run_dispatch(
+                    self.dispatch, recorded, step_s
                 )
-            for manifest in shard_manifests:
-                tele.add_child(manifest)
             cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
             cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
             cohort_soc = pack_soc
@@ -675,7 +638,7 @@ class FleetSimulation:
             raise RuntimeError("replay_avoided_g needs a finished run()")
         recorded, report = self._recorded
         battery_j, charge_j, *_ = self._run_dispatch(
-            dispatch, recorded, report.step_s, telemetry_enabled=False
+            dispatch, recorded, report.step_s
         )
         return dataclasses.replace(
             report,
@@ -688,15 +651,14 @@ class FleetSimulation:
         dispatch: DispatchPolicy,
         recorded: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         step_s: float,
-        telemetry_enabled: bool,
     ):
-        """Pass B's dispatch: :func:`~repro.fleet.execution.execute_dispatch`
+        """Pass B's dispatch: :func:`~repro.fleet.dispatch.replay_dispatch`
         of ``dispatch`` over the ``(intensity, device_kwh, utilization,
         counts_day)`` Pass A recorded."""
         intensity, device_kwh, utilization, counts_day = recorded
         # Idle headroom is physical: a device the routing derate shed is
         # sitting idle and can charge.
-        return execute_dispatch(
+        return replay_dispatch(
             self.sites,
             dispatch,
             intensity,
@@ -704,30 +666,22 @@ class FleetSimulation:
             1.0 - utilization,
             counts_day,
             step_s,
-            self._site_starts,
-            shards=self.shards,
-            telemetry_enabled=telemetry_enabled,
         )
 
     # -- per-day phases ----------------------------------------------------
 
-    def _precompute_block(
-        self, start_day: int, stop_day: int, hours_per_day: int, step_s: float
-    ):
-        """Hoisted time-indexed inputs for days ``[start_day, stop_day)``.
+    def _precompute_inputs(self, n_hours: int, step_s: float):
+        """Hoisted time-indexed inputs for the run's first ``n_hours`` hours.
 
         Demand, per-pack intensity, and marginal CCI depend only on the hour
-        index — never on live population state — so one call covers a whole
-        block.  Hour timestamps and start hours are exactly representable
-        integers and every series is elementwise in them, so any block size
-        is bitwise-identical to the historical per-day calls.
+        index — never on live population state — so one call covers the
+        whole run.  Hour timestamps are exactly representable integers and
+        every series is elementwise in them, so the whole-run call is
+        bitwise-identical to per-day calls.
         """
         n_cohorts = len(self.segments)
-        n_hours = (stop_day - start_day) * hours_per_day
-        times_s = (
-            start_day * units.SECONDS_PER_DAY + np.arange(n_hours) * step_s
-        )
-        demand_rps = self.demand.series(n_hours, start_hour=start_day * 24.0)
+        times_s = np.arange(n_hours) * step_s
+        demand_rps = self.demand.series(n_hours)
         intensity = np.empty((n_hours, n_cohorts))
         marginal = np.empty((n_hours, n_cohorts))
         site_intensity: Dict[int, np.ndarray] = {}
@@ -751,7 +705,7 @@ class FleetSimulation:
 
         Only the capacity matrix is computed here — it reads the *live*
         (churn-following) cohort populations, which is exactly why this
-        phase cannot hoist with the block precompute that feeds it.
+        phase cannot hoist with the whole-run precompute that feeds it.
         """
         n_cohorts = len(self.segments)
         capacity = np.empty((hours_per_day, n_cohorts))
@@ -887,41 +841,6 @@ class FleetSimulation:
         single = sizes == 1
         if np.any(single):
             out[:, single] = pack_soc[:, self._site_starts[single]]
-        return out
-
-    def _site_soc_loop(
-        self, pack_soc: np.ndarray, capacity_rows: np.ndarray
-    ) -> np.ndarray:
-        """Reference per-site loop for :meth:`_site_soc` (kept for tests).
-
-        Accumulates each site's weighted sum left to right — the same
-        reduction order ``np.add.reduceat`` uses — so the vectorized path
-        can be pinned bitwise against it on mixed and single-pack sites.
-        """
-        n_sites = len(self.sites)
-        n_packs = pack_soc.shape[1]
-        out = np.empty((pack_soc.shape[0], n_sites))
-        for site_index in range(n_sites):
-            start = int(self._site_starts[site_index])
-            stop = (
-                int(self._site_starts[site_index + 1])
-                if site_index + 1 < n_sites
-                else n_packs
-            )
-            if stop - start == 1:
-                out[:, site_index] = pack_soc[:, start]
-                continue
-            weighted = pack_soc[:, start] * capacity_rows[:, start]
-            total = capacity_rows[:, start].copy()
-            plain = pack_soc[:, start].copy()
-            for j in range(start + 1, stop):
-                weighted = weighted + pack_soc[:, j] * capacity_rows[:, j]
-                total = total + capacity_rows[:, j]
-                plain = plain + pack_soc[:, j]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out[:, site_index] = np.where(
-                    total > 0, weighted / total, plain / (stop - start)
-                )
         return out
 
     def _physical_utilization(self, alloc: np.ndarray) -> np.ndarray:

@@ -453,8 +453,6 @@ class ScenarioRunner:
                 self.build_demand(),
                 dispatch=self.build_dispatch(),
                 telemetry=tele,
-                block_days=spec.execution.block_days,
-                shards=spec.execution.shards,
                 audit=spec.execution.audit,
             )
             with tele.span("main_run"):

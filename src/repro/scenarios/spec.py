@@ -422,28 +422,24 @@ class EconomicsSpec:
 
 @dataclass(frozen=True)
 class ExecutionSpec:
-    """How (not what) to simulate: batching, sharding, and audit knobs.
+    """How (not what) to simulate: observation knobs.
 
-    Pure performance/observation knobs for
-    :class:`~repro.fleet.scheduler.FleetSimulation` — ``block_days`` sizes
-    the vectorized day-batches the fleet loop precomputes at once,
-    ``shards`` fans the deferred dispatch replay out across a process
-    pool, and ``audit`` turns on the post-run conservation-invariant
-    checks of :mod:`repro.telemetry.observatory.audit`.  Every setting is
-    bitwise-identical to every other (locked by tests), which is why
-    :meth:`ScenarioSpec.sha256` excludes this block: the same experiment
-    run with different execution knobs keys the same store entry.
+    ``audit`` turns on the post-run conservation-invariant checks of
+    :mod:`repro.telemetry.observatory.audit` in
+    :class:`~repro.fleet.scheduler.FleetSimulation`.  The audit only reads
+    finished matrices, so results are bitwise-identical either way, which
+    is why :meth:`ScenarioSpec.sha256` excludes this block: the same
+    experiment run with or without the audit keys the same store entry.
     """
 
-    block_days: int = 1
-    shards: int = 1
     audit: bool = False
 
-    def __post_init__(self) -> None:
-        if self.block_days < 1:
-            raise ScenarioValidationError("block_days must be >= 1")
-        if self.shards < 1:
-            raise ScenarioValidationError("shards must be >= 1")
+
+#: ``execution`` keys of earlier releases (day batching and site-sharded
+#: dispatch, both retired).  They never entered :meth:`ScenarioSpec.sha256`,
+#: so :meth:`ScenarioSpec.from_dict` drops them and stored entries that
+#: carry them stay loadable.
+_RETIRED_EXECUTION_KEYS = ("block_days", "shards")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +490,21 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output, validating every field."""
+        """Rebuild a spec from :meth:`to_dict` output, validating every field.
+
+        The retired ``execution`` keys of earlier releases are dropped;
+        any other unknown field is refused.
+        """
+        execution = data.get("execution") if isinstance(data, Mapping) else None
+        if isinstance(execution, Mapping):
+            data = {
+                **data,
+                "execution": {
+                    key: value
+                    for key, value in execution.items()
+                    if key not in _RETIRED_EXECUTION_KEYS
+                },
+            }
         return _from_plain(cls, data, path="")
 
     def to_json(self, indent: int = 2) -> str:
@@ -513,10 +523,10 @@ class ScenarioSpec:
         keys the same store entry as its JSON round-trip.  This is the key
         for sweep-cell deduplication and the durable experiment store.
 
-        The ``execution`` block is excluded: batching/sharding knobs change
-        how a run executes, never what it computes (bitwise, locked by
-        tests), so the same experiment hashes identically at any block size
-        or shard count and store entries stay shareable across them.
+        The ``execution`` block is excluded: its knobs change how a run is
+        observed, never what it computes (bitwise, locked by tests), so the
+        same experiment hashes identically with or without them and store
+        entries stay shareable across them.
         """
         payload = self.to_dict()
         payload.pop("execution", None)

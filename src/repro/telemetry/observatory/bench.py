@@ -90,8 +90,6 @@ def bench_records(
                 "case": case["case"],
                 "devices": case.get("devices"),
                 "n_days": case.get("n_days"),
-                "block_days": case.get("block_days"),
-                "shards": case.get("shards"),
                 "wall_s": case["wall_s"],
                 "device_days_per_s": case.get("device_days_per_s"),
                 "git_sha": sha,

@@ -10,8 +10,8 @@ Track layout mirrors how the run actually executed:
 
 * the parent process's spans land on ``tid 0`` ("main") with their real
   recorded start/duration, so nesting renders as a flame graph;
-* every child manifest — a dispatch shard from the site-sharded execution
-  path, or a sweep cell from a worker process — gets its own ``tid``.
+* every child manifest — a sweep cell from a worker process — gets its
+  own ``tid``.
   Children carry per-phase aggregates rather than raw spans (workers fold
   spans into phase rows before shipping their manifest home), so a child
   track is synthesised from its phase tree: top-level phases laid out

@@ -77,7 +77,7 @@ def render_profile(manifest: Dict[str, object]) -> str:
     peak = manifest.get("peak_rss_bytes")
     if peak:
         lines.append(f"peak RSS: {peak / 2**20:.1f} MiB")
-    # Shard/cell workers build their manifests in their own process, so the
+    # Sweep-cell workers build their manifests in their own process, so the
     # parent's RSS says nothing about a worker's footprint — surface the
     # worst child next to the parent figure.
     child_rss = [
@@ -86,7 +86,7 @@ def render_profile(manifest: Dict[str, object]) -> str:
         if isinstance(child.get("peak_rss_bytes"), (int, float))
     ]
     if child_rss:
-        lines.append(f"peak RSS (max shard): {max(child_rss) / 2**20:.1f} MiB")
+        lines.append(f"peak RSS (max child): {max(child_rss) / 2**20:.1f} MiB")
     lines.append("")
 
     # Per-phase throughput: each call of a fleet-loop phase covers one

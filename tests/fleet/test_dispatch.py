@@ -1,7 +1,10 @@
 """Energy-dispatch core: ledger physics, conservation, and determinism."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import (
     CarbonBufferDispatch,
@@ -18,7 +21,7 @@ from repro.fleet.dispatch import (
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
-from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
+from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, phone_site
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -242,6 +245,113 @@ class TestEnergyLedger:
             CarbonBufferDispatch(percentile_margin=-1.0)
         with pytest.raises(ValueError):
             CarbonBufferDispatch(fixed_percentile=101.0)
+
+
+# ---------------------------------------------------------------------------
+# step_block against an independent per-pack, per-hour reference
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _pack_site(has_battery: bool):
+    """A one-pack site whose device has (or lacks) a battery."""
+    from repro.devices.catalog import PIXEL_3A
+
+    device = PIXEL_3A if has_battery else PIXEL_3A.with_overrides(battery=None)
+    return phone_site(
+        "pack" if has_battery else "no-battery", "caiso-like", 4, device=device,
+        n_trace_days=1,
+    )
+
+
+def _reference_step_block(
+    soc0, has_battery, min_soc, modes, device_j, step_s, capacity_j,
+    charge_rate_w, idle_fraction,
+):
+    """Plain-Python ledger physics, one pack and one hour at a time."""
+    n_rows, n_packs = modes.shape
+    battery_j = np.zeros((n_rows, n_packs))
+    charge_j = np.zeros((n_rows, n_packs))
+    soc = np.zeros((n_rows, n_packs))
+    for pack in range(n_packs):
+        state = float(soc0[pack])
+        for row in range(n_rows):
+            capacity = float(capacity_j[row, pack])
+            usable = has_battery[pack] and capacity > 0
+            mode = int(modes[row, pack])
+            if usable and state < min_soc:
+                mode = DISPATCH_CHARGE  # forced recharge below the floor
+            drawn = 0.0
+            if usable and mode == DISPATCH_DISCHARGE:
+                available = max(state - min_soc, 0.0) * capacity
+                drawn = min(float(device_j[row, pack]), available)
+            stored = 0.0
+            if usable and mode == DISPATCH_CHARGE:
+                idle = min(max(float(idle_fraction[row, pack]), 0.0), 1.0)
+                deliverable = float(charge_rate_w[row, pack]) * idle * step_s
+                stored = min(max(1.0 - state, 0.0) * capacity, deliverable)
+            delta = (stored - drawn) / capacity if capacity > 0 else 0.0
+            state = min(max(state + delta, 0.0), 1.0)
+            battery_j[row, pack] = drawn
+            charge_j[row, pack] = stored
+            soc[row, pack] = state
+    return battery_j, charge_j, soc
+
+
+@st.composite
+def _ledger_blocks(draw):
+    n_packs = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 30))
+    min_soc = draw(st.sampled_from([0.0, 0.25, 0.5]))
+
+    def matrix(elements):
+        return np.array(
+            draw(st.lists(elements, min_size=n_rows * n_packs,
+                          max_size=n_rows * n_packs)),
+            dtype=float,
+        ).reshape(n_rows, n_packs)
+
+    return {
+        "has_battery": draw(st.lists(st.booleans(), min_size=n_packs,
+                                     max_size=n_packs)),
+        "min_soc": min_soc,
+        # At, below and above the floor, plus both ends of the range.
+        "soc0": np.array(draw(st.lists(
+            st.one_of(st.sampled_from([0.0, min_soc, 1.0]), st.floats(0.0, 1.0)),
+            min_size=n_packs, max_size=n_packs,
+        ))),
+        "modes": matrix(st.sampled_from(
+            [DISPATCH_DISCHARGE, DISPATCH_HOLD, DISPATCH_CHARGE]
+        )).astype(np.int8),
+        # Large draws cut discharge short at the floor.
+        "device_j": matrix(st.floats(0.0, 4e5)),
+        # Zero-capacity packs, and capacity that changes between rows.
+        "capacity_j": matrix(st.one_of(st.just(0.0), st.floats(1e4, 1e6))),
+        # Large rates cut charging short at a full pack.
+        "charge_rate_w": matrix(st.floats(0.0, 500.0)),
+        "idle_fraction": matrix(st.floats(-0.5, 1.5)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=_ledger_blocks())
+def test_step_block_matches_the_per_pack_reference_bitwise(block):
+    sites = [_pack_site(flag) for flag in block["has_battery"]]
+    ledger = EnergyLedger(sites, min_state_of_charge=block["min_soc"])
+    ledger.soc = block["soc0"].copy()
+    step_s = 3600.0
+    got = ledger.step_block(
+        block["modes"], block["device_j"], step_s, block["capacity_j"],
+        block["charge_rate_w"], block["idle_fraction"],
+    )
+    expected = _reference_step_block(
+        block["soc0"], block["has_battery"], block["min_soc"], block["modes"],
+        block["device_j"], step_s, block["capacity_j"],
+        block["charge_rate_w"], block["idle_fraction"],
+    )
+    for actual, reference in zip(got, expected):
+        assert actual.tobytes() == reference.tobytes()
+    assert ledger.soc.tobytes() == expected[2][-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

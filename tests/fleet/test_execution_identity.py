@@ -1,22 +1,24 @@
-"""Bitwise identity of the batched / sharded execution path.
+"""Bitwise lock of the fleet loop against recorded report digests.
 
-``execution.block_days`` and ``execution.shards`` are pure performance
-knobs: the hard acceptance gate of the vectorized day-batching + site-
-sharding work is that **every** configuration reproduces the per-day,
-serial reference (``block_days=1, shards=1``) bit for bit — every
-:class:`~repro.fleet.reporting.FleetReport` field (including the clip
-accounting), the headline metrics, and the telemetry counters.  The matrix
-here locks that for every registry preset at blocks {1, 7, 366} x shards
-{1, 2}, and sweeps the charging coupling modes on the canonical two-site
-scenario.
+Dispatch replay runs one exact path: a per-day loop over the ledger's
+row-vectorized kernel.  ``data/report_digests.json`` holds a SHA-256 over
+every :class:`~repro.fleet.reporting.FleetReport` field plus the headline
+CCI and $/request, recorded for every registry preset under both churn
+samplers at 2 and 30 days, and for every charging coupling mode.  Any
+change that moves a single bit of a report fails here.
 
-The same module pins the satellite pieces of the batched path: the
-``reduceat``-based :meth:`~repro.fleet.scheduler.FleetSimulation._site_soc`
-against its per-site loop reference, and the contiguous site partition the
-shard pool runs over.
+Re-record (only for a change that is *meant* to move results) with::
+
+    PYTHONPATH=src python tests/fleet/test_execution_identity.py --record
+
+The same module pins :meth:`~repro.fleet.scheduler.FleetSimulation._site_soc`
+(segment-wise ``reduceat``) against a per-site loop reference.
 """
 
 import dataclasses
+import hashlib
+import json
+import os
 
 import numpy as np
 import pytest
@@ -29,128 +31,130 @@ from repro.fleet import (
     mixed_phone_site,
     phone_site,
 )
-from repro.fleet.execution import partition_sites
 from repro.fleet.reporting import FleetReport
 from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
-from repro.telemetry import Telemetry
 
-#: Keep every preset fast: two days, no DES latency probe.
+DIGESTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "report_digests.json"
+)
+
+#: Keep every preset fast: no DES latency probe.
 FAST = {"duration_days": 2, "routing.latency_probe_s": 0.0}
 
-#: The non-reference execution configs, covering blocks {7, 366} and
-#: shards {1, 2} against the (1, 1) baseline.
-CONFIGS = [(7, 1), (366, 1), (1, 2), (366, 2)]
+SAMPLERS = ("device", "bucket")
+
+#: Two days pin the first-day fallback; thirty let packs hit the SoC floor,
+#: fill to the top and see churn.
+DURATIONS = (2, 30)
+
+COUPLINGS = ("none", "estimate", "dispatch")
 
 
-def _run(preset, overrides):
-    spec = get_scenario(preset).with_overrides({**FAST, **overrides})
-    runner = ScenarioRunner(spec, telemetry=Telemetry())
-    return runner.run()
+def _coupling_overrides(coupling):
+    return {
+        "charging.policy": "none" if coupling == "none" else "smart",
+        "charging.coupling": coupling,
+    }
 
 
-def _assert_identical(baseline, result, label):
+def _cases():
+    """Case label -> ``(preset, overrides)`` for every recorded digest."""
+    cases = {}
+    for preset in scenario_names():
+        for sampler in SAMPLERS:
+            for days in DURATIONS:
+                cases[f"{preset}/{sampler}/{days}d"] = (
+                    preset,
+                    {"churn.sampler": sampler, "duration_days": days},
+                )
+    for coupling in COUPLINGS:
+        cases[f"coupling={coupling}"] = (
+            "two-site-asymmetric",
+            _coupling_overrides(coupling),
+        )
+    return cases
+
+
+def report_digest(result) -> str:
+    """SHA-256 over every report field's bytes plus CCI and $/request."""
+    digest = hashlib.sha256()
     for field in dataclasses.fields(FleetReport):
-        expected = getattr(baseline.report, field.name)
-        actual = getattr(result.report, field.name)
-        if isinstance(expected, np.ndarray):
-            assert expected.shape == actual.shape, f"{label}: {field.name}"
-            assert np.array_equal(expected, actual), f"{label}: {field.name}"
+        value = getattr(result.report, field.name)
+        digest.update(field.name.encode())
+        if isinstance(value, np.ndarray):
+            digest.update(f"{value.dtype.str}{value.shape}".encode())
+            digest.update(np.ascontiguousarray(value).tobytes())
         else:
-            assert expected == actual, f"{label}: {field.name}"
-    assert baseline.cci_g_per_request == result.cci_g_per_request, label
-    assert baseline.usd_per_request == result.usd_per_request, label
-    assert baseline.telemetry == result.telemetry, f"{label}: telemetry"
+            digest.update(repr(value).encode())
+    digest.update(
+        repr((result.cci_g_per_request, result.usd_per_request)).encode()
+    )
+    return digest.hexdigest()
+
+
+def _digest_case(label):
+    preset, overrides = _cases()[label]
+    spec = get_scenario(preset).with_overrides({**FAST, **overrides})
+    return report_digest(ScenarioRunner(spec).run())
+
+
+def _recorded():
+    with open(DIGESTS_PATH, "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class TestRegistryPresetIdentity:
+    @pytest.mark.parametrize("days", DURATIONS)
+    @pytest.mark.parametrize("sampler", SAMPLERS)
     @pytest.mark.parametrize("preset", scenario_names())
-    def test_batched_and_sharded_runs_match_the_serial_reference(self, preset):
-        baseline = _run(preset, {})
-        assert baseline.spec.execution.block_days == 1
-        assert baseline.spec.execution.shards == 1
-        for block_days, shards in CONFIGS:
-            result = _run(
-                preset,
-                {
-                    "execution.block_days": block_days,
-                    "execution.shards": shards,
-                },
-            )
-            _assert_identical(
-                baseline, result, f"{preset} block={block_days} shards={shards}"
-            )
+    def test_every_preset_reproduces_its_recorded_digest(
+        self, preset, sampler, days
+    ):
+        label = f"{preset}/{sampler}/{days}d"
+        assert _digest_case(label) == _recorded()[label], label
 
-
-class TestBucketSamplerExecutionIdentity:
-    """The bucketed churn engine is shard- and block-layout invariant.
-
-    ``churn.sampler=bucket`` changes the RNG stream relative to the device
-    reference, but churn runs entirely in the serial Pass A coordinator —
-    so across ``execution.block_days`` x ``execution.shards`` layouts a
-    bucket run must still be bitwise self-identical.
-    """
-
-    @pytest.mark.parametrize("preset", ["two-site-asymmetric", "carbon-buffer"])
-    def test_bucket_runs_match_across_execution_layouts(self, preset):
-        baseline = _run(preset, {"churn.sampler": "bucket"})
-        for block_days, shards in CONFIGS:
-            result = _run(
-                preset,
-                {
-                    "churn.sampler": "bucket",
-                    "execution.block_days": block_days,
-                    "execution.shards": shards,
-                },
-            )
-            _assert_identical(
-                baseline,
-                result,
-                f"{preset} bucket block={block_days} shards={shards}",
-            )
+    def test_fixture_covers_every_case(self):
+        assert sorted(_recorded()) == sorted(_cases())
 
 
 class TestCouplingModeIdentity:
-    @pytest.mark.parametrize("coupling", ["none", "estimate", "dispatch"])
+    @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_every_coupling_mode_matches_the_serial_reference(self, coupling):
-        overrides = {
-            "charging.policy": "none" if coupling == "none" else "smart",
-            "charging.coupling": coupling,
-        }
-        baseline = _run("two-site-asymmetric", overrides)
-        result = _run(
-            "two-site-asymmetric",
-            {**overrides, "execution.block_days": 366, "execution.shards": 2},
+        label = f"coupling={coupling}"
+        assert _digest_case(label) == _recorded()[label], label
+
+
+def _site_soc_loop(simulation, pack_soc, capacity_rows):
+    """Per-site loop reference for ``FleetSimulation._site_soc``.
+
+    Accumulates each site's weighted sum left to right — the same reduction
+    order ``np.add.reduceat`` uses — so the vectorized path can be pinned
+    bitwise against it on mixed and single-pack sites.
+    """
+    site_starts = simulation._site_starts
+    n_sites = len(simulation.sites)
+    n_packs = pack_soc.shape[1]
+    out = np.empty((pack_soc.shape[0], n_sites))
+    for site_index in range(n_sites):
+        start = int(site_starts[site_index])
+        stop = (
+            int(site_starts[site_index + 1]) if site_index + 1 < n_sites else n_packs
         )
-        _assert_identical(baseline, result, f"coupling={coupling}")
-
-
-class TestExecutionValidation:
-    def test_block_days_and_shards_must_be_positive(self):
-        sites = [phone_site("solo", "caiso-like", 10, n_trace_days=2)]
-        demand = DiurnalDemand(mean_rps=50.0)
-        policy = CapacityAwareMarginalCciRouting()
-        with pytest.raises(ValueError, match="block_days"):
-            FleetSimulation(sites, policy, demand, block_days=0)
-        with pytest.raises(ValueError, match="shards"):
-            FleetSimulation(sites, policy, demand, shards=0)
-
-
-class TestSitePartition:
-    def test_near_even_contiguous_ranges(self):
-        site_starts = np.array([0, 2, 3, 5, 6], dtype=np.int64)
-        ranges = partition_sites(5, site_starts, 8, 2)
-        assert ranges == [(0, 0, 3, 0, 5), (1, 3, 5, 5, 8)]
-
-    def test_shards_clamp_to_site_count(self):
-        site_starts = np.array([0, 1], dtype=np.int64)
-        ranges = partition_sites(2, site_starts, 2, 16)
-        assert len(ranges) == 2
-        assert ranges[0] == (0, 0, 1, 0, 1)
-        assert ranges[1] == (1, 1, 2, 1, 2)
-
-    def test_single_shard_covers_everything(self):
-        site_starts = np.array([0, 3], dtype=np.int64)
-        assert partition_sites(2, site_starts, 5, 1) == [(0, 0, 2, 0, 5)]
+        if stop - start == 1:
+            out[:, site_index] = pack_soc[:, start]
+            continue
+        weighted = pack_soc[:, start] * capacity_rows[:, start]
+        total = capacity_rows[:, start].copy()
+        plain = pack_soc[:, start].copy()
+        for j in range(start + 1, stop):
+            weighted = weighted + pack_soc[:, j] * capacity_rows[:, j]
+            total = total + capacity_rows[:, j]
+            plain = plain + pack_soc[:, j]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out[:, site_index] = np.where(
+                total > 0, weighted / total, plain / (stop - start)
+            )
+    return out
 
 
 class TestSiteSocVectorization:
@@ -182,7 +186,7 @@ class TestSiteSocVectorization:
         pack_soc = rng.uniform(0.25, 1.0, size=(48, 3))
         capacity_rows = rng.uniform(1e6, 5e7, size=(48, 3))
         vectorized = simulation._site_soc(pack_soc, capacity_rows)
-        loop = simulation._site_soc_loop(pack_soc, capacity_rows)
+        loop = _site_soc_loop(simulation, pack_soc, capacity_rows)
         assert np.array_equal(vectorized, loop)
 
     def test_single_pack_site_passes_through_exactly(self):
@@ -199,7 +203,20 @@ class TestSiteSocVectorization:
         pack_soc = rng.uniform(0.25, 1.0, size=(24, 3))
         capacity_rows = np.zeros((24, 3))
         vectorized = simulation._site_soc(pack_soc, capacity_rows)
-        loop = simulation._site_soc_loop(pack_soc, capacity_rows)
+        loop = _site_soc_loop(simulation, pack_soc, capacity_rows)
         assert np.array_equal(vectorized, loop)
         expected = (pack_soc[:, 0] + pack_soc[:, 1]) / 2
         assert np.array_equal(vectorized[:, 0], expected)
+
+
+if __name__ == "__main__":
+    import sys
+
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_execution_identity.py --record")
+    digests = {label: _digest_case(label) for label in sorted(_cases())}
+    os.makedirs(os.path.dirname(DIGESTS_PATH), exist_ok=True)
+    with open(DIGESTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(digests)} digests to {DIGESTS_PATH}")

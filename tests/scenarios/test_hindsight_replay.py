@@ -39,8 +39,6 @@ class _ReferenceRunner(ScenarioRunner):
             simulation.policy,
             self.build_demand(),
             dispatch=self._forecast_dispatch(PerfectForecast()),
-            block_days=spec.execution.block_days,
-            shards=spec.execution.shards,
         ).run(spec.duration_days)
         return dataclasses.replace(
             report, hindsight_avoided_g=twin.carbon_avoided_g()
@@ -90,16 +88,6 @@ CASES = {
             "forecast.noise_sigma": 0.3,
             "forecast.horizon_h": 48,
             "forecast.refresh_h": 48,
-        },
-    ),
-    "shards-2": _pair(
-        "forecast-buffer",
-        {
-            **SMALL_PAIR,
-            "forecast.model": "noisy",
-            "forecast.noise_sigma": 0.3,
-            "execution.shards": 2,
-            "execution.block_days": 3,
         },
     ),
 }

@@ -199,6 +199,26 @@ def test_override_unknown_path_lists_available_fields():
         small_spec().with_overrides({"routing.polcy": "round-robin"})
 
 
+def test_retired_execution_keys_are_dropped_on_load():
+    # Earlier releases serialised two execution knobs that no longer exist;
+    # specs carrying them load as if the keys were absent.
+    data = small_spec().to_dict()
+    data["execution"] = {"audit": True, "block_days": 366, "shards": 4}
+    spec = ScenarioSpec.from_dict(data)
+    assert spec.execution.audit is True
+    assert spec.to_dict()["execution"] == {"audit": True}
+    assert spec.sha256() == small_spec().sha256()
+
+
+def test_other_unknown_execution_keys_are_still_rejected():
+    data = small_spec().to_dict()
+    data["execution"] = {"audit": False, "turbo": 1}
+    with pytest.raises(ScenarioValidationError, match="execution.turbo"):
+        ScenarioSpec.from_dict(data)
+    with pytest.raises(ScenarioValidationError, match="available: audit"):
+        small_spec().with_overrides({"execution.shards": 2})
+
+
 def test_override_unknown_segment_fails():
     with pytest.raises(ScenarioValidationError, match="rooting"):
         small_spec().with_overrides({"rooting.policy": "round-robin"})
@@ -358,7 +378,7 @@ class TestChurnSamplerField:
         spec = get_scenario("carbon-buffer")
         bucket = spec.with_overrides({"churn.sampler": "bucket"})
         assert bucket.sha256() != spec.sha256()
-        execution_only = spec.with_overrides({"execution.block_days": 366})
+        execution_only = spec.with_overrides({"execution.audit": True})
         assert execution_only.sha256() == spec.sha256()
 
     def test_top_level_churn_override_broadcasts_to_every_site(self):

@@ -123,3 +123,49 @@ def test_path_for_rejects_non_hashes(store):
         store.path_for("../escape")
     with pytest.raises(StoreError, match="not a spec hash"):
         store.path_for("abc")
+
+
+#: An entry written before ``execution.block_days`` / ``execution.shards``
+#: were retired: carbon-buffer, 2 x 4 phones, one day, no latency probe.
+RETIRED_KEYS_ENTRY = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)),
+    "data",
+    "entry_with_retired_execution_keys.json",
+)
+
+
+@pytest.fixture()
+def retired_keys_store(tmp_path):
+    with open(RETIRED_KEYS_ENTRY, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
+    store = ExperimentStore(str(tmp_path / "es"))
+    os.makedirs(store.results_dir)
+    with open(store.path_for(payload["spec_sha256"]), "w") as handle:
+        json.dump(payload, handle)
+    return store, payload
+
+
+def test_entry_with_retired_execution_keys_loads_unchanged(retired_keys_store):
+    store, payload = retired_keys_store
+    key = payload["spec_sha256"]
+    assert payload["result"]["spec"]["execution"] == {
+        "audit": False,
+        "block_days": 1,
+        "shards": 1,
+    }
+    entry = store.get_entry(key)
+    assert store.get_entry_or_none(key) is not None
+    # Everything but the two retired keys round-trips bit for bit, and a
+    # fresh simulation of the loaded spec reproduces the stored payload.
+    expected = payload["result"]
+    expected["spec"]["execution"] = {"audit": False}
+    canonical = json.dumps(expected, sort_keys=True)
+    assert json.dumps(entry.result.to_dict(), sort_keys=True) == canonical
+    rerun = ScenarioRunner(entry.result.spec).run()
+    assert json.dumps(rerun.to_dict(), sort_keys=True) == canonical
+
+
+def test_gc_keeps_entry_with_retired_execution_keys(retired_keys_store):
+    store, payload = retired_keys_store
+    assert store.gc() == []
+    assert store.keys() == [payload["spec_sha256"]]

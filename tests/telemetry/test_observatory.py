@@ -280,8 +280,6 @@ def _bench_payload(wall_s=1.0, case="greedy-year"):
                 "case": case,
                 "devices": 10000,
                 "n_days": 366,
-                "block_days": 1,
-                "shards": 1,
                 "wall_s": wall_s,
                 "device_days_per_s": 10000 * 366 / wall_s,
             }
@@ -300,6 +298,18 @@ def test_bench_records_carry_provenance():
     assert record["wall_s"] == 1.0
     assert record["git_sha"] == "cafe" * 10
     assert record["recorded_at"] == "2026-01-01T00:00:00Z"
+    assert "block_days" not in record and "shards" not in record
+
+
+def test_history_lines_with_retired_execution_fields_still_parse(tmp_path):
+    path = str(tmp_path / "hist.jsonl")
+    old = {**bench_records(_bench_payload(2.0), sha="s")[0], "block_days": 1}
+    old["shards"] = 2
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(old) + "\n")
+    append_history(path, bench_records(_bench_payload(1.0), sha="s"))
+    assert len(read_history(path)) == 2
+    assert rolling_baseline(read_history(path), "greedy-year")[1] == 2
 
 
 def test_history_round_trip_and_rolling_baseline(tmp_path):

@@ -75,14 +75,14 @@ def test_max_shard_rss_is_surfaced_across_children():
         _manifest(name="shard-1", peak_rss_bytes=160 * 2**20),
     ]
     text = render_profile(_manifest(children=children))
-    assert "peak RSS (max shard): 160.0 MiB" in text
+    assert "peak RSS (max child): 160.0 MiB" in text
     assert "shard-1: 0.500 s, 2 phases, peak RSS 160.0 MiB" in text
 
 
 def test_children_without_rss_skip_the_shard_line():
     children = [_manifest(name="cell-0", peak_rss_bytes=None)]
     text = render_profile(_manifest(children=children))
-    assert "peak RSS (max shard)" not in text
+    assert "peak RSS (max child)" not in text
     assert "cell-0: 0.500 s, 2 phases" in text
     assert "cell-0: 0.500 s, 2 phases, peak RSS" not in text
 
@@ -103,7 +103,7 @@ def test_live_manifest_includes_shard_rss(tmp_path):
     assert child_manifest["peak_rss_bytes"] is not None
     text = render_profile(manifest)
     assert "peak RSS:" in text
-    assert "peak RSS (max shard):" in text
+    assert "peak RSS (max child):" in text
 
 
 def test_throughput_only_on_fleet_day_phases():

@@ -121,6 +121,16 @@ def test_run_scenario_invalid_override_is_reported(capsys):
     assert "duration_dayz" in out
 
 
+def test_retired_execution_knob_is_an_unknown_override(capsys):
+    code = main(
+        ["run", "scenario", "carbon-buffer", "--set", "execution.shards=2"]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "unknown override path 'execution.shards'" in out
+    assert "available: audit" in out
+
+
 def test_run_target_typo_lists_targets(capsys):
     assert main(["run", "fgi5"]) == 2
     out = capsys.readouterr().out
@@ -413,15 +423,23 @@ def test_store_show_renders_profile_when_manifest_stored(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
+def test_telemetry_trace_exports_one_track_per_cell(capsys, tmp_path):
     import json
 
-    jsonl = str(tmp_path / "sharded.jsonl")
+    jsonl = str(tmp_path / "cells.jsonl")
     assert (
         main(
-            ["run", "scenario", "carbon-buffer"]
+            [
+                "sweep",
+                "scenario",
+                "carbon-buffer",
+                "--set",
+                "routing.policy=round-robin,greedy-lowest-intensity",
+                "--jobs",
+                "2",
+            ]
             + FAST_SCENARIO_ARGS
-            + ["--set", "execution.shards=2", "--telemetry", jsonl]
+            + ["--telemetry", jsonl]
         )
         == 0
     )
@@ -433,7 +451,7 @@ def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
         trace = json.load(handle)
     assert trace["displayTimeUnit"] == "ms"
     tracks = {(e["pid"], e["tid"]) for e in trace["traceEvents"]}
-    assert len(tracks) == 3  # main + 2 dispatch shards
+    assert len(tracks) == 3  # main + 2 sweep cells
     assert all(e["ph"] in ("X", "M") for e in trace["traceEvents"])
 
     # Default output path derives from the input stem.
@@ -441,7 +459,7 @@ def test_telemetry_trace_exports_one_track_per_shard(capsys, tmp_path):
     capsys.readouterr()
     import os
 
-    assert os.path.exists(str(tmp_path / "sharded.trace.json"))
+    assert os.path.exists(str(tmp_path / "cells.trace.json"))
 
 
 def test_telemetry_trace_missing_and_bad_form(capsys, tmp_path):
