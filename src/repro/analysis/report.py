@@ -159,8 +159,6 @@ def render_fleet_report(report) -> str:
 
 def _render_cohort_table(report) -> str:
     """Per-device-type rows for mixed sites (empty when every site is one type)."""
-    if not getattr(report, "has_cohort_series", False):
-        return ""
     if report.n_cohorts == len(report.site_names):
         return ""  # one cohort per site: the site table already says it all
     headers = [

@@ -6,8 +6,8 @@ failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
 * :mod:`repro.fleet.population` — vectorized device cohorts (intake,
-  battery aging, stochastic churn, replacement policies), grouped per site
-  by :class:`FleetPopulation` with independent seeded streams;
+  battery aging, stochastic churn, replacement policies), each with its own
+  independent seeded stream;
 * :mod:`repro.fleet.churn` — the bucketed churn engine
   (:class:`BucketedCohort`): deploy-day cohort buckets with one binomial
   draw per bucket, distributionally equivalent to the per-device
@@ -15,18 +15,20 @@ grid mixes, with request routing policies that exploit the differences.
   ``churn.sampler`` on the scenario spec;
 * :mod:`repro.fleet.sites` — multi-site cloudlets, each a
   :class:`~repro.cluster.cloudlet.CloudletDesign` bound to its own
-  :class:`~repro.grid.traces.GridTrace` and holding one or more typed
-  :class:`SiteCohort` entries (mixed Pixel 3A / Nexus 4 racks), plus
-  regional trace presets;
+  :class:`~repro.grid.traces.GridTrace`; a :class:`FleetSite` *is* its
+  tuple of typed :class:`SiteCohort` entries (one for a uniform rack, more
+  for mixed Pixel 3A / Nexus 4 racks), plus regional trace presets;
 * :mod:`repro.fleet.scheduler` — pluggable carbon-aware routing policies
   allocating over per-device-type cohort segments, with a vectorized
   hourly path and a DES-backed latency-aware path;
 * :mod:`repro.fleet.dispatch` — the coupled energy-dispatch core:
   per-device-type battery state-of-charge ledgers (one pack per cohort per
   site) charging at clean hours and serving load at dirty hours
-  (UPS-as-carbon-buffer);
+  (UPS-as-carbon-buffer), replayed over the device counts the routing and
+  churn pass recorded;
 * :mod:`repro.fleet.reporting` — fleet CCI / availability / replacement
-  carbon reporting consumed by :mod:`repro.analysis`.
+  carbon reporting consumed by :mod:`repro.analysis`; every report carries
+  every site, dispatch and cohort series.
 """
 
 from repro.fleet.churn import (
@@ -49,7 +51,6 @@ from repro.fleet.population import (
     CohortStep,
     DeviceCohort,
     FailureModel,
-    FleetPopulation,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
@@ -95,7 +96,6 @@ __all__ = [
     # population
     "DeviceCohort",
     "CohortStep",
-    "FleetPopulation",
     "IntakeStream",
     "FailureModel",
     "ReplacementPolicy",

@@ -13,7 +13,14 @@ whether each cohort's served load draws from the grid or from its packs and
 whether its idle headroom charges them — so clean hours fill batteries that
 dirty hours drain.  Ledger columns are *packs* — ``(site, cohort)`` pairs in
 site-major order (:func:`site_packs`); a fleet of single-cohort sites has
-exactly one pack per site, reproducing the historical per-site ledger.
+exactly one pack per site.
+
+Dispatch runs as a replay: the fleet loop routes and churns first, recording
+each day's start-of-day device count per pack, and :func:`replay_dispatch`
+then steps the policy and the ledger over those recordings.  Every
+count-dependent term — pack capacity, charge rate, a forecast policy's
+demand estimate — is derived from the recorded counts, never from the live
+cohort populations, which by then have moved on.
 
 The decision reuses the paper's charging heuristic at trace level
 (:func:`repro.charging.smart_charging.threshold_from_intensities`): the
@@ -35,7 +42,8 @@ pack wear (:meth:`~repro.economics.cost.FleetCostModel.battery_wear_cost_usd`),
 surfacing the marginal wear cost that the discrete swap counters only
 realise after a full cycle-life crossing.
 
-* :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics;
+* :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics
+  (:meth:`EnergyLedger.step_block`);
 * :func:`replay_dispatch` — the fleet loop's dispatch pass: one policy and
   one ledger stepped day by day over a run's recorded inputs;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
@@ -95,17 +103,6 @@ class DispatchPolicy(abc.ABC):
         """A fresh ledger for one simulation run."""
         return EnergyLedger(sites, min_state_of_charge=self.min_state_of_charge)
 
-    def set_pack_counts(self, counts: Optional[np.ndarray]) -> None:
-        """Pin per-pack device counts for count-dependent planning terms.
-
-        The deferred dispatch replay runs *after* population churn has moved
-        on, so policies that read live cohort capabilities (capacity,
-        battery size, charge rate) must use these recorded day-start counts
-        instead.  ``None`` restores live reads.  Stateless policies ignore
-        the hint — their modes never touch counts.
-        """
-        return None
-
     @abc.abstractmethod
     def day_thresholds(
         self,
@@ -121,11 +118,15 @@ class DispatchPolicy(abc.ABC):
         """
 
     @abc.abstractmethod
-    def day_modes(self, intensity: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    def day_modes(
+        self, intensity: np.ndarray, thresholds: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
         """Dispatch mode per ``(hour, pack)``.
 
-        ``intensity`` has shape ``(H, C)`` and ``thresholds`` shape ``(C,)``;
-        returns an ``(H, C)`` integer array of ``DISPATCH_*`` modes.
+        ``intensity`` has shape ``(H, C)``; ``thresholds`` and ``counts``
+        (the day-start device count of each pack, recorded while churn was
+        live) have shape ``(C,)``.  Returns an ``(H, C)`` integer array of
+        ``DISPATCH_*`` modes.  Threshold policies ignore ``counts``.
         """
 
 
@@ -137,7 +138,7 @@ class GridOnlyDispatch(DispatchPolicy):
     def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
         return np.full(len(site_packs(sites)), np.nan)
 
-    def day_modes(self, intensity, thresholds) -> np.ndarray:
+    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
         return np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
 
 
@@ -191,7 +192,7 @@ class CarbonBufferDispatch(DispatchPolicy):
                 thresholds[j] = threshold
         return thresholds
 
-    def day_modes(self, intensity, thresholds) -> np.ndarray:
+    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
         # nan thresholds compare False on both sides, leaving HOLD in place.
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         modes[intensity <= thresholds] = DISPATCH_CHARGE
@@ -214,14 +215,16 @@ class ForecastDispatch(DispatchPolicy):
     behaves exactly like the paper's heuristic does on its first day.
 
     The policy is stateful across one simulation run (a day cursor plus the
-    ledger handle it reads live SoC from); :meth:`make_ledger` — called once
-    per run — resets that state, so one policy object can back repeated runs.
+    ledger it plans against — its sites and live SoC); :meth:`make_ledger` —
+    called once per run — resets that state, so one policy object can back
+    repeated runs.  :meth:`day_modes` before :meth:`make_ledger` is an error.
 
     ``demand_fraction`` is the planning estimate of utilisation: each hour's
-    device-energy demand is estimated at that fraction of the site's current
-    capacity, and charge hours are assumed to find ``1 - demand_fraction``
-    of the fleet idle.  The executing ledger uses realised values, so the
-    estimate only shapes the plan, never the accounting.
+    device-energy demand is estimated at that fraction of the pack's
+    capacity at the day's recorded device count, and charge hours are
+    assumed to find ``1 - demand_fraction`` of the fleet idle.  The
+    executing ledger uses realised values, so the estimate only shapes the
+    plan, never the accounting.
     """
 
     name = "forecast"
@@ -261,16 +264,12 @@ class ForecastDispatch(DispatchPolicy):
             min_state_of_charge=min_state_of_charge
         )
         self._ledger: Optional[EnergyLedger] = None
-        self._sites: List[FleetSite] = []
         self._day = 0
         #: Unexecuted plan tails carried across day boundaries: when
         #: ``refresh_h`` spans multiple days, a plan's hours beyond midnight
         #: wait here and execute before the next forecast refresh — planning
         #: cadence follows ``refresh_h``, not the simulation's day batching.
         self._pending: Dict[int, np.ndarray] = {}
-        #: Recorded day-start device counts (:meth:`set_pack_counts`), or
-        #: ``None`` for live cohort reads.
-        self._pack_counts: Optional[np.ndarray] = None
         #: Per-run observability counter: (pack, day) pairs that fell back to
         #: the percentile heuristic because the model was blind for the whole
         #: day (e.g. a persistence forecast's first day).  Battery-less packs
@@ -284,26 +283,31 @@ class ForecastDispatch(DispatchPolicy):
         )
         self._day = 0
         self._pending = {}
-        self._pack_counts = None
         self.fallback_pack_days = 0
         return self._ledger
 
-    def set_pack_counts(self, counts: Optional[np.ndarray]) -> None:
-        self._pack_counts = counts
-
     def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        self._sites = list(sites)
         return self.fallback.day_thresholds(previous_intensity, sites)
 
-    def day_modes(self, intensity, thresholds) -> np.ndarray:
+    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
+        if self._ledger is None:
+            raise RuntimeError(
+                "ForecastDispatch.day_modes needs make_ledger(sites) first"
+            )
         hours = intensity.shape[0]
-        modes = self.fallback.day_modes(intensity, thresholds)
+        modes = self.fallback.day_modes(intensity, thresholds, counts)
         day_start_s = self._day * hours * units.SECONDS_PER_HOUR
         pack_index = 0
-        for site_index, site in enumerate(self._sites):
+        for site_index, site in enumerate(self._ledger.sites):
             for entry in site.cohorts:
                 planned = self._plan_pack_day(
-                    site, entry, pack_index, site_index, day_start_s, hours
+                    site,
+                    entry,
+                    pack_index,
+                    site_index,
+                    day_start_s,
+                    hours,
+                    int(counts[pack_index]),
                 )
                 if planned is not None:
                     modes[:, pack_index] = planned
@@ -321,6 +325,7 @@ class ForecastDispatch(DispatchPolicy):
         site_index: int,
         day_start_s: float,
         hours: int,
+        count: int,
     ) -> Optional[np.ndarray]:
         """One pack's planned modes for the day, or ``None`` to fall back.
 
@@ -335,29 +340,16 @@ class ForecastDispatch(DispatchPolicy):
         calls the model every other day instead of silently replanning at
         every midnight (locked by a planner-call-count regression test).
         """
-        battery = entry.device.battery
-        count = (
-            None if self._pack_counts is None else int(self._pack_counts[pack_index])
-        )
-        capacity_j = (
-            entry.battery_capacity_j
-            if count is None
-            else entry.battery_capacity_j_at(count)
-        )
-        if battery is None or capacity_j <= 0:
+        capacity_j = entry.battery_capacity_j_at(count)
+        if entry.device.battery is None or capacity_j <= 0:
             return None
         demand_step_j = self._estimated_demand_j(entry, count)
-        charge_rate_w = (
-            entry.battery_charge_rate_w
-            if count is None
-            else entry.battery_charge_rate_w_at(count)
-        )
         charge_step_j = (
-            charge_rate_w * (1.0 - self.demand_fraction) * units.SECONDS_PER_HOUR
+            entry.battery_charge_rate_w_at(count)
+            * (1.0 - self.demand_fraction)
+            * units.SECONDS_PER_HOUR
         )
-        soc = (
-            float(self._ledger.soc[pack_index]) if self._ledger is not None else 1.0
-        )
+        soc = float(self._ledger.soc[pack_index])
         planned = np.full(hours, DISPATCH_HOLD, dtype=np.int8)
         covered = 0
         pending = self._pending.pop(pack_index, None)
@@ -404,16 +396,10 @@ class ForecastDispatch(DispatchPolicy):
             covered += take
         return planned if covered else None
 
-    def _estimated_demand_j(
-        self, entry: SiteCohort, count: Optional[int] = None
-    ) -> float:
-        """Estimated device energy (J) one hour of serving one cohort must deliver."""
-        if count is None:
-            served_rps = self.demand_fraction * entry.capacity_rps
-            power_w = entry.device_power_w(served_rps)
-        else:
-            served_rps = self.demand_fraction * entry.capacity_rps_at(count)
-            power_w = entry.device_power_w_at(count, served_rps)
+    def _estimated_demand_j(self, entry: SiteCohort, count: int) -> float:
+        """Estimated device energy (J) one hour of serving ``count`` devices needs."""
+        served_rps = self.demand_fraction * entry.capacity_rps_at(count)
+        power_w = entry.device_power_w_at(count, served_rps)
         return max(0.0, power_w) * units.SECONDS_PER_HOUR
 
 
@@ -448,61 +434,25 @@ class EnergyLedger:
             [entry.device.battery is not None for _, entry in self.packs]
         )
 
-    def day_capabilities(self, counts: Optional[np.ndarray] = None):
+    def day_capabilities(self, counts: np.ndarray):
         """One day's ``(capacity_j, charge_rate_w)`` per-pack arrays.
 
-        With ``counts=None`` the capabilities come from the live cohort
-        populations (the historical behaviour).  The deferred dispatch
-        replay instead passes the day-start device counts it recorded while
-        churn was still live; both paths share one per-count expression on
-        :class:`~repro.fleet.sites.SiteCohort`, so a recorded count
-        reproduces the live read bit for bit.
+        ``counts`` is each pack's device count — in the fleet loop, the
+        day-start count recorded while churn was still live.
         """
-        if counts is None:
-            capacity_j = np.array(
-                [entry.battery_capacity_j for _, entry in self.packs]
-            )
-            charge_rate_w = np.array(
-                [entry.battery_charge_rate_w for _, entry in self.packs]
-            )
-        else:
-            capacity_j = np.array(
-                [
-                    entry.battery_capacity_j_at(int(counts[j]))
-                    for j, (_, entry) in enumerate(self.packs)
-                ]
-            )
-            charge_rate_w = np.array(
-                [
-                    entry.battery_charge_rate_w_at(int(counts[j]))
-                    for j, (_, entry) in enumerate(self.packs)
-                ]
-            )
-        return capacity_j, charge_rate_w
-
-    def step(
-        self,
-        modes: np.ndarray,
-        device_energy_j: np.ndarray,
-        step_s: float,
-        capacity_j: np.ndarray,
-        charge_rate_w: np.ndarray,
-        idle_fraction: np.ndarray,
-    ):
-        """Apply one hour of dispatch decisions; returns ``(battery_j, charge_j)``.
-
-        All arrays are per pack — the one-row case of :meth:`step_block`,
-        which holds the physics.
-        """
-        battery_j, charge_j, _ = self.step_block(
-            np.asarray(modes)[None, :],
-            device_energy_j,
-            step_s,
-            capacity_j,
-            charge_rate_w,
-            idle_fraction,
+        capacity_j = np.array(
+            [
+                entry.battery_capacity_j_at(int(counts[j]))
+                for j, (_, entry) in enumerate(self.packs)
+            ]
         )
-        return battery_j[0], charge_j[0]
+        charge_rate_w = np.array(
+            [
+                entry.battery_charge_rate_w_at(int(counts[j]))
+                for j, (_, entry) in enumerate(self.packs)
+            ]
+        )
+        return capacity_j, charge_rate_w
 
     def step_block(
         self,
@@ -548,6 +498,10 @@ class EnergyLedger:
         charge_j = np.empty(shape)
         soc = np.empty(shape)
         state = self.soc
+        # On a tie ``np.minimum(a, b)`` returns ``b``, as Python's
+        # ``min(b, a)`` does: the operands are ordered so a +0.0 / -0.0 tie
+        # (an idle fraction of -0.0) gives the same signed zero as the
+        # scalar ``min(device_j, available)`` and ``min(headroom, deliverable)``.
         with np.errstate(invalid="ignore", divide="ignore"):
             for row in range(n_rows):
                 forced = usable[row] & (state < self.min_soc)
@@ -555,13 +509,13 @@ class EnergyLedger:
                 available = np.clip(state - self.min_soc, 0.0, None) * capacity
                 battery = np.where(
                     wants_discharge[row] & ~forced,
-                    np.minimum(device_energy_j[row], available),
+                    np.minimum(available, device_energy_j[row]),
                     0.0,
                 )
                 headroom = np.clip(1.0 - state, 0.0, None) * capacity
                 charge = np.where(
                     wants_charge[row] | forced,
-                    np.minimum(headroom, deliverable_j[row]),
+                    np.minimum(deliverable_j[row], headroom),
                     0.0,
                 )
                 delta = np.where(
@@ -591,8 +545,9 @@ def replay_dispatch(
     n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
     device counts, from which each day's pack capabilities are re-derived
     bit for bit.  Each day the policy sets thresholds from the previous
-    day's intensity, plans its modes (forecast policies read the ledger's
-    live SoC here), and the ledger steps that day's rows.
+    day's intensity, plans its modes against that day's counts (forecast
+    policies also read the ledger's SoC here), and the ledger steps that
+    day's rows.
 
     Returns ``(battery_j, charge_j, soc, shortfall_j)``; ``shortfall_j`` is
     the per-``(hour, pack)`` discharge energy the ledger could not deliver
@@ -610,8 +565,9 @@ def replay_dispatch(
     for day in range(n_days):
         rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
         thresholds = dispatch.day_thresholds(previous_intensity, sites)
-        dispatch.set_pack_counts(counts_day[day])
-        modes[rows] = dispatch.day_modes(intensity[rows], thresholds)
+        modes[rows] = dispatch.day_modes(
+            intensity[rows], thresholds, counts_day[day]
+        )
         capacity_j, charge_rate_w = ledger.day_capabilities(counts_day[day])
         battery_j[rows], charge_j[rows], soc[rows] = ledger.step_block(
             modes[rows],
@@ -622,7 +578,6 @@ def replay_dispatch(
             idle_fraction[rows],
         )
         previous_intensity = intensity[rows]
-    dispatch.set_pack_counts(None)
     shortfall_j = np.where(
         modes == DISPATCH_DISCHARGE,
         np.maximum(device_j - battery_j, 0.0),

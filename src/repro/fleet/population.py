@@ -16,21 +16,20 @@ well under a second:
   Equation 10) and/or deploy a spare from the intake pool;
 * :class:`DeviceCohort` — the vectorized population itself, stepped in
   days, reporting failures / swaps / deployments / replacement carbon per
-  step as :class:`CohortStep` records;
-* :class:`FleetPopulation` — the device population of one *site*: one or
-  more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is the realistic
-  junkyard deployment), each stepped with its own independent seeded RNG
-  stream so adding or re-seeding one cohort never perturbs another.
+  step as :class:`CohortStep` records.
 
+A site holds one or more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is
+the realistic junkyard deployment; see :class:`~repro.fleet.sites.FleetSite`).
 All stochasticity flows from per-cohort ``numpy`` generators seeded at
-construction, so a fixed seed reproduces the fleet trajectory exactly.
+construction, so a fixed seed reproduces the fleet trajectory exactly and
+adding or re-seeding one cohort never perturbs another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -388,80 +387,6 @@ class DeviceCohort:
         if n_days <= 0:
             raise ValueError("n_days must be positive")
         return [self.step(1.0, utilization=utilization) for _ in range(n_days)]
-
-
-class FleetPopulation:
-    """The device population of one site: typed cohorts with independent RNGs.
-
-    A thin grouping layer over :class:`DeviceCohort`: each cohort keeps its
-    own seeded generator (churn in one device type never consumes random
-    draws belonging to another), while this class answers the site-level
-    questions — total live devices, aggregate wear, one-day stepping at
-    per-cohort utilisations.
-    """
-
-    def __init__(self, cohorts: Sequence[DeviceCohort]) -> None:
-        if not cohorts:
-            raise ValueError("a fleet population needs at least one cohort")
-        self.cohorts = list(cohorts)
-
-    def __len__(self) -> int:
-        return len(self.cohorts)
-
-    def __iter__(self):
-        return iter(self.cohorts)
-
-    @property
-    def active_count(self) -> int:
-        """Live devices across every cohort."""
-        return sum(cohort.active_count for cohort in self.cohorts)
-
-    @property
-    def target_size(self) -> int:
-        """Aggregate target deployment across cohorts."""
-        return sum(cohort.policy.target_size for cohort in self.cohorts)
-
-    @property
-    def spares(self) -> int:
-        """Spare devices pooled across cohorts (spares are per device type)."""
-        return sum(cohort.spares for cohort in self.cohorts)
-
-    def mean_battery_wear(self) -> float:
-        """Active-count-weighted mean battery wear across cohorts."""
-        if len(self.cohorts) == 1:
-            return self.cohorts[0].mean_battery_wear()
-        weights = [cohort.active_count for cohort in self.cohorts]
-        total = sum(weights)
-        if total == 0:
-            return 0.0
-        return (
-            sum(
-                weight * cohort.mean_battery_wear()
-                for weight, cohort in zip(weights, self.cohorts)
-            )
-            / total
-        )
-
-    def step_all(
-        self, dt_days: float = 1.0, utilizations: Optional[Sequence[float]] = None
-    ) -> List[CohortStep]:
-        """Advance every cohort by ``dt_days``, one utilisation per cohort.
-
-        ``utilizations`` must match the cohort count when given (the fleet
-        scheduler passes the realised per-type utilisation); ``None`` lets
-        every cohort cycle at its own load profile's average.
-        """
-        if utilizations is None:
-            utilizations = [None] * len(self.cohorts)
-        if len(utilizations) != len(self.cohorts):
-            raise ValueError(
-                f"got {len(utilizations)} utilisations for "
-                f"{len(self.cohorts)} cohorts"
-            )
-        return [
-            cohort.step(dt_days, utilization=utilization)
-            for cohort, utilization in zip(self.cohorts, utilizations)
-        ]
 
 
 def steady_state_intake_rate(

@@ -74,7 +74,10 @@ class FleetReport:
     Hourly arrays have shape ``(T, S)`` for ``T`` timesteps and ``S`` sites;
     daily arrays have shape ``(D, S)``.  ``step_s`` is the scheduling
     timestep in seconds (series of requests/s integrate to requests by
-    multiplying with it).
+    multiplying with it).  Every series is required: a report always
+    carries the site, energy-dispatch and cohort series, zero-valued where
+    no dispatch policy was coupled in.  Only ``hindsight_avoided_g`` is
+    optional, because its absence means "no regret accounting was run".
     """
 
     policy_name: str
@@ -91,29 +94,20 @@ class FleetReport:
     battery_swaps: np.ndarray
     failures: np.ndarray
     deployed: np.ndarray
-    step_s: float = 3_600.0
     #: Realised site *wall* energy per timestep (kWh), shape ``(T, S)``:
     #: grid energy serving load plus grid energy charging batteries.
-    #: Optional for backward compatibility with reports built before it was
-    #: tracked; the fleet simulation always fills it.
-    energy_kwh: Optional[np.ndarray] = None
-    #: Energy-dispatch ledger series, shape ``(T, S)`` each; ``None`` on
-    #: reports built before dispatch existed.  ``grid_kwh`` is grid energy
-    #: used to *serve* load (so ``grid_kwh + battery_kwh`` is the energy the
-    #: site consumed, and ``grid_kwh + charge_kwh == energy_kwh`` is what the
-    #: meter saw); ``battery_kwh`` is battery discharge serving device load;
-    #: ``charge_kwh`` is grid energy filling the packs; ``soc`` is the
-    #: end-of-step aggregate state of charge in ``[0, 1]``.
-    grid_kwh: Optional[np.ndarray] = None
-    battery_kwh: Optional[np.ndarray] = None
-    charge_kwh: Optional[np.ndarray] = None
-    soc: Optional[np.ndarray] = None
-    #: Carbon (grams) the hindsight-optimal dispatch plan would have avoided
-    #: over the same horizon — the lookahead planner run with perfect
-    #: knowledge of every trace (see :mod:`repro.forecast`).  ``None`` when
-    #: no forecast regret accounting was performed; the scenario runner fills
-    #: it for forecast-dispatch runs.
-    hindsight_avoided_g: Optional[float] = None
+    energy_kwh: np.ndarray
+    #: Energy-dispatch ledger series, shape ``(T, S)`` each.  ``grid_kwh``
+    #: is grid energy used to *serve* load (so ``grid_kwh + battery_kwh`` is
+    #: the energy the site consumed, and ``grid_kwh + charge_kwh ==
+    #: energy_kwh`` is what the meter saw); ``battery_kwh`` is battery
+    #: discharge serving device load; ``charge_kwh`` is grid energy filling
+    #: the packs; ``soc`` is the end-of-step aggregate state of charge in
+    #: ``[0, 1]``.
+    grid_kwh: np.ndarray
+    battery_kwh: np.ndarray
+    charge_kwh: np.ndarray
+    soc: np.ndarray
     #: Per-device-type cohort series.  ``cohort_labels`` names each cohort
     #: column (``site/device``, site-major order); ``cohort_site_index`` maps
     #: each column to its site; hourly arrays have shape ``(T, C)`` and
@@ -122,22 +116,28 @@ class FleetReport:
     #: energy serving that cohort's device load, so per site
     #: ``grid_kwh == sum(cohort_grid_kwh) + peripheral`` holds by
     #: construction (battery-charging energy is tracked separately:
-    #: ``energy_kwh == grid_kwh + charge_kwh``).  ``None`` on reports built
-    #: before cohorts existed; the fleet simulation always fills them.
-    cohort_labels: Optional[Tuple[str, ...]] = None
-    cohort_site_index: Optional[np.ndarray] = None
-    cohort_target: Optional[np.ndarray] = None
-    cohort_served_rps: Optional[np.ndarray] = None
-    cohort_energy_kwh: Optional[np.ndarray] = None
-    cohort_grid_kwh: Optional[np.ndarray] = None
-    cohort_battery_kwh: Optional[np.ndarray] = None
-    cohort_charge_kwh: Optional[np.ndarray] = None
-    cohort_soc: Optional[np.ndarray] = None
-    cohort_active: Optional[np.ndarray] = None
-    cohort_replacement_carbon_g: Optional[np.ndarray] = None
-    cohort_battery_swaps: Optional[np.ndarray] = None
-    cohort_failures: Optional[np.ndarray] = None
-    cohort_deployed: Optional[np.ndarray] = None
+    #: ``energy_kwh == grid_kwh + charge_kwh``).
+    cohort_labels: Tuple[str, ...]
+    cohort_site_index: np.ndarray
+    cohort_target: np.ndarray
+    cohort_served_rps: np.ndarray
+    cohort_energy_kwh: np.ndarray
+    cohort_grid_kwh: np.ndarray
+    cohort_battery_kwh: np.ndarray
+    cohort_charge_kwh: np.ndarray
+    cohort_soc: np.ndarray
+    cohort_active: np.ndarray
+    cohort_replacement_carbon_g: np.ndarray
+    cohort_battery_swaps: np.ndarray
+    cohort_failures: np.ndarray
+    cohort_deployed: np.ndarray
+    step_s: float = 3_600.0
+    #: Carbon (grams) the hindsight-optimal dispatch plan would have avoided
+    #: over the same horizon — the lookahead planner run with perfect
+    #: knowledge of every trace (see :mod:`repro.forecast`).  ``None`` when
+    #: no forecast regret accounting was performed; the scenario runner fills
+    #: it for forecast-dispatch runs.
+    hindsight_avoided_g: Optional[float] = None
     #: Dispatch setpoints the energy ledger clipped for infeasibility: hours
     #: where the policy asked a pack to discharge but the SoC floor (or the
     #: forced recharge below it) kept the pack from delivering the full
@@ -150,18 +150,20 @@ class FleetReport:
 
     def __post_init__(self) -> None:
         n_sites = len(self.site_names)
-        for name in ("served_rps", "operational_g", "intensity_g_per_kwh"):
-            array = getattr(self, name)
-            if array.shape != (len(self.hours), n_sites):
+        for name in (
+            "served_rps",
+            "operational_g",
+            "intensity_g_per_kwh",
+            "energy_kwh",
+            "grid_kwh",
+            "battery_kwh",
+            "charge_kwh",
+            "soc",
+        ):
+            shape = np.shape(getattr(self, name))
+            if shape != (len(self.hours), n_sites):
                 raise ValueError(
-                    f"{name} has shape {array.shape}, expected "
-                    f"({len(self.hours)}, {n_sites})"
-                )
-        for name in ("energy_kwh", "grid_kwh", "battery_kwh", "charge_kwh", "soc"):
-            array = getattr(self, name)
-            if array is not None and array.shape != (len(self.hours), n_sites):
-                raise ValueError(
-                    f"{name} has shape {array.shape}, expected "
+                    f"{name} has shape {shape}, expected "
                     f"({len(self.hours)}, {n_sites})"
                 )
         if self.dropped_rps.shape != (len(self.hours),):
@@ -176,17 +178,15 @@ class FleetReport:
             "failures",
             "deployed",
         ):
-            array = getattr(self, name)
-            if array.shape != (len(self.days), n_sites):
+            shape = np.shape(getattr(self, name))
+            if shape != (len(self.days), n_sites):
                 raise ValueError(
-                    f"{name} has shape {array.shape}, expected "
+                    f"{name} has shape {shape}, expected "
                     f"({len(self.days)}, {n_sites})"
                 )
         self._validate_cohort_series()
 
     def _validate_cohort_series(self) -> None:
-        if self.cohort_labels is None:
-            return
         n_cohorts = len(self.cohort_labels)
         if n_cohorts < len(self.site_names):
             raise ValueError(
@@ -197,18 +197,14 @@ class FleetReport:
             ("cohort_site_index", n_cohorts),
             ("cohort_target", n_cohorts),
         ):
-            array = getattr(self, name)
-            if array is None or array.shape != (length,):
-                shape = None if array is None else array.shape
+            shape = np.shape(getattr(self, name))
+            if shape != (length,):
                 raise ValueError(
                     f"{name} has shape {shape}, expected ({length},)"
                 )
-        if self.cohort_site_index is not None:
-            site_index = np.asarray(self.cohort_site_index)
-            if site_index.min() < 0 or site_index.max() >= len(self.site_names):
-                raise ValueError(
-                    "cohort_site_index values must index into site_names"
-                )
+        site_index = np.asarray(self.cohort_site_index)
+        if site_index.min() < 0 or site_index.max() >= len(self.site_names):
+            raise ValueError("cohort_site_index values must index into site_names")
         for name in (
             "cohort_served_rps",
             "cohort_energy_kwh",
@@ -217,9 +213,8 @@ class FleetReport:
             "cohort_charge_kwh",
             "cohort_soc",
         ):
-            array = getattr(self, name)
-            if array is None or array.shape != (len(self.hours), n_cohorts):
-                shape = None if array is None else array.shape
+            shape = np.shape(getattr(self, name))
+            if shape != (len(self.hours), n_cohorts):
                 raise ValueError(
                     f"{name} has shape {shape}, expected "
                     f"({len(self.hours)}, {n_cohorts})"
@@ -231,9 +226,8 @@ class FleetReport:
             "cohort_failures",
             "cohort_deployed",
         ):
-            array = getattr(self, name)
-            if array is None or array.shape != (len(self.days), n_cohorts):
-                shape = None if array is None else array.shape
+            shape = np.shape(getattr(self, name))
+            if shape != (len(self.days), n_cohorts):
                 raise ValueError(
                     f"{name} has shape {shape}, expected "
                     f"({len(self.days)}, {n_cohorts})"
@@ -279,61 +273,30 @@ class FleetReport:
     # ------------------------------------------------------------------
 
     @property
-    def has_dispatch_series(self) -> bool:
-        """True when the simulation tracked the battery ledger series.
-
-        Every :class:`~repro.fleet.scheduler.FleetSimulation` run fills the
-        series (zero-valued when no dispatch policy was coupled in); only
-        reports built before dispatch existed leave them ``None``.  "Was the
-        ledger actually active" is a question for the scenario layer's
-        ``charging.coupling``, not this flag.
-        """
-        return self.battery_kwh is not None and self.charge_kwh is not None
-
-    @property
     def total_battery_discharge_kwh(self) -> float:
         """Battery energy that served device load across the horizon (kWh)."""
-        if self.battery_kwh is None:
-            return 0.0
         return float(self.battery_kwh.sum())
 
     @property
     def total_charge_kwh(self) -> float:
         """Grid energy spent filling batteries across the horizon (kWh)."""
-        if self.charge_kwh is None:
-            return 0.0
         return float(self.charge_kwh.sum())
-
-    def site_battery_discharge_kwh(self) -> np.ndarray:
-        """Per-site battery discharge throughput (kWh), shape ``(S,)``."""
-        if self.battery_kwh is None:
-            return np.zeros(len(self.site_names))
-        return self.battery_kwh.sum(axis=0)
 
     # ------------------------------------------------------------------
     # Per-device-type cohort accounting
     # ------------------------------------------------------------------
 
     @property
-    def has_cohort_series(self) -> bool:
-        """True when the simulation tracked per-device-type cohort series."""
-        return self.cohort_labels is not None
-
-    @property
     def n_cohorts(self) -> int:
-        """Cohort columns tracked (0 for pre-cohort reports)."""
-        return 0 if self.cohort_labels is None else len(self.cohort_labels)
+        """Cohort columns tracked."""
+        return len(self.cohort_labels)
 
     def cohort_battery_discharge_kwh(self) -> np.ndarray:
         """Per-cohort battery discharge throughput (kWh), shape ``(C,)``."""
-        if self.cohort_battery_kwh is None:
-            return np.zeros(self.n_cohorts)
         return self.cohort_battery_kwh.sum(axis=0)
 
     def cohort_summaries(self) -> List[CohortSummary]:
         """Per-cohort aggregate rows, in site-major cohort order."""
-        if not self.has_cohort_series:
-            return []
         discharge = self.cohort_battery_discharge_kwh()
         summaries = []
         for j, label in enumerate(self.cohort_labels):
@@ -374,8 +337,6 @@ class FleetReport:
         pack's worth of pre-window energy; compare coupling modes over
         multi-day runs.
         """
-        if not self.has_dispatch_series:
-            return np.zeros(len(self.site_names))
         avoided = self.battery_kwh * self.intensity_g_per_kwh
         paid = self.charge_kwh * self.intensity_g_per_kwh
         return (avoided - paid).sum(axis=0)
@@ -389,12 +350,9 @@ class FleetReport:
 
         The counterfactual operational carbon is what the site *would* have
         emitted had every battery-served joule been grid-served at the same
-        hours: ``operational + avoided``.  All-zero entries when the series
-        exist but the ledger never moved energy (no dispatch policy was
-        coupled in); empty only for pre-dispatch reports without the series.
+        hours: ``operational + avoided``.  All-zero entries when the ledger
+        never moved energy (no dispatch policy was coupled in).
         """
-        if not self.has_dispatch_series:
-            return {}
         avoided = self.site_carbon_avoided_g()
         operational = self.operational_g.sum(axis=0)
         savings: Dict[str, float] = {}
@@ -523,12 +481,10 @@ class FleetReport:
             "availability": self.availability(),
             "served_fraction": self.served_fraction(),
         }
-        if self.has_dispatch_series and self.total_battery_discharge_kwh > 0:
+        if self.total_battery_discharge_kwh > 0:
             summary["battery_discharge_kwh"] = self.total_battery_discharge_kwh
             summary["carbon_avoided_kg"] = self.carbon_avoided_g() / 1_000.0
-        if self.has_dispatch_series and (
-            self.total_battery_discharge_kwh > 0 or self.clipped_setpoints > 0
-        ):
+        if self.total_battery_discharge_kwh > 0 or self.clipped_setpoints > 0:
             summary["clipped_setpoints"] = int(self.clipped_setpoints)
             summary["clipped_energy_kwh"] = float(self.clipped_energy_kwh)
         if self.has_regret_accounting:

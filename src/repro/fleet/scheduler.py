@@ -34,10 +34,10 @@ feeds replacement carbon into the fleet ledger.  With a
 :class:`~repro.fleet.dispatch.DispatchPolicy` in the loop, each site also
 carries a battery state-of-charge ledger: clean hours charge the packs from
 idle headroom, dirty hours serve device load from the packs
-(UPS-as-carbon-buffer), and the report gains grid/battery/charge/SoC
-series.  For latency-aware questions, :func:`simulate_latency_aware` runs
-the same sites and policy on the discrete-event engine of
-:mod:`repro.simulation` instead.
+(UPS-as-carbon-buffer); without one, the report's grid/battery/charge/SoC
+series are the zero-dispatch ledger.  For latency-aware questions,
+:func:`simulate_latency_aware` runs the same sites and policy on the
+discrete-event engine of :mod:`repro.simulation` instead.
 """
 
 from __future__ import annotations
@@ -733,11 +733,11 @@ class FleetSimulation:
     ) -> np.ndarray:
         """Device-only energy (kWh) each cohort needs per hour, whole run.
 
-        The vectorized twin of per-day
-        :meth:`~repro.fleet.sites.SiteCohort.device_power_w` calls: idle
+        The vectorized form of per-day
+        :meth:`~repro.fleet.sites.SiteCohort.device_power_w_at` calls: idle
         floor follows the recorded day-start counts, each served request
         adds its dynamic energy.  Same per-element expression, so bitwise-
-        identical to the historical per-day column loop.
+        identical to the per-day column loop.
         """
         if np.any(alloc < 0):
             raise ValueError("served rate must be non-negative")
@@ -973,7 +973,14 @@ def simulate_latency_aware(
     jitter, not just queueing.
 
     Returns the overall latency summary and the per-site served counts.
+    Sites are keyed by name, so ``sites`` must be non-empty and its names
+    unique (as :class:`FleetSimulation` requires).
     """
+    if not sites:
+        raise ValueError("the latency probe needs at least one site")
+    names = [site.name for site in sites]
+    if len(set(names)) != len(names):
+        raise ValueError(f"site names must be unique, got {names}")
     if demand_rps <= 0:
         raise ValueError("demand must be positive")
     if duration_s <= 0:

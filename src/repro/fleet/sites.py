@@ -8,19 +8,21 @@ needs to know about a location:
 * the site's own :class:`~repro.grid.traces.GridTrace` — every site sees a
   *different* carbon-intensity time series, which is what makes carbon-aware
   routing pay off;
-* one or more :class:`SiteCohort` entries — typed
+* its ``cohorts`` tuple of :class:`SiteCohort` entries — typed
   :class:`~repro.fleet.population.DeviceCohort` populations deployed there,
   each with its own intake/churn dynamics, request rate, and battery pack.
 
 A junkyard cloudlet is built from whatever arrives, so the realistic rack is
 *mixed*: a site may hold a Pixel 3A cohort and a Nexus 4 cohort side by
-side.  Every per-device-type quantity (capacity, idle/peak power, dynamic
-energy per request, marginal CCI, aggregate battery pack) lives on
-:class:`SiteCohort`; the site aggregates across cohorts, and the scheduler
-and dispatch layers consume the per-cohort terms directly, so routing can
-prefer the efficient device type inside a site and the battery ledger can
-track each pack type separately.  A site built with a single cohort behaves
-exactly like the historical one-cohort ``FleetSite``.
+side.  A uniform rack is simply the one-entry case of the same model.
+Every per-device-type quantity (capacity, idle/peak power, dynamic energy
+per request, marginal CCI, aggregate battery pack) lives on
+:class:`SiteCohort`, and the scheduler and dispatch layers consume those
+per-cohort terms directly, so routing can prefer the efficient device type
+inside a site and the battery ledger can track each pack type separately.
+Power and battery terms take an explicit device count: the dispatch pass
+replays the counts the routing and churn pass recorded, never the live
+population.
 
 Three regional trace-generator presets accompany the paper's CAISO-like
 generator so multi-site scenarios span realistically different grids:
@@ -56,7 +58,6 @@ from repro.fleet.churn import cohort_class_for_sampler
 from repro.fleet.population import (
     DeviceCohort,
     FailureModel,
-    FleetPopulation,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
@@ -146,9 +147,10 @@ class SiteCohort:
     service rate it delivers and exposes every per-device-type quantity the
     scheduler and dispatch layers consume: capacity, idle/peak power,
     dynamic energy per request, marginal CCI, and the aggregate battery
-    pack.  A :class:`FleetSite` holds one entry per device type; the site's
-    *design share* of a cohort is its fraction of the site's target
-    deployment.
+    pack.  A :class:`FleetSite` holds one entry per device type.  The
+    device-power and battery terms are functions of an explicit device
+    count (the ``*_at`` methods), so the dispatch replay reads the counts
+    recorded while churn was live.
     """
 
     cohort: DeviceCohort
@@ -178,9 +180,9 @@ class SiteCohort:
     def capacity_rps_at(self, active_count: int) -> float:
         """Request capacity (requests/s) at an explicit device count.
 
-        The count-parameterised twin of :attr:`capacity_rps` — the deferred
-        replay path records each day's live count and re-derives the exact
-        same capability later, so the two must share one expression.
+        The count-parameterised form of :attr:`capacity_rps` — the dispatch
+        replay records each day's live count and re-derives the exact same
+        capability later, so the two share one expression.
         """
         return active_count * self.requests_per_device_s
 
@@ -217,20 +219,12 @@ class SiteCohort:
         """
         return (self.peak_power_w - self.idle_power_w) / self.requests_per_device_s
 
-    def device_power_w(self, served_rps):
-        """Device-only cohort draw (W) while serving ``served_rps`` requests/s.
+    def device_power_w_at(self, active_count: int, served_rps):
+        """Device-only draw (W) of ``active_count`` devices serving ``served_rps``.
 
         Active devices idle at their floor and each served request adds its
         dynamic energy; peripherals belong to the site, not the cohort.
         Accepts a scalar or an array of rates.
-        """
-        return self.device_power_w_at(self.cohort.active_count, served_rps)
-
-    def device_power_w_at(self, active_count: int, served_rps):
-        """Device-only cohort draw (W) at an explicit device count.
-
-        Shares one expression with :meth:`device_power_w` so the deferred
-        replay path (recorded day counts) is bitwise-identical to live reads.
         """
         served = np.asarray(served_rps, dtype=float)
         if np.any(served < 0):
@@ -243,22 +237,12 @@ class SiteCohort:
 
     # -- aggregate battery pack (one ledger entry per cohort) --------------
 
-    @property
-    def battery_capacity_j(self) -> float:
-        """Usable aggregate battery capacity (J) of the live population."""
-        return self.battery_capacity_j_at(self.cohort.active_count)
-
     def battery_capacity_j_at(self, active_count: int) -> float:
         """Aggregate battery capacity (J) at an explicit device count."""
         battery = self.device.battery
         if battery is None:
             return 0.0
         return active_count * battery.capacity_joules
-
-    @property
-    def battery_charge_rate_w(self) -> float:
-        """Aggregate rated charge power (W) of the live population."""
-        return self.battery_charge_rate_w_at(self.cohort.active_count)
 
     def battery_charge_rate_w_at(self, active_count: int) -> float:
         """Aggregate rated charge power (W) at an explicit device count."""
@@ -307,47 +291,29 @@ class SiteCohort:
 class FleetSite:
     """One cloudlet location participating in multi-site orchestration.
 
-    A site holds one or more typed cohorts.  The historical single-cohort
-    construction (``cohort=...`` plus ``requests_per_device_s=...``) still
-    works and is exactly equivalent to ``cohorts=(SiteCohort(...),)``; mixed
-    sites pass ``cohorts=`` directly.  Site-level properties aggregate
-    across cohorts (sums for capacity/power/battery, the best available
-    cohort for the marginal), while the per-type terms live on the
-    :class:`SiteCohort` entries the scheduler and dispatch layers iterate.
+    A site is its ``cohorts`` tuple — one :class:`SiteCohort` per device
+    type, a single entry for a uniform rack — bound to a cloudlet design and
+    a grid trace.  Site-level properties aggregate across cohorts (sums for
+    capacity, the best available cohort for the marginal), while the
+    per-type terms live on the :class:`SiteCohort` entries the scheduler
+    and dispatch layers iterate.  Build sites with :func:`site_from_cohorts`
+    (or its wrappers), which sizes the design's peripherals to the cohorts.
     """
 
     name: str
     design: CloudletDesign
     trace: GridTrace
-    cohort: Optional[DeviceCohort] = None
-    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S
+    cohorts: Tuple[SiteCohort, ...]
     #: Round-trip network latency between the fleet's clients and this site;
     #: the DES-backed scheduler path adds it once per request.
     network_rtt_s: float = 0.010
-    cohorts: Tuple[SiteCohort, ...] = ()
 
     def __post_init__(self) -> None:
         if self.network_rtt_s < 0:
             raise ValueError("network RTT must be non-negative")
-        if self.cohorts:
-            if self.cohort is not None:
-                raise ValueError(
-                    f"site {self.name!r}: pass either cohort= or cohorts=, not both"
-                )
-            self.cohorts = tuple(self.cohorts)
-        else:
-            if self.cohort is None:
-                raise ValueError(f"site {self.name!r} needs at least one cohort")
-            self.cohorts = (
-                SiteCohort(
-                    cohort=self.cohort,
-                    requests_per_device_s=self.requests_per_device_s,
-                ),
-            )
-        # Back-compat aliases: the primary cohort is the first entry.
-        self.cohort = self.cohorts[0].cohort
-        self.requests_per_device_s = self.cohorts[0].requests_per_device_s
-        self.population = FleetPopulation([entry.cohort for entry in self.cohorts])
+        self.cohorts = tuple(self.cohorts)
+        if not self.cohorts:
+            raise ValueError(f"site {self.name!r} needs at least one cohort")
         cohort_devices = [entry.device.name for entry in self.cohorts]
         if self.design.device.name not in cohort_devices:
             raise ValueError(
@@ -362,11 +328,6 @@ class FleetSite:
         return tuple(
             f"{self.name}/{entry.device.name}" for entry in self.cohorts
         )
-
-    def design_shares(self) -> Tuple[float, ...]:
-        """Each cohort's fraction of the site's target deployment."""
-        total = sum(entry.target_size for entry in self.cohorts)
-        return tuple(entry.target_size / total for entry in self.cohorts)
 
     # -- capacity ----------------------------------------------------------
 
@@ -398,77 +359,12 @@ class FleetSite:
             sum(entry.nominal_capacity_rps for entry in self.cohorts) / total
         )
 
-    # -- power (site-level; primary cohort for per-device figures) ---------
-
-    @property
-    def idle_power_w(self) -> float:
-        """Per-device idle draw of the primary cohort (W)."""
-        return self.cohorts[0].idle_power_w
-
-    @property
-    def peak_power_w(self) -> float:
-        """Per-device full-load draw of the primary cohort (W)."""
-        return self.cohorts[0].peak_power_w
-
-    @property
-    def dynamic_energy_per_request_j(self) -> float:
-        """Incremental energy per request of the primary cohort (J)."""
-        return self.cohorts[0].dynamic_energy_per_request_j
-
-    def split_served_rps(self, served_rps):
-        """Split a site-level served rate across cohorts by capacity share.
-
-        Used only by the site-level convenience :meth:`power_w`; the fleet
-        scheduler allocates per cohort directly and never aggregates first.
-        """
-        served = np.asarray(served_rps, dtype=float)
-        capacities = np.array([entry.capacity_rps for entry in self.cohorts])
-        total = capacities.sum()
-        if total <= 0:
-            return [served * 0.0 for _ in self.cohorts]
-        return [served * (capacity / total) for capacity in capacities]
-
-    def power_w(self, served_rps):
-        """Total site draw (W) while serving ``served_rps`` requests/s.
-
-        Active devices idle at their floor, each served request adds its
-        cohort's dynamic energy (site-level rates are split across cohorts
-        proportional to live capacity), and peripherals (fans, plugs, access
-        points) draw their constant overhead.  Accepts a scalar or an array.
-        """
-        served = np.asarray(served_rps, dtype=float)
-        if np.any(served < 0):
-            raise ValueError("served rate must be non-negative")
-        result = self.design.peripherals.total_power_w
-        for entry, share in zip(self.cohorts, self.split_served_rps(served)):
-            result = result + entry.device_power_w(share)
-        return float(result) if np.isscalar(served_rps) else result
+    # -- power -------------------------------------------------------------
 
     @property
     def peripheral_power_w(self) -> float:
         """Constant peripheral draw (fans, plugs, APs) — never battery-backed."""
         return self.design.peripherals.total_power_w
-
-    def device_power_w(self, served_rps):
-        """Device-only site draw (W): :meth:`power_w` minus the peripherals.
-
-        This is the portion of the site's load the phones' own batteries can
-        serve — a phone can run itself from its pack, but it cannot push
-        battery power out to the fans and access points.
-        """
-        return self.power_w(served_rps) - self.peripheral_power_w
-
-    # -- aggregate battery pack (sum over the per-cohort ledgers) ----------
-
-    @property
-    def battery_capacity_j(self) -> float:
-        """Usable aggregate battery capacity (J) across every cohort."""
-        return sum(entry.battery_capacity_j for entry in self.cohorts)
-
-    @property
-    def battery_charge_rate_w(self) -> float:
-        """Aggregate rated charge power (W) across every cohort."""
-        return sum(entry.battery_charge_rate_w for entry in self.cohorts)
 
     # -- carbon ------------------------------------------------------------
 
@@ -504,10 +400,6 @@ class FleetSite:
     def marginal_carbon_g_per_request(self, time_s: float) -> float:
         """Marginal operational + wear carbon (g) of routing one request here."""
         return self.marginal_carbon_g_for_intensity(self.intensity_at(time_s))
-
-    def battery_wear_g_per_request(self) -> float:
-        """Amortised battery-wear carbon per request of the primary cohort."""
-        return self.cohorts[0].battery_wear_g_per_request()
 
 
 def default_intake_stream(
@@ -552,8 +444,8 @@ def site_from_cohorts(
     fans sized per device type by the thermal model, a WiFi tree topology —
     summed across cohorts, so a mixed Pixel 3A / Nexus 4 site carries
     exactly the peripherals its two racks would carry side by side.  The
-    design's primary device (used for site-level per-device figures) is the
-    cohort with the largest target deployment, ties broken by entry order.
+    design names one device, its primary: the cohort with the largest
+    target deployment, ties broken by entry order.
     """
     entries = tuple(entries)
     if not entries:

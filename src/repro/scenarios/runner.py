@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.cluster.peripherals import PeripheralSet
 from repro.devices.catalog import get_device
 from repro.economics.cost import FleetCostModel, OwnershipCost
 from repro.fleet.dispatch import (
@@ -507,13 +506,12 @@ class ScenarioRunner:
                 )
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)
 
-    def _cost_model(self, site: FleetSite, entry, peripherals) -> FleetCostModel:
+    def _cost_model(self, entry) -> FleetCostModel:
         """A cost model for one cohort, priced from the scenario's economics."""
         economics = self.spec.economics
         return FleetCostModel(
             device=entry.device,
             n_devices=entry.target_size,
-            peripherals=peripherals,
             load_profile=entry.cohort.load_profile,
             electricity_usd_per_kwh=economics.electricity_usd_per_kwh,
             battery_replacement_usd=economics.battery_replacement_usd,
@@ -527,51 +525,27 @@ class ScenarioRunner:
     ) -> Dict[str, OwnershipCost]:
         """Per-site ownership + churn dollars, churn priced per device type.
 
-        Single-cohort sites take the historical path (one cost model, one
-        ``scenario_cost`` call).  Mixed sites price each cohort's swap parts,
-        swap labor, spare acquisition, and dispatched battery wear with
-        *that cohort's* device and pack (a Nexus 4 swap is not a Pixel 3A
-        swap), then combine: purchases sum per cohort, the site's realised
-        wall energy and its peripherals bill are charged once.
+        Each cohort's swap parts, swap labor, spare acquisition, and
+        dispatched battery wear are priced with *that cohort's* device and
+        pack (a Nexus 4 swap is not a Pixel 3A swap); purchases sum per
+        cohort, and the site's realised wall energy and its peripherals bill
+        are charged once.
         """
         economics = self.spec.economics
         if not economics.enabled:
             return {}
         costs: Dict[str, OwnershipCost] = {}
-        cohort_discharge = (
-            report.cohort_battery_discharge_kwh()
-            if report.has_cohort_series
-            else None
-        )
+        cohort_discharge = report.cohort_battery_discharge_kwh()
         cohort_summaries = report.cohort_summaries()
         for index, summary in enumerate(report.site_summaries()):
             site = sites[index]
-            realised_kwh = (
-                float(report.energy_kwh[:, index].sum())
-                if report.energy_kwh is not None
-                else None
-            )
-            if len(site.cohorts) == 1 or not report.has_cohort_series:
-                model = self._cost_model(
-                    site, site.cohorts[0], site.design.peripherals
-                )
-                costs[summary.name] = model.scenario_cost(
-                    duration_days=self.spec.duration_days,
-                    battery_swaps=summary.battery_swaps,
-                    devices_deployed=summary.deployed,
-                    energy_kwh=realised_kwh,
-                    battery_throughput_kwh=float(
-                        report.site_battery_discharge_kwh()[index]
-                    ),
-                )
-                continue
             purchase_usd = 0.0
             maintenance_usd = 0.0
             cohort_offset = int(np.searchsorted(report.cohort_site_index, index))
             for k, entry in enumerate(site.cohorts):
                 j = cohort_offset + k
                 cohort_summary = cohort_summaries[j]
-                model = self._cost_model(site, entry, PeripheralSet.empty())
+                model = self._cost_model(entry)
                 purchase_usd += entry.target_size * entry.device.purchase_price_usd
                 maintenance_usd += model.churn_cost_usd(
                     cohort_summary.battery_swaps, cohort_summary.deployed
@@ -582,7 +556,8 @@ class ScenarioRunner:
             costs[summary.name] = OwnershipCost(
                 purchase_usd=purchase_usd,
                 peripherals_usd=site.design.peripherals.total_cost_usd,
-                energy_usd=(realised_kwh or 0.0) * economics.electricity_usd_per_kwh,
+                energy_usd=float(report.energy_kwh[:, index].sum())
+                * economics.electricity_usd_per_kwh,
                 maintenance_usd=maintenance_usd,
             )
         return costs

@@ -14,8 +14,10 @@ sees exactly the numbers it would have computed itself.  Two facts make that pos
 
 Everything here is schema-versioned (``repro-result/1``) and keyed off the
 dataclass *field lists*, so adding a field to :class:`FleetReport` or
-:class:`ScenarioResult` extends the format without touching this module —
-old entries simply decode with the new field's default.
+:class:`ScenarioResult` extends the format without touching this module.
+A report payload must carry every series :class:`FleetReport` requires;
+only fields with a default (``step_s``, ``hindsight_avoided_g``, the
+clip counters) may be absent.
 """
 
 from __future__ import annotations
@@ -91,9 +93,10 @@ def report_to_dict(report: FleetReport) -> Dict[str, Any]:
 def report_from_dict(payload: Dict[str, Any]) -> FleetReport:
     """Invert :func:`report_to_dict`.
 
-    Unknown keys are rejected (they signal a schema from the future);
-    missing keys fall back to the dataclass default, so entries written
-    before a field existed still load.
+    Unknown keys are rejected (they signal a schema from the future), and
+    so is a payload that lacks a series: every report carries every series,
+    so a missing one means a truncated or hand-edited entry, never an old
+    one to fill with a default.  Fields with a default may be absent.
     """
     known = {field.name for field in dataclasses.fields(FleetReport)}
     unknown = set(payload) - known

@@ -90,7 +90,10 @@ class TestConservation:
         # a constant capacity reconstruction is exact.
         assert np.all(report.active_devices == N_DEVICES)
         for j, site in enumerate(sites):
-            capacity_kwh = site.battery_capacity_j / 3.6e6
+            capacity_kwh = (
+                sum(entry.battery_capacity_j_at(N_DEVICES) for entry in site.cohorts)
+                / 3.6e6
+            )
             delta = (
                 report.charge_kwh[:, j] - report.battery_kwh[:, j]
             ).cumsum() / capacity_kwh
@@ -171,12 +174,26 @@ class TestEnergyLedger:
     def site(self):
         return two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
 
+    @staticmethod
+    def _counts(site):
+        return np.array([entry.cohort.active_count for entry in site.cohorts])
+
+    def test_capabilities_follow_the_given_counts(self, site):
+        ledger = EnergyLedger([site])
+        (entry,) = site.cohorts
+        battery = entry.device.battery
+        capacity_j, rate_w = ledger.day_capabilities(np.array([3]))
+        assert capacity_j[0] == 3 * battery.capacity_joules
+        assert rate_w[0] == 3 * battery.charge_rate_w
+        capacity_j, rate_w = ledger.day_capabilities(np.array([0]))
+        assert capacity_j[0] == 0.0 and rate_w[0] == 0.0
+
     def test_discharge_stops_at_the_floor(self, site):
         ledger = EnergyLedger([site], min_state_of_charge=0.25)
-        capacity_j, rate_w = ledger.day_capabilities()
+        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
         huge = np.array([10.0 * capacity_j[0]])
-        battery_j, charge_j = ledger.step(
-            np.array([DISPATCH_DISCHARGE]), huge, 3600.0, capacity_j, rate_w,
+        (battery_j,), (charge_j,), _ = ledger.step_block(
+            np.array([[DISPATCH_DISCHARGE]]), huge, 3600.0, capacity_j, rate_w,
             np.array([1.0]),
         )
         assert charge_j[0] == 0.0
@@ -186,9 +203,9 @@ class TestEnergyLedger:
     def test_forced_charge_below_the_floor(self, site):
         ledger = EnergyLedger([site], min_state_of_charge=0.25, initial_soc=0.25)
         ledger.soc[:] = 0.10  # knocked below the floor (e.g. capacity shift)
-        capacity_j, rate_w = ledger.day_capabilities()
-        battery_j, charge_j = ledger.step(
-            np.array([DISPATCH_DISCHARGE]), np.array([1.0]), 3600.0,
+        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        (battery_j,), (charge_j,), _ = ledger.step_block(
+            np.array([[DISPATCH_DISCHARGE]]), np.array([1.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
         )
         assert battery_j[0] == 0.0
@@ -197,9 +214,9 @@ class TestEnergyLedger:
 
     def test_charge_stops_at_full(self, site):
         ledger = EnergyLedger([site])
-        capacity_j, rate_w = ledger.day_capabilities()
-        battery_j, charge_j = ledger.step(
-            np.array([DISPATCH_CHARGE]), np.array([0.0]), 3600.0,
+        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        (battery_j,), (charge_j,), _ = ledger.step_block(
+            np.array([[DISPATCH_CHARGE]]), np.array([0.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
         )
         assert charge_j[0] == 0.0
@@ -210,15 +227,15 @@ class TestEnergyLedger:
         # rather than the pack's remaining headroom.
         step_s = 600.0
         ledger = EnergyLedger([site], initial_soc=0.5)
-        capacity_j, rate_w = ledger.day_capabilities()
+        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
         assert rate_w[0] * step_s < 0.5 * capacity_j[0]
-        _, busy = ledger.step(
-            np.array([DISPATCH_CHARGE]), np.array([0.0]), step_s,
+        _, (busy,), _ = ledger.step_block(
+            np.array([[DISPATCH_CHARGE]]), np.array([0.0]), step_s,
             capacity_j, rate_w, np.array([0.25]),
         )
         ledger.soc[:] = 0.5
-        _, idle = ledger.step(
-            np.array([DISPATCH_CHARGE]), np.array([0.0]), step_s,
+        _, (idle,), _ = ledger.step_block(
+            np.array([[DISPATCH_CHARGE]]), np.array([0.0]), step_s,
             capacity_j, rate_w, np.array([1.0]),
         )
         assert idle[0] == pytest.approx(rate_w[0] * step_s)
@@ -226,9 +243,9 @@ class TestEnergyLedger:
 
     def test_hold_leaves_the_ledger_untouched(self, site):
         ledger = EnergyLedger([site], initial_soc=0.6)
-        capacity_j, rate_w = ledger.day_capabilities()
-        battery_j, charge_j = ledger.step(
-            np.array([DISPATCH_HOLD]), np.array([5.0]), 3600.0,
+        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        (battery_j,), (charge_j,), _ = ledger.step_block(
+            np.array([[DISPATCH_HOLD]]), np.array([5.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
         )
         assert battery_j[0] == 0.0 and charge_j[0] == 0.0
@@ -366,10 +383,10 @@ class TestWearDerate:
 
     def test_derate_scales_with_mean_wear(self):
         site = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
-        site.cohort._battery_cycles[: site.cohort._n] = (
-            0.5 * site.cohort.device.battery.cycle_life
+        site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._n] = (
+            0.5 * site.cohorts[0].cohort.device.battery.cycle_life
         )
-        assert site.cohort.mean_battery_wear() == pytest.approx(0.5)
+        assert site.cohorts[0].cohort.mean_battery_wear() == pytest.approx(0.5)
         assert site.effective_capacity_rps(1.0) == pytest.approx(
             0.5 * site.capacity_rps
         )
@@ -394,8 +411,8 @@ class TestWearDerate:
     def _worn_sites():
         sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
         for site in sites:
-            site.cohort._battery_cycles[: site.cohort._n] = (
-                0.5 * site.cohort.device.battery.cycle_life
+            site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._n] = (
+                0.5 * site.cohorts[0].cohort.device.battery.cycle_life
             )
         return sites
 
@@ -420,8 +437,8 @@ class TestWearDerate:
         def sites_with_worn_clean_site():
             sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=7)
             clean = sites[1]  # cascadia, the preferred site under greedy
-            clean.cohort._battery_cycles[: clean.cohort._n] = (
-                0.5 * clean.cohort.device.battery.cycle_life
+            clean.cohorts[0].cohort._battery_cycles[: clean.cohorts[0].cohort._n] = (
+                0.5 * clean.cohorts[0].cohort.device.battery.cycle_life
             )
             return sites
 

@@ -2,8 +2,9 @@
 
 Dispatch replay runs one exact path: a per-day loop over the ledger's
 row-vectorized kernel.  ``data/report_digests.json`` holds a SHA-256 over
-every :class:`~repro.fleet.reporting.FleetReport` field plus the headline
-CCI and $/request, recorded for every registry preset under both churn
+every :class:`~repro.fleet.reporting.FleetReport` field, every per-site
+:class:`~repro.economics.OwnershipCost` field and the headline CCI and
+$/request, recorded for every registry preset under both churn
 samplers at 2 and 30 days, and for every charging coupling mode.  Any
 change that moves a single bit of a report fails here.
 
@@ -23,6 +24,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.economics import OwnershipCost
 from repro.fleet import (
     CarbonBufferDispatch,
     CapacityAwareMarginalCciRouting,
@@ -76,9 +78,16 @@ def _cases():
 
 
 def report_digest(result) -> str:
-    """SHA-256 over every report field's bytes plus CCI and $/request."""
+    """SHA-256 over every report field, every per-site cost field, CCI and $/request.
+
+    Report fields enter in name order, so reordering the dataclass's
+    declarations leaves the digest alone.  Cost fields enter as
+    ``float.hex`` so a one-ulp move in any site's purchase, peripherals,
+    energy or maintenance dollars changes the digest.
+    """
     digest = hashlib.sha256()
-    for field in dataclasses.fields(FleetReport):
+    fields = sorted(dataclasses.fields(FleetReport), key=lambda f: f.name)
+    for field in fields:
         value = getattr(result.report, field.name)
         digest.update(field.name.encode())
         if isinstance(value, np.ndarray):
@@ -86,6 +95,12 @@ def report_digest(result) -> str:
             digest.update(np.ascontiguousarray(value).tobytes())
         else:
             digest.update(repr(value).encode())
+    for site_name in sorted(result.site_costs):
+        cost = result.site_costs[site_name]
+        digest.update(site_name.encode())
+        for field in dataclasses.fields(OwnershipCost):
+            digest.update(field.name.encode())
+            digest.update(float(getattr(cost, field.name)).hex().encode())
     digest.update(
         repr((result.cci_g_per_request, result.usd_per_request)).encode()
     )

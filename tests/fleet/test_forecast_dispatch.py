@@ -11,6 +11,7 @@ from repro.fleet import (
     GreedyLowestIntensityRouting,
     two_site_asymmetric_fleet,
 )
+from repro.fleet.dispatch import DISPATCH_DISCHARGE
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
 from repro.forecast import (
     NoisyOracleForecast,
@@ -92,6 +93,20 @@ class TestForecastDispatch:
         second = _run(dispatch)
         assert np.array_equal(first.battery_kwh, second.battery_kwh)
         assert np.array_equal(first.soc, second.soc)
+
+    def test_plans_against_the_ledger_sites(self):
+        """Sites come from make_ledger; day_modes needs no day_thresholds call."""
+        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        dispatch = ForecastDispatch(PerfectForecast())
+        intensity = np.full((24, 2), 300.0)
+        no_thresholds = np.full(2, np.nan)
+        counts = np.array([N_DEVICES, N_DEVICES])
+        with pytest.raises(RuntimeError, match="make_ledger"):
+            dispatch.day_modes(intensity, no_thresholds, counts)
+        dispatch.make_ledger(sites)
+        modes = dispatch.day_modes(intensity, no_thresholds, counts)
+        # The nan thresholds would leave the fallback at HOLD everywhere.
+        assert np.any(modes == DISPATCH_DISCHARGE, axis=0).all()
 
     def test_refresh_within_the_day(self):
         report = _run(ForecastDispatch(PerfectForecast(), horizon_h=24, refresh_h=6))

@@ -1,10 +1,8 @@
 """Heterogeneous in-site cohorts: equivalence, per-type ledgers, churn.
 
-The acceptance properties of the multi-cohort refactor:
+The acceptance properties of the multi-cohort site model:
 
-* a site built with one ``SiteCohort`` is *bitwise* identical to the
-  historical single-cohort construction (same allocation, energy, churn,
-  and dispatch series);
+* a one-cohort site's cohort series are its site series;
 * a true mixed site is equivalent to the two co-located single-cohort
   sites it replaces — identical per-cohort series, aggregate totals equal
   up to float summation order;
@@ -21,7 +19,6 @@ from repro.fleet import (
     CarbonBufferDispatch,
     DeviceCohort,
     DiurnalDemand,
-    FleetPopulation,
     FleetSimulation,
     FleetSite,
     GreedyLowestIntensityRouting,
@@ -53,57 +50,23 @@ def _trace(seed=2024):
 
 
 # ---------------------------------------------------------------------------
-# One-cohort equivalence: cohorts=(entry,) == the historical cohort= path
+# One-cohort sites: the cohort series are the site series
 # ---------------------------------------------------------------------------
 
 
-class TestSingleCohortEquivalence:
-    @staticmethod
-    def _reports():
-        legacy_site = phone_site("solo", "caiso-like", n_devices=40, seed=7,
-                                 n_trace_days=N_DAYS)
-        modern = phone_site("solo", "caiso-like", n_devices=40, seed=7,
-                            n_trace_days=N_DAYS)
-        modern_site = FleetSite(
-            name="solo",
-            design=modern.design,
-            trace=modern.trace,
-            cohorts=(
-                SiteCohort(
-                    cohort=modern.cohort,
-                    requests_per_device_s=modern.requests_per_device_s,
-                ),
-            ),
-        )
-        legacy = FleetSimulation(
-            [legacy_site], GreedyLowestIntensityRouting(), DEMAND,
-            dispatch=CarbonBufferDispatch(),
-        ).run(N_DAYS)
-        cohorts = FleetSimulation(
-            [modern_site], GreedyLowestIntensityRouting(), DEMAND,
-            dispatch=CarbonBufferDispatch(),
-        ).run(N_DAYS)
-        return legacy, cohorts
-
-    def test_reports_are_bitwise_identical(self):
-        legacy, cohorts = self._reports()
-        for name in (
-            "served_rps", "dropped_rps", "operational_g", "energy_kwh",
-            "grid_kwh", "battery_kwh", "charge_kwh", "soc",
-            "active_devices", "replacement_carbon_g", "battery_swaps",
-            "failures", "deployed", "intensity_g_per_kwh",
-        ):
-            assert np.array_equal(getattr(legacy, name), getattr(cohorts, name)), name
-        assert legacy.fleet_cci_g_per_request() == cohorts.fleet_cci_g_per_request()
-        assert legacy.summary_dict() == cohorts.summary_dict()
-
+class TestSingleCohortSite:
     def test_single_cohort_site_series_match_cohort_series(self):
-        legacy, _ = self._reports()
-        assert legacy.has_cohort_series
-        assert np.array_equal(legacy.cohort_served_rps, legacy.served_rps)
-        assert np.array_equal(legacy.cohort_battery_kwh, legacy.battery_kwh)
-        assert np.array_equal(legacy.cohort_soc, legacy.soc)
-        assert np.array_equal(legacy.cohort_active, legacy.active_devices)
+        site = phone_site("solo", "caiso-like", n_devices=40, seed=7,
+                          n_trace_days=N_DAYS)
+        report = FleetSimulation(
+            [site], GreedyLowestIntensityRouting(), DEMAND,
+            dispatch=CarbonBufferDispatch(),
+        ).run(N_DAYS)
+        assert report.cohort_labels == ("solo/Pixel 3A",)
+        assert np.array_equal(report.cohort_served_rps, report.served_rps)
+        assert np.array_equal(report.cohort_battery_kwh, report.battery_kwh)
+        assert np.array_equal(report.cohort_soc, report.soc)
+        assert np.array_equal(report.cohort_active, report.active_devices)
 
 
 # ---------------------------------------------------------------------------
@@ -295,36 +258,27 @@ class TestPerCohortChurn:
 
     def test_cohort_streams_are_independent(self):
         """Re-seeding cohort B never consumes cohort A's random draws."""
-        def population(b_seed):
-            a = DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=50), seed=5)
-            b = DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=50), seed=b_seed)
-            return FleetPopulation([a, b])
+        def entries(b_seed):
+            a = SiteCohort(
+                DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=50), seed=5)
+            )
+            b = SiteCohort(
+                DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=50), seed=b_seed)
+            )
+            return a, b
 
-        first = population(b_seed=1)
-        second = population(b_seed=99)
+        first = entries(b_seed=1)
+        second = entries(b_seed=99)
         for _ in range(30):
-            first.step_all(1.0, [0.5, 0.5])
-            second.step_all(1.0, [0.5, 0.5])
-        a_first, a_second = first.cohorts[0], second.cohorts[0]
+            for entry in (*first, *second):
+                entry.cohort.step(1.0, utilization=0.5)
+        a_first, a_second = first[0].cohort, second[0].cohort
         assert [s.failures for s in a_first.history] == [
             s.failures for s in a_second.history
         ]
         assert [s.active for s in a_first.history] == [
             s.active for s in a_second.history
         ]
-
-    def test_population_aggregates(self):
-        pop = FleetPopulation([
-            DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=10), seed=0),
-            DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=20), seed=1),
-        ])
-        assert pop.active_count == 30
-        assert pop.target_size == 30
-        assert len(pop) == 2
-        with pytest.raises(ValueError, match="utilisations"):
-            pop.step_all(1.0, [0.5])
-        with pytest.raises(ValueError, match="at least one cohort"):
-            FleetPopulation([])
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +295,9 @@ class TestMixedSiteConstruction:
             pixel.peripheral_power_w + nexus.peripheral_power_w
         )
 
-    def test_capacity_and_battery_aggregate(self):
+    def test_capacity_aggregates_across_cohorts(self):
         mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
         assert mixed.capacity_rps == pytest.approx(30 * 20.0 + 30 * 8.0)
-        assert mixed.battery_capacity_j == pytest.approx(
-            sum(entry.battery_capacity_j for entry in mixed.cohorts)
-        )
-        assert mixed.design_shares() == (0.5, 0.5)
         assert mixed.nominal_requests_per_device_s == pytest.approx(14.0)
 
     def test_marginal_is_the_best_cohort(self):
@@ -358,13 +308,10 @@ class TestMixedSiteConstruction:
         ]
         assert mixed.marginal_carbon_g_for_intensity(300.0) == min(per_cohort)
 
-    def test_cohort_and_cohorts_are_mutually_exclusive(self):
+    def test_site_needs_at_least_one_cohort(self):
         site = site_from_cohorts("m", _trace(), [_pixel_entry()])
-        with pytest.raises(ValueError, match="not both"):
-            FleetSite(
-                name="bad", design=site.design, trace=site.trace,
-                cohort=site.cohort, cohorts=site.cohorts,
-            )
+        with pytest.raises(ValueError, match="at least one cohort"):
+            FleetSite(name="bad", design=site.design, trace=site.trace, cohorts=())
 
     def test_design_device_must_match_some_cohort(self):
         pixel = site_from_cohorts("p", _trace(), [_pixel_entry()])

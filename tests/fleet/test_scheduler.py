@@ -15,7 +15,11 @@ from repro.fleet.scheduler import (
     run_policy_comparison,
     simulate_latency_aware,
 )
-from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, two_site_asymmetric_fleet
+from repro.fleet.sites import (
+    DEFAULT_REQUESTS_PER_DEVICE_S,
+    phone_site,
+    two_site_asymmetric_fleet,
+)
 
 
 class TestDiurnalDemand:
@@ -173,7 +177,7 @@ class TestLatencyAwarePath:
         assert by_site_a == by_site_b
         assert summary_a.completion_ratio > 0.9
         # Latency >= service time + RTT of the chosen site.
-        assert summary_a.median_ms >= 1_000.0 / sites[0].requests_per_device_s
+        assert summary_a.median_ms >= 1_000.0 / sites[0].nominal_requests_per_device_s
 
     def test_greedy_routes_to_clean_site_until_saturation(self):
         sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=7)
@@ -185,6 +189,26 @@ class TestLatencyAwarePath:
             seed=9,
         )
         assert by_site["cascadia"] > by_site["texas"] > 0
+
+    def test_duplicate_site_names_rejected(self):
+        """Two sites named alike would share one served count and one pool."""
+        sites = [
+            phone_site("x", "ercot-like", 20, seed=0, n_trace_days=2),
+            phone_site("x", "hydro-heavy", 20, seed=1, n_trace_days=2),
+        ]
+        with pytest.raises(ValueError, match="site names must be unique"):
+            simulate_latency_aware(
+                sites,
+                GreedyLowestIntensityRouting(),
+                demand_rps=300.0,
+                duration_s=2.0,
+            )
+
+    def test_empty_site_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            simulate_latency_aware(
+                [], GreedyLowestIntensityRouting(), demand_rps=300.0, duration_s=2.0
+            )
 
 
 class TestServiceDistributions:

@@ -50,7 +50,9 @@ class TestFleetSite:
         return phone_site("test", "caiso-like", n_devices=50, seed=3)
 
     def test_capacity_follows_population(self, site):
-        assert site.capacity_rps == site.cohort.active_count * site.requests_per_device_s
+        (entry,) = site.cohorts
+        expected = entry.cohort.active_count * entry.requests_per_device_s
+        assert site.capacity_rps == expected
 
     def test_design_matches_paper_recipe(self, site):
         assert site.design.device.name == PIXEL_3A.name
@@ -58,16 +60,29 @@ class TestFleetSite:
         assert site.design.peripherals.total_power_w > 0  # plugs + fans + AP
 
     def test_power_model_is_affine_in_load(self, site):
-        idle = site.power_w(0.0)
-        half = site.power_w(site.capacity_rps / 2.0)
-        full = site.power_w(site.capacity_rps)
+        (entry,) = site.cohorts
+        count = entry.cohort.active_count
+
+        def site_power_w(served_rps):
+            return site.peripheral_power_w + entry.device_power_w_at(count, served_rps)
+
+        idle = site_power_w(0.0)
+        half = site_power_w(site.capacity_rps / 2.0)
+        full = site_power_w(site.capacity_rps)
         assert idle < half < full
         assert full - half == pytest.approx(half - idle)
         # Fully loaded, each phone draws its peak power.
-        expected_device_draw = site.cohort.active_count * site.peak_power_w
+        expected_device_draw = count * entry.peak_power_w
         assert full - site.design.peripherals.total_power_w == pytest.approx(
             expected_device_draw
         )
+        served = np.array([0.0, site.capacity_rps / 2.0, site.capacity_rps])
+        assert np.allclose(
+            entry.device_power_w_at(count, served),
+            np.array([idle, half, full]) - site.peripheral_power_w,
+        )
+        with pytest.raises(ValueError, match="non-negative"):
+            entry.device_power_w_at(count, -1.0)
 
     def test_wraparound_intensity(self, site):
         period = site.trace.period_s
@@ -81,14 +96,15 @@ class TestFleetSite:
         times = np.arange(0, 86_400.0, 3_600.0)
         marginals = np.array([site.marginal_carbon_g_per_request(t) for t in times])
         intensities = site.intensities_at(times)
-        wear = site.battery_wear_g_per_request()
+        (entry,) = site.cohorts
+        wear = entry.battery_wear_g_per_request()
         assert wear > 0  # swap-enabled Pixel site carries wear carbon
-        expected = site.dynamic_energy_per_request_j * intensities / 3.6e6 + wear
+        expected = entry.dynamic_energy_per_request_j * intensities / 3.6e6 + wear
         assert np.allclose(marginals, expected)
 
     def test_device_mismatch_rejected(self):
         from repro.devices.catalog import NEXUS_4
-        from repro.fleet.sites import FleetSite
+        from repro.fleet.sites import FleetSite, SiteCohort
 
         site = phone_site("a", "caiso-like", n_devices=10, seed=0)
         nexus_site = phone_site("b", "hydro-heavy", n_devices=10, device=NEXUS_4, seed=1)
@@ -97,15 +113,17 @@ class TestFleetSite:
                 name="broken",
                 design=site.design,
                 trace=site.trace,
-                cohort=nexus_site.cohort,
+                cohorts=nexus_site.cohorts,
             )
         with pytest.raises(ValueError, match="must be positive"):
+            SiteCohort(cohort=site.cohorts[0].cohort, requests_per_device_s=0.0)
+        with pytest.raises(ValueError, match="non-negative"):
             FleetSite(
                 name="broken",
                 design=site.design,
                 trace=site.trace,
-                cohort=site.cohort,
-                requests_per_device_s=0.0,
+                cohorts=site.cohorts,
+                network_rtt_s=-1.0,
             )
 
 
@@ -114,4 +132,5 @@ def test_two_site_asymmetric_fleet_shape():
     assert [site.name for site in sites] == ["texas", "cascadia"]
     texas, cascadia = sites
     assert texas.trace.mean_intensity() > cascadia.trace.mean_intensity()
-    assert texas.cohort.active_count == cascadia.cohort.active_count == 25
+    assert [entry.cohort.active_count for entry in texas.cohorts] == [25]
+    assert [entry.cohort.active_count for entry in cascadia.cohorts] == [25]

@@ -142,7 +142,6 @@ class TestMixedRunner:
     def test_mixed_run_reports_per_cohort_series(self):
         result = run_scenario(mixed_spec())
         report = result.report
-        assert report.has_cohort_series
         assert report.cohort_labels == (
             "junkyard/Pixel 3A",
             "junkyard/Nexus 4",

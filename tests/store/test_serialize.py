@@ -119,6 +119,18 @@ def test_report_payload_rejects_unknown_fields():
         report_from_dict({**report_payload, "from_the_future": 1})
 
 
+def test_report_payload_lacking_a_series_is_refused():
+    spec = get_scenario("paper-baseline").with_overrides(FAST)
+    report_payload = report_to_dict(ScenarioRunner(spec).run().report)
+    report_from_dict(report_payload)  # the whole payload loads
+    truncated = dict(report_payload)
+    del truncated["battery_kwh"]
+    with pytest.raises(SerializationError, match="battery_kwh"):
+        report_from_dict(truncated)
+    with pytest.raises(SerializationError, match="battery_kwh"):
+        report_from_dict({**report_payload, "battery_kwh": None})
+
+
 def test_result_to_dict_matches_method():
     spec = get_scenario("paper-baseline").with_overrides(FAST)
     result = ScenarioRunner(spec).run()
