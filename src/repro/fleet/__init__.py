@@ -5,14 +5,12 @@ package models a *fleet*: populations of reused devices arriving, aging,
 failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
-* :mod:`repro.fleet.population` — vectorized device cohorts (intake,
-  battery aging, stochastic churn, replacement policies), each with its own
-  independent seeded stream;
-* :mod:`repro.fleet.churn` — the bucketed churn engine
-  (:class:`BucketedCohort`): deploy-day cohort buckets with one binomial
-  draw per bucket, distributionally equivalent to the per-device
-  reference at O(days) instead of O(devices) per step, selected via
-  ``churn.sampler`` on the scenario spec;
+* :mod:`repro.fleet.population` — device cohorts held as deploy-day
+  buckets (intake, battery aging, stochastic churn, replacement policies),
+  each with its own independent seeded stream; ``churn.sampler`` on the
+  scenario spec picks the failure draw — one uniform per device (the
+  reference) or one binomial per bucket (O(days) instead of O(devices)
+  per step);
 * :mod:`repro.fleet.sites` — multi-site cloudlets, each a
   :class:`~repro.cluster.cloudlet.CloudletDesign` bound to its own
   :class:`~repro.grid.traces.GridTrace`; a :class:`FleetSite` *is* its
@@ -31,11 +29,6 @@ grid mixes, with request routing policies that exploit the differences.
   every site, dispatch and cohort series.
 """
 
-from repro.fleet.churn import (
-    CHURN_SAMPLERS,
-    BucketedCohort,
-    cohort_class_for_sampler,
-)
 from repro.fleet.dispatch import (
     CarbonBufferDispatch,
     DispatchPolicy,
@@ -48,6 +41,7 @@ from repro.fleet.dispatch import (
     site_packs,
 )
 from repro.fleet.population import (
+    CHURN_SAMPLERS,
     CohortStep,
     DeviceCohort,
     FailureModel,
@@ -71,7 +65,6 @@ from repro.fleet.scheduler import (
     RoundRobinRouting,
     RoutingPolicy,
     policy_by_name,
-    run_policy_comparison,
     simulate_latency_aware,
 )
 from repro.fleet.sites import (
@@ -100,10 +93,7 @@ __all__ = [
     "FailureModel",
     "ReplacementPolicy",
     "steady_state_intake_rate",
-    # churn
-    "BucketedCohort",
     "CHURN_SAMPLERS",
-    "cohort_class_for_sampler",
     # sites
     "FleetSite",
     "SiteCohort",
@@ -130,7 +120,6 @@ __all__ = [
     "policy_by_name",
     "DiurnalDemand",
     "FleetSimulation",
-    "run_policy_comparison",
     "simulate_latency_aware",
     # dispatch
     "DispatchPolicy",

@@ -14,9 +14,12 @@ well under a second:
 * :class:`ReplacementPolicy` — what happens when a battery wears out or a
   device fails: swap the battery (re-introducing its embodied carbon, paper
   Equation 10) and/or deploy a spare from the intake pool;
-* :class:`DeviceCohort` — the vectorized population itself, stepped in
-  days, reporting failures / swaps / deployments / replacement carbon per
-  step as :class:`CohortStep` records.
+* :class:`DeviceCohort` — the one churn engine: the population held as
+  deploy-day buckets of identical device state, stepped in days, reporting
+  failures / swaps / deployments / replacement carbon per step as
+  :class:`CohortStep` records.  Its ``sampler`` (one of
+  :data:`CHURN_SAMPLERS`) picks only the hardware-failure draw: one uniform
+  per device, or one binomial per bucket.
 
 A site holds one or more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is
 the realistic junkyard deployment; see :class:`~repro.fleet.sites.FleetSite`).
@@ -134,19 +137,52 @@ class CohortStep:
         return self.failures + self.retirements
 
 
+#: Failure draws a :class:`DeviceCohort` may use (the ``churn.sampler`` names).
+CHURN_SAMPLERS = ("device", "bucket")
+
+#: Per-bucket state arrays, one row per live deploy-day group.
+_BUCKET_FIELDS = ("_count", "_age_days", "_battery_cycles", "_battery_swaps")
+
+
+def _grown(array: np.ndarray, needed: int, used: int, fill: int = 0) -> np.ndarray:
+    """``array`` with room for ``needed`` rows (amortised doubling)."""
+    if needed <= len(array):
+        return array
+    grown = np.full(max(needed, 2 * len(array)), fill, dtype=array.dtype)
+    grown[:used] = array[:used]
+    return grown
+
+
 class DeviceCohort:
     """A vectorized population of one device type at one site.
 
-    State is held in flat NumPy arrays (one slot per device ever deployed);
-    an ``active`` mask distinguishes live devices from failed/retired ones.
-    Arrays grow amortised-doubling style, so a year of daily steps over a
-    10,000-device fleet allocates only a handful of times; callers that
-    know the run length can pass ``capacity_hint`` (e.g. ``target_size +
-    n_days x expected intake``) to skip the doubling copies entirely.
-    """
+    Every device deployed on the same step shares its age, battery cycles
+    and swap count for life: ages advance uniformly, cycles accrue at the
+    cohort's common realised utilisation, and a failure removes a device
+    without touching its peers.  State is therefore held as deploy-day
+    buckets ``(count, age, cycles, swaps)``.  Only deployment opens a
+    bucket (at most one per step) and emptied buckets are compacted away
+    in order, so a cohort carries at most ~``n_steps`` live buckets
+    whatever its device count.  Battery wear-out is a whole-bucket event
+    (swap in place, or retire once the swap budget is spent), and intake,
+    deploy and shortfall are exact integer counting, so ``deployed -
+    failures - retirements == delta(active)`` and ``replacement carbon ==
+    swaps x embodied`` hold exactly every step.
 
-    #: Engine name surfaced via the ``churn.sampler`` telemetry gauge.
-    sampler_name = "device"
+    ``sampler`` picks only how hardware failures are drawn:
+
+    * ``"device"`` — the per-device reference: one uniform per slot ever
+      deployed, in slot order, against its bucket's hazard.  The cohort
+      keeps a slot -> bucket index (``-1`` once the device is gone), which
+      ``capacity_hint`` pre-sizes so long runs skip the doubling copies.
+    * ``"bucket"`` — one ``Binomial(count, p(age))`` per bucket, exactly
+      the distribution of ``count`` i.i.d. Bernoulli draws at the bucket's
+      age, at O(buckets) instead of O(devices) per step.
+
+    The two samplers are distributionally equivalent but consume the RNG
+    differently, so single trajectories differ; that is why the choice
+    lives on the scenario spec and in its hash.
+    """
 
     def __init__(
         self,
@@ -158,23 +194,37 @@ class DeviceCohort:
         seed: int = 0,
         initial_size: Optional[int] = None,
         capacity_hint: Optional[int] = None,
+        sampler: str = "device",
     ) -> None:
+        if sampler not in CHURN_SAMPLERS:
+            known = ", ".join(CHURN_SAMPLERS)
+            raise ValueError(
+                f"unknown churn sampler {sampler!r}; expected one of: {known}"
+            )
         self.device = device
         self.policy = policy
         self.intake = intake or IntakeStream()
         self.failure_model = failure_model or FailureModel()
         self.load_profile = load_profile
+        self.sampler = sampler
         self._rng = np.random.default_rng(seed)
         self._fractional_arrivals = 0.0
         self.day = 0.0
         self.spares = self.intake.initial_spares
         self.history: List[CohortStep] = []
 
-        capacity = max(16, 2 * policy.target_size, capacity_hint or 0)
-        self._age_days = np.zeros(capacity)
-        self._battery_cycles = np.zeros(capacity)
-        self._battery_swaps = np.zeros(capacity, dtype=np.int64)
-        self._active = np.zeros(capacity, dtype=bool)
+        self._count = np.zeros(16, dtype=np.int64)
+        self._age_days = np.zeros(16)
+        self._battery_cycles = np.zeros(16)
+        self._battery_swaps = np.zeros(16, dtype=np.int64)
+        self._m = 0
+        #: High-water mark of live buckets (the ``churn.buckets_peak`` gauge).
+        self.buckets_peak = 0
+
+        slots = 0
+        if sampler == "device":
+            slots = max(16, 2 * policy.target_size, capacity_hint or 0)
+        self._slot_bucket = np.full(slots, -1, dtype=np.int64)
         self._n = 0
 
         self.total_failures = 0
@@ -195,58 +245,97 @@ class DeviceCohort:
     @property
     def active_count(self) -> int:
         """Number of currently-active devices."""
-        return int(np.count_nonzero(self._active[: self._n]))
+        return int(self._count[: self._m].sum())
+
+    @property
+    def buckets_live(self) -> int:
+        """Number of live buckets (distinct device states) right now."""
+        return self._m
 
     @property
     def availability(self) -> float:
         """Active devices as a fraction of the policy's target size."""
         return self.active_count / self.policy.target_size
 
+    def _device_mean(self, values: np.ndarray) -> float:
+        """Mean of a per-bucket quantity over the active devices (0 when none).
+
+        The device sampler averages the per-slot values in slot order and
+        the bucket sampler weights each bucket by its count; the two forms
+        differ in the last bits, and each sampler keeps its own.
+        """
+        total = self.active_count
+        if total == 0:
+            return 0.0
+        if self.sampler == "device":
+            slots = self._slot_bucket[: self._n]
+            return float(np.mean(values[slots[slots >= 0]]))
+        return float(np.sum(self._count[: self._m] * values[: self._m]) / total)
+
     def mean_age_days(self) -> float:
         """Mean age of the active devices (0 when none are active)."""
-        mask = self._active[: self._n]
-        if not mask.any():
-            return 0.0
-        return float(np.mean(self._age_days[: self._n][mask]))
+        return self._device_mean(self._age_days)
 
     def mean_battery_wear(self) -> float:
         """Mean fraction of battery cycle life consumed by active devices."""
         if self.device.battery is None:
             return 0.0
-        mask = self._active[: self._n]
-        if not mask.any():
-            return 0.0
-        cycles = self._battery_cycles[: self._n][mask]
-        return float(np.mean(cycles) / self.device.battery.cycle_life)
+        return self._device_mean(self._battery_cycles) / self.device.battery.cycle_life
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
 
-    def _grow_to(self, needed: int) -> None:
-        capacity = len(self._age_days)
-        if needed <= capacity:
-            return
-        new_capacity = max(needed, 2 * capacity)
-        for name in ("_age_days", "_battery_cycles", "_battery_swaps", "_active"):
-            old = getattr(self, name)
-            grown = np.zeros(new_capacity, dtype=old.dtype)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-
     def _deploy(self, count: int) -> int:
-        """Activate ``count`` fresh devices (age 0, pristine battery)."""
+        """Open one fresh bucket (age 0, pristine battery) of ``count`` devices."""
         if count <= 0:
             return 0
-        self._grow_to(self._n + count)
-        sl = slice(self._n, self._n + count)
-        self._age_days[sl] = 0.0
-        self._battery_cycles[sl] = 0.0
-        self._battery_swaps[sl] = 0
-        self._active[sl] = True
-        self._n += count
+        index = self._m
+        for name in _BUCKET_FIELDS:
+            setattr(self, name, _grown(getattr(self, name), index + 1, index))
+        self._count[index] = count
+        self._age_days[index] = 0.0
+        self._battery_cycles[index] = 0.0
+        self._battery_swaps[index] = 0
+        self._m += 1
+        self.buckets_peak = max(self.buckets_peak, self._m)
+        if self.sampler == "device":
+            n = self._n
+            self._slot_bucket = _grown(self._slot_bucket, n + count, n, fill=-1)
+            self._slot_bucket[n : n + count] = index
+            self._n += count
         self.total_deployed += count
         return count
+
+    def _compact(self) -> None:
+        """Drop emptied buckets, preserving the order of the survivors."""
+        m = self._m
+        live = self._count[:m] > 0
+        keep = int(np.count_nonzero(live))
+        if keep == m:
+            return
+        for name in _BUCKET_FIELDS:
+            array = getattr(self, name)
+            array[:keep] = array[:m][live]
+        if self._n:
+            # Alive slots follow their bucket to its new row; gone slots
+            # (-1) index the appended -1 and stay gone.
+            slots = self._slot_bucket[: self._n]
+            slots[:] = np.append(np.cumsum(live) - 1, -1)[slots]
+        self._m = keep
+
+    def _draw_failures(self, p_fail: np.ndarray) -> np.ndarray:
+        """Hardware failures per bucket this step, drawn by the sampler."""
+        if self.sampler == "bucket":
+            return self._rng.binomial(self._count[: self._m], p_fail)
+        # One uniform per slot ever deployed, in slot order; gone slots
+        # index the appended 0.0 and never fail.
+        slots = self._slot_bucket[: self._n]
+        draws = self._rng.random(self._n)
+        failed = np.flatnonzero(draws < np.append(p_fail, 0.0)[slots])
+        buckets = slots[failed]
+        slots[failed] = -1
+        return np.bincount(buckets, minlength=self._m)
 
     def _arrivals(self, dt_days: float) -> int:
         rate = self.intake.arrivals_per_day * dt_days
@@ -258,26 +347,6 @@ class DeviceCohort:
         whole = int(self._fractional_arrivals)
         self._fractional_arrivals -= whole
         return whole
-
-    def _failure_probabilities(self, ages: np.ndarray, dt_days: float) -> np.ndarray:
-        """Per-device failure probabilities, deduplicated over integer ages.
-
-        With daily stepping every age is a whole number, so instead of an
-        ``np.exp`` per device we evaluate the hazard once per distinct age
-        (a table of at most ``max_age + 1`` entries) and gather.  The hazard
-        is elementwise, so equal float inputs produce bitwise-equal
-        outputs — the gathered result is identical to the direct call.
-        Non-integer ages (fractional ``dt_days``) fall back to the direct
-        per-device evaluation.
-        """
-        if ages.shape[0]:
-            ages_int = ages.astype(np.int64)
-            if np.array_equal(ages_int, ages):
-                table = self.failure_model.failure_probability(
-                    np.arange(int(ages_int.max()) + 1, dtype=float), dt_days
-                )
-                return table[ages_int]
-        return self.failure_model.failure_probability(ages, dt_days)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -306,61 +375,60 @@ class DeviceCohort:
         """
         if dt_days <= 0:
             raise ValueError("time step must be positive")
-        n = self._n
-        active = self._active[:n]
-        ages = self._age_days[:n]
+        m = self._m
+        counts = self._count[:m]
 
-        # 1. Stochastic hardware failures (age-dependent hazard).
-        p_fail = self._failure_probabilities(ages, dt_days)
-        draws = self._rng.random(n)
-        failed = active & (draws < p_fail)
-        failures = int(np.count_nonzero(failed))
-        active &= ~failed
+        # 1. Stochastic hardware failures (age-dependent hazard, evaluated
+        # once per bucket).
+        p_fail = self.failure_model.failure_probability(self._age_days[:m], dt_days)
+        failed = self._draw_failures(p_fail)
+        failures = int(failed.sum())
+        counts -= failed
 
-        # 2. Battery cycling and wear-out.
+        # 2. Battery cycling and wear-out: a bucket's common cycle counter
+        # crosses cycle_life for every member at once.  Zero draw accrues
+        # no cycles and no live bucket carries cycles >= cycle_life across
+        # a step boundary, so the wear block is skipped outright.
         battery_swaps = 0
         retirements = 0
         replacement_carbon_g = 0.0
         battery = self.device.battery
         if battery is not None:
-            draw_w = self.average_draw_w(utilization)
-            cycles_per_day = battery.daily_cycles(draw_w)
-            # Zero draw accrues no cycles, and no *active* device carries
-            # cycles >= cycle_life across a step boundary (worn devices are
-            # swapped or retired the step they cross), so the whole wear
-            # block is a no-op — skipping it is bitwise-safe.
+            cycles_per_day = battery.daily_cycles(self.average_draw_w(utilization))
             if cycles_per_day != 0.0:
-                self._battery_cycles[:n][active] += cycles_per_day * dt_days
-                worn = active & (self._battery_cycles[:n] >= battery.cycle_life)
-            else:
-                worn = np.zeros_like(active)
-            if worn.any():
-                swaps_used = self._battery_swaps[:n]
-                if self.policy.swap_batteries:
-                    swappable = worn & (swaps_used < self.policy.max_battery_swaps)
-                else:
-                    swappable = np.zeros_like(worn)
-                retire = worn & ~swappable
-                battery_swaps = int(np.count_nonzero(swappable))
-                retirements = int(np.count_nonzero(retire))
-                self._battery_cycles[:n][swappable] = 0.0
-                self._battery_swaps[:n][swappable] += 1
-                active &= ~retire
-                replacement_carbon_g += battery_swaps * units.kg_to_grams(
-                    battery.embodied_carbon_kgco2e
-                )
+                cycles = self._battery_cycles[:m]
+                cycles += cycles_per_day * dt_days
+                worn = (counts > 0) & (cycles >= battery.cycle_life)
+                if worn.any():
+                    swaps_used = self._battery_swaps[:m]
+                    if self.policy.swap_batteries:
+                        swappable = worn & (swaps_used < self.policy.max_battery_swaps)
+                    else:
+                        swappable = np.zeros_like(worn)
+                    retire = worn & ~swappable
+                    battery_swaps = int(counts[swappable].sum())
+                    retirements = int(counts[retire].sum())
+                    cycles[swappable] = 0.0
+                    swaps_used[swappable] += 1
+                    counts[retire] = 0
+                    if self._n and retirements:
+                        slots = self._slot_bucket[: self._n]
+                        slots[np.append(retire, False)[slots]] = -1
+                    replacement_carbon_g += battery_swaps * units.kg_to_grams(
+                        battery.embodied_carbon_kgco2e
+                    )
 
-        # 3. Age survivors.
-        self._age_days[:n][active] += dt_days
+        # 3. Age survivors (emptied buckets are compacted away below).
+        self._age_days[:m] += dt_days
 
         # 4. Intake of decommissioned devices into the spare pool.
         self.spares += self._arrivals(dt_days)
 
-        # 5. Deploy spares to fill the shortfall against the target size.
-        shortfall = self.policy.target_size - int(np.count_nonzero(active))
+        # 5. Deploy spares to fill the shortfall: one fresh bucket.
+        shortfall = self.policy.target_size - int(counts.sum())
         deployed = min(self.spares, max(0, shortfall))
         self.spares -= deployed
-        self._active[:n] = active
+        self._compact()
         self._deploy(deployed)
 
         self.day += dt_days

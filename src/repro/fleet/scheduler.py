@@ -444,23 +444,16 @@ class FleetSimulation:
             deployed[day] = self._per_site(day_step["deployed"])
 
         if tele.enabled:
-            # Which churn engine stepped this run, and how many distinct
-            # device-state buckets it peaked at (0 for the per-device
-            # reference, which has no bucket structure to count).
-            samplers = {
-                getattr(entry.cohort, "sampler_name", "device")
-                for _, entry in self.segments
-            }
+            # Which failure draw stepped this run, and how many distinct
+            # device-state buckets it peaked at.
+            samplers = {entry.cohort.sampler for _, entry in self.segments}
             tele.gauge(
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
             )
             tele.gauge(
                 "churn.buckets_peak",
-                max(
-                    getattr(entry.cohort, "buckets_peak", 0)
-                    for _, entry in self.segments
-                ),
+                max(entry.cohort.buckets_peak for _, entry in self.segments),
             )
 
         # -- Pass B: whole-run vectorized reductions and dispatch replay ---
@@ -894,26 +887,6 @@ class FleetSimulation:
             raise ValueError("policy allocated beyond segment capacity")
         if np.any(alloc.sum(axis=1) > demand * (1 + tol) + tol):
             raise ValueError("policy served more than the offered demand")
-
-
-def run_policy_comparison(
-    site_builder,
-    policies: Sequence[RoutingPolicy],
-    demand: DiurnalDemand,
-    n_days: int,
-) -> Dict[str, FleetReport]:
-    """Run the same scenario under several policies with identical fleets.
-
-    ``site_builder`` is a zero-argument callable returning a *fresh* list of
-    sites — each policy must see an identical, independently-seeded fleet,
-    otherwise population RNG state would leak across runs and the comparison
-    would not be apples-to-apples.
-    """
-    reports: Dict[str, FleetReport] = {}
-    for policy in policies:
-        simulation = FleetSimulation(site_builder(), policy, demand)
-        reports[policy.name] = simulation.run(n_days)
-    return reports
 
 
 # ---------------------------------------------------------------------------

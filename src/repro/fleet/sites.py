@@ -9,8 +9,9 @@ needs to know about a location:
   *different* carbon-intensity time series, which is what makes carbon-aware
   routing pay off;
 * its ``cohorts`` tuple of :class:`SiteCohort` entries — typed
-  :class:`~repro.fleet.population.DeviceCohort` populations deployed there,
-  each with its own intake/churn dynamics, request rate, and battery pack.
+  :class:`~repro.fleet.population.DeviceCohort` populations deployed there
+  (deploy-day buckets; ``sampler`` picks the failure draw), each with its
+  own intake/churn dynamics, request rate, and battery pack.
 
 A junkyard cloudlet is built from whatever arrives, so the realistic rack is
 *mixed*: a site may hold a Pixel 3A cohort and a Nexus 4 cohort side by
@@ -54,7 +55,6 @@ from repro.cluster.topology import wifi_tree_topology
 from repro.devices.catalog import PIXEL_3A
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
-from repro.fleet.churn import cohort_class_for_sampler
 from repro.fleet.population import (
     DeviceCohort,
     FailureModel,
@@ -494,10 +494,10 @@ def build_site_cohort(
 ) -> SiteCohort:
     """Build one typed :class:`SiteCohort` with the fleet's intake defaults.
 
-    ``sampler`` picks the churn engine (``device`` — the per-device
-    bitwise-stable reference — or ``bucket``, the O(days) deploy-day
-    bucket engine); ``capacity_hint`` pre-sizes the device sampler's
-    arrays so long runs skip the amortised-doubling copies.
+    ``sampler`` picks the cohort's failure draw (``device`` — one uniform
+    per device, the reference — or ``bucket``, one binomial per deploy-day
+    bucket at O(days) per step); ``capacity_hint`` pre-sizes the device
+    sampler's slot index so long runs skip the amortised-doubling copies.
     """
     if n_devices <= 0:
         raise ValueError("site needs a positive device count")
@@ -505,8 +505,7 @@ def build_site_cohort(
     failures = failure_model or FailureModel()
     if intake is None:
         intake = default_intake_stream(device, policy, failures, load_profile)
-    cohort_class = cohort_class_for_sampler(sampler)
-    cohort = cohort_class(
+    cohort = DeviceCohort(
         device=device,
         policy=policy,
         intake=intake,
@@ -514,6 +513,7 @@ def build_site_cohort(
         load_profile=load_profile,
         seed=seed,
         capacity_hint=capacity_hint,
+        sampler=sampler,
     )
     return SiteCohort(cohort=cohort, requests_per_device_s=requests_per_device_s)
 

@@ -10,9 +10,8 @@ this package looks forward:
   site's :class:`~repro.grid.traces.GridTrace`, :class:`CsvForecast` from
   a measured day-ahead export);
 * :mod:`repro.forecast.planner` — :class:`LookaheadPlanner`, the greedy
-  rank-by-forecast-intensity charge/discharge setpoint planner, plus
-  :func:`hindsight_plan`, the same planner run on the true trace (the
-  regret baseline).
+  rank-by-forecast-intensity charge/discharge setpoint planner; fed a
+  perfect forecast it is the regret baseline.
 
 The fleet couples these through
 :class:`~repro.fleet.dispatch.ForecastDispatch`; scenarios select them with
@@ -29,7 +28,7 @@ from repro.forecast.models import (
     PersistenceForecast,
     forecast_model_by_name,
 )
-from repro.forecast.planner import LookaheadPlanner, hindsight_plan
+from repro.forecast.planner import LookaheadPlanner
 
 __all__ = [
     "ForecastModel",
@@ -41,5 +40,4 @@ __all__ = [
     "FORECAST_MODELS",
     "forecast_model_by_name",
     "LookaheadPlanner",
-    "hindsight_plan",
 ]

@@ -11,11 +11,12 @@ limits.  The planner emits *setpoints* (one dispatch mode per hour); the
 at execution time (SoC floor/ceiling, idle-scaled charge rate), so an
 optimistic plan degrades gracefully instead of cheating the accounting.
 
-:func:`hindsight_plan` runs the same planner on the *true* trace — the
-hindsight-optimal plan within the planner family — which is what the regret
-accounting (realised vs hindsight carbon avoided) measures against: a
-planner fed a perfect forecast reproduces its own hindsight plan exactly,
-so its regret is zero by construction.
+Fed a :class:`~repro.forecast.models.PerfectForecast` window, the same
+planner plans on the *true* trace — the hindsight-optimal plan within the
+planner family, which is what the regret accounting (realised vs hindsight
+carbon avoided, :meth:`~repro.fleet.scheduler.FleetSimulation.replay_avoided_g`)
+measures against, so a perfect-forecast run's regret is zero by
+construction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.fleet.dispatch import (
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
-from repro.forecast.models import PerfectForecast
 
 
 class LookaheadPlanner:
@@ -151,26 +151,3 @@ class LookaheadPlanner:
                 available = max(0.0, soc - self.min_state_of_charge) * capacity_j
                 soc -= min(need_j, available) / capacity_j
         return soc
-
-
-def hindsight_plan(
-    planner: LookaheadPlanner,
-    trace,
-    start_s: float,
-    horizon_h: int,
-    demand_j: np.ndarray,
-    capacity_j: float,
-    charge_step_j: float,
-    state_of_charge: float,
-    site_index: int = 0,
-) -> np.ndarray:
-    """The planner's setpoints given the *true* trace over the window.
-
-    The hindsight-optimal plan (within the greedy planner family) that regret
-    is measured against: identical to feeding the planner a
-    :class:`~repro.forecast.models.PerfectForecast` window.
-    """
-    window = PerfectForecast().window(trace, start_s, horizon_h, site_index)
-    return planner.plan_window(
-        window, demand_j, capacity_j, charge_step_j, state_of_charge
-    )

@@ -283,7 +283,7 @@ class ScenarioRunner:
             poisson=churn.poisson_intake,
         )
         base_seed = self.spec.seed + index
-        # Pre-size the device sampler's arrays for the whole run (target +
+        # Pre-size the device sampler's slot index for the whole run (target +
         # expected intake over the horizon) so it never pays a doubling copy.
         capacity_hint = (
             mix.count

@@ -22,14 +22,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.devices.power import FULL_LOAD, IDLE, LIGHT_MEDIUM, LoadProfile
 from repro.economics.cost import CALIFORNIA_ELECTRICITY_USD_PER_KWH, FleetCostModel
-from repro.fleet.churn import CHURN_SAMPLERS
-from repro.fleet.population import FailureModel, IntakeStream, ReplacementPolicy
+from repro.fleet.population import (
+    CHURN_SAMPLERS,
+    FailureModel,
+    IntakeStream,
+    ReplacementPolicy,
+)
 from repro.fleet.scheduler import SERVICE_DISTRIBUTIONS, DiurnalDemand
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, REGIONAL_GENERATORS
 from repro.forecast.models import FORECAST_MODELS
@@ -150,11 +155,11 @@ class ChurnSpec:
     junkyards.  ``initial_spares=None`` likewise defaults to a small pool
     proportional to the site size.
 
-    ``sampler`` selects the churn engine: ``"device"`` (the bitwise-stable
-    per-device reference) or ``"bucket"`` (deploy-day cohort buckets with
-    one binomial draw per bucket — distributionally equivalent, O(days)
-    instead of O(devices) per step).  The choice changes the RNG stream,
-    so unlike the :class:`ExecutionSpec` knobs it is part of the spec hash.
+    ``sampler`` selects the cohort's failure draw: ``"device"`` (one
+    uniform per device, the reference) or ``"bucket"`` (one binomial draw
+    per deploy-day bucket — distributionally equivalent, O(days) instead
+    of O(devices) per step).  The choice changes the RNG stream, so unlike
+    the :class:`ExecutionSpec` knobs it is part of the spec hash.
     """
 
     swap_batteries: bool = ReplacementPolicy.swap_batteries
@@ -560,7 +565,7 @@ class ScenarioSpec:
 
         ``churn`` is per-site, but a churn policy usually applies fleet-wide:
         a top-level ``churn.<field>`` (or whole-``churn``) path broadcasts to
-        every site, so ``--set churn.sampler=bucket`` flips the engine on all
+        every site, so ``--set churn.sampler=bucket`` flips the failure draw on all
         of them without spelling each ``sites.N.churn.sampler`` out.
         """
         data = self.to_dict()
@@ -712,6 +717,10 @@ def _convert(value: Any, hint: Any, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioValidationError(
                 f"field {path!r} must be a number, got {value!r}"
+            )
+        if not math.isfinite(value):
+            raise ScenarioValidationError(
+                f"field {path!r} must be a finite number, got {value!r}"
             )
         return float(value)
     if hint is str:

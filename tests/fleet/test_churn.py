@@ -1,5 +1,5 @@
-"""The bucketed churn engine: exact conservation, determinism, and
-distributional equivalence with the per-device reference sampler."""
+"""Deploy-day bucket churn: exact conservation, determinism, and
+distributional equivalence of the bucket and per-device failure draws."""
 
 import dataclasses
 
@@ -7,12 +7,8 @@ import numpy as np
 import pytest
 
 from repro.devices.catalog import PIXEL_3A
-from repro.fleet.churn import (
-    CHURN_SAMPLERS,
-    BucketedCohort,
-    cohort_class_for_sampler,
-)
 from repro.fleet.population import (
+    CHURN_SAMPLERS,
     DeviceCohort,
     FailureModel,
     IntakeStream,
@@ -38,7 +34,7 @@ def build_cohort(
     poisson=True,
     max_battery_swaps=1,
 ):
-    return cohort_class_for_sampler(sampler)(
+    return DeviceCohort(
         device,
         ReplacementPolicy(
             target_size=target, max_battery_swaps=max_battery_swaps
@@ -50,6 +46,7 @@ def build_cohort(
         ),
         failure_model=FailureModel(),
         seed=seed,
+        sampler=sampler,
     )
 
 
@@ -70,18 +67,20 @@ def history_tuples(cohort):
 
 
 class TestSamplerRegistry:
+    """The constructor validates ``sampler`` against CHURN_SAMPLERS."""
+
     def test_known_samplers(self):
         assert CHURN_SAMPLERS == ("device", "bucket")
-        assert cohort_class_for_sampler("device") is DeviceCohort
-        assert cohort_class_for_sampler("bucket") is BucketedCohort
+        for sampler in CHURN_SAMPLERS:
+            assert build_cohort(sampler).active_count == 300
 
     def test_unknown_sampler_raises(self):
-        with pytest.raises(ValueError, match="unknown churn sampler"):
-            cohort_class_for_sampler("per-atom")
+        with pytest.raises(ValueError, match="unknown churn sampler.*device, bucket"):
+            build_cohort("per-atom")
 
     def test_sampler_names(self):
-        assert DeviceCohort.sampler_name == "device"
-        assert BucketedCohort.sampler_name == "bucket"
+        assert DeviceCohort(FAST_WEAR_PIXEL, ReplacementPolicy(10)).sampler == "device"
+        assert build_cohort("bucket").sampler == "bucket"
 
 
 class TestBucketConservation:
@@ -116,7 +115,7 @@ class TestBucketConservation:
     def test_wear_hits_whole_bucket_at_once(self):
         # No failures, no swaps allowed: the initial bucket crosses its
         # cycle life in lockstep and retires in a single step.
-        cohort = BucketedCohort(
+        cohort = DeviceCohort(
             FAST_WEAR_PIXEL,
             ReplacementPolicy(target_size=100, swap_batteries=False),
             intake=IntakeStream(arrivals_per_day=0.0, initial_spares=0),
@@ -124,6 +123,7 @@ class TestBucketConservation:
                 annual_rate=0.0, age_acceleration_per_year=0.0
             ),
             seed=0,
+            sampler="bucket",
         )
         steps = cohort.run(120, utilization=1.0)
         retire_days = [s.day for s in steps if s.retirements]
@@ -219,30 +219,22 @@ class TestDistributionalEquivalence:
 
 
 class TestDeviceSamplerMicroOpts:
-    """The integer-age table and battery-skip paths stay bitwise-exact."""
+    """The slot pre-sizing and battery-skip paths stay bitwise-exact."""
 
-    def test_age_table_matches_direct_hazard(self):
-        model = FailureModel(annual_rate=0.08, age_acceleration_per_year=0.06)
-        cohort = build_cohort("device", seed=0)
-        cohort.failure_model = model
-        ages = np.array([0.0, 1.0, 1.0, 5.0, 400.0, 87.0, 0.0])
-        via_table = cohort._failure_probabilities(ages, 1.0)
-        direct = model.failure_probability(ages, 1.0)
-        assert np.array_equal(via_table, direct)
-
-    def test_fractional_ages_fall_back_to_direct(self):
-        model = FailureModel()
-        cohort = build_cohort("device", seed=0)
-        cohort.failure_model = model
-        ages = np.array([0.5, 1.5, 2.25])
-        assert np.array_equal(
-            cohort._failure_probabilities(ages, 0.5),
-            model.failure_probability(ages, 0.5),
-        )
+    def test_slot_index_tracks_bucket_counts(self):
+        # Every live slot points at its bucket and every gone slot is -1,
+        # through failures, swaps, retirements and compaction.
+        cohort = build_cohort("device", seed=6, max_battery_swaps=0)
+        for _ in range(150):
+            cohort.step(1.0, utilization=0.9)
+            slots = cohort._slot_bucket[: cohort._n]
+            live = np.bincount(slots[slots >= 0], minlength=cohort._m)
+            assert np.array_equal(live, cohort._count[: cohort._m])
+        assert cohort.total_retirements > 0 and cohort.total_failures > 0
 
     def test_capacity_hint_is_bitwise_identical(self):
         plain = build_cohort("device", seed=9)
-        hinted = cohort_class_for_sampler("device")(
+        hinted = DeviceCohort(
             FAST_WEAR_PIXEL,
             ReplacementPolicy(target_size=300, max_battery_swaps=1),
             intake=IntakeStream(
@@ -275,11 +267,11 @@ class TestDeviceSamplerMicroOpts:
         assert cohort.total_battery_swaps == 0
         assert cohort.total_retirements == 0
         assert cohort.total_failures > 0
-        assert float(cohort._battery_cycles[: cohort._n].max()) == 0.0
+        assert float(cohort._battery_cycles[: cohort._m].max()) == 0.0
 
 
-class TestBucketedCohortSurface:
-    """BucketedCohort presents the same read surface as DeviceCohort."""
+class TestBucketSamplerSurface:
+    """The bucket sampler presents the same read surface as the device one."""
 
     def test_means_and_availability(self):
         cohort = build_cohort("bucket", seed=2)
@@ -292,11 +284,12 @@ class TestBucketedCohortSurface:
         )
 
     def test_capacity_hint_accepted(self):
-        cohort = cohort_class_for_sampler("bucket")(
+        cohort = DeviceCohort(
             FAST_WEAR_PIXEL,
             ReplacementPolicy(target_size=50),
             seed=0,
             capacity_hint=10_000,
+            sampler="bucket",
         )
         assert cohort.active_count == 50
 
@@ -309,8 +302,9 @@ class TestBucketedCohortSurface:
         with pytest.raises(ValueError):
             cohort.run(0)
         with pytest.raises(ValueError):
-            BucketedCohort(
+            DeviceCohort(
                 FAST_WEAR_PIXEL,
                 ReplacementPolicy(target_size=10),
                 initial_size=-1,
+                sampler="bucket",
             )

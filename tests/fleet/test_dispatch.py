@@ -383,7 +383,7 @@ class TestWearDerate:
 
     def test_derate_scales_with_mean_wear(self):
         site = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
-        site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._n] = (
+        site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
             0.5 * site.cohorts[0].cohort.device.battery.cycle_life
         )
         assert site.cohorts[0].cohort.mean_battery_wear() == pytest.approx(0.5)
@@ -411,7 +411,7 @@ class TestWearDerate:
     def _worn_sites():
         sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
         for site in sites:
-            site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._n] = (
+            site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
                 0.5 * site.cohorts[0].cohort.device.battery.cycle_life
             )
         return sites
@@ -437,7 +437,7 @@ class TestWearDerate:
         def sites_with_worn_clean_site():
             sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=7)
             clean = sites[1]  # cascadia, the preferred site under greedy
-            clean.cohorts[0].cohort._battery_cycles[: clean.cohorts[0].cohort._n] = (
+            clean.cohorts[0].cohort._battery_cycles[: clean.cohorts[0].cohort._m] = (
                 0.5 * clean.cohorts[0].cohort.device.battery.cycle_life
             )
             return sites

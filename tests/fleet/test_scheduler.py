@@ -12,7 +12,6 @@ from repro.fleet.scheduler import (
     RoundRobinRouting,
     _waterfill,
     policy_by_name,
-    run_policy_comparison,
     simulate_latency_aware,
 )
 from repro.fleet.sites import (
@@ -138,14 +137,14 @@ class TestFleetSimulation:
         assert len(report.site_summaries()) == 2
 
     def test_carbon_aware_beats_round_robin(self, scenario):
-        reports = run_policy_comparison(
-            lambda: two_site_asymmetric_fleet(30, seed=1, n_trace_days=7),
-            [RoundRobinRouting(), GreedyLowestIntensityRouting()],
-            scenario,
-            n_days=14,
+        rr, greedy = (
+            FleetSimulation(
+                two_site_asymmetric_fleet(30, seed=1, n_trace_days=7),
+                policy,
+                scenario,
+            ).run(14)
+            for policy in (RoundRobinRouting(), GreedyLowestIntensityRouting())
         )
-        rr = reports["round-robin"]
-        greedy = reports["greedy-lowest-intensity"]
         assert np.isclose(rr.total_served_requests, greedy.total_served_requests)
         assert greedy.total_operational_carbon_g < rr.total_operational_carbon_g
 

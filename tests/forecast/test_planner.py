@@ -1,4 +1,4 @@
-"""Lookahead planner: greedy setpoints, budgets, and the hindsight plan."""
+"""Lookahead planner: greedy setpoints and budgets."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,7 @@ from repro.fleet.dispatch import (
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
-from repro.forecast import LookaheadPlanner, hindsight_plan
-from repro.forecast.models import PerfectForecast
-from repro.grid.traces import GridTrace
+from repro.forecast import LookaheadPlanner
 
 CAPACITY_J = 10_000.0
 CHARGE_STEP_J = 2_000.0
@@ -117,20 +115,3 @@ class TestProjection:
             CAPACITY_J, CHARGE_STEP_J, 1.0,
         )
         assert drained == pytest.approx(0.25)
-
-
-class TestHindsightPlan:
-    def test_hindsight_equals_planning_on_the_true_window(self):
-        trace = GridTrace.from_series(
-            np.linspace(100.0, 700.0, 48), interval_s=3_600.0
-        )
-        planner = LookaheadPlanner()
-        demand_j = np.full(24, 1_500.0)
-        direct = planner.plan_window(
-            PerfectForecast().window(trace, 0.0, 24),
-            demand_j, CAPACITY_J, CHARGE_STEP_J, 0.6,
-        )
-        via_helper = hindsight_plan(
-            planner, trace, 0.0, 24, demand_j, CAPACITY_J, CHARGE_STEP_J, 0.6
-        )
-        assert np.array_equal(direct, via_helper)

@@ -155,7 +155,7 @@ class TestBucketSamplerObservatory:
         tele = Telemetry()
         ScenarioRunner(spec, telemetry=tele).run()
         assert tele.gauges["churn.sampler"] == "device"
-        assert tele.gauges["churn.buckets_peak"] == 0
+        assert tele.gauges["churn.buckets_peak"] >= 1
 
         bucket_spec = spec.with_overrides({"churn.sampler": "bucket"})
         bucket_tele = Telemetry()

@@ -234,6 +234,28 @@ def test_override_bad_value_is_validated():
         small_spec().with_overrides({"duration_days": -1})
 
 
+@pytest.mark.parametrize(
+    "path, raw",
+    [
+        ("churn.annual_failure_rate", "NaN"),
+        ("churn.intake_per_day", "Infinity"),
+        ("economics.electricity_usd_per_kwh", "NaN"),
+        ("sites.0.network_rtt_s", "-Infinity"),
+    ],
+)
+def test_override_non_finite_float_is_rejected(path, raw):
+    key, value = parse_override(f"{path}={raw}")
+    with pytest.raises(ScenarioValidationError, match="must be a finite number"):
+        small_spec().with_overrides({key: value})
+
+
+def test_non_finite_float_in_dict_is_rejected():
+    data = small_spec().to_dict()
+    data["sites"][0]["network_rtt_s"] = float("nan")
+    with pytest.raises(ScenarioValidationError, match=r"sites\.0\.network_rtt_s"):
+        ScenarioSpec.from_dict(data)
+
+
 def test_parse_override_types():
     assert parse_override("duration_days=2") == ("duration_days", 2)
     assert parse_override("demand.mean_rps=12.5") == ("demand.mean_rps", 12.5)

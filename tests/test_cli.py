@@ -121,6 +121,21 @@ def test_run_scenario_invalid_override_is_reported(capsys):
     assert "duration_dayz" in out
 
 
+def test_run_scenario_non_finite_override_exits_2(capsys):
+    code = main(
+        [
+            "run",
+            "scenario",
+            "two-site-asymmetric",
+            "--set",
+            "churn.annual_failure_rate=NaN",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "must be a finite number" in out
+
+
 def test_retired_execution_knob_is_an_unknown_override(capsys):
     code = main(
         ["run", "scenario", "carbon-buffer", "--set", "execution.shards=2"]
