@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro import units
 from repro.core.cci import computational_carbon_intensity
 
 
@@ -71,61 +72,42 @@ class CohortSummary:
 class FleetReport:
     """Everything a fleet simulation measured.
 
-    Hourly arrays have shape ``(T, S)`` for ``T`` timesteps and ``S`` sites;
-    daily arrays have shape ``(D, S)``.  ``step_s`` is the scheduling
-    timestep in seconds (series of requests/s integrate to requests by
-    multiplying with it).  Every series is required: a report always
-    carries the site, energy-dispatch and cohort series, zero-valued where
-    no dispatch policy was coupled in.  Only ``hindsight_avoided_g`` is
-    optional, because its absence means "no regret accounting was run".
+    The per-pack (cohort) series are the only stored series: hourly arrays
+    of shape ``(T, C)`` and daily arrays ``(D, C)``, each column one
+    ``site/device`` pack (``cohort_labels``, site-major order) owned by the
+    site ``cohort_site_index`` names.  The site series (``(T, S)`` /
+    ``(D, S)``) and ``target_devices``, ``hours``, ``days`` and
+    ``cohort_grid_kwh`` are read-only views derived from them on every
+    access, so a loop over sites binds each view to a local once.
+
+    ``cohort_energy_kwh`` is *device-only* energy; peripherals belong to
+    the site (``site_peripheral_kwh``) and are never battery-backed.  Runs
+    without a dispatch policy store zero battery and charge series and
+    full packs.  ``step_s`` is the timestep in seconds (requests/s times
+    ``step_s`` is requests).  Only ``hindsight_avoided_g`` is optional: its
+    absence means "no regret accounting was run".
     """
 
     policy_name: str
     site_names: Tuple[str, ...]
-    hours: np.ndarray
-    served_rps: np.ndarray
+    #: Demand no pack could serve (requests/s), shape ``(T,)``.
     dropped_rps: np.ndarray
-    operational_g: np.ndarray
+    #: Grid carbon intensity at each site, shape ``(T, S)``.
     intensity_g_per_kwh: np.ndarray
-    days: np.ndarray
-    active_devices: np.ndarray
-    target_devices: np.ndarray
-    replacement_carbon_g: np.ndarray
-    battery_swaps: np.ndarray
-    failures: np.ndarray
-    deployed: np.ndarray
-    #: Realised site *wall* energy per timestep (kWh), shape ``(T, S)``:
-    #: grid energy serving load plus grid energy charging batteries.
-    energy_kwh: np.ndarray
-    #: Energy-dispatch ledger series, shape ``(T, S)`` each.  ``grid_kwh``
-    #: is grid energy used to *serve* load (so ``grid_kwh + battery_kwh`` is
-    #: the energy the site consumed, and ``grid_kwh + charge_kwh ==
-    #: energy_kwh`` is what the meter saw); ``battery_kwh`` is battery
-    #: discharge serving device load; ``charge_kwh`` is grid energy filling
-    #: the packs; ``soc`` is the end-of-step aggregate state of charge in
-    #: ``[0, 1]``.
-    grid_kwh: np.ndarray
-    battery_kwh: np.ndarray
-    charge_kwh: np.ndarray
-    soc: np.ndarray
-    #: Per-device-type cohort series.  ``cohort_labels`` names each cohort
-    #: column (``site/device``, site-major order); ``cohort_site_index`` maps
-    #: each column to its site; hourly arrays have shape ``(T, C)`` and
-    #: daily arrays ``(D, C)``.  ``cohort_energy_kwh`` is *device-only*
-    #: energy (peripherals belong to the site); ``cohort_grid_kwh`` is grid
-    #: energy serving that cohort's device load, so per site
-    #: ``grid_kwh == sum(cohort_grid_kwh) + peripheral`` holds by
-    #: construction (battery-charging energy is tracked separately:
-    #: ``energy_kwh == grid_kwh + charge_kwh``).
+    #: Each site's constant peripheral energy per timestep (kWh), ``(S,)``.
+    site_peripheral_kwh: np.ndarray
     cohort_labels: Tuple[str, ...]
     cohort_site_index: np.ndarray
     cohort_target: np.ndarray
     cohort_served_rps: np.ndarray
     cohort_energy_kwh: np.ndarray
-    cohort_grid_kwh: np.ndarray
     cohort_battery_kwh: np.ndarray
     cohort_charge_kwh: np.ndarray
+    #: End-of-step pack state of charge in ``[0, 1]``, shape ``(T, C)``.
     cohort_soc: np.ndarray
+    #: Day-start pack capacity (J), shape ``(D, C)``: the weights of the
+    #: site ``soc`` view.
+    cohort_battery_capacity_j: np.ndarray
     cohort_active: np.ndarray
     cohort_replacement_carbon_g: np.ndarray
     cohort_battery_swaps: np.ndarray
@@ -150,88 +132,167 @@ class FleetReport:
 
     def __post_init__(self) -> None:
         n_sites = len(self.site_names)
-        for name in (
-            "served_rps",
-            "operational_g",
-            "intensity_g_per_kwh",
-            "energy_kwh",
-            "grid_kwh",
-            "battery_kwh",
-            "charge_kwh",
-            "soc",
-        ):
-            shape = np.shape(getattr(self, name))
-            if shape != (len(self.hours), n_sites):
-                raise ValueError(
-                    f"{name} has shape {shape}, expected "
-                    f"({len(self.hours)}, {n_sites})"
-                )
-        if self.dropped_rps.shape != (len(self.hours),):
-            raise ValueError(
-                f"dropped_rps has shape {self.dropped_rps.shape}, expected "
-                f"({len(self.hours)},)"
-            )
-        for name in (
-            "active_devices",
-            "replacement_carbon_g",
-            "battery_swaps",
-            "failures",
-            "deployed",
-        ):
-            shape = np.shape(getattr(self, name))
-            if shape != (len(self.days), n_sites):
-                raise ValueError(
-                    f"{name} has shape {shape}, expected "
-                    f"({len(self.days)}, {n_sites})"
-                )
-        self._validate_cohort_series()
-
-    def _validate_cohort_series(self) -> None:
         n_cohorts = len(self.cohort_labels)
-        if n_cohorts < len(self.site_names):
+        n_steps = np.shape(self.dropped_rps)
+        n_days = np.shape(self.cohort_active)[:1]
+        if len(n_steps) != 1 or n_days in ((), (0,)) or n_steps[0] % n_days[0]:
             raise ValueError(
-                f"{n_cohorts} cohort labels cannot cover "
-                f"{len(self.site_names)} sites"
+                f"dropped_rps has shape {n_steps} and cohort_active "
+                f"{np.shape(self.cohort_active)}: not whole days of timesteps"
             )
-        for name, length in (
-            ("cohort_site_index", n_cohorts),
-            ("cohort_target", n_cohorts),
-        ):
+        hourly, daily = n_steps + (n_cohorts,), n_days + (n_cohorts,)
+        expected_shapes = {
+            "intensity_g_per_kwh": n_steps + (n_sites,),
+            "site_peripheral_kwh": (n_sites,),
+            "cohort_site_index": (n_cohorts,),
+            "cohort_target": (n_cohorts,),
+            "cohort_served_rps": hourly,
+            "cohort_energy_kwh": hourly,
+            "cohort_battery_kwh": hourly,
+            "cohort_charge_kwh": hourly,
+            "cohort_soc": hourly,
+            "cohort_battery_capacity_j": daily,
+            "cohort_active": daily,
+            "cohort_replacement_carbon_g": daily,
+            "cohort_battery_swaps": daily,
+            "cohort_failures": daily,
+            "cohort_deployed": daily,
+        }
+        for name, expected in expected_shapes.items():
             shape = np.shape(getattr(self, name))
-            if shape != (length,):
-                raise ValueError(
-                    f"{name} has shape {shape}, expected ({length},)"
-                )
+            if shape != expected:
+                raise ValueError(f"{name} has shape {shape}, expected {expected}")
+        # The site views sum each site's run of pack columns with
+        # ``np.add.reduceat``, which silently mis-sums any other layout.
         site_index = np.asarray(self.cohort_site_index)
-        if site_index.min() < 0 or site_index.max() >= len(self.site_names):
-            raise ValueError("cohort_site_index values must index into site_names")
-        for name in (
-            "cohort_served_rps",
-            "cohort_energy_kwh",
-            "cohort_grid_kwh",
-            "cohort_battery_kwh",
-            "cohort_charge_kwh",
-            "cohort_soc",
-        ):
-            shape = np.shape(getattr(self, name))
-            if shape != (len(self.hours), n_cohorts):
-                raise ValueError(
-                    f"{name} has shape {shape}, expected "
-                    f"({len(self.hours)}, {n_cohorts})"
-                )
-        for name in (
-            "cohort_active",
-            "cohort_replacement_carbon_g",
-            "cohort_battery_swaps",
-            "cohort_failures",
-            "cohort_deployed",
-        ):
-            shape = np.shape(getattr(self, name))
-            if shape != (len(self.days), n_cohorts):
-                raise ValueError(
-                    f"{name} has shape {shape}, expected "
-                    f"({len(self.days)}, {n_cohorts})"
-                )
+        if site_index.dtype.kind not in "iu" or np.any(np.diff(site_index) < 0):
+            raise ValueError("cohort_site_index must be nondecreasing integers")
+        if not np.array_equal(np.unique(site_index), np.arange(n_sites)):
+            raise ValueError(
+                f"cohort_site_index must give each of the {n_sites} sites "
+                "at least one cohort"
+            )
+
+    # ------------------------------------------------------------------
+    # Site views of the pack series
+    # ------------------------------------------------------------------
+
+    @property
+    def site_starts(self) -> np.ndarray:
+        """Each site's first pack column, shape ``(S,)``."""
+        return np.searchsorted(
+            self.cohort_site_index, np.arange(len(self.site_names))
+        )
+
+    def site_sum(self, cohort_series: np.ndarray) -> np.ndarray:
+        """Sum pack columns (last axis, ``C``) into site columns (``S``)."""
+        return np.add.reduceat(cohort_series, self.site_starts, axis=-1)
+
+    @property
+    def hours(self) -> np.ndarray:
+        """Start of each timestep (hours since the run began), shape ``(T,)``."""
+        return np.arange(len(self.dropped_rps), dtype=float) * (
+            self.step_s / units.SECONDS_PER_HOUR
+        )
+
+    @property
+    def days(self) -> np.ndarray:
+        """Day numbers ``1..D``, shape ``(D,)``."""
+        return np.arange(1, len(self.cohort_active) + 1, dtype=float)
+
+    @property
+    def target_devices(self) -> np.ndarray:
+        """Deployment each site tries to keep active, shape ``(S,)``."""
+        return self.site_sum(self.cohort_target)
+
+    @property
+    def served_rps(self) -> np.ndarray:
+        """Requests/s each site served, shape ``(T, S)``."""
+        return self.site_sum(self.cohort_served_rps)
+
+    @property
+    def cohort_grid_kwh(self) -> np.ndarray:
+        """Grid energy serving each pack's device load (kWh), ``(T, C)``."""
+        return self.cohort_energy_kwh - self.cohort_battery_kwh
+
+    @property
+    def battery_kwh(self) -> np.ndarray:
+        """Battery discharge serving each site's device load (kWh), ``(T, S)``."""
+        return self.site_sum(self.cohort_battery_kwh)
+
+    @property
+    def charge_kwh(self) -> np.ndarray:
+        """Grid energy filling each site's packs (kWh), ``(T, S)``."""
+        return self.site_sum(self.cohort_charge_kwh)
+
+    @property
+    def grid_kwh(self) -> np.ndarray:
+        """Grid energy serving each site's load, peripherals included (kWh).
+
+        ``grid_kwh + battery_kwh`` is the energy the site consumed.
+        """
+        return (
+            self.site_sum(self.cohort_energy_kwh) + self.site_peripheral_kwh
+        ) - self.battery_kwh
+
+    @property
+    def energy_kwh(self) -> np.ndarray:
+        """Each site's wall energy (kWh), ``(T, S)``: serving plus charging."""
+        return self.grid_kwh + self.charge_kwh
+
+    @property
+    def operational_g(self) -> np.ndarray:
+        """Operational carbon (grams) of each site's wall energy, ``(T, S)``."""
+        return self.energy_kwh * self.intensity_g_per_kwh
+
+    @property
+    def soc(self) -> np.ndarray:
+        """End-of-step site state of charge in ``[0, 1]``, shape ``(T, S)``.
+
+        The capacity-weighted mean over the site's packs, weighted by each
+        pack's day-start capacity.  Single-pack sites pass their pack's
+        fraction through untouched; rows where no pack of a site holds
+        energy fall back to the plain mean.
+        """
+        pack_soc = self.cohort_soc
+        starts = self.site_starts
+        capacity = np.repeat(
+            self.cohort_battery_capacity_j, len(self.hours) // len(self.days), axis=0
+        )
+        sizes = np.diff(np.append(starts, pack_soc.shape[1]))
+        weighted = np.add.reduceat(pack_soc * capacity, starts, axis=-1)
+        totals = np.add.reduceat(capacity, starts, axis=-1)
+        plain = np.add.reduceat(pack_soc, starts, axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where(totals > 0, weighted / totals, plain / sizes[None, :])
+        single = sizes == 1
+        out[:, single] = pack_soc[:, starts[single]]
+        return out
+
+    @property
+    def active_devices(self) -> np.ndarray:
+        """Live devices at each site at the end of each day, ``(D, S)``."""
+        return self.site_sum(self.cohort_active)
+
+    @property
+    def replacement_carbon_g(self) -> np.ndarray:
+        """Battery-replacement carbon (grams) per site-day, ``(D, S)``."""
+        return self.site_sum(self.cohort_replacement_carbon_g)
+
+    @property
+    def battery_swaps(self) -> np.ndarray:
+        """Battery swaps per site-day, ``(D, S)``."""
+        return self.site_sum(self.cohort_battery_swaps)
+
+    @property
+    def failures(self) -> np.ndarray:
+        """Device failures per site-day, ``(D, S)``."""
+        return self.site_sum(self.cohort_failures)
+
+    @property
+    def deployed(self) -> np.ndarray:
+        """Spares deployed per site-day, ``(D, S)``."""
+        return self.site_sum(self.cohort_deployed)
 
     # ------------------------------------------------------------------
     # Fleet-level aggregates
@@ -449,22 +510,29 @@ class FleetReport:
 
     def site_summaries(self) -> List[SiteSummary]:
         """Per-site aggregate rows, in site order."""
+        target = self.target_devices
+        served = self.served_rps
+        operational = self.operational_g
+        replacement = self.replacement_carbon_g
+        active = self.active_devices
+        failures = self.failures
+        battery_swaps = self.battery_swaps
+        deployed = self.deployed
         summaries = []
         for j, name in enumerate(self.site_names):
-            target = float(self.target_devices[j])
             summaries.append(
                 SiteSummary(
                     name=name,
-                    served_requests=float(self.served_rps[:, j].sum() * self.step_s),
-                    operational_carbon_g=float(self.operational_g[:, j].sum()),
-                    replacement_carbon_g=float(self.replacement_carbon_g[:, j].sum()),
+                    served_requests=float(served[:, j].sum() * self.step_s),
+                    operational_carbon_g=float(operational[:, j].sum()),
+                    replacement_carbon_g=float(replacement[:, j].sum()),
                     mean_intensity_g_per_kwh=float(
                         np.mean(self.intensity_g_per_kwh[:, j])
                     ),
-                    availability=float(np.mean(self.active_devices[:, j] / target)),
-                    failures=int(self.failures[:, j].sum()),
-                    battery_swaps=int(self.battery_swaps[:, j].sum()),
-                    deployed=int(self.deployed[:, j].sum()),
+                    availability=float(np.mean(active[:, j] / float(target[j]))),
+                    failures=int(failures[:, j].sum()),
+                    battery_swaps=int(battery_swaps[:, j].sum()),
+                    deployed=int(deployed[:, j].sum()),
                 )
             )
         return summaries
@@ -481,10 +549,11 @@ class FleetReport:
             "availability": self.availability(),
             "served_fraction": self.served_fraction(),
         }
-        if self.total_battery_discharge_kwh > 0:
-            summary["battery_discharge_kwh"] = self.total_battery_discharge_kwh
+        discharge_kwh = self.total_battery_discharge_kwh
+        if discharge_kwh > 0:
+            summary["battery_discharge_kwh"] = discharge_kwh
             summary["carbon_avoided_kg"] = self.carbon_avoided_g() / 1_000.0
-        if self.total_battery_discharge_kwh > 0 or self.clipped_setpoints > 0:
+        if discharge_kwh > 0 or self.clipped_setpoints > 0:
             summary["clipped_setpoints"] = int(self.clipped_setpoints)
             summary["clipped_energy_kwh"] = float(self.clipped_energy_kwh)
         if self.has_regret_accounting:

@@ -340,8 +340,7 @@ class FleetSimulation:
         self.telemetry = ensure_telemetry(telemetry)
         #: Cohort segments in site-major order — the allocation columns.
         self.segments = site_packs(self.sites)
-        #: Site index of each segment, and each site's first segment index
-        #: (the ``reduceat`` boundaries for per-site aggregation).
+        #: Site index of each segment.
         self._segment_site = np.array(
             [
                 site_index
@@ -350,22 +349,11 @@ class FleetSimulation:
             ],
             dtype=np.int64,
         )
-        starts = []
-        cursor = 0
-        for site in self.sites:
-            starts.append(cursor)
-            cursor += len(site.cohorts)
-        self._site_starts = np.array(starts, dtype=np.int64)
-
-    def _per_site(self, array: np.ndarray) -> np.ndarray:
-        """Sum segment columns into site columns (identity for 1-cohort sites)."""
-        return np.add.reduceat(array, self._site_starts, axis=-1)
 
     def run(self, n_days: int) -> FleetReport:
         """Simulate ``n_days`` of virtual time and return the fleet report."""
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        n_sites = len(self.sites)
         n_cohorts = len(self.segments)
         hours_per_day = int(round(24.0 / HOURS_PER_STEP))
         step_s = HOURS_PER_STEP * units.SECONDS_PER_HOUR
@@ -376,11 +364,6 @@ class FleetSimulation:
         utilization_all = np.empty((n_steps, n_cohorts))
         counts_day = np.zeros((n_days, n_cohorts), dtype=np.int64)
 
-        active = np.zeros((n_days, n_sites), dtype=np.int64)
-        replacement_g = np.zeros((n_days, n_sites))
-        battery_swaps = np.zeros((n_days, n_sites), dtype=np.int64)
-        failures = np.zeros((n_days, n_sites), dtype=np.int64)
-        deployed = np.zeros((n_days, n_sites), dtype=np.int64)
         cohort_active = np.zeros((n_days, n_cohorts), dtype=np.int64)
         cohort_replacement_g = np.zeros((n_days, n_cohorts))
         cohort_swaps = np.zeros((n_days, n_cohorts), dtype=np.int64)
@@ -398,8 +381,8 @@ class FleetSimulation:
         # (calls=0: setup time folds into the phase without inflating its
         # invocation count).
         with tele.span("allocate_day", calls=0):
-            demand_all, intensity_packs, marginal_all = self._precompute_inputs(
-                n_steps, step_s
+            demand_all, intensity_sites, intensity_packs, marginal_all = (
+                self._precompute_inputs(n_steps, step_s)
             )
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
@@ -437,11 +420,6 @@ class FleetSimulation:
             cohort_failures[day] = day_step["failures"]
             cohort_deployed[day] = day_step["deployed"]
             cohort_retirements[day] = day_step["retirements"]
-            active[day] = self._per_site(day_step["active"])
-            replacement_g[day] = self._per_site(day_step["replacement_carbon_g"])
-            battery_swaps[day] = self._per_site(day_step["battery_swaps"])
-            failures[day] = self._per_site(day_step["failures"])
-            deployed[day] = self._per_site(day_step["deployed"])
 
         if tele.enabled:
             # Which failure draw stepped this run, and how many distinct
@@ -456,68 +434,74 @@ class FleetSimulation:
                 max(entry.cohort.buckets_peak for _, entry in self.segments),
             )
 
-        # -- Pass B: whole-run vectorized reductions and dispatch replay ---
-        cohort_served = alloc_all
-        served = self._per_site(alloc_all)
+        # -- Pass B: dispatch replay over the recordings ------------------
         dropped = demand_all - alloc_all.sum(axis=1)
-        intensity_all = intensity_packs[:, self._site_starts]
-
-        # Device energy each cohort needs per hour; site wall energy adds
-        # the (never battery-backed) peripheral draw once per site.
-        peripheral_kwh = np.array(
-            [site.peripheral_power_w for site in self.sites]
-        ) * (step_s / units.JOULES_PER_KWH)
+        # Device energy each cohort needs per hour; the report adds each
+        # site's (never battery-backed) peripheral draw once.
         with tele.span("site_energy_kwh", calls=n_days):
             device_kwh = self._cohort_energy_kwh(
                 alloc_all, counts_day, hours_per_day, step_s
             )
-        cohort_energy_kwh = device_kwh
-        total_kwh = self._per_site(device_kwh) + peripheral_kwh
         recorded = (intensity_packs, device_kwh, utilization_all, counts_day)
 
         clipped_setpoints = 0
         clipped_energy_kwh = 0.0
         shortfall_j = None
         if self.dispatch is None:
-            cohort_grid_kwh = device_kwh
             cohort_battery_kwh = np.zeros((n_steps, n_cohorts))
             cohort_charge_kwh = np.zeros((n_steps, n_cohorts))
             cohort_soc = np.ones((n_steps, n_cohorts))
-            grid_kwh = total_kwh
-            battery_kwh = np.zeros((n_steps, n_sites))
-            charge_kwh = np.zeros((n_steps, n_sites))
-            soc = np.ones((n_steps, n_sites))
-            energy_kwh_all = total_kwh
         else:
             with tele.span("dispatch_day", calls=n_days):
-                battery_j, charge_j, pack_soc, shortfall_j = self._run_dispatch(
+                battery_j, charge_j, cohort_soc, shortfall_j = self._run_dispatch(
                     self.dispatch, recorded, step_s
                 )
             cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
             cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
-            cohort_soc = pack_soc
-            cohort_grid_kwh = device_kwh - cohort_battery_kwh
-            battery_kwh = self._per_site(cohort_battery_kwh)
-            charge_kwh = self._per_site(cohort_charge_kwh)
-            soc = self._site_soc(
-                pack_soc, self._pack_capacity_rows(counts_day, hours_per_day)
-            )
-            grid_kwh = total_kwh - battery_kwh
-            energy_kwh_all = grid_kwh + charge_kwh
             clipped_setpoints, clipped_energy_kwh = self._clip_accounting(
                 shortfall_j, hours_per_day
             )
+            if tele.enabled:
+                tele.count("dispatch.clipped_setpoints", clipped_setpoints)
+                tele.count("dispatch.clipped_kwh", clipped_energy_kwh)
+                tele.count(
+                    "dispatch.fallback_pack_days",
+                    getattr(self.dispatch, "fallback_pack_days", 0),
+                )
 
-        # Operational carbon follows the wall energy the meter saw.
-        operational_g = energy_kwh_all * intensity_all
-
-        if tele.enabled and self.dispatch is not None:
-            tele.count("dispatch.clipped_setpoints", clipped_setpoints)
-            tele.count("dispatch.clipped_kwh", clipped_energy_kwh)
-            tele.count(
-                "dispatch.fallback_pack_days",
-                getattr(self.dispatch, "fallback_pack_days", 0),
+        report = FleetReport(
+            policy_name=self.policy.name,
+            site_names=tuple(site.name for site in self.sites),
+            dropped_rps=dropped,
+            intensity_g_per_kwh=intensity_sites,
+            site_peripheral_kwh=np.array(
+                [site.peripheral_power_w for site in self.sites]
             )
+            * (step_s / units.JOULES_PER_KWH),
+            step_s=step_s,
+            cohort_labels=tuple(
+                label for site in self.sites for label in site.cohort_labels()
+            ),
+            cohort_site_index=self._segment_site.copy(),
+            cohort_target=np.array(
+                [entry.target_size for _, entry in self.segments]
+            ),
+            cohort_served_rps=alloc_all,
+            cohort_energy_kwh=device_kwh,
+            cohort_battery_kwh=cohort_battery_kwh,
+            cohort_charge_kwh=cohort_charge_kwh,
+            cohort_soc=cohort_soc,
+            cohort_battery_capacity_j=self._per_pack_day(
+                counts_day, SiteCohort.battery_capacity_j_at
+            ),
+            cohort_active=cohort_active,
+            cohort_replacement_carbon_g=cohort_replacement_g,
+            cohort_battery_swaps=cohort_swaps,
+            cohort_failures=cohort_failures,
+            cohort_deployed=cohort_deployed,
+            clipped_setpoints=clipped_setpoints,
+            clipped_energy_kwh=clipped_energy_kwh,
+        )
 
         if self.audit:
             from repro.telemetry.observatory.audit import audit_fleet_run
@@ -526,16 +510,19 @@ class FleetSimulation:
                 self.audit_report = audit_fleet_run(
                     alloc=alloc_all,
                     demand=demand_all,
-                    capacity_rows=self._physical_capacity_rows(
-                        counts_day, hours_per_day
+                    capacity_rows=np.repeat(
+                        self._per_pack_day(counts_day, SiteCohort.capacity_rps_at),
+                        hours_per_day,
+                        axis=0,
                     ),
-                    energy_kwh=energy_kwh_all,
-                    grid_kwh=grid_kwh,
-                    battery_kwh=battery_kwh,
-                    charge_kwh=charge_kwh,
-                    total_kwh=total_kwh,
-                    cohort_energy_kwh=cohort_energy_kwh,
-                    cohort_grid_kwh=cohort_grid_kwh,
+                    energy_kwh=report.energy_kwh,
+                    grid_kwh=report.grid_kwh,
+                    battery_kwh=report.battery_kwh,
+                    charge_kwh=report.charge_kwh,
+                    total_kwh=report.site_sum(device_kwh)
+                    + report.site_peripheral_kwh,
+                    cohort_energy_kwh=device_kwh,
+                    cohort_grid_kwh=report.cohort_grid_kwh,
                     cohort_battery_kwh=cohort_battery_kwh,
                     cohort_charge_kwh=cohort_charge_kwh,
                     cohort_soc=cohort_soc,
@@ -567,53 +554,6 @@ class FleetSimulation:
                     telemetry=tele if tele.enabled else None,
                 )
 
-        report = FleetReport(
-            policy_name=self.policy.name,
-            site_names=tuple(site.name for site in self.sites),
-            hours=np.arange(n_steps, dtype=float) * HOURS_PER_STEP,
-            served_rps=served,
-            dropped_rps=dropped,
-            operational_g=operational_g,
-            intensity_g_per_kwh=intensity_all,
-            days=np.arange(1, n_days + 1, dtype=float),
-            active_devices=active,
-            target_devices=np.array(
-                [
-                    sum(entry.target_size for entry in site.cohorts)
-                    for site in self.sites
-                ]
-            ),
-            replacement_carbon_g=replacement_g,
-            battery_swaps=battery_swaps,
-            failures=failures,
-            deployed=deployed,
-            step_s=step_s,
-            energy_kwh=energy_kwh_all,
-            grid_kwh=grid_kwh,
-            battery_kwh=battery_kwh,
-            charge_kwh=charge_kwh,
-            soc=soc,
-            cohort_labels=tuple(
-                label for site in self.sites for label in site.cohort_labels()
-            ),
-            cohort_site_index=self._segment_site.copy(),
-            cohort_target=np.array(
-                [entry.target_size for _, entry in self.segments]
-            ),
-            cohort_served_rps=cohort_served,
-            cohort_energy_kwh=cohort_energy_kwh,
-            cohort_grid_kwh=cohort_grid_kwh,
-            cohort_battery_kwh=cohort_battery_kwh,
-            cohort_charge_kwh=cohort_charge_kwh,
-            cohort_soc=cohort_soc,
-            cohort_active=cohort_active,
-            cohort_replacement_carbon_g=cohort_replacement_g,
-            cohort_battery_swaps=cohort_swaps,
-            cohort_failures=cohort_failures,
-            cohort_deployed=cohort_deployed,
-            clipped_setpoints=clipped_setpoints,
-            clipped_energy_kwh=clipped_energy_kwh,
-        )
         self._recorded = (recorded, report)
         return report
 
@@ -635,8 +575,8 @@ class FleetSimulation:
         )
         return dataclasses.replace(
             report,
-            battery_kwh=self._per_site(battery_j / units.JOULES_PER_KWH),
-            charge_kwh=self._per_site(charge_j / units.JOULES_PER_KWH),
+            cohort_battery_kwh=battery_j / units.JOULES_PER_KWH,
+            cohort_charge_kwh=charge_j / units.JOULES_PER_KWH,
         ).carbon_avoided_g()
 
     def _run_dispatch(
@@ -666,25 +606,22 @@ class FleetSimulation:
     def _precompute_inputs(self, n_hours: int, step_s: float):
         """Hoisted time-indexed inputs for the run's first ``n_hours`` hours.
 
-        Demand, per-pack intensity, and marginal CCI depend only on the hour
-        index — never on live population state — so one call covers the
-        whole run.  Hour timestamps are exactly representable integers and
-        every series is elementwise in them, so the whole-run call is
-        bitwise-identical to per-day calls.
+        Demand, per-site and per-pack intensity, and marginal CCI depend
+        only on the hour index — never on live population state — so one
+        call covers the whole run.  Hour timestamps are exactly
+        representable integers and every series is elementwise in them, so
+        the whole-run call is bitwise-identical to per-day calls.
         """
-        n_cohorts = len(self.segments)
         times_s = np.arange(n_hours) * step_s
         demand_rps = self.demand.series(n_hours)
-        intensity = np.empty((n_hours, n_cohorts))
-        marginal = np.empty((n_hours, n_cohorts))
-        site_intensity: Dict[int, np.ndarray] = {}
-        for j, (site, entry) in enumerate(self.segments):
-            site_index = int(self._segment_site[j])
-            if site_index not in site_intensity:
-                site_intensity[site_index] = site.intensities_at(times_s)
-            intensity[:, j] = site_intensity[site_index]
+        site_intensity = np.empty((n_hours, len(self.sites)))
+        for site_index, site in enumerate(self.sites):
+            site_intensity[:, site_index] = site.intensities_at(times_s)
+        intensity = site_intensity[:, self._segment_site]
+        marginal = np.empty_like(intensity)
+        for j, (_, entry) in enumerate(self.segments):
             marginal[:, j] = entry.marginal_carbon_g_for_intensity(intensity[:, j])
-        return demand_rps, intensity, marginal
+        return demand_rps, site_intensity, intensity, marginal
 
     def _allocate_day(
         self,
@@ -744,36 +681,19 @@ class FleetSimulation:
         power_w = counts_rows * idle_w[None, :] + alloc * dynamic_j[None, :]
         return power_w * step_s / units.JOULES_PER_KWH
 
-    def _physical_capacity_rows(
-        self, counts_day: np.ndarray, hours_per_day: int
-    ) -> np.ndarray:
-        """Per-``(hour, segment)`` physical request capacity (requests/s).
-
-        Rebuilt from the recorded day-start counts — the same counts the
-        allocation saw — so the audit's feasibility check compares against
-        the capacity that actually applied, not today's live population.
-        """
-        n_days = counts_day.shape[0]
-        capacity_day = np.empty((n_days, len(self.segments)))
-        for j, (_, entry) in enumerate(self.segments):
-            for day in range(n_days):
-                capacity_day[day, j] = entry.capacity_rps_at(
-                    int(counts_day[day, j])
-                )
-        return np.repeat(capacity_day, hours_per_day, axis=0)
-
-    def _pack_capacity_rows(
-        self, counts_day: np.ndarray, hours_per_day: int
-    ) -> np.ndarray:
-        """Per-``(hour, pack)`` battery capacity from the recorded day counts."""
-        n_days = counts_day.shape[0]
-        capacity_day = np.empty((n_days, len(self.segments)))
-        for j, (_, entry) in enumerate(self.segments):
-            for day in range(n_days):
-                capacity_day[day, j] = entry.battery_capacity_j_at(
-                    int(counts_day[day, j])
-                )
-        return np.repeat(capacity_day, hours_per_day, axis=0)
+    def _per_pack_day(self, counts_day: np.ndarray, value_at) -> np.ndarray:
+        """``value_at(entry, count)`` at every recorded ``(day, pack)`` count:
+        the capabilities that applied that day, not today's live population."""
+        return np.array(
+            [
+                [
+                    value_at(entry, int(count))
+                    for (_, entry), count in zip(self.segments, day_counts)
+                ]
+                for day_counts in counts_day
+            ],
+            dtype=float,
+        )
 
     def _clip_accounting(
         self, shortfall_j: np.ndarray, hours_per_day: int
@@ -807,34 +727,6 @@ class FleetSimulation:
             clipped += day_counts[day]
             clipped_kwh += day_joules[day] / units.JOULES_PER_KWH
         return clipped, clipped_kwh
-
-    def _site_soc(
-        self, pack_soc: np.ndarray, capacity_rows: np.ndarray
-    ) -> np.ndarray:
-        """Site-level SoC series: capacity-weighted mean over the site's packs.
-
-        Single-pack sites pass their pack's fraction through untouched (the
-        historical per-site series, bit for bit); mixed sites weight by the
-        per-row pack capacities via segment-wise ``np.add.reduceat``,
-        falling back to a plain mean on rows where no pack holds energy.
-        ``capacity_rows`` is the ``(n_steps, n_packs)`` capacity matrix from
-        :meth:`_pack_capacity_rows`.
-        """
-        n_packs = pack_soc.shape[1]
-        sizes = np.diff(np.append(self._site_starts, n_packs))
-        weighted = np.add.reduceat(
-            pack_soc * capacity_rows, self._site_starts, axis=-1
-        )
-        totals = np.add.reduceat(capacity_rows, self._site_starts, axis=-1)
-        plain = np.add.reduceat(pack_soc, self._site_starts, axis=-1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(
-                totals > 0, weighted / totals, plain / sizes[None, :]
-            )
-        single = sizes == 1
-        if np.any(single):
-            out[:, single] = pack_soc[:, self._site_starts[single]]
-        return out
 
     def _physical_utilization(self, alloc: np.ndarray) -> np.ndarray:
         """Per-``(hour, segment)`` utilisation against *non-derated* capacity.

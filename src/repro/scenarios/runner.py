@@ -26,8 +26,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.devices.catalog import get_device
 from repro.economics.cost import FleetCostModel, OwnershipCost
 from repro.fleet.dispatch import (
@@ -535,15 +533,14 @@ class ScenarioRunner:
         if not economics.enabled:
             return {}
         costs: Dict[str, OwnershipCost] = {}
-        cohort_discharge = report.cohort_battery_discharge_kwh()
         cohort_summaries = report.cohort_summaries()
+        energy_kwh = report.energy_kwh
+        site_starts = report.site_starts
         for index, summary in enumerate(report.site_summaries()):
             site = sites[index]
             purchase_usd = 0.0
             maintenance_usd = 0.0
-            cohort_offset = int(np.searchsorted(report.cohort_site_index, index))
-            for k, entry in enumerate(site.cohorts):
-                j = cohort_offset + k
+            for j, entry in enumerate(site.cohorts, start=int(site_starts[index])):
                 cohort_summary = cohort_summaries[j]
                 model = self._cost_model(entry)
                 purchase_usd += entry.target_size * entry.device.purchase_price_usd
@@ -551,12 +548,12 @@ class ScenarioRunner:
                     cohort_summary.battery_swaps, cohort_summary.deployed
                 )
                 maintenance_usd += model.battery_wear_cost_usd(
-                    float(cohort_discharge[j])
+                    cohort_summary.battery_discharge_kwh
                 )
             costs[summary.name] = OwnershipCost(
                 purchase_usd=purchase_usd,
                 peripherals_usd=site.design.peripherals.total_cost_usd,
-                energy_usd=float(report.energy_kwh[:, index].sum())
+                energy_usd=float(energy_kwh[:, index].sum())
                 * economics.electricity_usd_per_kwh,
                 maintenance_usd=maintenance_usd,
             )

@@ -20,6 +20,7 @@ and seed — with no live objects inside, so every scenario is *data*:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -613,9 +614,16 @@ def parse_override(text: str) -> Tuple[str, Any]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _field_hints(cls: type) -> Dict[str, Any]:
+    """``typing.get_type_hints(cls)``, resolved once per class (read-only):
+    re-evaluating annotations dominated hashing many-site specs."""
+    return typing.get_type_hints(cls)
+
+
 def _to_plain(value: Any) -> Any:
     if dataclasses.is_dataclass(value):
-        hints = typing.get_type_hints(type(value))
+        hints = _field_hints(type(value))
         return {
             spec_field.name: _canonical_scalar(
                 _to_plain(getattr(value, spec_field.name)),
@@ -658,7 +666,7 @@ def _from_plain(cls: type, data: Any, path: str) -> Any:
         raise ScenarioValidationError(
             f"{_describe(path)} must be a mapping, got {type(data).__name__}"
         )
-    hints = typing.get_type_hints(cls)
+    hints = _field_hints(cls)
     known = {spec_field.name for spec_field in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:

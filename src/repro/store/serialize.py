@@ -3,26 +3,27 @@
 The durable experiment store promises that a result loaded from disk is
 *bitwise-identical* to the freshly simulated one, so everything
 downstream of a cache hit (regret figures, report tables, figure builders)
-sees exactly the numbers it would have computed itself.  Two facts make that possible with plain JSON:
+sees exactly the numbers it would have computed itself.  Numpy arrays are
+therefore stored as raw bytes, ``{"__ndarray__": true, "dtype", "shape",
+"data"}`` with ``data`` the base64 of the little-endian C-order buffer:
+exact by construction, and smaller and far faster to encode and decode
+than decimal text.  Entries come from outside the program, so decoding
+checks every key before it trusts the bytes.
 
-* Python's ``float`` repr is the shortest string that round-trips, and
-  ``json`` uses it — so every float64 survives dump/load exactly.
-* numpy arrays are encoded as ``{"__ndarray__": true, "dtype", "shape",
-  "data"}`` with ``data`` the C-order ravel; dtype and shape restore the
-  array byte-for-byte (integer dtypes are exact by construction, float64
-  via the repr round-trip above).
-
-Everything here is schema-versioned (``repro-result/1``) and keyed off the
+Everything here is schema-versioned (``repro-result/2``) and keyed off the
 dataclass *field lists*, so adding a field to :class:`FleetReport` or
 :class:`ScenarioResult` extends the format without touching this module.
-A report payload must carry every series :class:`FleetReport` requires;
-only fields with a default (``step_s``, ``hindsight_avoided_g``, the
-clip counters) may be absent.
+A report payload must carry every series :class:`FleetReport` stores (its
+site series are views of the stored pack series and are not written);
+only fields with a default (``step_s``, ``hindsight_avoided_g``, the clip
+counters) may be absent.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
+import math
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -33,9 +34,12 @@ from repro.scenarios.spec import ScenarioSpec
 from repro.simulation.metrics import LatencySummary
 
 #: Schema tag stamped into every serialized result.
-RESULT_SCHEMA = "repro-result/1"
+RESULT_SCHEMA = "repro-result/2"
 
 _ARRAY_KEY = "__ndarray__"
+
+#: The array dtypes a payload may carry: little-endian float64 and int64.
+_ARRAY_DTYPES = ("<f8", "<i8")
 
 #: FleetReport fields the constructor expects as tuples, not lists.
 _TUPLE_FIELDS = {"site_names", "cohort_labels"}
@@ -46,28 +50,57 @@ class SerializationError(ValueError):
 
 
 def encode_array(array: np.ndarray) -> Dict[str, Any]:
-    """Encode one numpy array as a JSON-safe mapping, exactly.
+    """Encode one float64 or int64 numpy array as a JSON-safe mapping, exactly.
 
-    ``data`` is the C-order ravel as native Python scalars; ``dtype`` and
-    ``shape`` restore the original layout.  Exact for integer dtypes and
-    for float64 (shortest-repr round-trip).
+    ``data`` is the base64 of the little-endian C-order bytes; ``dtype``
+    and ``shape`` restore the original layout.
     """
+    little = np.ascontiguousarray(array, dtype=array.dtype.newbyteorder("<"))
+    if little.dtype.str not in _ARRAY_DTYPES:
+        raise SerializationError(
+            f"cannot encode a {array.dtype} array; expected one of "
+            f"{', '.join(_ARRAY_DTYPES)}"
+        )
     return {
         _ARRAY_KEY: True,
-        "dtype": str(array.dtype),
-        "shape": list(array.shape),
-        "data": array.ravel().tolist(),
+        "dtype": little.dtype.str,
+        "shape": list(little.shape),
+        "data": base64.b64encode(little.tobytes()).decode("ascii"),
     }
 
 
 def decode_array(payload: Dict[str, Any]) -> np.ndarray:
-    """Invert :func:`encode_array`."""
+    """Invert :func:`encode_array`; return a writable array.
+
+    Raises :class:`SerializationError` on a dtype :func:`encode_array`
+    never writes, a malformed shape, bad base64, or a byte count the dtype
+    and shape do not call for.
+    """
     try:
-        return np.array(payload["data"], dtype=np.dtype(payload["dtype"])).reshape(
-            payload["shape"]
+        dtype, shape, data = payload["dtype"], payload["shape"], payload["data"]
+    except (KeyError, TypeError) as error:
+        raise SerializationError(f"bad array payload: {error!r}") from None
+    if dtype not in _ARRAY_DTYPES:
+        raise SerializationError(
+            f"array dtype must be one of {', '.join(_ARRAY_DTYPES)}, got {dtype!r}"
         )
-    except (KeyError, TypeError, ValueError) as error:
-        raise SerializationError(f"bad array payload: {error}") from None
+    if not isinstance(shape, list) or any(
+        type(size) is not int or size < 0 for size in shape
+    ):
+        raise SerializationError(
+            f"array shape must be a list of non-negative integers, got {shape!r}"
+        )
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as error:
+        raise SerializationError(f"array data is not base64: {error}") from None
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != expected:
+        raise SerializationError(
+            f"array data holds {len(raw)} bytes; a {dtype} array of shape "
+            f"{shape} needs {expected}"
+        )
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def _encode_value(value: Any) -> Any:

@@ -2,7 +2,8 @@
 
 Dispatch replay runs one exact path: a per-day loop over the ledger's
 row-vectorized kernel.  ``data/report_digests.json`` holds a SHA-256 over
-every :class:`~repro.fleet.reporting.FleetReport` field, every per-site
+every :class:`~repro.fleet.reporting.FleetReport` attribute in
+:data:`REPORT_ATTRIBUTES` (stored series and site views alike), every per-site
 :class:`~repro.economics.OwnershipCost` field and the headline CCI and
 $/request, recorded for every registry preset under both churn
 samplers at 2 and 30 days, and for every charging coupling mode.  Any
@@ -12,8 +13,8 @@ Re-record (only for a change that is *meant* to move results) with::
 
     PYTHONPATH=src python tests/fleet/test_execution_identity.py --record
 
-The same module pins :meth:`~repro.fleet.scheduler.FleetSimulation._site_soc`
-(segment-wise ``reduceat``) against a per-site loop reference.
+The same module pins the report's site ``soc`` view (segment-wise
+``reduceat``) against a per-site loop reference.
 """
 
 import dataclasses
@@ -33,7 +34,6 @@ from repro.fleet import (
     mixed_phone_site,
     phone_site,
 )
-from repro.fleet.reporting import FleetReport
 from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
 
 DIGESTS_PATH = os.path.join(
@@ -50,6 +50,49 @@ SAMPLERS = ("device", "bucket")
 DURATIONS = (2, 30)
 
 COUPLINGS = ("none", "estimate", "dispatch")
+
+#: Every report attribute the digests were recorded over, when each was a
+#: stored field.  Most site series are now views of the pack series; reading
+#: them by name keeps the recorded digests locking every view too.
+REPORT_ATTRIBUTES = (
+    "active_devices",
+    "battery_kwh",
+    "battery_swaps",
+    "charge_kwh",
+    "clipped_energy_kwh",
+    "clipped_setpoints",
+    "cohort_active",
+    "cohort_battery_kwh",
+    "cohort_battery_swaps",
+    "cohort_charge_kwh",
+    "cohort_deployed",
+    "cohort_energy_kwh",
+    "cohort_failures",
+    "cohort_grid_kwh",
+    "cohort_labels",
+    "cohort_replacement_carbon_g",
+    "cohort_served_rps",
+    "cohort_site_index",
+    "cohort_soc",
+    "cohort_target",
+    "days",
+    "deployed",
+    "dropped_rps",
+    "energy_kwh",
+    "failures",
+    "grid_kwh",
+    "hindsight_avoided_g",
+    "hours",
+    "intensity_g_per_kwh",
+    "operational_g",
+    "policy_name",
+    "replacement_carbon_g",
+    "served_rps",
+    "site_names",
+    "soc",
+    "step_s",
+    "target_devices",
+)
 
 
 def _coupling_overrides(coupling):
@@ -78,18 +121,17 @@ def _cases():
 
 
 def report_digest(result) -> str:
-    """SHA-256 over every report field, every per-site cost field, CCI and $/request.
+    """SHA-256 over the report attributes, every per-site cost field, CCI and $/request.
 
-    Report fields enter in name order, so reordering the dataclass's
+    Report attributes enter in name order, so reordering the dataclass's
     declarations leaves the digest alone.  Cost fields enter as
     ``float.hex`` so a one-ulp move in any site's purchase, peripherals,
     energy or maintenance dollars changes the digest.
     """
     digest = hashlib.sha256()
-    fields = sorted(dataclasses.fields(FleetReport), key=lambda f: f.name)
-    for field in fields:
-        value = getattr(result.report, field.name)
-        digest.update(field.name.encode())
+    for name in REPORT_ATTRIBUTES:
+        value = getattr(result.report, name)
+        digest.update(name.encode())
         if isinstance(value, np.ndarray):
             digest.update(f"{value.dtype.str}{value.shape}".encode())
             digest.update(np.ascontiguousarray(value).tobytes())
@@ -139,22 +181,26 @@ class TestCouplingModeIdentity:
         assert _digest_case(label) == _recorded()[label], label
 
 
-def _site_soc_loop(simulation, pack_soc, capacity_rows):
-    """Per-site loop reference for ``FleetSimulation._site_soc``.
+def _site_soc_loop(report):
+    """Per-site loop reference for the report's ``soc`` view.
 
     Accumulates each site's weighted sum left to right — the same reduction
-    order ``np.add.reduceat`` uses — so the vectorized path can be pinned
-    bitwise against it on mixed and single-pack sites.
+    order ``np.add.reduceat`` uses — over each pack's day-start capacity
+    repeated to hourly rows, so the view can be pinned bitwise against it
+    on mixed and single-pack sites.
     """
-    site_starts = simulation._site_starts
-    n_sites = len(simulation.sites)
-    n_packs = pack_soc.shape[1]
+    pack_soc = report.cohort_soc
+    steps_per_day = pack_soc.shape[0] // report.cohort_battery_capacity_j.shape[0]
+    capacity_rows = np.repeat(report.cohort_battery_capacity_j, steps_per_day, axis=0)
+    n_sites = len(report.site_names)
     out = np.empty((pack_soc.shape[0], n_sites))
     for site_index in range(n_sites):
-        start = int(site_starts[site_index])
-        stop = (
-            int(site_starts[site_index + 1]) if site_index + 1 < n_sites else n_packs
-        )
+        packs = [
+            j
+            for j, owner in enumerate(report.cohort_site_index)
+            if owner == site_index
+        ]
+        start, stop = packs[0], packs[-1] + 1
         if stop - start == 1:
             out[:, site_index] = pack_soc[:, start]
             continue
@@ -173,10 +219,10 @@ def _site_soc_loop(simulation, pack_soc, capacity_rows):
 
 
 class TestSiteSocVectorization:
-    """`_site_soc` (segment-wise reduceat) vs the per-site loop reference."""
+    """The report's ``soc`` view (segment-wise reduceat) vs the per-site loop reference."""
 
-    @staticmethod
-    def _simulation():
+    @pytest.fixture(scope="class")
+    def report(self):
         from repro.devices.catalog import NEXUS_4, PIXEL_3A
 
         sites = [
@@ -193,33 +239,34 @@ class TestSiteSocVectorization:
             CapacityAwareMarginalCciRouting(),
             DiurnalDemand(mean_rps=300.0),
             dispatch=CarbonBufferDispatch(),
+        ).run(2)
+
+    @staticmethod
+    def _with_packs(report, pack_soc, capacity_day):
+        return dataclasses.replace(
+            report, cohort_soc=pack_soc, cohort_battery_capacity_j=capacity_day
         )
 
-    def test_matches_loop_reference_on_mixed_and_single_pack_sites(self):
-        simulation = self._simulation()
+    def test_matches_loop_reference_on_mixed_and_single_pack_sites(self, report):
         rng = np.random.default_rng(7)
         pack_soc = rng.uniform(0.25, 1.0, size=(48, 3))
-        capacity_rows = rng.uniform(1e6, 5e7, size=(48, 3))
-        vectorized = simulation._site_soc(pack_soc, capacity_rows)
-        loop = _site_soc_loop(simulation, pack_soc, capacity_rows)
-        assert np.array_equal(vectorized, loop)
+        capacity_day = rng.uniform(1e6, 5e7, size=(2, 3))
+        report = self._with_packs(report, pack_soc, capacity_day)
+        assert np.array_equal(report.soc, _site_soc_loop(report))
 
-    def test_single_pack_site_passes_through_exactly(self):
-        simulation = self._simulation()
+    def test_single_pack_site_passes_through_exactly(self, report):
         rng = np.random.default_rng(11)
-        pack_soc = rng.uniform(0.25, 1.0, size=(24, 3))
-        capacity_rows = rng.uniform(1e6, 5e7, size=(24, 3))
-        out = simulation._site_soc(pack_soc, capacity_rows)
+        pack_soc = rng.uniform(0.25, 1.0, size=(48, 3))
+        capacity_day = rng.uniform(1e6, 5e7, size=(2, 3))
+        out = self._with_packs(report, pack_soc, capacity_day).soc
         assert np.array_equal(out[:, 1], pack_soc[:, 2])
 
-    def test_zero_capacity_rows_fall_back_to_plain_mean(self):
-        simulation = self._simulation()
+    def test_zero_capacity_rows_fall_back_to_plain_mean(self, report):
         rng = np.random.default_rng(13)
-        pack_soc = rng.uniform(0.25, 1.0, size=(24, 3))
-        capacity_rows = np.zeros((24, 3))
-        vectorized = simulation._site_soc(pack_soc, capacity_rows)
-        loop = _site_soc_loop(simulation, pack_soc, capacity_rows)
-        assert np.array_equal(vectorized, loop)
+        pack_soc = rng.uniform(0.25, 1.0, size=(48, 3))
+        report = self._with_packs(report, pack_soc, np.zeros((2, 3)))
+        vectorized = report.soc
+        assert np.array_equal(vectorized, _site_soc_loop(report))
         expected = (pack_soc[:, 0] + pack_soc[:, 1]) / 2
         assert np.array_equal(vectorized[:, 0], expected)
 

@@ -51,7 +51,9 @@ class TestFleetReport:
         from dataclasses import replace
 
         with pytest.raises(ValueError, match="shape"):
-            replace(report, served_rps=report.served_rps[:, :1])
+            replace(
+                report, intensity_g_per_kwh=report.intensity_g_per_kwh[:, :1]
+            )
 
 
 def test_compare_reports_ranks_by_cci(report):

@@ -94,7 +94,14 @@ def test_array_codec_preserves_dtype_shape_and_bits(array):
     out = decode_array(json.loads(json.dumps(encode_array(array))))
     assert out.dtype == array.dtype
     assert out.shape == array.shape
-    assert np.array_equal(out, array)
+    assert out.tobytes() == array.tobytes()
+    assert out.flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.bool_])
+def test_array_codec_refuses_dtypes_it_cannot_decode(dtype):
+    with pytest.raises(SerializationError, match="cannot encode"):
+        encode_array(np.zeros(3, dtype=dtype))
 
 
 def test_result_payload_schema_is_checked():
@@ -124,11 +131,11 @@ def test_report_payload_lacking_a_series_is_refused():
     report_payload = report_to_dict(ScenarioRunner(spec).run().report)
     report_from_dict(report_payload)  # the whole payload loads
     truncated = dict(report_payload)
-    del truncated["battery_kwh"]
-    with pytest.raises(SerializationError, match="battery_kwh"):
+    del truncated["cohort_battery_kwh"]
+    with pytest.raises(SerializationError, match="cohort_battery_kwh"):
         report_from_dict(truncated)
-    with pytest.raises(SerializationError, match="battery_kwh"):
-        report_from_dict({**report_payload, "battery_kwh": None})
+    with pytest.raises(SerializationError, match="cohort_battery_kwh"):
+        report_from_dict({**report_payload, "cohort_battery_kwh": None})
 
 
 def test_result_to_dict_matches_method():

@@ -1,8 +1,10 @@
 """ExperimentStore unit behaviour: addressing, atomicity, gc, provenance."""
 
+import base64
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro import __version__
@@ -125,24 +127,36 @@ def test_path_for_rejects_non_hashes(store):
         store.path_for("abc")
 
 
-#: An entry written before ``execution.block_days`` / ``execution.shards``
-#: were retired: carbon-buffer, 2 x 4 phones, one day, no latency probe.
-RETIRED_KEYS_ENTRY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)),
-    "data",
-    "entry_with_retired_execution_keys.json",
-)
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+#: A ``repro-result/2`` entry whose spec still carries the retired
+#: ``execution.block_days`` / ``execution.shards`` keys: carbon-buffer,
+#: 2 x 4 phones, one day, no latency probe.
+RETIRED_KEYS_ENTRY = os.path.join(DATA_DIR, "entry_with_retired_execution_keys.json")
+
+#: The same experiment as written by the ``repro-result/1`` codec (decimal
+#: arrays, every site series stored), kept byte-for-byte.
+RESULT_1_ENTRY = os.path.join(DATA_DIR, "entry_repro_result_1.json")
 
 
-@pytest.fixture()
-def retired_keys_store(tmp_path):
-    with open(RETIRED_KEYS_ENTRY, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+def _store_holding(tmp_path, payload):
+    """A store whose only entry is ``payload``, written verbatim."""
     store = ExperimentStore(str(tmp_path / "es"))
     os.makedirs(store.results_dir)
     with open(store.path_for(payload["spec_sha256"]), "w") as handle:
         json.dump(payload, handle)
-    return store, payload
+    return store
+
+
+def _load(path):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.fixture()
+def retired_keys_store(tmp_path):
+    payload = _load(RETIRED_KEYS_ENTRY)
+    return _store_holding(tmp_path, payload), payload
 
 
 def test_entry_with_retired_execution_keys_loads_unchanged(retired_keys_store):
@@ -169,3 +183,65 @@ def test_gc_keeps_entry_with_retired_execution_keys(retired_keys_store):
     store, payload = retired_keys_store
     assert store.gc() == []
     assert store.keys() == [payload["spec_sha256"]]
+
+
+def test_repro_result_1_entry_is_a_miss_and_gc_removes_it(tmp_path):
+    payload = _load(RESULT_1_ENTRY)
+    assert payload["result"]["schema"] == "repro-result/1"
+    store = _store_holding(tmp_path, payload)
+    key = payload["spec_sha256"]
+    with pytest.raises(StoreError, match="repro-result/1"):
+        store.get_entry(key)
+    assert store.get_entry_or_none(key) is None
+    assert store.gc() == [store.path_for(key)]
+    assert store.keys() == []
+
+
+def _edit_array(field, **changes):
+    def edit(report):
+        report[field].update(changes)
+
+    return edit
+
+
+def _drop_last_element(report):
+    array = report["cohort_energy_kwh"]
+    array["data"] = base64.b64encode(base64.b64decode(array["data"])[:-8]).decode()
+
+
+def _site_index(values):
+    def edit(report):
+        raw = np.array(values, dtype="<i8").tobytes()
+        report["cohort_site_index"]["data"] = base64.b64encode(raw).decode()
+
+    return edit
+
+
+#: Hand edits to a stored report, each one the decoder or the report's
+#: validation must refuse, with the message it refuses with.
+MALFORMED_REPORTS = {
+    "float32-dtype": (_edit_array("cohort_energy_kwh", dtype="<f4"), "dtype"),
+    "big-endian-dtype": (_edit_array("cohort_energy_kwh", dtype=">f8"), "dtype"),
+    "bad-base64": (_edit_array("cohort_energy_kwh", data="not base64!"), "not base64"),
+    "negative-shape": (
+        _edit_array("cohort_energy_kwh", shape=[-24, -2]),
+        "non-negative integers",
+    ),
+    "short-data": (_drop_last_element, "needs 384"),
+    "decreasing-site-index": (_site_index([1, 0]), "nondecreasing"),
+    "site-without-cohort": (_site_index([0, 0]), "at least one cohort"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_hand_edited_entry_is_a_miss_and_gc_removes_it(tmp_path, case):
+    edit, message = MALFORMED_REPORTS[case]
+    payload = _load(RETIRED_KEYS_ENTRY)
+    edit(payload["result"]["report"])
+    store = _store_holding(tmp_path, payload)
+    key = payload["spec_sha256"]
+    with pytest.raises(StoreError, match=message):
+        store.get_entry(key)
+    assert store.get_entry_or_none(key) is None
+    assert store.gc() == [store.path_for(key)]
+    assert store.keys() == []
