@@ -1,0 +1,200 @@
+"""Bitwise lock of the discrete-event engine against recorded digests.
+
+``data/des_digests.json`` holds a SHA-256 over everything a DES run returns:
+
+* the DeathStarBench SocialNetwork write point (2k QPS) and read point
+  (4k QPS) on the Pixel cloudlet, 0.15 s each, at two seeds: every latency
+  sample, the offered and completed counts, the summaries, energy, network
+  bytes and each node's utilisation timeline arrays;
+* one multi-window Figure 8-style run (3 s, 1 s utilisation windows);
+* the fleet latency probe (:func:`~repro.fleet.simulate_latency_aware`)
+  for every service distribution under round-robin and greedy routing:
+  its summary, every latency sample and ``served_by_site``.
+
+Any change to the engine, the resources or the serving cluster that moves
+a single bit of these outputs fails here.
+
+Re-record (only for a change that is *meant* to move results) with::
+
+    PYTHONPATH=src python tests/simulation/test_des_identity.py --record
+"""
+
+import contextlib
+import dataclasses
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import repro.fleet.scheduler as scheduler_module
+import repro.microservices.cluster as cluster_module
+from repro.fleet.scheduler import policy_by_name, simulate_latency_aware
+from repro.fleet.sites import two_site_asymmetric_fleet
+from repro.microservices.apps import COMPOSE_POST, READ_USER_TIMELINE, social_network
+from repro.microservices.cluster import pixel_cloudlet
+from repro.simulation.metrics import LatencyRecorder, LatencySummary
+
+DIGESTS_PATH = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "data", "des_digests.json"
+)
+
+#: DeathStarBench cases: label -> (request type, QPS, duration, warm-up, seed).
+SERVING_CASES = {
+    "serving/write/seed7": (COMPOSE_POST, 2000.0, 0.15, 0.03, 7),
+    "serving/write/seed8": (COMPOSE_POST, 2000.0, 0.15, 0.03, 8),
+    "serving/read/seed7": (READ_USER_TIMELINE, 4000.0, 0.15, 0.03, 7),
+    "serving/read/seed8": (READ_USER_TIMELINE, 4000.0, 0.15, 0.03, 8),
+    # Figure 8 shape (several whole 1 s windows) at a lighter load.
+    "serving/fig8-read-3s": (READ_USER_TIMELINE, 1000.0, 3.0, 0.5, 8),
+}
+
+PROBE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
+PROBE_POLICIES = ("round-robin", "greedy-lowest-intensity")
+
+
+def _probe_label(distribution, policy):
+    return f"probe/{distribution}/{policy}"
+
+
+def _labels():
+    return sorted(
+        [*SERVING_CASES]
+        + [
+            _probe_label(distribution, policy)
+            for distribution in PROBE_DISTRIBUTIONS
+            for policy in PROBE_POLICIES
+        ]
+    )
+
+
+@contextlib.contextmanager
+def _capturing_recorders(module):
+    """Swap ``module.LatencyRecorder`` for one that keeps its instances."""
+    recorders = []
+
+    class CapturingRecorder(LatencyRecorder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            recorders.append(self)
+
+    original = module.LatencyRecorder
+    module.LatencyRecorder = CapturingRecorder
+    try:
+        yield recorders
+    finally:
+        module.LatencyRecorder = original
+
+
+def _update_value(digest, value):
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, float):
+        digest.update(value.hex().encode())
+    else:
+        digest.update(repr(value).encode())
+
+
+def _update_samples(digest, recorder):
+    for request_type in sorted(recorder.samples):
+        digest.update(request_type.encode())
+        _update_value(digest, np.asarray(recorder.samples[request_type]))
+
+
+def _update_summary(digest, summary: LatencySummary):
+    for field in dataclasses.fields(LatencySummary):
+        digest.update(field.name.encode())
+        _update_value(digest, getattr(summary, field.name))
+
+
+def serving_digest(label):
+    request_type, qps, duration_s, warmup_s, seed = SERVING_CASES[label]
+    with _capturing_recorders(cluster_module) as recorders:
+        result = pixel_cloudlet().run(
+            social_network(),
+            {request_type: 1.0},
+            qps=qps,
+            duration_s=duration_s,
+            warmup_s=warmup_s,
+            seed=seed,
+        )
+    (recorder,) = recorders
+    digest = hashlib.sha256()
+    _update_samples(digest, recorder)
+    for name in ("cluster_name", "application", "offered_qps", "measurement_duration_s",
+                 "completed_requests", "mean_power_w", "energy_j", "network_bytes"):
+        digest.update(name.encode())
+        _update_value(digest, getattr(result, name))
+    for name in sorted(result.offered_requests):
+        digest.update(f"offered:{name}={result.offered_requests[name]}".encode())
+    for name in sorted(result.summaries):
+        digest.update(name.encode())
+        _update_summary(digest, result.summaries[name])
+    for name in sorted(result.node_utilization):
+        timeline = result.node_utilization[name]
+        digest.update(timeline.node_name.encode())
+        _update_value(digest, np.asarray(timeline.times_s))
+        _update_value(digest, np.asarray(timeline.utilization))
+    return digest.hexdigest()
+
+
+def probe_digest(distribution, policy):
+    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+    with _capturing_recorders(scheduler_module) as recorders:
+        summary, served_by_site = simulate_latency_aware(
+            sites,
+            policy_by_name(policy),
+            demand_rps=150.0,
+            duration_s=10.0,
+            seed=3,
+            service_distribution=distribution,
+        )
+    (recorder,) = recorders
+    digest = hashlib.sha256()
+    _update_samples(digest, recorder)
+    _update_summary(digest, summary)
+    for name in sorted(served_by_site):
+        digest.update(f"served:{name}={served_by_site[name]}".encode())
+    return digest.hexdigest()
+
+
+def _digest(label):
+    if label in SERVING_CASES:
+        return serving_digest(label)
+    _, distribution, policy = label.split("/")
+    return probe_digest(distribution, policy)
+
+
+def _recorded():
+    with open(DIGESTS_PATH, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("label", sorted(SERVING_CASES))
+def test_serving_run_reproduces_its_recorded_digest(label):
+    assert serving_digest(label) == _recorded()[label], label
+
+
+@pytest.mark.parametrize("policy", PROBE_POLICIES)
+@pytest.mark.parametrize("distribution", PROBE_DISTRIBUTIONS)
+def test_latency_probe_reproduces_its_recorded_digest(distribution, policy):
+    label = _probe_label(distribution, policy)
+    assert probe_digest(distribution, policy) == _recorded()[label], label
+
+
+def test_fixture_covers_every_case():
+    assert sorted(_recorded()) == _labels()
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_des_identity.py --record")
+    digests = {label: _digest(label) for label in _labels()}
+    os.makedirs(os.path.dirname(DIGESTS_PATH), exist_ok=True)
+    with open(DIGESTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"recorded {len(digests)} digests to {DIGESTS_PATH}")
