@@ -67,14 +67,13 @@ class PiecewiseLinearPowerModel(PowerModel):
                 raise ValueError(f"anchor utilisation {utilization} outside [0, 1]")
             if watts < 0:
                 raise ValueError(f"anchor power {watts} W is negative")
-
-    def _sorted_anchors(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple(sorted(self.anchors.items()))
+        # Sorted once: power_at runs per request in the latency probe.
+        object.__setattr__(self, "_sorted", tuple(sorted(self.anchors.items())))
 
     def power_at(self, utilization: float) -> float:
         if utilization < 0.0 or utilization > 1.0:
             raise ValueError(f"utilization {utilization} outside [0, 1]")
-        anchors = self._sorted_anchors()
+        anchors = self._sorted
         if utilization <= anchors[0][0]:
             return anchors[0][1]
         if utilization >= anchors[-1][0]:
@@ -89,11 +88,11 @@ class PiecewiseLinearPowerModel(PowerModel):
 
     @property
     def idle_power_w(self) -> float:
-        return self._sorted_anchors()[0][1]
+        return self._sorted[0][1]
 
     @property
     def peak_power_w(self) -> float:
-        return self._sorted_anchors()[-1][1]
+        return self._sorted[-1][1]
 
     @classmethod
     def from_table2(

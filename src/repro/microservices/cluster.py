@@ -155,6 +155,9 @@ class ServingCluster:
         names = [node.name for node in self.nodes]
         if len(names) != len(set(names)):
             raise ValueError("node names must be unique")
+        self._nodes_by_name: Dict[str, NodeSpec] = {
+            node.name: node for node in self.nodes
+        }
         if self.client_colocated:
             if self.client_node is None:
                 self.client_node = names[0]
@@ -172,10 +175,10 @@ class ServingCluster:
 
     def node(self, name: str) -> NodeSpec:
         """Look up a node by name."""
-        for node in self.nodes:
-            if node.name == name:
-                return node
-        raise KeyError(f"unknown node {name!r}")
+        try:
+            return self._nodes_by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown node {name!r}") from None
 
     def total_capacity_ref_cores(self) -> float:
         """Aggregate compute capacity of the cluster in reference cores."""
@@ -297,7 +300,13 @@ class ServingCluster:
                 yield Timeout(gap)
                 if sim.now >= duration_s:
                     break
-                chosen = rng.choice("request-mix", type_names, probabilities)
+                # A one-type mix needs no draw; the request-mix stream feeds
+                # nothing else, so skipping it leaves every other stream alone.
+                chosen = (
+                    type_names[0]
+                    if len(type_names) == 1
+                    else rng.choice("request-mix", type_names, probabilities)
+                )
                 request_type = app.request_type(str(chosen))
                 in_measurement = sim.now >= warmup_s
                 if in_measurement:
@@ -313,9 +322,7 @@ class ServingCluster:
         measurement = duration_s - warmup_s
         utilization = {
             name: UtilizationTimeline(
-                node_name=name,
-                times_s=cpu.utilization_timeline(utilization_window_s, end=duration_s)[0],
-                utilization=cpu.utilization_timeline(utilization_window_s, end=duration_s)[1],
+                name, *cpu.utilization_timeline(utilization_window_s, end=duration_s)
             )
             for name, cpu in cpus.items()
         }

@@ -5,7 +5,9 @@ microservice requests flowing through CPUs and a shared wireless network.
 This engine provides exactly the primitives those models need and nothing
 more:
 
-* a :class:`Simulator` with an event heap and a virtual clock;
+* a :class:`Simulator` with a virtual clock and an event heap of plain
+  ``(time, seq, callback, arg)`` tuples (a tuple heap, ties by scheduling
+  order: ``seq`` is unique, so comparison never reaches the callback);
 * **processes** — plain Python generators that ``yield`` waitable objects —
   in the style of SimPy, giving request-handling code a natural sequential
   form ("acquire a core, compute for 3 ms, send the response over the
@@ -20,28 +22,29 @@ order, and all randomness lives in the caller-provided RNG streams.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, List, Tuple
 
 
 class Waitable:
     """Base class for objects a process may ``yield`` to suspend itself."""
+
+    __slots__ = ()
 
     def subscribe(self, process: "Process", simulator: "Simulator") -> None:
         """Arrange for ``process`` to be resumed when this waitable completes."""
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class Timeout(Waitable):
     """Suspend the yielding process for ``delay`` simulated seconds."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"timeout delay must be non-negative, got {self.delay}")
+    def __init__(self, delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"timeout delay must be non-negative, got {delay}")
+        self.delay = delay
 
     def subscribe(self, process: "Process", simulator: "Simulator") -> None:
         simulator.schedule(self.delay, process.resume, None)
@@ -137,36 +140,30 @@ class _CallbackProcess:
         self._callback(value)
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    sequence: int
-    callback: Callable = field(compare=False)
-    argument: Any = field(compare=False, default=None)
-
-
 class Simulator:
     """Event loop with a virtual clock, supporting callbacks and processes."""
 
     def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
-        self._heap: List[_ScheduledEvent] = []
+        self._heap: List[Tuple[float, int, Callable, Any]] = []
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
 
+    @property
+    def events_processed(self) -> int:
+        """Events popped and run so far (scheduled minus still pending)."""
+        return self._sequence - len(self._heap)
+
     def schedule(self, delay: float, callback: Callable, argument: Any = None) -> None:
         """Run ``callback(argument)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._sequence += 1
-        heapq.heappush(
-            self._heap,
-            _ScheduledEvent(self._now + delay, self._sequence, callback, argument),
-        )
+        heappush(self._heap, (self._now + delay, self._sequence, callback, argument))
 
     def spawn(self, generator: Generator, name: str = "") -> Process:
         """Create and start a process from a generator."""
@@ -178,19 +175,19 @@ class Simulator:
         """Process events until the clock reaches ``end_time`` (inclusive)."""
         if end_time < self._now:
             raise ValueError("end_time is in the past")
-        while self._heap and self._heap[0].time <= end_time:
-            event = heapq.heappop(self._heap)
-            self._now = event.time
-            event.callback(event.argument)
+        heap = self._heap
+        while heap and heap[0][0] <= end_time:
+            self._now, _, callback, argument = heappop(heap)
+            callback(argument)
         self._now = end_time
 
     def run(self, max_events: int = 50_000_000) -> None:
         """Process events until the queue drains (bounded by ``max_events``)."""
+        heap = self._heap
         processed = 0
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            self._now = event.time
-            event.callback(event.argument)
+        while heap:
+            self._now, _, callback, argument = heappop(heap)
+            callback(argument)
             processed += 1
             if processed >= max_events:
                 raise RuntimeError(

@@ -18,8 +18,10 @@ cluster runner can report per-node CPU-utilisation timelines (Figure 8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Generator, List, Optional, Tuple
+import math
+from bisect import bisect_left, bisect_right
+from collections import deque
+from typing import Deque, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ class Resource:
         self.capacity = capacity
         self.name = name
         self.in_use = 0
-        self._queue: List[Process] = []
+        self._queue: Deque[Process] = deque()
         #: (time, in_use) change points for occupancy post-processing.
         self.occupancy_events: List[Tuple[float, int]] = [(0.0, 0)]
         self._total_acquisitions = 0
@@ -64,8 +66,7 @@ class Resource:
         self.in_use -= 1
         self._record()
         if self._queue:
-            process = self._queue.pop(0)
-            self._grant(process)
+            self._grant(self._queue.popleft())
 
     def _enqueue(self, process: Process) -> None:
         if self.in_use < self.capacity:
@@ -95,13 +96,26 @@ class Resource:
         return self._total_acquisitions
 
     def busy_time(self, start: float = 0.0, end: Optional[float] = None) -> float:
-        """Integrated unit-seconds of occupancy over ``[start, end]``."""
+        """Integrated unit-seconds of occupancy over ``[start, end]``.
+
+        Each change point holds its occupancy until the next one (the last
+        until ``end``).  Only the change points whose interval overlaps
+        ``[start, end]`` are visited, found by bisection on the time-ordered
+        series, and their terms are summed in series order.
+        """
         end_time = self.simulator.now if end is None else end
         if end_time < start:
             raise ValueError("end must not precede start")
+        events = self.occupancy_events
+        last = len(events) - 1
+        # Interval i runs from events[i] to events[i + 1] (or to end_time):
+        # it overlaps only if it ends after start and begins before end_time.
+        first = max(0, bisect_right(events, (start, math.inf)) - 1)
+        stop = bisect_left(events, (end_time, -math.inf))
         total = 0.0
-        events = self.occupancy_events + [(end_time, self.in_use)]
-        for (t0, occupancy), (t1, _) in zip(events, events[1:]):
+        for index in range(first, stop):
+            t0, occupancy = events[index]
+            t1 = events[index + 1][0] if index < last else end_time
             lo = max(t0, start)
             hi = min(t1, end_time)
             if hi > lo:
