@@ -133,11 +133,18 @@ class Resource:
     def utilization_timeline(
         self, window_s: float, end: Optional[float] = None, start: float = 0.0
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Windowed utilisation series (window centre times, utilisation fractions)."""
+        """Windowed utilisation series (window centre times, utilisation fractions).
+
+        Windows of ``window_s`` tile ``[start, end]``; the last one is clipped
+        to ``end`` and divided by its true length, so no window reaches past
+        the end of the run.  Grid points within a billionth of a window of
+        ``end`` are rounding artefacts of the grid and do not start a window.
+        """
         if window_s <= 0:
             raise ValueError("window must be positive")
         end_time = self.simulator.now if end is None else end
-        edges = np.arange(start, end_time + window_s, window_s)
+        edges = np.arange(start, end_time, window_s)
+        edges = np.append(edges[edges < end_time - 1e-9 * window_s], end_time)
         if len(edges) < 2:
             return np.array([]), np.array([])
         centres = (edges[:-1] + edges[1:]) / 2.0

@@ -62,6 +62,54 @@ def test_utilization_timeline_windows():
     assert values[1] == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("hold_s", [0.15, 0.5])
+def test_short_run_window_is_clipped_to_the_run_end(hold_s):
+    """A 0.15 s run, busy throughout, is one 0.15 s window at 100%.
+
+    Covers a job that ends exactly at the run end and one still running.
+    """
+    sim = Simulator()
+    cpu = CpuResource(sim, cores=1, speed=1.0)
+
+    def worker():
+        yield from cpu.execute(hold_s * 1_000.0)
+
+    sim.spawn(worker())
+    sim.run_until(0.15)
+    times, values = cpu.utilization_timeline(1.0, end=0.15)
+    assert times.tolist() == [0.075]
+    assert values.tolist() == [1.0]
+    assert cpu.utilization(0.0, 0.15) == 1.0
+
+
+@pytest.mark.parametrize(
+    "end, window, windows", [(0.2, 0.1, 2), (2.2, 0.2, 11), (2.7, 0.3, 9)]
+)
+def test_aligned_end_gets_no_window_past_it(end, window, windows):
+    """Aligned ends get whole windows only: no extra window past ``end``, and
+    no sliver when the grid lands one rounding step short of it (9 x 0.3)."""
+    sim = Simulator()
+    cpu = CpuResource(sim, cores=1, speed=1.0)
+
+    def worker():
+        yield from cpu.execute(end * 1_000.0)
+
+    sim.spawn(worker())
+    sim.run_until(end)
+    times, values = cpu.utilization_timeline(window, end=end)
+    assert len(times) == windows
+    assert times[-1] < end
+    assert values.tolist() == pytest.approx([1.0] * windows)
+
+
+def test_timeline_of_an_empty_interval_is_empty():
+    sim = Simulator()
+    cpu = CpuResource(sim, cores=1, speed=1.0)
+    for start, end in ((0.0, 0.0), (1.0, 0.5)):
+        times, values = cpu.utilization_timeline(1.0, end=end, start=start)
+        assert len(times) == len(values) == 0
+
+
 def test_cpu_speed_scales_service_time():
     sim = Simulator()
     slow = CpuResource(sim, cores=1, speed=0.5)
