@@ -813,6 +813,7 @@ def simulate_latency_aware(
     seed: int = 0,
     queue_penalty_g: float = 5e-6,
     service_distribution: str = "deterministic",
+    telemetry=None,
 ) -> Tuple[LatencySummary, Dict[str, int]]:
     """Serve a Poisson request stream through the sites on the DES engine.
 
@@ -839,7 +840,9 @@ def simulate_latency_aware(
 
     Returns the overall latency summary and the per-site served counts.
     Sites are keyed by name, so ``sites`` must be non-empty and its names
-    unique (as :class:`FleetSimulation` requires).
+    unique (as :class:`FleetSimulation` requires).  ``telemetry`` (default
+    none) counts the probe's work: ``des.events`` run, and the
+    ``probe.offered`` and ``probe.completed`` requests.
     """
     if not sites:
         raise ValueError("the latency probe needs at least one site")
@@ -942,6 +945,10 @@ def simulate_latency_aware(
 
     simulator.spawn(arrivals(), name="arrivals")
     simulator.run()
+    tele = ensure_telemetry(telemetry)
+    tele.count("des.events", simulator.events_processed)
+    tele.count("probe.offered", spawned["count"])
+    tele.count("probe.completed", recorder.count())
     summaries = summarize(recorder, offered={"request": spawned["count"]})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")

@@ -576,6 +576,7 @@ class ScenarioRunner:
             seed=self.spec.seed,
             queue_penalty_g=routing.queue_penalty_g,
             service_distribution=self.spec.demand.service_distribution,
+            telemetry=self.telemetry,
         )
         return summary
 

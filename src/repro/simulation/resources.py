@@ -18,7 +18,6 @@ cluster runner can report per-node CPU-utilisation timelines (Figure 8).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Deque, Generator, List, Optional, Tuple
@@ -110,8 +109,8 @@ class Resource:
         last = len(events) - 1
         # Interval i runs from events[i] to events[i + 1] (or to end_time):
         # it overlaps only if it ends after start and begins before end_time.
-        first = max(0, bisect_right(events, (start, math.inf)) - 1)
-        stop = bisect_left(events, (end_time, -math.inf))
+        first = max(0, bisect_right(events, (start, float("inf"))) - 1)
+        stop = bisect_left(events, (end_time, -float("inf")))
         total = 0.0
         for index in range(first, stop):
             t0, occupancy = events[index]

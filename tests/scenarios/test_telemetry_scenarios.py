@@ -140,3 +140,25 @@ def test_clipped_setpoint_counter_matches_report():
     assert summary["clipped_energy_kwh"] == pytest.approx(
         report.clipped_energy_kwh
     )
+
+
+def test_latency_probe_counts_its_des_work():
+    spec = _fast_spec("two-site-asymmetric", keep_probe=True).with_overrides(
+        {"routing.latency_probe_s": 0.25}
+    )
+    tele = Telemetry()
+    result = ScenarioRunner(spec, telemetry=tele).run()
+    latency = result.latency
+    assert tele.counters["probe.offered"] == latency.offered
+    assert tele.counters["probe.completed"] == latency.completed
+    # Each completed request runs at least its arrival, service start,
+    # service end and response events.
+    assert tele.counters["des.events"] >= 4 * latency.completed > 0
+
+
+def test_probe_counters_absent_when_the_probe_is_off():
+    tele = Telemetry()
+    result = ScenarioRunner(_fast_spec("two-site-asymmetric"), telemetry=tele).run()
+    assert result.latency is None
+    for name in ("des.events", "probe.offered", "probe.completed"):
+        assert tele.counters.get(name, 0) == 0, name

@@ -203,3 +203,25 @@ def test_zero_delay_events_run_before_later_events_and_fifo():
     sim.schedule(0.0, order.append, "second")
     sim.run()
     assert order == ["first", "second", "later"]
+
+
+def test_tied_events_never_compare_callbacks_or_arguments():
+    """Heap entries are (time, seq, callback, arg) tuples; seq is unique, so
+    unorderable callbacks and arguments at one instant never get compared."""
+    sim = Simulator()
+    seen = []
+    for index in range(20):
+        sim.schedule(1.0, lambda payload: seen.append(payload["i"]), {"i": index})
+    sim.run()
+    assert seen == list(range(20))
+
+
+def test_events_processed_counts_run_events_only():
+    sim = Simulator()
+    assert sim.events_processed == 0
+    for delay in (1.0, 2.0, 3.0):
+        sim.schedule(delay, lambda _: None)
+    sim.run_until(2.5)
+    assert sim.events_processed == 2
+    sim.run()
+    assert sim.events_processed == 3
