@@ -8,8 +8,12 @@
   bytes and each node's utilisation timeline arrays;
 * one multi-window Figure 8-style run (3 s, 1 s utilisation windows);
 * the fleet latency probe (:func:`~repro.fleet.simulate_latency_aware`)
-  for every service distribution under round-robin and greedy routing:
-  its summary, every latency sample and ``served_by_site``.
+  for every service distribution under round-robin, greedy and
+  marginal-CCI routing, plus three probe cases that reach other paths: a
+  mixed-cohort site (the site marginal is a minimum over cohorts), a
+  wear-derated policy on a worn site, and a run offering more than two
+  blocks of arrivals.  Each digest covers the summary, every latency
+  sample and ``served_by_site``.
 
 Any change to the engine, the resources or the serving cluster that moves
 a single bit of these outputs fails here.
@@ -32,7 +36,8 @@ import pytest
 import repro.fleet.scheduler as scheduler_module
 import repro.microservices.cluster as cluster_module
 from repro.fleet.scheduler import policy_by_name, simulate_latency_aware
-from repro.fleet.sites import two_site_asymmetric_fleet
+from repro.devices.catalog import NEXUS_4, PIXEL_3A
+from repro.fleet.sites import mixed_phone_site, phone_site, two_site_asymmetric_fleet
 from repro.microservices.apps import COMPOSE_POST, READ_USER_TIMELINE, social_network
 from repro.microservices.cluster import pixel_cloudlet
 from repro.simulation.metrics import LatencyRecorder, LatencySummary
@@ -52,7 +57,46 @@ SERVING_CASES = {
 }
 
 PROBE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
-PROBE_POLICIES = ("round-robin", "greedy-lowest-intensity")
+PROBE_POLICIES = ("round-robin", "greedy-lowest-intensity", "marginal-cci")
+
+#: Arrivals the many-blocks probe case must exceed: two blocks of 4096.
+MANY_BLOCKS_ARRIVALS = 2 * 4096
+
+
+def _mixed_cohort_sites():
+    return [
+        phone_site("texas", "ercot-like", 5, seed=1, n_trace_days=2),
+        mixed_phone_site(
+            "mixed", "hydro-heavy", [(PIXEL_3A, 3), (NEXUS_4, 4)],
+            n_trace_days=2, seed=2,
+        ),
+    ]
+
+
+def _worn_clean_site_sites():
+    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+    cohort = sites[1].cohorts[0].cohort  # cascadia, the preferred site
+    cohort._battery_cycles[: cohort._m] = 0.5 * cohort.device.battery.cycle_life
+    return sites
+
+
+def _many_blocks_sites():
+    return two_site_asymmetric_fleet(50, seed=1, n_trace_days=2)
+
+
+#: Extra probe cases: label -> (sites factory, policy, wear derate,
+#: demand rps, service distribution), each run for 10 s at seed 3.
+PROBE_CASES = {
+    "probe-case/mixed-cohort": (
+        _mixed_cohort_sites, "marginal-cci", 0.0, 150.0, "exponential"
+    ),
+    "probe-case/wear-derate": (
+        _worn_clean_site_sites, "marginal-cci", 1.0, 150.0, "lognormal"
+    ),
+    "probe-case/many-blocks": (
+        _many_blocks_sites, "marginal-cci", 0.0, 1000.0, "lognormal"
+    ),
+}
 
 
 def _probe_label(distribution, policy):
@@ -67,6 +111,7 @@ def _labels():
             for distribution in PROBE_DISTRIBUTIONS
             for policy in PROBE_POLICIES
         ]
+        + [*PROBE_CASES]
     )
 
 
@@ -141,18 +186,21 @@ def serving_digest(label):
     return digest.hexdigest()
 
 
-def probe_digest(distribution, policy):
-    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+def _run_probe(sites, policy, demand_rps, distribution):
     with _capturing_recorders(scheduler_module) as recorders:
         summary, served_by_site = simulate_latency_aware(
             sites,
-            policy_by_name(policy),
-            demand_rps=150.0,
+            policy,
+            demand_rps=demand_rps,
             duration_s=10.0,
             seed=3,
             service_distribution=distribution,
         )
     (recorder,) = recorders
+    return summary, served_by_site, recorder
+
+
+def _probe_result_digest(summary, served_by_site, recorder):
     digest = hashlib.sha256()
     _update_samples(digest, recorder)
     _update_summary(digest, summary)
@@ -161,9 +209,28 @@ def probe_digest(distribution, policy):
     return digest.hexdigest()
 
 
+def probe_digest(distribution, policy):
+    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+    return _probe_result_digest(
+        *_run_probe(sites, policy_by_name(policy), 150.0, distribution)
+    )
+
+
+def probe_case_digest(label):
+    make_sites, policy, wear_derate, demand_rps, distribution = PROBE_CASES[label]
+    summary, served_by_site, recorder = _run_probe(
+        make_sites(), policy_by_name(policy, wear_derate), demand_rps, distribution
+    )
+    if label == "probe-case/many-blocks":
+        assert summary.offered > MANY_BLOCKS_ARRIVALS
+    return _probe_result_digest(summary, served_by_site, recorder)
+
+
 def _digest(label):
     if label in SERVING_CASES:
         return serving_digest(label)
+    if label in PROBE_CASES:
+        return probe_case_digest(label)
     _, distribution, policy = label.split("/")
     return probe_digest(distribution, policy)
 
@@ -183,6 +250,11 @@ def test_serving_run_reproduces_its_recorded_digest(label):
 def test_latency_probe_reproduces_its_recorded_digest(distribution, policy):
     label = _probe_label(distribution, policy)
     assert probe_digest(distribution, policy) == _recorded()[label], label
+
+
+@pytest.mark.parametrize("label", sorted(PROBE_CASES))
+def test_probe_case_reproduces_its_recorded_digest(label):
+    assert probe_case_digest(label) == _recorded()[label], label
 
 
 def test_fixture_covers_every_case():
