@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -65,6 +67,10 @@ from repro.telemetry import ensure_telemetry
 #: the microservice simulator's calibrated variability
 #: (:data:`~repro.microservices.calibration.SERVICE_TIME_SIGMA`).
 SERVICE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
+
+#: Arrivals (and per-site service times) the DES latency probe draws, keys
+#: and routes per vector pass.
+_BLOCK = 4096
 
 #: Hours per scheduling timestep of the vectorized path.
 HOURS_PER_STEP = 1.0
@@ -164,15 +170,20 @@ class RoutingPolicy(abc.ABC):
         reported by the simulation).
         """
 
-    def request_key(self, site: FleetSite, now_s: float) -> Optional[float]:
-        """Per-request ranking key for the DES path (lower is better).
+    def request_keys(
+        self, site: FleetSite, times_s: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """Per-request ranking keys for the DES path (lower is better).
 
-        Keys are in *grams of CO2e per request* so the DES scheduler can add
-        a gram-denominated backlog penalty without mixing units.  Returning
-        ``None`` opts out of carbon ranking: the scheduler falls back to
-        capacity-weighted rotation (true per-request round-robin).
+        One key per arrival time in ``times_s``: the DES probe asks for a
+        whole block of arrivals at once, since a key depends only on the
+        site and the time.  Keys are in *grams of CO2e per request* so the
+        DES scheduler can add a gram-denominated backlog penalty without
+        mixing units.  Returning ``None`` opts out of carbon ranking: the
+        scheduler falls back to capacity-weighted rotation (true
+        per-request round-robin).
         """
-        return site.marginal_carbon_g_per_request(now_s)
+        return site.marginal_carbon_g_for_intensity(site.intensities_at(times_s))
 
 
 def _waterfill(
@@ -207,7 +218,9 @@ class RoundRobinRouting(RoutingPolicy):
             share = np.where(total[:, None] > 0, capacity_rps / total[:, None], 0.0)
         return share * served_total[:, None]
 
-    def request_key(self, site: FleetSite, now_s: float) -> Optional[float]:
+    def request_keys(
+        self, site: FleetSite, times_s: np.ndarray
+    ) -> Optional[np.ndarray]:
         return None  # carbon-oblivious: rotate across sites instead
 
 
@@ -225,11 +238,13 @@ class GreedyLowestIntensityRouting(RoutingPolicy):
     ) -> np.ndarray:
         return _waterfill(demand_rps, capacity_rps, intensity)
 
-    def request_key(self, site: FleetSite, now_s: float) -> Optional[float]:
+    def request_keys(
+        self, site: FleetSite, times_s: np.ndarray
+    ) -> Optional[np.ndarray]:
         # Intensity ranking expressed in grams: dynamic energy x intensity,
         # without the wear term the marginal-CCI policy adds.
         return site.marginal_carbon_g_for_intensity(
-            site.intensity_at(now_s), include_wear=False
+            site.intensities_at(times_s), include_wear=False
         )
 
 
@@ -821,7 +836,7 @@ def simulate_latency_aware(
     path models individual requests: exponential inter-arrivals, per-site
     FIFO service at ``requests_per_device_s`` per device, and the site's
     network RTT added to every response.  Each arrival is routed by the
-    policy's :meth:`~RoutingPolicy.request_key` (grams per request) plus
+    policy's :meth:`~RoutingPolicy.request_keys` (grams per request) plus
     ``queue_penalty_g`` grams per already-queued request, so carbon-greedy
     policies shed load to the next-cleanest site once the clean site backs
     up.  The default penalty is on the order of a phone-cloudlet marginal
@@ -838,10 +853,19 @@ def simulate_latency_aware(
     variability — so the probe's tail percentiles reflect per-request
     jitter, not just queueing.
 
+    Nothing but the queue lengths depends on the simulation state, so the
+    probe works in blocks of ``_BLOCK`` arrivals: one vector draw of the
+    gaps, one cumulative sum for the arrival times, one
+    :meth:`~RoutingPolicy.request_keys` call per site, and per-site service
+    times drawn a block at a time from the same streams.  Each stream's
+    values, and so every output, are bitwise those of one scalar draw and
+    one key per request; memory stays one block per stream.
+
     Returns the overall latency summary and the per-site served counts.
     Sites are keyed by name, so ``sites`` must be non-empty and its names
-    unique (as :class:`FleetSimulation` requires).  ``telemetry`` (default
-    none) counts the probe's work: ``des.events`` run, and the
+    unique (as :class:`FleetSimulation` requires).  ``demand_rps``,
+    ``duration_s`` and ``queue_penalty_g`` must be finite.  ``telemetry``
+    (default none) counts the probe's work: ``des.events`` run, and the
     ``probe.offered`` and ``probe.completed`` requests.
     """
     if not sites:
@@ -849,12 +873,14 @@ def simulate_latency_aware(
     names = [site.name for site in sites]
     if len(set(names)) != len(names):
         raise ValueError(f"site names must be unique, got {names}")
-    if demand_rps <= 0:
-        raise ValueError("demand must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if queue_penalty_g < 0:
-        raise ValueError("queue penalty must be non-negative")
+    if not (math.isfinite(demand_rps) and demand_rps > 0):
+        raise ValueError(f"demand_rps must be finite and positive, got {demand_rps}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not (math.isfinite(queue_penalty_g) and queue_penalty_g >= 0):
+        raise ValueError(
+            f"queue_penalty_g must be finite and non-negative, got {queue_penalty_g}"
+        )
     if service_distribution not in SERVICE_DISTRIBUTIONS:
         known = ", ".join(SERVICE_DISTRIBUTIONS)
         raise ValueError(
@@ -864,92 +890,102 @@ def simulate_latency_aware(
     simulator = Simulator()
     streams = RandomStreams(seed=seed)
     recorder = LatencyRecorder()
-    served_by_site = {site.name: 0 for site in sites}
-    routed_by_site = {site.name: 0 for site in sites}
 
     from repro.simulation.resources import Resource
 
     # The DES path sees the same (wear-derated) capacity the hourly path
     # routes against: a policy shedding load from a worn cohort also offers
     # fewer concurrent request slots here.
-    effective_devices = {
-        site.name: _effective_device_slots(policy, site) for site in sites
-    }
-    pools = {
-        site.name: Resource(
-            simulator, capacity=effective_devices[site.name], name=site.name
-        )
-        for site in sites
-    }
-    service_s = {
-        site.name: 1.0 / site.nominal_requests_per_device_s for site in sites
-    }
+    slots = [_effective_device_slots(policy, site) for site in sites]
+    pools = [
+        Resource(simulator, capacity=n, name=site.name)
+        for site, n in zip(sites, slots)
+    ]
+    # Rotation divides each site's routed count by its slot capacity.
+    capacities = [
+        n * site.nominal_requests_per_device_s for site, n in zip(sites, slots)
+    ]
+    served = [0] * len(sites)
+    routed = [0] * len(sites)
+    process_names = [f"req@{name}" for name in names]
 
     # The lognormal factor stream has mean exp(sigma^2/2); the correction
     # keeps the drawn mean at 1/rate so distributions differ in shape only.
     lognormal_mean_correction = float(np.exp(-0.5 * SERVICE_TIME_SIGMA**2))
 
-    def draw_service_s(site: FleetSite) -> float:
-        mean = service_s[site.name]
-        if service_distribution == "exponential":
-            return streams.exponential(f"service@{site.name}", mean)
-        if service_distribution == "lognormal":
-            factor = streams.lognormal_factor(
-                f"service@{site.name}", SERVICE_TIME_SIGMA
-            )
-            return mean * factor * lognormal_mean_correction
-        return mean
+    def service_times(site: FleetSite):
+        """The site's service times in service order, a block at a time."""
+        mean = 1.0 / site.nominal_requests_per_device_s
+        if service_distribution == "deterministic":
+            return itertools.repeat(mean)
+        rng = streams.stream(f"service@{site.name}")
 
-    def route(now_s: float) -> FleetSite:
-        keys = [policy.request_key(site, now_s) for site in sites]
-        if any(key is None for key in keys):
-            # Capacity-weighted rotation: send the request to the site that
-            # has served the smallest share of its capacity so far.
-            shares = [
-                routed_by_site[site.name]
-                / (
-                    effective_devices[site.name]
-                    * site.nominal_requests_per_device_s
-                )
-                for site in sites
-            ]
-            best = int(np.argmin(shares))
-        else:
-            penalized = [
-                key + pools[site.name].queue_length * queue_penalty_g
-                for key, site in zip(keys, sites)
-            ]
-            best = int(np.argmin(penalized))
-        routed_by_site[sites[best].name] += 1
-        return sites[best]
+        def blocks():
+            while True:
+                if service_distribution == "exponential":
+                    yield rng.exponential(mean, size=_BLOCK).tolist()
+                else:
+                    factors = rng.lognormal(0.0, SERVICE_TIME_SIGMA, size=_BLOCK)
+                    yield (mean * factors * lognormal_mean_correction).tolist()
 
-    def handle(site: FleetSite, start_s: float):
-        pool = pools[site.name]
+        return itertools.chain.from_iterable(blocks())
+
+    service = [service_times(site) for site in sites]
+    rtts = [site.network_rtt_s for site in sites]
+
+    def handle(j: int, start_s: float):
+        pool = pools[j]
         yield pool.acquire()
-        yield Timeout(draw_service_s(site))
+        yield Timeout(next(service[j]))
         pool.release()
-        yield Timeout(site.network_rtt_s)
+        yield Timeout(rtts[j])
         recorder.record("request", simulator.now - start_s)
-        served_by_site[site.name] += 1
+        served[j] += 1
 
-    spawned = {"count": 0}
+    offered = 0
 
     def arrivals():
-        while simulator.now < duration_s:
-            yield Timeout(streams.exponential("arrivals", 1.0 / demand_rps))
-            if simulator.now >= duration_s:
-                break
-            site = route(simulator.now)
-            spawned["count"] += 1
-            simulator.spawn(handle(site, simulator.now), name=f"req@{site.name}")
+        nonlocal offered
+        rng = streams.stream("arrivals")
+        mean_gap = 1.0 / demand_rps
+        while True:
+            gaps = rng.exponential(mean_gap, size=_BLOCK)
+            # add.accumulate is sequential, so each time is bitwise the
+            # engine's own ``now + gap`` (``now + cumsum(gaps)`` is not).
+            times = np.cumsum(np.concatenate(([simulator.now], gaps)))[1:]
+            keys = [policy.request_keys(site, times) for site in sites]
+            if any(key is None for key in keys):
+                rows = itertools.repeat(None)
+            else:
+                rows = zip(*[key.tolist() for key in keys])
+            for gap, row in zip(gaps.tolist(), rows):
+                yield Timeout(gap)
+                now = simulator.now
+                if now >= duration_s:
+                    return
+                if row is None:
+                    # Capacity-weighted rotation: send the request to the
+                    # site that has served the smallest share of its
+                    # capacity so far.
+                    shares = [n / c for n, c in zip(routed, capacities)]
+                    best = shares.index(min(shares))
+                    routed[best] += 1
+                else:
+                    penalized = [
+                        key + pool.queue_length * queue_penalty_g
+                        for key, pool in zip(row, pools)
+                    ]
+                    best = penalized.index(min(penalized))
+                offered += 1
+                simulator.spawn(handle(best, now), name=process_names[best])
 
     simulator.spawn(arrivals(), name="arrivals")
     simulator.run()
     tele = ensure_telemetry(telemetry)
     tele.count("des.events", simulator.events_processed)
-    tele.count("probe.offered", spawned["count"])
+    tele.count("probe.offered", offered)
     tele.count("probe.completed", recorder.count())
-    summaries = summarize(recorder, offered={"request": spawned["count"]})
+    summaries = summarize(recorder, offered={"request": offered})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
-    return summaries["request"], served_by_site
+    return summaries["request"], dict(zip(names, served))

@@ -368,10 +368,6 @@ class FleetSite:
 
     # -- carbon ------------------------------------------------------------
 
-    def intensity_at(self, time_s: float) -> float:
-        """Grid carbon intensity at ``time_s``, wrapping around the trace."""
-        return self.trace.intensity_at(time_s, wrap=True)
-
     def intensities_at(self, times_s: np.ndarray) -> np.ndarray:
         """Vectorized wrap-around intensity lookup."""
         return self.trace.intensities_at(times_s, wrap=True)
@@ -382,8 +378,9 @@ class FleetSite:
         Site-level view: the *best* (lowest) cohort marginal, since the next
         request routed here lands on the most efficient device type with
         headroom.  The per-cohort terms live on :class:`SiteCohort`, which is
-        what the vectorized scheduler ranks; this aggregate serves the
-        per-request DES path and exploratory use.  ``include_wear=False``
+        what the vectorized scheduler ranks; this aggregate gives the DES
+        path its per-request keys (an array of intensities in, one key per
+        arrival out) and serves exploratory use.  ``include_wear=False``
         gives the energy-only marginal (the greedy lowest-intensity ranking).
         """
         marginals = [
@@ -396,10 +393,6 @@ class FleetSite:
             return marginals[0]
         best = np.minimum.reduce([np.asarray(m, dtype=float) for m in marginals])
         return float(best) if np.isscalar(intensity_g_per_kwh) else best
-
-    def marginal_carbon_g_per_request(self, time_s: float) -> float:
-        """Marginal operational + wear carbon (g) of routing one request here."""
-        return self.marginal_carbon_g_for_intensity(self.intensity_at(time_s))
 
 
 def default_intake_stream(

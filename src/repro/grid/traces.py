@@ -291,8 +291,8 @@ class GridTrace:
 
         One virtual sample at the period end equal to the first sample makes
         interpolation wrap instead of clamping.  The trace is immutable, so
-        the bridged copies are built once (per-request DES routing queries
-        the same trace thousands of times).
+        the bridged copies are built once and shared by every wrap-around
+        query.
         """
         cached = getattr(self, "_wrap_cache", None)
         if cached is None:

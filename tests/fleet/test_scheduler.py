@@ -203,6 +203,42 @@ class TestLatencyAwarePath:
                 duration_s=2.0,
             )
 
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("demand_rps", float("nan")),
+            ("demand_rps", float("inf")),
+            ("demand_rps", 0.0),
+            ("duration_s", float("nan")),
+            ("duration_s", float("inf")),
+            ("duration_s", -1.0),
+            ("queue_penalty_g", float("nan")),
+            ("queue_penalty_g", float("inf")),
+            ("queue_penalty_g", -1e-6),
+        ],
+    )
+    def test_invalid_numeric_inputs_rejected_by_name(self, argument, value):
+        """NaN used to route everything to site 0, and an infinite duration hung."""
+        sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=2)
+        kwargs = {"demand_rps": 50.0, "duration_s": 1.0, "queue_penalty_g": 5e-6}
+        kwargs[argument] = value
+        with pytest.raises(ValueError, match=argument):
+            simulate_latency_aware(sites, GreedyLowestIntensityRouting(), **kwargs)
+
+    def test_request_keys_are_one_key_per_arrival_time(self):
+        (site,) = two_site_asymmetric_fleet(5, seed=4, n_trace_days=2)[:1]
+        times = np.array([0.0, 1_800.0, 86_400.0 * 3 + 5.0])
+        intensities = site.intensities_at(times)
+        assert RoundRobinRouting().request_keys(site, times) is None
+        assert np.array_equal(
+            GreedyLowestIntensityRouting().request_keys(site, times),
+            site.marginal_carbon_g_for_intensity(intensities, include_wear=False),
+        )
+        assert np.array_equal(
+            CapacityAwareMarginalCciRouting().request_keys(site, times),
+            site.marginal_carbon_g_for_intensity(intensities),
+        )
+
     def test_empty_site_list_rejected(self):
         with pytest.raises(ValueError, match="at least one site"):
             simulate_latency_aware(

@@ -86,16 +86,17 @@ class TestFleetSite:
 
     def test_wraparound_intensity(self, site):
         period = site.trace.period_s
-        assert site.intensity_at(0.0) == pytest.approx(site.intensity_at(period))
         many_days_later = 400 * 86_400.0
-        assert site.intensity_at(many_days_later) == pytest.approx(
-            site.intensity_at(many_days_later % period)
+        at = site.intensities_at(
+            np.array([0.0, period, many_days_later, many_days_later % period])
         )
+        assert at[0] == pytest.approx(at[1])
+        assert at[2] == pytest.approx(at[3])
 
     def test_marginal_carbon_tracks_intensity(self, site):
         times = np.arange(0, 86_400.0, 3_600.0)
-        marginals = np.array([site.marginal_carbon_g_per_request(t) for t in times])
-        intensities = site.intensities_at(times)
+        intensities = site.trace.intensities_at(times, wrap=True)
+        marginals = site.marginal_carbon_g_for_intensity(site.intensities_at(times))
         (entry,) = site.cohorts
         wear = entry.battery_wear_g_per_request()
         assert wear > 0  # swap-enabled Pixel site carries wear carbon

@@ -59,8 +59,8 @@ SERVING_CASES = {
 PROBE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
 PROBE_POLICIES = ("round-robin", "greedy-lowest-intensity", "marginal-cci")
 
-#: Arrivals the many-blocks probe case must exceed: two blocks of 4096.
-MANY_BLOCKS_ARRIVALS = 2 * 4096
+#: Arrivals the many-blocks probe case must exceed: two probe blocks.
+MANY_BLOCKS_ARRIVALS = 2 * scheduler_module._BLOCK
 
 
 def _mixed_cohort_sites():
