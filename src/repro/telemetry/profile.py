@@ -6,16 +6,20 @@ of any scaling work: *where does the time go?*  Output is a fixed-width
 text table (one row per span path, indented by nesting depth) plus the
 counter block, e.g.::
 
-    phase                            calls    total (s)    share
-    -------------------------------  -----  -----------  -------
-    scenario                             1        0.842   100.0%
-      build_sites                        1        0.021     2.5%
-      main_run                           1        0.612    72.7%
-        allocate_day                    30        0.201    23.9%
+    phase             calls  total (s)  share   throughput
+    ----------------  -----  ---------  ------  -------------------
+    scenario          1      0.8420     100.0%  -
+      build_sites     1      0.0210     2.5%    -
+      main_run        1      0.0120     1.4%    -
+        allocate_day  30     0.0040     0.5%    15,000,000 dev-days/s
+      latency_probe   1      0.7900     93.8%   6,353 req/s
     ...
 
 Shares are fractions of the summed top-level span time, so sibling rows
-add up and nested rows read as a drill-down of their parent.
+add up and nested rows read as a drill-down of their parent.  The
+throughput column is in each phase's own unit: device-days per second for
+the fleet loop's per-day phases, offered requests per second for the DES
+latency probe, and ``-`` for everything else.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ from typing import Dict, List, Sequence
 FLEET_DAY_PHASES = frozenset(
     ("allocate_day", "step_population", "site_energy_kwh", "dispatch_day")
 )
+
+#: The DES latency probe's span; its throughput is offered requests/s.
+PROBE_PHASE = "latency_probe"
 
 
 def _format_table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
@@ -91,9 +98,11 @@ def render_profile(manifest: Dict[str, object]) -> str:
 
     # Per-phase throughput: each call of a fleet-loop phase covers one
     # simulated day across the whole fleet, so device-days per wall second
-    # is gauge(fleet.n_devices) x calls / total_s.  Other spans' calls are
-    # not days, so their throughput cell stays blank.
+    # is gauge(fleet.n_devices) x calls / total_s.  The latency probe's
+    # unit of work is a request: counter(probe.offered) / total_s.  Other
+    # spans have no unit of work, so their throughput cell stays blank.
     n_devices = manifest.get("gauges", {}).get("fleet.n_devices")
+    offered = manifest.get("counters", {}).get("probe.offered")
 
     rows = []
     for row in _sorted_phase_rows(list(manifest.get("phases", []))):
@@ -102,7 +111,9 @@ def render_profile(manifest: Dict[str, object]) -> str:
         calls = row["calls"]
         total_s = row["total_s"]
         if name in FLEET_DAY_PHASES and n_devices and calls and total_s > 0:
-            throughput = f"{n_devices * calls / total_s:,.0f}"
+            throughput = f"{n_devices * calls / total_s:,.0f} dev-days/s"
+        elif name == PROBE_PHASE and offered and total_s > 0:
+            throughput = f"{offered / total_s:,.0f} req/s"
         else:
             throughput = "-"
         rows.append(
@@ -117,7 +128,7 @@ def render_profile(manifest: Dict[str, object]) -> str:
     if rows:
         lines.append(
             _format_table(
-                ["phase", "calls", "total (s)", "share", "device-days/s"], rows
+                ["phase", "calls", "total (s)", "share", "throughput"], rows
             )
         )
     else:

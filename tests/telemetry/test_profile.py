@@ -4,8 +4,9 @@ The profile renderer consumes manifests from many sources — live runs,
 stored entries, shard children shipped home from worker processes — so it
 must degrade gracefully when optional pieces are missing: zero-duration
 spans (no division), no spans at all, no RSS figure (platforms without
-``resource``), no ``fleet.n_devices`` gauge (non-fleet runs), and children
-with or without their own RSS.
+``resource``), no ``fleet.n_devices`` gauge (non-fleet runs), no
+``probe.offered`` counter (no latency probe), and children with or without
+their own RSS.
 """
 
 from repro.telemetry import Telemetry, build_manifest, render_profile
@@ -45,7 +46,7 @@ def test_zero_duration_span_renders_without_throughput():
         ]
     )
     text = render_profile(manifest)
-    # No ZeroDivisionError, and the device-days/s cell degrades to a dash.
+    # No ZeroDivisionError, and the throughput cell degrades to a dash.
     lines = [line for line in text.splitlines() if "scenario" in line]
     assert any(line.rstrip().endswith("-") for line in lines)
 
@@ -53,7 +54,7 @@ def test_zero_duration_span_renders_without_throughput():
 def test_no_phases_renders_placeholder():
     text = render_profile(_manifest(phases=[]))
     assert "(no spans recorded)" in text
-    assert "device-days/s" not in text
+    assert "throughput" not in text
 
 
 def test_missing_peak_rss_omits_the_line():
@@ -63,7 +64,7 @@ def test_missing_peak_rss_omits_the_line():
 
 def test_absent_fleet_gauge_blanks_throughput_column():
     text = render_profile(_manifest(gauges={}))
-    assert "device-days/s" in text  # column header still present
+    assert "throughput" in text  # column header still present
     for line in text.splitlines():
         if "main_run" in line:
             assert line.rstrip().endswith("-")
@@ -106,10 +107,40 @@ def test_live_manifest_includes_shard_rss(tmp_path):
     assert "peak RSS (max child):" in text
 
 
-def test_throughput_only_on_fleet_day_phases():
-    """Stage spans (probe, economics, ...) count calls, not simulated days."""
+def _probe_manifest(total_s, offered):
+    return _manifest(
+        phases=[
+            {"path": "scenario", "calls": 1, "total_s": 0.4, "fraction": 1.0},
+            {
+                "path": "scenario/latency_probe",
+                "calls": 1,
+                "total_s": total_s,
+                "fraction": 0.5,
+            },
+        ],
+        counters={} if offered is None else {"probe.offered": offered},
+    )
+
+
+def _probe_row(text):
+    (row,) = [line for line in text.splitlines() if "latency_probe" in line]
+    return row.rstrip()
+
+
+def test_probe_throughput_is_offered_requests_per_second():
+    text = render_profile(_probe_manifest(total_s=0.2, offered=5_000))
+    assert _probe_row(text).endswith("25,000 req/s")
+
+
+def test_probe_throughput_degrades_without_counter_or_time():
+    assert _probe_row(render_profile(_probe_manifest(0.2, None))).endswith("-")
+    assert _probe_row(render_profile(_probe_manifest(0.0, 5_000))).endswith("-")
+
+
+def test_throughput_on_fleet_day_phases_and_the_probe():
+    """Fleet-day phases read dev-days/s, the probe req/s, other spans ``-``."""
     from repro.scenarios import ScenarioRunner, get_scenario
-    from repro.telemetry.profile import FLEET_DAY_PHASES
+    from repro.telemetry.profile import FLEET_DAY_PHASES, PROBE_PHASE
 
     spec = get_scenario("carbon-buffer").with_overrides(
         {"duration_days": 2, "routing.latency_probe_s": 0.05}
@@ -122,11 +153,13 @@ def test_throughput_only_on_fleet_day_phases():
     for line in lines[start:]:
         if not line.strip():
             break
-        cells = line.split()
-        throughput[cells[0]] = cells[-1]
-    assert "latency_probe" in throughput and "dispatch_day" in throughput
+        phase, _calls, _total, _share, *cell = line.split()
+        throughput[phase] = cell
+    assert PROBE_PHASE in throughput and "dispatch_day" in throughput
     for phase, cell in throughput.items():
-        if phase in FLEET_DAY_PHASES:
-            assert float(cell.replace(",", "")) > 0, phase
+        if phase in FLEET_DAY_PHASES or phase == PROBE_PHASE:
+            value, unit = cell
+            assert float(value.replace(",", "")) > 0, phase
+            assert unit == ("req/s" if phase == PROBE_PHASE else "dev-days/s"), phase
         else:
-            assert cell == "-", phase
+            assert cell == ["-"], phase
