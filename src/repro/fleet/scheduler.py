@@ -914,21 +914,18 @@ def simulate_latency_aware(
     lognormal_mean_correction = float(np.exp(-0.5 * SERVICE_TIME_SIGMA**2))
 
     def service_times(site: FleetSite):
-        """The site's service times in service order, a block at a time."""
+        """The site's service times in service order, drawn a block at a time."""
         mean = 1.0 / site.nominal_requests_per_device_s
-        if service_distribution == "deterministic":
-            return itertools.repeat(mean)
         rng = streams.stream(f"service@{site.name}")
-
-        def blocks():
-            while True:
-                if service_distribution == "exponential":
-                    yield rng.exponential(mean, size=_BLOCK).tolist()
-                else:
-                    factors = rng.lognormal(0.0, SERVICE_TIME_SIGMA, size=_BLOCK)
-                    yield (mean * factors * lognormal_mean_correction).tolist()
-
-        return itertools.chain.from_iterable(blocks())
+        while True:
+            if service_distribution == "exponential":
+                block = rng.exponential(mean, size=_BLOCK)
+            elif service_distribution == "lognormal":
+                factors = rng.lognormal(0.0, SERVICE_TIME_SIGMA, size=_BLOCK)
+                block = mean * factors * lognormal_mean_correction
+            else:
+                block = np.full(_BLOCK, mean)
+            yield from block.tolist()
 
     service = [service_times(site) for site in sites]
     rtts = [site.network_rtt_s for site in sites]
