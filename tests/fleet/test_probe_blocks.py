@@ -47,7 +47,10 @@ def _scalar_key(policy, site, now_s):
 def simulate_per_request(
     sites, policy, demand_rps, duration_s, seed, queue_penalty_g, service_distribution
 ):
-    """The per-request probe loop: scalar draws and scalar keys."""
+    """The per-request probe loop: scalar draws and scalar keys.
+
+    Also returns the arrival times it routed at, in order.
+    """
     simulator = Simulator()
     streams = RandomStreams(seed=seed)
     recorder = LatencyRecorder()
@@ -78,7 +81,10 @@ def simulate_per_request(
             return mean * factor * lognormal_mean_correction
         return mean
 
+    routed_at = []
+
     def route(now_s):
+        routed_at.append(now_s)
         keys = [_scalar_key(policy, site, now_s) for site in sites]
         if any(key is None for key in keys):
             shares = [
@@ -124,7 +130,7 @@ def simulate_per_request(
     summaries = summarize(recorder, offered={"request": spawned["count"]})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
-    return summaries["request"], served_by_site, recorder
+    return summaries["request"], served_by_site, recorder, routed_at
 
 
 @contextlib.contextmanager
@@ -176,11 +182,21 @@ def _bits(values):
 def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
                                  duration_s, seed, penalty, distribution):
     sites = list(_fleet(fleet))
+    policy = policy_by_name(policy_name, wear_derate)
+    asked = []  # the times each block's keys were computed for
+    keys_for = policy.request_keys
+
+    def request_keys(site, times_s):
+        if site is sites[0]:
+            asked.append(np.array(times_s))
+        return keys_for(site, times_s)
+
+    policy.request_keys = request_keys
 
     def probe():
         return simulate_latency_aware(
             sites,
-            policy_by_name(policy_name, wear_derate),
+            policy,
             demand_rps=demand_rps,
             duration_s=duration_s,
             seed=seed,
@@ -189,7 +205,7 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
         )
 
     try:
-        want_summary, want_served, want_recorder = simulate_per_request(
+        want_summary, want_served, want_recorder, routed_at = simulate_per_request(
             sites, policy_by_name(policy_name, wear_derate),
             demand_rps, duration_s, seed, penalty, distribution,
         )
@@ -205,6 +221,9 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
     )
     assert dataclasses.astuple(summary) == dataclasses.astuple(want_summary)
     assert served == want_served
+    # Keys are computed at the engine's own arrival times, bit for bit.
+    keyed_at = np.concatenate(asked)[: len(routed_at)]
+    assert _bits(keyed_at) == _bits(routed_at)
     return summary
 
 
