@@ -928,14 +928,13 @@ def simulate_latency_aware(
             yield from block.tolist()
 
     service = [service_times(site) for site in sites]
-    rtts = [site.network_rtt_s for site in sites]
 
     def handle(j: int, start_s: float):
         pool = pools[j]
         yield pool.acquire()
         yield Timeout(next(service[j]))
         pool.release()
-        yield Timeout(rtts[j])
+        yield Timeout(sites[j].network_rtt_s)
         recorder.record("request", simulator.now - start_s)
         served[j] += 1
 
