@@ -6,8 +6,9 @@ every :class:`~repro.fleet.reporting.FleetReport` attribute in
 :data:`REPORT_ATTRIBUTES` (stored series and site views alike), every per-site
 :class:`~repro.economics.OwnershipCost` field and the headline CCI and
 $/request, recorded for every registry preset under both churn
-samplers at 2 and 30 days, and for every charging coupling mode.  Any
-change that moves a single bit of a report fails here.
+samplers at 2 and 30 days, for every charging coupling mode, and for the
+forecast dispatch under every bundled model and plan cadence.  Any change
+that moves a single bit of a report fails here.
 
 Re-record (only for a change that is *meant* to move results) with::
 
@@ -50,6 +51,19 @@ SAMPLERS = ("device", "bucket")
 DURATIONS = (2, 30)
 
 COUPLINGS = ("none", "estimate", "dispatch")
+
+#: Forecast variants run four days: a persistence forecast's blind first
+#: day, then 48-hour plans whose tails carry across two midnights.
+FORECAST_DAYS = 4
+
+FORECAST_MODELS = {
+    "perfect": {"forecast.model": "perfect"},
+    "persistence": {"forecast.model": "persistence"},
+    "noisy": {"forecast.model": "noisy", "forecast.noise_sigma": 0.4},
+}
+
+#: ``(horizon_h, refresh_h)`` plan cadences; 24/24 is the preset's own.
+FORECAST_CADENCES = ((24, 24), (24, 6), (48, 48), (48, 30))
 
 #: Every report attribute the digests were recorded over, when each was a
 #: stored field.  Most site series are now views of the pack series; reading
@@ -117,6 +131,43 @@ def _cases():
             "two-site-asymmetric",
             _coupling_overrides(coupling),
         )
+    cases.update(_forecast_cases())
+    return cases
+
+
+def _forecast_cases():
+    """Forecast-dispatch digests: every model and cadence, CSV, mixed sites."""
+    cases = {}
+    for model, model_overrides in FORECAST_MODELS.items():
+        for horizon_h, refresh_h in FORECAST_CADENCES:
+            cases[f"forecast={model}/{horizon_h}h/{refresh_h}h"] = (
+                "forecast-buffer",
+                {
+                    "duration_days": FORECAST_DAYS,
+                    "forecast.horizon_h": horizon_h,
+                    "forecast.refresh_h": refresh_h,
+                    **model_overrides,
+                },
+            )
+    cases["forecast=csv"] = (
+        "forecast-buffer",
+        {
+            "duration_days": FORECAST_DAYS,
+            "forecast.model": "csv",
+            "forecast.csv_path": "caiso_dayahead_sample.csv",
+        },
+    )
+    for model, model_overrides in (("none", {}), *FORECAST_MODELS.items()):
+        if model == "perfect":
+            continue
+        cases[f"heterogeneous-cohorts/forecast={model}"] = (
+            "heterogeneous-cohorts",
+            {
+                "duration_days": FORECAST_DAYS,
+                "charging.coupling": "dispatch",
+                **model_overrides,
+            },
+        )
     return cases
 
 
@@ -178,6 +229,12 @@ class TestCouplingModeIdentity:
     @pytest.mark.parametrize("coupling", COUPLINGS)
     def test_every_coupling_mode_matches_the_serial_reference(self, coupling):
         label = f"coupling={coupling}"
+        assert _digest_case(label) == _recorded()[label], label
+
+
+class TestForecastVariantIdentity:
+    @pytest.mark.parametrize("label", sorted(_forecast_cases()))
+    def test_every_forecast_variant_matches_its_recorded_digest(self, label):
         assert _digest_case(label) == _recorded()[label], label
 
 
