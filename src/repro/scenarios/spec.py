@@ -73,6 +73,21 @@ class ScenarioValidationError(ValueError):
     """A scenario spec is malformed; the message names the offending field."""
 
 
+def _require_finite(spec: Any) -> None:
+    """Refuse a NaN or infinite value in any field of a spec.
+
+    :meth:`ScenarioSpec.from_dict` refuses them first, naming the dotted
+    path; this catches a spec built directly, which would otherwise run,
+    hash and store, and then fail to decode.
+    """
+    for spec_field in dataclasses.fields(spec):
+        value = getattr(spec, spec_field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioValidationError(
+                f"{spec_field.name} must be a finite number, got {value!r}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # Leaf specs
 # ---------------------------------------------------------------------------
@@ -105,6 +120,7 @@ class TraceSpec:
     intensity_g_per_kwh: float = 250.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.kind not in TRACE_KINDS:
             raise ScenarioValidationError(
                 f"kind must be one of {', '.join(TRACE_KINDS)}; got {self.kind!r}"
@@ -135,6 +151,7 @@ class DeviceMixSpec:
     requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.count <= 0:
             raise ScenarioValidationError("count must be positive")
         if self.load_profile not in LOAD_PROFILES:
@@ -173,6 +190,7 @@ class ChurnSpec:
     sampler: str = "device"
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.sampler not in CHURN_SAMPLERS:
             raise ScenarioValidationError(
                 f"sampler must be one of {', '.join(CHURN_SAMPLERS)}; "
@@ -212,6 +230,7 @@ class SiteSpec:
     cohorts: Tuple[DeviceMixSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.name:
             raise ScenarioValidationError("name must be non-empty")
         if self.network_rtt_s < 0:
@@ -254,6 +273,7 @@ class DemandSpec:
     service_distribution: str = "deterministic"
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.mean_rps is not None and self.mean_rps <= 0:
             raise ScenarioValidationError("mean_rps must be positive")
         if not 0.0 < self.fraction_of_capacity <= 1.5:
@@ -291,6 +311,7 @@ class RoutingSpec:
     wear_derate: float = 0.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if not self.policy:
             raise ScenarioValidationError("policy must be non-empty")
         if self.latency_probe_s < 0:
@@ -337,6 +358,7 @@ class ChargingSpec:
     coupling: str = "none"
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.policy not in CHARGING_POLICIES:
             raise ScenarioValidationError(
                 f"policy must be one of {', '.join(CHARGING_POLICIES)}; "
@@ -385,6 +407,7 @@ class ForecastSpec:
     intensity_col: str = "intensity_gco2_per_kwh"
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.model not in FORECAST_MODEL_NAMES:
             raise ScenarioValidationError(
                 f"model must be one of {', '.join(FORECAST_MODEL_NAMES)}; "
@@ -414,6 +437,7 @@ class EconomicsSpec:
     intake_acquisition_usd: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         for name in (
             "electricity_usd_per_kwh",
             "battery_replacement_usd",

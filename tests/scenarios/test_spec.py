@@ -1,6 +1,9 @@
 """ScenarioSpec serialization: round-trips, validation errors, overrides."""
 
+import dataclasses
 import json
+import math
+import typing
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,9 @@ from repro.scenarios import (
     ChurnSpec,
     DemandSpec,
     DeviceMixSpec,
+    EconomicsSpec,
+    ExecutionSpec,
+    ForecastSpec,
     RoutingSpec,
     ScenarioSpec,
     ScenarioValidationError,
@@ -254,6 +260,57 @@ def test_non_finite_float_in_dict_is_rejected():
     data["sites"][0]["network_rtt_s"] = float("nan")
     with pytest.raises(ScenarioValidationError, match=r"sites\.0\.network_rtt_s"):
         ScenarioSpec.from_dict(data)
+
+
+SPEC_CLASSES = (
+    TraceSpec,
+    DeviceMixSpec,
+    ChurnSpec,
+    SiteSpec,
+    DemandSpec,
+    RoutingSpec,
+    ChargingSpec,
+    ForecastSpec,
+    EconomicsSpec,
+    ExecutionSpec,
+    ScenarioSpec,
+)
+
+#: Constructor arguments a spec class cannot default.
+REQUIRED_ARGS = {SiteSpec: {"name": "a"}}
+
+
+def _float_fields():
+    """``(spec class, field name)`` for every float (or optional float) field."""
+    pairs = []
+    for cls in SPEC_CLASSES:
+        hints = typing.get_type_hints(cls)
+        for spec_field in dataclasses.fields(cls):
+            hint = hints[spec_field.name]
+            if hint is float or hint == typing.Optional[float]:
+                pairs.append((cls, spec_field.name))
+    return pairs
+
+
+FLOAT_FIELDS = _float_fields()
+
+
+def test_float_fields_cover_every_spec_with_floats():
+    covered = {cls for cls, _ in FLOAT_FIELDS}
+    assert covered == set(SPEC_CLASSES) - {ExecutionSpec, ScenarioSpec}
+    assert (DemandSpec, "mean_rps") in FLOAT_FIELDS
+    assert (RoutingSpec, "latency_probe_s") in FLOAT_FIELDS
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls, name", FLOAT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n in FLOAT_FIELDS]
+)
+def test_direct_construction_rejects_non_finite_floats(cls, name, value):
+    """A spec built directly refuses what ``from_dict`` refuses, so it can
+    never be run, hashed and stored and then fail to decode."""
+    with pytest.raises(ScenarioValidationError, match=f"{name} must be a finite"):
+        cls(**REQUIRED_ARGS.get(cls, {}), **{name: value})
 
 
 def test_parse_override_types():
