@@ -34,7 +34,6 @@ from repro.fleet.dispatch import (
     DispatchPolicy,
     EnergyLedger,
     ForecastDispatch,
-    GridOnlyDispatch,
     estimate_cohort_savings,
     estimate_fleet_savings,
     estimate_site_savings,
@@ -123,7 +122,6 @@ __all__ = [
     "simulate_latency_aware",
     # dispatch
     "DispatchPolicy",
-    "GridOnlyDispatch",
     "CarbonBufferDispatch",
     "ForecastDispatch",
     "EnergyLedger",

@@ -44,15 +44,17 @@ realise after a full cycle-life crossing.
 
 * :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics
   (:meth:`EnergyLedger.step_block`);
-* :func:`replay_dispatch` — the fleet loop's dispatch pass: one policy and
-  one ledger stepped day by day over a run's recorded inputs;
+* :class:`DispatchPolicy` — one hook, :meth:`DispatchPolicy.day_modes`:
+  given the day index, the previous and current day's intensities, the
+  recorded counts and the ledger's start-of-day SoC, the day's modes;
+* :func:`replay_dispatch` — the fleet loop's dispatch pass: it builds the
+  run's only ledger and steps it and one policy day by day over a run's
+  recorded inputs;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
 * :class:`ForecastDispatch` — the forecast-aware policy: a
   :class:`~repro.forecast.planner.LookaheadPlanner` ranks a forecast window
-  (:mod:`repro.forecast.models`) and emits per-hour setpoints, falling back
-  to :class:`CarbonBufferDispatch` behaviour when no forecast is available;
-* :class:`GridOnlyDispatch` — the do-nothing baseline (batteries stay full,
-  every joule is grid-drawn at the instantaneous intensity);
+  (:mod:`repro.forecast.models`) and emits per-hour setpoints; hours the
+  model cannot forecast hold;
 * :func:`estimate_site_savings` — the detached per-device charging study run
   on one site's device/trace/load context, used by the scenario runner's
   ``coupling="estimate"`` mode so the estimate and the coupled dispatch share
@@ -73,7 +75,6 @@ from repro.fleet.sites import FleetSite, SiteCohort
 if TYPE_CHECKING:  # imported lazily at runtime: repro.forecast imports the
     # DISPATCH_* constants from this module, so a top-level import would cycle.
     from repro.forecast.models import ForecastModel
-    from repro.forecast.planner import LookaheadPlanner
 
 #: Per-hour dispatch modes: hold (grid serves, batteries untouched), charge
 #: (grid serves *and* fills packs), discharge (packs serve device load).
@@ -93,53 +94,32 @@ def site_packs(sites: Sequence[FleetSite]) -> List[Tuple[FleetSite, SiteCohort]]
 
 
 class DispatchPolicy(abc.ABC):
-    """Decides, per hour and site, how the battery ledger participates."""
+    """Decides, per hour and pack, how the battery ledger participates."""
 
     name: str = "dispatch"
     #: SoC floor the ledger never discharges below (backup-power margin).
     min_state_of_charge: float = 0.25
 
-    def make_ledger(self, sites: Sequence[FleetSite]) -> "EnergyLedger":
-        """A fresh ledger for one simulation run."""
-        return EnergyLedger(sites, min_state_of_charge=self.min_state_of_charge)
-
-    @abc.abstractmethod
-    def day_thresholds(
-        self,
-        previous_intensity: Optional[np.ndarray],
-        sites: Sequence[FleetSite],
-    ) -> np.ndarray:
-        """Per-pack charge thresholds (g/kWh) for the coming day.
-
-        Packs are the ``(site, cohort)`` pairs of :func:`site_packs`.
-        ``previous_intensity`` is the previous day's ``(H, C)`` per-pack
-        intensity matrix (``None`` on the first day).  ``nan`` entries opt a
-        pack out of dispatch for the day.
-        """
-
     @abc.abstractmethod
     def day_modes(
-        self, intensity: np.ndarray, thresholds: np.ndarray, counts: np.ndarray
+        self,
+        day: int,
+        sites: Sequence[FleetSite],
+        previous_intensity: Optional[np.ndarray],
+        intensity: np.ndarray,
+        counts: np.ndarray,
+        soc: np.ndarray,
     ) -> np.ndarray:
-        """Dispatch mode per ``(hour, pack)``.
+        """Dispatch mode per ``(hour, pack)`` for day ``day`` of a run.
 
-        ``intensity`` has shape ``(H, C)``; ``thresholds`` and ``counts``
-        (the day-start device count of each pack, recorded while churn was
-        live) have shape ``(C,)``.  Returns an ``(H, C)`` integer array of
-        ``DISPATCH_*`` modes.  Threshold policies ignore ``counts``.
+        Packs are the ``(site, cohort)`` pairs of :func:`site_packs` over
+        ``sites``.  ``intensity`` is the day's ``(H, C)`` per-pack intensity
+        matrix and ``previous_intensity`` the previous day's (``None`` on
+        day 0).  ``counts`` (the day-start device count of each pack,
+        recorded while churn was live) and ``soc`` (the ledger's state of
+        charge at the start of the day) have shape ``(C,)``.  Returns an
+        ``(H, C)`` int8 array of ``DISPATCH_*`` modes.
         """
-
-
-class GridOnlyDispatch(DispatchPolicy):
-    """The decoupled baseline: batteries stay full, everything is grid power."""
-
-    name = "grid-only"
-
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        return np.full(len(site_packs(sites)), np.nan)
-
-    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
-        return np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
 
 
 class CarbonBufferDispatch(DispatchPolicy):
@@ -147,37 +127,29 @@ class CarbonBufferDispatch(DispatchPolicy):
 
     Each day, each pack's threshold is the P-th percentile of its site's
     previous-day intensities (P from *that device type's* charge-time
-    fraction plus ``percentile_margin``, or ``fixed_percentile`` when
-    given — a Nexus 4 pack needs a different charge window than a Pixel 3A
-    pack on the same grid).  Hours at or below the threshold charge the pack
-    from idle headroom; hours above it serve that cohort's device load from
-    the pack down to ``min_state_of_charge``.
+    fraction plus the heuristic's default margin — a Nexus 4 pack needs a
+    different charge window than a Pixel 3A pack on the same grid).  Hours
+    at or below the threshold charge the pack from idle headroom; hours
+    above it serve that cohort's device load from the pack down to
+    ``min_state_of_charge``.  With no previous day, or no battery, a pack
+    holds.
     """
 
     name = "carbon-buffer"
 
-    def __init__(
-        self,
-        min_state_of_charge: float = 0.25,
-        percentile_margin: float = 5.0,
-        fixed_percentile: Optional[float] = None,
-    ) -> None:
+    def __init__(self, min_state_of_charge: float = 0.25) -> None:
         if not 0.0 <= min_state_of_charge < 1.0:
             raise ValueError("min state of charge must be within [0, 1)")
-        if percentile_margin < 0:
-            raise ValueError("percentile margin must be non-negative")
-        if fixed_percentile is not None and not 0.0 <= fixed_percentile <= 100.0:
-            raise ValueError("fixed percentile must be within [0, 100]")
         self.min_state_of_charge = min_state_of_charge
-        self.percentile_margin = percentile_margin
-        self.fixed_percentile = fixed_percentile
 
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        packs = site_packs(sites)
-        thresholds = np.full(len(packs), np.nan)
+    def day_modes(
+        self, day, sites, previous_intensity, intensity, counts, soc
+    ) -> np.ndarray:
+        modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         if previous_intensity is None:
-            return thresholds
-        for j, (site, entry) in enumerate(packs):
+            return modes
+        thresholds = np.full(intensity.shape[1], np.nan)
+        for j, (_, entry) in enumerate(site_packs(sites)):
             battery = entry.device.battery
             if battery is None:
                 continue
@@ -185,16 +157,10 @@ class CarbonBufferDispatch(DispatchPolicy):
                 previous_intensity[:, j],
                 battery,
                 entry.device.average_power_w(entry.cohort.load_profile),
-                percentile_margin=self.percentile_margin,
-                fixed_percentile=self.fixed_percentile,
             )
             if threshold is not None:
                 thresholds[j] = threshold
-        return thresholds
-
-    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
         # nan thresholds compare False on both sides, leaving HOLD in place.
-        modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         modes[intensity <= thresholds] = DISPATCH_CHARGE
         modes[intensity > thresholds] = DISPATCH_DISCHARGE
         return modes
@@ -205,19 +171,20 @@ class ForecastDispatch(DispatchPolicy):
 
     Each day (and each ``refresh_h``-hour boundary within it) the policy asks
     its :class:`~repro.forecast.models.ForecastModel` for an
-    ``horizon_h``-hour intensity window per site and has the
+    ``horizon_h``-hour intensity window per site and has a
     :class:`~repro.forecast.planner.LookaheadPlanner` rank it into hourly
     charge/discharge setpoints: serve the dirtiest forecast hours from the
     pack, fund them by charging at the cleanest — a receding-horizon plan of
-    which only the hours up to the next refresh execute.  Sites (or days)
-    the model cannot forecast fall back to the :class:`CarbonBufferDispatch`
-    percentile heuristic, so a persistence forecaster's blind first day
-    behaves exactly like the paper's heuristic does on its first day.
+    which only the hours up to the next refresh execute.  Hours the model
+    cannot forecast hold, as the paper's previous-day heuristic holds on a
+    day with no history: a persistence forecaster's blind first day holds
+    every pack, and a window that goes blind mid-day keeps its planned
+    prefix and holds the rest.  Battery-less packs always hold.
 
-    The policy is stateful across one simulation run (a day cursor plus the
-    ledger it plans against — its sites and live SoC); :meth:`make_ledger` —
-    called once per run — resets that state, so one policy object can back
-    repeated runs.  :meth:`day_modes` before :meth:`make_ledger` is an error.
+    Plan tails (a ``refresh_h`` window spanning midnight) carry across
+    days, so the policy keeps state across one run; a call with ``day ==
+    0`` starts a new run and resets it, so one policy object can back
+    repeated runs.
 
     ``demand_fraction`` is the planning estimate of utilisation: each hour's
     device-energy demand is estimated at that fraction of the pack's
@@ -236,8 +203,6 @@ class ForecastDispatch(DispatchPolicy):
         refresh_h: int = 24,
         min_state_of_charge: float = 0.25,
         demand_fraction: float = 0.5,
-        planner: Optional["LookaheadPlanner"] = None,
-        fallback: Optional[CarbonBufferDispatch] = None,
     ) -> None:
         from repro.forecast.planner import LookaheadPlanner
 
@@ -257,48 +222,28 @@ class ForecastDispatch(DispatchPolicy):
         self.refresh_h = refresh_h
         self.min_state_of_charge = min_state_of_charge
         self.demand_fraction = demand_fraction
-        self.planner = planner or LookaheadPlanner(
-            min_state_of_charge=min_state_of_charge
-        )
-        self.fallback = fallback or CarbonBufferDispatch(
-            min_state_of_charge=min_state_of_charge
-        )
-        self._ledger: Optional[EnergyLedger] = None
-        self._day = 0
+        self.planner = LookaheadPlanner(min_state_of_charge=min_state_of_charge)
         #: Unexecuted plan tails carried across day boundaries: when
         #: ``refresh_h`` spans multiple days, a plan's hours beyond midnight
         #: wait here and execute before the next forecast refresh — planning
         #: cadence follows ``refresh_h``, not the simulation's day batching.
         self._pending: Dict[int, np.ndarray] = {}
-        #: Per-run observability counter: (pack, day) pairs that fell back to
-        #: the percentile heuristic because the model was blind for the whole
-        #: day (e.g. a persistence forecast's first day).  Battery-less packs
-        #: — which never had a plan to fall back from — do not count.
+        #: Per-run observability counter: (pack, day) pairs held because the
+        #: model was blind for the whole day (e.g. a persistence forecast's
+        #: first day).  Battery-less packs, which never plan, do not count.
         self.fallback_pack_days = 0
 
-    def make_ledger(self, sites: Sequence[FleetSite]) -> "EnergyLedger":
-        """A fresh ledger — and a reset of the policy's per-run plan state."""
-        self._ledger = EnergyLedger(
-            sites, min_state_of_charge=self.min_state_of_charge
-        )
-        self._day = 0
-        self._pending = {}
-        self.fallback_pack_days = 0
-        return self._ledger
-
-    def day_thresholds(self, previous_intensity, sites) -> np.ndarray:
-        return self.fallback.day_thresholds(previous_intensity, sites)
-
-    def day_modes(self, intensity, thresholds, counts) -> np.ndarray:
-        if self._ledger is None:
-            raise RuntimeError(
-                "ForecastDispatch.day_modes needs make_ledger(sites) first"
-            )
+    def day_modes(
+        self, day, sites, previous_intensity, intensity, counts, soc
+    ) -> np.ndarray:
+        if day == 0:
+            self._pending = {}
+            self.fallback_pack_days = 0
         hours = intensity.shape[0]
-        modes = self.fallback.day_modes(intensity, thresholds, counts)
-        day_start_s = self._day * hours * units.SECONDS_PER_HOUR
+        modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
+        day_start_s = day * hours * units.SECONDS_PER_HOUR
         pack_index = 0
-        for site_index, site in enumerate(self._ledger.sites):
+        for site_index, site in enumerate(sites):
             for entry in site.cohorts:
                 planned = self._plan_pack_day(
                     site,
@@ -308,11 +253,11 @@ class ForecastDispatch(DispatchPolicy):
                     day_start_s,
                     hours,
                     int(counts[pack_index]),
+                    float(soc[pack_index]),
                 )
                 if planned is not None:
                     modes[:, pack_index] = planned
                 pack_index += 1
-        self._day += 1
         return modes
 
     # -- per-pack planning -------------------------------------------------
@@ -326,8 +271,9 @@ class ForecastDispatch(DispatchPolicy):
         day_start_s: float,
         hours: int,
         count: int,
+        soc: float,
     ) -> Optional[np.ndarray]:
-        """One pack's planned modes for the day, or ``None`` to fall back.
+        """One pack's planned modes for the day; ``None`` for an empty pack.
 
         The forecast window is keyed on the *site* index — every
         pack at a mixed site plans against the same forecast of their shared
@@ -349,7 +295,6 @@ class ForecastDispatch(DispatchPolicy):
             * (1.0 - self.demand_fraction)
             * units.SECONDS_PER_HOUR
         )
-        soc = float(self._ledger.soc[pack_index])
         planned = np.full(hours, DISPATCH_HOLD, dtype=np.int8)
         covered = 0
         pending = self._pending.pop(pack_index, None)
@@ -375,10 +320,8 @@ class ForecastDispatch(DispatchPolicy):
             )
             if window is None:
                 if covered == 0:
-                    # Whole day blind: the fallback heuristic runs this pack.
                     self.fallback_pack_days += 1
-                    return None
-                break  # keep the planned prefix, hold the blind remainder
+                break  # keep any planned prefix, hold the blind remainder
             demand_j = np.full(self.horizon_h, demand_step_j)
             plan = self.planner.plan_window(
                 window, demand_j, capacity_j, charge_step_j, soc
@@ -394,7 +337,7 @@ class ForecastDispatch(DispatchPolicy):
                 chunk[:take], demand_j[:take], capacity_j, charge_step_j, soc
             )
             covered += take
-        return planned if covered else None
+        return planned
 
     def _estimated_demand_j(self, entry: SiteCohort, count: int) -> float:
         """Estimated device energy (J) one hour of serving ``count`` devices needs."""
@@ -544,10 +487,10 @@ def replay_dispatch(
     only consumes what that pass left behind.  All matrices are ``(n_steps,
     n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
     device counts, from which each day's pack capabilities are re-derived
-    bit for bit.  Each day the policy sets thresholds from the previous
-    day's intensity, plans its modes against that day's counts (forecast
-    policies also read the ledger's SoC here), and the ledger steps that
-    day's rows.
+    bit for bit.  The replay builds the run's one :class:`EnergyLedger`;
+    each day the policy sets that day's modes from the day index, the
+    previous day's intensity, the day's counts and the ledger's SoC at the
+    start of the day, and the ledger steps the day's rows.
 
     Returns ``(battery_j, charge_j, soc, shortfall_j)``; ``shortfall_j`` is
     the per-``(hour, pack)`` discharge energy the ledger could not deliver
@@ -556,7 +499,7 @@ def replay_dispatch(
     n_steps, n_packs = intensity.shape
     n_days = counts_day.shape[0]
     hours_per_day = n_steps // n_days
-    ledger = dispatch.make_ledger(sites)
+    ledger = EnergyLedger(sites, min_state_of_charge=dispatch.min_state_of_charge)
     modes = np.empty((n_steps, n_packs), dtype=np.int8)
     battery_j = np.empty((n_steps, n_packs))
     charge_j = np.empty((n_steps, n_packs))
@@ -564,9 +507,13 @@ def replay_dispatch(
     previous_intensity: Optional[np.ndarray] = None
     for day in range(n_days):
         rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
-        thresholds = dispatch.day_thresholds(previous_intensity, sites)
         modes[rows] = dispatch.day_modes(
-            intensity[rows], thresholds, counts_day[day]
+            day,
+            sites,
+            previous_intensity,
+            intensity[rows],
+            counts_day[day],
+            ledger.soc,
         )
         capacity_j, charge_rate_w = ledger.day_capabilities(counts_day[day])
         battery_j[rows], charge_j[rows], soc[rows] = ledger.step_block(

@@ -542,7 +542,7 @@ class FleetSimulation:
                     cohort_charge_kwh=cohort_charge_kwh,
                     cohort_soc=cohort_soc,
                     min_soc=(
-                        getattr(self.dispatch, "min_state_of_charge", None)
+                        self.dispatch.min_state_of_charge
                         if self.dispatch is not None
                         else None
                     ),

@@ -21,7 +21,8 @@ fidelity axis the ROADMAP's "Dispatch lookahead" item asks about:
   hours, independent of the site's own trace.
 
 A model returns ``None`` when it cannot forecast a window (persistence on the
-first simulated day); consumers fall back to the non-forecast heuristic.
+first simulated day); the dispatch holds every pack over a blind window, as
+the paper's previous-day heuristic holds on a day with no history.
 All models are deterministic: the noisy oracle derives its RNG from
 ``(seed, site_index, window start)``, so the same window is perturbed the
 same way regardless of call order or process.
@@ -62,8 +63,9 @@ class ForecastModel(abc.ABC):
         Samples are taken at the start of each forecast hour, matching the
         fleet scheduler's hourly grid lookups; the trace wraps end-to-end so
         windows may extend past the trace like the simulation itself does.
-        Returns ``None`` when the model has no basis to forecast this window
-        (callers then fall back to non-forecast behaviour).
+        Returns ``None`` when the model has no basis to forecast this window;
+        :class:`~repro.fleet.dispatch.ForecastDispatch` then holds the pack
+        (no charge, no discharge) over the hours the window would cover.
         """
 
     def _hour_starts(self, start_s: float, horizon_h: int) -> np.ndarray:

@@ -40,23 +40,12 @@ class LookaheadPlanner:
     min_state_of_charge:
         The SoC floor the plan budgets discharge against (the same floor the
         executing ledger enforces).
-    funding_margin:
-        Relative intensity margin a charge hour must clear to fund a
-        discharge hour: charging at ``c`` to discharge at ``d`` is only
-        planned when ``forecast[c] * (1 + funding_margin) < forecast[d]``.
-        ``0`` (the default) plans any strictly profitable pairing; raise it
-        to demand a larger spread before cycling the packs.
     """
 
-    def __init__(
-        self, min_state_of_charge: float = 0.25, funding_margin: float = 0.0
-    ) -> None:
+    def __init__(self, min_state_of_charge: float = 0.25) -> None:
         if not 0.0 <= min_state_of_charge < 1.0:
             raise ValueError("min state of charge must be within [0, 1)")
-        if funding_margin < 0:
-            raise ValueError("funding margin must be non-negative")
         self.min_state_of_charge = min_state_of_charge
-        self.funding_margin = funding_margin
 
     def plan_window(
         self,
@@ -80,9 +69,8 @@ class LookaheadPlanner:
         above the floor, plus charging planned so far) covers it; when the
         budget runs short, the cleanest still-unclaimed hours are marked as
         charge hours to fund it — but only while they are strictly cleaner
-        (beyond ``funding_margin``) than the hour they fund.  Once no
-        profitable funding remains and the budget is spent, every remaining
-        (cleaner) hour holds.
+        than the hour they fund.  Once no profitable funding remains and the
+        budget is spent, every remaining (cleaner) hour holds.
         """
         forecast = np.asarray(forecast, dtype=float)
         demand = np.asarray(demand_j, dtype=float)
@@ -112,7 +100,7 @@ class LookaheadPlanner:
                 continue
             while budget_j < demand[d] and clean_first:
                 c = clean_first[0]
-                if forecast[c] * (1.0 + self.funding_margin) >= forecast[d]:
+                if forecast[c] >= forecast[d]:
                     break  # no hour cleaner than this discharge remains
                 clean_first.popleft()
                 if c == d or modes[c] != DISPATCH_HOLD:

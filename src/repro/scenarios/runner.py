@@ -351,8 +351,8 @@ class ScenarioRunner:
 
         Without a forecast model the coupled dispatch runs the paper's
         previous-day percentile heuristic; with one, the forecast-aware
-        lookahead planner takes over (and the heuristic remains its
-        fallback for windows the model cannot forecast).
+        lookahead planner takes over (and packs hold over windows the
+        model cannot forecast).
         """
         if self.spec.charging.coupling != "dispatch":
             return None

@@ -12,7 +12,6 @@ from repro.fleet import (
     EnergyLedger,
     FleetSimulation,
     GreedyLowestIntensityRouting,
-    GridOnlyDispatch,
     RoundRobinRouting,
     two_site_asymmetric_fleet,
 )
@@ -145,13 +144,6 @@ class TestCarbonBuffer:
         assert np.all(report.charge_kwh[:24] == 0)
         assert np.all(report.soc[:24] == 1.0)
 
-    def test_grid_only_dispatch_matches_no_dispatch(self, reports):
-        grid_only = _run(GridOnlyDispatch())
-        baseline = reports["none"]
-        assert np.allclose(grid_only.operational_g, baseline.operational_g)
-        assert np.all(grid_only.battery_kwh == 0)
-        assert np.all(grid_only.soc == 1.0)
-
     def test_undispatched_report_has_degenerate_series(self, reports):
         report = reports["none"]
         assert np.allclose(report.grid_kwh, report.energy_kwh)
@@ -258,10 +250,6 @@ class TestEnergyLedger:
             EnergyLedger([site], initial_soc=0.1, min_state_of_charge=0.25)
         with pytest.raises(ValueError):
             CarbonBufferDispatch(min_state_of_charge=-0.1)
-        with pytest.raises(ValueError):
-            CarbonBufferDispatch(percentile_margin=-1.0)
-        with pytest.raises(ValueError):
-            CarbonBufferDispatch(fixed_percentile=101.0)
 
 
 # ---------------------------------------------------------------------------

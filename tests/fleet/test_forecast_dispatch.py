@@ -11,9 +11,11 @@ from repro.fleet import (
     GreedyLowestIntensityRouting,
     two_site_asymmetric_fleet,
 )
-from repro.fleet.dispatch import DISPATCH_DISCHARGE
+from repro import units
+from repro.fleet.dispatch import DISPATCH_CHARGE, DISPATCH_DISCHARGE
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
 from repro.forecast import (
+    ForecastModel,
     NoisyOracleForecast,
     PerfectForecast,
     PersistenceForecast,
@@ -87,7 +89,7 @@ class TestForecastDispatch:
         assert first.fleet_cci_g_per_request() == second.fleet_cci_g_per_request()
 
     def test_policy_object_is_reusable_across_runs(self):
-        """make_ledger resets the day cursor, so one policy can re-run."""
+        """A day-0 call resets the plan state, so one policy can re-run."""
         dispatch = ForecastDispatch(PerfectForecast())
         first = _run(dispatch)
         second = _run(dispatch)
@@ -95,18 +97,29 @@ class TestForecastDispatch:
         assert np.array_equal(first.soc, second.soc)
 
     def test_plans_against_the_ledger_sites(self):
-        """Sites come from make_ledger; day_modes needs no day_thresholds call."""
+        """day_modes plans the given sites from the SoC it is handed."""
         sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
         dispatch = ForecastDispatch(PerfectForecast())
         intensity = np.full((24, 2), 300.0)
-        no_thresholds = np.full(2, np.nan)
         counts = np.array([N_DEVICES, N_DEVICES])
-        with pytest.raises(RuntimeError, match="make_ledger"):
-            dispatch.day_modes(intensity, no_thresholds, counts)
-        dispatch.make_ledger(sites)
-        modes = dispatch.day_modes(intensity, no_thresholds, counts)
-        # The nan thresholds would leave the fallback at HOLD everywhere.
-        assert np.any(modes == DISPATCH_DISCHARGE, axis=0).all()
+
+        def modes_at(soc):
+            return dispatch.day_modes(
+                0, sites, None, intensity, counts, np.full(2, soc)
+            )
+
+        full = modes_at(1.0)
+        # The flat recorded intensity gives no spread: the plan comes from
+        # the forecast of each site's own trace.
+        assert np.any(full == DISPATCH_DISCHARGE, axis=0).all()
+        # A pack at its floor has no stored energy: it charges more hours
+        # and serves fewer than a full one.
+        floor = modes_at(0.25)
+        for mode, fewer, more in (
+            (DISPATCH_DISCHARGE, floor, full),
+            (DISPATCH_CHARGE, full, floor),
+        ):
+            assert np.all((fewer == mode).sum(axis=0) < (more == mode).sum(axis=0))
 
     def test_refresh_within_the_day(self):
         report = _run(ForecastDispatch(PerfectForecast(), horizon_h=24, refresh_h=6))
@@ -191,12 +204,41 @@ class TestMultiDayRefreshCadence:
     def test_sub_day_refresh_matches_daily_replans(self):
         """A refresh dividing 24h never stores a pending tail, so the
         carried-tail rework must leave its series untouched relative to a
-        fresh policy object run twice (state resets via make_ledger)."""
+        fresh policy object run twice (state resets on each run's day 0)."""
         dispatch = ForecastDispatch(PerfectForecast(), horizon_h=24, refresh_h=24)
         first = _run(dispatch)
         second = _run(ForecastDispatch(PerfectForecast()))
         assert np.array_equal(first.battery_kwh, second.battery_kwh)
         assert np.array_equal(first.charge_kwh, second.charge_kwh)
+
+
+class _BlindOnDay(ForecastModel):
+    """The oracle, except that every window starting on ``blind_day`` is blind."""
+
+    def __init__(self, blind_day):
+        self.blind_day = blind_day
+        self.inner = PerfectForecast()
+
+    def window(self, trace, start_s, horizon_h, site_index=0):
+        if int(start_s // units.SECONDS_PER_DAY) == self.blind_day:
+            return None
+        return self.inner.window(trace, start_s, horizon_h, site_index=site_index)
+
+
+class TestBlindDays:
+    def test_a_blind_day_after_the_first_holds_every_pack(self):
+        dispatch = ForecastDispatch(_BlindOnDay(1))
+        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        report = FleetSimulation(
+            sites, GreedyLowestIntensityRouting(), DEMAND, dispatch=dispatch
+        ).run(3)
+        blind = slice(24, 48)
+        assert np.all(report.cohort_battery_kwh[blind] == 0)
+        assert np.all(report.cohort_charge_kwh[blind] == 0)
+        assert np.all(report.cohort_soc[blind] == report.cohort_soc[23])
+        assert report.cohort_battery_kwh[:24].sum() > 0
+        assert report.cohort_battery_kwh[48:].sum() > 0
+        assert dispatch.fallback_pack_days == 2  # two packs, one blind day
 
 
 class TestRegretAccounting:

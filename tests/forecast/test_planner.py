@@ -73,8 +73,6 @@ class TestPlanWindow:
     def test_validation(self):
         with pytest.raises(ValueError, match="min state of charge"):
             LookaheadPlanner(min_state_of_charge=1.5)
-        with pytest.raises(ValueError, match="funding margin"):
-            LookaheadPlanner(funding_margin=-0.1)
         planner = LookaheadPlanner()
         with pytest.raises(ValueError, match="one-dimensional"):
             planner.plan_window(np.ones((2, 2)), np.ones((2, 2)), 1.0, 1.0, 1.0)
@@ -85,12 +83,11 @@ class TestPlanWindow:
         with pytest.raises(ValueError, match="non-negative"):
             planner.plan_window(np.ones(2), np.array([1.0, -1.0]), 1.0, 1.0, 1.0)
 
-    def test_funding_margin_raises_the_bar(self):
-        forecast = [100.0, 109.0]
-        eager = plan(forecast, soc=0.25, demand=2_000.0, funding_margin=0.0)
-        assert eager[1] == DISPATCH_DISCHARGE and eager[0] == DISPATCH_CHARGE
-        picky = plan(forecast, soc=0.25, demand=2_000.0, funding_margin=0.2)
-        assert np.all(picky == DISPATCH_HOLD)
+    def test_only_a_strictly_cleaner_hour_funds_a_discharge(self):
+        funded = plan([100.0, 109.0], soc=0.25, demand=2_000.0)
+        assert funded[1] == DISPATCH_DISCHARGE and funded[0] == DISPATCH_CHARGE
+        tied = plan([100.0, 100.0], soc=0.25, demand=2_000.0)
+        assert np.all(tied == DISPATCH_HOLD)
 
 
 class TestProjection:
