@@ -6,9 +6,11 @@ every :class:`~repro.fleet.reporting.FleetReport` attribute in
 :data:`REPORT_ATTRIBUTES` (stored series and site views alike), every per-site
 :class:`~repro.economics.OwnershipCost` field and the headline CCI and
 $/request, recorded for every registry preset under both churn
-samplers at 2 and 30 days, for every charging coupling mode, and for the
-forecast dispatch under every bundled model and plan cadence.  Any change
-that moves a single bit of a report fails here.
+samplers at 2 and 30 days, for every charging coupling mode, for the
+forecast dispatch under every bundled model and plan cadence, and for the
+pack capabilities a plain preset never varies: a battery-less pack, a wear
+derate, and device counts that change every day under the forecast
+planner.  Any change that moves a single bit of a report fails here.
 
 Re-record (only for a change that is *meant* to move results) with::
 
@@ -132,6 +134,7 @@ def _cases():
             _coupling_overrides(coupling),
         )
     cases.update(_forecast_cases())
+    cases.update(_capability_cases())
     return cases
 
 
@@ -166,6 +169,57 @@ def _forecast_cases():
                 "duration_days": FORECAST_DAYS,
                 "charging.coupling": "dispatch",
                 **model_overrides,
+            },
+        )
+    return cases
+
+
+#: A mixed site whose second cohort is a battery-less server rack.
+BATTERY_LESS_COHORT = {
+    "sites.0.cohorts.1.device": "HP ProLiant DL380 G6",
+    "sites.0.cohorts.1.count": 4,
+    "sites.0.cohorts.1.requests_per_device_s": 200,
+}
+
+#: Failures outpace a supply-constrained intake, so pack counts move from
+#: day to day (with the default intake, spares refill every failure the
+#: same day and the day-start counts never change).
+HEAVY_CHURN = {
+    "churn.annual_failure_rate": 3.0,
+    "churn.age_acceleration_per_year": 6.0,
+    "churn.intake_per_day": 0.5,
+}
+
+
+def _capability_cases():
+    """Digests over the per-pack capabilities: a battery-less pack, a wear
+    derate, and daily-changing counts under the forecast planner."""
+    cases = {}
+    for model, model_overrides in (
+        ("none", {}),
+        ("noisy", FORECAST_MODELS["noisy"]),
+    ):
+        cases[f"heterogeneous-cohorts/battery-less/forecast={model}"] = (
+            "heterogeneous-cohorts",
+            {
+                "duration_days": FORECAST_DAYS,
+                "charging.coupling": "dispatch",
+                **BATTERY_LESS_COHORT,
+                **model_overrides,
+            },
+        )
+    cases["carbon-buffer/wear-derate=0.5/30d"] = (
+        "carbon-buffer",
+        {"duration_days": 30, "routing.wear_derate": 0.5},
+    )
+    for sampler, model in (("device", "noisy"), ("bucket", "persistence")):
+        cases[f"forecast-buffer/heavy-churn/{sampler}/forecast={model}/30d"] = (
+            "forecast-buffer",
+            {
+                "duration_days": 30,
+                "churn.sampler": sampler,
+                **HEAVY_CHURN,
+                **FORECAST_MODELS[model],
             },
         )
     return cases
@@ -235,6 +289,12 @@ class TestCouplingModeIdentity:
 class TestForecastVariantIdentity:
     @pytest.mark.parametrize("label", sorted(_forecast_cases()))
     def test_every_forecast_variant_matches_its_recorded_digest(self, label):
+        assert _digest_case(label) == _recorded()[label], label
+
+
+class TestPackCapabilityIdentity:
+    @pytest.mark.parametrize("label", sorted(_capability_cases()))
+    def test_every_capability_case_matches_its_recorded_digest(self, label):
         assert _digest_case(label) == _recorded()[label], label
 
 
