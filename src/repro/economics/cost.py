@@ -168,44 +168,6 @@ class FleetCostModel:
         acquisition_usd = devices_deployed * self.acquisition_usd_per_device
         return labor_usd + parts_usd + acquisition_usd
 
-    def scenario_cost(
-        self,
-        duration_days: float,
-        battery_swaps: int = 0,
-        devices_deployed: int = 0,
-        energy_kwh: Optional[float] = None,
-        battery_throughput_kwh: float = 0.0,
-    ) -> OwnershipCost:
-        """Ownership cost over a scenario horizon, with churn as maintenance.
-
-        Unlike :meth:`cost`, which estimates battery replacements from the
-        device's nominal cycling rate, this variant consumes the *measured*
-        quantities of a fleet simulation — the churn counters and, when
-        ``energy_kwh`` is given, the realised site energy (live device
-        counts at routed utilisation, the same series the carbon ledger
-        integrated) — so the dollars track exactly what the carbon tracked.
-        Without ``energy_kwh`` the electricity term falls back to the
-        nominal full-fleet draw at the load profile's average utilisation.
-        ``battery_throughput_kwh`` is the dispatch ledger's discharge
-        throughput, priced as pro-rated pack wear on top of the realised
-        churn.
-        """
-        if duration_days <= 0:
-            raise ValueError("duration must be positive")
-        if energy_kwh is None:
-            energy_kwh = units.joules_to_kwh(
-                self.average_power_w() * duration_days * units.SECONDS_PER_DAY
-            )
-        elif energy_kwh < 0:
-            raise ValueError("energy must be non-negative")
-        return OwnershipCost(
-            purchase_usd=self.n_devices * self.device.purchase_price_usd,
-            peripherals_usd=self.peripherals.total_cost_usd,
-            energy_usd=energy_kwh * self.electricity_usd_per_kwh,
-            maintenance_usd=self.churn_cost_usd(battery_swaps, devices_deployed)
-            + self.battery_wear_cost_usd(battery_throughput_kwh),
-        )
-
 
 @dataclass(frozen=True)
 class CloudRentalCostModel:

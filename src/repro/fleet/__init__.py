@@ -34,6 +34,7 @@ from repro.fleet.dispatch import (
     DispatchPolicy,
     EnergyLedger,
     ForecastDispatch,
+    PackTable,
     estimate_cohort_savings,
     estimate_fleet_savings,
     estimate_site_savings,
@@ -125,6 +126,7 @@ __all__ = [
     "CarbonBufferDispatch",
     "ForecastDispatch",
     "EnergyLedger",
+    "PackTable",
     "site_packs",
     "estimate_cohort_savings",
     "estimate_site_savings",

@@ -19,8 +19,9 @@ Dispatch runs as a replay: the fleet loop routes and churns first, recording
 each day's start-of-day device count per pack, and :func:`replay_dispatch`
 then steps the policy and the ledger over those recordings.  Every
 count-dependent term — pack capacity, charge rate, a forecast policy's
-demand estimate — is derived from the recorded counts, never from the live
-cohort populations, which by then have moved on.
+demand estimate — is one array product of the recorded counts with a
+:class:`PackTable` of per-device constants, never read from the live cohort
+populations, which by then have moved on.
 
 The decision reuses the paper's charging heuristic at trace level
 (:func:`repro.charging.smart_charging.threshold_from_intensities`): the
@@ -42,11 +43,15 @@ pack wear (:meth:`~repro.economics.cost.FleetCostModel.battery_wear_cost_usd`),
 surfacing the marginal wear cost that the discrete swap counters only
 realise after a full cycle-life crossing.
 
+* :class:`PackTable` — one ``(C,)`` array per per-device constant (site
+  index, request rate, idle power, dynamic energy per request, battery
+  joules, charge watts, has-battery), built once per fleet simulation;
 * :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics
   (:meth:`EnergyLedger.step_block`);
 * :class:`DispatchPolicy` — one hook, :meth:`DispatchPolicy.day_modes`:
-  given the day index, the previous and current day's intensities, the
-  recorded counts and the ledger's start-of-day SoC, the day's modes;
+  given the day index, the pack table, the previous and current day's
+  intensities, the recorded counts and the ledger's start-of-day SoC, the
+  day's modes;
 * :func:`replay_dispatch` — the fleet loop's dispatch pass: it builds the
   run's only ledger and steps it and one policy day by day over a run's
   recorded inputs;
@@ -64,6 +69,7 @@ realise after a full cycle-life crossing.
 from __future__ import annotations
 
 import abc
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,6 +99,63 @@ def site_packs(sites: Sequence[FleetSite]) -> List[Tuple[FleetSite, SiteCohort]]
     return [(site, entry) for site in sites for entry in site.cohorts]
 
 
+@dataclass(frozen=True, eq=False)
+class PackTable:
+    """Every pack's per-device constants, one ``(C,)`` array per quantity.
+
+    Columns follow :func:`site_packs` over ``sites``.  Each count-dependent
+    capability is one product with a day's counts — ``counts *
+    packs.battery_j`` is the packs' aggregate battery capacity, ``counts *
+    packs.requests_per_device_s`` their request capacity — and equals the
+    scalar ``count * constant`` of each pack bit for bit.  Battery-less
+    packs carry ``0.0`` battery joules and charge watts.
+    """
+
+    sites: Tuple[FleetSite, ...]
+    #: Index into ``sites`` of each pack's site.
+    site_index: np.ndarray
+    requests_per_device_s: np.ndarray
+    #: Per-device idle draw (W).
+    idle_w: np.ndarray
+    #: Dynamic energy (J) of one request on one device.
+    dynamic_j: np.ndarray
+    #: Per-device battery capacity (J) and rated charge power (W).
+    battery_j: np.ndarray
+    charge_w: np.ndarray
+    has_battery: np.ndarray
+
+    @classmethod
+    def from_sites(cls, sites: Sequence[FleetSite]) -> "PackTable":
+        """The table of every ``(site, cohort)`` pack of ``sites``."""
+        sites = tuple(sites)
+        entries = [entry for site in sites for entry in site.cohorts]
+        batteries = [entry.device.battery for entry in entries]
+        return cls(
+            sites=sites,
+            site_index=np.array(
+                [index for index, site in enumerate(sites) for _ in site.cohorts],
+                dtype=np.int64,
+            ),
+            requests_per_device_s=np.fromiter(
+                (e.requests_per_device_s for e in entries), float
+            ),
+            idle_w=np.fromiter((e.idle_power_w for e in entries), float),
+            dynamic_j=np.fromiter(
+                (e.dynamic_energy_per_request_j for e in entries), float
+            ),
+            battery_j=np.fromiter(
+                (0.0 if b is None else b.capacity_joules for b in batteries), float
+            ),
+            charge_w=np.fromiter(
+                (0.0 if b is None else b.charge_rate_w for b in batteries), float
+            ),
+            has_battery=np.fromiter((b is not None for b in batteries), bool),
+        )
+
+    def __len__(self) -> int:
+        return self.site_index.shape[0]
+
+
 class DispatchPolicy(abc.ABC):
     """Decides, per hour and pack, how the battery ledger participates."""
 
@@ -104,7 +167,7 @@ class DispatchPolicy(abc.ABC):
     def day_modes(
         self,
         day: int,
-        sites: Sequence[FleetSite],
+        packs: PackTable,
         previous_intensity: Optional[np.ndarray],
         intensity: np.ndarray,
         counts: np.ndarray,
@@ -112,8 +175,9 @@ class DispatchPolicy(abc.ABC):
     ) -> np.ndarray:
         """Dispatch mode per ``(hour, pack)`` for day ``day`` of a run.
 
-        Packs are the ``(site, cohort)`` pairs of :func:`site_packs` over
-        ``sites``.  ``intensity`` is the day's ``(H, C)`` per-pack intensity
+        ``packs`` is the run's :class:`PackTable` (its ``sites`` give the
+        ``(site, cohort)`` pairs of :func:`site_packs`).  ``intensity`` is
+        the day's ``(H, C)`` per-pack intensity
         matrix and ``previous_intensity`` the previous day's (``None`` on
         day 0).  ``counts`` (the day-start device count of each pack,
         recorded while churn was live) and ``soc`` (the ledger's state of
@@ -143,13 +207,13 @@ class CarbonBufferDispatch(DispatchPolicy):
         self.min_state_of_charge = min_state_of_charge
 
     def day_modes(
-        self, day, sites, previous_intensity, intensity, counts, soc
+        self, day, packs, previous_intensity, intensity, counts, soc
     ) -> np.ndarray:
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         if previous_intensity is None:
             return modes
         thresholds = np.full(intensity.shape[1], np.nan)
-        for j, (_, entry) in enumerate(site_packs(sites)):
+        for j, (_, entry) in enumerate(site_packs(packs.sites)):
             battery = entry.device.battery
             if battery is None:
                 continue
@@ -234,7 +298,7 @@ class ForecastDispatch(DispatchPolicy):
         self.fallback_pack_days = 0
 
     def day_modes(
-        self, day, sites, previous_intensity, intensity, counts, soc
+        self, day, packs, previous_intensity, intensity, counts, soc
     ) -> np.ndarray:
         if day == 0:
             self._pending = {}
@@ -242,22 +306,32 @@ class ForecastDispatch(DispatchPolicy):
         hours = intensity.shape[0]
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         day_start_s = day * hours * units.SECONDS_PER_HOUR
-        pack_index = 0
-        for site_index, site in enumerate(sites):
-            for entry in site.cohorts:
-                planned = self._plan_pack_day(
-                    site,
-                    entry,
-                    pack_index,
-                    site_index,
-                    day_start_s,
-                    hours,
-                    int(counts[pack_index]),
-                    float(soc[pack_index]),
-                )
-                if planned is not None:
-                    modes[:, pack_index] = planned
-                pack_index += 1
+        # Every pack's planning inputs in one pass: capacity and charge
+        # step from the day's counts, and the estimated hourly device
+        # energy (idle floor plus dynamic energy) at ``demand_fraction`` of
+        # the packs' request capacity.  The report digests lock the order
+        # of these operations.
+        capacity_j = counts * packs.battery_j
+        charge_step_j = (
+            counts * packs.charge_w * (1.0 - self.demand_fraction)
+            * units.SECONDS_PER_HOUR
+        )
+        served_rps = self.demand_fraction * (counts * packs.requests_per_device_s)
+        power_w = counts * packs.idle_w + served_rps * packs.dynamic_j
+        demand_step_j = np.maximum(0.0, power_w) * units.SECONDS_PER_HOUR
+        for j in np.flatnonzero(packs.has_battery & (capacity_j > 0)).tolist():
+            site_index = int(packs.site_index[j])
+            modes[:, j] = self._plan_pack_day(
+                packs.sites[site_index],
+                j,
+                site_index,
+                day_start_s,
+                hours,
+                float(capacity_j[j]),
+                float(charge_step_j[j]),
+                float(demand_step_j[j]),
+                float(soc[j]),
+            )
         return modes
 
     # -- per-pack planning -------------------------------------------------
@@ -265,15 +339,16 @@ class ForecastDispatch(DispatchPolicy):
     def _plan_pack_day(
         self,
         site: FleetSite,
-        entry: SiteCohort,
         pack_index: int,
         site_index: int,
         day_start_s: float,
         hours: int,
-        count: int,
+        capacity_j: float,
+        charge_step_j: float,
+        demand_step_j: float,
         soc: float,
-    ) -> Optional[np.ndarray]:
-        """One pack's planned modes for the day; ``None`` for an empty pack.
+    ) -> np.ndarray:
+        """One battery-backed, non-empty pack's planned modes for the day.
 
         The forecast window is keyed on the *site* index — every
         pack at a mixed site plans against the same forecast of their shared
@@ -286,15 +361,6 @@ class ForecastDispatch(DispatchPolicy):
         calls the model every other day instead of silently replanning at
         every midnight (locked by a planner-call-count regression test).
         """
-        capacity_j = entry.battery_capacity_j_at(count)
-        if entry.device.battery is None or capacity_j <= 0:
-            return None
-        demand_step_j = self._estimated_demand_j(entry, count)
-        charge_step_j = (
-            entry.battery_charge_rate_w_at(count)
-            * (1.0 - self.demand_fraction)
-            * units.SECONDS_PER_HOUR
-        )
         planned = np.full(hours, DISPATCH_HOLD, dtype=np.int8)
         covered = 0
         pending = self._pending.pop(pack_index, None)
@@ -339,20 +405,14 @@ class ForecastDispatch(DispatchPolicy):
             covered += take
         return planned
 
-    def _estimated_demand_j(self, entry: SiteCohort, count: int) -> float:
-        """Estimated device energy (J) one hour of serving ``count`` devices needs."""
-        served_rps = self.demand_fraction * entry.capacity_rps_at(count)
-        power_w = entry.device_power_w_at(count, served_rps)
-        return max(0.0, power_w) * units.SECONDS_PER_HOUR
-
 
 class EnergyLedger:
     """Per-device-type battery state and the hourly dispatch physics.
 
-    Ledger columns are *packs*: one ``(site, cohort)`` entry per device type
-    per site (:func:`site_packs`), so a mixed Pixel 3A / Nexus 4 site tracks
-    two independent SoC fractions with their own capacities and charge
-    rates.  State-of-charge is a *fraction* per pack: every live device of a
+    Ledger columns are the *packs* of a :class:`PackTable`: one ``(site,
+    cohort)`` entry per device type per site, so a mixed Pixel 3A / Nexus 4
+    site tracks two independent SoC fractions with their own capacities and
+    charge rates.  State-of-charge is a *fraction* per pack: every live device of a
     type carries its own battery at the cohort-wide SoC, so the aggregate
     capacity follows the live device count through churn while the fraction
     is preserved (a failed device leaves with its pack; a fresh spare
@@ -361,7 +421,7 @@ class EnergyLedger:
 
     def __init__(
         self,
-        sites: Sequence[FleetSite],
+        packs: PackTable,
         min_state_of_charge: float = 0.25,
         initial_soc: float = 1.0,
     ) -> None:
@@ -369,33 +429,9 @@ class EnergyLedger:
             raise ValueError("min state of charge must be within [0, 1)")
         if not min_state_of_charge <= initial_soc <= 1.0:
             raise ValueError("initial SoC must be within [min_soc, 1]")
-        self.sites = list(sites)
-        self.packs = site_packs(self.sites)
+        self.packs = packs
         self.min_soc = min_state_of_charge
-        self.soc = np.full(len(self.packs), float(initial_soc))
-        self._has_battery = np.array(
-            [entry.device.battery is not None for _, entry in self.packs]
-        )
-
-    def day_capabilities(self, counts: np.ndarray):
-        """One day's ``(capacity_j, charge_rate_w)`` per-pack arrays.
-
-        ``counts`` is each pack's device count — in the fleet loop, the
-        day-start count recorded while churn was still live.
-        """
-        capacity_j = np.array(
-            [
-                entry.battery_capacity_j_at(int(counts[j]))
-                for j, (_, entry) in enumerate(self.packs)
-            ]
-        )
-        charge_rate_w = np.array(
-            [
-                entry.battery_charge_rate_w_at(int(counts[j]))
-                for j, (_, entry) in enumerate(self.packs)
-            ]
-        )
-        return capacity_j, charge_rate_w
+        self.soc = np.full(len(packs), float(initial_soc))
 
     def step_block(
         self,
@@ -432,7 +468,7 @@ class EnergyLedger:
         )
         idle_fraction = np.broadcast_to(np.asarray(idle_fraction, dtype=float), shape)
         has_capacity = capacity_j > 0
-        usable = self._has_battery[None, :] & has_capacity
+        usable = self.packs.has_battery[None, :] & has_capacity
         wants_discharge = usable & (modes == DISPATCH_DISCHARGE)
         wants_charge = usable & (modes == DISPATCH_CHARGE)
         deliverable_j = charge_rate_w * np.clip(idle_fraction, 0.0, 1.0) * step_s
@@ -473,7 +509,7 @@ class EnergyLedger:
 
 
 def replay_dispatch(
-    sites: Sequence[FleetSite],
+    packs: PackTable,
     dispatch: DispatchPolicy,
     intensity: np.ndarray,
     device_j: np.ndarray,
@@ -486,8 +522,8 @@ def replay_dispatch(
     The fleet loop records routing and churn first; the battery ledger
     only consumes what that pass left behind.  All matrices are ``(n_steps,
     n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
-    device counts, from which each day's pack capabilities are re-derived
-    bit for bit.  The replay builds the run's one :class:`EnergyLedger`;
+    device counts, whose products with ``packs`` give each day's pack
+    capabilities.  The replay builds the run's one :class:`EnergyLedger`;
     each day the policy sets that day's modes from the day index, the
     previous day's intensity, the day's counts and the ledger's SoC at the
     start of the day, and the ledger steps the day's rows.
@@ -499,7 +535,9 @@ def replay_dispatch(
     n_steps, n_packs = intensity.shape
     n_days = counts_day.shape[0]
     hours_per_day = n_steps // n_days
-    ledger = EnergyLedger(sites, min_state_of_charge=dispatch.min_state_of_charge)
+    ledger = EnergyLedger(packs, min_state_of_charge=dispatch.min_state_of_charge)
+    capacity_j = counts_day * packs.battery_j
+    charge_rate_w = counts_day * packs.charge_w
     modes = np.empty((n_steps, n_packs), dtype=np.int8)
     battery_j = np.empty((n_steps, n_packs))
     charge_j = np.empty((n_steps, n_packs))
@@ -509,19 +547,18 @@ def replay_dispatch(
         rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
         modes[rows] = dispatch.day_modes(
             day,
-            sites,
+            packs,
             previous_intensity,
             intensity[rows],
             counts_day[day],
             ledger.soc,
         )
-        capacity_j, charge_rate_w = ledger.day_capabilities(counts_day[day])
         battery_j[rows], charge_j[rows], soc[rows] = ledger.step_block(
             modes[rows],
             device_j[rows],
             step_s,
-            capacity_j,
-            charge_rate_w,
+            capacity_j[day],
+            charge_rate_w[day],
             idle_fraction[rows],
         )
         previous_intensity = intensity[rows]

@@ -52,9 +52,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.fleet.dispatch import DispatchPolicy, replay_dispatch, site_packs
+from repro.fleet.dispatch import (
+    DispatchPolicy,
+    PackTable,
+    replay_dispatch,
+    site_packs,
+)
 from repro.fleet.reporting import FleetReport
-from repro.fleet.sites import FleetSite, SiteCohort
+from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
 from repro.simulation.engine import Simulator, Timeout
 from repro.simulation.metrics import LatencyRecorder, LatencySummary, summarize
@@ -143,14 +148,6 @@ class RoutingPolicy(abc.ABC):
         if not 0.0 <= wear_derate <= 1.0:
             raise ValueError(f"wear derate must be within [0, 1], got {wear_derate}")
         self.wear_derate = wear_derate
-
-    def site_capacity_rps(self, site: FleetSite) -> float:
-        """The capacity this policy offers to route toward one site."""
-        return site.effective_capacity_rps(self.wear_derate)
-
-    def cohort_capacity_rps(self, entry: SiteCohort) -> float:
-        """The capacity this policy offers to route toward one cohort segment."""
-        return entry.effective_capacity_rps(self.wear_derate)
 
     @abc.abstractmethod
     def allocate(
@@ -355,15 +352,9 @@ class FleetSimulation:
         self.telemetry = ensure_telemetry(telemetry)
         #: Cohort segments in site-major order — the allocation columns.
         self.segments = site_packs(self.sites)
-        #: Site index of each segment.
-        self._segment_site = np.array(
-            [
-                site_index
-                for site_index, site in enumerate(self.sites)
-                for _ in site.cohorts
-            ],
-            dtype=np.int64,
-        )
+        #: Every segment's per-device constants: each count-dependent
+        #: capability below is a product of recorded counts with it.
+        self.packs = PackTable.from_sites(self.sites)
 
     def run(self, n_days: int) -> FleetReport:
         """Simulate ``n_days`` of virtual time and return the fleet report."""
@@ -401,6 +392,12 @@ class FleetSimulation:
             )
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
+            # Day-start counts — what the allocation's live capability
+            # reads see — recorded before churn moves them.
+            counts_day[day] = [
+                entry.cohort.active_count for _, entry in self.segments
+            ]
+            physical = counts_day[day] * self.packs.requests_per_device_s
             with tele.span("allocate_day"):
                 alloc = self._allocate_day(
                     hours_per_day,
@@ -408,6 +405,7 @@ class FleetSimulation:
                     demand_all[rows],
                     intensity_packs[rows],
                     marginal_all[rows],
+                    physical,
                 )
             alloc_all[rows] = alloc
             if tele.enabled:
@@ -417,16 +415,11 @@ class FleetSimulation:
                     "routing.waterfill_segments_touched",
                     int(np.count_nonzero(alloc)),
                 )
-            # Day-start counts — what the allocation's live capability
-            # reads saw — recorded before churn moves them.
-            counts_day[day] = [
-                entry.cohort.active_count for _, entry in self.segments
-            ]
 
             # Daily population step at the realised utilisation; the same
             # matrix feeds dispatch idle headroom in Pass B.
             with tele.span("step_population"):
-                utilization = self._physical_utilization(alloc)
+                utilization = self._physical_utilization(alloc, physical)
                 day_step = self._step_population(utilization)
             utilization_all[rows] = utilization
             cohort_active[day] = day_step["active"]
@@ -497,7 +490,7 @@ class FleetSimulation:
             cohort_labels=tuple(
                 label for site in self.sites for label in site.cohort_labels()
             ),
-            cohort_site_index=self._segment_site.copy(),
+            cohort_site_index=self.packs.site_index.copy(),
             cohort_target=np.array(
                 [entry.target_size for _, entry in self.segments]
             ),
@@ -506,9 +499,7 @@ class FleetSimulation:
             cohort_battery_kwh=cohort_battery_kwh,
             cohort_charge_kwh=cohort_charge_kwh,
             cohort_soc=cohort_soc,
-            cohort_battery_capacity_j=self._per_pack_day(
-                counts_day, SiteCohort.battery_capacity_j_at
-            ),
+            cohort_battery_capacity_j=counts_day * self.packs.battery_j,
             cohort_active=cohort_active,
             cohort_replacement_carbon_g=cohort_replacement_g,
             cohort_battery_swaps=cohort_swaps,
@@ -526,7 +517,7 @@ class FleetSimulation:
                     alloc=alloc_all,
                     demand=demand_all,
                     capacity_rows=np.repeat(
-                        self._per_pack_day(counts_day, SiteCohort.capacity_rps_at),
+                        counts_day * self.packs.requests_per_device_s,
                         hours_per_day,
                         axis=0,
                     ),
@@ -607,7 +598,7 @@ class FleetSimulation:
         # Idle headroom is physical: a device the routing derate shed is
         # sitting idle and can charge.
         return replay_dispatch(
-            self.sites,
+            self.packs,
             dispatch,
             intensity,
             device_kwh * units.JOULES_PER_KWH,
@@ -632,7 +623,7 @@ class FleetSimulation:
         site_intensity = np.empty((n_hours, len(self.sites)))
         for site_index, site in enumerate(self.sites):
             site_intensity[:, site_index] = site.intensities_at(times_s)
-        intensity = site_intensity[:, self._segment_site]
+        intensity = site_intensity[:, self.packs.site_index]
         marginal = np.empty_like(intensity)
         for j, (_, entry) in enumerate(self.segments):
             marginal[:, j] = entry.marginal_carbon_g_for_intensity(intensity[:, j])
@@ -645,25 +636,27 @@ class FleetSimulation:
         demand_rps: np.ndarray,
         intensity: np.ndarray,
         marginal: np.ndarray,
+        physical: np.ndarray,
     ) -> np.ndarray:
         """Phase 1: route one day of hourly demand across the live segments.
 
         Only the capacity matrix is computed here — it reads the *live*
         (churn-following) cohort populations, which is exactly why this
         phase cannot hoist with the whole-run precompute that feeds it.
+        ``physical`` is each segment's non-derated capacity at the day's
+        start.
         """
         n_cohorts = len(self.segments)
         capacity = np.empty((hours_per_day, n_cohorts))
         for j, (_, entry) in enumerate(self.segments):
-            capacity[:, j] = self.policy.cohort_capacity_rps(entry)
+            capacity[:, j] = entry.effective_capacity_rps(self.policy.wear_derate)
         alloc = self.policy.allocate(demand_rps, capacity, intensity, marginal)
         self._validate_allocation(alloc, demand_rps, capacity)
         if self.telemetry.enabled and self.policy.wear_derate > 0:
             # Request capacity the wear derate withheld from routing today
             # (rps x seconds = requests) — the shedding that is otherwise
             # invisible in the report's served/dropped series.
-            physical = sum(entry.capacity_rps for _, entry in self.segments)
-            withheld_rps = max(0.0, physical - float(capacity[0].sum()))
+            withheld_rps = max(0.0, float(physical.sum() - capacity[0].sum()))
             self.telemetry.count(
                 "routing.wear_shed_requests", withheld_rps * hours_per_day * step_s
             )
@@ -678,37 +671,15 @@ class FleetSimulation:
     ) -> np.ndarray:
         """Device-only energy (kWh) each cohort needs per hour, whole run.
 
-        The vectorized form of per-day
-        :meth:`~repro.fleet.sites.SiteCohort.device_power_w_at` calls: idle
-        floor follows the recorded day-start counts, each served request
-        adds its dynamic energy.  Same per-element expression, so bitwise-
-        identical to the per-day column loop.
+        The idle floor follows the recorded day-start counts and each
+        served request adds its dynamic energy; peripherals belong to the
+        site, not the cohort.
         """
         if np.any(alloc < 0):
             raise ValueError("served rate must be non-negative")
-        idle_w = np.array([entry.idle_power_w for _, entry in self.segments])
-        dynamic_j = np.array(
-            [entry.dynamic_energy_per_request_j for _, entry in self.segments]
-        )
-        counts_rows = np.repeat(
-            counts_day.astype(float), hours_per_day, axis=0
-        )
-        power_w = counts_rows * idle_w[None, :] + alloc * dynamic_j[None, :]
+        counts_rows = np.repeat(counts_day, hours_per_day, axis=0)
+        power_w = counts_rows * self.packs.idle_w + alloc * self.packs.dynamic_j
         return power_w * step_s / units.JOULES_PER_KWH
-
-    def _per_pack_day(self, counts_day: np.ndarray, value_at) -> np.ndarray:
-        """``value_at(entry, count)`` at every recorded ``(day, pack)`` count:
-        the capabilities that applied that day, not today's live population."""
-        return np.array(
-            [
-                [
-                    value_at(entry, int(count))
-                    for (_, entry), count in zip(self.segments, day_counts)
-                ]
-                for day_counts in counts_day
-            ],
-            dtype=float,
-        )
 
     def _clip_accounting(
         self, shortfall_j: np.ndarray, hours_per_day: int
@@ -743,15 +714,17 @@ class FleetSimulation:
             clipped_kwh += day_joules[day] / units.JOULES_PER_KWH
         return clipped, clipped_kwh
 
-    def _physical_utilization(self, alloc: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _physical_utilization(
+        alloc: np.ndarray, physical: np.ndarray
+    ) -> np.ndarray:
         """Per-``(hour, segment)`` utilisation against *non-derated* capacity.
 
         Battery cycling and charge headroom both follow what the devices
-        physically do, so utilisation is measured against each cohort's
-        :attr:`~repro.fleet.sites.SiteCohort.capacity_rps` regardless of any
-        routing-level wear derate.
+        physically do, so utilisation is measured against each segment's
+        day-start ``physical`` capacity regardless of any routing-level
+        wear derate.
         """
-        physical = np.array([entry.capacity_rps for _, entry in self.segments])
         with np.errstate(invalid="ignore", divide="ignore"):
             util = np.where(physical > 0, alloc / physical, 0.0)
         return np.clip(util, 0.0, 1.0)
@@ -814,7 +787,8 @@ def _effective_device_slots(policy: RoutingPolicy, site: FleetSite) -> int:
         1,
         int(
             round(
-                policy.site_capacity_rps(site) / site.nominal_requests_per_device_s
+                site.effective_capacity_rps(policy.wear_derate)
+                / site.nominal_requests_per_device_s
             )
         ),
     )

@@ -17,13 +17,12 @@ A junkyard cloudlet is built from whatever arrives, so the realistic rack is
 *mixed*: a site may hold a Pixel 3A cohort and a Nexus 4 cohort side by
 side.  A uniform rack is simply the one-entry case of the same model.
 Every per-device-type quantity (capacity, idle/peak power, dynamic energy
-per request, marginal CCI, aggregate battery pack) lives on
-:class:`SiteCohort`, and the scheduler and dispatch layers consume those
-per-cohort terms directly, so routing can prefer the efficient device type
-inside a site and the battery ledger can track each pack type separately.
-Power and battery terms take an explicit device count: the dispatch pass
-replays the counts the routing and churn pass recorded, never the live
-population.
+per request, marginal CCI) lives on :class:`SiteCohort`, so routing can
+prefer the efficient device type inside a site and the battery ledger can
+track each pack type separately.  Terms at a recorded device count — the
+dispatch pass replays the counts the routing and churn pass recorded, never
+the live population — are one array product of the counts with the
+per-device constants of a :class:`~repro.fleet.dispatch.PackTable`.
 
 Three regional trace-generator presets accompany the paper's CAISO-like
 generator so multi-site scenarios span realistically different grids:
@@ -145,12 +144,12 @@ class SiteCohort:
 
     Binds a :class:`~repro.fleet.population.DeviceCohort` to the per-type
     service rate it delivers and exposes every per-device-type quantity the
-    scheduler and dispatch layers consume: capacity, idle/peak power,
-    dynamic energy per request, marginal CCI, and the aggregate battery
-    pack.  A :class:`FleetSite` holds one entry per device type.  The
-    device-power and battery terms are functions of an explicit device
-    count (the ``*_at`` methods), so the dispatch replay reads the counts
-    recorded while churn was live.
+    scheduler and dispatch layers consume: live capacity, idle/peak power,
+    dynamic energy per request, and marginal CCI.  A :class:`FleetSite`
+    holds one entry per device type.  Quantities at a recorded device
+    count — the packs' capacity, device draw and battery energy on a past
+    day — are products of that count with the per-device constants of a
+    :class:`~repro.fleet.dispatch.PackTable`.
     """
 
     cohort: DeviceCohort
@@ -175,16 +174,7 @@ class SiteCohort:
     @property
     def capacity_rps(self) -> float:
         """Current request capacity (requests/s) given the live population."""
-        return self.capacity_rps_at(self.cohort.active_count)
-
-    def capacity_rps_at(self, active_count: int) -> float:
-        """Request capacity (requests/s) at an explicit device count.
-
-        The count-parameterised form of :attr:`capacity_rps` — the dispatch
-        replay records each day's live count and re-derives the exact same
-        capability later, so the two share one expression.
-        """
-        return active_count * self.requests_per_device_s
+        return self.cohort.active_count * self.requests_per_device_s
 
     @property
     def nominal_capacity_rps(self) -> float:
@@ -218,38 +208,6 @@ class SiteCohort:
         rate; the idle floor is charged separately as standby power.
         """
         return (self.peak_power_w - self.idle_power_w) / self.requests_per_device_s
-
-    def device_power_w_at(self, active_count: int, served_rps):
-        """Device-only draw (W) of ``active_count`` devices serving ``served_rps``.
-
-        Active devices idle at their floor and each served request adds its
-        dynamic energy; peripherals belong to the site, not the cohort.
-        Accepts a scalar or an array of rates.
-        """
-        served = np.asarray(served_rps, dtype=float)
-        if np.any(served < 0):
-            raise ValueError("served rate must be non-negative")
-        result = (
-            active_count * self.idle_power_w
-            + served * self.dynamic_energy_per_request_j
-        )
-        return float(result) if np.isscalar(served_rps) else result
-
-    # -- aggregate battery pack (one ledger entry per cohort) --------------
-
-    def battery_capacity_j_at(self, active_count: int) -> float:
-        """Aggregate battery capacity (J) at an explicit device count."""
-        battery = self.device.battery
-        if battery is None:
-            return 0.0
-        return active_count * battery.capacity_joules
-
-    def battery_charge_rate_w_at(self, active_count: int) -> float:
-        """Aggregate rated charge power (W) at an explicit device count."""
-        battery = self.device.battery
-        if battery is None:
-            return 0.0
-        return active_count * battery.charge_rate_w
 
     # -- carbon ------------------------------------------------------------
 

@@ -215,8 +215,9 @@ class SiteSpec:
     its per-type populations in ``cohorts`` instead (one
     :class:`DeviceMixSpec` each — a junkyard rack of Pixel 3As next to
     Nexus 4s is one site, not two co-located ones).  When ``cohorts`` is
-    non-empty it is the complete device description and ``devices`` is
-    ignored; the ``churn`` policy applies to every cohort (each with its own
+    non-empty it is the complete device description and ``devices`` must
+    stay at its default, so an override of it cannot pass unused; the
+    ``churn`` policy applies to every cohort (each with its own
     independently seeded stream), with per-cohort target sizes from the
     cohort counts.  Dotted-path overrides reach into the list as
     ``sites.0.cohorts.1.count``.
@@ -237,6 +238,11 @@ class SiteSpec:
             raise ScenarioValidationError("network_rtt_s must be non-negative")
         if not isinstance(self.cohorts, tuple):
             object.__setattr__(self, "cohorts", tuple(self.cohorts))
+        if self.cohorts and self.devices != DeviceMixSpec():
+            raise ScenarioValidationError(
+                "devices must be left at its default when cohorts are given; "
+                "describe every device type in cohorts"
+            )
 
     @property
     def device_mixes(self) -> Tuple[DeviceMixSpec, ...]:

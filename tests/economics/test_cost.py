@@ -106,17 +106,3 @@ class TestChurnCosts:
         model = FleetCostModel(device=PIXEL_3A, n_devices=10)
         with pytest.raises(ValueError):
             model.churn_cost_usd(-1, 0)
-
-    def test_scenario_cost_folds_churn_into_maintenance(self):
-        model = FleetCostModel(device=PIXEL_3A, n_devices=10, intake_acquisition_usd=20.0)
-        cost = model.scenario_cost(duration_days=30, battery_swaps=2, devices_deployed=1)
-        assert cost.maintenance_usd == pytest.approx(model.churn_cost_usd(2, 1))
-        assert cost.purchase_usd == pytest.approx(10 * PIXEL_3A.purchase_price_usd)
-        assert cost.energy_usd > 0
-        # a month of energy costs much less than a 36-month deployment
-        assert cost.energy_usd < model.energy_cost_usd(36.0)
-
-    def test_scenario_cost_requires_positive_duration(self):
-        model = FleetCostModel(device=PIXEL_3A, n_devices=10)
-        with pytest.raises(ValueError):
-            model.scenario_cost(duration_days=0)

@@ -12,6 +12,7 @@ from repro.fleet import (
     EnergyLedger,
     FleetSimulation,
     GreedyLowestIntensityRouting,
+    PackTable,
     RoundRobinRouting,
     two_site_asymmetric_fleet,
 )
@@ -88,11 +89,9 @@ class TestConservation:
         # Device counts were stable in this short run (availability 1.0), so
         # a constant capacity reconstruction is exact.
         assert np.all(report.active_devices == N_DEVICES)
-        for j, site in enumerate(sites):
-            capacity_kwh = (
-                sum(entry.battery_capacity_j_at(N_DEVICES) for entry in site.cohorts)
-                / 3.6e6
-            )
+        capacity_j = N_DEVICES * PackTable.from_sites(sites).battery_j
+        for j in range(len(sites)):
+            capacity_kwh = capacity_j[j] / 3.6e6
             delta = (
                 report.charge_kwh[:, j] - report.battery_kwh[:, j]
             ).cumsum() / capacity_kwh
@@ -167,22 +166,25 @@ class TestEnergyLedger:
         return two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
 
     @staticmethod
-    def _counts(site):
-        return np.array([entry.cohort.active_count for entry in site.cohorts])
+    def _ledger(site, **kwargs):
+        """A one-pack ledger and its ``(capacity_j, charge_rate_w)`` at the
+        site's live count."""
+        packs = PackTable.from_sites([site])
+        counts = np.array([entry.cohort.active_count for entry in site.cohorts])
+        ledger = EnergyLedger(packs, **kwargs)
+        return ledger, counts * packs.battery_j, counts * packs.charge_w
 
     def test_capabilities_follow_the_given_counts(self, site):
-        ledger = EnergyLedger([site])
+        packs = PackTable.from_sites([site])
         (entry,) = site.cohorts
         battery = entry.device.battery
-        capacity_j, rate_w = ledger.day_capabilities(np.array([3]))
-        assert capacity_j[0] == 3 * battery.capacity_joules
-        assert rate_w[0] == 3 * battery.charge_rate_w
-        capacity_j, rate_w = ledger.day_capabilities(np.array([0]))
-        assert capacity_j[0] == 0.0 and rate_w[0] == 0.0
+        assert (np.array([3]) * packs.battery_j)[0] == 3 * battery.capacity_joules
+        assert (np.array([3]) * packs.charge_w)[0] == 3 * battery.charge_rate_w
+        assert (np.array([0]) * packs.battery_j)[0] == 0.0
+        assert (np.array([0]) * packs.charge_w)[0] == 0.0
 
     def test_discharge_stops_at_the_floor(self, site):
-        ledger = EnergyLedger([site], min_state_of_charge=0.25)
-        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        ledger, capacity_j, rate_w = self._ledger(site, min_state_of_charge=0.25)
         huge = np.array([10.0 * capacity_j[0]])
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_DISCHARGE]]), huge, 3600.0, capacity_j, rate_w,
@@ -193,9 +195,10 @@ class TestEnergyLedger:
         assert ledger.soc[0] == pytest.approx(0.25)
 
     def test_forced_charge_below_the_floor(self, site):
-        ledger = EnergyLedger([site], min_state_of_charge=0.25, initial_soc=0.25)
+        ledger, capacity_j, rate_w = self._ledger(
+            site, min_state_of_charge=0.25, initial_soc=0.25
+        )
         ledger.soc[:] = 0.10  # knocked below the floor (e.g. capacity shift)
-        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_DISCHARGE]]), np.array([1.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
@@ -205,8 +208,7 @@ class TestEnergyLedger:
         assert ledger.soc[0] > 0.10
 
     def test_charge_stops_at_full(self, site):
-        ledger = EnergyLedger([site])
-        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        ledger, capacity_j, rate_w = self._ledger(site)
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_CHARGE]]), np.array([0.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
@@ -218,8 +220,7 @@ class TestEnergyLedger:
         # A step short enough that the (idle-scaled) charge rate binds
         # rather than the pack's remaining headroom.
         step_s = 600.0
-        ledger = EnergyLedger([site], initial_soc=0.5)
-        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        ledger, capacity_j, rate_w = self._ledger(site, initial_soc=0.5)
         assert rate_w[0] * step_s < 0.5 * capacity_j[0]
         _, (busy,), _ = ledger.step_block(
             np.array([[DISPATCH_CHARGE]]), np.array([0.0]), step_s,
@@ -234,8 +235,7 @@ class TestEnergyLedger:
         assert busy[0] == pytest.approx(idle[0] * 0.25)
 
     def test_hold_leaves_the_ledger_untouched(self, site):
-        ledger = EnergyLedger([site], initial_soc=0.6)
-        capacity_j, rate_w = ledger.day_capabilities(self._counts(site))
+        ledger, capacity_j, rate_w = self._ledger(site, initial_soc=0.6)
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_HOLD]]), np.array([5.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
@@ -244,12 +244,100 @@ class TestEnergyLedger:
         assert ledger.soc[0] == pytest.approx(0.6)
 
     def test_validation(self, site):
+        packs = PackTable.from_sites([site])
         with pytest.raises(ValueError):
-            EnergyLedger([site], min_state_of_charge=1.5)
+            EnergyLedger(packs, min_state_of_charge=1.5)
         with pytest.raises(ValueError):
-            EnergyLedger([site], initial_soc=0.1, min_state_of_charge=0.25)
+            EnergyLedger(packs, initial_soc=0.1, min_state_of_charge=0.25)
         with pytest.raises(ValueError):
             CarbonBufferDispatch(min_state_of_charge=-0.1)
+
+
+# ---------------------------------------------------------------------------
+# The pack table: every count-dependent capability as one array product
+# ---------------------------------------------------------------------------
+
+
+class TestPackTable:
+    #: Empty, single, small and beyond-int32 counts.
+    COUNTS = (0, 1, 7, 2**40)
+
+    @pytest.fixture(scope="class")
+    def sites(self):
+        from repro.devices.catalog import NEXUS_4, PIXEL_3A, PROLIANT_DL380_G6
+        from repro.fleet import mixed_phone_site
+
+        return [
+            mixed_phone_site(
+                "mixed",
+                "caiso-like",
+                [(PIXEL_3A, 20), (NEXUS_4, 12, 8.0), (PROLIANT_DL380_G6, 4, 200.0)],
+                n_trace_days=1,
+            ),
+            phone_site("solo", "hydro-heavy", 15, seed=1, n_trace_days=1),
+        ]
+
+    def test_columns_follow_site_packs(self, sites):
+        packs = PackTable.from_sites(sites)
+        assert packs.sites == tuple(sites)
+        assert len(packs) == 4
+        assert packs.site_index.tolist() == [0, 0, 0, 1]
+        assert packs.has_battery.tolist() == [True, True, False, True]
+        assert packs.battery_j[2] == 0.0 and packs.charge_w[2] == 0.0
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_products_equal_the_scalar_expressions_bitwise(self, sites, count):
+        packs = PackTable.from_sites(sites)
+        entries = [entry for site in sites for entry in site.cohorts]
+        counts = np.full(len(entries), count, dtype=np.int64)
+        served = 0.5 * (counts * packs.requests_per_device_s)
+        table = {
+            "capacity_rps": counts * packs.requests_per_device_s,
+            "device_power_w": counts * packs.idle_w + served * packs.dynamic_j,
+            "battery_j": counts * packs.battery_j,
+            "charge_w": counts * packs.charge_w,
+        }
+        for j, entry in enumerate(entries):
+            battery = entry.device.battery
+            scalar_served = 0.5 * (count * entry.requests_per_device_s)
+            scalar = {
+                "capacity_rps": count * entry.requests_per_device_s,
+                "device_power_w": count * entry.idle_power_w
+                + scalar_served * entry.dynamic_energy_per_request_j,
+                "battery_j": 0.0 if battery is None else count * battery.capacity_joules,
+                "charge_w": 0.0 if battery is None else count * battery.charge_rate_w,
+            }
+            for name, value in scalar.items():
+                assert table[name][j].hex() == float(value).hex(), (name, j)
+
+
+    def test_dispatch_is_one_hook_over_the_table(self):
+        import inspect
+
+        from repro.fleet import DispatchPolicy
+
+        assert DispatchPolicy.__abstractmethods__ == frozenset({"day_modes"})
+        params = list(inspect.signature(DispatchPolicy.day_modes).parameters)
+        assert params[1:3] == ["day", "packs"]
+
+    def test_a_run_builds_one_table(self, monkeypatch):
+        """The main run and its hindsight replay share the simulation's table."""
+        from repro.scenarios import ScenarioRunner, get_scenario
+
+        built = []
+        original = PackTable.from_sites.__func__
+
+        def counting(cls, sites):
+            built.append(len(sites))
+            return original(cls, sites)
+
+        monkeypatch.setattr(PackTable, "from_sites", classmethod(counting))
+        spec = get_scenario("forecast-buffer").with_overrides(
+            {"duration_days": 2, "routing.latency_probe_s": 0.0}
+        )
+        result = ScenarioRunner(spec).run()
+        assert result.report.hindsight_avoided_g is not None
+        assert built == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +430,9 @@ def _ledger_blocks(draw):
 @given(block=_ledger_blocks())
 def test_step_block_matches_the_per_pack_reference_bitwise(block):
     sites = [_pack_site(flag) for flag in block["has_battery"]]
-    ledger = EnergyLedger(sites, min_state_of_charge=block["min_soc"])
+    ledger = EnergyLedger(
+        PackTable.from_sites(sites), min_state_of_charge=block["min_soc"]
+    )
     ledger.soc = block["soc0"].copy()
     step_s = 3600.0
     got = ledger.step_block(

@@ -9,6 +9,7 @@ from repro.fleet import (
     FleetSimulation,
     ForecastDispatch,
     GreedyLowestIntensityRouting,
+    PackTable,
     two_site_asymmetric_fleet,
 )
 from repro import units
@@ -97,15 +98,16 @@ class TestForecastDispatch:
         assert np.array_equal(first.soc, second.soc)
 
     def test_plans_against_the_ledger_sites(self):
-        """day_modes plans the given sites from the SoC it is handed."""
+        """day_modes plans the table's sites from the SoC it is handed."""
         sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        packs = PackTable.from_sites(sites)
         dispatch = ForecastDispatch(PerfectForecast())
         intensity = np.full((24, 2), 300.0)
         counts = np.array([N_DEVICES, N_DEVICES])
 
         def modes_at(soc):
             return dispatch.day_modes(
-                0, sites, None, intensity, counts, np.full(2, soc)
+                0, packs, None, intensity, counts, np.full(2, soc)
             )
 
         full = modes_at(1.0)

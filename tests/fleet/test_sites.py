@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.devices.catalog import PIXEL_3A
+from repro.fleet.dispatch import PackTable
 from repro.fleet.sites import (
     REGIONAL_GENERATORS,
     ercot_like_generator,
@@ -62,13 +63,14 @@ class TestFleetSite:
     def test_power_model_is_affine_in_load(self, site):
         (entry,) = site.cohorts
         count = entry.cohort.active_count
+        packs = PackTable.from_sites([site])
 
         def site_power_w(served_rps):
-            return site.peripheral_power_w + entry.device_power_w_at(count, served_rps)
+            device_w = count * packs.idle_w + served_rps * packs.dynamic_j
+            return site.peripheral_power_w + device_w
 
-        idle = site_power_w(0.0)
-        half = site_power_w(site.capacity_rps / 2.0)
-        full = site_power_w(site.capacity_rps)
+        served = np.array([0.0, site.capacity_rps / 2.0, site.capacity_rps])
+        idle, half, full = site_power_w(served[:, None])[:, 0]
         assert idle < half < full
         assert full - half == pytest.approx(half - idle)
         # Fully loaded, each phone draws its peak power.
@@ -76,13 +78,6 @@ class TestFleetSite:
         assert full - site.design.peripherals.total_power_w == pytest.approx(
             expected_device_draw
         )
-        served = np.array([0.0, site.capacity_rps / 2.0, site.capacity_rps])
-        assert np.allclose(
-            entry.device_power_w_at(count, served),
-            np.array([idle, half, full]) - site.peripheral_power_w,
-        )
-        with pytest.raises(ValueError, match="non-negative"):
-            entry.device_power_w_at(count, -1.0)
 
     def test_wraparound_intensity(self, site):
         period = site.trace.period_s

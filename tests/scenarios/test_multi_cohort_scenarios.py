@@ -67,6 +67,20 @@ class TestCohortsSpec:
         with pytest.raises(ScenarioValidationError, match=r"sites\.0\.cohorts\.1"):
             mixed_spec().with_overrides({"sites.0.cohorts.1.count": 0})
 
+    def test_devices_next_to_cohorts_is_rejected(self):
+        """A mixed site has no use for ``devices``: setting it must fail,
+        not run the unchanged site under a different spec hash."""
+        with pytest.raises(
+            ScenarioValidationError, match=r"sites\.0: devices must be left"
+        ):
+            mixed_spec().with_overrides({"sites.0.devices.count": 5})
+        with pytest.raises(ScenarioValidationError, match="devices must be left"):
+            SiteSpec(
+                name="both",
+                devices=DeviceMixSpec(device="Nexus 4"),
+                cohorts=(DeviceMixSpec(device="Pixel 3A", count=5),),
+            )
+
     def test_unknown_cohort_device_names_the_path(self):
         spec = mixed_spec().with_overrides(
             {"sites.0.cohorts.1.device": "Fairphone 2"}

@@ -136,6 +136,21 @@ def test_run_scenario_non_finite_override_exits_2(capsys):
     assert "must be a finite number" in out
 
 
+def test_mixed_site_devices_override_exits_2(capsys):
+    code = main(
+        [
+            "run",
+            "scenario",
+            "heterogeneous-cohorts",
+            "--set",
+            "sites.0.devices.count=5",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "sites.0: devices must be left at its default" in out
+
+
 def test_retired_execution_knob_is_an_unknown_override(capsys):
     code = main(
         ["run", "scenario", "carbon-buffer", "--set", "execution.shards=2"]
