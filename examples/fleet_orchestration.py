@@ -14,7 +14,7 @@ declarative scenario layer end to end:
    and the operational-carbon savings carbon-aware routing buys;
 3. run one scenario directly through the runner for the unified result
    (carbon + dollars per request + latency probe in one object);
-4. run the DES-backed latency-aware path to check the carbon-optimal policy
+4. run the per-request latency probe to check the carbon-optimal policy
    does not wreck request latency.
 
 Run with ``python examples/fleet_orchestration.py``.
@@ -58,7 +58,7 @@ def unified_scenario_result() -> None:
 
 
 def latency_check() -> None:
-    """The DES path: does carbon-greedy routing keep latencies sane?"""
+    """The latency probe: does carbon-greedy routing keep latencies sane?"""
     sites = two_site_asymmetric_fleet(50, seed=11, n_trace_days=7)
     summary, by_site = simulate_latency_aware(
         sites,
@@ -67,7 +67,7 @@ def latency_check() -> None:
         duration_s=30.0,
         seed=11,
     )
-    print("Latency-aware DES check (greedy policy, 400 rps for 30 s):")
+    print("Latency probe check (greedy policy, 400 rps for 30 s):")
     print(
         f"  median {summary.median_ms:.1f} ms, p99 {summary.p99_ms:.1f} ms, "
         f"completion {summary.completion_ratio:.1%}"

@@ -588,7 +588,7 @@ def fig10_fleet_orchestration(
             "demand.mean_rps": demand_fraction
             * n_devices_per_site
             * DEFAULT_REQUESTS_PER_DEVICE_S,
-            # The figure compares fluid-path carbon only; skip the DES probe.
+            # The figure compares fluid-path carbon only; skip the latency probe.
             "routing.latency_probe_s": 0,
         }
     )

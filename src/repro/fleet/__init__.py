@@ -18,7 +18,7 @@ grid mixes, with request routing policies that exploit the differences.
   for mixed Pixel 3A / Nexus 4 racks), plus regional trace presets;
 * :mod:`repro.fleet.scheduler` — pluggable carbon-aware routing policies
   allocating over per-device-type cohort segments, with a vectorized
-  hourly path and a DES-backed latency-aware path;
+  hourly path and a per-request FIFO-queue latency probe;
 * :mod:`repro.fleet.dispatch` — the coupled energy-dispatch core:
   per-device-type battery state-of-charge ledgers (one pack per cohort per
   site) charging at clean hours and serving load at dirty hours

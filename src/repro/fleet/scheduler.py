@@ -36,14 +36,16 @@ carries a battery state-of-charge ledger: clean hours charge the packs from
 idle headroom, dirty hours serve device load from the packs
 (UPS-as-carbon-buffer); without one, the report's grid/battery/charge/SoC
 series are the zero-dispatch ledger.  For latency-aware questions,
-:func:`simulate_latency_aware` runs the same sites and policy on the
-discrete-event engine of :mod:`repro.simulation` instead.
+:func:`simulate_latency_aware` routes individual requests through the same
+sites and policy, each site a FIFO queue with one slot per device.
 """
 
 from __future__ import annotations
 
 import abc
+import collections
 import dataclasses
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,7 +63,6 @@ from repro.fleet.dispatch import (
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
-from repro.simulation.engine import Simulator, Timeout
 from repro.simulation.metrics import LatencyRecorder, LatencySummary, summarize
 from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import ensure_telemetry
@@ -73,8 +74,8 @@ from repro.telemetry import ensure_telemetry
 #: (:data:`~repro.microservices.calibration.SERVICE_TIME_SIGMA`).
 SERVICE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
 
-#: Arrivals (and per-site service times) the DES latency probe draws, keys
-#: and routes per vector pass.
+#: Arrivals (and per-site service times) the latency probe draws, keys and
+#: routes per vector pass.
 _BLOCK = 4096
 
 #: Hours per scheduling timestep of the vectorized path.
@@ -170,13 +171,13 @@ class RoutingPolicy(abc.ABC):
     def request_keys(
         self, site: FleetSite, times_s: np.ndarray
     ) -> Optional[np.ndarray]:
-        """Per-request ranking keys for the DES path (lower is better).
+        """Per-request ranking keys for the latency probe (lower is better).
 
-        One key per arrival time in ``times_s``: the DES probe asks for a
+        One key per arrival time in ``times_s``: the probe asks for a
         whole block of arrivals at once, since a key depends only on the
         site and the time.  Keys are in *grams of CO2e per request* so the
-        DES scheduler can add a gram-denominated backlog penalty without
-        mixing units.  Returning ``None`` opts out of carbon ranking: the
+        probe can add a gram-denominated backlog penalty without mixing
+        units.  Returning ``None`` opts out of carbon ranking: the
         scheduler falls back to capacity-weighted rotation (true
         per-request round-robin).
         """
@@ -770,28 +771,24 @@ class FleetSimulation:
 
 
 # ---------------------------------------------------------------------------
-# DES-backed latency-aware path
+# Latency-aware path: a FIFO queue per site
 # ---------------------------------------------------------------------------
 
 
 def _effective_device_slots(policy: RoutingPolicy, site: FleetSite) -> int:
-    """Concurrent request slots the DES path offers for one site.
+    """Concurrent request slots the latency probe offers for one site.
 
     The wear-derated capacity divided back into whole devices; rounded (not
     truncated) so the float division ``active * rate * 1.0 / rate`` cannot
     drop a device to representation error when the derate is off.  Mixed
     sites divide by the target-weighted mean per-device rate, so the slot
-    count still approximates the live device count.
+    count still approximates the live device count.  A site with no live
+    capacity offers no slot; any other offers at least one.
     """
-    return max(
-        1,
-        int(
-            round(
-                site.effective_capacity_rps(policy.wear_derate)
-                / site.nominal_requests_per_device_s
-            )
-        ),
-    )
+    capacity_rps = site.effective_capacity_rps(policy.wear_derate)
+    if capacity_rps <= 0:
+        return 0
+    return max(1, int(round(capacity_rps / site.nominal_requests_per_device_s)))
 
 
 def simulate_latency_aware(
@@ -804,7 +801,7 @@ def simulate_latency_aware(
     service_distribution: str = "deterministic",
     telemetry=None,
 ) -> Tuple[LatencySummary, Dict[str, int]]:
-    """Serve a Poisson request stream through the sites on the DES engine.
+    """Serve a Poisson request stream through the sites, one request at a time.
 
     Where the vectorized path treats each hour as a fluid allocation, this
     path models individual requests: exponential inter-arrivals, per-site
@@ -817,7 +814,8 @@ def simulate_latency_aware(
     (a few 1e-6 g/request), so spill happens after a handful of queued
     requests rather than after a multi-second backlog.  Policies whose key
     is ``None`` (round-robin) rotate: each request goes to the site with
-    the lowest served-count-to-capacity ratio.
+    the lowest served-count-to-capacity ratio.  A site with no live devices
+    has no slot and is never chosen.
 
     ``service_distribution`` selects how per-request service times are
     drawn (:data:`SERVICE_DISTRIBUTIONS`): the ``"deterministic"`` default
@@ -827,20 +825,23 @@ def simulate_latency_aware(
     variability — so the probe's tail percentiles reflect per-request
     jitter, not just queueing.
 
-    Nothing but the queue lengths depends on the simulation state, so the
-    probe works in blocks of ``_BLOCK`` arrivals: one vector draw of the
-    gaps, one cumulative sum for the arrival times, one
-    :meth:`~RoutingPolicy.request_keys` call per site, and per-site service
-    times drawn a block at a time from the same streams.  Each stream's
-    values, and so every output, are bitwise those of one scalar draw and
-    one key per request; memory stays one block per stream.
+    Each site is a FIFO queue with one slot per effective device, run as
+    the Kiefer–Wolfowitz recursion with no event queue: a request starts
+    at its arrival or when the earliest slot falls free, whichever is
+    later, and its response lands one service time plus the RTT after
+    that.  A site's queue length is its count of requests not yet started.
+    Latencies are recorded in completion order.  Gaps, arrival times,
+    :meth:`~RoutingPolicy.request_keys` and service times come a block of
+    ``_BLOCK`` arrivals at a time, bitwise equal to one scalar draw and one
+    key per request.
 
     Returns the overall latency summary and the per-site served counts.
     Sites are keyed by name, so ``sites`` must be non-empty and its names
-    unique (as :class:`FleetSimulation` requires).  ``demand_rps``,
-    ``duration_s`` and ``queue_penalty_g`` must be finite.  ``telemetry``
-    (default none) counts the probe's work: ``des.events`` run, and the
-    ``probe.offered`` and ``probe.completed`` requests.
+    unique (as :class:`FleetSimulation` requires), and at least one must
+    have live devices.  ``demand_rps``, ``duration_s`` and
+    ``queue_penalty_g`` must be finite.  ``telemetry`` (default none)
+    counts the probe's work: the ``probe.offered`` and ``probe.completed``
+    requests, and the ``probe.queued`` ones that waited for a slot.
     """
     if not sites:
         raise ValueError("the latency probe needs at least one site")
@@ -861,27 +862,25 @@ def simulate_latency_aware(
             f"unknown service distribution {service_distribution!r}; "
             f"expected one of: {known}"
         )
-    simulator = Simulator()
     streams = RandomStreams(seed=seed)
     recorder = LatencyRecorder()
 
-    from repro.simulation.resources import Resource
-
-    # The DES path sees the same (wear-derated) capacity the hourly path
+    # The probe sees the same (wear-derated) capacity the hourly path
     # routes against: a policy shedding load from a worn cohort also offers
     # fewer concurrent request slots here.
     slots = [_effective_device_slots(policy, site) for site in sites]
-    pools = [
-        Resource(simulator, capacity=n, name=site.name)
-        for site, n in zip(sites, slots)
-    ]
+    live = [j for j, n in enumerate(slots) if n > 0]
+    if not live:
+        raise ValueError(f"the latency probe needs a site with live devices: {names}")
     # Rotation divides each site's routed count by its slot capacity.
     capacities = [
         n * site.nominal_requests_per_device_s for site, n in zip(sites, slots)
     ]
-    served = [0] * len(sites)
     routed = [0] * len(sites)
-    process_names = [f"req@{name}" for name in names]
+    # Per site: when each slot next falls free (a min-heap), and the start
+    # times of the requests still waiting for a slot, in arrival order.
+    free_at = [[0.0] * n for n in slots]
+    waiting = [collections.deque() for _ in sites]
 
     # The lognormal factor stream has mean exp(sigma^2/2); the correction
     # keeps the drawn mean at 1/rate so distributions differ in shape only.
@@ -902,60 +901,57 @@ def simulate_latency_aware(
             yield from block.tolist()
 
     service = [service_times(site) for site in sites]
-
-    def handle(j: int, start_s: float):
-        pool = pools[j]
-        yield pool.acquire()
-        yield Timeout(next(service[j]))
-        pool.release()
-        yield Timeout(sites[j].network_rtt_s)
-        recorder.record("request", simulator.now - start_s)
-        served[j] += 1
-
-    offered = 0
-
-    def arrivals():
-        nonlocal offered
-        rng = streams.stream("arrivals")
-        mean_gap = 1.0 / demand_rps
-        while True:
-            gaps = rng.exponential(mean_gap, size=_BLOCK)
-            # add.accumulate is sequential, so each time is bitwise the
-            # engine's own ``now + gap`` (``now + cumsum(gaps)`` is not).
-            times = np.cumsum(np.concatenate(([simulator.now], gaps)))[1:]
-            keys = [policy.request_keys(site, times) for site in sites]
-            if any(key is None for key in keys):
-                rows = itertools.repeat(None)
+    arrived: List[float] = []
+    landed: List[float] = []
+    queued = 0
+    rng = streams.stream("arrivals")
+    mean_gap = 1.0 / demand_rps
+    now = 0.0
+    while now < duration_s:
+        gaps = rng.exponential(mean_gap, size=_BLOCK)
+        # add.accumulate is sequential, so each time is bitwise the scalar
+        # sum ``now + gap`` (``now + cumsum(gaps)`` is not).
+        times = np.cumsum(np.concatenate(([now], gaps)))[1:]
+        keys = [policy.request_keys(sites[j], times) for j in live]
+        if any(key is None for key in keys):
+            rows = itertools.repeat(None)
+        else:
+            rows = zip(*[key.tolist() for key in keys])
+        for now, row in zip(times.tolist(), rows):
+            if now >= duration_s:
+                break
+            if row is None:
+                # Capacity-weighted rotation: send the request to the site
+                # that has served the smallest share of its capacity so far.
+                shares = [routed[j] / capacities[j] for j in live]
+                best = live[shares.index(min(shares))]
             else:
-                rows = zip(*[key.tolist() for key in keys])
-            for gap, row in zip(gaps.tolist(), rows):
-                yield Timeout(gap)
-                now = simulator.now
-                if now >= duration_s:
-                    return
-                if row is None:
-                    # Capacity-weighted rotation: send the request to the
-                    # site that has served the smallest share of its
-                    # capacity so far.
-                    shares = [n / c for n, c in zip(routed, capacities)]
-                    best = shares.index(min(shares))
-                    routed[best] += 1
-                else:
-                    penalized = [
-                        key + pool.queue_length * queue_penalty_g
-                        for key, pool in zip(row, pools)
-                    ]
-                    best = penalized.index(min(penalized))
-                offered += 1
-                simulator.spawn(handle(best, now), name=process_names[best])
+                penalized = []
+                for key, j in zip(row, live):
+                    queue = waiting[j]
+                    while queue and queue[0] <= now:
+                        queue.popleft()
+                    penalized.append(key + len(queue) * queue_penalty_g)
+                best = live[penalized.index(min(penalized))]
+            routed[best] += 1
+            start = max(now, free_at[best][0])
+            finish = start + next(service[best])
+            heapq.heapreplace(free_at[best], finish)
+            if start > now:
+                queued += 1
+                waiting[best].append(start)
+            arrived.append(now)
+            landed.append(finish + sites[best].network_rtt_s)
 
-    simulator.spawn(arrivals(), name="arrivals")
-    simulator.run()
+    landed_s = np.array(landed)
+    latencies = landed_s - np.array(arrived)
+    for latency in latencies[np.argsort(landed_s, kind="stable")].tolist():
+        recorder.record("request", latency)
     tele = ensure_telemetry(telemetry)
-    tele.count("des.events", simulator.events_processed)
-    tele.count("probe.offered", offered)
+    tele.count("probe.offered", len(arrived))
     tele.count("probe.completed", recorder.count())
-    summaries = summarize(recorder, offered={"request": offered})
+    tele.count("probe.queued", queued)
+    summaries = summarize(recorder, offered={"request": len(arrived)})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
-    return summaries["request"], dict(zip(names, served))
+    return summaries["request"], dict(zip(names, routed))

@@ -263,7 +263,7 @@ class FleetSite:
     trace: GridTrace
     cohorts: Tuple[SiteCohort, ...]
     #: Round-trip network latency between the fleet's clients and this site;
-    #: the DES-backed scheduler path adds it once per request.
+    #: the scheduler's latency probe adds it once per request.
     network_rtt_s: float = 0.010
 
     def __post_init__(self) -> None:
@@ -336,9 +336,9 @@ class FleetSite:
         Site-level view: the *best* (lowest) cohort marginal, since the next
         request routed here lands on the most efficient device type with
         headroom.  The per-cohort terms live on :class:`SiteCohort`, which is
-        what the vectorized scheduler ranks; this aggregate gives the DES
-        path its per-request keys (an array of intensities in, one key per
-        arrival out) and serves exploratory use.  ``include_wear=False``
+        what the vectorized scheduler ranks; this aggregate gives the
+        latency probe its per-request keys (an array of intensities in, one
+        key per arrival out) and serves exploratory use.  ``include_wear=False``
         gives the energy-only marginal (the greedy lowest-intensity ranking).
         """
         marginals = [

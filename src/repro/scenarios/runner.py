@@ -5,8 +5,8 @@ subsystems: it builds :class:`~repro.fleet.sites.FleetSite` objects from the
 spec (devices catalog, grid traces, churn policies), runs the vectorized
 fleet simulation under the named routing policy, prices forecast regret by
 replaying that run's dispatch under a perfect forecast (no second fleet
-simulation), optionally probes request latency on the discrete-event
-engine, prices the realised churn through
+simulation), optionally probes request latency through per-site FIFO queues,
+prices the realised churn through
 :class:`~repro.economics.FleetCostModel`, and estimates smart-charging
 headroom — returning everything as one :class:`ScenarioResult`.
 
@@ -71,7 +71,7 @@ class ScenarioResult:
     ``report`` is the full :class:`~repro.fleet.reporting.FleetReport`;
     ``site_costs`` maps site name to its :class:`~repro.economics.OwnershipCost`
     over the horizon (empty when economics is disabled); ``latency`` is the
-    DES probe summary (``None`` when the probe is disabled);
+    latency probe summary (``None`` when the probe is disabled);
     ``charging_savings`` maps site name to the fractional operational-carbon
     savings of smart charging there — *realised* from the dispatched battery
     ledger when ``charging_mode == "dispatch"``, the detached study's

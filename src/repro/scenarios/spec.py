@@ -263,7 +263,7 @@ class DemandSpec:
     derives it as ``fraction_of_capacity`` times the fleet's nominal capacity
     (sum over sites of ``count * requests_per_device_s``).
 
-    ``service_distribution`` selects how the DES latency probe draws each
+    ``service_distribution`` selects how the latency probe draws each
     request's service time: ``"deterministic"`` (the default, exactly
     ``1/requests_per_device_s``), ``"exponential"``, or ``"lognormal"`` —
     the stochastic shapes keep the same mean, with the lognormal's spread
@@ -300,10 +300,10 @@ class DemandSpec:
 
 @dataclass(frozen=True)
 class RoutingSpec:
-    """Request-routing policy plus the optional DES latency probe.
+    """Request-routing policy plus the optional latency probe.
 
-    ``latency_probe_s`` seconds of per-request discrete-event simulation run
-    after the fluid simulation (0 disables the probe);
+    ``latency_probe_s`` seconds of per-request FIFO queueing run after the
+    fluid simulation (0 disables the probe);
     ``latency_demand_fraction`` scales the probe's Poisson arrival rate
     relative to the fleet's live capacity.
     """

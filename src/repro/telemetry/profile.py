@@ -31,7 +31,7 @@ FLEET_DAY_PHASES = frozenset(
     ("allocate_day", "step_population", "site_energy_kwh", "dispatch_day")
 )
 
-#: The DES latency probe's span; its throughput is offered requests/s.
+#: The latency probe's span; its throughput is offered requests/s.
 PROBE_PHASE = "latency_probe"
 
 

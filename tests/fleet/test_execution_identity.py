@@ -43,7 +43,7 @@ DIGESTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "report_digests.json"
 )
 
-#: Keep every preset fast: no DES latency probe.
+#: Keep every preset fast: no latency probe.
 FAST = {"duration_days": 2, "routing.latency_probe_s": 0.0}
 
 SAMPLERS = ("device", "bucket")

@@ -1,10 +1,13 @@
-"""The block-wise latency probe against the per-request oracle.
+"""The latency probe against the per-request DES oracle.
 
 :func:`~repro.fleet.simulate_latency_aware` draws arrival gaps and service
-times, and computes routing keys, for a block of arrivals at a time.  The
+times, and computes routing keys, for a block of arrivals at a time, and
+runs each site's FIFO queue as a recursion over slot free times.  The
 oracle below is the loop it replaced: one scalar draw and one scalar key
-per request.  Both must agree bitwise on every latency sample, the summary
-and ``served_by_site`` over random demand, duration, penalty, service
+per request, each request a process on the discrete-event engine holding
+a ``Resource`` slot.  Both must agree bitwise on every latency sample, the
+summary and ``served_by_site``, and exactly on the count of requests that
+waited for a slot, over random demand, duration, penalty, service
 distribution and policy, including arrival counts of exactly ``k`` blocks
 and one either side.
 """
@@ -32,6 +35,7 @@ from repro.simulation.engine import Simulator, Timeout
 from repro.simulation.metrics import LatencyRecorder, summarize
 from repro.simulation.random_streams import RandomStreams
 from repro.simulation.resources import Resource
+from repro.telemetry import Telemetry
 
 
 def _scalar_key(policy, site, now_s):
@@ -49,7 +53,8 @@ def simulate_per_request(
 ):
     """The per-request probe loop: scalar draws and scalar keys.
 
-    Also returns the arrival times it routed at, in order.
+    Also returns the arrival times it routed at, in order, and how many
+    requests waited for a slot (the clock moved across their acquire).
     """
     simulator = Simulator()
     streams = RandomStreams(seed=seed)
@@ -105,9 +110,14 @@ def simulate_per_request(
         routed_by_site[sites[best].name] += 1
         return sites[best]
 
+    queued = {"count": 0}
+
     def handle(site, start_s):
         pool = pools[site.name]
+        asked_s = simulator.now
         yield pool.acquire()
+        if simulator.now > asked_s:
+            queued["count"] += 1
         yield Timeout(draw_service_s(site))
         pool.release()
         yield Timeout(site.network_rtt_s)
@@ -130,7 +140,7 @@ def simulate_per_request(
     summaries = summarize(recorder, offered={"request": spawned["count"]})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
-    return summaries["request"], served_by_site, recorder, routed_at
+    return summaries["request"], served_by_site, recorder, routed_at, queued["count"]
 
 
 @contextlib.contextmanager
@@ -192,6 +202,7 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
         return keys_for(site, times_s)
 
     policy.request_keys = request_keys
+    tele = Telemetry()
 
     def probe():
         return simulate_latency_aware(
@@ -202,10 +213,13 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
             seed=seed,
             queue_penalty_g=penalty,
             service_distribution=distribution,
+            telemetry=tele,
         )
 
     try:
-        want_summary, want_served, want_recorder, routed_at = simulate_per_request(
+        (
+            want_summary, want_served, want_recorder, routed_at, want_queued
+        ) = simulate_per_request(
             sites, policy_by_name(policy_name, wear_derate),
             demand_rps, duration_s, seed, penalty, distribution,
         )
@@ -221,6 +235,7 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
     )
     assert dataclasses.astuple(summary) == dataclasses.astuple(want_summary)
     assert served == want_served
+    assert tele.counters["probe.queued"] == want_queued
     # Keys are computed at the engine's own arrival times, bit for bit.
     keyed_at = np.concatenate(asked)[: len(routed_at)]
     assert _bits(keyed_at) == _bits(routed_at)

@@ -14,6 +14,7 @@ from repro.fleet.scheduler import (
     policy_by_name,
     simulate_latency_aware,
 )
+from repro.fleet.population import FailureModel, IntakeStream
 from repro.fleet.sites import (
     DEFAULT_REQUESTS_PER_DEVICE_S,
     phone_site,
@@ -239,6 +240,40 @@ class TestLatencyAwarePath:
             site.marginal_carbon_g_for_intensity(intensities),
         )
 
+    @staticmethod
+    def _dead_site(name, region, seed):
+        """A site whose every device has failed, with no spares or intake."""
+        site = phone_site(
+            name, region, 20, seed=seed, n_trace_days=2,
+            intake=IntakeStream(0.0, 0), failure_model=FailureModel(200.0),
+        )
+        while site.capacity_rps > 0:
+            site.cohorts[0].cohort.step(1.0)
+        return site
+
+    @pytest.mark.parametrize(
+        "policy", [GreedyLowestIntensityRouting(), RoundRobinRouting()]
+    )
+    def test_site_without_live_devices_gets_no_requests(self, policy):
+        """It used to keep one phantom slot and serve the clean-grid share."""
+        texas = phone_site("texas", "ercot-like", 20, seed=0, n_trace_days=2)
+        cascadia = self._dead_site("cascadia", "hydro-heavy", 1)
+        summary, by_site = simulate_latency_aware(
+            [texas, cascadia], policy, demand_rps=300.0, duration_s=2.0, seed=9
+        )
+        assert by_site == {"texas": summary.offered, "cascadia": 0}
+        assert summary.offered > 0
+
+    def test_fleet_without_live_devices_rejected(self):
+        sites = [
+            self._dead_site("texas", "ercot-like", 0),
+            self._dead_site("cascadia", "hydro-heavy", 1),
+        ]
+        with pytest.raises(ValueError, match="site with live devices"):
+            simulate_latency_aware(
+                sites, GreedyLowestIntensityRouting(), demand_rps=300.0, duration_s=2.0
+            )
+
     def test_empty_site_list_rejected(self):
         with pytest.raises(ValueError, match="at least one site"):
             simulate_latency_aware(
@@ -247,7 +282,7 @@ class TestLatencyAwarePath:
 
 
 class TestServiceDistributions:
-    """Per-request service-time distributions in the DES latency probe."""
+    """Per-request service-time distributions in the latency probe."""
 
     @staticmethod
     def _probe(service_distribution, seed=3):
