@@ -27,9 +27,9 @@ from repro.fleet import (
     FleetSimulation,
     GreedyLowestIntensityRouting,
     RoundRobinRouting,
-    two_site_asymmetric_fleet,
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
+from repro.scenarios import ScenarioRunner, get_scenario
 from repro.telemetry import Telemetry
 
 #: 2 sites x 5,000 devices = 10,000-device fleet.
@@ -102,13 +102,23 @@ def _run(
     demand=None,
     churn_sampler: str = "device",
 ):
-    """Run one labelled fleet case; a ``case`` label records it for the JSON."""
+    """Run one labelled fleet case; a ``case`` label records it for the JSON.
+
+    The fleet is the ``two-site-asymmetric`` preset's two sites at
+    ``devices_per_site`` phones each.
+    """
+    spec = get_scenario("two-site-asymmetric").with_overrides(
+        {
+            "seed": seed,
+            "sites.0.devices.count": devices_per_site,
+            "sites.1.devices.count": devices_per_site,
+            "churn.sampler": churn_sampler,
+        }
+    )
     telemetry = Telemetry() if case else None
     start = time.perf_counter()
     simulation = FleetSimulation(
-        two_site_asymmetric_fleet(
-            devices_per_site, seed=seed, sampler=churn_sampler
-        ),
+        ScenarioRunner(spec).build_sites(),
         policy,
         demand if demand is not None else DEMAND,
         dispatch=dispatch,

@@ -21,12 +21,8 @@ Run with ``python examples/fleet_orchestration.py``.
 """
 
 from repro.analysis import fig10_fleet_orchestration, render_fleet_report, render_scenario_result
-from repro.fleet import (
-    GreedyLowestIntensityRouting,
-    simulate_latency_aware,
-    two_site_asymmetric_fleet,
-)
-from repro.scenarios import get_scenario, run_scenario
+from repro.fleet import GreedyLowestIntensityRouting, simulate_latency_aware
+from repro.scenarios import ScenarioRunner, get_scenario, run_scenario
 
 
 def policy_comparison() -> None:
@@ -59,7 +55,11 @@ def unified_scenario_result() -> None:
 
 def latency_check() -> None:
     """The latency probe: does carbon-greedy routing keep latencies sane?"""
-    sites = two_site_asymmetric_fleet(50, seed=11, n_trace_days=7)
+    spec = get_scenario("two-site-asymmetric").with_overrides(
+        {"seed": 11, "sites.0.devices.count": 50, "sites.1.devices.count": 50,
+         "sites.0.trace.n_days": 7, "sites.1.trace.n_days": 7}
+    )
+    sites = ScenarioRunner(spec).build_sites()
     summary, by_site = simulate_latency_aware(
         sites,
         GreedyLowestIntensityRouting(),

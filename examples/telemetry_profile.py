@@ -22,7 +22,7 @@ Run with ``python examples/telemetry_profile.py``.
 import os
 import tempfile
 
-from repro.scenarios import ScenarioRunner, get_scenario, spec_hash
+from repro.scenarios import ScenarioRunner, get_scenario
 from repro.telemetry import Telemetry, build_manifest, dump_run, read_jsonl, render_profile
 
 
@@ -35,7 +35,7 @@ def profiled_run():
     telemetry = Telemetry()
     result = ScenarioRunner(spec, telemetry=telemetry).run()
     manifest = build_manifest(
-        telemetry, name=spec.name, spec_sha256=spec_hash(spec), seed=spec.seed
+        telemetry, name=spec.name, spec_sha256=spec.sha256(), seed=spec.seed
     )
     print(render_profile(manifest))
     print()
@@ -58,7 +58,7 @@ def persist_and_read_back(spec, telemetry) -> None:
     """Round-trip the run through the JSONL sink."""
     path = os.path.join(tempfile.gettempdir(), "carbon-buffer-telemetry.jsonl")
     dump_run(path, telemetry, name=spec.name,
-             spec_sha256=spec_hash(spec), seed=spec.seed)
+             spec_sha256=spec.sha256(), seed=spec.seed)
     manifest, spans = read_jsonl(path)
     print(f"wrote {path}")
     print(

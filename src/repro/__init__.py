@@ -85,9 +85,7 @@ from repro.fleet import (
     FleetReport,
     FleetSimulation,
     FleetSite,
-    phone_site,
     policy_by_name,
-    two_site_asymmetric_fleet,
 )
 from repro.grid import CaisoLikeTraceGenerator, EnergyMix, GridTrace, california, solar_24_7, zero_carbon
 from repro.scenarios import (
@@ -134,8 +132,6 @@ __all__ = [
     # fleet
     "DeviceCohort",
     "FleetSite",
-    "phone_site",
-    "two_site_asymmetric_fleet",
     "DiurnalDemand",
     "FleetSimulation",
     "FleetReport",

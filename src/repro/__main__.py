@@ -341,11 +341,7 @@ def _sweep_scenario(
 ) -> int:
     """Resolve a scenario and run it over a cartesian --set grid."""
     from repro.analysis import render_sweep_result
-    from repro.scenarios import (
-        ScenarioValidationError,
-        spec_hash,
-        sweep_scenario,
-    )
+    from repro.scenarios import ScenarioValidationError, sweep_scenario
     from repro.telemetry import Telemetry, dump_run
 
     spec = _resolve_scenario(name)
@@ -374,7 +370,7 @@ def _sweep_scenario(
             telemetry_path,
             telemetry,
             name=f"sweep:{name}",
-            spec_sha256=spec_hash(spec),
+            spec_sha256=spec.sha256(),
             seed=spec.seed,
             extra={"axes": {key: list(values) for key, values in axes.items()}},
         )
@@ -418,7 +414,7 @@ def _run_scenario(
     Neither changes a single output bit.
     """
     from repro.analysis import render_scenario_result
-    from repro.scenarios import ScenarioRunner, ScenarioValidationError, spec_hash
+    from repro.scenarios import ScenarioRunner, ScenarioValidationError
     from repro.telemetry import Telemetry, build_manifest, dump_run
 
     if audit:
@@ -449,7 +445,7 @@ def _run_scenario(
                     manifest = build_manifest(
                         telemetry,
                         name=spec.name,
-                        spec_sha256=spec_hash(spec),
+                        spec_sha256=spec.sha256(),
                         seed=spec.seed,
                     )
                 store.put(result, manifest=manifest)
@@ -476,7 +472,7 @@ def _run_scenario(
             telemetry_path,
             telemetry,
             name=spec.name,
-            spec_sha256=spec_hash(spec),
+            spec_sha256=spec.sha256(),
             seed=spec.seed,
         )
         print(f"\ntelemetry written to {telemetry_path}")
@@ -485,7 +481,7 @@ def _run_scenario(
 
 def _profile_scenario(name: str, set_args) -> int:
     """Run one scenario instrumented and print the per-phase breakdown."""
-    from repro.scenarios import ScenarioRunner, ScenarioValidationError, spec_hash
+    from repro.scenarios import ScenarioRunner, ScenarioValidationError
     from repro.telemetry import Telemetry, build_manifest, render_profile
 
     spec = _build_spec(name, set_args)
@@ -498,7 +494,7 @@ def _profile_scenario(name: str, set_args) -> int:
         print(f"invalid scenario configuration: {error}")
         return 2
     manifest = build_manifest(
-        telemetry, name=spec.name, spec_sha256=spec_hash(spec), seed=spec.seed
+        telemetry, name=spec.name, spec_sha256=spec.sha256(), seed=spec.seed
     )
     print(render_profile(manifest))
     return 0

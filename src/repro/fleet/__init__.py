@@ -77,12 +77,8 @@ from repro.fleet.sites import (
     default_intake_stream,
     ercot_like_generator,
     hydro_heavy_generator,
-    mixed_phone_site,
-    phone_site,
     regional_trace,
     site_from_cohorts,
-    site_on_trace,
-    two_site_asymmetric_fleet,
 )
 
 __all__ = [
@@ -98,12 +94,8 @@ __all__ = [
     "FleetSite",
     "SiteCohort",
     "build_site_cohort",
-    "phone_site",
-    "mixed_phone_site",
-    "site_on_trace",
     "site_from_cohorts",
     "default_intake_stream",
-    "two_site_asymmetric_fleet",
     "regional_trace",
     "caiso_like_generator",
     "ercot_like_generator",

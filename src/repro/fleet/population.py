@@ -173,8 +173,8 @@ class DeviceCohort:
 
     * ``"device"`` — the per-device reference: one uniform per slot ever
       deployed, in slot order, against its bucket's hazard.  The cohort
-      keeps a slot -> bucket index (``-1`` once the device is gone), which
-      ``capacity_hint`` pre-sizes so long runs skip the doubling copies.
+      keeps a slot -> bucket index (``-1`` once the device is gone), sized
+      at twice the target and doubled as intake outgrows it.
     * ``"bucket"`` — one ``Binomial(count, p(age))`` per bucket, exactly
       the distribution of ``count`` i.i.d. Bernoulli draws at the bucket's
       age, at O(buckets) instead of O(devices) per step.
@@ -193,7 +193,6 @@ class DeviceCohort:
         load_profile: LoadProfile = LIGHT_MEDIUM,
         seed: int = 0,
         initial_size: Optional[int] = None,
-        capacity_hint: Optional[int] = None,
         sampler: str = "device",
     ) -> None:
         if sampler not in CHURN_SAMPLERS:
@@ -223,7 +222,7 @@ class DeviceCohort:
 
         slots = 0
         if sampler == "device":
-            slots = max(16, 2 * policy.target_size, capacity_hint or 0)
+            slots = max(16, 2 * policy.target_size)
         self._slot_bucket = np.full(slots, -1, dtype=np.int64)
         self._n = 0
 

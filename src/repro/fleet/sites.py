@@ -42,8 +42,9 @@ interface (see ROADMAP open items).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +52,6 @@ from repro import units
 from repro.cluster.cloudlet import CloudletDesign
 from repro.cluster.peripherals import PeripheralSet
 from repro.cluster.topology import wifi_tree_topology
-from repro.devices.catalog import PIXEL_3A
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
 from repro.fleet.population import (
@@ -156,8 +156,11 @@ class SiteCohort:
     requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S
 
     def __post_init__(self) -> None:
-        if self.requests_per_device_s <= 0:
-            raise ValueError("per-device request rate must be positive")
+        rate = self.requests_per_device_s
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(
+                f"per-device request rate must be positive and finite, got {rate!r}"
+            )
 
     @property
     def device(self) -> DeviceSpec:
@@ -254,8 +257,9 @@ class FleetSite:
     a grid trace.  Site-level properties aggregate across cohorts (sums for
     capacity, the best available cohort for the marginal), while the
     per-type terms live on the :class:`SiteCohort` entries the scheduler
-    and dispatch layers iterate.  Build sites with :func:`site_from_cohorts`
-    (or its wrappers), which sizes the design's peripherals to the cohorts.
+    and dispatch layers iterate.  Scenarios build their sites through
+    :meth:`~repro.scenarios.runner.ScenarioRunner.build_sites`, which calls
+    :func:`site_from_cohorts` to size the design's peripherals to the cohorts.
     """
 
     name: str
@@ -267,8 +271,11 @@ class FleetSite:
     network_rtt_s: float = 0.010
 
     def __post_init__(self) -> None:
-        if self.network_rtt_s < 0:
-            raise ValueError("network RTT must be non-negative")
+        rtt = self.network_rtt_s
+        if not (math.isfinite(rtt) and rtt >= 0):
+            raise ValueError(
+                f"network RTT must be non-negative and finite, got {rtt!r}"
+            )
         self.cohorts = tuple(self.cohorts)
         if not self.cohorts:
             raise ValueError(f"site {self.name!r} needs at least one cohort")
@@ -364,10 +371,10 @@ def default_intake_stream(
 ) -> IntakeStream:
     """The intake stream a site uses unless told otherwise.
 
-    The single source of the fleet's intake defaults (sites and the scenario
-    runner both call it): 25 % headroom over the analytic steady-state
-    replacement rate, plus a small spare pool proportional to the target
-    size, both overridable individually.
+    The single source of the fleet's intake defaults (:func:`build_site_cohort`
+    and the scenario runner both call it): 25 % headroom over the analytic
+    steady-state replacement rate, plus a small spare pool proportional to
+    the target size, both overridable individually.
     """
     if arrivals_per_day is None:
         arrivals_per_day = 1.25 * steady_state_intake_rate(
@@ -441,18 +448,22 @@ def build_site_cohort(
     failure_model: Optional[FailureModel] = None,
     replacement_policy: Optional[ReplacementPolicy] = None,
     sampler: str = "device",
-    capacity_hint: Optional[int] = None,
 ) -> SiteCohort:
     """Build one typed :class:`SiteCohort` with the fleet's intake defaults.
 
     ``sampler`` picks the cohort's failure draw (``device`` — one uniform
     per device, the reference — or ``bucket``, one binomial per deploy-day
-    bucket at O(days) per step); ``capacity_hint`` pre-sizes the device
-    sampler's slot index so long runs skip the amortised-doubling copies.
+    bucket at O(days) per step).  A ``replacement_policy`` must target
+    exactly ``n_devices``.
     """
     if n_devices <= 0:
         raise ValueError("site needs a positive device count")
     policy = replacement_policy or ReplacementPolicy(target_size=n_devices)
+    if policy.target_size != n_devices:
+        raise ValueError(
+            f"replacement policy targets {policy.target_size} devices, "
+            f"but the cohort deploys {n_devices}"
+        )
     failures = failure_model or FailureModel()
     if intake is None:
         intake = default_intake_stream(device, policy, failures, load_profile)
@@ -463,163 +474,6 @@ def build_site_cohort(
         failure_model=failures,
         load_profile=load_profile,
         seed=seed,
-        capacity_hint=capacity_hint,
         sampler=sampler,
     )
     return SiteCohort(cohort=cohort, requests_per_device_s=requests_per_device_s)
-
-
-def site_on_trace(
-    name: str,
-    trace: GridTrace,
-    n_devices: int,
-    device: DeviceSpec = PIXEL_3A,
-    grid_label: str = "custom",
-    seed: int = 0,
-    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S,
-    load_profile: LoadProfile = LIGHT_MEDIUM,
-    intake: Optional[IntakeStream] = None,
-    failure_model: Optional[FailureModel] = None,
-    replacement_policy: Optional[ReplacementPolicy] = None,
-    network_rtt_s: float = 0.010,
-    sampler: str = "device",
-) -> FleetSite:
-    """Build a single-cohort smartphone cloudlet site on an arbitrary trace.
-
-    The cloudlet design follows the paper's recipe (smart plugs per phone,
-    fans sized by the thermal model, a WiFi tree topology); the intake
-    stream defaults to the steady-state replacement rate so the site can
-    sustain its target size indefinitely.  ``trace`` may come from a regional
-    preset, a measured CSV export (:meth:`~repro.grid.traces.GridTrace.from_csv`),
-    or any other :class:`~repro.grid.traces.GridTrace` source.  Mixed sites
-    go through :func:`site_from_cohorts` instead.
-    """
-    entry = build_site_cohort(
-        device=device,
-        n_devices=n_devices,
-        seed=seed,
-        requests_per_device_s=requests_per_device_s,
-        load_profile=load_profile,
-        intake=intake,
-        failure_model=failure_model,
-        replacement_policy=replacement_policy,
-        sampler=sampler,
-    )
-    return site_from_cohorts(
-        name=name,
-        trace=trace,
-        entries=(entry,),
-        grid_label=grid_label,
-        network_rtt_s=network_rtt_s,
-    )
-
-
-def phone_site(
-    name: str,
-    region: str,
-    n_devices: int,
-    device: DeviceSpec = PIXEL_3A,
-    n_trace_days: int = 30,
-    seed: int = 0,
-    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S,
-    load_profile: LoadProfile = LIGHT_MEDIUM,
-    intake: Optional[IntakeStream] = None,
-    failure_model: Optional[FailureModel] = None,
-    replacement_policy: Optional[ReplacementPolicy] = None,
-    network_rtt_s: float = 0.010,
-    sampler: str = "device",
-) -> FleetSite:
-    """Build a smartphone cloudlet site on one of the regional grid presets.
-
-    A convenience wrapper over :func:`site_on_trace` that generates the
-    site's trace from the named regional preset.
-    """
-    trace = regional_trace(region, n_days=n_trace_days, seed=2021 + seed)
-    return site_on_trace(
-        name=name,
-        trace=trace,
-        n_devices=n_devices,
-        device=device,
-        grid_label=region,
-        seed=seed,
-        requests_per_device_s=requests_per_device_s,
-        load_profile=load_profile,
-        intake=intake,
-        failure_model=failure_model,
-        replacement_policy=replacement_policy,
-        network_rtt_s=network_rtt_s,
-        sampler=sampler,
-    )
-
-
-def mixed_phone_site(
-    name: str,
-    region: str,
-    device_mix: Sequence,
-    n_trace_days: int = 30,
-    seed: int = 0,
-    network_rtt_s: float = 0.010,
-    sampler: str = "device",
-) -> FleetSite:
-    """Build one mixed-cohort cloudlet site on a regional grid preset.
-
-    ``device_mix`` lists ``(device, n_devices)`` or ``(device, n_devices,
-    requests_per_device_s)`` tuples, one per cohort.  Cohort ``k`` derives
-    its churn stream from ``seed`` for the first cohort (matching
-    :func:`phone_site` exactly) and from the pair ``(seed, k)`` for the
-    rest, so every cohort's RNG is independent and adding a cohort never
-    perturbs an existing one.
-    """
-    trace = regional_trace(region, n_days=n_trace_days, seed=2021 + seed)
-    entries = []
-    for index, item in enumerate(device_mix):
-        device, n_devices, *rest = item
-        rate = rest[0] if rest else DEFAULT_REQUESTS_PER_DEVICE_S
-        entries.append(
-            build_site_cohort(
-                device=device,
-                n_devices=n_devices,
-                seed=seed if index == 0 else (seed, index),
-                requests_per_device_s=rate,
-                sampler=sampler,
-            )
-        )
-    return site_from_cohorts(
-        name=name,
-        trace=trace,
-        entries=entries,
-        grid_label=region,
-        network_rtt_s=network_rtt_s,
-    )
-
-
-def two_site_asymmetric_fleet(
-    n_devices_per_site: int,
-    seed: int = 0,
-    n_trace_days: int = 30,
-    sampler: str = "device",
-) -> Sequence[FleetSite]:
-    """The canonical benchmark scenario: one dirty-grid and one clean-grid site.
-
-    An ERCOT-like site and a hydro-heavy site with identical hardware — the
-    setting in which carbon-aware routing shows its largest win over
-    round-robin.
-    """
-    return [
-        phone_site(
-            "texas",
-            "ercot-like",
-            n_devices_per_site,
-            seed=seed,
-            n_trace_days=n_trace_days,
-            sampler=sampler,
-        ),
-        phone_site(
-            "cascadia",
-            "hydro-heavy",
-            n_devices_per_site,
-            seed=seed + 1,
-            n_trace_days=n_trace_days,
-            sampler=sampler,
-        ),
-    ]

@@ -41,7 +41,6 @@ from repro.scenarios.sweep import (
     SweepCell,
     SweepResult,
     parse_sweep_override,
-    spec_hash,
     sweep_scenario,
 )
 from repro.scenarios.spec import (
@@ -98,7 +97,6 @@ __all__ = [
     "SweepResult",
     "SweepCell",
     "parse_sweep_override",
-    "spec_hash",
     # registry
     "register_scenario",
     "get_scenario",

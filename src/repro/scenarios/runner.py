@@ -10,13 +10,10 @@ prices the realised churn through
 :class:`~repro.economics.FleetCostModel`, and estimates smart-charging
 headroom — returning everything as one :class:`ScenarioResult`.
 
-Determinism: every stochastic component is seeded from ``spec.seed`` (site
-``i``'s first cohort gets seed ``seed + i`` and its trace seed
-``2021 + seed + i``, matching :func:`~repro.fleet.sites.phone_site`; each
-further cohort ``k`` of a mixed site derives its independent stream from the
-pair ``(seed + i, k)``), so running the same spec twice yields identical
-results and a one-cohort site is seeded exactly as the historical
-single-cohort path was.
+Determinism: every stochastic component is seeded from ``spec.seed`` (see
+:class:`ScenarioRunner` for the per-site convention), so running the same
+spec twice yields identical results.  :meth:`ScenarioRunner.build_sites` is
+the library's one site builder.
 """
 
 from __future__ import annotations
@@ -196,6 +193,12 @@ class ScenarioRunner:
     context, and the result carries a counter snapshot
     (:attr:`ScenarioResult.telemetry`).  Telemetry never perturbs the
     simulation: instrumented and un-instrumented runs are bitwise-identical.
+
+    Seeds: site ``i`` (in spec order) seeds its first cohort's churn stream
+    with ``spec.seed + i`` and its regional trace with ``2021 + spec.seed +
+    i``; each further cohort ``k`` of a mixed site seeds from the pair
+    ``(spec.seed + i, k)``, so the streams are mutually independent and
+    adding a cohort never perturbs an existing one.
     """
 
     def __init__(self, spec: ScenarioSpec, telemetry=None) -> None:
@@ -209,7 +212,8 @@ class ScenarioRunner:
     # -- resolution --------------------------------------------------------
 
     def build_trace(self, site: SiteSpec, index: int) -> GridTrace:
-        """Materialise one site's grid trace from its :class:`TraceSpec`."""
+        """Materialise one site's grid trace from its :class:`TraceSpec`
+        (a regional trace is seeded as the class docstring states)."""
         trace_spec: TraceSpec = site.trace
         if trace_spec.kind == "regional":
             return regional_trace(
@@ -244,13 +248,8 @@ class ScenarioRunner:
     def build_cohort(
         self, site: SiteSpec, mix: DeviceMixSpec, index: int, cohort_index: int
     ) -> SiteCohort:
-        """Materialise one typed cohort of one site.
-
-        The first cohort derives its churn stream from ``seed + index``
-        (exactly the historical single-cohort seeding); each further cohort
-        ``k`` uses the pair ``(seed + index, k)``, so streams are mutually
-        independent and adding a cohort never perturbs an existing one.
-        """
+        """Materialise cohort ``cohort_index`` of site ``index``, seeded as
+        the class docstring states."""
         try:
             device = get_device(mix.device)
         except KeyError as error:
@@ -281,13 +280,6 @@ class ScenarioRunner:
             poisson=churn.poisson_intake,
         )
         base_seed = self.spec.seed + index
-        # Pre-size the device sampler's slot index for the whole run (target +
-        # expected intake over the horizon) so it never pays a doubling copy.
-        capacity_hint = (
-            mix.count
-            + int(self.spec.duration_days * intake.arrivals_per_day)
-            + intake.initial_spares
-        )
         return build_site_cohort(
             device=device,
             n_devices=mix.count,
@@ -298,7 +290,6 @@ class ScenarioRunner:
             failure_model=failure_model,
             replacement_policy=replacement_policy,
             sampler=churn.sampler,
-            capacity_hint=capacity_hint,
         )
 
     def build_site(self, site: SiteSpec, index: int) -> FleetSite:

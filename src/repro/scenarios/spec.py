@@ -168,10 +168,11 @@ class ChurnSpec:
     """Population-churn policy: failures, battery swaps, intake.
 
     ``intake_per_day=None`` sizes the intake stream at 1.25x the analytic
-    steady-state replacement rate (as :func:`~repro.fleet.sites.phone_site`
-    does); an explicit rate models supply-constrained or oversupplied
-    junkyards.  ``initial_spares=None`` likewise defaults to a small pool
-    proportional to the site size.
+    steady-state replacement rate
+    (:func:`~repro.fleet.sites.default_intake_stream`); an explicit rate
+    models supply-constrained or oversupplied junkyards.
+    ``initial_spares=None`` likewise defaults to a small pool proportional
+    to the site size.
 
     ``sampler`` selects the cohort's failure draw: ``"device"`` (one
     uniform per device, the reference) or ``"bucket"`` (one binomial draw

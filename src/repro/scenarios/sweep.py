@@ -96,20 +96,6 @@ class SweepResult:
         return headers, rows
 
 
-def spec_hash(spec: ScenarioSpec) -> str:
-    """A stable content hash of one spec (SHA-256 of its canonical JSON).
-
-    Delegates to :meth:`ScenarioSpec.sha256`: keys are sorted and numeric
-    fields canonicalized by declared type, so two specs hash equal exactly
-    when they are equal as *data* — regardless of dict key order, of
-    defaults being omitted versus restated, or of ints standing in for
-    floats.  This key dedupes identical sweep cells, reassembles worker
-    results in deterministic grid order, and addresses entries in the
-    durable :class:`~repro.store.ExperimentStore`.
-    """
-    return spec.sha256()
-
-
 def _cell_manifest(
     telemetry: Telemetry, spec: ScenarioSpec, key: str
 ) -> Dict[str, Any]:
@@ -139,7 +125,7 @@ def _run_spec_json(
     telemetry = Telemetry() if with_telemetry else None
     result = ScenarioRunner(spec, telemetry=telemetry).run()
     manifest = (
-        _cell_manifest(telemetry, spec, spec_hash(spec)) if with_telemetry else None
+        _cell_manifest(telemetry, spec, spec.sha256()) if with_telemetry else None
     )
     return result, manifest
 
@@ -248,7 +234,7 @@ def _run_cells(
     telemetry = ensure_telemetry(telemetry)
     if jobs is not None and jobs < 1:
         raise ScenarioValidationError(f"jobs must be >= 1, got {jobs}")
-    keys = [spec_hash(cell_spec) for cell_spec in specs]
+    keys = [cell_spec.sha256() for cell_spec in specs]
     unique: Dict[str, ScenarioSpec] = {}
     for key, cell_spec in zip(keys, specs):
         unique.setdefault(key, cell_spec)

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.analysis.report import render_store_summary, render_sweep_result
 from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.sweep import SweepCell, SweepResult, spec_hash
+from repro.scenarios.sweep import SweepCell, SweepResult
 from repro.store.core import ExperimentStore, StoreError
 
 #: Report name -> (description, renderer taking the store).
@@ -141,7 +141,7 @@ def sweep_from_store(
     missing = []
     for overrides in grid:
         cell_spec = spec.with_overrides(overrides)
-        key = spec_hash(cell_spec)
+        key = cell_spec.sha256()
         entry = store.get_entry_or_none(key)
         if entry is None:
             missing.append((key, overrides))

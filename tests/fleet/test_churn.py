@@ -232,21 +232,20 @@ class TestDeviceSamplerMicroOpts:
             assert np.array_equal(live, cohort._count[: cohort._m])
         assert cohort.total_retirements > 0 and cohort.total_failures > 0
 
-    def test_capacity_hint_is_bitwise_identical(self):
-        plain = build_cohort("device", seed=9)
-        hinted = DeviceCohort(
-            FAST_WEAR_PIXEL,
-            ReplacementPolicy(target_size=300, max_battery_swaps=1),
-            intake=IntakeStream(
-                arrivals_per_day=3.0, initial_spares=20, poisson=True
-            ),
-            failure_model=FailureModel(),
-            seed=9,
-            capacity_hint=300 + 200 * 3 + 20,
-        )
-        plain.run(200, utilization=0.9)
-        hinted.run(200, utilization=0.9)
-        assert history_tuples(plain) == history_tuples(hinted)
+    def test_slot_index_grows_past_its_initial_size(self):
+        # The index starts at twice the target; 200 days of intake deploy
+        # more devices than that, so it must grow and keep every slot on
+        # its bucket.
+        cohort = build_cohort("device", seed=9)
+        initial = len(cohort._slot_bucket)
+        assert initial == 2 * 300
+        cohort.run(200, utilization=0.9)
+        assert cohort._n > initial
+        assert len(cohort._slot_bucket) >= cohort._n
+        slots = cohort._slot_bucket[: cohort._n]
+        live = np.bincount(slots[slots >= 0], minlength=cohort._m)
+        assert np.array_equal(live, cohort._count[: cohort._m])
+        assert np.all(cohort._slot_bucket[cohort._n :] == -1)
 
     def test_zero_draw_skips_wear_but_not_failures(self):
         # utilization=0 still has idle power on a real phone, so force a
@@ -282,16 +281,6 @@ class TestBucketSamplerSurface:
         assert cohort.average_draw_w(0.5) == FAST_WEAR_PIXEL.power_model.power_at(
             0.5
         )
-
-    def test_capacity_hint_accepted(self):
-        cohort = DeviceCohort(
-            FAST_WEAR_PIXEL,
-            ReplacementPolicy(target_size=50),
-            seed=0,
-            capacity_hint=10_000,
-            sampler="bucket",
-        )
-        assert cohort.active_count == 50
 
     def test_invalid_arguments(self):
         cohort = build_cohort("bucket")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet import (
     CarbonBufferDispatch,
     DiurnalDemand,
@@ -14,14 +15,20 @@ from repro.fleet import (
     GreedyLowestIntensityRouting,
     PackTable,
     RoundRobinRouting,
-    two_site_asymmetric_fleet,
 )
 from repro.fleet.dispatch import (
     DISPATCH_CHARGE,
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
-from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, phone_site
+from repro.fleet.sites import (
+    DEFAULT_REQUESTS_PER_DEVICE_S,
+    build_site_cohort,
+    regional_trace,
+    site_from_cohorts,
+)
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import DeviceMixSpec
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -30,7 +37,8 @@ DEMAND = DiurnalDemand(mean_rps=0.7 * N_DEVICES * DEFAULT_REQUESTS_PER_DEVICE_S)
 
 
 def _run(dispatch, seed: int = 6, policy=None):
-    sites = two_site_asymmetric_fleet(N_DEVICES, seed=seed, n_trace_days=7)
+    spec = two_site_spec(N_DEVICES, seed=seed, n_trace_days=7)
+    sites = ScenarioRunner(spec).build_sites()
     policy = policy or GreedyLowestIntensityRouting()
     return FleetSimulation(sites, policy, DEMAND, dispatch=dispatch).run(N_DAYS)
 
@@ -85,7 +93,8 @@ class TestConservation:
     def test_soc_change_matches_throughput(self, reports):
         """Integrated charge minus discharge equals the SoC trajectory."""
         report = reports["dispatch"]
-        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         # Device counts were stable in this short run (availability 1.0), so
         # a constant capacity reconstruction is exact.
         assert np.all(report.active_devices == N_DEVICES)
@@ -163,7 +172,7 @@ class TestCarbonBuffer:
 class TestEnergyLedger:
     @pytest.fixture()
     def site(self):
-        return two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
+        return ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
 
     @staticmethod
     def _ledger(site, **kwargs):
@@ -264,18 +273,18 @@ class TestPackTable:
 
     @pytest.fixture(scope="class")
     def sites(self):
-        from repro.devices.catalog import NEXUS_4, PIXEL_3A, PROLIANT_DL380_G6
-        from repro.fleet import mixed_phone_site
-
-        return [
-            mixed_phone_site(
-                "mixed",
-                "caiso-like",
-                [(PIXEL_3A, 20), (NEXUS_4, 12, 8.0), (PROLIANT_DL380_G6, 4, 200.0)],
-                n_trace_days=1,
+        mixed = site_spec(
+            "mixed",
+            "caiso-like",
+            n_trace_days=1,
+            cohorts=(
+                DeviceMixSpec("Pixel 3A", 20),
+                DeviceMixSpec("Nexus 4", 12, requests_per_device_s=8.0),
+                DeviceMixSpec("HP ProLiant DL380 G6", 4, requests_per_device_s=200.0),
             ),
-            phone_site("solo", "hydro-heavy", 15, seed=1, n_trace_days=1),
-        ]
+        )
+        solo = site_spec("solo", "hydro-heavy", 15, n_trace_days=1)
+        return ScenarioRunner(fleet_spec(mixed, solo)).build_sites()
 
     def test_columns_follow_site_packs(self, sites):
         packs = PackTable.from_sites(sites)
@@ -351,9 +360,13 @@ def _pack_site(has_battery: bool):
     from repro.devices.catalog import PIXEL_3A
 
     device = PIXEL_3A if has_battery else PIXEL_3A.with_overrides(battery=None)
-    return phone_site(
-        "pack" if has_battery else "no-battery", "caiso-like", 4, device=device,
-        n_trace_days=1,
+    # No catalog name (so no spec) describes a battery-less Pixel: build the
+    # site straight from its cohort.
+    return site_from_cohorts(
+        "pack" if has_battery else "no-battery",
+        regional_trace("caiso-like", n_days=1),
+        [build_site_cohort(device, 4)],
+        grid_label="caiso-like",
     )
 
 
@@ -456,11 +469,11 @@ def test_step_block_matches_the_per_pack_reference_bitwise(block):
 
 class TestWearDerate:
     def test_zero_derate_is_identity(self):
-        site = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
+        site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
         assert site.effective_capacity_rps(0.0) == site.capacity_rps
 
     def test_derate_scales_with_mean_wear(self):
-        site = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)[0]
+        site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
         site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
             0.5 * site.cohorts[0].cohort.device.battery.cycle_life
         )
@@ -487,7 +500,8 @@ class TestWearDerate:
 
     @staticmethod
     def _worn_sites():
-        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         for site in sites:
             site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
                 0.5 * site.cohorts[0].cohort.device.battery.cycle_life
@@ -513,7 +527,8 @@ class TestWearDerate:
         from repro.fleet import simulate_latency_aware
 
         def sites_with_worn_clean_site():
-            sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=7)
+            spec = two_site_spec(5, seed=4, n_trace_days=7)
+            sites = ScenarioRunner(spec).build_sites()
             clean = sites[1]  # cascadia, the preferred site under greedy
             clean.cohorts[0].cohort._battery_cycles[: clean.cohorts[0].cohort._m] = (
                 0.5 * clean.cohorts[0].cohort.device.battery.cycle_life

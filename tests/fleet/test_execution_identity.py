@@ -34,10 +34,9 @@ from repro.fleet import (
     CapacityAwareMarginalCciRouting,
     DiurnalDemand,
     FleetSimulation,
-    mixed_phone_site,
-    phone_site,
 )
-from repro.scenarios import ScenarioRunner, get_scenario, scenario_names
+from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, scenario_names
+from repro.scenarios.spec import DeviceMixSpec, SiteSpec, TraceSpec
 
 DIGESTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "report_digests.json"
@@ -340,19 +339,26 @@ class TestSiteSocVectorization:
 
     @pytest.fixture(scope="class")
     def report(self):
-        from repro.devices.catalog import NEXUS_4, PIXEL_3A
-
-        sites = [
-            mixed_phone_site(
-                "mixed",
-                "caiso-like",
-                [(PIXEL_3A, 20), (NEXUS_4, 12, 8.0)],
-                n_trace_days=2,
+        spec = ScenarioSpec(
+            name="mixed-and-solo",
+            sites=(
+                SiteSpec(
+                    "mixed",
+                    trace=TraceSpec(region="caiso-like", n_days=2),
+                    cohorts=(
+                        DeviceMixSpec(count=20),
+                        DeviceMixSpec("Nexus 4", 12, requests_per_device_s=8.0),
+                    ),
+                ),
+                SiteSpec(
+                    "solo",
+                    trace=TraceSpec(region="hydro-heavy", n_days=2),
+                    devices=DeviceMixSpec(count=15),
+                ),
             ),
-            phone_site("solo", "hydro-heavy", 15, seed=1, n_trace_days=2),
-        ]
+        )
         return FleetSimulation(
-            sites,
+            ScenarioRunner(spec).build_sites(),
             CapacityAwareMarginalCciRouting(),
             DiurnalDemand(mean_rps=300.0),
             dispatch=CarbonBufferDispatch(),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fleet_specs import two_site_spec
 from repro.fleet import (
     CarbonBufferDispatch,
     DiurnalDemand,
@@ -10,7 +11,6 @@ from repro.fleet import (
     ForecastDispatch,
     GreedyLowestIntensityRouting,
     PackTable,
-    two_site_asymmetric_fleet,
 )
 from repro import units
 from repro.fleet.dispatch import DISPATCH_CHARGE, DISPATCH_DISCHARGE
@@ -21,6 +21,7 @@ from repro.forecast import (
     PerfectForecast,
     PersistenceForecast,
 )
+from repro.scenarios import ScenarioRunner
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -29,7 +30,8 @@ DEMAND = DiurnalDemand(mean_rps=0.5 * 2 * N_DEVICES * DEFAULT_REQUESTS_PER_DEVIC
 
 
 def _run(dispatch, seed: int = 6):
-    sites = two_site_asymmetric_fleet(N_DEVICES, seed=seed, n_trace_days=7)
+    spec = two_site_spec(N_DEVICES, seed=seed, n_trace_days=7)
+    sites = ScenarioRunner(spec).build_sites()
     policy = GreedyLowestIntensityRouting()
     return FleetSimulation(sites, policy, DEMAND, dispatch=dispatch).run(N_DAYS)
 
@@ -99,7 +101,8 @@ class TestForecastDispatch:
 
     def test_plans_against_the_ledger_sites(self):
         """day_modes plans the table's sites from the SoC it is handed."""
-        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         packs = PackTable.from_sites(sites)
         dispatch = ForecastDispatch(PerfectForecast())
         intensity = np.full((24, 2), 300.0)
@@ -175,7 +178,8 @@ class TestMultiDayRefreshCadence:
         dispatch = ForecastDispatch(
             model, horizon_h=horizon_h, refresh_h=refresh_h
         )
-        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         report = FleetSimulation(
             sites, GreedyLowestIntensityRouting(), DEMAND, dispatch=dispatch
         ).run(n_days)
@@ -230,7 +234,8 @@ class _BlindOnDay(ForecastModel):
 class TestBlindDays:
     def test_a_blind_day_after_the_first_holds_every_pack(self):
         dispatch = ForecastDispatch(_BlindOnDay(1))
-        sites = two_site_asymmetric_fleet(N_DEVICES, seed=6, n_trace_days=7)
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         report = FleetSimulation(
             sites, GreedyLowestIntensityRouting(), DEMAND, dispatch=dispatch
         ).run(3)

@@ -14,6 +14,7 @@ The acceptance properties of the multi-cohort site model:
 import numpy as np
 import pytest
 
+from fleet_specs import fleet_spec, site_spec
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet import (
     CarbonBufferDispatch,
@@ -26,12 +27,12 @@ from repro.fleet import (
     ReplacementPolicy,
     SiteCohort,
     build_site_cohort,
-    mixed_phone_site,
-    phone_site,
     site_from_cohorts,
     site_packs,
 )
 from repro.fleet.sites import regional_trace
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import DeviceMixSpec
 
 N_DAYS = 5
 DEMAND = DiurnalDemand(mean_rps=500.0)
@@ -56,8 +57,10 @@ def _trace(seed=2024):
 
 class TestSingleCohortSite:
     def test_single_cohort_site_series_match_cohort_series(self):
-        site = phone_site("solo", "caiso-like", n_devices=40, seed=7,
-                          n_trace_days=N_DAYS)
+        spec = fleet_spec(
+            site_spec("solo", "caiso-like", 40, n_trace_days=N_DAYS), seed=7
+        )
+        (site,) = ScenarioRunner(spec).build_sites()
         report = FleetSimulation(
             [site], GreedyLowestIntensityRouting(), DEMAND,
             dispatch=CarbonBufferDispatch(),
@@ -240,11 +243,15 @@ class TestPerTypeLedger:
 class TestPerCohortChurn:
     def test_mixed_site_churn_is_deterministic(self):
         def run():
-            site = mixed_phone_site(
-                "m", "caiso-like",
-                [(PIXEL_3A, 25), (NEXUS_4, 25, 8.0)],
-                n_trace_days=N_DAYS, seed=11,
+            cohorts = (
+                DeviceMixSpec(count=25),
+                DeviceMixSpec("Nexus 4", 25, requests_per_device_s=8.0),
             )
+            spec = fleet_spec(
+                site_spec("m", "caiso-like", n_trace_days=N_DAYS, cohorts=cohorts),
+                seed=11,
+            )
+            (site,) = ScenarioRunner(spec).build_sites()
             return FleetSimulation(
                 [site], GreedyLowestIntensityRouting(), DEMAND
             ).run(N_DAYS)

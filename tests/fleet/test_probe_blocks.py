@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fleet.scheduler as scheduler_module
-from repro.devices.catalog import NEXUS_4, PIXEL_3A
+from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.scheduler import (
     SERVICE_DISTRIBUTIONS,
     _BLOCK,
@@ -29,8 +29,9 @@ from repro.fleet.scheduler import (
     policy_by_name,
     simulate_latency_aware,
 )
-from repro.fleet.sites import mixed_phone_site, phone_site, two_site_asymmetric_fleet
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import DeviceMixSpec
 from repro.simulation.engine import Simulator, Timeout
 from repro.simulation.metrics import LatencyRecorder, summarize
 from repro.simulation.random_streams import RandomStreams
@@ -165,14 +166,17 @@ def _capturing_recorders():
 def _fleet(kind):
     """Probe fleets; the probe never mutates its sites, so they are shared."""
     if kind == "two-site":
-        return tuple(two_site_asymmetric_fleet(5, seed=1, n_trace_days=2))
-    return (
-        phone_site("texas", "ercot-like", 4, seed=1, n_trace_days=2),
-        mixed_phone_site(
-            "mixed", "hydro-heavy", [(PIXEL_3A, 3), (NEXUS_4, 3)],
-            n_trace_days=2, seed=2,
-        ),
-    )
+        spec = two_site_spec(5, seed=1, n_trace_days=2)
+    else:
+        spec = fleet_spec(
+            site_spec("texas", "ercot-like", 4, n_trace_days=2),
+            site_spec(
+                "mixed", "hydro-heavy", n_trace_days=2,
+                cohorts=(DeviceMixSpec(count=3), DeviceMixSpec("Nexus 4", 3)),
+            ),
+            seed=1,
+        )
+    return tuple(ScenarioRunner(spec).build_sites())
 
 
 def _arrival_times(seed, demand_rps, count):

@@ -3,21 +3,22 @@
 import numpy as np
 import pytest
 
+from fleet_specs import two_site_spec
 from repro.analysis import fig10_fleet_orchestration, render_fleet_report
 from repro.fleet import (
     DiurnalDemand,
     FleetSimulation,
     GreedyLowestIntensityRouting,
     compare_reports,
-    two_site_asymmetric_fleet,
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
+from repro.scenarios import ScenarioRunner
 
 
 @pytest.fixture(scope="module")
 def report():
     demand = DiurnalDemand(mean_rps=0.8 * 20 * DEFAULT_REQUESTS_PER_DEVICE_S)
-    sites = two_site_asymmetric_fleet(20, seed=6, n_trace_days=7)
+    sites = ScenarioRunner(two_site_spec(20, seed=6, n_trace_days=7)).build_sites()
     return FleetSimulation(sites, GreedyLowestIntensityRouting(), demand).run(10)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.scheduler import (
     POLICIES,
     CapacityAwareMarginalCciRouting,
@@ -14,12 +15,9 @@ from repro.fleet.scheduler import (
     policy_by_name,
     simulate_latency_aware,
 )
-from repro.fleet.population import FailureModel, IntakeStream
-from repro.fleet.sites import (
-    DEFAULT_REQUESTS_PER_DEVICE_S,
-    phone_site,
-    two_site_asymmetric_fleet,
-)
+from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import ChurnSpec
 
 
 class TestDiurnalDemand:
@@ -128,7 +126,7 @@ class TestFleetSimulation:
         return demand
 
     def test_report_shapes(self, scenario):
-        sites = two_site_asymmetric_fleet(30, seed=1, n_trace_days=7)
+        sites = ScenarioRunner(two_site_spec(30, seed=1, n_trace_days=7)).build_sites()
         report = FleetSimulation(sites, RoundRobinRouting(), scenario).run(14)
         assert report.served_rps.shape == (14 * 24, 2)
         assert report.active_devices.shape == (14, 2)
@@ -140,7 +138,7 @@ class TestFleetSimulation:
     def test_carbon_aware_beats_round_robin(self, scenario):
         rr, greedy = (
             FleetSimulation(
-                two_site_asymmetric_fleet(30, seed=1, n_trace_days=7),
+                ScenarioRunner(two_site_spec(30, seed=1, n_trace_days=7)).build_sites(),
                 policy,
                 scenario,
             ).run(14)
@@ -150,13 +148,13 @@ class TestFleetSimulation:
         assert greedy.total_operational_carbon_g < rr.total_operational_carbon_g
 
     def test_duplicate_site_names_rejected(self, scenario):
-        sites = two_site_asymmetric_fleet(10, seed=0, n_trace_days=7)
+        sites = ScenarioRunner(two_site_spec(10, seed=0, n_trace_days=7)).build_sites()
         sites[1].name = sites[0].name
         with pytest.raises(ValueError, match="unique"):
             FleetSimulation(sites, RoundRobinRouting(), scenario)
 
     def test_overloaded_fleet_reports_drops(self):
-        sites = two_site_asymmetric_fleet(5, seed=2, n_trace_days=7)
+        sites = ScenarioRunner(two_site_spec(5, seed=2, n_trace_days=7)).build_sites()
         demand = DiurnalDemand(mean_rps=100 * 5 * DEFAULT_REQUESTS_PER_DEVICE_S)
         report = FleetSimulation(sites, GreedyLowestIntensityRouting(), demand).run(3)
         assert report.total_dropped_requests > 0
@@ -165,11 +163,12 @@ class TestFleetSimulation:
 
 class TestLatencyAwarePath:
     def test_des_serves_requests_deterministically(self):
-        sites = two_site_asymmetric_fleet(10, seed=4, n_trace_days=7)
+        spec = two_site_spec(10, seed=4, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
         summary_a, by_site_a = simulate_latency_aware(
             sites, GreedyLowestIntensityRouting(), demand_rps=50.0, duration_s=10.0, seed=9
         )
-        sites_b = two_site_asymmetric_fleet(10, seed=4, n_trace_days=7)
+        sites_b = ScenarioRunner(spec).build_sites()
         summary_b, by_site_b = simulate_latency_aware(
             sites_b, GreedyLowestIntensityRouting(), demand_rps=50.0, duration_s=10.0, seed=9
         )
@@ -180,7 +179,7 @@ class TestLatencyAwarePath:
         assert summary_a.median_ms >= 1_000.0 / sites[0].nominal_requests_per_device_s
 
     def test_greedy_routes_to_clean_site_until_saturation(self):
-        sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=7)
+        sites = ScenarioRunner(two_site_spec(5, seed=4, n_trace_days=7)).build_sites()
         _, by_site = simulate_latency_aware(
             sites,
             GreedyLowestIntensityRouting(),
@@ -192,10 +191,8 @@ class TestLatencyAwarePath:
 
     def test_duplicate_site_names_rejected(self):
         """Two sites named alike would share one served count and one pool."""
-        sites = [
-            phone_site("x", "ercot-like", 20, seed=0, n_trace_days=2),
-            phone_site("x", "hydro-heavy", 20, seed=1, n_trace_days=2),
-        ]
+        sites = ScenarioRunner(two_site_spec(20, n_trace_days=2)).build_sites()
+        sites[1].name = sites[0].name
         with pytest.raises(ValueError, match="site names must be unique"):
             simulate_latency_aware(
                 sites,
@@ -220,14 +217,15 @@ class TestLatencyAwarePath:
     )
     def test_invalid_numeric_inputs_rejected_by_name(self, argument, value):
         """NaN used to route everything to site 0, and an infinite duration hung."""
-        sites = two_site_asymmetric_fleet(5, seed=4, n_trace_days=2)
+        sites = ScenarioRunner(two_site_spec(5, seed=4, n_trace_days=2)).build_sites()
         kwargs = {"demand_rps": 50.0, "duration_s": 1.0, "queue_penalty_g": 5e-6}
         kwargs[argument] = value
         with pytest.raises(ValueError, match=argument):
             simulate_latency_aware(sites, GreedyLowestIntensityRouting(), **kwargs)
 
     def test_request_keys_are_one_key_per_arrival_time(self):
-        (site,) = two_site_asymmetric_fleet(5, seed=4, n_trace_days=2)[:1]
+        spec = two_site_spec(5, seed=4, n_trace_days=2)
+        (site,) = ScenarioRunner(spec).build_sites()[:1]
         times = np.array([0.0, 1_800.0, 86_400.0 * 3 + 5.0])
         intensities = site.intensities_at(times)
         assert RoundRobinRouting().request_keys(site, times) is None
@@ -241,34 +239,38 @@ class TestLatencyAwarePath:
         )
 
     @staticmethod
-    def _dead_site(name, region, seed):
-        """A site whose every device has failed, with no spares or intake."""
-        site = phone_site(
-            name, region, 20, seed=seed, n_trace_days=2,
-            intake=IntakeStream(0.0, 0), failure_model=FailureModel(200.0),
+    def _sites(*dead):
+        """Texas and cascadia; each site named in ``dead`` has no spares or
+        intake and has lost every device."""
+        dying = ChurnSpec(
+            intake_per_day=0.0, initial_spares=0, annual_failure_rate=200.0
         )
-        while site.capacity_rps > 0:
-            site.cohorts[0].cohort.step(1.0)
-        return site
+        spec = fleet_spec(*(
+            site_spec(
+                name, region, 20, n_trace_days=2,
+                churn=dying if name in dead else ChurnSpec(),
+            )
+            for name, region in (("texas", "ercot-like"), ("cascadia", "hydro-heavy"))
+        ))
+        sites = ScenarioRunner(spec).build_sites()
+        for site in sites:
+            while site.name in dead and site.capacity_rps > 0:
+                site.cohorts[0].cohort.step(1.0)
+        return sites
 
     @pytest.mark.parametrize(
         "policy", [GreedyLowestIntensityRouting(), RoundRobinRouting()]
     )
     def test_site_without_live_devices_gets_no_requests(self, policy):
         """It used to keep one phantom slot and serve the clean-grid share."""
-        texas = phone_site("texas", "ercot-like", 20, seed=0, n_trace_days=2)
-        cascadia = self._dead_site("cascadia", "hydro-heavy", 1)
         summary, by_site = simulate_latency_aware(
-            [texas, cascadia], policy, demand_rps=300.0, duration_s=2.0, seed=9
+            self._sites("cascadia"), policy, demand_rps=300.0, duration_s=2.0, seed=9
         )
         assert by_site == {"texas": summary.offered, "cascadia": 0}
         assert summary.offered > 0
 
     def test_fleet_without_live_devices_rejected(self):
-        sites = [
-            self._dead_site("texas", "ercot-like", 0),
-            self._dead_site("cascadia", "hydro-heavy", 1),
-        ]
+        sites = self._sites("texas", "cascadia")
         with pytest.raises(ValueError, match="site with live devices"):
             simulate_latency_aware(
                 sites, GreedyLowestIntensityRouting(), demand_rps=300.0, duration_s=2.0
@@ -286,7 +288,7 @@ class TestServiceDistributions:
 
     @staticmethod
     def _probe(service_distribution, seed=3):
-        sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+        sites = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()
         return simulate_latency_aware(
             sites,
             GreedyLowestIntensityRouting(),
@@ -298,7 +300,7 @@ class TestServiceDistributions:
 
     def test_deterministic_is_the_default_and_unchanged(self):
         explicit, _ = self._probe("deterministic")
-        sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+        sites = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()
         default, _ = simulate_latency_aware(
             sites, GreedyLowestIntensityRouting(), demand_rps=60.0,
             duration_s=10.0, seed=3,

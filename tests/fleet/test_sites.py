@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.devices.catalog import PIXEL_3A
 from repro.fleet.dispatch import PackTable
+from repro.fleet.population import ReplacementPolicy
 from repro.fleet.sites import (
     REGIONAL_GENERATORS,
+    build_site_cohort,
     ercot_like_generator,
     hydro_heavy_generator,
-    phone_site,
     regional_trace,
-    two_site_asymmetric_fleet,
 )
+from repro.scenarios import ScenarioRunner
 
 
 class TestRegionalPresets:
@@ -48,7 +50,8 @@ class TestRegionalPresets:
 class TestFleetSite:
     @pytest.fixture(scope="class")
     def site(self):
-        return phone_site("test", "caiso-like", n_devices=50, seed=3)
+        spec = fleet_spec(site_spec("test", "caiso-like", 50), seed=3)
+        return ScenarioRunner(spec).build_sites()[0]
 
     def test_capacity_follows_population(self, site):
         (entry,) = site.cohorts
@@ -99,11 +102,14 @@ class TestFleetSite:
         assert np.allclose(marginals, expected)
 
     def test_device_mismatch_rejected(self):
-        from repro.devices.catalog import NEXUS_4
         from repro.fleet.sites import FleetSite, SiteCohort
 
-        site = phone_site("a", "caiso-like", n_devices=10, seed=0)
-        nexus_site = phone_site("b", "hydro-heavy", n_devices=10, device=NEXUS_4, seed=1)
+        site, nexus_site = ScenarioRunner(
+            fleet_spec(
+                site_spec("a", "caiso-like", 10),
+                site_spec("b", "hydro-heavy", 10, device="Nexus 4"),
+            )
+        ).build_sites()
         with pytest.raises(ValueError, match="differs from cohort"):
             FleetSite(
                 name="broken",
@@ -111,20 +117,28 @@ class TestFleetSite:
                 trace=site.trace,
                 cohorts=nexus_site.cohorts,
             )
-        with pytest.raises(ValueError, match="must be positive"):
-            SiteCohort(cohort=site.cohorts[0].cohort, requests_per_device_s=0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            FleetSite(
-                name="broken",
-                design=site.design,
-                trace=site.trace,
-                cohorts=site.cohorts,
-                network_rtt_s=-1.0,
+        for rate in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="must be positive and finite"):
+                SiteCohort(cohort=site.cohorts[0].cohort, requests_per_device_s=rate)
+        for rtt in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                FleetSite(
+                    name="broken",
+                    design=site.design,
+                    trace=site.trace,
+                    cohorts=site.cohorts,
+                    network_rtt_s=rtt,
+                )
+
+    def test_cohort_policy_must_target_the_device_count(self):
+        with pytest.raises(ValueError, match="targets 50 devices.*deploys 10"):
+            build_site_cohort(
+                PIXEL_3A, 10, replacement_policy=ReplacementPolicy(target_size=50)
             )
 
 
 def test_two_site_asymmetric_fleet_shape():
-    sites = two_site_asymmetric_fleet(25, seed=9, n_trace_days=7)
+    sites = ScenarioRunner(two_site_spec(25, seed=9, n_trace_days=7)).build_sites()
     assert [site.name for site in sites] == ["texas", "cascadia"]
     texas, cascadia = sites
     assert texas.trace.mean_intensity() > cascadia.trace.mean_intensity()

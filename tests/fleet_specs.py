@@ -1,0 +1,49 @@
+"""Scenario specs shared by the tests that need live fleet sites.
+
+Sites come from one builder, ``ScenarioRunner(spec).build_sites()``, so a
+test's fleet is seeded and stocked exactly as a scenario run's is.  These
+helpers only spell the specs; they hold no seeding or intake logic.
+"""
+
+from repro.scenarios import ScenarioSpec, get_scenario
+from repro.scenarios.spec import ChurnSpec, DeviceMixSpec, SiteSpec, TraceSpec
+
+
+def two_site_spec(
+    n_devices: int, seed: int = 0, n_trace_days: int = 30, sampler: str = "device"
+) -> ScenarioSpec:
+    """The ``two-site-asymmetric`` preset (dirty ``texas``, clean
+    ``cascadia``) at ``n_devices`` Pixel 3As and ``n_trace_days`` of trace
+    per site."""
+    sizes = {}
+    for index in (0, 1):
+        sizes[f"sites.{index}.devices.count"] = n_devices
+        sizes[f"sites.{index}.trace.n_days"] = n_trace_days
+    return get_scenario("two-site-asymmetric").with_overrides(
+        {"seed": seed, "churn.sampler": sampler, **sizes}
+    )
+
+
+def site_spec(
+    name: str,
+    region: str,
+    count: int = 100,
+    device: str = "Pixel 3A",
+    n_trace_days: int = 30,
+    cohorts=(),
+    churn: ChurnSpec = ChurnSpec(),
+) -> SiteSpec:
+    """One site on a regional trace: ``count`` x ``device``, or the
+    ``cohorts`` (:class:`DeviceMixSpec` entries) of a mixed rack."""
+    return SiteSpec(
+        name=name,
+        trace=TraceSpec(region=region, n_days=n_trace_days),
+        devices=DeviceMixSpec() if cohorts else DeviceMixSpec(device, count),
+        churn=churn,
+        cohorts=tuple(cohorts),
+    )
+
+
+def fleet_spec(*sites: SiteSpec, seed: int = 0) -> ScenarioSpec:
+    """A scenario holding ``sites`` in order, seeded at ``seed``."""
+    return ScenarioSpec(name="test-fleet", sites=sites, seed=seed)

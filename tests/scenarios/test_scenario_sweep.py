@@ -6,7 +6,6 @@ import pytest
 from repro.scenarios import (
     ScenarioValidationError,
     parse_sweep_override,
-    spec_hash,
     sweep_scenario,
 )
 from repro.scenarios.spec import (
@@ -144,8 +143,8 @@ class TestParallelSweep:
             tiny_spec(), {"duration_days": [1, 1, 2]}, jobs=2
         )
         assert len(sweep.cells) == 3
-        assert spec_hash(sweep.cells[0].result.spec) == spec_hash(
-            sweep.cells[1].result.spec
+        assert (
+            sweep.cells[0].result.spec.sha256() == sweep.cells[1].result.spec.sha256()
         )
         assert (
             sweep.cells[0].cci_g_per_request == sweep.cells[1].cci_g_per_request
@@ -156,9 +155,9 @@ class TestParallelSweep:
             sweep_scenario(tiny_spec(), {"duration_days": [1, 2]}, jobs=0)
 
     def test_spec_hash_is_content_addressed(self):
-        assert spec_hash(tiny_spec()) == spec_hash(tiny_spec())
+        assert tiny_spec().sha256() == tiny_spec().sha256()
         changed = tiny_spec().with_overrides({"duration_days": 2})
-        assert spec_hash(changed) != spec_hash(tiny_spec())
+        assert changed.sha256() != tiny_spec().sha256()
 
 
 class TestParseSweepOverride:

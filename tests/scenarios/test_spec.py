@@ -421,12 +421,6 @@ class TestSpecHashCanonicalization:
         spec = get_scenario("carbon-buffer")
         assert spec.with_overrides({"seed": spec.seed + 1}).sha256() != spec.sha256()
 
-    def test_sweep_spec_hash_delegates(self):
-        from repro.scenarios import spec_hash
-
-        spec = get_scenario("carbon-buffer")
-        assert spec_hash(spec) == spec.sha256()
-
 
 class TestChurnSamplerField:
     def test_default_is_device(self):

@@ -36,10 +36,10 @@ import pytest
 import repro.fleet.scheduler as scheduler_module
 import repro.microservices.cluster as cluster_module
 from repro.fleet.scheduler import policy_by_name, simulate_latency_aware
-from repro.devices.catalog import NEXUS_4, PIXEL_3A
-from repro.fleet.sites import mixed_phone_site, phone_site, two_site_asymmetric_fleet
 from repro.microservices.apps import COMPOSE_POST, READ_USER_TIMELINE, social_network
 from repro.microservices.cluster import pixel_cloudlet
+from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
+from repro.scenarios.spec import DeviceMixSpec, SiteSpec, TraceSpec
 from repro.simulation.metrics import LatencyRecorder, LatencySummary
 
 DIGESTS_PATH = os.path.join(
@@ -63,25 +63,45 @@ PROBE_POLICIES = ("round-robin", "greedy-lowest-intensity", "marginal-cci")
 MANY_BLOCKS_ARRIVALS = 2 * scheduler_module._BLOCK
 
 
+def _two_site_sites(n_devices):
+    """The ``two-site-asymmetric`` preset at ``n_devices`` a site, 2-day traces."""
+    overrides = {"seed": 1}
+    for index in (0, 1):
+        overrides[f"sites.{index}.devices.count"] = n_devices
+        overrides[f"sites.{index}.trace.n_days"] = 2
+    spec = get_scenario("two-site-asymmetric").with_overrides(overrides)
+    return ScenarioRunner(spec).build_sites()
+
+
 def _mixed_cohort_sites():
-    return [
-        phone_site("texas", "ercot-like", 5, seed=1, n_trace_days=2),
-        mixed_phone_site(
-            "mixed", "hydro-heavy", [(PIXEL_3A, 3), (NEXUS_4, 4)],
-            n_trace_days=2, seed=2,
+    spec = ScenarioSpec(
+        name="mixed-cohort",
+        sites=(
+            SiteSpec(
+                "texas",
+                trace=TraceSpec(region="ercot-like", n_days=2),
+                devices=DeviceMixSpec(count=5),
+            ),
+            SiteSpec(
+                "mixed",
+                trace=TraceSpec(region="hydro-heavy", n_days=2),
+                cohorts=(DeviceMixSpec(count=3), DeviceMixSpec("Nexus 4", 4)),
+            ),
         ),
-    ]
+        seed=1,
+    )
+    return ScenarioRunner(spec).build_sites()
 
 
 def _worn_clean_site_sites():
-    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+    sites = _two_site_sites(5)
     cohort = sites[1].cohorts[0].cohort  # cascadia, the preferred site
     cohort._battery_cycles[: cohort._m] = 0.5 * cohort.device.battery.cycle_life
     return sites
 
 
 def _many_blocks_sites():
-    return two_site_asymmetric_fleet(50, seed=1, n_trace_days=2)
+    return _two_site_sites(50)
 
 
 #: Extra probe cases: label -> (sites factory, policy, wear derate,
@@ -210,7 +230,7 @@ def _probe_result_digest(summary, served_by_site, recorder):
 
 
 def probe_digest(distribution, policy):
-    sites = two_site_asymmetric_fleet(5, seed=1, n_trace_days=2)
+    sites = _two_site_sites(5)
     return _probe_result_digest(
         *_run_probe(sites, policy_by_name(policy), 150.0, distribution)
     )
