@@ -9,6 +9,8 @@ from repro.fleet.dispatch import PackTable
 from repro.fleet.population import ReplacementPolicy
 from repro.fleet.sites import (
     REGIONAL_GENERATORS,
+    FleetSite,
+    SiteCohort,
     build_site_cohort,
     ercot_like_generator,
     hydro_heavy_generator,
@@ -102,8 +104,6 @@ class TestFleetSite:
         assert np.allclose(marginals, expected)
 
     def test_device_mismatch_rejected(self):
-        from repro.fleet.sites import FleetSite, SiteCohort
-
         site, nexus_site = ScenarioRunner(
             fleet_spec(
                 site_spec("a", "caiso-like", 10),
@@ -117,9 +117,13 @@ class TestFleetSite:
                 trace=site.trace,
                 cohorts=nexus_site.cohorts,
             )
+
+    def test_request_rate_must_be_positive_and_finite(self, site):
         for rate in (0.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="must be positive and finite"):
                 SiteCohort(cohort=site.cohorts[0].cohort, requests_per_device_s=rate)
+
+    def test_network_rtt_must_be_non_negative_and_finite(self, site):
         for rtt in (-1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-negative and finite"):
                 FleetSite(
