@@ -83,7 +83,7 @@ def feed_into_cloudlet(pixel_savings: float) -> None:
 
 
 def main() -> None:
-    trace = CaisoLikeTraceGenerator(seed=2021).generate_month(30)
+    trace = CaisoLikeTraceGenerator(seed=2021).generate_days(30)
     describe_grid(trace)
     pixel_savings = charging_study(trace)
 

@@ -202,7 +202,7 @@ def fig4_smart_charging(
     trace: Optional[GridTrace] = None,
 ) -> Figure4Data:
     """Run the April-2021-style smart-charging study for the given devices."""
-    month = trace or CaisoLikeTraceGenerator(seed=seed).generate_month(n_days)
+    month = trace or CaisoLikeTraceGenerator(seed=seed).generate_days(n_days)
     studies = {
         device.name: smart_charging_savings(device, month) for device in devices
     }

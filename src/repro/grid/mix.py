@@ -96,7 +96,7 @@ def california(
     trace = None
     constant = CALIFORNIA_MEAN_INTENSITY_G_PER_KWH
     if use_trace:
-        trace = CaisoLikeTraceGenerator(seed=seed).generate_month(n_days)
+        trace = CaisoLikeTraceGenerator(seed=seed).generate_days(n_days)
         constant = None
     return EnergyMix(
         name="California",

@@ -10,7 +10,9 @@ make the synthetic CAISO-like trace land on that mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Tuple, Union
+
+import numpy as np
 
 from repro import units
 
@@ -90,22 +92,39 @@ def all_sources() -> Tuple[EnergySource, ...]:
     return tuple(_SOURCES_BY_NAME.values())
 
 
-def blended_intensity(generation_mw_by_source: Mapping[str, float]) -> float:
+def blended_intensity(
+    generation_mw_by_source: Mapping[str, Union[float, np.ndarray]]
+) -> Union[float, np.ndarray]:
     """Carbon intensity (gCO2e/kWh) of a supply mix.
 
     ``generation_mw_by_source`` maps source names (matching the built-in
     sources) to instantaneous generation in MW (any consistent power unit
-    works because only the proportions matter).  This is how the synthetic
-    CAISO trace converts its supply stack into a carbon-intensity curve.
+    works because only the proportions matter): one scalar per source, or
+    one array per source, all of the same shape, to blend every sample at
+    once.  Sums run over the sources in mapping order, so an array call is
+    bitwise equal to blending each sample on its own.  This is how the
+    synthetic CAISO trace converts its supply stack into a carbon-intensity
+    curve.
     """
     total = 0.0
     weighted = 0.0
     for name, generation in generation_mw_by_source.items():
-        if generation < 0:
-            raise ValueError(f"generation for {name!r} is negative: {generation}")
+        generation = np.asarray(generation, dtype=float)
+        negative = np.flatnonzero(generation < 0)
+        if negative.size:
+            index = int(negative[0])
+            raise ValueError(
+                f"generation for {name!r} is negative at index {index}: "
+                f"{generation.flat[index]}"
+            )
         source = source_by_name(name)
-        total += generation
-        weighted += generation * source.carbon_intensity_g_per_kwh
-    if total == 0:
-        raise ValueError("total generation is zero; cannot compute blended intensity")
-    return weighted / total
+        total = total + generation
+        weighted = weighted + generation * source.carbon_intensity_g_per_kwh
+    zero = np.flatnonzero(total == 0)
+    if zero.size:
+        raise ValueError(
+            f"total generation is zero at index {int(zero[0])}; "
+            "cannot compute blended intensity"
+        )
+    blend = weighted / total
+    return float(blend) if np.ndim(blend) == 0 else blend

@@ -6,9 +6,8 @@ generation by source and the resulting grid carbon intensity for April 2021.
 That dataset is not redistributable, so this module provides
 
 * :class:`GridTrace` — a thin container for a timestamped carbon-intensity
-  series (plus, optionally, the per-source supply stack behind it), exposing
-  the operations the charging and carbon models need (interpolation, daily
-  slicing, percentiles, averaging); and
+  series, exposing the operations the charging and carbon models need
+  (interpolation, daily slicing, percentiles, averaging); and
 * :class:`CaisoLikeTraceGenerator` — a synthetic generator reproducing the
   structural features the paper's algorithm relies on: a solar "duck curve"
   (generation peaking mid-day), demand peaking in the evening, gas and
@@ -16,7 +15,7 @@ That dataset is not redistributable, so this module provides
   with solar output, and modest day-to-day variation.
 
 Real CAISO CSV exports can be loaded into the same :class:`GridTrace`
-interface via :meth:`GridTrace.from_series`, so every downstream consumer is
+interface via :meth:`GridTrace.from_csv`, so every downstream consumer is
 agnostic to whether the data is synthetic or measured.
 """
 
@@ -26,16 +25,30 @@ import csv
 import datetime as _datetime
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import units
 from repro.grid import sources as energy_sources
 
-#: Default sampling interval of CAISO supply data (5 minutes).
+#: Default sampling interval of CAISO supply data (5 minutes), and the
+#: interval of every synthetic trace.
 DEFAULT_INTERVAL_S = 300.0
+
+#: Hours of each synthetic day's samples, midnight to midnight.
+_DAY_HOURS = (
+    np.arange(int(round(units.SECONDS_PER_DAY / DEFAULT_INTERVAL_S)))
+    * DEFAULT_INTERVAL_S
+    / units.SECONDS_PER_HOUR
+)
+
+#: Sunrise and sunset (hours) of the synthetic solar half-sine.
+SOLAR_HOURS = (6.5, 19.5)
+
+#: Relative sigma of the per-sample demand noise (halved when applied).
+DEMAND_NOISE_SIGMA = 0.04
 
 #: Directory of bundled grid-trace data files shipped with the package.
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -75,15 +88,11 @@ class GridTrace:
     """A time series of grid carbon intensity.
 
     ``times_s`` are seconds since the start of the trace (uniformly spaced),
-    and ``intensity_g_per_kwh`` the corresponding carbon intensities.  The
-    optional ``supply_mw`` mapping carries the per-source generation stack
-    that produced the intensities (used for plotting Figure 4a-style
-    breakdowns).
+    and ``intensity_g_per_kwh`` the corresponding carbon intensities.
     """
 
     times_s: np.ndarray
     intensity_g_per_kwh: np.ndarray
-    supply_mw: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times_s, dtype=float)
@@ -96,6 +105,9 @@ class GridTrace:
             )
         if len(times) < 2:
             raise ValueError("a trace requires at least two samples")
+        for label, values in (("times_s", times), ("intensity_g_per_kwh", intensity)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{label} must be finite")
         if np.any(np.diff(times) <= 0):
             raise ValueError("trace times must be strictly increasing")
         if np.any(intensity < 0):
@@ -112,16 +124,11 @@ class GridTrace:
         cls,
         intensity_g_per_kwh: Sequence[float],
         interval_s: float = DEFAULT_INTERVAL_S,
-        supply_mw: Optional[Mapping[str, Sequence[float]]] = None,
     ) -> "GridTrace":
         """Build a trace from a plain intensity sequence at a fixed interval."""
         intensity = np.asarray(intensity_g_per_kwh, dtype=float)
         times = np.arange(len(intensity), dtype=float) * interval_s
-        supply = {
-            name: np.asarray(values, dtype=float)
-            for name, values in (supply_mw or {}).items()
-        }
-        return cls(times_s=times, intensity_g_per_kwh=intensity, supply_mw=supply)
+        return cls(times_s=times, intensity_g_per_kwh=intensity)
 
     @classmethod
     def from_csv(
@@ -199,30 +206,6 @@ class GridTrace:
         """A flat trace, useful for fixed energy-mix scenarios and tests."""
         n_samples = max(2, int(round(duration_s / interval_s)))
         return cls.from_series([intensity_g_per_kwh] * n_samples, interval_s=interval_s)
-
-    @classmethod
-    def concatenate(cls, traces: Sequence["GridTrace"]) -> "GridTrace":
-        """Concatenate traces end-to-end, shifting their time bases."""
-        if not traces:
-            raise ValueError("cannot concatenate an empty list of traces")
-        times: List[np.ndarray] = []
-        intensities: List[np.ndarray] = []
-        offset = 0.0
-        for trace in traces:
-            times.append(trace.times_s + offset)
-            intensities.append(trace.intensity_g_per_kwh)
-            offset += trace.duration_s + trace.interval_s
-        supply: Dict[str, np.ndarray] = {}
-        common = set(traces[0].supply_mw)
-        for trace in traces[1:]:
-            common &= set(trace.supply_mw)
-        for name in sorted(common):
-            supply[name] = np.concatenate([trace.supply_mw[name] for trace in traces])
-        return cls(
-            times_s=np.concatenate(times),
-            intensity_g_per_kwh=np.concatenate(intensities),
-            supply_mw=supply,
-        )
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -314,11 +297,9 @@ class GridTrace:
         mask = (self.times_s >= start_s) & (self.times_s < end_s)
         if int(np.count_nonzero(mask)) < 2:
             raise ValueError("requested slice contains fewer than two samples")
-        supply = {name: values[mask] for name, values in self.supply_mw.items()}
         return GridTrace(
             times_s=self.times_s[mask] - start_s,
             intensity_g_per_kwh=self.intensity_g_per_kwh[mask],
-            supply_mw=supply,
         )
 
     def day(self, index: int) -> "GridTrace":
@@ -372,26 +353,19 @@ class CaisoLikeTraceGenerator:
     """
 
     seed: int = 2021
-    interval_s: float = DEFAULT_INTERVAL_S
     base_demand_gw: float = 22.0
     evening_peak_gw: float = 6.0
     solar_peak_gw: float = 8.0
-    solar_hours: Tuple[float, float] = (6.5, 19.5)
     wind_mean_gw: float = 3.0
     hydro_gw: float = 2.8
     nuclear_gw: float = 2.2
     geothermal_gw: float = 1.0
     day_to_day_sigma: float = 0.12
-    noise_sigma: float = 0.04
 
-    def _hours(self) -> np.ndarray:
-        samples_per_day = int(round(units.SECONDS_PER_DAY / self.interval_s))
-        return np.arange(samples_per_day) * self.interval_s / units.SECONDS_PER_HOUR
-
-    def generate_day(self, day_index: int = 0) -> GridTrace:
-        """Generate one synthetic day (midnight-to-midnight) of supply data."""
+    def day_supply_mw(self, day_index: int) -> Dict[str, np.ndarray]:
+        """The supply stack (GW per source) of one synthetic day, midnight to midnight."""
         rng = np.random.default_rng((self.seed, day_index))
-        hours = self._hours()
+        hours = _DAY_HOURS
         n = len(hours)
 
         day_scale = float(
@@ -405,11 +379,11 @@ class CaisoLikeTraceGenerator:
             + 2.0 * np.exp(-0.5 * ((hours - 9.0) / 2.5) ** 2)
             + self.evening_peak_gw * np.exp(-0.5 * ((hours - 19.5) / 2.2) ** 2)
         )
-        demand *= 1.0 + rng.normal(0.0, self.noise_sigma, size=n) * 0.5
+        demand *= 1.0 + rng.normal(0.0, DEMAND_NOISE_SIGMA, size=n) * 0.5
         demand = np.clip(demand, 15.0, None)
 
         # Solar: half-sine between sunrise and sunset, scaled by cloud cover.
-        sunrise, sunset = self.solar_hours
+        sunrise, sunset = SOLAR_HOURS
         daylight = np.clip((hours - sunrise) / (sunset - sunrise), 0.0, 1.0)
         solar = self.solar_peak_gw * cloud_factor * np.sin(np.pi * daylight) ** 2
         solar = np.clip(solar + rng.normal(0.0, 0.15, size=n), 0.0, None)
@@ -433,7 +407,7 @@ class CaisoLikeTraceGenerator:
         imports = 0.40 * residual
         gas = residual - imports
 
-        supply = {
+        return {
             "solar": solar,
             "wind": wind,
             "hydro": hydro,
@@ -442,24 +416,15 @@ class CaisoLikeTraceGenerator:
             "natural gas": gas,
             "imports": imports,
         }
-        intensity = np.array(
-            [
-                energy_sources.blended_intensity(
-                    {name: values[i] for name, values in supply.items()}
-                )
-                for i in range(n)
-            ]
-        )
-        times = np.arange(n, dtype=float) * self.interval_s
-        return GridTrace(times_s=times, intensity_g_per_kwh=intensity, supply_mw=supply)
 
     def generate_days(self, n_days: int, start_day: int = 0) -> GridTrace:
         """Generate ``n_days`` consecutive synthetic days as a single trace."""
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        days = [self.generate_day(start_day + i) for i in range(n_days)]
-        return GridTrace.concatenate(days)
-
-    def generate_month(self, n_days: int = 30, start_day: int = 0) -> GridTrace:
-        """Generate a month-long trace (30 days by default, like April 2021)."""
-        return self.generate_days(n_days, start_day=start_day)
+        intensity = np.concatenate(
+            [
+                energy_sources.blended_intensity(self.day_supply_mw(start_day + day))
+                for day in range(n_days)
+            ]
+        )
+        return GridTrace.from_series(intensity)

@@ -10,7 +10,6 @@ from repro.simulation.metrics import (
 from repro.simulation.random_streams import RandomStreams
 from repro.simulation.resources import (
     CpuResource,
-    LocalLoopback,
     NetworkMedium,
     Resource,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "Resource",
     "CpuResource",
     "NetworkMedium",
-    "LocalLoopback",
     "LatencyRecorder",
     "LatencySummary",
     "UtilizationTimeline",

@@ -8,8 +8,7 @@ Two resource types cover the serving experiments:
   wall-clock milliseconds on this CPU.  FIFO queueing across cores produces
   the latency growth near saturation that Figure 7 shows.
 * :class:`NetworkMedium` — a shared transmission medium (the cloudlet's WiFi
-  channel, or a practically-infinite local loopback for single-node
-  deployments).  Transfers serialise through the medium at its bandwidth and
+  channel).  Transfers serialise through the medium at its bandwidth and
   then incur a propagation/stack latency that is not subject to queueing.
 
 Both resources record their busy time as step-wise occupancy series so the
@@ -197,9 +196,8 @@ class NetworkMedium(Resource):
         bandwidth_bytes_per_s: float,
         latency_s: float = 0.0,
         name: str = "network",
-        channels: int = 1,
     ) -> None:
-        super().__init__(simulator, capacity=channels, name=name)
+        super().__init__(simulator, capacity=1, name=name)
         if bandwidth_bytes_per_s <= 0:
             raise ValueError("bandwidth must be positive")
         if latency_s < 0:
@@ -212,7 +210,7 @@ class NetworkMedium(Resource):
         """Serialisation delay for ``n_bytes`` at the medium's bandwidth."""
         if n_bytes < 0:
             raise ValueError("bytes must be non-negative")
-        return n_bytes / (self.bandwidth_bytes_per_s / self.capacity)
+        return n_bytes / self.bandwidth_bytes_per_s
 
     def transfer(self, n_bytes: float) -> Generator:
         """Process fragment: serialise ``n_bytes`` through the medium, then wait latency."""
@@ -226,15 +224,3 @@ class NetworkMedium(Resource):
         if self.latency_s > 0:
             yield Timeout(self.latency_s)
 
-
-class LocalLoopback(NetworkMedium):
-    """An effectively-free network used for calls between services on one node."""
-
-    def __init__(self, simulator: Simulator, latency_s: float = 30e-6) -> None:
-        super().__init__(
-            simulator,
-            bandwidth_bytes_per_s=40e9 / 8.0,
-            latency_s=latency_s,
-            name="loopback",
-            channels=16,
-        )

@@ -83,7 +83,7 @@ def test_compare_policies_ranks_smart_best(week_trace):
 
 
 def test_requires_at_least_two_days():
-    single_day = CaisoLikeTraceGenerator(seed=1).generate_day(0)
+    single_day = CaisoLikeTraceGenerator(seed=1).generate_days(1)
     simulator = ChargingSimulator(device=PIXEL_3A)
     with pytest.raises(ValueError):
         simulator.run(single_day)

@@ -34,13 +34,13 @@ class TestRegionalPresets:
         assert means["ercot-like"] > 2.0 * means["hydro-heavy"]
 
     def test_generators_are_deterministic(self):
-        a = ercot_like_generator(seed=3).generate_day(0)
-        b = ercot_like_generator(seed=3).generate_day(0)
+        a = ercot_like_generator(seed=3).generate_days(1)
+        b = ercot_like_generator(seed=3).generate_days(1)
         assert np.array_equal(a.intensity_g_per_kwh, b.intensity_g_per_kwh)
 
     def test_hydro_heavy_is_flat(self):
         """Baseload hydro keeps intensity variance well below the duck curve's."""
-        hydro = hydro_heavy_generator(seed=1).generate_day(0)
+        hydro = hydro_heavy_generator(seed=1).generate_days(1)
         caiso = regional_trace("caiso-like", n_days=1, seed=1)
         assert np.std(hydro.intensity_g_per_kwh) < np.std(caiso.intensity_g_per_kwh)
 

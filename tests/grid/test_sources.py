@@ -1,8 +1,51 @@
 """Energy sources and blended intensity."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.grid import sources
+
+
+def _per_sample_blend(generation_mw_by_source):
+    """The scalar blend, one sample at a time: the array blend's oracle."""
+    total = 0.0
+    weighted = 0.0
+    for name, generation in generation_mw_by_source.items():
+        if generation < 0:
+            raise ValueError(f"generation for {name!r} is negative: {generation}")
+        source = sources.source_by_name(name)
+        total += generation
+        weighted += generation * source.carbon_intensity_g_per_kwh
+    if total == 0:
+        raise ValueError("total generation is zero; cannot compute blended intensity")
+    return weighted / total
+
+
+@st.composite
+def _supply_stacks(draw):
+    """A random supply stack: sources in random order, zeros in some of them,
+    and one source positive in every sample so no total is zero."""
+    names = draw(
+        st.lists(
+            st.sampled_from([source.name for source in sources.all_sources()]),
+            min_size=1,
+            max_size=len(sources.all_sources()),
+            unique=True,
+        )
+    )
+    n_samples = draw(st.integers(min_value=1, max_value=40))
+    positive = draw(st.sampled_from(names))
+    stack = {}
+    for name in names:
+        values = (
+            st.floats(min_value=1e-6, max_value=1e5)
+            if name == positive
+            else st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5))
+        )
+        stack[name] = draw(arrays(np.float64, n_samples, elements=values))
+    return stack
 
 
 def test_paper_quoted_intensities():
@@ -48,10 +91,45 @@ class TestBlendedIntensity:
         assert 48.0 < blend < 602.0
         assert blend == pytest.approx((3 * 48 + 602) / 4)
 
-    def test_zero_total_rejected(self):
-        with pytest.raises(ValueError):
-            sources.blended_intensity({"solar": 0.0})
+    @pytest.mark.parametrize(
+        "stack, index",
+        [
+            ({"solar": 0.0}, 0),
+            ({"solar": np.array([1.0, 0.0, 0.0]), "wind": np.array([0.0, 0.0, 2.0])}, 1),
+        ],
+        ids=["scalar", "array"],
+    )
+    def test_zero_total_rejected(self, stack, index):
+        with pytest.raises(ValueError, match=f"total generation is zero at index {index}"):
+            sources.blended_intensity(stack)
 
-    def test_negative_generation_rejected(self):
-        with pytest.raises(ValueError):
-            sources.blended_intensity({"solar": -1.0, "natural gas": 2.0})
+    @pytest.mark.parametrize(
+        "stack, index",
+        [
+            ({"natural gas": 2.0, "solar": -1.0}, 0),
+            (
+                {"natural gas": np.array([2.0, 2.0, 2.0]), "solar": np.array([1.0, 0.0, -1.0])},
+                2,
+            ),
+        ],
+        ids=["scalar", "array"],
+    )
+    def test_negative_generation_rejected(self, stack, index):
+        with pytest.raises(ValueError, match=f"'solar' is negative at index {index}"):
+            sources.blended_intensity(stack)
+
+    def test_scalar_call_returns_a_float(self):
+        assert type(sources.blended_intensity({"solar": 1.0, "wind": 2.0})) is float
+
+    @settings(max_examples=100, deadline=None)
+    @given(_supply_stacks())
+    def test_array_blend_is_bitwise_the_per_sample_blend(self, stack):
+        blend = sources.blended_intensity(stack)
+        n_samples = len(next(iter(stack.values())))
+        expected = [
+            _per_sample_blend({name: values[i] for name, values in stack.items()})
+            for i in range(n_samples)
+        ]
+        assert [float(value).hex() for value in blend] == [
+            float(value).hex() for value in expected
+        ]

@@ -10,7 +10,7 @@ from repro.grid.traces import CaisoLikeTraceGenerator, GridTrace
 
 @pytest.fixture(scope="module")
 def one_day():
-    return CaisoLikeTraceGenerator(seed=7).generate_day(0)
+    return CaisoLikeTraceGenerator(seed=7).generate_days(1)
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,16 @@ class TestGridTrace:
         with pytest.raises(ValueError):
             GridTrace(times_s=np.array([0.0, 1.0]), intensity_g_per_kwh=np.array([1.0, -2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="intensity_g_per_kwh must be finite"):
+            GridTrace.from_series([100.0, bad, 300.0])
+        with pytest.raises(ValueError, match="times_s must be finite"):
+            GridTrace(
+                times_s=np.array([0.0, 300.0, bad]),
+                intensity_g_per_kwh=np.array([100.0, 200.0, 300.0]),
+            )
+
     def test_intensity_at_interpolates_and_clamps(self):
         trace = GridTrace.from_series([100, 300], interval_s=100)
         assert trace.intensity_at(50) == pytest.approx(200.0)
@@ -55,10 +65,13 @@ class TestGridTrace:
         with pytest.raises(IndexError):
             five_days.day(5)
 
-    def test_concatenate_preserves_samples(self, one_day):
-        double = GridTrace.concatenate([one_day, one_day])
-        assert len(double) == 2 * len(one_day)
-        assert double.n_days == 2
+    def test_days_are_the_single_day_runs(self, five_days):
+        """A run's day slices equal the one-day runs that start on those days."""
+        generator = CaisoLikeTraceGenerator(seed=7)
+        for index, day in enumerate(five_days.days()):
+            alone = generator.generate_days(1, start_day=index)
+            assert np.array_equal(day.times_s, alone.times_s)
+            assert np.array_equal(day.intensity_g_per_kwh, alone.intensity_g_per_kwh)
 
     def test_carbon_for_constant_power(self):
         trace = GridTrace.constant(250.0, duration_s=units.SECONDS_PER_DAY, interval_s=300)
@@ -81,7 +94,7 @@ class TestCaisoLikeGenerator:
         assert 200 < five_days.mean_intensity() < 350
 
     def test_intensity_anticorrelated_with_solar(self, one_day):
-        solar = one_day.supply_mw["solar"]
+        solar = CaisoLikeTraceGenerator(seed=7).day_supply_mw(0)["solar"]
         correlation = np.corrcoef(solar, one_day.intensity_g_per_kwh)[0, 1]
         assert correlation < -0.7
 
@@ -92,19 +105,18 @@ class TestCaisoLikeGenerator:
         assert midday < evening
 
     def test_deterministic_for_seed(self):
-        a = CaisoLikeTraceGenerator(seed=3).generate_day(1)
-        b = CaisoLikeTraceGenerator(seed=3).generate_day(1)
+        a = CaisoLikeTraceGenerator(seed=3).generate_days(1, start_day=1)
+        b = CaisoLikeTraceGenerator(seed=3).generate_days(1, start_day=1)
         np.testing.assert_allclose(a.intensity_g_per_kwh, b.intensity_g_per_kwh)
 
     def test_days_differ_from_each_other(self):
-        gen = CaisoLikeTraceGenerator(seed=3)
-        a = gen.generate_day(0)
-        b = gen.generate_day(1)
+        a, b = CaisoLikeTraceGenerator(seed=3).generate_days(2).days()
         assert not np.allclose(a.intensity_g_per_kwh, b.intensity_g_per_kwh)
 
-    def test_generate_month_length(self):
-        month = CaisoLikeTraceGenerator(seed=1).generate_month(3)
-        assert month.n_days == 3
+    def test_generate_days_length(self):
+        trace = CaisoLikeTraceGenerator(seed=1).generate_days(3)
+        assert trace.n_days == 3
+        assert len(trace) == 3 * 288
 
     def test_invalid_day_count(self):
         with pytest.raises(ValueError):
@@ -113,10 +125,11 @@ class TestCaisoLikeGenerator:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(min_value=0, max_value=400))
     def test_any_day_is_physically_sane(self, day_index):
-        day = CaisoLikeTraceGenerator(seed=11).generate_day(day_index)
+        generator = CaisoLikeTraceGenerator(seed=11)
+        day = generator.generate_days(1, start_day=day_index)
         assert np.all(day.intensity_g_per_kwh > 0)
         assert np.all(day.intensity_g_per_kwh < 820)  # never dirtier than pure coal
-        assert np.all(day.supply_mw["solar"] >= 0)
+        assert np.all(generator.day_supply_mw(day_index)["solar"] >= 0)
 
 
 class TestTraceEdgeCases:

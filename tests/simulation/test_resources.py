@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simulation.engine import Simulator, Timeout
-from repro.simulation.resources import CpuResource, LocalLoopback, NetworkMedium, Resource
+from repro.simulation.resources import CpuResource, NetworkMedium, Resource
 
 
 def test_resource_fifo_admission_and_release():
@@ -179,13 +179,6 @@ def test_zero_byte_transfer_only_pays_latency():
     sim.run()
     assert done[0] == pytest.approx(0.25)
     assert net.bytes_transferred == 0.0
-
-
-def test_loopback_is_effectively_instant():
-    sim = Simulator()
-    loopback = LocalLoopback(sim)
-    assert loopback.transmission_time_s(10_000) < 1e-4
-    assert loopback.latency_s < 1e-3
 
 
 def test_network_validation():
