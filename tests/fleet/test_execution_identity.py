@@ -10,11 +10,13 @@ samplers at 2 and 30 days, for every charging coupling mode, for the
 forecast dispatch under every bundled model and plan cadence, and for the
 pack capabilities a plain preset never varies: a battery-less pack, a wear
 derate, and device counts that change every day under the forecast
-planner.  Any change that moves a single bit of a report fails here.
+planner; and for plan tails under the forecast planner: twelve sites whose
+48-hour windows, replanned every 30 hours, leave tails across midnights,
+and a pack that empties while it holds one.  Any change that moves a single bit of a report fails here.
 
 Re-record (only for a change that is *meant* to move results) with::
 
-    PYTHONPATH=src python tests/fleet/test_execution_identity.py --record
+    PYTHONPATH=src:tests python tests/fleet/test_execution_identity.py --record
 
 The same module pins the report's site ``soc`` view (segment-wise
 ``reduceat``) against a per-site loop reference.
@@ -37,6 +39,8 @@ from repro.fleet import (
 )
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, scenario_names
 from repro.scenarios.spec import DeviceMixSpec, SiteSpec, TraceSpec
+
+from fleet_specs import fleet_spec, site_spec
 
 DIGESTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "report_digests.json"
@@ -134,6 +138,7 @@ def _cases():
         )
     cases.update(_forecast_cases())
     cases.update(_capability_cases())
+    cases.update(_tail_cases())
     return cases
 
 
@@ -224,6 +229,79 @@ def _capability_cases():
     return cases
 
 
+#: A noisy forecast on 48-hour windows replanned every 30 hours: most plans
+#: leave a tail that executes after midnight.
+TAIL_CADENCE = {
+    **FORECAST_MODELS["noisy"],
+    "forecast.horizon_h": 48,
+    "forecast.refresh_h": 30,
+}
+
+#: Regions the twelve planner sites cycle through.
+TAIL_REGIONS = ("caiso-like", "ercot-like", "hydro-heavy")
+
+#: ``forecast-buffer`` with a three-device first site, no spares and no
+#: intake, failing fast: at seed 7 its pack runs empty on day 13, a day
+#: that starts inside a 30-hour plan's tail.
+EMPTYING_PACK = {
+    "seed": 7,
+    "duration_days": 30,
+    "sites.0.devices.count": 3,
+    "churn.initial_spares": 0,
+    "churn.intake_per_day": 0,
+    "churn.annual_failure_rate": 20.0,
+    "churn.age_acceleration_per_year": 6.0,
+    "churn.sampler": "device",
+    **TAIL_CADENCE,
+}
+
+
+def twelve_site_spec():
+    """Eleven single-pack sites of growing size and one mixed site whose
+    two packs share its forecast."""
+    sites = [
+        site_spec(
+            f"site-{index:02d}",
+            TAIL_REGIONS[index % len(TAIL_REGIONS)],
+            count=40 + 10 * index,
+            n_trace_days=2,
+        )
+        for index in range(11)
+    ]
+    sites.append(
+        site_spec(
+            "mixed",
+            "caiso-like",
+            n_trace_days=2,
+            cohorts=(
+                DeviceMixSpec(count=30),
+                DeviceMixSpec("Nexus 4", 20, requests_per_device_s=8.0),
+            ),
+        )
+    )
+    return fleet_spec(*sites, seed=3)
+
+
+def _tail_cases():
+    """Digests over plan tails: twelve sites carrying tails, and a pack that
+    empties while it holds one."""
+    return {
+        "twelve-sites/tails/forecast=noisy/6d": (
+            twelve_site_spec(),
+            {
+                "duration_days": 6,
+                "charging.policy": "smart",
+                "charging.coupling": "dispatch",
+                **TAIL_CADENCE,
+            },
+        ),
+        "forecast-buffer/emptying-pack/forecast=noisy/30d": (
+            "forecast-buffer",
+            EMPTYING_PACK,
+        ),
+    }
+
+
 def report_digest(result) -> str:
     """SHA-256 over the report attributes, every per-site cost field, CCI and $/request.
 
@@ -253,10 +331,16 @@ def report_digest(result) -> str:
     return digest.hexdigest()
 
 
+def _run_case(label):
+    """Run one case: a preset name or a spec, under ``FAST`` and its overrides."""
+    base, overrides = _cases()[label]
+    if isinstance(base, str):
+        base = get_scenario(base)
+    return ScenarioRunner(base.with_overrides({**FAST, **overrides})).run()
+
+
 def _digest_case(label):
-    preset, overrides = _cases()[label]
-    spec = get_scenario(preset).with_overrides({**FAST, **overrides})
-    return report_digest(ScenarioRunner(spec).run())
+    return report_digest(_run_case(label))
 
 
 def _recorded():
@@ -295,6 +379,24 @@ class TestPackCapabilityIdentity:
     @pytest.mark.parametrize("label", sorted(_capability_cases()))
     def test_every_capability_case_matches_its_recorded_digest(self, label):
         assert _digest_case(label) == _recorded()[label], label
+
+
+class TestPlanTailIdentity:
+    @pytest.mark.parametrize("label", sorted(_tail_cases()))
+    def test_every_tail_case_matches_its_recorded_digest(self, label):
+        assert _digest_case(label) == _recorded()[label], label
+
+    def test_the_emptying_pack_reaches_zero_devices(self):
+        report = _run_case("forecast-buffer/emptying-pack/forecast=noisy/30d").report
+        # The planner sees a pack's day-start capacity: zero means no device.
+        day_start_capacity_j = report.cohort_battery_capacity_j[:, 0]
+        assert day_start_capacity_j[0] > 0
+        empty_days = np.flatnonzero(day_start_capacity_j == 0)
+        assert empty_days.size
+        # Plans start every 30 hours from hour 0: a day whose first hour is
+        # not a plan start opens inside the previous plan's tail.
+        hours_per_day = report.hours.shape[0] // report.days.shape[0]
+        assert (empty_days[0] * hours_per_day) % TAIL_CADENCE["forecast.refresh_h"]
 
 
 def _site_soc_loop(report):
