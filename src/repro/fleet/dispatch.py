@@ -57,9 +57,10 @@ realise after a full cycle-life crossing.
   recorded inputs;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
 * :class:`ForecastDispatch` — the forecast-aware policy: a
-  :class:`~repro.forecast.planner.LookaheadPlanner` ranks a forecast window
-  (:mod:`repro.forecast.models`) and emits per-hour setpoints; hours the
-  model cannot forecast hold;
+  :class:`~repro.forecast.planner.LookaheadPlanner` ranks every pack's
+  forecast window (:mod:`repro.forecast.models`, one per site) in one
+  batched pass and emits per-hour setpoints; hours the model cannot
+  forecast hold;
 * :func:`estimate_site_savings` — the detached per-device charging study run
   on one site's device/trace/load context, used by the scenario runner's
   ``coupling="estimate"`` mode so the estimate and the coupled dispatch share
@@ -243,7 +244,14 @@ class ForecastDispatch(DispatchPolicy):
     cannot forecast hold, as the paper's previous-day heuristic holds on a
     day with no history: a persistence forecaster's blind first day holds
     every pack, and a window that goes blind mid-day keeps its planned
-    prefix and holds the rest.  Battery-less packs always hold.
+    prefix and holds the rest.  Battery-less and empty packs always hold.
+
+    A day is planned in one batched pass over every battery-backed,
+    non-empty pack: carried plan tails first, then one ``(packs, horizon)``
+    planner call per refresh, and one vectorized SoC projection that seeds
+    the next refresh.  The model is asked for one window per site per
+    refresh; every pack at a site plans against that same forecast of their
+    shared grid, while SoC and capacity are per pack.
 
     Plan tails (a ``refresh_h`` window spanning midnight) carry across
     days, so the policy keeps state across one run; a call with ``day ==
@@ -296,6 +304,9 @@ class ForecastDispatch(DispatchPolicy):
         #: model was blind for the whole day (e.g. a persistence forecast's
         #: first day).  Battery-less packs, which never plan, do not count.
         self.fallback_pack_days = 0
+        #: Per-run observability counter: pack windows the planner planned
+        #: (one per pack per forecast refresh).
+        self.planned_windows = 0
 
     def day_modes(
         self, day, packs, previous_intensity, intensity, counts, soc
@@ -303,6 +314,7 @@ class ForecastDispatch(DispatchPolicy):
         if day == 0:
             self._pending = {}
             self.fallback_pack_days = 0
+            self.planned_windows = 0
         hours = intensity.shape[0]
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         day_start_s = day * hours * units.SECONDS_PER_HOUR
@@ -319,91 +331,115 @@ class ForecastDispatch(DispatchPolicy):
         served_rps = self.demand_fraction * (counts * packs.requests_per_device_s)
         power_w = counts * packs.idle_w + served_rps * packs.dynamic_j
         demand_step_j = np.maximum(0.0, power_w) * units.SECONDS_PER_HOUR
-        for j in np.flatnonzero(packs.has_battery & (capacity_j > 0)).tolist():
-            site_index = int(packs.site_index[j])
-            modes[:, j] = self._plan_pack_day(
-                packs.sites[site_index],
-                j,
-                site_index,
-                day_start_s,
-                hours,
-                float(capacity_j[j]),
-                float(charge_step_j[j]),
-                float(demand_step_j[j]),
-                float(soc[j]),
+
+        # Only battery-backed, non-empty packs plan; the rest hold, and an
+        # emptied pack keeps any plan tail it held.
+        planned_packs = np.flatnonzero(packs.has_battery & (capacity_j > 0))
+        if not planned_packs.size:
+            return modes
+        capacity_j = capacity_j[planned_packs]
+        charge_step_j = charge_step_j[planned_packs]
+        demand_step_j = demand_step_j[planned_packs]
+        plan_soc = np.asarray(soc, dtype=float)[planned_packs]
+        site_index = packs.site_index[planned_packs]
+        planned = np.full((planned_packs.size, hours), DISPATCH_HOLD, dtype=np.int8)
+        covered = self._take_pending(planned_packs, planned)
+        demand_j = np.broadcast_to(
+            demand_step_j[:, None], (planned_packs.size, max(hours, self.horizon_h))
+        )
+        if covered.any():
+            plan_soc = self.planner.project_state_of_charge(
+                planned, demand_j[:, :hours], capacity_j, charge_step_j, plan_soc
             )
+
+        offsets = np.arange(self.refresh_h)
+        while True:
+            rows = np.flatnonzero(covered < hours)
+            if not rows.size:
+                break
+            windows = self._windows(
+                packs.sites, site_index[rows], covered[rows], day_start_s
+            )
+            seeing = np.array([window is not None for window in windows])
+            # A blind window keeps any planned prefix and holds the rest.
+            blind = rows[~seeing]
+            self.fallback_pack_days += int(np.count_nonzero(covered[blind] == 0))
+            covered[blind] = hours
+            rows = rows[seeing]
+            if not rows.size:
+                continue
+            chunk = self.planner.plan_window(
+                np.stack([window for window in windows if window is not None]),
+                demand_j[rows, : self.horizon_h],
+                capacity_j[rows],
+                charge_step_j[rows],
+                plan_soc[rows],
+            )[:, : self.refresh_h]
+            self.planned_windows += rows.size
+            take = np.minimum(self.refresh_h, hours - covered[rows])
+            executes = offsets < take[:, None]
+            row_index = np.broadcast_to(rows[:, None], chunk.shape)
+            hour_index = covered[rows][:, None] + offsets
+            planned[row_index[executes], hour_index[executes]] = chunk[executes]
+            for row in np.flatnonzero(take < self.refresh_h).tolist():
+                self._pending[int(planned_packs[rows[row]])] = chunk[
+                    row, take[row] :
+                ].copy()
+            plan_soc[rows] = self.planner.project_state_of_charge(
+                np.where(executes, chunk, DISPATCH_HOLD),
+                demand_j[rows, : self.refresh_h],
+                capacity_j[rows],
+                charge_step_j[rows],
+                plan_soc[rows],
+            )
+            covered[rows] += take
+        modes[:, planned_packs] = planned.T
         return modes
 
-    # -- per-pack planning -------------------------------------------------
+    def _take_pending(self, planned_packs: np.ndarray, planned: np.ndarray) -> np.ndarray:
+        """Move each planning pack's carried plan tail into ``planned``.
 
-    def _plan_pack_day(
-        self,
-        site: FleetSite,
-        pack_index: int,
-        site_index: int,
-        day_start_s: float,
-        hours: int,
-        capacity_j: float,
-        charge_step_j: float,
-        demand_step_j: float,
-        soc: float,
-    ) -> np.ndarray:
-        """One battery-backed, non-empty pack's planned modes for the day.
-
-        The forecast window is keyed on the *site* index — every
-        pack at a mixed site plans against the same forecast of their shared
-        grid (a noisy model must not perturb one physical quantity two ways)
-        — while SoC and capacity are per pack.
-
-        A plan tail left over from an earlier refresh window (``refresh_h``
+        A tail left over from an earlier refresh window (``refresh_h``
         spanning midnight) executes before any new forecast is requested, so
         planning cadence is set by ``refresh_h`` alone: ``refresh_h=48``
         calls the model every other day instead of silently replanning at
-        every midnight (locked by a planner-call-count regression test).
+        every midnight.  A tail longer than the day keeps its remainder for
+        the next day.  Returns each pack's covered hour count.
         """
-        planned = np.full(hours, DISPATCH_HOLD, dtype=np.int8)
-        covered = 0
-        pending = self._pending.pop(pack_index, None)
-        if pending is not None and pending.size:
+        hours = planned.shape[1]
+        covered = np.zeros(planned_packs.size, dtype=np.int64)
+        for row, pack in enumerate(planned_packs.tolist()):
+            pending = self._pending.pop(pack, None)
+            if pending is None or not pending.size:
+                continue
             take = min(pending.size, hours)
-            planned[:take] = pending[:take]
+            planned[row, :take] = pending[:take]
             if pending.size > take:
-                self._pending[pack_index] = pending[take:]
-            covered = take
-            soc = self.planner.project_state_of_charge(
-                planned[:take],
-                np.full(take, demand_step_j),
-                capacity_j,
-                charge_step_j,
-                soc,
-            )
-        while covered < hours:
-            window = self.model.window(
-                site.trace,
-                day_start_s + covered * units.SECONDS_PER_HOUR,
-                self.horizon_h,
-                site_index=site_index,
-            )
-            if window is None:
-                if covered == 0:
-                    self.fallback_pack_days += 1
-                break  # keep any planned prefix, hold the blind remainder
-            demand_j = np.full(self.horizon_h, demand_step_j)
-            plan = self.planner.plan_window(
-                window, demand_j, capacity_j, charge_step_j, soc
-            )
-            chunk = np.asarray(plan)[: self.refresh_h]
-            take = min(self.refresh_h, hours - covered)
-            planned[covered : covered + take] = chunk[:take]
-            if take < chunk.shape[0]:
-                self._pending[pack_index] = np.array(
-                    chunk[take:], dtype=np.int8, copy=True
+                self._pending[pack] = pending[take:]
+            covered[row] = take
+        return covered
+
+    def _windows(self, sites, site_index, covered, day_start_s):
+        """The model's forecast window for each row, one call per site and start.
+
+        Every pack at a site plans against the same forecast of their shared
+        grid (a noisy model must not perturb one physical quantity two
+        ways), so packs that share a site and a window start share one
+        window; ``None`` marks a row the model is blind for.
+        """
+        windows = {}
+        forecast = []
+        for site, offset in zip(site_index.tolist(), covered.tolist()):
+            key = (site, offset)
+            if key not in windows:
+                windows[key] = self.model.window(
+                    sites[site].trace,
+                    day_start_s + offset * units.SECONDS_PER_HOUR,
+                    self.horizon_h,
+                    site_index=site,
                 )
-            soc = self.planner.project_state_of_charge(
-                chunk[:take], demand_j[:take], capacity_j, charge_step_j, soc
-            )
-            covered += take
-        return planned
+            forecast.append(windows[key])
+        return forecast
 
 
 class EnergyLedger:

@@ -477,6 +477,10 @@ class FleetSimulation:
                     "dispatch.fallback_pack_days",
                     getattr(self.dispatch, "fallback_pack_days", 0),
                 )
+                tele.count(
+                    "dispatch.planned_windows",
+                    getattr(self.dispatch, "planned_windows", 0),
+                )
 
         report = FleetReport(
             policy_name=self.policy.name,

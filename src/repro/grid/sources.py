@@ -9,6 +9,7 @@ make the synthetic CAISO-like trace land on that mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple, Union
 
@@ -25,10 +26,11 @@ class EnergySource:
     carbon_intensity_g_per_kwh: float
 
     def __post_init__(self) -> None:
-        if self.carbon_intensity_g_per_kwh < 0:
+        intensity = self.carbon_intensity_g_per_kwh
+        if not (math.isfinite(intensity) and intensity >= 0):
             raise ValueError(
-                f"{self.name}: carbon intensity must be non-negative, got "
-                f"{self.carbon_intensity_g_per_kwh}"
+                f"{self.name}: carbon intensity must be finite and "
+                f"non-negative, got {intensity}"
             )
 
     @property
@@ -102,7 +104,9 @@ def blended_intensity(
     works because only the proportions matter): one scalar per source, or
     one array per source, all of the same shape, to blend every sample at
     once.  Sums run over the sources in mapping order, so an array call is
-    bitwise equal to blending each sample on its own.  This is how the
+    bitwise equal to blending each sample on its own.  Non-finite or
+    negative generation, or a zero total, raises a ``ValueError`` naming
+    the source (for generation) and the first bad sample index.  This is how the
     synthetic CAISO trace converts its supply stack into a carbon-intensity
     curve.
     """
@@ -110,6 +114,13 @@ def blended_intensity(
     weighted = 0.0
     for name, generation in generation_mw_by_source.items():
         generation = np.asarray(generation, dtype=float)
+        non_finite = np.flatnonzero(~np.isfinite(generation))
+        if non_finite.size:
+            index = int(non_finite[0])
+            raise ValueError(
+                f"generation for {name!r} is not finite at index {index}: "
+                f"{generation.flat[index]}"
+            )
         negative = np.flatnonzero(generation < 0)
         if negative.size:
             index = int(negative[0])

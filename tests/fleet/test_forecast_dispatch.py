@@ -246,6 +246,36 @@ class TestBlindDays:
         assert report.cohort_battery_kwh[:24].sum() > 0
         assert report.cohort_battery_kwh[48:].sum() > 0
         assert dispatch.fallback_pack_days == 2  # two packs, one blind day
+        assert dispatch.planned_windows == 4  # two packs, two seeing days
+
+    def test_a_window_blind_mid_day_keeps_the_planned_prefix(self):
+        """Six-hour refreshes with every window from hour 36 on blind: day
+        1 plans 24:00-36:00 and holds the rest, and no whole day is blind."""
+        dispatch = ForecastDispatch(
+            _BlindFrom(36 * units.SECONDS_PER_HOUR), horizon_h=24, refresh_h=6
+        )
+        spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
+        sites = ScenarioRunner(spec).build_sites()
+        report = FleetSimulation(
+            sites, GreedyLowestIntensityRouting(), DEMAND, dispatch=dispatch
+        ).run(2)
+        assert np.all(report.cohort_battery_kwh[36:] == 0)
+        assert np.all(report.cohort_charge_kwh[36:] == 0)
+        assert dispatch.fallback_pack_days == 0
+        assert dispatch.planned_windows == 2 * (4 + 2)  # two packs
+
+
+class _BlindFrom(ForecastModel):
+    """The oracle, except that every window starting at ``blind_s`` or later is blind."""
+
+    def __init__(self, blind_s):
+        self.blind_s = blind_s
+        self.inner = PerfectForecast()
+
+    def window(self, trace, start_s, horizon_h, site_index=0):
+        if start_s >= self.blind_s:
+            return None
+        return self.inner.window(trace, start_s, horizon_h, site_index=site_index)
 
 
 class TestRegretAccounting:

@@ -354,4 +354,8 @@ class TestForecastDispatchOnMixedSites:
         # Three packs, two sites: windows are requested with the *site*
         # index, so only {0, 1} appear — never a pack index 2.
         assert set(seen) == {0, 1}
-        assert seen.count(0) == 2 * seen.count(1)  # two packs share site 0
+        # One window per site per refresh (daily, over two days): the two
+        # packs at site 0 share theirs.
+        assert seen.count(0) == seen.count(1) == 2
+        # ...while every pack still plans its own window each day.
+        assert dispatch.planned_windows == 3 * 2

@@ -55,6 +55,12 @@ def test_paper_quoted_intensities():
     assert sources.ZERO_CARBON.carbon_intensity_g_per_kwh == 0.0
 
 
+@pytest.mark.parametrize("intensity", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_source_intensity_must_be_finite_and_non_negative(intensity):
+    with pytest.raises(ValueError, match="x: carbon intensity must be finite and non-negative"):
+        sources.EnergySource("x", intensity)
+
+
 def test_source_lookup():
     assert sources.source_by_name("solar") is sources.SOLAR
     with pytest.raises(KeyError):
@@ -116,6 +122,14 @@ class TestBlendedIntensity:
     )
     def test_negative_generation_rejected(self, stack, index):
         with pytest.raises(ValueError, match=f"'solar' is negative at index {index}"):
+            sources.blended_intensity(stack)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_generation_rejected(self, bad):
+        with pytest.raises(ValueError, match="'solar' is not finite at index 0"):
+            sources.blended_intensity({"solar": bad, "wind": 1.0})
+        stack = {"natural gas": np.full(3, 2.0), "solar": np.array([1.0, 0.0, bad])}
+        with pytest.raises(ValueError, match="'solar' is not finite at index 2"):
             sources.blended_intensity(stack)
 
     def test_scalar_call_returns_a_float(self):
