@@ -158,23 +158,6 @@ class TestBatchedOracle:
             )
             assert float(projected[row]).hex() == expected.hex(), row
 
-    def test_a_row_plans_alike_alone_and_in_a_batch(self):
-        rng = np.random.default_rng(5)
-        forecast = rng.integers(0, 4, size=(6, 30)).astype(float)
-        demand = rng.uniform(0.0, 3_000.0, size=(6, 30))
-        capacity = np.full(6, CAPACITY_J)
-        charge_step = np.full(6, CHARGE_STEP_J)
-        soc = np.linspace(0.2, 1.0, 6)
-        planner = LookaheadPlanner()
-        batched = planner.plan_window(forecast, demand, capacity, charge_step, soc)
-        for row in range(6):
-            alone = planner.plan_window(
-                forecast[row : row + 1], demand[row : row + 1],
-                capacity[row : row + 1], charge_step[row : row + 1],
-                soc[row : row + 1],
-            )
-            assert np.array_equal(batched[row], alone[0])
-
 
 class TestPlanWindow:
     def test_dirtiest_hours_discharge_first(self):
