@@ -9,11 +9,20 @@
 * one multi-window Figure 8-style run (3 s, 1 s utilisation windows);
 * the fleet latency probe (:func:`~repro.fleet.simulate_latency_aware`)
   for every service distribution under round-robin, greedy and
-  marginal-CCI routing, plus three probe cases that reach other paths: a
+  marginal-CCI routing, plus probe cases that reach other paths: a
   mixed-cohort site (the site marginal is a minimum over cohorts), a
-  wear-derated policy on a worn site, and a run offering more than two
-  blocks of arrivals.  Each digest covers the summary, every latency
-  sample and ``served_by_site``.
+  wear-derated policy on a worn site, a run offering more than two
+  blocks of arrivals, and a three-cohort site (Pixel 3A, Nexus 4, Nexus 5
+  at distinct non-integer rates and wear) under a wear-derated
+  marginal-CCI policy and under round-robin.  Each digest covers the
+  summary, every latency sample and ``served_by_site``;
+* the probe as :meth:`~repro.scenarios.ScenarioRunner.run` calls it on a
+  three-cohort fleet, which also pins the runner's live-capacity sum (it
+  sets the probe's demand).  Its digest covers the summary and every
+  latency sample.
+
+The three-cohort rates are chosen so that summing the site's or the
+fleet's capacities in another order moves the last bit of the sum.
 
 Any change to the engine, the resources or the serving cluster that moves
 a single bit of these outputs fails here.
@@ -39,7 +48,13 @@ from repro.fleet.scheduler import policy_by_name, simulate_latency_aware
 from repro.microservices.apps import COMPOSE_POST, READ_USER_TIMELINE, social_network
 from repro.microservices.cluster import pixel_cloudlet
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
-from repro.scenarios.spec import DeviceMixSpec, SiteSpec, TraceSpec
+from repro.scenarios.spec import (
+    DemandSpec,
+    DeviceMixSpec,
+    RoutingSpec,
+    SiteSpec,
+    TraceSpec,
+)
 from repro.simulation.metrics import LatencyRecorder, LatencySummary
 
 DIGESTS_PATH = os.path.join(
@@ -104,6 +119,46 @@ def _many_blocks_sites():
     return _two_site_sites(50)
 
 
+def _three_cohort_spec(**fields):
+    """A uniform site beside a Pixel 3A / Nexus 4 / Nexus 5 site.
+
+    The mixed site's rates are distinct and non-integer, so its capacity
+    and target-weighted rate are sums of three unequal terms; at full
+    deployment both, and the fleet's capacity, move in the last bit when
+    added in another order.
+    """
+    return ScenarioSpec(
+        name="three-cohort",
+        sites=(
+            SiteSpec(
+                "texas",
+                trace=TraceSpec(region="ercot-like", n_days=2),
+                devices=DeviceMixSpec(count=3, requests_per_device_s=7.9),
+            ),
+            SiteSpec(
+                "mixed",
+                trace=TraceSpec(region="hydro-heavy", n_days=2),
+                cohorts=(
+                    DeviceMixSpec(count=5, requests_per_device_s=13.7),
+                    DeviceMixSpec("Nexus 4", 4, requests_per_device_s=6.1),
+                    DeviceMixSpec("Nexus 5", 3, requests_per_device_s=9.35),
+                ),
+            ),
+        ),
+        seed=1,
+        **fields,
+    )
+
+
+def _three_cohort_sites():
+    """The three-cohort fleet, each mixed-site cohort worn to its own level."""
+    sites = ScenarioRunner(_three_cohort_spec()).build_sites()
+    for entry, wear in zip(sites[1].cohorts, (0.6, 0.2, 0.45)):
+        cohort = entry.cohort
+        cohort._battery_cycles[: cohort._m] = wear * cohort.device.battery.cycle_life
+    return sites
+
+
 #: Extra probe cases: label -> (sites factory, policy, wear derate,
 #: demand rps, service distribution), each run for 10 s at seed 3.
 PROBE_CASES = {
@@ -116,7 +171,16 @@ PROBE_CASES = {
     "probe-case/many-blocks": (
         _many_blocks_sites, "marginal-cci", 0.0, 1000.0, "lognormal"
     ),
+    "probe-case/three-cohort-derate": (
+        _three_cohort_sites, "marginal-cci", 0.5, 100.0, "lognormal"
+    ),
+    "probe-case/three-cohort-round-robin": (
+        _three_cohort_sites, "round-robin", 0.0, 100.0, "deterministic"
+    ),
 }
+
+#: The probe run through :meth:`ScenarioRunner.run`, after two churned days.
+RUNNER_PROBE_LABEL = "probe-runner/three-cohort"
 
 
 def _probe_label(distribution, policy):
@@ -132,6 +196,7 @@ def _labels():
             for policy in PROBE_POLICIES
         ]
         + [*PROBE_CASES]
+        + [RUNNER_PROBE_LABEL]
     )
 
 
@@ -246,7 +311,24 @@ def probe_case_digest(label):
     return _probe_result_digest(summary, served_by_site, recorder)
 
 
+def runner_probe_digest():
+    spec = _three_cohort_spec(
+        routing=RoutingSpec(latency_probe_s=2.0, wear_derate=0.5),
+        demand=DemandSpec(service_distribution="lognormal"),
+        duration_days=2,
+    )
+    with _capturing_recorders(scheduler_module) as recorders:
+        result = ScenarioRunner(spec).run()
+    (recorder,) = recorders
+    digest = hashlib.sha256()
+    _update_samples(digest, recorder)
+    _update_summary(digest, result.latency)
+    return digest.hexdigest()
+
+
 def _digest(label):
+    if label == RUNNER_PROBE_LABEL:
+        return runner_probe_digest()
     if label in SERVING_CASES:
         return serving_digest(label)
     if label in PROBE_CASES:
@@ -275,6 +357,10 @@ def test_latency_probe_reproduces_its_recorded_digest(distribution, policy):
 @pytest.mark.parametrize("label", sorted(PROBE_CASES))
 def test_probe_case_reproduces_its_recorded_digest(label):
     assert probe_case_digest(label) == _recorded()[label], label
+
+
+def test_runner_probe_reproduces_its_recorded_digest():
+    assert runner_probe_digest() == _recorded()[RUNNER_PROBE_LABEL]
 
 
 def test_fixture_covers_every_case():
