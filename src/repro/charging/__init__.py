@@ -13,6 +13,7 @@ from repro.charging.smart_charging import (
     ChargingPolicy,
     NaiveCharging,
     SmartChargingPolicy,
+    charge_percentile,
     charge_time_percentile,
     threshold_from_intensities,
 )
@@ -29,5 +30,6 @@ __all__ = [
     "compare_policies",
     "smart_charging_savings",
     "charge_time_percentile",
+    "charge_percentile",
     "threshold_from_intensities",
 ]

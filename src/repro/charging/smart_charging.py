@@ -14,14 +14,15 @@ run from its battery.  The paper's heuristic for the Californian grid:
   battery doubles as backup power, so it is never allowed to run flat).
 
 The heuristic itself is *trace-level*: it needs only yesterday's intensity
-samples, a battery spec, and an average draw.  :func:`charge_time_percentile`
-and :func:`threshold_from_intensities` expose it in that form so every
-consumer — the per-device study here, the fleet's coupled energy-dispatch
-engine (:mod:`repro.fleet.dispatch`), and the scenario runner's headroom
-estimate — shares one decision path.  :class:`SmartChargingPolicy` wraps the
-helpers into the stateful per-interval policy the charging simulator steps;
-:class:`AlwaysPlugged` and :class:`NaiveCharging` provide the baselines the
-savings are measured against.
+samples, a battery spec, and an average draw.  :func:`charge_time_percentile`,
+:func:`charge_percentile` and :func:`threshold_from_intensities` expose it
+in that form so every consumer — the per-device study here, the fleet's
+coupled energy-dispatch engine (:mod:`repro.fleet.dispatch`), and the
+scenario runner's headroom estimate — shares one decision path.
+:class:`SmartChargingPolicy` wraps the helpers into the stateful
+per-interval policy the charging simulator steps; :class:`AlwaysPlugged`
+and :class:`NaiveCharging` provide the baselines the savings are measured
+against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro import units
 from repro.devices.battery import BatterySpec
 from repro.grid.traces import GridTrace
 
@@ -55,26 +55,42 @@ def charge_time_percentile(battery: BatterySpec, average_draw_w: float) -> float
     return 100.0 * fraction
 
 
+def charge_percentile(
+    battery: BatterySpec, average_draw_w: float, margin: float = 5.0
+) -> float:
+    """The percentile the heuristic thresholds at: P plus a safety margin.
+
+    The raw charge-time fraction is the theoretical minimum plugged-in
+    time; the margin (default 5 percentage points) keeps the device from
+    skating along the SoC floor when consecutive days differ.  Capped at
+    100.
+    """
+    return min(100.0, charge_time_percentile(battery, average_draw_w) + margin)
+
+
 def threshold_from_intensities(
     intensities: Optional[Union[Sequence[float], np.ndarray]],
-    battery: BatterySpec,
-    average_draw_w: float,
-    percentile_margin: float = 5.0,
-    fixed_percentile: Optional[float] = None,
-) -> Optional[float]:
+    percentile: Union[float, np.ndarray],
+) -> Optional[Union[float, np.ndarray]]:
     """Today's carbon-intensity charge threshold from yesterday's samples.
 
-    The single source of the paper's percentile heuristic: take the
-    charge-time percentile (plus a safety margin) of the previous day's
-    intensity distribution.  ``intensities`` may be any sample array —
-    a 5-minute charging-study day or the fleet scheduler's hourly grid
-    lookups — which is what lets the per-device study and the site-aggregate
-    dispatch engine share one decision.  Returns ``None`` when there is no
-    history yet (``intensities=None``; callers then behave like an
-    always-plugged device).  An *empty* or non-finite sample array is a bug
-    in the caller — a sliced-away day, a NaN-poisoned trace — not absent
-    history, and raises :class:`ValueError` naming the offending input
-    rather than silently disabling smart charging for the day.
+    The single source of the paper's percentile heuristic: the
+    ``percentile``-th percentile (usually :func:`charge_percentile`) of the
+    previous day's intensity distribution.  ``intensities`` may be any
+    sample array — a 5-minute charging-study day or the fleet's hourly grid
+    lookups — which is what lets the per-device study and the fleet
+    dispatch engine share one decision.  ``(H,)`` samples with a scalar
+    percentile give one threshold; ``(H, C)`` samples with a ``(C,)``
+    percentile vector give one threshold per column, a ``nan`` percentile
+    a ``nan`` threshold (a pack with no battery).  Columns sharing a
+    percentile are thresholded in one pass.
+
+    Returns ``None`` when there is no history yet (``intensities=None``;
+    callers then behave like an always-plugged device).  An *empty* or
+    non-finite sample array is a bug in the caller — a sliced-away day, a
+    NaN-poisoned trace — not absent history, and raises
+    :class:`ValueError` naming the offending input rather than silently
+    disabling smart charging for the day.
     """
     if intensities is None:
         return None
@@ -90,14 +106,14 @@ def threshold_from_intensities(
             f"intensities contains {bad.size} non-finite value(s) "
             f"(first: {bad[0]!r}); carbon intensities must be finite"
         )
-    if fixed_percentile is not None:
-        percentile = fixed_percentile
-    else:
-        percentile = min(
-            100.0,
-            charge_time_percentile(battery, average_draw_w) + percentile_margin,
-        )
-    return float(np.percentile(samples, percentile))
+    if samples.ndim == 1:
+        return float(np.percentile(samples, percentile))
+    percentile = np.asarray(percentile, dtype=float)
+    thresholds = np.full(samples.shape[1], np.nan)
+    for q in np.unique(percentile[~np.isnan(percentile)]).tolist():
+        cols = np.flatnonzero(percentile == q)
+        thresholds[cols] = np.percentile(samples[:, cols], q, axis=0)
+    return thresholds
 
 
 @dataclass(frozen=True)
@@ -178,10 +194,7 @@ class SmartChargingPolicy(ChargingPolicy):
         to prioritise carbon savings).
     percentile_margin:
         Added to the computed charge-time percentile before taking the
-        threshold.  The raw charge-time fraction is the theoretical minimum
-        plugged-in time; a small margin (default 5 percentage points) keeps
-        the device from skating along the SoC floor when consecutive days
-        differ.
+        threshold (see :func:`charge_percentile`).
     fixed_percentile:
         When given, overrides the device-derived percentile entirely (useful
         for sensitivity sweeps).
@@ -212,12 +225,14 @@ class SmartChargingPolicy(ChargingPolicy):
         average_draw_w: float,
     ) -> None:
         """Set today's carbon-intensity threshold from yesterday's trace."""
+        percentile = self.fixed_percentile
+        if percentile is None:
+            percentile = charge_percentile(
+                battery, average_draw_w, self.percentile_margin
+            )
         self._threshold = threshold_from_intensities(
             previous_day.intensity_g_per_kwh if previous_day is not None else None,
-            battery,
-            average_draw_w,
-            percentile_margin=self.percentile_margin,
-            fixed_percentile=self.fixed_percentile,
+            percentile,
         )
 
     @property

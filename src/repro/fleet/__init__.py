@@ -38,7 +38,6 @@ from repro.fleet.dispatch import (
     estimate_cohort_savings,
     estimate_fleet_savings,
     estimate_site_savings,
-    site_packs,
 )
 from repro.fleet.population import (
     CHURN_SAMPLERS,
@@ -119,7 +118,6 @@ __all__ = [
     "ForecastDispatch",
     "EnergyLedger",
     "PackTable",
-    "site_packs",
     "estimate_cohort_savings",
     "estimate_site_savings",
     "estimate_fleet_savings",

@@ -12,8 +12,8 @@ rates, and charge-time percentiles, so they are tracked separately), and a
 whether each cohort's served load draws from the grid or from its packs and
 whether its idle headroom charges them — so clean hours fill batteries that
 dirty hours drain.  Ledger columns are *packs* — ``(site, cohort)`` pairs in
-site-major order (:func:`site_packs`); a fleet of single-cohort sites has
-exactly one pack per site.
+site-major order (:attr:`PackTable.entries`); a fleet of single-cohort sites
+has exactly one pack per site.
 
 Dispatch runs as a replay: the fleet loop routes and churns first, recording
 each day's start-of-day device count per pack, and :func:`replay_dispatch`
@@ -43,9 +43,12 @@ pack wear (:meth:`~repro.economics.cost.FleetCostModel.battery_wear_cost_usd`),
 surfacing the marginal wear cost that the discrete swap counters only
 realise after a full cycle-life crossing.
 
-* :class:`PackTable` — one ``(C,)`` array per per-device constant (site
-  index, request rate, idle power, dynamic energy per request, battery
-  joules, charge watts, has-battery), built once per fleet simulation;
+* :class:`PackTable` — the one home of every per-device-type constant:
+  one ``(C,)`` array per quantity (site index, request rate, target, site
+  rate, idle power, dynamic energy and battery-wear carbon per request,
+  battery joules, charge watts, charge percentile), built once per fleet
+  simulation or latency probe, with :meth:`PackTable.marginal_g` for the
+  routing key;
 * :class:`EnergyLedger` — the mutable SoC state plus the per-hour physics
   (:meth:`EnergyLedger.step_block`);
 * :class:`DispatchPolicy` — one hook, :meth:`DispatchPolicy.day_modes`:
@@ -71,12 +74,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import units
-from repro.charging.smart_charging import threshold_from_intensities
+from repro.charging.smart_charging import charge_percentile, threshold_from_intensities
 from repro.fleet.sites import FleetSite, SiteCohort
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.forecast imports the
@@ -90,71 +93,131 @@ DISPATCH_CHARGE = 1
 DISPATCH_DISCHARGE = -1
 
 
-def site_packs(sites: Sequence[FleetSite]) -> List[Tuple[FleetSite, SiteCohort]]:
-    """Every ``(site, cohort)`` battery-pack pair, in site-major order.
-
-    The canonical pack ordering shared by the ledger, the dispatch policies,
-    and the fleet scheduler's per-cohort columns — a fleet of single-cohort
-    sites yields one pack per site in site order.
-    """
-    return [(site, entry) for site in sites for entry in site.cohorts]
-
-
 @dataclass(frozen=True, eq=False)
 class PackTable:
     """Every pack's per-device constants, one ``(C,)`` array per quantity.
 
-    Columns follow :func:`site_packs` over ``sites``.  Each count-dependent
-    capability is one product with a day's counts — ``counts *
-    packs.battery_j`` is the packs' aggregate battery capacity, ``counts *
-    packs.requests_per_device_s`` their request capacity — and equals the
-    scalar ``count * constant`` of each pack bit for bit.  Battery-less
-    packs carry ``0.0`` battery joules and charge watts.
+    The single home of the fleet's per-device-type quantities.  Columns are
+    the ``(site, cohort)`` packs in site-major order (``entries``); a fleet
+    of single-cohort sites has one pack per site in site order.  Each
+    count-dependent capability is one product with a day's counts —
+    ``counts * packs.battery_j`` is the packs' aggregate battery capacity,
+    ``counts * packs.requests_per_device_s`` their request capacity — and
+    equals the scalar ``count * constant`` of each pack bit for bit.
+    Battery-less packs carry ``0.0`` battery joules and charge watts and a
+    ``nan`` charge percentile.
     """
 
     sites: Tuple[FleetSite, ...]
-    #: Index into ``sites`` of each pack's site.
+    #: The :class:`~repro.fleet.sites.SiteCohort` of each column.
+    entries: Tuple[SiteCohort, ...]
+    #: Index into ``sites`` of each pack's site, and each site's first column.
     site_index: np.ndarray
+    site_starts: np.ndarray
     requests_per_device_s: np.ndarray
+    #: Each pack's target deployment (devices).
+    target: np.ndarray
+    #: Per-site request rate of each pack's site: the pack's own rate at a
+    #: one-pack site, the target-weighted mean rate at a mixed one.
+    site_rate: np.ndarray
     #: Per-device idle draw (W).
     idle_w: np.ndarray
-    #: Dynamic energy (J) of one request on one device.
+    #: Dynamic energy (J) of one request on one device: the idle-to-peak
+    #: power swing amortised over the service rate.
     dynamic_j: np.ndarray
+    #: Embodied battery carbon (g) amortised per request served; ``0.0``
+    #: for a battery-less pack or a cohort that never swaps batteries (its
+    #: successor device arrives carbon-free, per the paper's convention).
+    wear_g: np.ndarray
     #: Per-device battery capacity (J) and rated charge power (W).
     battery_j: np.ndarray
     charge_w: np.ndarray
     has_battery: np.ndarray
+    #: The percentile-threshold heuristic's percentile for each pack
+    #: (:func:`~repro.charging.smart_charging.charge_percentile`).
+    charge_percentile: np.ndarray
 
     @classmethod
     def from_sites(cls, sites: Sequence[FleetSite]) -> "PackTable":
         """The table of every ``(site, cohort)`` pack of ``sites``."""
         sites = tuple(sites)
-        entries = [entry for site in sites for entry in site.cohorts]
+        entries = tuple(entry for site in sites for entry in site.cohorts)
         batteries = [entry.device.battery for entry in entries]
+        rate = [entry.requests_per_device_s for entry in entries]
+        idle = [entry.device.power_model.idle_power_w for entry in entries]
+        dynamic = [
+            (entry.device.power_model.peak_power_w - idle_w) / rate_rps
+            for entry, idle_w, rate_rps in zip(entries, idle, rate)
+        ]
+        wear = [
+            0.0
+            if battery is None or not entry.cohort.policy.swap_batteries
+            else units.kg_to_grams(battery.embodied_carbon_kgco2e)
+            / (battery.cycle_life * battery.capacity_joules)
+            * dynamic_j
+            for entry, battery, dynamic_j in zip(entries, batteries, dynamic)
+        ]
+        site_rate = []
+        for site in sites:
+            if len(site.cohorts) == 1:
+                mean = site.cohorts[0].requests_per_device_s
+            else:
+                mean = sum(
+                    entry.target_size * entry.requests_per_device_s
+                    for entry in site.cohorts
+                ) / sum(entry.target_size for entry in site.cohorts)
+            site_rate += [mean] * len(site.cohorts)
         return cls(
             sites=sites,
+            entries=entries,
             site_index=np.array(
                 [index for index, site in enumerate(sites) for _ in site.cohorts],
                 dtype=np.int64,
             ),
-            requests_per_device_s=np.fromiter(
-                (e.requests_per_device_s for e in entries), float
+            site_starts=np.cumsum(
+                [0] + [len(site.cohorts) for site in sites[:-1]], dtype=np.int64
             ),
-            idle_w=np.fromiter((e.idle_power_w for e in entries), float),
-            dynamic_j=np.fromiter(
-                (e.dynamic_energy_per_request_j for e in entries), float
+            requests_per_device_s=np.array(rate, dtype=float),
+            target=np.array([entry.target_size for entry in entries], dtype=np.int64),
+            site_rate=np.array(site_rate, dtype=float),
+            idle_w=np.array(idle, dtype=float),
+            dynamic_j=np.array(dynamic, dtype=float),
+            wear_g=np.array(wear, dtype=float),
+            battery_j=np.array(
+                [0.0 if b is None else b.capacity_joules for b in batteries], dtype=float
             ),
-            battery_j=np.fromiter(
-                (0.0 if b is None else b.capacity_joules for b in batteries), float
+            charge_w=np.array(
+                [0.0 if b is None else b.charge_rate_w for b in batteries], dtype=float
             ),
-            charge_w=np.fromiter(
-                (0.0 if b is None else b.charge_rate_w for b in batteries), float
+            has_battery=np.array([b is not None for b in batteries], dtype=bool),
+            charge_percentile=np.array(
+                [
+                    np.nan
+                    if battery is None
+                    else charge_percentile(
+                        battery, entry.device.average_power_w(entry.cohort.load_profile)
+                    )
+                    for entry, battery in zip(entries, batteries)
+                ],
+                dtype=float,
             ),
-            has_battery=np.fromiter((b is not None for b in batteries), bool),
         )
 
     def __len__(self) -> int:
         return self.site_index.shape[0]
+
+    def marginal_g(self, intensity: np.ndarray, include_wear: bool = True) -> np.ndarray:
+        """Marginal carbon (g) of one request on each pack at ``intensity``.
+
+        The per-device-type term carbon-aware routing ranks: dynamic energy
+        per request times grid intensity, plus (optionally) the amortised
+        battery-wear carbon.  ``intensity`` is ``(..., C)``, one column per
+        pack; ``include_wear=False`` gives the energy-only marginal.
+        """
+        grams = self.dynamic_j * intensity / units.JOULES_PER_KWH
+        if include_wear:
+            grams = grams + self.wear_g
+        return grams
 
 
 class DispatchPolicy(abc.ABC):
@@ -176,10 +239,8 @@ class DispatchPolicy(abc.ABC):
     ) -> np.ndarray:
         """Dispatch mode per ``(hour, pack)`` for day ``day`` of a run.
 
-        ``packs`` is the run's :class:`PackTable` (its ``sites`` give the
-        ``(site, cohort)`` pairs of :func:`site_packs`).  ``intensity`` is
-        the day's ``(H, C)`` per-pack intensity
-        matrix and ``previous_intensity`` the previous day's (``None`` on
+        ``packs`` is the run's :class:`PackTable`.  ``intensity`` is the
+        day's ``(H, C)`` per-pack intensity matrix and ``previous_intensity`` the previous day's (``None`` on
         day 0).  ``counts`` (the day-start device count of each pack,
         recorded while churn was live) and ``soc`` (the ledger's state of
         charge at the start of the day) have shape ``(C,)``.  Returns an
@@ -192,8 +253,9 @@ class CarbonBufferDispatch(DispatchPolicy):
 
     Each day, each pack's threshold is the P-th percentile of its site's
     previous-day intensities (P from *that device type's* charge-time
-    fraction plus the heuristic's default margin — a Nexus 4 pack needs a
-    different charge window than a Pixel 3A pack on the same grid).  Hours
+    fraction plus the heuristic's default margin, the table's
+    ``charge_percentile`` — a Nexus 4 pack needs a different charge window
+    than a Pixel 3A pack on the same grid).  Hours
     at or below the threshold charge the pack from idle headroom; hours
     above it serve that cohort's device load from the pack down to
     ``min_state_of_charge``.  With no previous day, or no battery, a pack
@@ -213,18 +275,9 @@ class CarbonBufferDispatch(DispatchPolicy):
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
         if previous_intensity is None:
             return modes
-        thresholds = np.full(intensity.shape[1], np.nan)
-        for j, (_, entry) in enumerate(site_packs(packs.sites)):
-            battery = entry.device.battery
-            if battery is None:
-                continue
-            threshold = threshold_from_intensities(
-                previous_intensity[:, j],
-                battery,
-                entry.device.average_power_w(entry.cohort.load_profile),
-            )
-            if threshold is not None:
-                thresholds[j] = threshold
+        thresholds = threshold_from_intensities(
+            previous_intensity, packs.charge_percentile
+        )
         # nan thresholds compare False on both sides, leaving HOLD in place.
         modes[intensity <= thresholds] = DISPATCH_CHARGE
         modes[intensity > thresholds] = DISPATCH_DISCHARGE
@@ -254,9 +307,9 @@ class ForecastDispatch(DispatchPolicy):
     shared grid, while SoC and capacity are per pack.
 
     Plan tails (a ``refresh_h`` window spanning midnight) carry across
-    days, so the policy keeps state across one run; a call with ``day ==
-    0`` starts a new run and resets it, so one policy object can back
-    repeated runs.
+    days, so the policy keeps state across one run; a pack that does not
+    plan on a day drops its tail, and a call with ``day == 0`` starts a new
+    run and resets it, so one policy object can back repeated runs.
 
     ``demand_fraction`` is the planning estimate of utilisation: each hour's
     device-energy demand is estimated at that fraction of the pack's
@@ -332,9 +385,12 @@ class ForecastDispatch(DispatchPolicy):
         power_w = counts * packs.idle_w + served_rps * packs.dynamic_j
         demand_step_j = np.maximum(0.0, power_w) * units.SECONDS_PER_HOUR
 
-        # Only battery-backed, non-empty packs plan; the rest hold, and an
-        # emptied pack keeps any plan tail it held.
-        planned_packs = np.flatnonzero(packs.has_battery & (capacity_j > 0))
+        # Only battery-backed, non-empty packs plan; the rest hold and drop
+        # any plan tail they carried, so a refilled pack plans afresh.
+        planning = packs.has_battery & (capacity_j > 0)
+        for pack in np.flatnonzero(~planning).tolist():
+            self._pending.pop(pack, None)
+        planned_packs = np.flatnonzero(planning)
         if not planned_packs.size:
             return modes
         capacity_j = capacity_j[planned_packs]
@@ -455,19 +511,12 @@ class EnergyLedger:
     arrives charged).
     """
 
-    def __init__(
-        self,
-        packs: PackTable,
-        min_state_of_charge: float = 0.25,
-        initial_soc: float = 1.0,
-    ) -> None:
+    def __init__(self, packs: PackTable, min_state_of_charge: float = 0.25) -> None:
         if not 0.0 <= min_state_of_charge < 1.0:
             raise ValueError("min state of charge must be within [0, 1)")
-        if not min_state_of_charge <= initial_soc <= 1.0:
-            raise ValueError("initial SoC must be within [min_soc, 1]")
         self.packs = packs
         self.min_soc = min_state_of_charge
-        self.soc = np.full(len(packs), float(initial_soc))
+        self.soc = np.ones(len(packs))
 
     def step_block(
         self,

@@ -2,10 +2,12 @@
 
 Routing policies decide, hour by hour, how much of the fleet's request
 demand each *cohort segment* serves.  A segment is one
-:class:`~repro.fleet.sites.SiteCohort` of one site — sites mixing several
+:class:`~repro.fleet.sites.SiteCohort` of one site — one column of the
+fleet's :class:`~repro.fleet.dispatch.PackTable`.  Sites mixing several
 device types expose one segment per type, each with its own capacity and
-marginal-CCI column, so carbon-aware routing can prefer the efficient
-device type *inside* a site, not just between sites.  A fleet of
+marginal-CCI column (:meth:`~repro.fleet.dispatch.PackTable.marginal_g`),
+so carbon-aware routing can prefer the efficient device type *inside* a
+site, not just between sites.  A fleet of
 single-cohort sites has exactly one segment per site, reproducing the
 historical per-site allocation bit for bit.  All three bundled policies are
 *capacity-feasible* (they never route more than a segment can serve) and
@@ -23,8 +25,9 @@ across all segments is a single NumPy pass:
   inefficient one on a slightly cleaner grid.
 
 Every policy accepts a ``wear_derate`` factor for battery-aware load
-shedding: a site's effective capacity is scaled by
-``1 - wear_derate * mean_battery_wear``, so cohorts with nearly-spent packs
+shedding: each segment's capacity is scaled by
+``max(0, 1 - wear_derate * mean_battery_wear)`` (one helper serves the
+hourly path and the latency probe), so cohorts with nearly-spent packs
 shed load (and battery cycling) to healthier sites.
 
 :class:`FleetSimulation` couples the hourly routing path with the daily
@@ -54,12 +57,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.fleet.dispatch import (
-    DispatchPolicy,
-    PackTable,
-    replay_dispatch,
-    site_packs,
-)
+from repro.fleet.dispatch import DispatchPolicy, PackTable, replay_dispatch
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
@@ -77,9 +75,6 @@ SERVICE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
 #: Arrivals (and per-site service times) the latency probe draws, keys and
 #: routes per vector pass.
 _BLOCK = 4096
-
-#: Hours per scheduling timestep of the vectorized path.
-HOURS_PER_STEP = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +164,29 @@ class RoutingPolicy(abc.ABC):
         """
 
     def request_keys(
-        self, site: FleetSite, times_s: np.ndarray
+        self, packs: PackTable, intensity: np.ndarray
     ) -> Optional[np.ndarray]:
         """Per-request ranking keys for the latency probe (lower is better).
 
-        One key per arrival time in ``times_s``: the probe asks for a
-        whole block of arrivals at once, since a key depends only on the
-        site and the time.  Keys are in *grams of CO2e per request* so the
-        probe can add a gram-denominated backlog penalty without mixing
-        units.  Returning ``None`` opts out of carbon ranking: the
-        scheduler falls back to capacity-weighted rotation (true
-        per-request round-robin).
+        ``intensity`` is the ``(B, S)`` grid intensity of each site of
+        ``packs`` at a block of ``B`` arrival times; the result is one
+        ``(B, S)`` key per arrival and site.  A site's key is its best
+        (lowest) pack marginal, since the next request routed there lands
+        on its most efficient device type.  Keys are in *grams of CO2e per
+        request* so the probe can add a gram-denominated backlog penalty
+        without mixing units.  Returning ``None`` opts out of carbon
+        ranking: the scheduler falls back to capacity-weighted rotation
+        (true per-request round-robin).
         """
-        return site.marginal_carbon_g_for_intensity(site.intensities_at(times_s))
+        return _site_keys(packs, intensity, include_wear=True)
+
+
+def _site_keys(
+    packs: PackTable, intensity: np.ndarray, include_wear: bool
+) -> np.ndarray:
+    """Each site's lowest pack marginal at ``(B, S)`` site intensities."""
+    marginal = packs.marginal_g(intensity[:, packs.site_index], include_wear)
+    return np.minimum.reduceat(marginal, packs.site_starts, axis=1)
 
 
 def _waterfill(
@@ -217,7 +222,7 @@ class RoundRobinRouting(RoutingPolicy):
         return share * served_total[:, None]
 
     def request_keys(
-        self, site: FleetSite, times_s: np.ndarray
+        self, packs: PackTable, intensity: np.ndarray
     ) -> Optional[np.ndarray]:
         return None  # carbon-oblivious: rotate across sites instead
 
@@ -237,13 +242,11 @@ class GreedyLowestIntensityRouting(RoutingPolicy):
         return _waterfill(demand_rps, capacity_rps, intensity)
 
     def request_keys(
-        self, site: FleetSite, times_s: np.ndarray
+        self, packs: PackTable, intensity: np.ndarray
     ) -> Optional[np.ndarray]:
         # Intensity ranking expressed in grams: dynamic energy x intensity,
         # without the wear term the marginal-CCI policy adds.
-        return site.marginal_carbon_g_for_intensity(
-            site.intensities_at(times_s), include_wear=False
-        )
+        return _site_keys(packs, intensity, include_wear=False)
 
 
 class CapacityAwareMarginalCciRouting(RoutingPolicy):
@@ -351,19 +354,18 @@ class FleetSimulation:
         #: Instrumentation context; the no-op default costs nothing and
         #: telemetry never touches RNG or numeric state (locked by tests).
         self.telemetry = ensure_telemetry(telemetry)
-        #: Cohort segments in site-major order — the allocation columns.
-        self.segments = site_packs(self.sites)
-        #: Every segment's per-device constants: each count-dependent
-        #: capability below is a product of recorded counts with it.
+        #: Every segment's per-device constants, in site-major column order
+        #: (the allocation columns): each count-dependent capability below
+        #: is a product of recorded counts with it.
         self.packs = PackTable.from_sites(self.sites)
 
     def run(self, n_days: int) -> FleetReport:
         """Simulate ``n_days`` of virtual time and return the fleet report."""
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        n_cohorts = len(self.segments)
-        hours_per_day = int(round(24.0 / HOURS_PER_STEP))
-        step_s = HOURS_PER_STEP * units.SECONDS_PER_HOUR
+        n_cohorts = len(self.packs)
+        hours_per_day = 24
+        step_s = units.SECONDS_PER_HOUR
         n_steps = n_days * hours_per_day
 
         # Pass A recordings: what the deferred dispatch replay will consume.
@@ -396,7 +398,7 @@ class FleetSimulation:
             # Day-start counts — what the allocation's live capability
             # reads see — recorded before churn moves them.
             counts_day[day] = [
-                entry.cohort.active_count for _, entry in self.segments
+                entry.cohort.active_count for entry in self.packs.entries
             ]
             physical = counts_day[day] * self.packs.requests_per_device_s
             with tele.span("allocate_day"):
@@ -433,14 +435,14 @@ class FleetSimulation:
         if tele.enabled:
             # Which failure draw stepped this run, and how many distinct
             # device-state buckets it peaked at.
-            samplers = {entry.cohort.sampler for _, entry in self.segments}
+            samplers = {entry.cohort.sampler for entry in self.packs.entries}
             tele.gauge(
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
             )
             tele.gauge(
                 "churn.buckets_peak",
-                max(entry.cohort.buckets_peak for _, entry in self.segments),
+                max(entry.cohort.buckets_peak for entry in self.packs.entries),
             )
 
         # -- Pass B: dispatch replay over the recordings ------------------
@@ -496,9 +498,7 @@ class FleetSimulation:
                 label for site in self.sites for label in site.cohort_labels()
             ),
             cohort_site_index=self.packs.site_index.copy(),
-            cohort_target=np.array(
-                [entry.target_size for _, entry in self.segments]
-            ),
+            cohort_target=self.packs.target.copy(),
             cohort_served_rps=alloc_all,
             cohort_energy_kwh=device_kwh,
             cohort_battery_kwh=cohort_battery_kwh,
@@ -559,7 +559,7 @@ class FleetSimulation:
                             )
                             if entry.device.battery is not None
                             else 0.0
-                            for _, entry in self.segments
+                            for entry in self.packs.entries
                         ]
                     ),
                     telemetry=tele if tele.enabled else None,
@@ -627,12 +627,9 @@ class FleetSimulation:
         demand_rps = self.demand.series(n_hours)
         site_intensity = np.empty((n_hours, len(self.sites)))
         for site_index, site in enumerate(self.sites):
-            site_intensity[:, site_index] = site.intensities_at(times_s)
+            site_intensity[:, site_index] = site.trace.intensities_at(times_s, wrap=True)
         intensity = site_intensity[:, self.packs.site_index]
-        marginal = np.empty_like(intensity)
-        for j, (_, entry) in enumerate(self.segments):
-            marginal[:, j] = entry.marginal_carbon_g_for_intensity(intensity[:, j])
-        return demand_rps, site_intensity, intensity, marginal
+        return demand_rps, site_intensity, intensity, self.packs.marginal_g(intensity)
 
     def _allocate_day(
         self,
@@ -645,16 +642,16 @@ class FleetSimulation:
     ) -> np.ndarray:
         """Phase 1: route one day of hourly demand across the live segments.
 
-        Only the capacity matrix is computed here — it reads the *live*
-        (churn-following) cohort populations, which is exactly why this
-        phase cannot hoist with the whole-run precompute that feeds it.
+        Only the capacity matrix is computed here — it follows the
+        churn-following day-start counts, which is exactly why this phase
+        cannot hoist with the whole-run precompute that feeds it.
         ``physical`` is each segment's non-derated capacity at the day's
-        start.
+        start; the routed capacity is its wear-derated share.
         """
-        n_cohorts = len(self.segments)
-        capacity = np.empty((hours_per_day, n_cohorts))
-        for j, (_, entry) in enumerate(self.segments):
-            capacity[:, j] = entry.effective_capacity_rps(self.policy.wear_derate)
+        capacity = np.tile(
+            _effective_capacity(self.packs, physical, self.policy.wear_derate),
+            (hours_per_day, 1),
+        )
         alloc = self.policy.allocate(demand_rps, capacity, intensity, marginal)
         self._validate_allocation(alloc, demand_rps, capacity)
         if self.telemetry.enabled and self.policy.wear_derate > 0:
@@ -741,7 +738,7 @@ class FleetSimulation:
         the caller can share one :meth:`_physical_utilization` pass between
         churn and the recorded dispatch idle headroom.
         """
-        n_cohorts = len(self.segments)
+        n_cohorts = len(self.packs)
         out = {
             "active": np.zeros(n_cohorts, dtype=np.int64),
             "replacement_carbon_g": np.zeros(n_cohorts),
@@ -750,7 +747,7 @@ class FleetSimulation:
             "deployed": np.zeros(n_cohorts, dtype=np.int64),
             "retirements": np.zeros(n_cohorts, dtype=np.int64),
         }
-        for j, (_, entry) in enumerate(self.segments):
+        for j, entry in enumerate(self.packs.entries):
             mean_util = float(np.mean(utilization[:, j]))
             step = entry.cohort.step(1.0, utilization=mean_util)
             out["active"][j] = step.active
@@ -779,20 +776,33 @@ class FleetSimulation:
 # ---------------------------------------------------------------------------
 
 
-def _effective_device_slots(policy: RoutingPolicy, site: FleetSite) -> int:
-    """Concurrent request slots the latency probe offers for one site.
+def _effective_capacity(
+    packs: PackTable, capacity: np.ndarray, wear_derate: float
+) -> np.ndarray:
+    """Each pack's request ``capacity`` after battery-wear load shedding.
 
-    The wear-derated capacity divided back into whole devices; rounded (not
-    truncated) so the float division ``active * rate * 1.0 / rate`` cannot
-    drop a device to representation error when the derate is off.  Mixed
-    sites divide by the target-weighted mean per-device rate, so the slot
-    count still approximates the live device count.  A site with no live
-    capacity offers no slot; any other offers at least one.
+    A policy with ``wear_derate = k`` treats each pack as if its capacity
+    were scaled by ``max(0, 1 - k * mean_battery_wear)`` of its live
+    cohort: packs whose batteries are near end-of-life shed load, trading a
+    little operational carbon for fewer replacement packs (and their
+    embodied carbon).  ``k = 0`` returns ``capacity`` itself.
     """
-    capacity_rps = site.effective_capacity_rps(policy.wear_derate)
-    if capacity_rps <= 0:
-        return 0
-    return max(1, int(round(capacity_rps / site.nominal_requests_per_device_s)))
+    if wear_derate <= 0.0:
+        return capacity
+    wear = np.array([entry.cohort.mean_battery_wear() for entry in packs.entries])
+    return capacity * np.maximum(0.0, 1.0 - wear_derate * wear)
+
+
+def _site_sums(packs: PackTable, column: np.ndarray) -> List[float]:
+    """Each site's sum of a per-pack ``column``, added left to right.
+
+    Python's ``sum``, not ``np.add.reduceat``, which adds three or more
+    terms in another order and so can move a slot count sitting on a
+    rounding boundary.
+    """
+    values = column.tolist()
+    bounds = [*packs.site_starts.tolist(), len(values)]
+    return [sum(values[start:stop]) for start, stop in zip(bounds, bounds[1:])]
 
 
 def simulate_latency_aware(
@@ -835,9 +845,11 @@ def simulate_latency_aware(
     later, and its response lands one service time plus the RTT after
     that.  A site's queue length is its count of requests not yet started.
     Latencies are recorded in completion order.  Gaps, arrival times,
-    :meth:`~RoutingPolicy.request_keys` and service times come a block of
-    ``_BLOCK`` arrivals at a time, bitwise equal to one scalar draw and one
-    key per request.
+    site intensities, keys (one :meth:`~RoutingPolicy.request_keys` call
+    over the probe's :class:`~repro.fleet.dispatch.PackTable`) and service
+    times come a block of ``_BLOCK`` arrivals at a time, bitwise equal to
+    one scalar draw and one key per request.  A mixed site serves at its
+    target-weighted mean per-device rate (``PackTable.site_rate``).
 
     Returns the overall latency summary and the per-site served counts.
     Sites are keyed by name, so ``sites`` must be non-empty and its names
@@ -869,17 +881,28 @@ def simulate_latency_aware(
     streams = RandomStreams(seed=seed)
     recorder = LatencyRecorder()
 
+    packs = PackTable.from_sites(sites)
+    site_rate = packs.site_rate[packs.site_starts].tolist()
     # The probe sees the same (wear-derated) capacity the hourly path
     # routes against: a policy shedding load from a worn cohort also offers
-    # fewer concurrent request slots here.
-    slots = [_effective_device_slots(policy, site) for site in sites]
+    # fewer concurrent request slots here.  Slots are the site's capacity
+    # divided back into whole devices at its per-device rate, rounded (not
+    # truncated) so ``active * rate / rate`` cannot drop a device to
+    # representation error; a site with no live capacity offers no slot,
+    # any other at least one.
+    counts = np.array([entry.cohort.active_count for entry in packs.entries])
+    capacity = _effective_capacity(
+        packs, counts * packs.requests_per_device_s, policy.wear_derate
+    )
+    slots = [
+        max(1, int(round(capacity_rps / rate))) if capacity_rps > 0 else 0
+        for capacity_rps, rate in zip(_site_sums(packs, capacity), site_rate)
+    ]
     live = [j for j, n in enumerate(slots) if n > 0]
     if not live:
         raise ValueError(f"the latency probe needs a site with live devices: {names}")
     # Rotation divides each site's routed count by its slot capacity.
-    capacities = [
-        n * site.nominal_requests_per_device_s for site, n in zip(sites, slots)
-    ]
+    capacities = [n * rate for n, rate in zip(slots, site_rate)]
     routed = [0] * len(sites)
     # Per site: when each slot next falls free (a min-heap), and the start
     # times of the requests still waiting for a slot, in arrival order.
@@ -890,9 +913,9 @@ def simulate_latency_aware(
     # keeps the drawn mean at 1/rate so distributions differ in shape only.
     lognormal_mean_correction = float(np.exp(-0.5 * SERVICE_TIME_SIGMA**2))
 
-    def service_times(site: FleetSite):
+    def service_times(site: FleetSite, rate: float):
         """The site's service times in service order, drawn a block at a time."""
-        mean = 1.0 / site.nominal_requests_per_device_s
+        mean = 1.0 / rate
         rng = streams.stream(f"service@{site.name}")
         while True:
             if service_distribution == "exponential":
@@ -904,7 +927,7 @@ def simulate_latency_aware(
                 block = np.full(_BLOCK, mean)
             yield from block.tolist()
 
-    service = [service_times(site) for site in sites]
+    service = [service_times(site, rate) for site, rate in zip(sites, site_rate)]
     arrived: List[float] = []
     landed: List[float] = []
     queued = 0
@@ -916,11 +939,14 @@ def simulate_latency_aware(
         # add.accumulate is sequential, so each time is bitwise the scalar
         # sum ``now + gap`` (``now + cumsum(gaps)`` is not).
         times = np.cumsum(np.concatenate(([now], gaps)))[1:]
-        keys = [policy.request_keys(sites[j], times) for j in live]
-        if any(key is None for key in keys):
+        intensity = np.empty((times.size, len(sites)))
+        for j, site in enumerate(sites):
+            intensity[:, j] = site.trace.intensities_at(times, wrap=True)
+        keys = policy.request_keys(packs, intensity)
+        if keys is None:
             rows = itertools.repeat(None)
         else:
-            rows = zip(*[key.tolist() for key in keys])
+            rows = zip(*keys[:, live].T.tolist())
         for now, row in zip(times.tolist(), rows):
             if now >= duration_s:
                 break

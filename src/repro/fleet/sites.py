@@ -46,9 +46,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro import units
 from repro.cluster.cloudlet import CloudletDesign
 from repro.cluster.peripherals import PeripheralSet
 from repro.cluster.topology import wifi_tree_topology
@@ -143,13 +140,11 @@ class SiteCohort:
     """One typed device cohort deployed at a site.
 
     Binds a :class:`~repro.fleet.population.DeviceCohort` to the per-type
-    service rate it delivers and exposes every per-device-type quantity the
-    scheduler and dispatch layers consume: live capacity, idle/peak power,
-    dynamic energy per request, and marginal CCI.  A :class:`FleetSite`
-    holds one entry per device type.  Quantities at a recorded device
-    count — the packs' capacity, device draw and battery energy on a past
-    day — are products of that count with the per-device constants of a
-    :class:`~repro.fleet.dispatch.PackTable`.
+    service rate it delivers.  A :class:`FleetSite` holds one entry per
+    device type.  The per-device-type quantities the scheduler and dispatch
+    layers consume (idle power, dynamic energy and wear carbon per request,
+    battery energy, marginal CCI) are columns of a
+    :class:`~repro.fleet.dispatch.PackTable`, one row per entry.
     """
 
     cohort: DeviceCohort
@@ -172,81 +167,6 @@ class SiteCohort:
         """The deployment this cohort tries to keep active."""
         return self.cohort.policy.target_size
 
-    # -- capacity ----------------------------------------------------------
-
-    @property
-    def capacity_rps(self) -> float:
-        """Current request capacity (requests/s) given the live population."""
-        return self.cohort.active_count * self.requests_per_device_s
-
-    @property
-    def nominal_capacity_rps(self) -> float:
-        """Capacity at full target deployment (requests/s)."""
-        return self.target_size * self.requests_per_device_s
-
-    def effective_capacity_rps(self, wear_derate: float = 0.0) -> float:
-        """Capacity after battery-wear load shedding (see :class:`FleetSite`)."""
-        if wear_derate <= 0.0:
-            return self.capacity_rps
-        derate = max(0.0, 1.0 - wear_derate * self.cohort.mean_battery_wear())
-        return self.capacity_rps * derate
-
-    # -- power -------------------------------------------------------------
-
-    @property
-    def idle_power_w(self) -> float:
-        """Per-device idle draw (W)."""
-        return self.device.power_model.idle_power_w
-
-    @property
-    def peak_power_w(self) -> float:
-        """Per-device full-load draw (W)."""
-        return self.device.power_model.peak_power_w
-
-    @property
-    def dynamic_energy_per_request_j(self) -> float:
-        """Incremental energy (J) of serving one request on one device.
-
-        The idle-to-peak power swing amortised over the device's service
-        rate; the idle floor is charged separately as standby power.
-        """
-        return (self.peak_power_w - self.idle_power_w) / self.requests_per_device_s
-
-    # -- carbon ------------------------------------------------------------
-
-    def marginal_carbon_g_for_intensity(self, intensity_g_per_kwh, include_wear: bool = True):
-        """Marginal carbon (g) of one request on this cohort at an intensity.
-
-        The per-device-type term carbon-aware routing ranks: dynamic energy
-        per request times grid intensity, plus (optionally) the amortised
-        battery-wear carbon.  Accepts a scalar or an array of intensities.
-        """
-        grams = (
-            self.dynamic_energy_per_request_j
-            * np.asarray(intensity_g_per_kwh, dtype=float)
-            / units.JOULES_PER_KWH
-        )
-        if include_wear:
-            grams = grams + self.battery_wear_g_per_request()
-        return float(grams) if np.isscalar(intensity_g_per_kwh) else grams
-
-    def battery_wear_g_per_request(self) -> float:
-        """Embodied battery carbon amortised per request served.
-
-        Every joule pushed through the battery consumes cycle life; once the
-        pack wears out its replacement re-introduces embodied carbon.  Cohorts
-        whose policy never swaps batteries carry no wear cost (the device is
-        retired and its successor arrives carbon-free, per the paper's
-        reuse convention).
-        """
-        battery = self.device.battery
-        if battery is None or not self.cohort.policy.swap_batteries:
-            return 0.0
-        wear_g_per_joule = units.kg_to_grams(battery.embodied_carbon_kgco2e) / (
-            battery.cycle_life * battery.capacity_joules
-        )
-        return wear_g_per_joule * self.dynamic_energy_per_request_j
-
 
 @dataclass
 class FleetSite:
@@ -254,12 +174,11 @@ class FleetSite:
 
     A site is its ``cohorts`` tuple — one :class:`SiteCohort` per device
     type, a single entry for a uniform rack — bound to a cloudlet design and
-    a grid trace.  Site-level properties aggregate across cohorts (sums for
-    capacity, the best available cohort for the marginal), while the
-    per-type terms live on the :class:`SiteCohort` entries the scheduler
-    and dispatch layers iterate.  Scenarios build their sites through
-    :meth:`~repro.scenarios.runner.ScenarioRunner.build_sites`, which calls
-    :func:`site_from_cohorts` to size the design's peripherals to the cohorts.
+    a grid trace.  The per-type terms are the site's columns of a
+    :class:`~repro.fleet.dispatch.PackTable`.  Scenarios build their sites
+    through :meth:`~repro.scenarios.runner.ScenarioRunner.build_sites`,
+    which calls :func:`site_from_cohorts` to size the design's peripherals
+    to the cohorts.
     """
 
     name: str
@@ -286,78 +205,16 @@ class FleetSite:
                 f"differs from cohort devices {cohort_devices}"
             )
 
-    # -- cohort labelling --------------------------------------------------
-
     def cohort_labels(self) -> Tuple[str, ...]:
         """One stable label per cohort: ``site/device``."""
         return tuple(
             f"{self.name}/{entry.device.name}" for entry in self.cohorts
         )
 
-    # -- capacity ----------------------------------------------------------
-
-    @property
-    def capacity_rps(self) -> float:
-        """Current request capacity (requests/s) given the live populations."""
-        return sum(entry.capacity_rps for entry in self.cohorts)
-
-    def effective_capacity_rps(self, wear_derate: float = 0.0) -> float:
-        """Capacity after battery-wear load shedding.
-
-        A routing policy with ``wear_derate = k`` treats each cohort as if
-        its capacity were scaled by ``1 - k * mean_battery_wear``: cohorts
-        whose packs are near end-of-life shed load, trading a little
-        operational carbon for fewer replacement packs (and their embodied
-        carbon).
-        """
-        return sum(
-            entry.effective_capacity_rps(wear_derate) for entry in self.cohorts
-        )
-
-    @property
-    def nominal_requests_per_device_s(self) -> float:
-        """Target-weighted mean per-device rate (exact for one cohort)."""
-        if len(self.cohorts) == 1:
-            return self.cohorts[0].requests_per_device_s
-        total = sum(entry.target_size for entry in self.cohorts)
-        return (
-            sum(entry.nominal_capacity_rps for entry in self.cohorts) / total
-        )
-
-    # -- power -------------------------------------------------------------
-
     @property
     def peripheral_power_w(self) -> float:
         """Constant peripheral draw (fans, plugs, APs) — never battery-backed."""
         return self.design.peripherals.total_power_w
-
-    # -- carbon ------------------------------------------------------------
-
-    def intensities_at(self, times_s: np.ndarray) -> np.ndarray:
-        """Vectorized wrap-around intensity lookup."""
-        return self.trace.intensities_at(times_s, wrap=True)
-
-    def marginal_carbon_g_for_intensity(self, intensity_g_per_kwh, include_wear: bool = True):
-        """Marginal carbon (g) of one request at a given grid intensity.
-
-        Site-level view: the *best* (lowest) cohort marginal, since the next
-        request routed here lands on the most efficient device type with
-        headroom.  The per-cohort terms live on :class:`SiteCohort`, which is
-        what the vectorized scheduler ranks; this aggregate gives the
-        latency probe its per-request keys (an array of intensities in, one
-        key per arrival out) and serves exploratory use.  ``include_wear=False``
-        gives the energy-only marginal (the greedy lowest-intensity ranking).
-        """
-        marginals = [
-            entry.marginal_carbon_g_for_intensity(
-                intensity_g_per_kwh, include_wear=include_wear
-            )
-            for entry in self.cohorts
-        ]
-        if len(marginals) == 1:
-            return marginals[0]
-        best = np.minimum.reduce([np.asarray(m, dtype=float) for m in marginals])
-        return float(best) if np.isscalar(intensity_g_per_kwh) else best
 
 
 def default_intake_stream(

@@ -556,7 +556,15 @@ class ScenarioRunner:
         routing = self.spec.routing
         if routing.latency_probe_s <= 0:
             return None
-        live_capacity = sum(site.capacity_rps for site in sites)
+        # Python's left-to-right sum, site by site: the probe's demand, and
+        # so every arrival time, depends on this exact float.
+        live_capacity = sum(
+            sum(
+                entry.cohort.active_count * entry.requests_per_device_s
+                for entry in site.cohorts
+            )
+            for site in sites
+        )
         if live_capacity <= 0:
             return None
         summary, _ = simulate_latency_aware(

@@ -1,12 +1,18 @@
 """Charging policies."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.charging.smart_charging import (
     AlwaysPlugged,
     ChargingDecisionContext,
     NaiveCharging,
     SmartChargingPolicy,
+    charge_percentile,
+    charge_time_percentile,
+    threshold_from_intensities,
 )
 from repro.devices.catalog import PIXEL_3A, THINKPAD_X1_CARBON_G3
 from repro.grid.traces import GridTrace
@@ -102,7 +108,7 @@ class TestThresholdFromIntensities:
     def test_no_history_returns_none(self):
         from repro.charging import threshold_from_intensities
 
-        assert threshold_from_intensities(None, PIXEL_3A.battery, 1.54) is None
+        assert threshold_from_intensities(None, 50.0) is None
 
     def test_valid_samples_give_a_percentile_threshold(self):
         import numpy as np
@@ -110,10 +116,7 @@ class TestThresholdFromIntensities:
         from repro.charging import threshold_from_intensities
 
         threshold = threshold_from_intensities(
-            np.array([100.0, 200.0, 300.0, 400.0]),
-            PIXEL_3A.battery,
-            1.54,
-            fixed_percentile=50.0,
+            np.array([100.0, 200.0, 300.0, 400.0]), 50.0
         )
         assert threshold == pytest.approx(250.0)
 
@@ -123,9 +126,11 @@ class TestThresholdFromIntensities:
         from repro.charging import threshold_from_intensities
 
         with pytest.raises(ValueError, match="intensities is empty"):
-            threshold_from_intensities(np.array([]), PIXEL_3A.battery, 1.54)
+            threshold_from_intensities(np.array([]), 50.0)
         with pytest.raises(ValueError, match="intensities is empty"):
-            threshold_from_intensities([], PIXEL_3A.battery, 1.54)
+            threshold_from_intensities([], 50.0)
+        with pytest.raises(ValueError, match="intensities is empty"):
+            threshold_from_intensities(np.empty((0, 2)), np.array([50.0, 60.0]))
 
     def test_nan_samples_raise_naming_the_input(self):
         import numpy as np
@@ -133,8 +138,10 @@ class TestThresholdFromIntensities:
         from repro.charging import threshold_from_intensities
 
         with pytest.raises(ValueError, match="intensities contains 1 non-finite"):
+            threshold_from_intensities(np.array([100.0, np.nan, 300.0]), 50.0)
+        with pytest.raises(ValueError, match="intensities contains 1 non-finite"):
             threshold_from_intensities(
-                np.array([100.0, np.nan, 300.0]), PIXEL_3A.battery, 1.54
+                np.array([[100.0, np.nan], [300.0, 200.0]]), np.array([50.0, np.nan])
             )
 
     def test_infinite_samples_raise_with_the_offending_value(self):
@@ -143,6 +150,62 @@ class TestThresholdFromIntensities:
         from repro.charging import threshold_from_intensities
 
         with pytest.raises(ValueError, match="inf"):
-            threshold_from_intensities(
-                np.array([np.inf, 100.0]), PIXEL_3A.battery, 1.54
-            )
+            threshold_from_intensities(np.array([np.inf, 100.0]), 50.0)
+
+
+class TestChargePercentile:
+    def test_adds_the_margin_to_the_charge_time_percentile(self):
+        p = charge_time_percentile(PIXEL_3A.battery, 1.54)
+        assert charge_percentile(PIXEL_3A.battery, 1.54) == min(100.0, p + 5.0)
+        assert charge_percentile(PIXEL_3A.battery, 1.54, margin=0.0) == p
+
+    def test_is_capped_at_100(self):
+        assert charge_percentile(PIXEL_3A.battery, 1e6) == 100.0
+
+    def test_the_policy_thresholds_at_it(self):
+        previous = GridTrace.from_series([100, 250, 300, 425] * 72, interval_s=300)
+        policy = SmartChargingPolicy(percentile_margin=2.5)
+        policy.prepare_day(previous, PIXEL_3A.battery, 1.54)
+        expected = threshold_from_intensities(
+            previous.intensity_g_per_kwh,
+            charge_percentile(PIXEL_3A.battery, 1.54, margin=2.5),
+        )
+        assert policy.threshold_g_per_kwh.hex() == expected.hex()
+
+
+class TestMatrixThresholds:
+    """``(H, C)`` samples with a ``(C,)`` percentile vector: one per column."""
+
+    def test_each_column_gets_its_own_percentile(self):
+        samples = np.array([[100.0, 10.0], [200.0, 20.0], [300.0, 30.0]])
+        thresholds = threshold_from_intensities(samples, np.array([50.0, 100.0]))
+        assert thresholds.tolist() == [200.0, 30.0]
+
+    def test_a_nan_percentile_gives_a_nan_threshold(self):
+        samples = np.array([[100.0, 10.0], [200.0, 20.0]])
+        thresholds = threshold_from_intensities(samples, np.array([np.nan, 50.0]))
+        assert np.isnan(thresholds[0]) and thresholds[1] == 15.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 30), st.integers(1, 8)),
+            elements=st.integers(0, 12).map(float),
+        ),
+        st.data(),
+    )
+    def test_matches_the_per_column_call_bitwise(self, samples, data):
+        """Integer-valued samples make ties common; percentiles repeat."""
+        n_cols = samples.shape[1]
+        choices = st.sampled_from([0.0, 8.6, 13.6, 50.0, 99.9, 100.0, np.nan])
+        percentile = np.array([data.draw(choices) for _ in range(n_cols)])
+        thresholds = threshold_from_intensities(samples, percentile)
+        assert thresholds.shape == (n_cols,)
+        for j in range(n_cols):
+            if np.isnan(percentile[j]):
+                assert np.isnan(thresholds[j])
+            else:
+                want = threshold_from_intensities(samples[:, j], percentile[j])
+                assert thresholds[j].hex() == want.hex()
+

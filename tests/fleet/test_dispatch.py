@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fleet_oracles as oracle
 from fleet_specs import fleet_spec, site_spec, two_site_spec
+from repro.charging import charge_percentile
 from repro.fleet import (
     CarbonBufferDispatch,
     DiurnalDemand,
@@ -21,6 +23,7 @@ from repro.fleet.dispatch import (
     DISPATCH_DISCHARGE,
     DISPATCH_HOLD,
 )
+from repro.fleet.scheduler import _effective_capacity
 from repro.fleet.sites import (
     DEFAULT_REQUESTS_PER_DEVICE_S,
     build_site_cohort,
@@ -28,7 +31,7 @@ from repro.fleet.sites import (
     site_from_cohorts,
 )
 from repro.scenarios import ScenarioRunner
-from repro.scenarios.spec import DeviceMixSpec
+from repro.scenarios.spec import ChurnSpec, DeviceMixSpec
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -175,12 +178,13 @@ class TestEnergyLedger:
         return ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
 
     @staticmethod
-    def _ledger(site, **kwargs):
-        """A one-pack ledger and its ``(capacity_j, charge_rate_w)`` at the
-        site's live count."""
+    def _ledger(site, soc=1.0, **kwargs):
+        """A one-pack ledger at state of charge ``soc`` and its
+        ``(capacity_j, charge_rate_w)`` at the site's live count."""
         packs = PackTable.from_sites([site])
         counts = np.array([entry.cohort.active_count for entry in site.cohorts])
         ledger = EnergyLedger(packs, **kwargs)
+        ledger.soc[:] = soc
         return ledger, counts * packs.battery_j, counts * packs.charge_w
 
     def test_capabilities_follow_the_given_counts(self, site):
@@ -204,9 +208,7 @@ class TestEnergyLedger:
         assert ledger.soc[0] == pytest.approx(0.25)
 
     def test_forced_charge_below_the_floor(self, site):
-        ledger, capacity_j, rate_w = self._ledger(
-            site, min_state_of_charge=0.25, initial_soc=0.25
-        )
+        ledger, capacity_j, rate_w = self._ledger(site, min_state_of_charge=0.25)
         ledger.soc[:] = 0.10  # knocked below the floor (e.g. capacity shift)
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_DISCHARGE]]), np.array([1.0]), 3600.0,
@@ -229,7 +231,7 @@ class TestEnergyLedger:
         # A step short enough that the (idle-scaled) charge rate binds
         # rather than the pack's remaining headroom.
         step_s = 600.0
-        ledger, capacity_j, rate_w = self._ledger(site, initial_soc=0.5)
+        ledger, capacity_j, rate_w = self._ledger(site, soc=0.5)
         assert rate_w[0] * step_s < 0.5 * capacity_j[0]
         _, (busy,), _ = ledger.step_block(
             np.array([[DISPATCH_CHARGE]]), np.array([0.0]), step_s,
@@ -244,7 +246,7 @@ class TestEnergyLedger:
         assert busy[0] == pytest.approx(idle[0] * 0.25)
 
     def test_hold_leaves_the_ledger_untouched(self, site):
-        ledger, capacity_j, rate_w = self._ledger(site, initial_soc=0.6)
+        ledger, capacity_j, rate_w = self._ledger(site, soc=0.6)
         (battery_j,), (charge_j,), _ = ledger.step_block(
             np.array([[DISPATCH_HOLD]]), np.array([5.0]), 3600.0,
             capacity_j, rate_w, np.array([1.0]),
@@ -256,8 +258,7 @@ class TestEnergyLedger:
         packs = PackTable.from_sites([site])
         with pytest.raises(ValueError):
             EnergyLedger(packs, min_state_of_charge=1.5)
-        with pytest.raises(ValueError):
-            EnergyLedger(packs, initial_soc=0.1, min_state_of_charge=0.25)
+        assert EnergyLedger(packs).soc.tolist() == [1.0]
         with pytest.raises(ValueError):
             CarbonBufferDispatch(min_state_of_charge=-0.1)
 
@@ -284,15 +285,62 @@ class TestPackTable:
             ),
         )
         solo = site_spec("solo", "hydro-heavy", 15, n_trace_days=1)
-        return ScenarioRunner(fleet_spec(mixed, solo)).build_sites()
+        no_swap = site_spec(
+            "no-swap",
+            "ercot-like",
+            n_trace_days=1,
+            cohorts=(DeviceMixSpec("Nexus 5", 9, requests_per_device_s=9.35),),
+            churn=ChurnSpec(swap_batteries=False),
+        )
+        return ScenarioRunner(fleet_spec(mixed, solo, no_swap)).build_sites()
 
-    def test_columns_follow_site_packs(self, sites):
+    def test_columns_follow_the_site_cohorts(self, sites):
         packs = PackTable.from_sites(sites)
         assert packs.sites == tuple(sites)
-        assert len(packs) == 4
-        assert packs.site_index.tolist() == [0, 0, 0, 1]
-        assert packs.has_battery.tolist() == [True, True, False, True]
+        assert packs.entries == tuple(e for site in sites for e in site.cohorts)
+        assert len(packs) == 5
+        assert packs.site_index.tolist() == [0, 0, 0, 1, 2]
+        assert packs.site_starts.tolist() == [0, 3, 4]
+        assert packs.target.tolist() == [20, 12, 4, 15, 9]
+        assert packs.has_battery.tolist() == [True, True, False, True, True]
         assert packs.battery_j[2] == 0.0 and packs.charge_w[2] == 0.0
+        assert np.isnan(packs.charge_percentile[2])
+
+    def test_constants_equal_the_scalar_oracles_bitwise(self, sites):
+        packs = PackTable.from_sites(sites)
+        for j, entry in enumerate(packs.entries):
+            site = packs.sites[packs.site_index[j]]
+            power = entry.device.power_model
+            assert packs.idle_w[j] == power.idle_power_w
+            assert packs.dynamic_j[j].hex() == (
+                oracle.dynamic_energy_per_request_j(entry).hex()
+            )
+            assert packs.wear_g[j].hex() == (
+                float(oracle.battery_wear_g_per_request(entry)).hex()
+            )
+            assert packs.site_rate[j].hex() == float(oracle.site_rate(site)).hex()
+            battery = entry.device.battery
+            if battery is not None:
+                draw = entry.device.average_power_w(entry.cohort.load_profile)
+                assert packs.charge_percentile[j] == charge_percentile(battery, draw)
+        # The battery-less server and the no-swap cohort carry no wear.
+        assert packs.wear_g[2] == 0.0 and packs.wear_g[4] == 0.0
+        assert packs.wear_g[0] > 0.0 and packs.dynamic_j[4] > 0.0
+        # A mixed site's rate is its target-weighted mean.
+        assert packs.site_rate[0] == pytest.approx(
+            (20 * 20.0 + 12 * 8.0 + 4 * 200.0) / 36
+        )
+
+    @pytest.mark.parametrize("include_wear", [True, False])
+    def test_marginal_equals_the_scalar_oracle_bitwise(self, sites, include_wear):
+        packs = PackTable.from_sites(sites)
+        rng = np.random.default_rng(5)
+        intensity = rng.uniform(0.0, 900.0, size=(6, len(packs)))
+        marginal = packs.marginal_g(intensity, include_wear)
+        assert marginal.shape == intensity.shape
+        for (hour, j), value in np.ndenumerate(intensity):
+            want = oracle.cohort_marginal_g(packs.entries[j], value, include_wear)
+            assert marginal[hour, j].hex() == float(want).hex()
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_products_equal_the_scalar_expressions_bitwise(self, sites, count):
@@ -311,8 +359,8 @@ class TestPackTable:
             scalar_served = 0.5 * (count * entry.requests_per_device_s)
             scalar = {
                 "capacity_rps": count * entry.requests_per_device_s,
-                "device_power_w": count * entry.idle_power_w
-                + scalar_served * entry.dynamic_energy_per_request_j,
+                "device_power_w": count * entry.device.power_model.idle_power_w
+                + scalar_served * oracle.dynamic_energy_per_request_j(entry),
                 "battery_j": 0.0 if battery is None else count * battery.capacity_joules,
                 "charge_w": 0.0 if battery is None else count * battery.charge_rate_w,
             }
@@ -468,9 +516,16 @@ def test_step_block_matches_the_per_pack_reference_bitwise(block):
 
 
 class TestWearDerate:
+    @staticmethod
+    def _live_capacity(packs):
+        counts = np.array([entry.cohort.active_count for entry in packs.entries])
+        return counts * packs.requests_per_device_s
+
     def test_zero_derate_is_identity(self):
         site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
-        assert site.effective_capacity_rps(0.0) == site.capacity_rps
+        packs = PackTable.from_sites([site])
+        capacity = self._live_capacity(packs)
+        assert _effective_capacity(packs, capacity, 0.0) is capacity
 
     def test_derate_scales_with_mean_wear(self):
         site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
@@ -478,11 +533,43 @@ class TestWearDerate:
             0.5 * site.cohorts[0].cohort.device.battery.cycle_life
         )
         assert site.cohorts[0].cohort.mean_battery_wear() == pytest.approx(0.5)
-        assert site.effective_capacity_rps(1.0) == pytest.approx(
-            0.5 * site.capacity_rps
+        packs = PackTable.from_sites([site])
+        capacity = self._live_capacity(packs)
+        assert _effective_capacity(packs, capacity, 1.0)[0] == pytest.approx(
+            0.5 * capacity[0]
         )
-        assert site.effective_capacity_rps(0.5) == pytest.approx(
-            0.75 * site.capacity_rps
+        assert _effective_capacity(packs, capacity, 0.5)[0] == pytest.approx(
+            0.75 * capacity[0]
+        )
+
+    @pytest.mark.parametrize("wear_derate", [0.0, 0.3, 0.5, 1.0])
+    def test_derate_equals_the_scalar_oracle_bitwise(self, wear_derate):
+        mixed = site_spec(
+            "mixed",
+            "caiso-like",
+            n_trace_days=1,
+            cohorts=(
+                DeviceMixSpec("Pixel 3A", 7, requests_per_device_s=13.7),
+                DeviceMixSpec("Nexus 4", 5, requests_per_device_s=6.1),
+                DeviceMixSpec("HP ProLiant DL380 G6", 2, requests_per_device_s=200.0),
+            ),
+        )
+        no_swap = site_spec(
+            "no-swap", "hydro-heavy", 6, device="Nexus 5", n_trace_days=1,
+            churn=ChurnSpec(swap_batteries=False),
+        )
+        sites = ScenarioRunner(fleet_spec(mixed, no_swap)).build_sites()
+        packs = PackTable.from_sites(sites)
+        # Distinct wear per pack, one pack past the point a full derate zeroes.
+        for entry, wear in zip(packs.entries, (0.35, 1.2, 0.0, 0.8)):
+            cohort = entry.cohort
+            if cohort.device.battery is not None:
+                cohort._battery_cycles[: cohort._m] = (
+                    wear * cohort.device.battery.cycle_life
+                )
+        derated = _effective_capacity(packs, self._live_capacity(packs), wear_derate)
+        assert oracle.bits(derated) == oracle.bits(
+            [oracle.effective_capacity_rps(e, wear_derate) for e in packs.entries]
         )
 
     def test_policy_carries_the_derate(self):

@@ -21,7 +21,7 @@ from repro.forecast import (
     PerfectForecast,
     PersistenceForecast,
 )
-from repro.scenarios import ScenarioRunner
+from repro.scenarios import ScenarioRunner, get_scenario
 
 N_DEVICES = 20
 N_DAYS = 7
@@ -216,6 +216,45 @@ class TestMultiDayRefreshCadence:
         second = _run(ForecastDispatch(PerfectForecast()))
         assert np.array_equal(first.battery_kwh, second.battery_kwh)
         assert np.array_equal(first.charge_kwh, second.charge_kwh)
+
+
+class _RecordingForecast(_CountingForecast):
+    """Also records each window's ``(site_index, start hour)``."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.asked = []
+
+    def window(self, trace, start_s, horizon_h, site_index=0):
+        self.asked.append((site_index, start_s / units.SECONDS_PER_HOUR))
+        return super().window(trace, start_s, horizon_h, site_index=site_index)
+
+
+class TestRefilledPack:
+    def test_a_pack_that_empties_drops_its_plan_tail(self):
+        """Pack 0 holds 150, 0, 0 and 150 devices on days 0-3.  Day 0's
+        30-hour plan leaves a 6-hour tail; the empty days drop it, so the
+        refilled pack plans afresh from hour 72 instead of replaying the
+        stale tail and asking for hour 78."""
+        sites = ScenarioRunner(get_scenario("forecast-buffer")).build_sites()
+        packs = PackTable.from_sites(sites)
+        model = _RecordingForecast(PerfectForecast())
+        dispatch = ForecastDispatch(model, horizon_h=48, refresh_h=30)
+        hours = np.arange(24) * units.SECONDS_PER_HOUR
+        for day, count in enumerate((150, 0, 0, 150)):
+            times = day * units.SECONDS_PER_DAY + hours
+            intensity = np.stack(
+                [site.trace.intensities_at(times, wrap=True) for site in sites],
+                axis=1,
+            )[:, packs.site_index]
+            counts = np.array([150] * len(packs))
+            counts[0] = count
+            model.asked.clear()
+            dispatch.day_modes(
+                day, packs, None, intensity, counts, np.ones(len(packs))
+            )
+        assert (0, 72.0) in model.asked
+        assert (0, 78.0) not in model.asked
 
 
 class _BlindOnDay(ForecastModel):

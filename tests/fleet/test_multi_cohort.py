@@ -24,11 +24,11 @@ from repro.fleet import (
     FleetSite,
     GreedyLowestIntensityRouting,
     CapacityAwareMarginalCciRouting,
+    PackTable,
     ReplacementPolicy,
     SiteCohort,
     build_site_cohort,
     site_from_cohorts,
-    site_packs,
 )
 from repro.fleet.sites import regional_trace
 from repro.scenarios import ScenarioRunner
@@ -174,10 +174,10 @@ class TestPerTypeLedger:
 
     def test_two_packs_for_one_mixed_site(self):
         site = site_from_cohorts("mixed", _trace(), [_pixel_entry(), _nexus_entry()])
-        packs = site_packs([site])
+        packs = PackTable.from_sites([site])
         assert len(packs) == 2
-        assert packs[0][1].device.name == "Pixel 3A"
-        assert packs[1][1].device.name == "Nexus 4"
+        assert packs.entries[0].device.name == "Pixel 3A"
+        assert packs.entries[1].device.name == "Nexus 4"
 
     def test_per_pack_energy_conservation(self, reports):
         """Each cohort's device energy splits into grid + its own battery."""
@@ -304,16 +304,22 @@ class TestMixedSiteConstruction:
 
     def test_capacity_aggregates_across_cohorts(self):
         mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
-        assert mixed.capacity_rps == pytest.approx(30 * 20.0 + 30 * 8.0)
-        assert mixed.nominal_requests_per_device_s == pytest.approx(14.0)
+        packs = PackTable.from_sites([mixed])
+        counts = np.array([entry.cohort.active_count for entry in mixed.cohorts])
+        assert (counts * packs.requests_per_device_s).sum() == pytest.approx(
+            30 * 20.0 + 30 * 8.0
+        )
+        assert packs.site_rate.tolist() == pytest.approx([14.0, 14.0])
 
     def test_marginal_is_the_best_cohort(self):
         mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
-        per_cohort = [
-            entry.marginal_carbon_g_for_intensity(300.0)
-            for entry in mixed.cohorts
-        ]
-        assert mixed.marginal_carbon_g_for_intensity(300.0) == min(per_cohort)
+        packs = PackTable.from_sites([mixed])
+        per_cohort = packs.marginal_g(np.array([[300.0, 300.0]]))[0]
+        keys = CapacityAwareMarginalCciRouting().request_keys(
+            packs, np.array([[300.0]])
+        )
+        assert keys.shape == (1, 1)
+        assert keys[0, 0] == per_cohort.min()
 
     def test_site_needs_at_least_one_cohort(self):
         site = site_from_cohorts("m", _trace(), [_pixel_entry()])

@@ -21,14 +21,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fleet.scheduler as scheduler_module
+from fleet_oracles import device_slots, site_marginal_g, site_rate
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.scheduler import (
     SERVICE_DISTRIBUTIONS,
     _BLOCK,
-    _effective_device_slots,
     policy_by_name,
     simulate_latency_aware,
 )
+from repro.grid.traces import GridTrace
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.spec import DeviceMixSpec
@@ -44,9 +45,7 @@ def _scalar_key(policy, site, now_s):
     if policy.name == "round-robin":
         return None
     intensity = site.trace.intensity_at(now_s, wrap=True)
-    return site.marginal_carbon_g_for_intensity(
-        intensity, include_wear=policy.name == "marginal-cci"
-    )
+    return site_marginal_g(site, intensity, include_wear=policy.name == "marginal-cci")
 
 
 def simulate_per_request(
@@ -63,7 +62,7 @@ def simulate_per_request(
     served_by_site = {site.name: 0 for site in sites}
     routed_by_site = {site.name: 0 for site in sites}
     effective_devices = {
-        site.name: _effective_device_slots(policy, site) for site in sites
+        site.name: device_slots(site, policy.wear_derate) for site in sites
     }
     pools = {
         site.name: Resource(
@@ -71,9 +70,7 @@ def simulate_per_request(
         )
         for site in sites
     }
-    service_s = {
-        site.name: 1.0 / site.nominal_requests_per_device_s for site in sites
-    }
+    service_s = {site.name: 1.0 / site_rate(site) for site in sites}
     lognormal_mean_correction = float(np.exp(-0.5 * SERVICE_TIME_SIGMA**2))
 
     def draw_service_s(site):
@@ -95,10 +92,7 @@ def simulate_per_request(
         if any(key is None for key in keys):
             shares = [
                 routed_by_site[site.name]
-                / (
-                    effective_devices[site.name]
-                    * site.nominal_requests_per_device_s
-                )
+                / (effective_devices[site.name] * site_rate(site))
                 for site in sites
             ]
             best = int(np.argmin(shares))
@@ -167,6 +161,20 @@ def _fleet(kind):
     """Probe fleets; the probe never mutates its sites, so they are shared."""
     if kind == "two-site":
         spec = two_site_spec(5, seed=1, n_trace_days=2)
+    elif kind == "three-cohort":
+        # Distinct non-integer rates, so the site's sums have unequal terms.
+        spec = fleet_spec(
+            site_spec("texas", "ercot-like", 3, n_trace_days=2),
+            site_spec(
+                "mixed", "hydro-heavy", n_trace_days=2,
+                cohorts=(
+                    DeviceMixSpec(count=5, requests_per_device_s=13.7),
+                    DeviceMixSpec("Nexus 4", 4, requests_per_device_s=6.1),
+                    DeviceMixSpec("Nexus 5", 3, requests_per_device_s=9.35),
+                ),
+            ),
+            seed=1,
+        )
     else:
         spec = fleet_spec(
             site_spec("texas", "ercot-like", 4, n_trace_days=2),
@@ -197,28 +205,31 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
                                  duration_s, seed, penalty, distribution):
     sites = list(_fleet(fleet))
     policy = policy_by_name(policy_name, wear_derate)
-    asked = []  # the times each block's keys were computed for
-    keys_for = policy.request_keys
+    asked = []  # the times each block's keys looked site 0's intensity up at
+    intensities_at = GridTrace.intensities_at
 
-    def request_keys(site, times_s):
-        if site is sites[0]:
+    def recording_intensities_at(trace, times_s, wrap=False):
+        if trace is sites[0].trace:
             asked.append(np.array(times_s))
-        return keys_for(site, times_s)
+        return intensities_at(trace, times_s, wrap=wrap)
 
-    policy.request_keys = request_keys
     tele = Telemetry()
 
     def probe():
-        return simulate_latency_aware(
-            sites,
-            policy,
-            demand_rps=demand_rps,
-            duration_s=duration_s,
-            seed=seed,
-            queue_penalty_g=penalty,
-            service_distribution=distribution,
-            telemetry=tele,
-        )
+        GridTrace.intensities_at = recording_intensities_at
+        try:
+            return simulate_latency_aware(
+                sites,
+                policy,
+                demand_rps=demand_rps,
+                duration_s=duration_s,
+                seed=seed,
+                queue_penalty_g=penalty,
+                service_distribution=distribution,
+                telemetry=tele,
+            )
+        finally:
+            GridTrace.intensities_at = intensities_at
 
     try:
         (
@@ -248,7 +259,7 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
 
 probe_case = st.fixed_dictionaries(
     {
-        "fleet": st.sampled_from(["two-site", "mixed-cohort"]),
+        "fleet": st.sampled_from(["two-site", "mixed-cohort", "three-cohort"]),
         "policy_name": st.sampled_from(
             ["round-robin", "greedy-lowest-intensity", "marginal-cci"]
         ),

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from fleet_oracles import bits, site_marginal_g
 from fleet_specs import fleet_spec, site_spec, two_site_spec
+from repro.fleet.dispatch import PackTable
 from repro.fleet.scheduler import (
     POLICIES,
     CapacityAwareMarginalCciRouting,
@@ -17,7 +19,7 @@ from repro.fleet.scheduler import (
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
 from repro.scenarios import ScenarioRunner
-from repro.scenarios.spec import ChurnSpec
+from repro.scenarios.spec import ChurnSpec, DeviceMixSpec
 
 
 class TestDiurnalDemand:
@@ -176,7 +178,7 @@ class TestLatencyAwarePath:
         assert by_site_a == by_site_b
         assert summary_a.completion_ratio > 0.9
         # Latency >= service time + RTT of the chosen site.
-        assert summary_a.median_ms >= 1_000.0 / sites[0].nominal_requests_per_device_s
+        assert summary_a.median_ms >= 1_000.0 / sites[0].cohorts[0].requests_per_device_s
 
     def test_greedy_routes_to_clean_site_until_saturation(self):
         sites = ScenarioRunner(two_site_spec(5, seed=4, n_trace_days=7)).build_sites()
@@ -223,20 +225,42 @@ class TestLatencyAwarePath:
         with pytest.raises(ValueError, match=argument):
             simulate_latency_aware(sites, GreedyLowestIntensityRouting(), **kwargs)
 
-    def test_request_keys_are_one_key_per_arrival_time(self):
-        spec = two_site_spec(5, seed=4, n_trace_days=2)
-        (site,) = ScenarioRunner(spec).build_sites()[:1]
+    def test_request_keys_are_one_key_per_arrival_and_site(self):
+        """Each site's key is its best cohort's scalar marginal, bit for bit."""
+        spec = fleet_spec(
+            site_spec("texas", "ercot-like", 5, n_trace_days=2),
+            site_spec(
+                "mixed", "hydro-heavy", n_trace_days=2,
+                cohorts=(
+                    DeviceMixSpec(count=5, requests_per_device_s=13.7),
+                    DeviceMixSpec("Nexus 4", 4, requests_per_device_s=6.1),
+                    DeviceMixSpec("HP ProLiant DL380 G6", 2, requests_per_device_s=200.0),
+                ),
+            ),
+            site_spec(
+                "no-swap", "caiso-like", 3, device="Nexus 5", n_trace_days=2,
+                churn=ChurnSpec(swap_batteries=False),
+            ),
+        )
+        sites = ScenarioRunner(spec).build_sites()
+        packs = PackTable.from_sites(sites)
         times = np.array([0.0, 1_800.0, 86_400.0 * 3 + 5.0])
-        intensities = site.intensities_at(times)
-        assert RoundRobinRouting().request_keys(site, times) is None
-        assert np.array_equal(
-            GreedyLowestIntensityRouting().request_keys(site, times),
-            site.marginal_carbon_g_for_intensity(intensities, include_wear=False),
+        intensity = np.stack(
+            [site.trace.intensities_at(times, wrap=True) for site in sites], axis=1
         )
-        assert np.array_equal(
-            CapacityAwareMarginalCciRouting().request_keys(site, times),
-            site.marginal_carbon_g_for_intensity(intensities),
-        )
+        assert RoundRobinRouting().request_keys(packs, intensity) is None
+        for policy, include_wear in (
+            (GreedyLowestIntensityRouting(), False),
+            (CapacityAwareMarginalCciRouting(), True),
+        ):
+            keys = policy.request_keys(packs, intensity)
+            assert keys.shape == (times.size, len(sites))
+            want = [
+                site_marginal_g(site, value, include_wear)
+                for row in intensity.tolist()
+                for site, value in zip(sites, row)
+            ]
+            assert bits(keys) == bits(want)
 
     @staticmethod
     def _sites(*dead):
@@ -254,7 +278,7 @@ class TestLatencyAwarePath:
         ))
         sites = ScenarioRunner(spec).build_sites()
         for site in sites:
-            while site.name in dead and site.capacity_rps > 0:
+            while site.name in dead and site.cohorts[0].cohort.active_count > 0:
                 site.cohorts[0].cohort.step(1.0)
         return sites
 

@@ -3,6 +3,12 @@
 import numpy as np
 import pytest
 
+from fleet_oracles import (
+    battery_wear_g_per_request,
+    bits,
+    cohort_marginal_g,
+    dynamic_energy_per_request_j,
+)
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.devices.catalog import PIXEL_3A
 from repro.fleet.dispatch import PackTable
@@ -57,8 +63,10 @@ class TestFleetSite:
 
     def test_capacity_follows_population(self, site):
         (entry,) = site.cohorts
+        packs = PackTable.from_sites([site])
+        counts = np.array([entry.cohort.active_count])
         expected = entry.cohort.active_count * entry.requests_per_device_s
-        assert site.capacity_rps == expected
+        assert (counts * packs.requests_per_device_s)[0] == expected
 
     def test_design_matches_paper_recipe(self, site):
         assert site.design.device.name == PIXEL_3A.name
@@ -74,12 +82,13 @@ class TestFleetSite:
             device_w = count * packs.idle_w + served_rps * packs.dynamic_j
             return site.peripheral_power_w + device_w
 
-        served = np.array([0.0, site.capacity_rps / 2.0, site.capacity_rps])
+        capacity = count * entry.requests_per_device_s
+        served = np.array([0.0, capacity / 2.0, capacity])
         idle, half, full = site_power_w(served[:, None])[:, 0]
         assert idle < half < full
         assert full - half == pytest.approx(half - idle)
         # Fully loaded, each phone draws its peak power.
-        expected_device_draw = count * entry.peak_power_w
+        expected_device_draw = count * entry.device.power_model.peak_power_w
         assert full - site.design.peripherals.total_power_w == pytest.approx(
             expected_device_draw
         )
@@ -87,8 +96,9 @@ class TestFleetSite:
     def test_wraparound_intensity(self, site):
         period = site.trace.period_s
         many_days_later = 400 * 86_400.0
-        at = site.intensities_at(
-            np.array([0.0, period, many_days_later, many_days_later % period])
+        at = site.trace.intensities_at(
+            np.array([0.0, period, many_days_later, many_days_later % period]),
+            wrap=True,
         )
         assert at[0] == pytest.approx(at[1])
         assert at[2] == pytest.approx(at[3])
@@ -96,12 +106,18 @@ class TestFleetSite:
     def test_marginal_carbon_tracks_intensity(self, site):
         times = np.arange(0, 86_400.0, 3_600.0)
         intensities = site.trace.intensities_at(times, wrap=True)
-        marginals = site.marginal_carbon_g_for_intensity(site.intensities_at(times))
+        packs = PackTable.from_sites([site])
+        marginals = packs.marginal_g(intensities[:, None])[:, 0]
         (entry,) = site.cohorts
-        wear = entry.battery_wear_g_per_request()
+        wear = packs.wear_g[0]
         assert wear > 0  # swap-enabled Pixel site carries wear carbon
-        expected = entry.dynamic_energy_per_request_j * intensities / 3.6e6 + wear
+        assert wear.hex() == battery_wear_g_per_request(entry).hex()
+        assert packs.dynamic_j[0].hex() == dynamic_energy_per_request_j(entry).hex()
+        expected = packs.dynamic_j[0] * intensities / 3.6e6 + wear
         assert np.allclose(marginals, expected)
+        assert bits(marginals) == bits(
+            [cohort_marginal_g(entry, value) for value in intensities.tolist()]
+        )
 
     def test_device_mismatch_rejected(self):
         site, nexus_site = ScenarioRunner(

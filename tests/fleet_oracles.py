@@ -1,0 +1,77 @@
+"""Scalar oracles for the per-pack quantities of :class:`~repro.fleet.PackTable`.
+
+Each function is one pack's (or one site's) quantity written the scalar
+way, term by term in the order the table must reproduce: the tests hold
+the table's columns, marginals, wear derate and latency-probe slots to
+these bit for bit.
+"""
+
+import numpy as np
+
+from repro import units
+
+
+def dynamic_energy_per_request_j(entry):
+    """Incremental energy (J) of one request on one device of ``entry``."""
+    power = entry.device.power_model
+    return (power.peak_power_w - power.idle_power_w) / entry.requests_per_device_s
+
+
+def battery_wear_g_per_request(entry):
+    """Embodied battery carbon (g) amortised per request; 0 without swaps."""
+    battery = entry.device.battery
+    if battery is None or not entry.cohort.policy.swap_batteries:
+        return 0.0
+    wear_g_per_joule = units.kg_to_grams(battery.embodied_carbon_kgco2e) / (
+        battery.cycle_life * battery.capacity_joules
+    )
+    return wear_g_per_joule * dynamic_energy_per_request_j(entry)
+
+
+def cohort_marginal_g(entry, intensity, include_wear=True):
+    """Marginal carbon (g) of one request on ``entry`` at a scalar intensity."""
+    grams = dynamic_energy_per_request_j(entry) * intensity / units.JOULES_PER_KWH
+    if include_wear:
+        grams = grams + battery_wear_g_per_request(entry)
+    return grams
+
+
+def site_marginal_g(site, intensity, include_wear=True):
+    """A site's key: the lowest cohort marginal at a scalar intensity."""
+    return min(
+        cohort_marginal_g(entry, intensity, include_wear) for entry in site.cohorts
+    )
+
+
+def effective_capacity_rps(entry, wear_derate):
+    """``entry``'s live capacity scaled by ``max(0, 1 - k * mean wear)``."""
+    capacity = entry.cohort.active_count * entry.requests_per_device_s
+    if wear_derate <= 0.0:
+        return capacity
+    return capacity * max(0.0, 1.0 - wear_derate * entry.cohort.mean_battery_wear())
+
+
+def site_rate(site):
+    """Target-weighted mean per-device rate of a site (exact for one cohort)."""
+    if len(site.cohorts) == 1:
+        return site.cohorts[0].requests_per_device_s
+    total = sum(entry.target_size for entry in site.cohorts)
+    return (
+        sum(entry.target_size * entry.requests_per_device_s for entry in site.cohorts)
+        / total
+    )
+
+
+def device_slots(site, wear_derate):
+    """Concurrent request slots the latency probe offers ``site``."""
+    capacity = sum(
+        effective_capacity_rps(entry, wear_derate) for entry in site.cohorts
+    )
+    if capacity <= 0:
+        return 0
+    return max(1, int(round(capacity / site_rate(site))))
+
+
+def bits(values):
+    """Each value's exact bit pattern, for bitwise comparisons."""
+    return [float(v).hex() for v in np.ravel(values)]
