@@ -79,7 +79,10 @@ from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.charging.smart_charging import charge_percentile, threshold_from_intensities
+from repro.charging.smart_charging import (
+    charge_percentile,
+    threshold_from_intensities,
+)
 from repro.fleet.sites import FleetSite, SiteCohort
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.forecast imports the
@@ -178,16 +181,16 @@ class PackTable:
                 [0] + [len(site.cohorts) for site in sites[:-1]], dtype=np.int64
             ),
             requests_per_device_s=np.array(rate, dtype=float),
-            target=np.array([entry.target_size for entry in entries], dtype=np.int64),
+            target=np.array([e.target_size for e in entries], dtype=np.int64),
             site_rate=np.array(site_rate, dtype=float),
             idle_w=np.array(idle, dtype=float),
             dynamic_j=np.array(dynamic, dtype=float),
             wear_g=np.array(wear, dtype=float),
             battery_j=np.array(
-                [0.0 if b is None else b.capacity_joules for b in batteries], dtype=float
+                [0.0 if b is None else b.capacity_joules for b in batteries]
             ),
             charge_w=np.array(
-                [0.0 if b is None else b.charge_rate_w for b in batteries], dtype=float
+                [0.0 if b is None else b.charge_rate_w for b in batteries]
             ),
             has_battery=np.array([b is not None for b in batteries], dtype=bool),
             charge_percentile=np.array(
@@ -195,7 +198,8 @@ class PackTable:
                     np.nan
                     if battery is None
                     else charge_percentile(
-                        battery, entry.device.average_power_w(entry.cohort.load_profile)
+                        battery,
+                        entry.device.average_power_w(entry.cohort.load_profile),
                     )
                     for entry, battery in zip(entries, batteries)
                 ],
@@ -206,7 +210,9 @@ class PackTable:
     def __len__(self) -> int:
         return self.site_index.shape[0]
 
-    def marginal_g(self, intensity: np.ndarray, include_wear: bool = True) -> np.ndarray:
+    def marginal_g(
+        self, intensity: np.ndarray, include_wear: bool = True
+    ) -> np.ndarray:
         """Marginal carbon (g) of one request on each pack at ``intensity``.
 
         The per-device-type term carbon-aware routing ranks: dynamic energy
@@ -240,11 +246,12 @@ class DispatchPolicy(abc.ABC):
         """Dispatch mode per ``(hour, pack)`` for day ``day`` of a run.
 
         ``packs`` is the run's :class:`PackTable`.  ``intensity`` is the
-        day's ``(H, C)`` per-pack intensity matrix and ``previous_intensity`` the previous day's (``None`` on
-        day 0).  ``counts`` (the day-start device count of each pack,
-        recorded while churn was live) and ``soc`` (the ledger's state of
-        charge at the start of the day) have shape ``(C,)``.  Returns an
-        ``(H, C)`` int8 array of ``DISPATCH_*`` modes.
+        day's ``(H, C)`` per-pack intensity matrix and
+        ``previous_intensity`` the previous day's (``None`` on day 0).
+        ``counts`` (the day-start device count of each pack, recorded while
+        churn was live) and ``soc`` (the ledger's state of charge at the
+        start of the day) have shape ``(C,)``.  Returns an ``(H, C)`` int8
+        array of ``DISPATCH_*`` modes.
         """
 
 
@@ -255,11 +262,10 @@ class CarbonBufferDispatch(DispatchPolicy):
     previous-day intensities (P from *that device type's* charge-time
     fraction plus the heuristic's default margin, the table's
     ``charge_percentile`` — a Nexus 4 pack needs a different charge window
-    than a Pixel 3A pack on the same grid).  Hours
-    at or below the threshold charge the pack from idle headroom; hours
-    above it serve that cohort's device load from the pack down to
-    ``min_state_of_charge``.  With no previous day, or no battery, a pack
-    holds.
+    than a Pixel 3A pack on the same grid).  Hours at or below the
+    threshold charge the pack from idle headroom; hours above it serve that
+    cohort's device load from the pack down to ``min_state_of_charge``.
+    With no previous day, or no battery, a pack holds.
     """
 
     name = "carbon-buffer"

@@ -626,10 +626,11 @@ class FleetSimulation:
         times_s = np.arange(n_hours) * step_s
         demand_rps = self.demand.series(n_hours)
         site_intensity = np.empty((n_hours, len(self.sites)))
-        for site_index, site in enumerate(self.sites):
-            site_intensity[:, site_index] = site.trace.intensities_at(times_s, wrap=True)
+        for j, site in enumerate(self.sites):
+            site_intensity[:, j] = site.trace.intensities_at(times_s, wrap=True)
         intensity = site_intensity[:, self.packs.site_index]
-        return demand_rps, site_intensity, intensity, self.packs.marginal_g(intensity)
+        marginal = self.packs.marginal_g(intensity)
+        return demand_rps, site_intensity, intensity, marginal
 
     def _allocate_day(
         self,

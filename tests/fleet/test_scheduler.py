@@ -178,7 +178,8 @@ class TestLatencyAwarePath:
         assert by_site_a == by_site_b
         assert summary_a.completion_ratio > 0.9
         # Latency >= service time + RTT of the chosen site.
-        assert summary_a.median_ms >= 1_000.0 / sites[0].cohorts[0].requests_per_device_s
+        rate = sites[0].cohorts[0].requests_per_device_s
+        assert summary_a.median_ms >= 1_000.0 / rate
 
     def test_greedy_routes_to_clean_site_until_saturation(self):
         sites = ScenarioRunner(two_site_spec(5, seed=4, n_trace_days=7)).build_sites()
@@ -234,7 +235,9 @@ class TestLatencyAwarePath:
                 cohorts=(
                     DeviceMixSpec(count=5, requests_per_device_s=13.7),
                     DeviceMixSpec("Nexus 4", 4, requests_per_device_s=6.1),
-                    DeviceMixSpec("HP ProLiant DL380 G6", 2, requests_per_device_s=200.0),
+                    DeviceMixSpec(
+                        "HP ProLiant DL380 G6", 2, requests_per_device_s=200.0
+                    ),
                 ),
             ),
             site_spec(
