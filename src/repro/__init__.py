@@ -15,7 +15,9 @@ The library models the full pipeline the paper builds:
 * :mod:`repro.thermal` — the phones-in-a-box thermal experiment and cloudlet
   cooling sizing;
 * :mod:`repro.simulation` / :mod:`repro.microservices` — a discrete-event
-  microservice serving simulator with DeathStarBench-style applications,
+  microservice serving simulator (request types compiled to flat programs,
+  run on one event loop over FIFO cores, I/O pools and a shared network,
+  ties broken by ``(time, seq)``) with DeathStarBench-style applications,
   Docker-Swarm-like placement, and the phone-cloudlet / EC2 deployments;
 * :mod:`repro.cluster` — cloudlet and datacenter-scale carbon designs
   (sizing, peripherals, topologies, PUE);

@@ -2,8 +2,8 @@
 
 :class:`ServingCluster` binds an :class:`~repro.microservices.service_graph.Application`
 to a set of :class:`NodeSpec` machines and a network model, and simulates an
-open-loop request stream against it with the discrete-event engine.  The two
-deployments the paper evaluates are provided as factories:
+open-loop request stream against it.  The two deployments the paper
+evaluates are provided as factories:
 
 * :func:`pixel_cloudlet` — ten Pixel 3A phones in Docker-Swarm mode on a
   shared local WiFi network, the workload generator running on a separate
@@ -11,6 +11,14 @@ deployments the paper evaluates are provided as factories:
 * :func:`ec2_instance` — a single C5 instance hosting every service, with the
   workload generator co-located on the instance (the paper's methodology to
   avoid client-to-cloud network latency).
+
+A run compiles each request type's call tree once into a flat program of
+ops (hold, acquire, release, noise draw, fan-out, end) and drives every
+request through one event loop over plain ``(time, seq, kind, thread)``
+tuples.  Node cores, per-service I/O pools and the shared network medium
+are FIFO multi-server stations.  Event-time ties break by scheduling order
+(``seq``), and every named random stream is drawn in event order, so a seed
+reproduces a run bit for bit.
 
 A run produces a :class:`RunResult` with per-request-type latency summaries,
 achieved throughput, per-node CPU-utilisation timelines (Figure 8), and the
@@ -20,8 +28,12 @@ carbon-per-request analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, Mapping, Optional, Sequence, Tuple
+import math
+from collections import deque
+from dataclasses import dataclass
+from functools import partial
+from heapq import heappop, heappush
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,21 +45,65 @@ from repro.microservices.placement import (
     single_node_placement,
     swarm_placement,
 )
-from repro.microservices.service_graph import Application, CallNode, RequestType
-from repro.simulation.engine import AllOf, Simulator, Timeout
+from repro.microservices.service_graph import Application, CallNode
 from repro.simulation.metrics import (
     LatencyRecorder,
     LatencySummary,
     UtilizationTimeline,
+    busy_time,
     summarize,
+    utilization_timeline,
 )
 from repro.simulation.random_streams import RandomStreams
-from repro.simulation.resources import CpuResource, NetworkMedium, Resource
 
 #: Pseudo-location of a workload generator that is *not* co-located with the
 #: cluster (the phone-cloudlet methodology).  Transfers to and from it cross
 #: the cluster's shared network.
 EXTERNAL_CLIENT = "external-client"
+
+# Event kinds.  A thread is a list ``[ops, pc, join, drawn_hold_s]``; a
+# request's root thread adds ``start_s`` and its type name (None while
+# warming up).  A join is ``[children_left, parent_thread]``.
+_RESUME = 0  # run a thread from its pc
+_JOIN = 1  # a fan-out child finished
+_ARRIVE = 2  # the next request arrives
+_START = 3  # the arrival process starts
+
+# Op codes of a compiled program; an op is a tuple led by its code.
+_HOLD = 0  # (HOLD, delay_s): a service hold or a latency
+_ACQ = 1  # (ACQ, station): take a unit, queueing FIFO while none is free
+_REL = 2  # (REL, station, n_bytes): return the unit; bytes count network traffic
+_DRAW = 3  # (DRAW, next_noise, cpu_ms, speed): draw the noise; no work skips 3 ops
+_HOLD_DRAWN = 4  # (HOLD_DRAWN,): hold the CPU time DRAW computed
+_FORK = 5  # (FORK, child_programs): run the children in parallel, then join
+_END = 6  # (END,): the program is done
+
+
+#: Values a stream draws per numpy call.
+_DRAW_BLOCK = 256
+
+
+def _draws(sample: Callable[..., np.ndarray]) -> Callable[[], float]:
+    """Scalar draws of ``sample``, taken from numpy blocks of ``_DRAW_BLOCK``.
+
+    numpy fills a block with the routine its scalar call runs, once per
+    value, so the n-th value is the stream's n-th scalar draw.
+    """
+
+    def draws() -> Iterator[float]:
+        while True:
+            yield from sample(size=_DRAW_BLOCK).tolist()
+
+    return draws().__next__
+
+
+def _station(capacity: int) -> list:
+    """A FIFO multi-server station: ``[capacity, in_use, queue, occupancy]``.
+
+    ``occupancy`` gains one ``(time, in_use)`` change point per grant and
+    release, starting from ``(0.0, 0)``.
+    """
+    return [capacity, 0, deque(), [(0.0, 0)]]
 
 
 @dataclass(frozen=True)
@@ -63,10 +119,10 @@ class NodeSpec:
     def __post_init__(self) -> None:
         if self.cores <= 0:
             raise ValueError("cores must be positive")
-        if self.core_speed <= 0:
-            raise ValueError("core speed must be positive")
-        if self.io_factor <= 0:
-            raise ValueError("io factor must be positive")
+        if not (math.isfinite(self.core_speed) and self.core_speed > 0):
+            raise ValueError("core speed must be positive and finite")
+        if not (math.isfinite(self.io_factor) and self.io_factor > 0):
+            raise ValueError("io factor must be positive and finite")
 
     @property
     def capacity_ref_cores(self) -> float:
@@ -89,6 +145,8 @@ class RunResult:
     mean_power_w: float
     energy_j: float
     network_bytes: float
+    #: Events the serving event loop processed: the DES's unit of work.
+    events: int
 
     @property
     def achieved_qps(self) -> float:
@@ -152,6 +210,18 @@ class ServingCluster:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("a cluster needs at least one node")
+        if not (
+            math.isfinite(self.network_bandwidth_bytes_per_s)
+            and self.network_bandwidth_bytes_per_s > 0
+        ):
+            raise ValueError("network bandwidth must be positive and finite")
+        for name, value in (
+            ("network latency", self.network_latency_s),
+            ("loopback latency", self.loopback_latency_s),
+            ("service time sigma", self.service_time_sigma),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         names = [node.name for node in self.nodes]
         if len(names) != len(set(names)):
             raise ValueError("node names must be unique")
@@ -212,138 +282,162 @@ class ServingCluster:
         still in flight when the run ends count as offered but not completed,
         so the completion ratio falls below 1.0 once the cluster saturates.
         """
-        if qps <= 0:
-            raise ValueError("qps must be positive")
-        if duration_s <= warmup_s:
-            raise ValueError("duration must exceed the warm-up period")
+        for name, value in (
+            ("qps", qps),
+            ("duration", duration_s),
+            ("utilization window", utilization_window_s),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= warmup_s < duration_s:
+            raise ValueError(
+                f"warm-up must be non-negative and shorter than the duration, "
+                f"got {warmup_s} of {duration_s}"
+            )
         mix = _normalise_mix(app, workload_mix)
-
-        sim = Simulator()
-        rng = RandomStreams(seed)
-        recorder = LatencyRecorder()
-        offered: Dict[str, int] = {name: 0 for name in mix}
-
-        cpus: Dict[str, CpuResource] = {
-            node.name: CpuResource(sim, cores=node.cores, speed=node.core_speed, name=node.name)
-            for node in self.nodes
-        }
-        network = NetworkMedium(
-            sim,
-            bandwidth_bytes_per_s=self.network_bandwidth_bytes_per_s,
-            latency_s=self.network_latency_s,
-            name=f"{self.name}-network",
-        )
-        io_resources: Dict[Tuple[str, str], Resource] = {}
-
         plan = placement or self.default_placement(app)
         plan.validate_against(app)
 
-        client_location = (
-            self.client_node if self.client_colocated else EXTERNAL_CLIENT
-        )
-
-        def io_resource(node_name: str, service_name: str) -> Resource:
-            key = (node_name, service_name)
-            if key not in io_resources:
-                concurrency = app.service(service_name).io_concurrency
-                io_resources[key] = Resource(
-                    sim, capacity=concurrency, name=f"{service_name}@{node_name}"
-                )
-            return io_resources[key]
-
-        def transfer(src: str, dst: str, n_bytes: float) -> Generator:
-            if src == dst:
-                yield Timeout(self.loopback_latency_s)
-            else:
-                yield from network.transfer(n_bytes)
-
-        def execute_call(call: CallNode, caller_location: str) -> Generator:
-            host = plan.node_for(call.service)
-            node = self.node(host)
-            yield from transfer(caller_location, host, call.request_bytes)
-            if call.cpu_ms > 0:
-                noise = rng.lognormal_factor(f"svc-{call.service}", self.service_time_sigma)
-                yield from cpus[host].execute(call.cpu_ms * noise)
-            if call.io_ms > 0:
-                resource = io_resource(host, call.service)
-                yield resource.acquire()
-                try:
-                    yield Timeout(call.io_ms / 1_000.0 * node.io_factor)
-                finally:
-                    resource.release()
-            for stage in call.stages:
-                if len(stage) == 1:
-                    yield from execute_call(stage[0], host)
-                else:
-                    children = [
-                        sim.spawn(execute_call(child, host), name=child.service)
-                        for child in stage
-                    ]
-                    yield AllOf(children)
-            yield from transfer(host, caller_location, call.response_bytes)
-
-        def handle_request(request_type: RequestType, in_measurement: bool) -> Generator:
-            start = sim.now
-            if self.client_colocated and request_type.client_cpu_ms > 0:
-                noise = rng.lognormal_factor("client", self.service_time_sigma)
-                yield from cpus[client_location].execute(request_type.client_cpu_ms * noise)
-            yield from execute_call(request_type.root, client_location)
-            if in_measurement:
-                recorder.record(request_type.name, sim.now - start)
-
+        rng = RandomStreams(seed)
+        recorder = LatencyRecorder()
+        offered: Dict[str, int] = {name: 0 for name in mix}
+        cpus = {node.name: _station(node.cores) for node in self.nodes}
+        programs = _Compiler(self, app, plan, cpus, rng).programs(mix)
         type_names = list(mix)
         probabilities = [mix[name] for name in type_names]
+        next_gap_s = _draws(partial(rng.stream("arrivals").exponential, 1.0 / qps))
 
-        def arrivals() -> Generator:
-            while sim.now < duration_s:
-                gap = rng.exponential("arrivals", 1.0 / qps)
-                yield Timeout(gap)
-                if sim.now >= duration_s:
+        # Events are (time, seq, kind, thread) tuples; seq is unique, so ties
+        # break by scheduling order and comparison never reaches the kind.
+        # Seq 1 is the arrival process's own start.
+        heap: list = [(0.0, 1, _START, None)]
+        seq = 1
+        events = 0
+        network_bytes = 0.0
+        while heap and heap[0][0] <= duration_s:
+            now, _, kind, thread = heappop(heap)
+            events += 1
+            if kind == _JOIN:
+                # A fan-out child finished; the last one resumes its parent.
+                thread[0] -= 1
+                if thread[0]:
+                    continue
+                thread = thread[1]
+            elif kind != _RESUME:
+                # The arrival process: an arrival before the end spawns its
+                # request; the start and each such arrival draw the next gap.
+                if kind == _ARRIVE:
+                    if now >= duration_s:
+                        continue
+                    # A one-type mix needs no draw; the request-mix stream
+                    # feeds nothing else, so skipping it leaves every other
+                    # stream alone.
+                    name = (
+                        type_names[0]
+                        if len(type_names) == 1
+                        else str(rng.choice("request-mix", type_names, probabilities))
+                    )
+                    measured = name if now >= warmup_s else None
+                    if measured is not None:
+                        offered[name] += 1
+                    root = [programs[name], 0, None, 0.0, now, measured]
+                    seq += 1
+                    heappush(heap, (now, seq, _RESUME, root))
+                seq += 1
+                heappush(heap, (now + next_gap_s(), seq, _ARRIVE, None))
+                continue
+            ops = thread[0]
+            pc = thread[1]
+            while True:
+                op = ops[pc]
+                pc += 1
+                code = op[0]
+                if code == _HOLD:
+                    seq += 1
+                    heappush(heap, (now + op[1], seq, _RESUME, thread))
                     break
-                # A one-type mix needs no draw; the request-mix stream feeds
-                # nothing else, so skipping it leaves every other stream alone.
-                chosen = (
-                    type_names[0]
-                    if len(type_names) == 1
-                    else rng.choice("request-mix", type_names, probabilities)
-                )
-                request_type = app.request_type(str(chosen))
-                in_measurement = sim.now >= warmup_s
-                if in_measurement:
-                    offered[request_type.name] += 1
-                sim.spawn(
-                    handle_request(request_type, in_measurement),
-                    name=request_type.name,
-                )
+                if code == _ACQ:
+                    station = op[1]
+                    if station[1] < station[0]:
+                        station[1] += 1
+                        station[3].append((now, station[1]))
+                        seq += 1
+                        heappush(heap, (now, seq, _RESUME, thread))
+                    else:
+                        station[2].append(thread)
+                    break
+                if code == _REL:
+                    station = op[1]
+                    station[1] -= 1
+                    station[3].append((now, station[1]))
+                    if station[2]:
+                        station[1] += 1
+                        station[3].append((now, station[1]))
+                        seq += 1
+                        heappush(heap, (now, seq, _RESUME, station[2].popleft()))
+                    network_bytes += op[2]
+                elif code == _DRAW:
+                    work_ms = op[2] * op[1]()
+                    if work_ms > 0:
+                        thread[3] = work_ms / 1_000.0 / op[3]
+                    else:
+                        pc += 3
+                elif code == _HOLD_DRAWN:
+                    seq += 1
+                    heappush(heap, (now + thread[3], seq, _RESUME, thread))
+                    break
+                elif code == _FORK:
+                    children = op[1]
+                    if children:
+                        join = [len(children), thread]
+                        for child in children:
+                            seq += 1
+                            heappush(heap, (now, seq, _RESUME, [child, 0, join, 0.0]))
+                    else:
+                        seq += 1
+                        heappush(heap, (now, seq, _RESUME, thread))
+                    break
+                else:  # _END
+                    join = thread[2]
+                    if join is not None:
+                        seq += 1
+                        heappush(heap, (now, seq, _JOIN, join))
+                    elif thread[5] is not None:
+                        recorder.record(thread[5], now - thread[4])
+                    break
+            thread[1] = pc
 
-        sim.spawn(arrivals(), name="arrivals")
-        sim.run_until(duration_s)
-
-        measurement = duration_s - warmup_s
+        occupancy = {name: station[3] for name, station in cpus.items()}
         utilization = {
-            name: UtilizationTimeline(
-                name, *cpu.utilization_timeline(utilization_window_s, end=duration_s)
+            node.name: UtilizationTimeline(
+                node.name,
+                *utilization_timeline(
+                    occupancy[node.name], node.cores, utilization_window_s, duration_s
+                ),
             )
-            for name, cpu in cpus.items()
+            for node in self.nodes
         }
-        mean_power, energy = self._power_and_energy(cpus, warmup_s, duration_s)
-        summaries = summarize(recorder, offered)
+        mean_power, energy = self._power_and_energy(occupancy, warmup_s, duration_s)
         return RunResult(
             cluster_name=self.name,
             application=app.name,
             offered_qps=qps,
-            measurement_duration_s=measurement,
-            summaries=summaries,
+            measurement_duration_s=duration_s - warmup_s,
+            summaries=summarize(recorder, offered),
             offered_requests=offered,
             completed_requests=recorder.count(),
             node_utilization=utilization,
             mean_power_w=mean_power,
             energy_j=energy,
-            network_bytes=network.bytes_transferred,
+            network_bytes=network_bytes,
+            events=events,
         )
 
     def _power_and_energy(
-        self, cpus: Mapping[str, CpuResource], start: float, end: float
+        self,
+        occupancy: Mapping[str, Sequence[Tuple[float, int]]],
+        start: float,
+        end: float,
     ) -> Tuple[float, float]:
         """Mean cluster power and energy over ``[start, end]`` from CPU utilisation."""
         duration = end - start
@@ -351,7 +445,9 @@ class ServingCluster:
             return 0.0, 0.0
         total_power = 0.0
         for node in self.nodes:
-            utilization = cpus[node.name].utilization(start, end)
+            utilization = busy_time(occupancy[node.name], start, end) / (
+                node.cores * duration
+            )
             total_power += node.device.power_model.power_at(min(1.0, utilization))
         return total_power, total_power * duration
 
@@ -370,6 +466,105 @@ def _normalise_mix(app: Application, workload_mix: Mapping[str, float]) -> Dict[
     if total <= 0:
         raise ValueError("workload mix weights must sum to a positive value")
     return {name: weight / total for name, weight in workload_mix.items()}
+
+
+class _Compiler:
+    """Compiles request types into flat op programs for one run.
+
+    Each call becomes its request transfer, its CPU step (noise draw, then
+    acquire, hold and release of a host core), its I/O step (acquire, hold
+    and release of the service's pool on the host), its stages (a
+    one-call stage inline, any other a fork) and its response transfer.  A
+    transfer between two services on one node is a loopback hold; across
+    nodes it holds the shared medium for its bytes, if any, then holds the
+    network latency, if any.
+    """
+
+    def __init__(
+        self,
+        cluster: "ServingCluster",
+        app: Application,
+        plan: Placement,
+        cpus: Mapping[str, list],
+        rng: RandomStreams,
+    ) -> None:
+        self.cluster = cluster
+        self.app = app
+        self.plan = plan
+        self.cpus = cpus
+        self.rng = rng
+        self.network = _station(1)
+        self.io: Dict[Tuple[str, str], list] = {}
+        self.noise: Dict[str, Callable[[], float]] = {}
+
+    def programs(self, mix: Mapping[str, float]) -> Dict[str, tuple]:
+        """One program per request type in ``mix``, led by the client's CPU step."""
+        cluster = self.cluster
+        client = cluster.client_node if cluster.client_colocated else EXTERNAL_CLIENT
+        programs = {}
+        for name in mix:
+            request_type = self.app.request_type(name)
+            ops: List[tuple] = []
+            if cluster.client_colocated and request_type.client_cpu_ms > 0:
+                client_node = cluster.node(client)
+                ops += self._cpu("client", request_type.client_cpu_ms, client_node)
+            ops += self._call(request_type.root, client)
+            ops.append((_END,))
+            programs[name] = tuple(ops)
+        return programs
+
+    def _cpu(self, stream: str, cpu_ms: float, node: NodeSpec) -> List[tuple]:
+        core = self.cpus[node.name]
+        sigma = self.cluster.service_time_sigma
+        if sigma == 0:  # the noise is exactly 1.0 and nothing is drawn
+            hold = (_HOLD, cpu_ms / 1_000.0 / node.core_speed)
+            return [(_ACQ, core), hold, (_REL, core, 0.0)]
+        if stream not in self.noise:
+            sample = partial(self.rng.stream(stream).lognormal, 0.0, sigma)
+            self.noise[stream] = _draws(sample)
+        return [
+            (_DRAW, self.noise[stream], cpu_ms, node.core_speed),
+            (_ACQ, core),
+            (_HOLD_DRAWN,),
+            (_REL, core, 0.0),
+        ]
+
+    def _transfer(self, src: str, dst: str, n_bytes: float) -> List[tuple]:
+        cluster = self.cluster
+        if src == dst:
+            return [(_HOLD, cluster.loopback_latency_s)]
+        ops: List[tuple] = []
+        if n_bytes > 0:
+            hold_s = n_bytes / cluster.network_bandwidth_bytes_per_s
+            network = self.network
+            ops += [(_ACQ, network), (_HOLD, hold_s), (_REL, network, n_bytes)]
+        if cluster.network_latency_s > 0:
+            ops.append((_HOLD, cluster.network_latency_s))
+        return ops
+
+    def _call(self, call: CallNode, caller: str) -> List[tuple]:
+        host = self.plan.node_for(call.service)
+        node = self.cluster.node(host)
+        ops = self._transfer(caller, host, call.request_bytes)
+        if call.cpu_ms > 0:
+            ops += self._cpu(f"svc-{call.service}", call.cpu_ms, node)
+        if call.io_ms > 0:
+            key = (host, call.service)
+            if key not in self.io:
+                self.io[key] = _station(self.app.service(call.service).io_concurrency)
+            pool = self.io[key]
+            hold_s = call.io_ms / 1_000.0 * node.io_factor
+            ops += [(_ACQ, pool), (_HOLD, hold_s), (_REL, pool, 0.0)]
+        for stage in call.stages:
+            if len(stage) == 1:
+                ops += self._call(stage[0], host)
+            else:
+                children = tuple(
+                    tuple(self._call(child, host)) + ((_END,),) for child in stage
+                )
+                ops.append((_FORK, children))
+        ops += self._transfer(host, caller, call.response_bytes)
+        return ops
 
 
 # ---------------------------------------------------------------------------

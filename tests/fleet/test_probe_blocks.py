@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fleet.scheduler as scheduler_module
+from des_oracle import Resource, Simulator, Timeout
 from fleet_oracles import device_slots, site_marginal_g, site_rate
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.scheduler import (
@@ -33,10 +34,8 @@ from repro.grid.traces import GridTrace
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.spec import DeviceMixSpec
-from repro.simulation.engine import Simulator, Timeout
 from repro.simulation.metrics import LatencyRecorder, summarize
 from repro.simulation.random_streams import RandomStreams
-from repro.simulation.resources import Resource
 from repro.telemetry import Telemetry
 
 

@@ -1,7 +1,10 @@
 """The serving-cluster simulator (kept at low load so tests stay fast)."""
 
+import math
+
 import pytest
 
+import repro.microservices.cluster as cluster_module
 from repro.devices.catalog import C5_9XLARGE, PIXEL_3A
 from repro.microservices import calibration as cal
 from repro.microservices.apps import (
@@ -18,6 +21,20 @@ from repro.microservices.cluster import (
     ec2_instance,
     pixel_cloudlet,
 )
+
+
+def _node():
+    return NodeSpec(name="a", device=PIXEL_3A, cores=4, core_speed=1.0)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    """Fail the test if a run gets as far as seeding its random streams."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started simulating")
+
+    monkeypatch.setattr(cluster_module, "RandomStreams", refuse)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +86,49 @@ class TestClusterConstruction:
             NodeSpec(name="x", device=PIXEL_3A, cores=0, core_speed=1.0)
         with pytest.raises(ValueError):
             NodeSpec(name="x", device=PIXEL_3A, cores=4, core_speed=0.0)
+
+    @pytest.mark.parametrize("core_speed", [math.nan, math.inf])
+    def test_node_core_speed_must_be_finite(self, core_speed):
+        with pytest.raises(ValueError, match="core speed"):
+            NodeSpec(name="x", device=PIXEL_3A, cores=4, core_speed=core_speed)
+
+    @pytest.mark.parametrize("io_factor", [0.0, -1.0, math.nan, math.inf])
+    def test_node_io_factor_must_be_positive_and_finite(self, io_factor):
+        with pytest.raises(ValueError, match="io factor"):
+            NodeSpec(
+                name="x", device=PIXEL_3A, cores=4, core_speed=1.0, io_factor=io_factor
+            )
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e6, math.nan, math.inf])
+    def test_network_bandwidth_must_be_positive_and_finite(self, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth"):
+            ServingCluster(
+                name="c", nodes=[_node()], network_bandwidth_bytes_per_s=bandwidth
+            )
+
+    @pytest.mark.parametrize("latency", [-1e-3, math.nan, math.inf])
+    def test_network_latency_must_be_non_negative_and_finite(self, latency):
+        with pytest.raises(ValueError, match="network latency"):
+            ServingCluster(name="c", nodes=[_node()], network_latency_s=latency)
+
+    @pytest.mark.parametrize("latency", [-1e-6, math.nan, math.inf])
+    def test_loopback_latency_must_be_non_negative_and_finite(self, latency):
+        with pytest.raises(ValueError, match="loopback latency"):
+            ServingCluster(name="c", nodes=[_node()], loopback_latency_s=latency)
+
+    @pytest.mark.parametrize("sigma", [-0.1, math.nan, math.inf])
+    def test_service_time_sigma_must_be_non_negative_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="service time sigma"):
+            ServingCluster(name="c", nodes=[_node()], service_time_sigma=sigma)
+
+    def test_zero_latencies_and_sigma_are_accepted(self):
+        ServingCluster(
+            name="c",
+            nodes=[_node()],
+            network_latency_s=0.0,
+            loopback_latency_s=0.0,
+            service_time_sigma=0.0,
+        )
 
     def test_cluster_validation(self):
         node = NodeSpec(name="a", device=PIXEL_3A, cores=4, core_speed=1.0)
@@ -150,6 +210,54 @@ class TestRunResults:
             phones.run(sn, {"unknown-request": 1.0}, qps=10)
         with pytest.raises(ValueError):
             phones.run(sn, {COMPOSE_POST: -1.0}, qps=10)
+
+    @pytest.mark.parametrize("qps", [math.nan, math.inf, -5.0])
+    def test_qps_must_be_positive_and_finite(self, phones, sn, no_simulation, qps):
+        with pytest.raises(ValueError, match="qps"):
+            phones.run(sn, {COMPOSE_POST: 1.0}, qps=qps, duration_s=0.1, warmup_s=0.0)
+
+    @pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0])
+    def test_duration_must_be_positive_and_finite(
+        self, phones, sn, no_simulation, duration_s
+    ):
+        with pytest.raises(ValueError, match="duration must be positive and finite"):
+            phones.run(
+                sn, {COMPOSE_POST: 1.0}, qps=100, duration_s=duration_s, warmup_s=0.0
+            )
+
+    def test_negative_warmup_is_rejected(self, phones, sn, no_simulation):
+        with pytest.raises(ValueError, match="warm-up"):
+            phones.run(sn, {COMPOSE_POST: 1.0}, qps=100, duration_s=0.1, warmup_s=-0.05)
+
+    @pytest.mark.parametrize("warmup_s", [0.1, math.nan])
+    def test_warmup_must_be_shorter_than_the_duration(
+        self, phones, sn, no_simulation, warmup_s
+    ):
+        with pytest.raises(ValueError, match="warm-up"):
+            phones.run(
+                sn, {COMPOSE_POST: 1.0}, qps=100, duration_s=0.1, warmup_s=warmup_s
+            )
+
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, math.nan, math.inf])
+    def test_utilization_window_is_checked_before_simulating(
+        self, phones, sn, no_simulation, window_s
+    ):
+        with pytest.raises(ValueError, match="utilization window"):
+            phones.run(
+                sn,
+                {COMPOSE_POST: 1.0},
+                qps=2_000,
+                duration_s=0.5,
+                warmup_s=0.0,
+                utilization_window_s=window_s,
+            )
+
+    def test_zero_warmup_is_accepted(self, phones, sn):
+        result = phones.run(
+            sn, {COMPOSE_POST: 1.0}, qps=100, duration_s=0.1, warmup_s=0.0
+        )
+        assert result.measurement_duration_s == 0.1
+        assert result.events > 0
 
     def test_external_client_constant(self):
         assert EXTERNAL_CLIENT not in {f"phone-{i}" for i in range(10)}

@@ -1,8 +1,8 @@
-"""The discrete-event engine: clock, processes, fan-in."""
+"""The oracle discrete-event engine: clock, processes, fan-in."""
 
 import pytest
 
-from repro.simulation.engine import AllOf, Simulator, Timeout
+from des_oracle import AllOf, Simulator, Timeout
 
 
 def test_clock_starts_at_zero():

@@ -1,9 +1,8 @@
-"""CPU and network resources."""
+"""The oracle engine's CPU and network resources."""
 
 import pytest
 
-from repro.simulation.engine import Simulator, Timeout
-from repro.simulation.resources import CpuResource, NetworkMedium, Resource
+from des_oracle import CpuResource, NetworkMedium, Resource, Simulator, Timeout
 
 
 def test_resource_fifo_admission_and_release():

@@ -61,6 +61,21 @@ def test_expected_subsystems_present():
     assert subsystems.issubset(set(PUBLIC_MODULES))
 
 
+@pytest.mark.parametrize("module_name", ["engine", "resources"])
+def test_generator_engine_lives_only_in_the_tests(module_name):
+    # The serving model is a compiled event loop; the process engine and its
+    # resources are its test oracle (tests/des_oracle.py).
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(f"repro.simulation.{module_name}")
+    simulation = importlib.import_module("repro.simulation")
+    removed = (
+        "Simulator", "Process", "Timeout", "AllOf", "Waitable",
+        "Resource", "CpuResource", "NetworkMedium",
+    )
+    for name in removed:
+        assert not hasattr(simulation, name), name
+
+
 def test_cli_registry_targets_are_callable():
     from repro.__main__ import REGISTRY, list_targets
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from des_oracle import CpuResource, Simulator
 from repro import units
 from repro.core.carbon import CarbonComponents, operational_carbon_g
 from repro.core.cci import DeviceCarbonModel, WorkRate, computational_carbon_intensity
@@ -11,8 +12,6 @@ from repro.core.lifetime import crossover_month
 from repro.devices.catalog import NEXUS_4, PIXEL_3A, POWEREDGE_R740, TABLE1_DEVICES
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.grid.mix import constant_mix
-from repro.simulation.engine import Simulator, Timeout
-from repro.simulation.resources import CpuResource
 
 
 # ---------------------------------------------------------------------------
