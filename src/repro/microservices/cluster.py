@@ -515,11 +515,8 @@ class _Compiler:
 
     def _cpu(self, stream: str, cpu_ms: float, node: NodeSpec) -> List[tuple]:
         core = self.cpus[node.name]
-        sigma = self.cluster.service_time_sigma
-        if sigma == 0:  # the noise is exactly 1.0 and nothing is drawn
-            hold = (_HOLD, cpu_ms / 1_000.0 / node.core_speed)
-            return [(_ACQ, core), hold, (_REL, core, 0.0)]
         if stream not in self.noise:
+            sigma = self.cluster.service_time_sigma
             sample = partial(self.rng.stream(stream).lognormal, 0.0, sigma)
             self.noise[stream] = _draws(sample)
         return [

@@ -35,26 +35,9 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(seed_seq)
         return self._streams[name]
 
-    def exponential(self, name: str, mean: float) -> float:
-        """One exponential sample with the given mean."""
-        if mean <= 0:
-            raise ValueError("mean must be positive")
-        return float(self.stream(name).exponential(mean))
-
-    def lognormal_factor(self, name: str, sigma: float) -> float:
-        """A multiplicative noise factor with median 1.0 and log-sigma ``sigma``."""
-        if sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if sigma == 0:
-            return 1.0
-        return float(self.stream(name).lognormal(mean=0.0, sigma=sigma))
-
     def choice(self, name: str, options, probabilities) -> object:
         """Pick one of ``options`` with the given probabilities."""
         rng = self.stream(name)
         index = rng.choice(len(options), p=probabilities)
         return options[int(index)]
 
-    def uniform(self, name: str, low: float, high: float) -> float:
-        """One uniform sample on [low, high)."""
-        return float(self.stream(name).uniform(low, high))

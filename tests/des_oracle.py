@@ -15,6 +15,8 @@ loop to it bit for bit:
   processor with a relative speed factor; and :class:`NetworkMedium`, a
   shared medium that serialises transfers at its bandwidth and then adds a
   propagation latency that is not subject to queueing;
+* :func:`exponential` and :func:`lognormal_factor`, one scalar draw at a
+  time from a named :class:`~repro.simulation.RandomStreams` stream;
 * :func:`oracle_run`, the body of ``ServingCluster.run`` on this engine:
   one generator process per request and per fan-out child.
 
@@ -435,6 +437,27 @@ class NetworkMedium(Resource):
 
 
 # ---------------------------------------------------------------------------
+# Scalar draws.
+# ---------------------------------------------------------------------------
+
+
+def exponential(streams: RandomStreams, name: str, mean: float) -> float:
+    """One exponential sample with the given mean from stream ``name``."""
+    if mean <= 0:
+        raise ValueError("mean must be positive")
+    return float(streams.stream(name).exponential(mean))
+
+
+def lognormal_factor(streams: RandomStreams, name: str, sigma: float) -> float:
+    """A multiplicative noise factor with median 1.0 and log-sigma ``sigma``."""
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
+    if sigma == 0:
+        return 1.0
+    return float(streams.stream(name).lognormal(mean=0.0, sigma=sigma))
+
+
+# ---------------------------------------------------------------------------
 # The serving run on the process engine.
 # ---------------------------------------------------------------------------
 
@@ -514,7 +537,9 @@ def oracle_run(
         node = cluster.node(host)
         yield from transfer(caller_location, host, call.request_bytes)
         if call.cpu_ms > 0:
-            noise = rng.lognormal_factor(f"svc-{call.service}", cluster.service_time_sigma)
+            noise = lognormal_factor(
+                rng, f"svc-{call.service}", cluster.service_time_sigma
+            )
             yield from cpus[host].execute(call.cpu_ms * noise)
         if call.io_ms > 0:
             resource = io_resource(host, call.service)
@@ -537,7 +562,7 @@ def oracle_run(
     def handle_request(request_type: RequestType, in_measurement: bool) -> Generator:
         start = sim.now
         if cluster.client_colocated and request_type.client_cpu_ms > 0:
-            noise = rng.lognormal_factor("client", cluster.service_time_sigma)
+            noise = lognormal_factor(rng, "client", cluster.service_time_sigma)
             yield from cpus[client_location].execute(request_type.client_cpu_ms * noise)
         yield from execute_call(request_type.root, client_location)
         if in_measurement:
@@ -548,7 +573,7 @@ def oracle_run(
 
     def arrivals() -> Generator:
         while sim.now < duration_s:
-            gap = rng.exponential("arrivals", 1.0 / qps)
+            gap = exponential(rng, "arrivals", 1.0 / qps)
             yield Timeout(gap)
             if sim.now >= duration_s:
                 break

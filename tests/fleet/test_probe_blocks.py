@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.fleet.scheduler as scheduler_module
-from des_oracle import Resource, Simulator, Timeout
+from des_oracle import Resource, Simulator, Timeout, exponential, lognormal_factor
 from fleet_oracles import device_slots, site_marginal_g, site_rate
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.scheduler import (
@@ -75,10 +75,10 @@ def simulate_per_request(
     def draw_service_s(site):
         mean = service_s[site.name]
         if service_distribution == "exponential":
-            return streams.exponential(f"service@{site.name}", mean)
+            return exponential(streams, f"service@{site.name}", mean)
         if service_distribution == "lognormal":
-            factor = streams.lognormal_factor(
-                f"service@{site.name}", SERVICE_TIME_SIGMA
+            factor = lognormal_factor(
+                streams, f"service@{site.name}", SERVICE_TIME_SIGMA
             )
             return mean * factor * lognormal_mean_correction
         return mean
@@ -122,7 +122,7 @@ def simulate_per_request(
 
     def arrivals():
         while simulator.now < duration_s:
-            yield Timeout(streams.exponential("arrivals", 1.0 / demand_rps))
+            yield Timeout(exponential(streams, "arrivals", 1.0 / demand_rps))
             if simulator.now >= duration_s:
                 break
             site = route(simulator.now)
@@ -305,11 +305,11 @@ def test_block_draws_equal_scalar_draws(seed):
     """The probe's block draws rely on NumPy drawing a block and scalars alike."""
     block_streams, scalar_streams = RandomStreams(seed), RandomStreams(seed)
     block = block_streams.stream("s").exponential(0.05, size=_BLOCK)
-    scalar = [scalar_streams.exponential("s", 0.05) for _ in range(_BLOCK)]
+    scalar = [exponential(scalar_streams, "s", 0.05) for _ in range(_BLOCK)]
     assert _bits(block) == _bits(scalar)
     block = block_streams.stream("s").lognormal(0.0, SERVICE_TIME_SIGMA, size=_BLOCK)
     scalar = [
-        scalar_streams.lognormal_factor("s", SERVICE_TIME_SIGMA)
+        lognormal_factor(scalar_streams, "s", SERVICE_TIME_SIGMA)
         for _ in range(_BLOCK)
     ]
     assert _bits(block) == _bits(scalar)

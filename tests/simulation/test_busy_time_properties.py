@@ -5,10 +5,13 @@ of an occupancy series that overlap the queried interval.  The oracle
 below is the loop it replaced: it walks every change point and sums the
 overlap terms in series order.  Both must agree bitwise on random
 occupancy series, including window edges that fall exactly on event
-times, starts after the last event and zero-length intervals.
+times, starts after the last event and zero-length intervals.  Example
+cases pin the clipped last window, aligned run ends, empty and reversed
+intervals and the argument checks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation.metrics import busy_time, utilization_timeline
@@ -110,3 +113,46 @@ def test_timeline_windows_are_bitwise_equal_to_full_scan_windows(case, window):
     assert [_bits(v) for v in values] == [_bits(v) for v in expected]
     assert np.array_equal(centres, (edges[:-1] + edges[1:]) / 2.0)
     assert np.all(centres < end)
+
+
+@pytest.mark.parametrize("still_running", [False, True])
+def test_short_run_window_is_clipped_to_the_run_end(still_running):
+    """A 0.15 s run, busy throughout, is one 0.15 s window at 100%.
+
+    Covers a job that ends exactly at the run end and one still running.
+    """
+    occupancy = [(0.0, 1)] if still_running else [(0.0, 1), (0.15, 0)]
+    times, values = utilization_timeline(occupancy, 1, 1.0, end=0.15)
+    assert times.tolist() == [0.075]
+    assert values.tolist() == [1.0]
+    assert busy_time(occupancy, 0.0, 0.15) / 0.15 == 1.0
+
+
+@pytest.mark.parametrize(
+    "end, window, windows", [(0.2, 0.1, 2), (2.2, 0.2, 11), (2.7, 0.3, 9)]
+)
+def test_aligned_end_gets_no_window_past_it(end, window, windows):
+    """Aligned ends get whole windows only: no extra window past ``end``, and
+    no sliver when the grid lands one rounding step short of it (9 x 0.3)."""
+    occupancy = [(0.0, 1), (end, 0)]
+    times, values = utilization_timeline(occupancy, 1, window, end=end)
+    assert len(times) == windows
+    assert times[-1] < end
+    assert values.tolist() == pytest.approx([1.0] * windows)
+
+
+@pytest.mark.parametrize("start, end", [(0.0, 0.0), (1.0, 0.5)])
+def test_timeline_of_an_empty_or_reversed_interval_is_empty(start, end):
+    times, values = utilization_timeline([(0.0, 1)], 1, 1.0, end=end, start=start)
+    assert len(times) == len(values) == 0
+
+
+def test_busy_time_sums_units_and_rejects_a_reversed_interval():
+    occupancy = [(0.0, 0), (0.0, 1), (0.0, 2), (1.0, 1), (1.0, 0)]
+    assert busy_time(occupancy, 0.0, 1.0) == 2.0
+    assert busy_time(occupancy, 0.5, 3.0) == 1.0
+    assert busy_time(occupancy, 0.5, 0.5) == 0.0
+    with pytest.raises(ValueError):
+        busy_time(occupancy, 1.0, 0.5)
+    with pytest.raises(ValueError):
+        utilization_timeline(occupancy, 2, 0.0, end=1.0)

@@ -1,48 +1,53 @@
-"""Named RNG streams."""
+"""Named RNG streams, and the oracle's scalar draws over them."""
 
 import numpy as np
 import pytest
 
+from des_oracle import exponential, lognormal_factor
 from repro.simulation.random_streams import RandomStreams
 
 
 def test_same_seed_same_sequence():
     a = RandomStreams(seed=5)
     b = RandomStreams(seed=5)
-    assert [a.exponential("arrivals", 1.0) for _ in range(5)] == [
-        b.exponential("arrivals", 1.0) for _ in range(5)
-    ]
+    assert _bits(a.stream("arrivals").exponential(1.0, size=5)) == _bits(
+        b.stream("arrivals").exponential(1.0, size=5)
+    )
 
 
 def test_different_streams_are_independent():
     streams = RandomStreams(seed=5)
-    first = [streams.exponential("arrivals", 1.0) for _ in range(5)]
+    first = streams.stream("arrivals").exponential(1.0, size=5)
     # Drawing from another stream must not perturb the first one.
-    streams.exponential("service", 1.0)
+    streams.stream("service").exponential(1.0)
     reference = RandomStreams(seed=5)
-    _ = [reference.exponential("arrivals", 1.0) for _ in range(5)]
-    assert streams.exponential("arrivals", 1.0) == reference.exponential("arrivals", 1.0)
+    assert _bits(first) == _bits(reference.stream("arrivals").exponential(1.0, size=5))
+    assert streams.stream("arrivals").exponential(1.0) == reference.stream(
+        "arrivals"
+    ).exponential(1.0)
 
 
 def test_different_seeds_differ():
-    assert RandomStreams(1).exponential("x", 1.0) != RandomStreams(2).exponential("x", 1.0)
+    assert RandomStreams(1).stream("x").exponential(1.0) != RandomStreams(
+        2
+    ).stream("x").exponential(1.0)
 
 
 def test_exponential_mean_is_close():
     streams = RandomStreams(seed=0)
-    samples = [streams.exponential("arrivals", 2.0) for _ in range(4_000)]
+    samples = [exponential(streams, "arrivals", 2.0) for _ in range(4_000)]
     assert np.mean(samples) == pytest.approx(2.0, rel=0.1)
     with pytest.raises(ValueError):
-        streams.exponential("arrivals", 0.0)
+        exponential(streams, "arrivals", 0.0)
 
 
 def test_lognormal_factor_median_near_one():
     streams = RandomStreams(seed=0)
-    samples = [streams.lognormal_factor("svc", 0.35) for _ in range(4_000)]
+    samples = [lognormal_factor(streams, "svc", 0.35) for _ in range(4_000)]
     assert np.median(samples) == pytest.approx(1.0, rel=0.1)
-    assert streams.lognormal_factor("svc", 0.0) == 1.0
+    assert lognormal_factor(streams, "svc", 0.0) == 1.0
     with pytest.raises(ValueError):
-        streams.lognormal_factor("svc", -0.1)
+        lognormal_factor(streams, "svc", -0.1)
 
 
 def test_choice_respects_probabilities():
@@ -51,8 +56,5 @@ def test_choice_respects_probabilities():
     assert picks.count("a") > picks.count("b") * 4
 
 
-def test_uniform_within_bounds():
-    streams = RandomStreams(seed=0)
-    for _ in range(100):
-        value = streams.uniform("u", 2.0, 3.0)
-        assert 2.0 <= value < 3.0
+def _bits(values):
+    return [float(value).hex() for value in values]
