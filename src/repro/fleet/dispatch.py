@@ -54,16 +54,18 @@ realise after a full cycle-life crossing.
 * :class:`DispatchPolicy` — one hook, :meth:`DispatchPolicy.day_modes`:
   given the day index, the pack table, the previous and current day's
   intensities, the recorded counts and the ledger's start-of-day SoC, the
-  day's modes;
+  day's modes (a stateful policy also resets in
+  :meth:`DispatchPolicy.start_run`);
 * :func:`replay_dispatch` — the fleet loop's dispatch pass: it builds the
   run's only ledger and steps it and one policy day by day over a run's
   recorded inputs;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
 * :class:`ForecastDispatch` — the forecast-aware policy: a
   :class:`~repro.forecast.planner.LookaheadPlanner` ranks every pack's
-  forecast window (:mod:`repro.forecast.models`, one per site) in one
-  batched pass and emits per-hour setpoints; hours the model cannot
-  forecast hold;
+  forecast window in one batched pass and emits per-hour setpoints; the
+  windows come from one :mod:`repro.forecast.models` call per refresh
+  (one window per site and start, gathered from the run's hourly truth
+  table); hours the model cannot forecast hold;
 * :func:`estimate_site_savings` — the detached per-device charging study run
   on one site's device/trace/load context, used by the scenario runner's
   ``coupling="estimate"`` mode so the estimate and the coupled dispatch share
@@ -254,6 +256,14 @@ class DispatchPolicy(abc.ABC):
         array of ``DISPATCH_*`` modes.
         """
 
+    def start_run(self, packs: PackTable, n_steps: int) -> None:
+        """Begin a run of ``n_steps`` hours over ``packs``.
+
+        :func:`replay_dispatch` calls this once before a run's first
+        :meth:`day_modes`.  A policy that keeps state across days resets it
+        here; the default keeps none.
+        """
+
 
 class CarbonBufferDispatch(DispatchPolicy):
     """The paper's percentile heuristic applied per device-type pack.
@@ -306,16 +316,20 @@ class ForecastDispatch(DispatchPolicy):
     prefix and holds the rest.  Battery-less and empty packs always hold.
 
     A day is planned in one batched pass over every battery-backed,
-    non-empty pack: carried plan tails first, then one ``(packs, horizon)``
-    planner call per refresh, and one vectorized SoC projection that seeds
-    the next refresh.  The model is asked for one window per site per
-    refresh; every pack at a site plans against that same forecast of their
-    shared grid, while SoC and capacity are per pack.
+    non-empty pack: carried plan tails first, then, per refresh, one
+    :meth:`~repro.forecast.models.ForecastModel.windows` call and one
+    ``(packs, horizon)`` planner call, and one vectorized SoC projection
+    that seeds the next refresh.  :meth:`start_run` builds the run's
+    :func:`~repro.forecast.models.hourly_truth` table once (every site's
+    trace over the run plus one horizon), and each refresh asks the model
+    for the distinct ``(site, start hour)`` windows of its rows only: every
+    pack at a site plans against that same forecast of their shared grid,
+    while SoC and capacity are per pack.
 
     Plan tails (a ``refresh_h`` window spanning midnight) carry across
     days, so the policy keeps state across one run; a pack that does not
-    plan on a day drops its tail, and a call with ``day == 0`` starts a new
-    run and resets it, so one policy object can back repeated runs.
+    plan on a day drops its tail, and :meth:`start_run` resets it, so one
+    policy object can back repeated runs.
 
     ``demand_fraction`` is the planning estimate of utilisation: each hour's
     device-energy demand is estimated at that fraction of the pack's
@@ -366,17 +380,33 @@ class ForecastDispatch(DispatchPolicy):
         #: Per-run observability counter: pack windows the planner planned
         #: (one per pack per forecast refresh).
         self.planned_windows = 0
+        #: Per-run observability counter: distinct ``(site, start)`` windows
+        #: the model produced, blind ones included (packs at one site share
+        #: theirs).
+        self.forecast_windows = 0
+        #: The run's ``(sites, hours)`` true intensity table, from
+        #: :meth:`start_run`.
+        self._truth: Optional[np.ndarray] = None
+
+    def start_run(self, packs, n_steps):
+        from repro.forecast.models import hourly_truth
+
+        self._pending = {}
+        self.fallback_pack_days = 0
+        self.planned_windows = 0
+        self.forecast_windows = 0
+        self._truth = hourly_truth(
+            [site.trace for site in packs.sites], n_steps + self.horizon_h
+        )
 
     def day_modes(
         self, day, packs, previous_intensity, intensity, counts, soc
     ) -> np.ndarray:
-        if day == 0:
-            self._pending = {}
-            self.fallback_pack_days = 0
-            self.planned_windows = 0
+        if self._truth is None:
+            raise RuntimeError("ForecastDispatch.day_modes needs start_run() first")
         hours = intensity.shape[0]
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
-        day_start_s = day * hours * units.SECONDS_PER_HOUR
+        day_start_h = day * hours
         # Every pack's planning inputs in one pass: capacity and charge
         # step from the day's counts, and the estimated hourly device
         # energy (idle floor plus dynamic energy) at ``demand_fraction`` of
@@ -419,10 +449,9 @@ class ForecastDispatch(DispatchPolicy):
             rows = np.flatnonzero(covered < hours)
             if not rows.size:
                 break
-            windows = self._windows(
-                packs.sites, site_index[rows], covered[rows], day_start_s
+            forecast, seeing = self._windows(
+                site_index[rows], day_start_h + covered[rows]
             )
-            seeing = np.array([window is not None for window in windows])
             # A blind window keeps any planned prefix and holds the rest.
             blind = rows[~seeing]
             self.fallback_pack_days += int(np.count_nonzero(covered[blind] == 0))
@@ -431,7 +460,7 @@ class ForecastDispatch(DispatchPolicy):
             if not rows.size:
                 continue
             chunk = self.planner.plan_window(
-                np.stack([window for window in windows if window is not None]),
+                forecast[seeing],
                 demand_j[rows, : self.horizon_h],
                 capacity_j[rows],
                 charge_step_j[rows],
@@ -481,27 +510,21 @@ class ForecastDispatch(DispatchPolicy):
             covered[row] = take
         return covered
 
-    def _windows(self, sites, site_index, covered, day_start_s):
-        """The model's forecast window for each row, one call per site and start.
+    def _windows(self, site_index, start_h):
+        """The model's forecast and seeing mask for each ``(site, start)`` row.
 
         Every pack at a site plans against the same forecast of their shared
         grid (a noisy model must not perturb one physical quantity two
-        ways), so packs that share a site and a window start share one
-        window; ``None`` marks a row the model is blind for.
+        ways), so rows that share a site and a start hour share one window:
+        the model sees each distinct pair once, and the rows gather theirs.
         """
-        windows = {}
-        forecast = []
-        for site, offset in zip(site_index.tolist(), covered.tolist()):
-            key = (site, offset)
-            if key not in windows:
-                windows[key] = self.model.window(
-                    sites[site].trace,
-                    day_start_s + offset * units.SECONDS_PER_HOUR,
-                    self.horizon_h,
-                    site_index=site,
-                )
-            forecast.append(windows[key])
-        return forecast
+        n_hours = self._truth.shape[1]
+        keys, inverse = np.unique(site_index * n_hours + start_h, return_inverse=True)
+        forecast, seeing = self.model.windows(
+            self._truth, keys // n_hours, keys % n_hours, self.horizon_h
+        )
+        self.forecast_windows += keys.size
+        return forecast[inverse], seeing[inverse]
 
 
 class EnergyLedger:
@@ -614,8 +637,9 @@ def replay_dispatch(
     only consumes what that pass left behind.  All matrices are ``(n_steps,
     n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
     device counts, whose products with ``packs`` give each day's pack
-    capabilities.  The replay builds the run's one :class:`EnergyLedger`;
-    each day the policy sets that day's modes from the day index, the
+    capabilities.  The replay builds the run's one :class:`EnergyLedger`
+    and starts the policy (:meth:`DispatchPolicy.start_run`); each day the
+    policy sets that day's modes from the day index, the
     previous day's intensity, the day's counts and the ledger's SoC at the
     start of the day, and the ledger steps the day's rows.
 
@@ -627,6 +651,7 @@ def replay_dispatch(
     n_days = counts_day.shape[0]
     hours_per_day = n_steps // n_days
     ledger = EnergyLedger(packs, min_state_of_charge=dispatch.min_state_of_charge)
+    dispatch.start_run(packs, n_steps)
     capacity_j = counts_day * packs.battery_j
     charge_rate_w = counts_day * packs.charge_w
     modes = np.empty((n_steps, n_packs), dtype=np.int8)

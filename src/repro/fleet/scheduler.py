@@ -480,6 +480,10 @@ class FleetSimulation:
                     getattr(self.dispatch, "fallback_pack_days", 0),
                 )
                 tele.count(
+                    "dispatch.forecast_windows",
+                    getattr(self.dispatch, "forecast_windows", 0),
+                )
+                tele.count(
                     "dispatch.planned_windows",
                     getattr(self.dispatch, "planned_windows", 0),
                 )

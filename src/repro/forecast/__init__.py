@@ -6,9 +6,10 @@ this package looks forward:
 
 * :mod:`repro.forecast.models` — :class:`ForecastModel` and the bundled
   perfect / persistence / noisy-oracle / CSV-ingested forecasters, each
-  producing an hourly lookahead intensity window (the first three from a
-  site's :class:`~repro.grid.traces.GridTrace`, :class:`CsvForecast` from
-  a measured day-ahead export);
+  producing a batch of hourly lookahead intensity windows in one call (the
+  first three gathered from the run's :func:`hourly_truth` table of the
+  sites' :class:`~repro.grid.traces.GridTrace` values, :class:`CsvForecast`
+  from a measured day-ahead export);
 * :mod:`repro.forecast.planner` — :class:`LookaheadPlanner`, the greedy
   rank-by-forecast-intensity charge/discharge setpoint planner; fed a
   perfect forecast it is the regret baseline.
@@ -27,6 +28,7 @@ from repro.forecast.models import (
     PerfectForecast,
     PersistenceForecast,
     forecast_model_by_name,
+    hourly_truth,
 )
 from repro.forecast.planner import LookaheadPlanner
 
@@ -39,5 +41,6 @@ __all__ = [
     "DAYAHEAD_SAMPLE_CSV",
     "FORECAST_MODELS",
     "forecast_model_by_name",
+    "hourly_truth",
     "LookaheadPlanner",
 ]

@@ -19,15 +19,18 @@ masks.  Every element sees the same float operations, in the same order, as
 the one-pack greedy walk, so a row's plan and projected SoC are bit for bit
 those of the same pack planned alone.
 :class:`~repro.fleet.dispatch.ForecastDispatch` plans every battery-backed,
-non-empty pack of a day in one such call per refresh, on one forecast window
-per site.
+non-empty pack of a day in one such call per refresh.  Its forecast rows
+come from one batched
+:meth:`~repro.forecast.models.ForecastModel.windows` call per refresh, one
+window per distinct site and start hour, which every pack at that site
+plans against.
 
-Fed a :class:`~repro.forecast.models.PerfectForecast` window, the same
-planner plans on the *true* trace — the hindsight-optimal plan within the
-planner family, which is what the regret accounting (realised vs hindsight
-carbon avoided, :meth:`~repro.fleet.scheduler.FleetSimulation.replay_avoided_g`)
-measures against, so a perfect-forecast run's regret is zero by
-construction.
+Fed :class:`~repro.forecast.models.PerfectForecast` windows (gathers from
+the run's true hourly table), the same planner plans on the *true* trace —
+the hindsight-optimal plan within the planner family, which is what the
+regret accounting (realised vs hindsight carbon avoided,
+:meth:`~repro.fleet.scheduler.FleetSimulation.replay_avoided_g`) measures
+against, so a perfect-forecast run's regret is zero by construction.
 """
 
 from __future__ import annotations

@@ -362,16 +362,35 @@ class CaisoLikeTraceGenerator:
     geothermal_gw: float = 1.0
     day_to_day_sigma: float = 0.12
 
-    def day_supply_mw(self, day_index: int) -> Dict[str, np.ndarray]:
-        """The supply stack (GW per source) of one synthetic day, midnight to midnight."""
-        rng = np.random.default_rng((self.seed, day_index))
+    def supply_mw(self, n_days: int, start_day: int = 0) -> Dict[str, np.ndarray]:
+        """The supply stack (GW per source) of ``n_days`` synthetic days.
+
+        Each source is a ``(n_days, 288)`` array, one row per day from
+        midnight to midnight.  Day ``d`` draws from its own
+        ``(seed, start_day + d)`` RNG in a fixed order (day scale, cloud
+        factor, then the demand, solar and wind noise), so a row does not
+        depend on which other days share the call.  Every other step is
+        elementwise, so the stacked pass is bitwise the per-day one.
+        """
+        if n_days <= 0:
+            raise ValueError("n_days must be positive")
         hours = _DAY_HOURS
         n = len(hours)
-
-        day_scale = float(
-            np.clip(1.0 + rng.normal(0.0, self.day_to_day_sigma), 0.6, 1.4)
-        )
-        cloud_factor = float(np.clip(1.0 + rng.normal(0.0, self.day_to_day_sigma), 0.4, 1.3))
+        scales = np.empty((2, n_days, 1))
+        noise = np.empty((3, n_days, n))
+        for day in range(n_days):
+            rng = np.random.default_rng((self.seed, start_day + day))
+            # Day scale, then cloud factor, each clipped to its band.
+            scales[0, day] = min(
+                max(1.0 + rng.normal(0.0, self.day_to_day_sigma), 0.6), 1.4
+            )
+            scales[1, day] = min(
+                max(1.0 + rng.normal(0.0, self.day_to_day_sigma), 0.4), 1.3
+            )
+            for row, sigma in enumerate((DEMAND_NOISE_SIGMA, 0.15, 0.25)):
+                noise[row, day] = rng.normal(0.0, sigma, size=n)
+        day_scale, cloud_factor = scales
+        demand_noise, solar_noise, wind_noise = noise
 
         # Demand: morning ramp, mid-day plateau, evening peak around 19:00.
         demand = (
@@ -379,24 +398,24 @@ class CaisoLikeTraceGenerator:
             + 2.0 * np.exp(-0.5 * ((hours - 9.0) / 2.5) ** 2)
             + self.evening_peak_gw * np.exp(-0.5 * ((hours - 19.5) / 2.2) ** 2)
         )
-        demand *= 1.0 + rng.normal(0.0, DEMAND_NOISE_SIGMA, size=n) * 0.5
+        demand = demand * (1.0 + demand_noise * 0.5)
         demand = np.clip(demand, 15.0, None)
 
         # Solar: half-sine between sunrise and sunset, scaled by cloud cover.
         sunrise, sunset = SOLAR_HOURS
         daylight = np.clip((hours - sunrise) / (sunset - sunrise), 0.0, 1.0)
         solar = self.solar_peak_gw * cloud_factor * np.sin(np.pi * daylight) ** 2
-        solar = np.clip(solar + rng.normal(0.0, 0.15, size=n), 0.0, None)
+        solar = np.clip(solar + solar_noise, 0.0, None)
 
         # Wind: noisy, slightly stronger at night.
         wind = self.wind_mean_gw * day_scale * (
             1.0 + 0.35 * np.cos(2.0 * np.pi * (hours - 2.0) / 24.0)
         )
-        wind = np.clip(wind + rng.normal(0.0, 0.25, size=n), 0.2, None)
+        wind = np.clip(wind + wind_noise, 0.2, None)
 
-        hydro = np.full(n, self.hydro_gw * day_scale)
-        nuclear = np.full(n, self.nuclear_gw)
-        geothermal = np.full(n, self.geothermal_gw)
+        hydro = np.repeat(self.hydro_gw * day_scale, n, axis=1)
+        nuclear = np.full((n_days, n), self.nuclear_gw)
+        geothermal = np.full((n_days, n), self.geothermal_gw)
 
         residual = demand - (solar + wind + hydro + nuclear + geothermal)
         # CAISO never dispatches below a few GW of thermal + import supply even
@@ -418,13 +437,11 @@ class CaisoLikeTraceGenerator:
         }
 
     def generate_days(self, n_days: int, start_day: int = 0) -> GridTrace:
-        """Generate ``n_days`` consecutive synthetic days as a single trace."""
-        if n_days <= 0:
-            raise ValueError("n_days must be positive")
-        intensity = np.concatenate(
-            [
-                energy_sources.blended_intensity(self.day_supply_mw(start_day + day))
-                for day in range(n_days)
-            ]
-        )
+        """Generate ``n_days`` consecutive synthetic days as a single trace.
+
+        One :meth:`supply_mw` pass and one blend cover every day.
+        """
+        intensity = energy_sources.blended_intensity(
+            self.supply_mw(n_days, start_day)
+        ).ravel()
         return GridTrace.from_series(intensity)

@@ -20,8 +20,22 @@ network model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple
+
+
+def _check_non_negative(owner: str, **values: float) -> None:
+    """Reject a NaN, infinite or negative field, naming its owner and field.
+
+    A plain ``value < 0`` test lets NaN through, and the serving loop would
+    then read it as zero work (every ``> 0`` test is false).
+    """
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"{owner}: {name} must be non-negative and finite, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -44,10 +58,12 @@ class Microservice:
     description: str = ""
 
     def __post_init__(self) -> None:
-        if self.memory_mb <= 0:
-            raise ValueError(f"{self.name}: memory must be positive")
-        if self.io_ms < 0:
-            raise ValueError(f"{self.name}: io_ms must be non-negative")
+        if not (math.isfinite(self.memory_mb) and self.memory_mb > 0):
+            raise ValueError(
+                f"{self.name}: memory_mb must be positive and finite, "
+                f"got {self.memory_mb}"
+            )
+        _check_non_negative(self.name, io_ms=self.io_ms)
         if self.io_concurrency <= 0:
             raise ValueError(f"{self.name}: io_concurrency must be positive")
 
@@ -86,12 +102,13 @@ class CallNode:
     stages: Tuple[Tuple["CallNode", ...], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.cpu_ms < 0:
-            raise ValueError(f"{self.service}: cpu_ms must be non-negative")
-        if self.request_bytes < 0 or self.response_bytes < 0:
-            raise ValueError(f"{self.service}: payload sizes must be non-negative")
-        if self.io_ms < 0:
-            raise ValueError(f"{self.service}: io_ms must be non-negative")
+        _check_non_negative(
+            self.service,
+            cpu_ms=self.cpu_ms,
+            request_bytes=self.request_bytes,
+            response_bytes=self.response_bytes,
+            io_ms=self.io_ms,
+        )
 
     # ------------------------------------------------------------------
     # Traversal helpers
@@ -147,8 +164,12 @@ class RequestType:
     client_response_bytes: float = 512.0
 
     def __post_init__(self) -> None:
-        if self.client_cpu_ms < 0:
-            raise ValueError(f"{self.name}: client_cpu_ms must be non-negative")
+        _check_non_negative(
+            self.name,
+            client_cpu_ms=self.client_cpu_ms,
+            client_request_bytes=self.client_request_bytes,
+            client_response_bytes=self.client_response_bytes,
+        )
 
     def total_cpu_ms(self, include_client: bool = False) -> float:
         """Server-side CPU per request, optionally including the client cost."""

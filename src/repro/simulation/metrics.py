@@ -15,17 +15,12 @@ class LatencyRecorder:
     """Collects per-request-type end-to-end latencies."""
 
     samples: Dict[str, List[float]] = field(default_factory=lambda: defaultdict(list))
-    dropped: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
     def record(self, request_type: str, latency_s: float) -> None:
         """Record a completed request's latency in seconds."""
         if latency_s < 0:
             raise ValueError("latency must be non-negative")
         self.samples[request_type].append(latency_s)
-
-    def record_dropped(self, request_type: str) -> None:
-        """Record a request that did not complete within the measurement window."""
-        self.dropped[request_type] += 1
 
     def count(self, request_type: Optional[str] = None) -> int:
         """Completed request count, for one type or all types."""

@@ -92,7 +92,7 @@ class TestForecastDispatch:
         assert first.fleet_cci_g_per_request() == second.fleet_cci_g_per_request()
 
     def test_policy_object_is_reusable_across_runs(self):
-        """A day-0 call resets the plan state, so one policy can re-run."""
+        """start_run resets the plan state, so one policy can re-run."""
         dispatch = ForecastDispatch(PerfectForecast())
         first = _run(dispatch)
         second = _run(dispatch)
@@ -109,6 +109,7 @@ class TestForecastDispatch:
         counts = np.array([N_DEVICES, N_DEVICES])
 
         def modes_at(soc):
+            dispatch.start_run(packs, 24)
             return dispatch.day_modes(
                 0, packs, None, intensity, counts, np.full(2, soc)
             )
@@ -148,18 +149,18 @@ class TestForecastDispatch:
             ForecastDispatch(PerfectForecast(), min_state_of_charge=1.0)
 
 
-class _CountingForecast:
-    """Wraps a forecast model and counts ``window`` calls."""
+class _CountingForecast(ForecastModel):
+    """Wraps a forecast model; counts its ``windows`` calls and rows."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self.rows = 0
 
-    def window(self, trace, start_s, horizon_h, site_index=0):
+    def windows(self, truth, site_index, start_h, horizon_h):
         self.calls += 1
-        return self.inner.window(
-            trace, start_s, horizon_h, site_index=site_index
-        )
+        self.rows += len(start_h)
+        return self.inner.windows(truth, site_index, start_h, horizon_h)
 
 
 class TestMultiDayRefreshCadence:
@@ -168,7 +169,8 @@ class TestMultiDayRefreshCadence:
     A 48-hour refresh used to re-plan every simulated day anyway (the plan
     tail beyond midnight was discarded); pending tails now carry across
     day boundaries, so the planner is consulted exactly once per refresh
-    window — these tests pin the call counts.
+    window — these tests pin the model's call and window counts: one call
+    per refresh, one row per site.
     """
 
     N_PACKS = 2  # two single-cohort sites
@@ -187,16 +189,19 @@ class TestMultiDayRefreshCadence:
 
     def test_daily_refresh_plans_once_per_day(self):
         model, _ = self._counted_run(horizon_h=24, refresh_h=24)
-        assert model.calls == 4 * self.N_PACKS
+        assert model.calls == 4
+        assert model.rows == 4 * self.N_PACKS
 
     def test_intra_day_refresh_plans_per_window(self):
         model, _ = self._counted_run(horizon_h=24, refresh_h=6)
-        assert model.calls == 4 * (24 // 6) * self.N_PACKS
+        assert model.calls == 4 * (24 // 6)
+        assert model.rows == 4 * (24 // 6) * self.N_PACKS
 
     def test_multi_day_refresh_plans_once_per_window(self):
         """refresh_h=48 over 4 days: days 0 and 2 plan, days 1 and 3 replay."""
         model, report = self._counted_run(horizon_h=48, refresh_h=48)
-        assert model.calls == 2 * self.N_PACKS
+        assert model.calls == 2
+        assert model.rows == 2 * self.N_PACKS
         assert report.total_battery_discharge_kwh > 0
         assert np.all(report.soc >= 0.25 - 1e-9)
         assert np.all(report.soc <= 1.0 + 1e-9)
@@ -210,7 +215,7 @@ class TestMultiDayRefreshCadence:
     def test_sub_day_refresh_matches_daily_replans(self):
         """A refresh dividing 24h never stores a pending tail, so the
         carried-tail rework must leave its series untouched relative to a
-        fresh policy object run twice (state resets on each run's day 0)."""
+        fresh policy object run twice (start_run resets the state)."""
         dispatch = ForecastDispatch(PerfectForecast(), horizon_h=24, refresh_h=24)
         first = _run(dispatch)
         second = _run(ForecastDispatch(PerfectForecast()))
@@ -225,9 +230,9 @@ class _RecordingForecast(_CountingForecast):
         super().__init__(inner)
         self.asked = []
 
-    def window(self, trace, start_s, horizon_h, site_index=0):
-        self.asked.append((site_index, start_s / units.SECONDS_PER_HOUR))
-        return super().window(trace, start_s, horizon_h, site_index=site_index)
+    def windows(self, truth, site_index, start_h, horizon_h):
+        self.asked.extend(zip(site_index.tolist(), start_h.tolist()))
+        return super().windows(truth, site_index, start_h, horizon_h)
 
 
 class TestRefilledPack:
@@ -240,6 +245,7 @@ class TestRefilledPack:
         packs = PackTable.from_sites(sites)
         model = _RecordingForecast(PerfectForecast())
         dispatch = ForecastDispatch(model, horizon_h=48, refresh_h=30)
+        dispatch.start_run(packs, 4 * 24)
         hours = np.arange(24) * units.SECONDS_PER_HOUR
         for day, count in enumerate((150, 0, 0, 150)):
             times = day * units.SECONDS_PER_DAY + hours
@@ -253,8 +259,8 @@ class TestRefilledPack:
             dispatch.day_modes(
                 day, packs, None, intensity, counts, np.ones(len(packs))
             )
-        assert (0, 72.0) in model.asked
-        assert (0, 78.0) not in model.asked
+        assert (0, 72) in model.asked
+        assert (0, 78) not in model.asked
 
 
 class _BlindOnDay(ForecastModel):
@@ -264,10 +270,9 @@ class _BlindOnDay(ForecastModel):
         self.blind_day = blind_day
         self.inner = PerfectForecast()
 
-    def window(self, trace, start_s, horizon_h, site_index=0):
-        if int(start_s // units.SECONDS_PER_DAY) == self.blind_day:
-            return None
-        return self.inner.window(trace, start_s, horizon_h, site_index=site_index)
+    def windows(self, truth, site_index, start_h, horizon_h):
+        forecast, seeing = self.inner.windows(truth, site_index, start_h, horizon_h)
+        return forecast, seeing & (start_h // 24 != self.blind_day)
 
 
 class TestBlindDays:
@@ -311,10 +316,9 @@ class _BlindFrom(ForecastModel):
         self.blind_s = blind_s
         self.inner = PerfectForecast()
 
-    def window(self, trace, start_s, horizon_h, site_index=0):
-        if start_s >= self.blind_s:
-            return None
-        return self.inner.window(trace, start_s, horizon_h, site_index=site_index)
+    def windows(self, truth, site_index, start_h, horizon_h):
+        forecast, seeing = self.inner.windows(truth, site_index, start_h, horizon_h)
+        return forecast, seeing & (start_h * units.SECONDS_PER_HOUR < self.blind_s)
 
 
 class TestRegretAccounting:

@@ -345,17 +345,24 @@ class TestForecastDispatchOnMixedSites:
         seen = []
 
         class Recording(PerfectForecast):
-            def window(self, trace, start_s, horizon_h, site_index=0):
-                seen.append(site_index)
-                return super().window(trace, start_s, horizon_h, site_index)
+            def windows(self, truth, site_index, start_h, horizon_h):
+                seen.extend(site_index.tolist())
+                return super().windows(truth, site_index, start_h, horizon_h)
 
         sites = [
             site_from_cohorts("mixed", _trace(), [_pixel_entry(), _nexus_entry()]),
             site_from_cohorts("solo", _trace(seed=2030), [_pixel_entry(seed=9)]),
         ]
+        from repro.telemetry import Telemetry
+
         dispatch = ForecastDispatch(Recording())
+        tele = Telemetry()
         FleetSimulation(
-            sites, GreedyLowestIntensityRouting(), DEMAND, dispatch=dispatch
+            sites,
+            GreedyLowestIntensityRouting(),
+            DEMAND,
+            dispatch=dispatch,
+            telemetry=tele,
         ).run(2)
         # Three packs, two sites: windows are requested with the *site*
         # index, so only {0, 1} appear — never a pack index 2.
@@ -363,5 +370,8 @@ class TestForecastDispatchOnMixedSites:
         # One window per site per refresh (daily, over two days): the two
         # packs at site 0 share theirs.
         assert seen.count(0) == seen.count(1) == 2
+        assert dispatch.forecast_windows == 2 * 2
+        assert tele.counters["dispatch.forecast_windows"] == 2 * 2
         # ...while every pack still plans its own window each day.
         assert dispatch.planned_windows == 3 * 2
+        assert tele.counters["dispatch.planned_windows"] == 3 * 2

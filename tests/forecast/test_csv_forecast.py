@@ -7,6 +7,7 @@ from repro.forecast import (
     DAYAHEAD_SAMPLE_CSV,
     CsvForecast,
     forecast_model_by_name,
+    hourly_truth,
 )
 from repro.grid.traces import CAISO_SAMPLE_CSV, GridTrace
 from repro.scenarios import (
@@ -17,11 +18,22 @@ from repro.scenarios import (
 from repro.scenarios.spec import ForecastSpec
 
 
+def csv_windows(model, truth, start_h, horizon_h):
+    """``model``'s forecast rows for sites ``0..`` at ``start_h``."""
+    start_h = np.asarray(start_h)
+    forecast, seeing = model.windows(
+        truth, np.arange(len(start_h)) % len(truth), start_h, horizon_h
+    )
+    assert seeing.all()
+    return forecast
+
+
 class TestCsvForecast:
     def test_window_samples_the_export(self):
         model = CsvForecast(DAYAHEAD_SAMPLE_CSV)
         series = GridTrace.from_csv(DAYAHEAD_SAMPLE_CSV)
-        window = model.window(trace=None, start_s=0.0, horizon_h=24)
+        truth = hourly_truth([GridTrace.constant(100.0)], 24)
+        window = csv_windows(model, truth, [0], 24)[0]
         assert window.shape == (24,)
         expected = series.intensities_at(
             np.arange(24, dtype=float) * 3600.0, wrap=True
@@ -31,16 +43,19 @@ class TestCsvForecast:
     def test_window_is_independent_of_the_site_trace(self):
         """The export's skill is whatever it was — the trace never leaks in."""
         model = CsvForecast(DAYAHEAD_SAMPLE_CSV)
-        a = model.window(GridTrace.constant(100.0), 3600.0, 12)
-        b = model.window(GridTrace.constant(900.0), 3600.0, 12)
+        truth = hourly_truth(
+            [GridTrace.constant(100.0), GridTrace.constant(900.0)], 13
+        )
+        a, b = csv_windows(model, truth, [1, 1], 12)
         assert np.array_equal(a, b)
 
     def test_windows_wrap_like_traces(self):
         model = CsvForecast(DAYAHEAD_SAMPLE_CSV)
-        period = model.series.period_s
-        assert np.array_equal(
-            model.window(None, 0.0, 6), model.window(None, period, 6)
-        )
+        period_h = int(model.series.period_s // 3600.0)
+        assert period_h * 3600.0 == model.series.period_s
+        truth = hourly_truth([GridTrace.constant(100.0)], period_h + 6)
+        early, late = csv_windows(model, truth, [0, period_h], 6)
+        assert np.array_equal(early, late)
 
     def test_sample_tracks_the_measured_series_roughly(self):
         """The bundled forecast is a plausible day-ahead of the measured CSV."""

@@ -73,6 +73,16 @@ class TestGridTrace:
             assert np.array_equal(day.times_s, alone.times_s)
             assert np.array_equal(day.intensity_g_per_kwh, alone.intensity_g_per_kwh)
 
+    def test_stacked_supply_rows_are_the_single_day_stacks(self):
+        """A day's supply row does not depend on the days sharing its call."""
+        generator = CaisoLikeTraceGenerator(seed=7)
+        stacked = generator.supply_mw(4, start_day=2)
+        for day in range(4):
+            alone = generator.supply_mw(1, start_day=2 + day)
+            for source, rows in stacked.items():
+                assert rows.shape == (4, 288)
+                assert np.array_equal(rows[day], alone[source][0]), source
+
     def test_carbon_for_constant_power(self):
         trace = GridTrace.constant(250.0, duration_s=units.SECONDS_PER_DAY, interval_s=300)
         grams = trace.carbon_for_constant_power(1_000.0)
@@ -94,7 +104,7 @@ class TestCaisoLikeGenerator:
         assert 200 < five_days.mean_intensity() < 350
 
     def test_intensity_anticorrelated_with_solar(self, one_day):
-        solar = CaisoLikeTraceGenerator(seed=7).day_supply_mw(0)["solar"]
+        solar = CaisoLikeTraceGenerator(seed=7).supply_mw(1)["solar"][0]
         correlation = np.corrcoef(solar, one_day.intensity_g_per_kwh)[0, 1]
         assert correlation < -0.7
 
@@ -129,7 +139,7 @@ class TestCaisoLikeGenerator:
         day = generator.generate_days(1, start_day=day_index)
         assert np.all(day.intensity_g_per_kwh > 0)
         assert np.all(day.intensity_g_per_kwh < 820)  # never dirtier than pure coal
-        assert np.all(generator.day_supply_mw(day_index)["solar"] >= 0)
+        assert np.all(generator.supply_mw(1, start_day=day_index)["solar"] >= 0)
 
 
 class TestTraceEdgeCases:

@@ -1,5 +1,7 @@
 """Service graph data model."""
 
+import math
+
 import pytest
 
 from repro.microservices.service_graph import (
@@ -8,6 +10,9 @@ from repro.microservices.service_graph import (
     Microservice,
     RequestType,
 )
+
+#: NaN and the infinities: ``value < 0`` is false for the first two.
+NON_FINITE = (math.nan, math.inf, -math.inf)
 
 
 def _simple_app():
@@ -42,6 +47,12 @@ class TestMicroservice:
         with pytest.raises(ValueError):
             Microservice("bad", io_concurrency=0)
 
+    @pytest.mark.parametrize("field", ["memory_mb", "io_ms"])
+    def test_rejects_non_finite(self, field):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=f"^db: {field} must be"):
+                Microservice("db", **{field: value})
+
 
 class TestCallNode:
     def test_walk_and_totals(self):
@@ -70,6 +81,14 @@ class TestCallNode:
         with pytest.raises(ValueError):
             CallNode(service="a", cpu_ms=1.0, request_bytes=-5)
 
+    @pytest.mark.parametrize(
+        "field", ["cpu_ms", "request_bytes", "response_bytes", "io_ms"]
+    )
+    def test_rejects_non_finite(self, field):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=f"^db: {field} must be"):
+                CallNode(**{"service": "db", "cpu_ms": 1.0, field: value})
+
 
 class TestRequestType:
     def test_total_cpu_with_and_without_client(self):
@@ -80,6 +99,14 @@ class TestRequestType:
     def test_rejects_negative_client_cpu(self):
         with pytest.raises(ValueError):
             RequestType(name="x", root=CallNode("a", 1.0), client_cpu_ms=-1.0)
+
+    @pytest.mark.parametrize(
+        "field", ["client_cpu_ms", "client_request_bytes", "client_response_bytes"]
+    )
+    def test_rejects_non_finite(self, field):
+        for value in NON_FINITE:
+            with pytest.raises(ValueError, match=f"^x: {field} must be"):
+                RequestType(name="x", root=CallNode("a", 1.0), **{field: value})
 
 
 class TestApplication:

@@ -22,12 +22,6 @@ class TestLatencyRecorder:
         assert recorder.count() == 2
         assert recorder.request_types() == ("read", "write")
 
-    def test_dropped_requests(self):
-        recorder = LatencyRecorder()
-        recorder.record_dropped("read")
-        recorder.record_dropped("read")
-        assert recorder.dropped["read"] == 2
-
     def test_invalid_inputs(self):
         recorder = LatencyRecorder()
         with pytest.raises(ValueError):
