@@ -29,7 +29,17 @@ from repro.fleet import (
     RoundRobinRouting,
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
-from repro.scenarios import ScenarioRunner, get_scenario
+from repro.scenarios import (
+    ChurnSpec,
+    DemandSpec,
+    DeviceMixSpec,
+    RoutingSpec,
+    ScenarioRunner,
+    ScenarioSpec,
+    SiteSpec,
+    TraceSpec,
+    get_scenario,
+)
 from repro.telemetry import Telemetry
 
 #: 2 sites x 5,000 devices = 10,000-device fleet.
@@ -58,6 +68,15 @@ MILLION_BUCKET_BUDGET_S = MILLION_WALL_CLOCK_BUDGET_S / 3.0
 TEN_MILLION_DEVICES_PER_SITE = 5_000_000
 TEN_MILLION_N_DAYS = 366
 TEN_MILLION_WALL_CLOCK_BUDGET_S = 120.0
+
+#: 128 sites x 2,000 Pixel 3A on 1-day traces for a year: the sites axis
+#: of the churn table (128 rows, one column per day), bucket churn, greedy
+#: routing and no probe.  ~1.6 s measured on a shared 2-core box (3.3 s
+#: before churn became one table step); the budget leaves >3x headroom.
+SITES_128 = 128
+SITES_128_DEVICES_PER_SITE = 2_000
+SITES_128_N_DAYS = 365
+SITES_128_BUDGET_S = 6.0
 
 DEMAND = DiurnalDemand(
     mean_rps=0.9 * DEVICES_PER_SITE * DEFAULT_REQUESTS_PER_DEVICE_S
@@ -101,20 +120,22 @@ def _run(
     n_days: int = N_DAYS,
     demand=None,
     churn_sampler: str = "device",
+    spec=None,
 ):
     """Run one labelled fleet case; a ``case`` label records it for the JSON.
 
-    The fleet is the ``two-site-asymmetric`` preset's two sites at
-    ``devices_per_site`` phones each.
+    The fleet is ``spec``'s sites, by default the ``two-site-asymmetric``
+    preset's two sites at ``devices_per_site`` phones each.
     """
-    spec = get_scenario("two-site-asymmetric").with_overrides(
-        {
-            "seed": seed,
-            "sites.0.devices.count": devices_per_site,
-            "sites.1.devices.count": devices_per_site,
-            "churn.sampler": churn_sampler,
-        }
-    )
+    if spec is None:
+        spec = get_scenario("two-site-asymmetric").with_overrides(
+            {
+                "seed": seed,
+                "sites.0.devices.count": devices_per_site,
+                "sites.1.devices.count": devices_per_site,
+                "churn.sampler": churn_sampler,
+            }
+        )
     telemetry = Telemetry() if case else None
     start = time.perf_counter()
     simulation = FleetSimulation(
@@ -127,7 +148,7 @@ def _run(
     result = simulation.run(n_days)
     elapsed = time.perf_counter() - start
     if case:
-        devices = 2 * devices_per_site
+        devices = sum(site.devices.count for site in spec.sites)
         _CASES.append(
             {
                 "case": case,
@@ -343,6 +364,55 @@ def test_ten_million_devices_year_with_bucket_churn(report):
     assert result.carbon_avoided_g() > 0
     assert float(result.soc.min()) >= 0.25 - 1e-9
     assert float(result.soc.max()) <= 1.0 + 1e-9
+
+
+def test_sites_128_year_bucket_within_budget(report):
+    """128 sites x 2,000 phones for a year: one churn-table step per day.
+
+    Each day steps 128 cohorts in one table pass, so the churn cost is the
+    cohorts' own random draws plus array work over the table.
+    """
+    regions = ("caiso-like", "ercot-like", "hydro-heavy")
+    spec = ScenarioSpec(
+        name="sites-128-year-bucket",
+        sites=tuple(
+            SiteSpec(
+                name=f"site-{index:03d}",
+                trace=TraceSpec(kind="regional", region=regions[index % 3], n_days=1),
+                devices=DeviceMixSpec(
+                    device="Pixel 3A", count=SITES_128_DEVICES_PER_SITE
+                ),
+                churn=ChurnSpec(sampler="bucket"),
+            )
+            for index in range(SITES_128)
+        ),
+        routing=RoutingSpec(policy="greedy-lowest-intensity", latency_probe_s=0.0),
+        demand=DemandSpec(fraction_of_capacity=0.5),
+        duration_days=SITES_128_N_DAYS,
+    )
+    result, elapsed = _run(
+        GreedyLowestIntensityRouting(),
+        case="sites-128-year-bucket",
+        n_days=SITES_128_N_DAYS,
+        demand=ScenarioRunner(spec).build_demand(),
+        churn_sampler="bucket",
+        spec=spec,
+    )
+    counters = _CASES[-1]["counters"]
+    churn_s = sum(
+        phase["total_s"]
+        for phase in _CASES[-1]["phases"]
+        if phase["path"].endswith("step_population")
+    )
+    report(
+        "Fleet scaling (128 sites x 2,000 devices, 1 year, bucketed churn)",
+        f"wall clock: {elapsed:.2f} s, churn {churn_s:.2f} s "
+        f"({counters['churn.cohort_days'] / churn_s:,.0f} cohort-days/s)",
+    )
+    assert result.active_devices.shape == (SITES_128_N_DAYS, SITES_128)
+    assert counters["churn.cohort_days"] == SITES_128 * SITES_128_N_DAYS
+    assert result.failures.sum() > 10_000
+    assert elapsed < SITES_128_BUDGET_S
 
 
 def test_carbon_aware_beats_round_robin(report):

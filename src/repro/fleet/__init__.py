@@ -5,12 +5,13 @@ package models a *fleet*: populations of reused devices arriving, aging,
 failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
-* :mod:`repro.fleet.population` — device cohorts held as deploy-day
-  buckets (intake, battery aging, stochastic churn, replacement policies),
-  each with its own independent seeded stream; ``churn.sampler`` on the
-  scenario spec picks the failure draw — one uniform per device (the
-  reference) or one binomial per bucket (O(days) instead of O(devices)
-  per step);
+* :mod:`repro.fleet.population` — every cohort's churn as one row of a
+  :class:`ChurnTable` (one column per deploy step; intake, battery aging,
+  stochastic churn, replacement policies), stepped fleet-wide in array
+  passes, each cohort with its own independent seeded stream;
+  ``churn.sampler`` on the scenario spec picks the failure draw — one
+  uniform per device (the reference) or one binomial per live column
+  (O(days) instead of O(devices) per step);
 * :mod:`repro.fleet.sites` — multi-site cloudlets, each a
   :class:`~repro.cluster.cloudlet.CloudletDesign` bound to its own
   :class:`~repro.grid.traces.GridTrace`; a :class:`FleetSite` *is* its
@@ -41,6 +42,7 @@ from repro.fleet.dispatch import (
 )
 from repro.fleet.population import (
     CHURN_SAMPLERS,
+    ChurnTable,
     CohortStep,
     DeviceCohort,
     FailureModel,
@@ -83,6 +85,7 @@ from repro.fleet.sites import (
 __all__ = [
     # population
     "DeviceCohort",
+    "ChurnTable",
     "CohortStep",
     "IntakeStream",
     "FailureModel",

@@ -256,12 +256,17 @@ class DispatchPolicy(abc.ABC):
         array of ``DISPATCH_*`` modes.
         """
 
-    def start_run(self, packs: PackTable, n_steps: int) -> None:
+    def start_run(
+        self, packs: PackTable, n_steps: int, truth: Optional[np.ndarray] = None
+    ) -> None:
         """Begin a run of ``n_steps`` hours over ``packs``.
 
         :func:`replay_dispatch` calls this once before a run's first
         :meth:`day_modes`.  A policy that keeps state across days resets it
-        here; the default keeps none.
+        here; the default keeps none.  ``truth`` is the run's
+        :func:`~repro.forecast.models.hourly_truth` table when another
+        replay of the same run already built it; only forecast policies
+        read it.
         """
 
 
@@ -321,7 +326,8 @@ class ForecastDispatch(DispatchPolicy):
     ``(packs, horizon)`` planner call, and one vectorized SoC projection
     that seeds the next refresh.  :meth:`start_run` builds the run's
     :func:`~repro.forecast.models.hourly_truth` table once (every site's
-    trace over the run plus one horizon), and each refresh asks the model
+    trace over the run plus one horizon), or takes the one another replay
+    of the same run built (:attr:`truth`), and each refresh asks the model
     for the distinct ``(site, start hour)`` windows of its rows only: every
     pack at a site plans against that same forecast of their shared grid,
     while SoC and capacity are per pack.
@@ -386,23 +392,28 @@ class ForecastDispatch(DispatchPolicy):
         self.forecast_windows = 0
         #: The run's ``(sites, hours)`` true intensity table, from
         #: :meth:`start_run`.
-        self._truth: Optional[np.ndarray] = None
+        self.truth: Optional[np.ndarray] = None
 
-    def start_run(self, packs, n_steps):
+    def start_run(self, packs, n_steps, truth=None):
         from repro.forecast.models import hourly_truth
 
         self._pending = {}
         self.fallback_pack_days = 0
         self.planned_windows = 0
         self.forecast_windows = 0
-        self._truth = hourly_truth(
-            [site.trace for site in packs.sites], n_steps + self.horizon_h
-        )
+        shape = (len(packs.sites), n_steps + self.horizon_h)
+        if truth is None:
+            truth = hourly_truth([site.trace for site in packs.sites], shape[1])
+        elif truth.shape != shape:
+            raise ValueError(
+                f"truth table has shape {truth.shape}; this run needs {shape}"
+            )
+        self.truth = truth
 
     def day_modes(
         self, day, packs, previous_intensity, intensity, counts, soc
     ) -> np.ndarray:
-        if self._truth is None:
+        if self.truth is None:
             raise RuntimeError("ForecastDispatch.day_modes needs start_run() first")
         hours = intensity.shape[0]
         modes = np.full(intensity.shape, DISPATCH_HOLD, dtype=np.int8)
@@ -518,10 +529,10 @@ class ForecastDispatch(DispatchPolicy):
         ways), so rows that share a site and a start hour share one window:
         the model sees each distinct pair once, and the rows gather theirs.
         """
-        n_hours = self._truth.shape[1]
+        n_hours = self.truth.shape[1]
         keys, inverse = np.unique(site_index * n_hours + start_h, return_inverse=True)
         forecast, seeing = self.model.windows(
-            self._truth, keys // n_hours, keys % n_hours, self.horizon_h
+            self.truth, keys // n_hours, keys % n_hours, self.horizon_h
         )
         self.forecast_windows += keys.size
         return forecast[inverse], seeing[inverse]
@@ -630,6 +641,7 @@ def replay_dispatch(
     idle_fraction: np.ndarray,
     counts_day: np.ndarray,
     step_s: float,
+    truth: Optional[np.ndarray] = None,
 ):
     """Replay a run's dispatch timeline, day by day, over recorded inputs.
 
@@ -638,7 +650,8 @@ def replay_dispatch(
     n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
     device counts, whose products with ``packs`` give each day's pack
     capabilities.  The replay builds the run's one :class:`EnergyLedger`
-    and starts the policy (:meth:`DispatchPolicy.start_run`); each day the
+    and starts the policy (:meth:`DispatchPolicy.start_run`, handing it
+    ``truth``, a truth table another replay of this run built); each day the
     policy sets that day's modes from the day index, the
     previous day's intensity, the day's counts and the ledger's SoC at the
     start of the day, and the ledger steps the day's rows.
@@ -651,7 +664,7 @@ def replay_dispatch(
     n_days = counts_day.shape[0]
     hours_per_day = n_steps // n_days
     ledger = EnergyLedger(packs, min_state_of_charge=dispatch.min_state_of_charge)
-    dispatch.start_run(packs, n_steps)
+    dispatch.start_run(packs, n_steps, truth)
     capacity_j = counts_day * packs.battery_j
     charge_rate_w = counts_day * packs.charge_w
     modes = np.empty((n_steps, n_packs), dtype=np.int8)

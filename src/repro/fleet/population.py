@@ -14,25 +14,31 @@ well under a second:
 * :class:`ReplacementPolicy` — what happens when a battery wears out or a
   device fails: swap the battery (re-introducing its embodied carbon, paper
   Equation 10) and/or deploy a spare from the intake pool;
-* :class:`DeviceCohort` — the one churn engine: the population held as
-  deploy-day buckets of identical device state, stepped in days, reporting
+* :class:`ChurnTable` — the one churn engine: every cohort's population as
+  one row of a table whose column ``k`` holds the devices deployed on step
+  ``k`` (identical device state for life; a cell never moves, it only
+  empties), stepped in whole-table array passes with only the random
+  draws and the power lookup left per row;
+* :class:`DeviceCohort` — one cohort, a view on its table row, reporting
   failures / swaps / deployments / replacement carbon per step as
-  :class:`CohortStep` records.  Its ``sampler`` (one of
+  :class:`CohortStep` records when stepped alone.  Its ``sampler`` (one of
   :data:`CHURN_SAMPLERS`) picks only the hardware-failure draw: one uniform
-  per device, or one binomial per bucket.
+  per device, or one binomial per live column.
 
 A site holds one or more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is
-the realistic junkyard deployment; see :class:`~repro.fleet.sites.FleetSite`).
-All stochasticity flows from per-cohort ``numpy`` generators seeded at
-construction, so a fixed seed reproduces the fleet trajectory exactly and
-adding or re-seeding one cohort never perturbs another.
+the realistic junkyard deployment; see :class:`~repro.fleet.sites.FleetSite`),
+and a fleet steps all of its sites' cohorts as one table.  All
+stochasticity flows from per-cohort ``numpy`` generators seeded at
+construction, each drawn in the order it would be stepped alone, so a fixed
+seed reproduces the fleet trajectory exactly and adding or re-seeding one
+cohort never perturbs another.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,8 +63,10 @@ class IntakeStream:
     poisson: bool = True
 
     def __post_init__(self) -> None:
-        if self.arrivals_per_day < 0:
-            raise ValueError("intake rate must be non-negative")
+        if not 0 <= self.arrivals_per_day < math.inf:
+            raise ValueError(
+                f"intake rate must be non-negative and finite, got {self.arrivals_per_day!r}"
+            )
         if self.initial_spares < 0:
             raise ValueError("initial spare count must be non-negative")
 
@@ -77,20 +85,9 @@ class FailureModel:
     age_acceleration_per_year: float = 0.03
 
     def __post_init__(self) -> None:
-        if self.annual_rate < 0 or self.age_acceleration_per_year < 0:
-            raise ValueError("failure rates must be non-negative")
-
-    def hazard_per_year(self, age_days: np.ndarray) -> np.ndarray:
-        """Instantaneous hazard (1/year) for devices of the given ages."""
-        age_years = np.asarray(age_days, dtype=float) / 365.25
-        return self.annual_rate + self.age_acceleration_per_year * age_years
-
-    def failure_probability(self, age_days: np.ndarray, dt_days: float) -> np.ndarray:
-        """Probability of failing within the next ``dt_days``."""
-        if dt_days < 0:
-            raise ValueError("time step must be non-negative")
-        hazard = self.hazard_per_year(age_days)
-        return 1.0 - np.exp(-hazard * dt_days / 365.25)
+        rates = (self.annual_rate, self.age_acceleration_per_year)
+        if not all(0 <= rate < math.inf for rate in rates):
+            raise ValueError(f"failure rates must be non-negative and finite, got {rates!r}")
 
 
 @dataclass(frozen=True)
@@ -140,49 +137,365 @@ class CohortStep:
 #: Failure draws a :class:`DeviceCohort` may use (the ``churn.sampler`` names).
 CHURN_SAMPLERS = ("device", "bucket")
 
-#: Per-bucket state arrays, one row per live deploy-day group.
-_BUCKET_FIELDS = ("_count", "_age_days", "_battery_cycles", "_battery_swaps")
+#: Per-column state of a :class:`ChurnTable`, each ``(rows, capacity)``.
+_COLUMN_FIELDS = {
+    "count": np.int64,
+    "age_days": float,
+    "battery_cycles": float,
+    "battery_swaps": np.int64,
+}
+
+#: Per-row state of a :class:`ChurnTable`, each ``(rows,)``.
+_ROW_FIELDS = {
+    "active": np.int64,
+    "spares": np.int64,
+    "fractional_arrivals": float,
+    "day": float,
+    "peak_live": np.int64,
+    "total_failures": np.int64,
+    "total_battery_swaps": np.int64,
+    "total_retirements": np.int64,
+    "total_deployed": np.int64,
+    "total_replacement_carbon_g": float,
+}
 
 
-def _grown(array: np.ndarray, needed: int, used: int, fill: int = 0) -> np.ndarray:
-    """``array`` with room for ``needed`` rows (amortised doubling)."""
-    if needed <= len(array):
-        return array
-    grown = np.full(max(needed, 2 * len(array)), fill, dtype=array.dtype)
-    grown[:used] = array[:used]
-    return grown
+class ChurnTable:
+    """Every cohort's churn state in one table, stepped in whole-table passes.
+
+    Rows are cohorts.  Column ``k`` holds the devices a row deployed on the
+    table's ``k``-th step (column 0 is the initial deploy).  Devices in one
+    cell share their age, battery cycles and swap count for life, and a
+    cell never moves: failures and retirements only lower its count, so an
+    emptied cell just reads zero.  ``count``, ``age_days``,
+    ``battery_cycles`` and ``battery_swaps`` are ``(rows, capacity)``
+    arrays grown by amortised doubling, of which ``width`` columns are in
+    use; the per-row constants (hazard, cycle life, embodied grams, target,
+    swap budget, intake) are built once from the cohorts.
+
+    A step keeps three things per row: the row's random draws on its
+    cohort's own generator (one binomial over its live columns, or one
+    uniform per device slot, then its Poisson intake), the scalar
+    ``power_at``/``daily_cycles`` lookup at its utilisation, and, on
+    request, the live-column reductions behind the cohort means.  Hazard,
+    wear and swap/retire, ageing, shortfall and deploy, and the totals are
+    each one array operation over the table.  Each cohort draws what it
+    would draw stepped alone, in the same order, so joining cohorts into a
+    table moves no trajectory.
+
+    The device sampler keeps a slot index per row: one entry per device
+    ever deployed, holding its column, or ``-1`` once the device is gone.
+
+    Each :class:`DeviceCohort` is a view on its row.  Building a table
+    from cohorts copies their rows out of the tables they were in and
+    repoints the views, so a cohort belongs to one table at a time.
+    """
+
+    def __init__(self, cohorts: Sequence["DeviceCohort"]) -> None:
+        cohorts = list(cohorts)
+        if not cohorts:
+            raise ValueError("a churn table needs at least one cohort")
+        if len({id(cohort) for cohort in cohorts}) != len(cohorts):
+            raise ValueError("a cohort can be only one row of a churn table")
+        self.cohorts = cohorts
+        self._rngs = [cohort._rng for cohort in cohorts]
+        batteries = [cohort.device.battery for cohort in cohorts]
+        self.annual_rate = np.array([c.failure_model.annual_rate for c in cohorts])
+        self.age_acceleration = np.array(
+            [c.failure_model.age_acceleration_per_year for c in cohorts]
+        )
+        self.cycle_life = np.array(
+            [np.inf if battery is None else battery.cycle_life for battery in batteries]
+        )
+        self.embodied_g = np.array(
+            [
+                0.0
+                if battery is None
+                else units.kg_to_grams(battery.embodied_carbon_kgco2e)
+                for battery in batteries
+            ]
+        )
+        self.target = np.array([c.policy.target_size for c in cohorts], dtype=np.int64)
+        #: Swaps a device may still take before wear-out retires it (0 when
+        #: the policy never swaps).
+        self.swap_budget = np.array(
+            [c.policy.max_battery_swaps if c.policy.swap_batteries else 0 for c in cohorts],
+            dtype=np.int64,
+        )
+        self.arrivals_per_day = np.array([c.intake.arrivals_per_day for c in cohorts])
+        # A zero rate draws and accrues nothing (a rate that underflows to
+        # zero over a step would draw or accrue zero too).
+        poisson = np.array([c.intake.poisson for c in cohorts])
+        has_intake = self.arrivals_per_day != 0
+        self._poisson_rows = (poisson & has_intake).tolist()
+        self._steady_rows = ~poisson & has_intake
+        self._any_steady = bool(self._steady_rows.any())
+
+        rows = len(cohorts)
+        self.width = max(
+            (c._table.width for c in cohorts if c._table is not None), default=0
+        )
+        capacity = max(16, self.width)
+        for name, dtype in _COLUMN_FIELDS.items():
+            setattr(self, name, np.zeros((rows, capacity), dtype=dtype))
+        for name, dtype in _ROW_FIELDS.items():
+            setattr(self, name, np.zeros(rows, dtype=dtype))
+        self.slots: List[Optional[np.ndarray]] = [None] * rows
+        self.n_slots = [0] * rows
+        for row, cohort in enumerate(cohorts):
+            source, at = cohort._table, cohort._row
+            if source is None:
+                self.spares[row] = cohort.intake.initial_spares
+                if cohort.sampler == "device":
+                    size = max(16, 2 * cohort.policy.target_size)
+                    self.slots[row] = np.full(size, -1, dtype=np.int64)
+            else:
+                used = source.width
+                for name in _COLUMN_FIELDS:
+                    getattr(self, name)[row, :used] = getattr(source, name)[at, :used]
+                for name in _ROW_FIELDS:
+                    getattr(self, name)[row] = getattr(source, name)[at]
+                if source.slots[at] is not None:
+                    self.slots[row] = source.slots[at].copy()
+                self.n_slots[row] = source.n_slots[at]
+            cohort._table, cohort._row = self, row
+
+    @classmethod
+    def joined(cls, cohorts: Sequence["DeviceCohort"]) -> "ChurnTable":
+        """The table whose rows are ``cohorts``, in order.
+
+        Reuses the table they already form; otherwise builds one.
+        """
+        cohorts = list(cohorts)
+        table = cohorts[0]._table if cohorts else None
+        if (
+            table is not None
+            and len(table.cohorts) == len(cohorts)
+            and all(c._table is table and c._row == row for row, c in enumerate(cohorts))
+        ):
+            return table
+        return cls(cohorts)
+
+    def _open_column(self, deployed: np.ndarray) -> None:
+        """Deploy ``deployed[row]`` fresh devices into each row's new column."""
+        column = self.width
+        if column == self.count.shape[1]:
+            for name in _COLUMN_FIELDS:
+                old = getattr(self, name)
+                grown = np.zeros((old.shape[0], 2 * column), dtype=old.dtype)
+                grown[:, :column] = old
+                setattr(self, name, grown)
+        self.count[:, column] = deployed
+        self.width = column + 1
+        self.active += deployed
+        self.total_deployed += deployed
+        for row in np.flatnonzero(deployed):
+            slots = self.slots[row]
+            if slots is None:
+                continue
+            n, count = self.n_slots[row], int(deployed[row])
+            if n + count > len(slots):
+                grown = np.full(max(n + count, 2 * len(slots)), -1, dtype=np.int64)
+                grown[:n] = slots[:n]
+                self.slots[row] = slots = grown
+            slots[n : n + count] = column
+            self.n_slots[row] = n + count
+
+    def _slot_failures(self, row: int, rng, p_fail: np.ndarray) -> np.ndarray:
+        """Failures per column of a device-sampler row: one uniform per slot.
+
+        Slots are drawn in slot order; gone slots (``-1``) index the
+        appended 0.0 and never fail.
+        """
+        slots = self.slots[row][: self.n_slots[row]]
+        draws = rng.random(len(slots))
+        failed = np.flatnonzero(draws < np.append(p_fail, 0.0)[slots])
+        columns = slots[failed]
+        slots[failed] = -1
+        return np.bincount(columns, minlength=len(p_fail))
+
+    def step(
+        self, dt_days: float, utilization: Optional[Sequence[Optional[float]]] = None
+    ) -> Dict[str, np.ndarray]:
+        """Advance every row by ``dt_days`` of virtual time.
+
+        ``utilization[row]`` is the row's mean per-device CPU utilisation
+        over the step (drives battery cycling); ``None``, for the table or
+        for one row, applies the row's load-profile average.  Returns one
+        ``(rows,)`` array per :class:`CohortStep` count:
+        ``failures``, ``battery_swaps``, ``retirements``, ``deployed``,
+        ``active``, ``spares`` and ``replacement_carbon_g``.
+        """
+        if not (math.isfinite(dt_days) and dt_days > 0):
+            raise ValueError(f"time step must be positive and finite, got {dt_days!r}")
+        rows = len(self.cohorts)
+        # The scalar power lookups come first: they validate every
+        # utilisation before any state moves.
+        cycles_per_day = np.zeros(rows)
+        for row, cohort in enumerate(self.cohorts):
+            battery = cohort.device.battery
+            if battery is not None:
+                level = None if utilization is None else utilization[row]
+                cycles_per_day[row] = battery.daily_cycles(cohort.average_draw_w(level))
+
+        width = self.width
+        count = self.count[:, :width]
+        ages = self.age_days[:, :width]
+        live = count > 0
+        live_per_row = live.sum(axis=1)
+        np.maximum(self.peak_live, live_per_row, out=self.peak_live)
+
+        # 1. Hardware failures: the hazard per cell, then each row's draws
+        # on its own generator (failures, then intake) in row order.
+        hazard = self.annual_rate[:, None] + self.age_acceleration[:, None] * (
+            ages / 365.25
+        )
+        p_fail = 1.0 - np.exp(-hazard * dt_days / 365.25)
+        live_counts = count[live]
+        live_p = p_fail[live]
+        failed_live = np.empty_like(live_counts)
+        ends = np.cumsum(live_per_row).tolist()
+        rate = self.arrivals_per_day * dt_days
+        rates = rate.tolist()
+        arrivals = np.zeros(rows, dtype=np.int64)
+        start = 0
+        for row, rng in enumerate(self._rngs):
+            end = ends[row]
+            if self.slots[row] is None:
+                failed_live[start:end] = rng.binomial(
+                    live_counts[start:end], live_p[start:end]
+                )
+            else:
+                failed_live[start:end] = self._slot_failures(row, rng, p_fail[row])[
+                    live[row]
+                ]
+            if self._poisson_rows[row]:
+                arrivals[row] = rng.poisson(rates[row])
+            start = end
+        failed = np.zeros_like(count)
+        failed[live] = failed_live
+        failures = failed.sum(axis=1)
+        count -= failed
+
+        # Deterministic intake accrues the rate and releases whole devices.
+        if self._any_steady:
+            steady = self._steady_rows
+            accrued = self.fractional_arrivals[steady] + rate[steady]
+            whole = accrued.astype(np.int64)
+            self.fractional_arrivals[steady] = accrued - whole
+            arrivals[steady] = whole
+
+        # 2. Battery cycling and wear-out: a cell's common cycle counter
+        # crosses cycle_life for every member at once.  A row with a zero
+        # draw accrues no cycles and wears nothing out this step.
+        cycles = self.battery_cycles[:, :width]
+        cycles += (cycles_per_day * dt_days)[:, None]
+        cycle_life = np.where(cycles_per_day != 0.0, self.cycle_life, np.inf)
+        worn = (count > 0) & (cycles >= cycle_life[:, None])
+        battery_swaps = np.zeros(rows, dtype=np.int64)
+        retirements = np.zeros(rows, dtype=np.int64)
+        if worn.any():
+            swaps_used = self.battery_swaps[:, :width]
+            swappable = worn & (swaps_used < self.swap_budget[:, None])
+            retire = worn & ~swappable
+            battery_swaps = np.where(swappable, count, 0).sum(axis=1)
+            retirements = np.where(retire, count, 0).sum(axis=1)
+            cycles[swappable] = 0.0
+            swaps_used[swappable] += 1
+            count[retire] = 0
+            for row in np.flatnonzero(retirements):
+                if self.slots[row] is not None:
+                    slots = self.slots[row][: self.n_slots[row]]
+                    slots[np.append(retire[row], False)[slots]] = -1
+        replacement_carbon_g = battery_swaps * self.embodied_g
+
+        # 3. Age every cell, 4. take in the intake, 5. deploy spares into
+        # the shortfall: one fresh column.
+        ages += dt_days
+        self.spares += arrivals
+        self.active -= failures + retirements
+        deployed = np.minimum(self.spares, np.maximum(self.target - self.active, 0))
+        self.spares -= deployed
+        self._open_column(deployed)
+
+        self.day += dt_days
+        self.total_failures += failures
+        self.total_battery_swaps += battery_swaps
+        self.total_retirements += retirements
+        self.total_replacement_carbon_g += replacement_carbon_g
+        return {
+            "failures": failures,
+            "battery_swaps": battery_swaps,
+            "retirements": retirements,
+            "deployed": deployed,
+            "active": self.active.copy(),
+            "spares": self.spares.copy(),
+            "replacement_carbon_g": replacement_carbon_g,
+        }
+
+
+class _RowState:
+    """A cohort attribute read from its row of one :class:`ChurnTable` array."""
+
+    def __init__(self, cast, field: Optional[str] = None) -> None:
+        self.cast = cast
+        self.field = field
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.field = self.field or name
+
+    def __get__(self, cohort, owner=None):
+        if cohort is None:
+            return self
+        return self.cast(getattr(cohort._table, self.field)[cohort._row])
 
 
 class DeviceCohort:
-    """A vectorized population of one device type at one site.
+    """A population of one device type at one site: a row of a churn table.
 
     Every device deployed on the same step shares its age, battery cycles
     and swap count for life: ages advance uniformly, cycles accrue at the
     cohort's common realised utilisation, and a failure removes a device
-    without touching its peers.  State is therefore held as deploy-day
-    buckets ``(count, age, cycles, swaps)``.  Only deployment opens a
-    bucket (at most one per step) and emptied buckets are compacted away
-    in order, so a cohort carries at most ~``n_steps`` live buckets
-    whatever its device count.  Battery wear-out is a whole-bucket event
-    (swap in place, or retire once the swap budget is spent), and intake,
-    deploy and shortfall are exact integer counting, so ``deployed -
-    failures - retirements == delta(active)`` and ``replacement carbon ==
-    swaps x embodied`` hold exactly every step.
+    without touching its peers.  The cohort's state is therefore one row
+    of a :class:`ChurnTable`, one column per deploy step; the cohort is a
+    view on that row, so its reads always see live state.  Battery
+    wear-out is a whole-cell event (swap in place, or retire once the swap
+    budget is spent), and intake, deploy and shortfall are exact integer
+    counting, so ``deployed - failures - retirements == delta(active)``
+    and ``replacement carbon == swaps x embodied`` hold exactly every
+    step.
 
     ``sampler`` picks only how hardware failures are drawn:
 
     * ``"device"`` — the per-device reference: one uniform per slot ever
-      deployed, in slot order, against its bucket's hazard.  The cohort
-      keeps a slot -> bucket index (``-1`` once the device is gone), sized
-      at twice the target and doubled as intake outgrows it.
-    * ``"bucket"`` — one ``Binomial(count, p(age))`` per bucket, exactly
-      the distribution of ``count`` i.i.d. Bernoulli draws at the bucket's
-      age, at O(buckets) instead of O(devices) per step.
+      deployed, in slot order, against its column's hazard.  The row keeps
+      a slot -> column index (``-1`` once the device is gone), sized at
+      twice the target and doubled as intake outgrows it.
+    * ``"bucket"`` — one ``Binomial(count, p(age))`` per live column,
+      exactly the distribution of ``count`` i.i.d. Bernoulli draws at the
+      column's age, at O(columns) instead of O(devices) per step.
 
     The two samplers are distributionally equivalent but consume the RNG
     differently, so single trajectories differ; that is why the choice
     lives on the scenario spec and in its hash.
+
+    A cohort built alone is the one row of its own table, and
+    :meth:`step` steps that one-row table; a fleet joins its cohorts'
+    rows into one table (:meth:`ChurnTable.joined`) and steps them all
+    at once.
     """
+
+    #: Virtual days stepped so far.
+    day = _RowState(float)
+    #: Devices waiting in the spare pool.
+    spares = _RowState(int)
+    #: Number of currently-active devices.
+    active_count = _RowState(int, "active")
+    total_failures = _RowState(int)
+    total_battery_swaps = _RowState(int)
+    total_retirements = _RowState(int)
+    total_deployed = _RowState(int)
+    total_replacement_carbon_g = _RowState(float)
 
     def __init__(
         self,
@@ -200,6 +513,9 @@ class DeviceCohort:
             raise ValueError(
                 f"unknown churn sampler {sampler!r}; expected one of: {known}"
             )
+        deploy = policy.target_size if initial_size is None else initial_size
+        if deploy < 0:
+            raise ValueError("initial size must be non-negative")
         self.device = device
         self.policy = policy
         self.intake = intake or IntakeStream()
@@ -207,49 +523,30 @@ class DeviceCohort:
         self.load_profile = load_profile
         self.sampler = sampler
         self._rng = np.random.default_rng(seed)
-        self._fractional_arrivals = 0.0
-        self.day = 0.0
-        self.spares = self.intake.initial_spares
-        self.history: List[CohortStep] = []
-
-        self._count = np.zeros(16, dtype=np.int64)
-        self._age_days = np.zeros(16)
-        self._battery_cycles = np.zeros(16)
-        self._battery_swaps = np.zeros(16, dtype=np.int64)
-        self._m = 0
-        #: High-water mark of live buckets (the ``churn.buckets_peak`` gauge).
-        self.buckets_peak = 0
-
-        slots = 0
-        if sampler == "device":
-            slots = max(16, 2 * policy.target_size)
-        self._slot_bucket = np.full(slots, -1, dtype=np.int64)
-        self._n = 0
-
-        self.total_failures = 0
-        self.total_battery_swaps = 0
-        self.total_retirements = 0
-        self.total_deployed = 0
-        self.total_replacement_carbon_g = 0.0
-
-        deploy = policy.target_size if initial_size is None else initial_size
-        if deploy < 0:
-            raise ValueError("initial size must be non-negative")
-        self._deploy(deploy)
+        self._table: Optional[ChurnTable] = None
+        self._row = 0
+        ChurnTable([self])._open_column(np.array([deploy], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # State inspection
     # ------------------------------------------------------------------
 
     @property
-    def active_count(self) -> int:
-        """Number of currently-active devices."""
-        return int(self._count[: self._m].sum())
+    def buckets_live(self) -> int:
+        """Number of live columns (distinct device states) right now."""
+        table = self._table
+        return int(np.count_nonzero(table.count[self._row, : table.width]))
 
     @property
-    def buckets_live(self) -> int:
-        """Number of live buckets (distinct device states) right now."""
-        return self._m
+    def buckets_peak(self) -> int:
+        """High-water mark of live columns (the ``churn.buckets_peak`` gauge)."""
+        return max(int(self._table.peak_live[self._row]), self.buckets_live)
+
+    @property
+    def battery_cycles(self) -> np.ndarray:
+        """Battery cycles per column of this cohort's row (a writable view)."""
+        table = self._table
+        return table.battery_cycles[self._row, : table.width]
 
     @property
     def availability(self) -> float:
@@ -257,95 +554,34 @@ class DeviceCohort:
         return self.active_count / self.policy.target_size
 
     def _device_mean(self, values: np.ndarray) -> float:
-        """Mean of a per-bucket quantity over the active devices (0 when none).
+        """Mean of a per-column quantity over the active devices (0 when none).
 
         The device sampler averages the per-slot values in slot order and
-        the bucket sampler weights each bucket by its count; the two forms
-        differ in the last bits, and each sampler keeps its own.
+        the bucket sampler weights each live column by its count; the two
+        forms differ in the last bits, and each sampler keeps its own.
         """
         total = self.active_count
         if total == 0:
             return 0.0
-        if self.sampler == "device":
-            slots = self._slot_bucket[: self._n]
-            return float(np.mean(values[slots[slots >= 0]]))
-        return float(np.sum(self._count[: self._m] * values[: self._m]) / total)
+        table, row = self._table, self._row
+        slots = table.slots[row]
+        if slots is not None:
+            held = slots[: table.n_slots[row]]
+            return float(np.mean(values[held[held >= 0]]))
+        count = table.count[row, : table.width]
+        live = count > 0
+        return float(np.sum(count[live] * values[: table.width][live]) / total)
 
     def mean_age_days(self) -> float:
         """Mean age of the active devices (0 when none are active)."""
-        return self._device_mean(self._age_days)
+        return self._device_mean(self._table.age_days[self._row])
 
     def mean_battery_wear(self) -> float:
         """Mean fraction of battery cycle life consumed by active devices."""
         if self.device.battery is None:
             return 0.0
-        return self._device_mean(self._battery_cycles) / self.device.battery.cycle_life
-
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
-    def _deploy(self, count: int) -> int:
-        """Open one fresh bucket (age 0, pristine battery) of ``count`` devices."""
-        if count <= 0:
-            return 0
-        index = self._m
-        for name in _BUCKET_FIELDS:
-            setattr(self, name, _grown(getattr(self, name), index + 1, index))
-        self._count[index] = count
-        self._age_days[index] = 0.0
-        self._battery_cycles[index] = 0.0
-        self._battery_swaps[index] = 0
-        self._m += 1
-        self.buckets_peak = max(self.buckets_peak, self._m)
-        if self.sampler == "device":
-            n = self._n
-            self._slot_bucket = _grown(self._slot_bucket, n + count, n, fill=-1)
-            self._slot_bucket[n : n + count] = index
-            self._n += count
-        self.total_deployed += count
-        return count
-
-    def _compact(self) -> None:
-        """Drop emptied buckets, preserving the order of the survivors."""
-        m = self._m
-        live = self._count[:m] > 0
-        keep = int(np.count_nonzero(live))
-        if keep == m:
-            return
-        for name in _BUCKET_FIELDS:
-            array = getattr(self, name)
-            array[:keep] = array[:m][live]
-        if self._n:
-            # Alive slots follow their bucket to its new row; gone slots
-            # (-1) index the appended -1 and stay gone.
-            slots = self._slot_bucket[: self._n]
-            slots[:] = np.append(np.cumsum(live) - 1, -1)[slots]
-        self._m = keep
-
-    def _draw_failures(self, p_fail: np.ndarray) -> np.ndarray:
-        """Hardware failures per bucket this step, drawn by the sampler."""
-        if self.sampler == "bucket":
-            return self._rng.binomial(self._count[: self._m], p_fail)
-        # One uniform per slot ever deployed, in slot order; gone slots
-        # index the appended 0.0 and never fail.
-        slots = self._slot_bucket[: self._n]
-        draws = self._rng.random(self._n)
-        failed = np.flatnonzero(draws < np.append(p_fail, 0.0)[slots])
-        buckets = slots[failed]
-        slots[failed] = -1
-        return np.bincount(buckets, minlength=self._m)
-
-    def _arrivals(self, dt_days: float) -> int:
-        rate = self.intake.arrivals_per_day * dt_days
-        if rate == 0:
-            return 0
-        if self.intake.poisson:
-            return int(self._rng.poisson(rate))
-        self._fractional_arrivals += rate
-        whole = int(self._fractional_arrivals)
-        self._fractional_arrivals -= whole
-        return whole
+        cycles = self._table.battery_cycles[self._row]
+        return self._device_mean(cycles) / self.device.battery.cycle_life
 
     # ------------------------------------------------------------------
     # Stepping
@@ -369,85 +605,21 @@ class DeviceCohort:
 
         ``utilization`` is the mean per-device CPU utilisation over the step
         (drives battery cycling); when omitted the load profile's average
-        applies.  Returns the :class:`CohortStep` record, which is also
-        appended to :attr:`history`.
+        applies.  Steps the cohort's own one-row table (moving the cohort
+        out of a fleet table first) and returns the step's
+        :class:`CohortStep` record.
         """
-        if dt_days <= 0:
-            raise ValueError("time step must be positive")
-        m = self._m
-        counts = self._count[:m]
-
-        # 1. Stochastic hardware failures (age-dependent hazard, evaluated
-        # once per bucket).
-        p_fail = self.failure_model.failure_probability(self._age_days[:m], dt_days)
-        failed = self._draw_failures(p_fail)
-        failures = int(failed.sum())
-        counts -= failed
-
-        # 2. Battery cycling and wear-out: a bucket's common cycle counter
-        # crosses cycle_life for every member at once.  Zero draw accrues
-        # no cycles and no live bucket carries cycles >= cycle_life across
-        # a step boundary, so the wear block is skipped outright.
-        battery_swaps = 0
-        retirements = 0
-        replacement_carbon_g = 0.0
-        battery = self.device.battery
-        if battery is not None:
-            cycles_per_day = battery.daily_cycles(self.average_draw_w(utilization))
-            if cycles_per_day != 0.0:
-                cycles = self._battery_cycles[:m]
-                cycles += cycles_per_day * dt_days
-                worn = (counts > 0) & (cycles >= battery.cycle_life)
-                if worn.any():
-                    swaps_used = self._battery_swaps[:m]
-                    if self.policy.swap_batteries:
-                        swappable = worn & (swaps_used < self.policy.max_battery_swaps)
-                    else:
-                        swappable = np.zeros_like(worn)
-                    retire = worn & ~swappable
-                    battery_swaps = int(counts[swappable].sum())
-                    retirements = int(counts[retire].sum())
-                    cycles[swappable] = 0.0
-                    swaps_used[swappable] += 1
-                    counts[retire] = 0
-                    if self._n and retirements:
-                        slots = self._slot_bucket[: self._n]
-                        slots[np.append(retire, False)[slots]] = -1
-                    replacement_carbon_g += battery_swaps * units.kg_to_grams(
-                        battery.embodied_carbon_kgco2e
-                    )
-
-        # 3. Age survivors (emptied buckets are compacted away below).
-        self._age_days[:m] += dt_days
-
-        # 4. Intake of decommissioned devices into the spare pool.
-        self.spares += self._arrivals(dt_days)
-
-        # 5. Deploy spares to fill the shortfall: one fresh bucket.
-        shortfall = self.policy.target_size - int(counts.sum())
-        deployed = min(self.spares, max(0, shortfall))
-        self.spares -= deployed
-        self._compact()
-        self._deploy(deployed)
-
-        self.day += dt_days
-        self.total_failures += failures
-        self.total_battery_swaps += battery_swaps
-        self.total_retirements += retirements
-        self.total_replacement_carbon_g += replacement_carbon_g
-
-        step = CohortStep(
+        out = ChurnTable.joined([self]).step(dt_days, [utilization])
+        return CohortStep(
             day=self.day,
-            failures=failures,
-            battery_swaps=battery_swaps,
-            retirements=retirements,
-            deployed=deployed,
-            active=self.active_count,
-            spares=self.spares,
-            replacement_carbon_g=replacement_carbon_g,
+            failures=int(out["failures"][0]),
+            battery_swaps=int(out["battery_swaps"][0]),
+            retirements=int(out["retirements"][0]),
+            deployed=int(out["deployed"][0]),
+            active=int(out["active"][0]),
+            spares=int(out["spares"][0]),
+            replacement_carbon_g=float(out["replacement_carbon_g"][0]),
         )
-        self.history.append(step)
-        return step
 
     def run(self, n_days: int, utilization: Optional[float] = None) -> List[CohortStep]:
         """Step the cohort one day at a time for ``n_days``."""

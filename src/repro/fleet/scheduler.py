@@ -58,6 +58,7 @@ import numpy as np
 
 from repro import units
 from repro.fleet.dispatch import DispatchPolicy, PackTable, replay_dispatch
+from repro.fleet.population import ChurnTable
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
@@ -393,13 +394,13 @@ class FleetSimulation:
             demand_all, intensity_sites, intensity_packs, marginal_all = (
                 self._precompute_inputs(n_steps, step_s)
             )
+        # Every cohort is a row of one churn table, stepped once per day.
+        churn = ChurnTable.joined(entry.cohort for entry in self.packs.entries)
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
             # Day-start counts — what the allocation's live capability
             # reads see — recorded before churn moves them.
-            counts_day[day] = [
-                entry.cohort.active_count for entry in self.packs.entries
-            ]
+            counts_day[day] = churn.active
             physical = counts_day[day] * self.packs.requests_per_device_s
             with tele.span("allocate_day"):
                 alloc = self._allocate_day(
@@ -423,7 +424,7 @@ class FleetSimulation:
             # matrix feeds dispatch idle headroom in Pass B.
             with tele.span("step_population"):
                 utilization = self._physical_utilization(alloc, physical)
-                day_step = self._step_population(utilization)
+                day_step = self._step_population(churn, utilization)
             utilization_all[rows] = utilization
             cohort_active[day] = day_step["active"]
             cohort_replacement_g[day] = day_step["replacement_carbon_g"]
@@ -572,7 +573,9 @@ class FleetSimulation:
         self._recorded = (recorded, report)
         return report
 
-    def replay_avoided_g(self, dispatch: DispatchPolicy) -> float:
+    def replay_avoided_g(
+        self, dispatch: DispatchPolicy, truth: Optional[np.ndarray] = None
+    ) -> float:
         """Carbon (g) ``dispatch`` would have avoided on the last run's fleet.
 
         Routing and churn never read the dispatch policy, so running the
@@ -580,13 +583,15 @@ class FleetSimulation:
         the dispatch over the recorded Pass A inputs and reduces it with
         the report's own :meth:`~repro.fleet.reporting.FleetReport.
         carbon_avoided_g`.  Bitwise-identical to re-simulating the whole
-        fleet under ``dispatch``; records no telemetry.
+        fleet under ``dispatch``; records no telemetry.  ``truth`` hands
+        the replay the hourly truth table the run's own forecast dispatch
+        built (:attr:`~repro.fleet.dispatch.ForecastDispatch.truth`).
         """
         if self._recorded is None:
             raise RuntimeError("replay_avoided_g needs a finished run()")
         recorded, report = self._recorded
         battery_j, charge_j, *_ = self._run_dispatch(
-            dispatch, recorded, report.step_s
+            dispatch, recorded, report.step_s, truth
         )
         return dataclasses.replace(
             report,
@@ -599,6 +604,7 @@ class FleetSimulation:
         dispatch: DispatchPolicy,
         recorded: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         step_s: float,
+        truth: Optional[np.ndarray] = None,
     ):
         """Pass B's dispatch: :func:`~repro.fleet.dispatch.replay_dispatch`
         of ``dispatch`` over the ``(intensity, device_kwh, utilization,
@@ -614,6 +620,7 @@ class FleetSimulation:
             1.0 - utilization,
             counts_day,
             step_s,
+            truth,
         )
 
     # -- per-day phases ----------------------------------------------------
@@ -736,32 +743,22 @@ class FleetSimulation:
             util = np.where(physical > 0, alloc / physical, 0.0)
         return np.clip(util, 0.0, 1.0)
 
-    def _step_population(self, utilization: np.ndarray) -> Dict[str, np.ndarray]:
-        """Phase 4: one day of churn per cohort at its realised utilisation.
+    def _step_population(
+        self, churn: ChurnTable, utilization: np.ndarray
+    ) -> Dict[str, np.ndarray]:
+        """Phase 4: one day of churn for every cohort at its realised utilisation.
 
         Takes the day's ``(hours, segment)`` utilisation matrix directly so
         the caller can share one :meth:`_physical_utilization` pass between
-        churn and the recorded dispatch idle headroom.
+        churn and the recorded dispatch idle headroom.  Each cohort's mean
+        reduces one contiguous row of the transpose, the 1-D pairwise sum
+        ``np.mean(utilization[:, j])`` takes (``mean(axis=0)`` adds the
+        hours in another order).
         """
-        n_cohorts = len(self.packs)
-        out = {
-            "active": np.zeros(n_cohorts, dtype=np.int64),
-            "replacement_carbon_g": np.zeros(n_cohorts),
-            "battery_swaps": np.zeros(n_cohorts, dtype=np.int64),
-            "failures": np.zeros(n_cohorts, dtype=np.int64),
-            "deployed": np.zeros(n_cohorts, dtype=np.int64),
-            "retirements": np.zeros(n_cohorts, dtype=np.int64),
-        }
-        for j, entry in enumerate(self.packs.entries):
-            mean_util = float(np.mean(utilization[:, j]))
-            step = entry.cohort.step(1.0, utilization=mean_util)
-            out["active"][j] = step.active
-            out["replacement_carbon_g"][j] = step.replacement_carbon_g
-            out["battery_swaps"][j] = step.battery_swaps
-            out["failures"][j] = step.failures
-            out["deployed"][j] = step.deployed
-            out["retirements"][j] = step.retirements
-        return out
+        means = np.ascontiguousarray(utilization.T).mean(axis=1)
+        if self.telemetry.enabled:
+            self.telemetry.count("churn.cohort_days", len(means))
+        return churn.step(1.0, means.tolist())
 
     @staticmethod
     def _validate_allocation(

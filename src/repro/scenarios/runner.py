@@ -488,10 +488,13 @@ class ScenarioRunner:
             hindsight_avoided = report.carbon_avoided_g()
         else:
             # The span keeps its name: the benchmark's per-layer
-            # ``hindsight.twin_s`` metric reads it.
+            # ``hindsight.twin_s`` metric reads it.  Both replays cover the
+            # same sites, run length and horizon, so the baseline plans
+            # over the main replay's truth table.
             with self.telemetry.span("hindsight_twin"):
                 hindsight_avoided = simulation.replay_avoided_g(
-                    self._forecast_dispatch(PerfectForecast())
+                    self._forecast_dispatch(PerfectForecast()),
+                    truth=simulation.dispatch.truth,
                 )
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)
 

@@ -17,9 +17,10 @@ counter block, e.g.::
 
 Shares are fractions of the summed top-level span time, so sibling rows
 add up and nested rows read as a drill-down of their parent.  The
-throughput column is in each phase's own unit: device-days per second for
-the fleet loop's per-day phases, offered requests per second for the DES
-latency probe, and ``-`` for everything else.
+throughput column is in each phase's own unit: cohort-days per second for
+the churn step, device-days per second for the fleet loop's other per-day
+phases, offered requests per second for the DES latency probe, and ``-``
+for everything else.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from typing import Dict, List, Sequence
 FLEET_DAY_PHASES = frozenset(
     ("allocate_day", "step_population", "site_energy_kwh", "dispatch_day")
 )
+
+#: The churn step's span; its throughput is cohort-days/s.
+CHURN_PHASE = "step_population"
 
 #: The latency probe's span; its throughput is offered requests/s.
 PROBE_PHASE = "latency_probe"
@@ -98,10 +102,13 @@ def render_profile(manifest: Dict[str, object]) -> str:
 
     # Per-phase throughput: each call of a fleet-loop phase covers one
     # simulated day across the whole fleet, so device-days per wall second
-    # is gauge(fleet.n_devices) x calls / total_s.  The latency probe's
-    # unit of work is a request: counter(probe.offered) / total_s.  Other
-    # spans have no unit of work, so their throughput cell stays blank.
+    # is gauge(fleet.n_devices) x calls / total_s.  The churn step's unit
+    # of work is one cohort's day: counter(churn.cohort_days) / total_s.
+    # The latency probe's unit of work is a request: counter(probe.offered)
+    # / total_s.  Other spans have no unit of work, so their throughput
+    # cell stays blank.
     n_devices = manifest.get("gauges", {}).get("fleet.n_devices")
+    cohort_days = manifest.get("counters", {}).get("churn.cohort_days")
     offered = manifest.get("counters", {}).get("probe.offered")
 
     rows = []
@@ -110,7 +117,9 @@ def render_profile(manifest: Dict[str, object]) -> str:
         name = row["path"].rsplit("/", 1)[-1]
         calls = row["calls"]
         total_s = row["total_s"]
-        if name in FLEET_DAY_PHASES and n_devices and calls and total_s > 0:
+        if name == CHURN_PHASE and cohort_days and total_s > 0:
+            throughput = f"{cohort_days / total_s:,.0f} cohort-days/s"
+        elif name in FLEET_DAY_PHASES and n_devices and calls and total_s > 0:
             throughput = f"{n_devices * calls / total_s:,.0f} dev-days/s"
         elif name == PROBE_PHASE and offered and total_s > 0:
             throughput = f"{offered / total_s:,.0f} req/s"

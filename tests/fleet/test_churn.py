@@ -50,7 +50,7 @@ def build_cohort(
     )
 
 
-def history_tuples(cohort):
+def step_tuples(steps):
     return [
         (
             step.day,
@@ -62,8 +62,15 @@ def history_tuples(cohort):
             step.spares,
             step.replacement_carbon_g,
         )
-        for step in cohort.history
+        for step in steps
     ]
+
+
+def slot_index(cohort):
+    """The cohort's slot -> column index and its row's live column counts."""
+    table, row = cohort._table, cohort._row
+    slots = table.slots[row]
+    return slots, slots[: table.n_slots[row]], table.count[row, : table.width]
 
 
 class TestSamplerRegistry:
@@ -104,8 +111,8 @@ class TestBucketConservation:
         cohort = build_cohort("bucket", seed=5)
         n_days = 250
         cohort.run(n_days, utilization=0.9)
-        # Only deployment opens buckets (at most one per step, plus the
-        # initial one) and empties are compacted away.
+        # Only deployment fills a column (one per step, plus the initial
+        # one), and emptied columns stop counting as live.
         assert cohort.buckets_peak <= n_days + 1
         assert cohort.buckets_live <= cohort.buckets_peak
         # At steady state the population spans far fewer distinct states
@@ -134,18 +141,14 @@ class TestBucketConservation:
 
 class TestBucketDeterminism:
     def test_same_seed_is_bitwise_identical(self):
-        first = build_cohort("bucket", seed=11)
-        second = build_cohort("bucket", seed=11)
-        first.run(150, utilization=0.8)
-        second.run(150, utilization=0.8)
-        assert history_tuples(first) == history_tuples(second)
+        first = build_cohort("bucket", seed=11).run(150, utilization=0.8)
+        second = build_cohort("bucket", seed=11).run(150, utilization=0.8)
+        assert step_tuples(first) == step_tuples(second)
 
     def test_different_seeds_diverge(self):
-        first = build_cohort("bucket", seed=11)
-        second = build_cohort("bucket", seed=12)
-        first.run(150, utilization=0.8)
-        second.run(150, utilization=0.8)
-        assert history_tuples(first) != history_tuples(second)
+        first = build_cohort("bucket", seed=11).run(150, utilization=0.8)
+        second = build_cohort("bucket", seed=12).run(150, utilization=0.8)
+        assert step_tuples(first) != step_tuples(second)
 
 
 class TestDistributionalEquivalence:
@@ -222,30 +225,30 @@ class TestDeviceSamplerMicroOpts:
     """The slot pre-sizing and battery-skip paths stay bitwise-exact."""
 
     def test_slot_index_tracks_bucket_counts(self):
-        # Every live slot points at its bucket and every gone slot is -1,
-        # through failures, swaps, retirements and compaction.
+        # Every live slot holds its column and every gone slot is -1,
+        # through failures, swaps and retirements.
         cohort = build_cohort("device", seed=6, max_battery_swaps=0)
         for _ in range(150):
             cohort.step(1.0, utilization=0.9)
-            slots = cohort._slot_bucket[: cohort._n]
-            live = np.bincount(slots[slots >= 0], minlength=cohort._m)
-            assert np.array_equal(live, cohort._count[: cohort._m])
+            _, slots, counts = slot_index(cohort)
+            live = np.bincount(slots[slots >= 0], minlength=len(counts))
+            assert np.array_equal(live, counts)
         assert cohort.total_retirements > 0 and cohort.total_failures > 0
 
     def test_slot_index_grows_past_its_initial_size(self):
         # The index starts at twice the target; 200 days of intake deploy
         # more devices than that, so it must grow and keep every slot on
-        # its bucket.
+        # its column.
         cohort = build_cohort("device", seed=9)
-        initial = len(cohort._slot_bucket)
+        initial = len(slot_index(cohort)[0])
         assert initial == 2 * 300
         cohort.run(200, utilization=0.9)
-        assert cohort._n > initial
-        assert len(cohort._slot_bucket) >= cohort._n
-        slots = cohort._slot_bucket[: cohort._n]
-        live = np.bincount(slots[slots >= 0], minlength=cohort._m)
-        assert np.array_equal(live, cohort._count[: cohort._m])
-        assert np.all(cohort._slot_bucket[cohort._n :] == -1)
+        index, slots, counts = slot_index(cohort)
+        assert len(slots) > initial
+        assert len(index) >= len(slots)
+        live = np.bincount(slots[slots >= 0], minlength=len(counts))
+        assert np.array_equal(live, counts)
+        assert np.all(index[len(slots) :] == -1)
 
     def test_zero_draw_skips_wear_but_not_failures(self):
         # utilization=0 still has idle power on a real phone, so force a
@@ -266,7 +269,7 @@ class TestDeviceSamplerMicroOpts:
         assert cohort.total_battery_swaps == 0
         assert cohort.total_retirements == 0
         assert cohort.total_failures > 0
-        assert float(cohort._battery_cycles[: cohort._m].max()) == 0.0
+        assert float(cohort.battery_cycles.max()) == 0.0
 
 
 class TestBucketSamplerSurface:

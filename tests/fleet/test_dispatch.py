@@ -529,7 +529,7 @@ class TestWearDerate:
 
     def test_derate_scales_with_mean_wear(self):
         site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
-        site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
+        site.cohorts[0].cohort.battery_cycles[:] = (
             0.5 * site.cohorts[0].cohort.device.battery.cycle_life
         )
         assert site.cohorts[0].cohort.mean_battery_wear() == pytest.approx(0.5)
@@ -564,7 +564,7 @@ class TestWearDerate:
         for entry, wear in zip(packs.entries, (0.35, 1.2, 0.0, 0.8)):
             cohort = entry.cohort
             if cohort.device.battery is not None:
-                cohort._battery_cycles[: cohort._m] = (
+                cohort.battery_cycles[:] = (
                     wear * cohort.device.battery.cycle_life
                 )
         derated = _effective_capacity(packs, self._live_capacity(packs), wear_derate)
@@ -590,7 +590,7 @@ class TestWearDerate:
         spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
         sites = ScenarioRunner(spec).build_sites()
         for site in sites:
-            site.cohorts[0].cohort._battery_cycles[: site.cohorts[0].cohort._m] = (
+            site.cohorts[0].cohort.battery_cycles[:] = (
                 0.5 * site.cohorts[0].cohort.device.battery.cycle_life
             )
         return sites
@@ -617,7 +617,7 @@ class TestWearDerate:
             spec = two_site_spec(5, seed=4, n_trace_days=7)
             sites = ScenarioRunner(spec).build_sites()
             clean = sites[1]  # cascadia, the preferred site under greedy
-            clean.cohorts[0].cohort._battery_cycles[: clean.cohorts[0].cohort._m] = (
+            clean.cohorts[0].cohort.battery_cycles[:] = (
                 0.5 * clean.cohorts[0].cohort.device.battery.cycle_life
             )
             return sites

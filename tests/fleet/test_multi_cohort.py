@@ -276,16 +276,13 @@ class TestPerCohortChurn:
 
         first = entries(b_seed=1)
         second = entries(b_seed=99)
+        steps = {id(entry): [] for entry in (*first, *second)}
         for _ in range(30):
             for entry in (*first, *second):
-                entry.cohort.step(1.0, utilization=0.5)
-        a_first, a_second = first[0].cohort, second[0].cohort
-        assert [s.failures for s in a_first.history] == [
-            s.failures for s in a_second.history
-        ]
-        assert [s.active for s in a_first.history] == [
-            s.active for s in a_second.history
-        ]
+                steps[id(entry)].append(entry.cohort.step(1.0, utilization=0.5))
+        a_first, a_second = steps[id(first[0])], steps[id(second[0])]
+        assert [s.failures for s in a_first] == [s.failures for s in a_second]
+        assert [s.active for s in a_first] == [s.active for s in a_second]
 
 
 # ---------------------------------------------------------------------------

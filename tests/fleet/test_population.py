@@ -140,6 +140,47 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_cohort().step(1.0, utilization=1.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["annual_rate", "age_acceleration_per_year"])
+    def test_failure_rates_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            FailureModel(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_intake_rate_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            IntakeStream(arrivals_per_day=value)
+
+    @pytest.mark.parametrize("dt_days", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step_moves_no_state(self, dt_days):
+        cohort = make_cohort()
+        cohort.run(5)
+        before = (
+            cohort.active_count,
+            cohort.spares,
+            cohort.day,
+            cohort.mean_age_days(),
+            cohort._rng.bit_generator.state,
+        )
+        with pytest.raises(ValueError, match="positive and finite"):
+            cohort.step(dt_days)
+        after = (
+            cohort.active_count,
+            cohort.spares,
+            cohort.day,
+            cohort.mean_age_days(),
+            cohort._rng.bit_generator.state,
+        )
+        assert after == before
+
+    def test_bad_utilization_moves_no_state(self):
+        cohort = make_cohort()
+        state = cohort._rng.bit_generator.state
+        with pytest.raises(ValueError, match="outside"):
+            cohort.step(1.0, utilization=1.5)
+        assert cohort._rng.bit_generator.state == state
+        assert (cohort.active_count, cohort.day) == (100, 0.0)
+
 
 def test_steady_state_intake_rate_sustains_fleet():
     policy = ReplacementPolicy(target_size=200)

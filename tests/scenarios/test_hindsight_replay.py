@@ -136,6 +136,38 @@ def test_replay_synthesises_each_trace_once(monkeypatch):
     assert len(calls) == len(spec.sites)
 
 
+def test_replay_builds_the_truth_table_once(monkeypatch):
+    """The hindsight replay plans over the main replay's truth table."""
+    import repro.forecast.models as models_module
+
+    calls = []
+    original = models_module.hourly_truth
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(models_module, "hourly_truth", counted)
+    ScenarioRunner(CASES["noisy-0.3"]).run()
+    assert len(calls) == 1
+
+
+def test_replay_rejects_a_truth_table_of_another_run():
+    runner = ScenarioRunner(CASES["noisy-0.3"])
+    simulation = FleetSimulation(
+        runner.build_sites(),
+        policy_by_name("round-robin"),
+        runner.build_demand(),
+        dispatch=runner.build_dispatch(),
+    )
+    simulation.run(2)
+    truth = simulation.dispatch.truth
+    with pytest.raises(ValueError, match="truth table has shape"):
+        simulation.replay_avoided_g(
+            runner._forecast_dispatch(PerfectForecast()), truth=truth[:, 1:]
+        )
+
+
 def test_replay_needs_a_finished_run():
     runner = ScenarioRunner(CASES["noisy-0.3"])
     simulation = FleetSimulation(

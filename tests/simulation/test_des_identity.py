@@ -111,7 +111,7 @@ def _mixed_cohort_sites():
 def _worn_clean_site_sites():
     sites = _two_site_sites(5)
     cohort = sites[1].cohorts[0].cohort  # cascadia, the preferred site
-    cohort._battery_cycles[: cohort._m] = 0.5 * cohort.device.battery.cycle_life
+    cohort.battery_cycles[:] = 0.5 * cohort.device.battery.cycle_life
     return sites
 
 
@@ -155,7 +155,7 @@ def _three_cohort_sites():
     sites = ScenarioRunner(_three_cohort_spec()).build_sites()
     for entry, wear in zip(sites[1].cohorts, (0.6, 0.2, 0.45)):
         cohort = entry.cohort
-        cohort._battery_cycles[: cohort._m] = wear * cohort.device.battery.cycle_life
+        cohort.battery_cycles[:] = wear * cohort.device.battery.cycle_life
     return sites
 
 

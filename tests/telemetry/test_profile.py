@@ -138,9 +138,10 @@ def test_probe_throughput_degrades_without_counter_or_time():
 
 
 def test_throughput_on_fleet_day_phases_and_the_probe():
-    """Fleet-day phases read dev-days/s, the probe req/s, other spans ``-``."""
+    """Fleet-day phases read dev-days/s, the churn step cohort-days/s, the
+    probe req/s, other spans ``-``."""
     from repro.scenarios import ScenarioRunner, get_scenario
-    from repro.telemetry.profile import FLEET_DAY_PHASES, PROBE_PHASE
+    from repro.telemetry.profile import CHURN_PHASE, FLEET_DAY_PHASES, PROBE_PHASE
 
     spec = get_scenario("carbon-buffer").with_overrides(
         {"duration_days": 2, "routing.latency_probe_s": 0.05}
@@ -160,6 +161,7 @@ def test_throughput_on_fleet_day_phases_and_the_probe():
         if phase in FLEET_DAY_PHASES or phase == PROBE_PHASE:
             value, unit = cell
             assert float(value.replace(",", "")) > 0, phase
-            assert unit == ("req/s" if phase == PROBE_PHASE else "dev-days/s"), phase
+            expected = {PROBE_PHASE: "req/s", CHURN_PHASE: "cohort-days/s"}
+            assert unit == expected.get(phase, "dev-days/s"), phase
         else:
             assert cell == ["-"], phase
