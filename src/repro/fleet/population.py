@@ -170,8 +170,8 @@ class ChurnTable:
     emptied cell just reads zero.  ``count``, ``age_days``,
     ``battery_cycles`` and ``battery_swaps`` are ``(rows, capacity)``
     arrays grown by amortised doubling, of which ``width`` columns are in
-    use; the per-row constants (hazard, cycle life, embodied grams, target,
-    swap budget, intake) are built once from the cohorts.
+    use; the per-row constants (hazard, embodied grams, target, swap
+    budget, intake) are built once from the cohorts.
 
     A step keeps three things per row: the row's random draws on its
     cohort's own generator (one binomial over its live columns, or one
@@ -203,9 +203,6 @@ class ChurnTable:
         self.annual_rate = np.array([c.failure_model.annual_rate for c in cohorts])
         self.age_acceleration = np.array(
             [c.failure_model.age_acceleration_per_year for c in cohorts]
-        )
-        self.cycle_life = np.array(
-            [np.inf if battery is None else battery.cycle_life for battery in batteries]
         )
         self.embodied_g = np.array(
             [
@@ -259,6 +256,7 @@ class ChurnTable:
                     self.slots[row] = source.slots[at].copy()
                 self.n_slots[row] = source.n_slots[at]
             cohort._table, cohort._row = self, row
+        self._slot_rows = [row for row, slots in enumerate(self.slots) if slots is not None]
 
     @classmethod
     def joined(cls, cohorts: Sequence["DeviceCohort"]) -> "ChurnTable":
@@ -289,11 +287,8 @@ class ChurnTable:
         self.width = column + 1
         self.active += deployed
         self.total_deployed += deployed
-        for row in np.flatnonzero(deployed):
-            slots = self.slots[row]
-            if slots is None:
-                continue
-            n, count = self.n_slots[row], int(deployed[row])
+        for row in self._slot_rows:
+            slots, n, count = self.slots[row], self.n_slots[row], int(deployed[row])
             if n + count > len(slots):
                 grown = np.full(max(n + count, 2 * len(slots)), -1, dtype=np.int64)
                 grown[:n] = slots[:n]
@@ -330,13 +325,18 @@ class ChurnTable:
             raise ValueError(f"time step must be positive and finite, got {dt_days!r}")
         rows = len(self.cohorts)
         # The scalar power lookups come first: they validate every
-        # utilisation before any state moves.
-        cycles_per_day = np.zeros(rows)
+        # utilisation before any state moves.  A row with no battery or a
+        # zero draw accrues no cycles and wears nothing out this step.
+        cycles_per_day = [0.0] * rows
+        cycle_life = [math.inf] * rows
         for row, cohort in enumerate(self.cohorts):
             battery = cohort.device.battery
             if battery is not None:
                 level = None if utilization is None else utilization[row]
-                cycles_per_day[row] = battery.daily_cycles(cohort.average_draw_w(level))
+                cycles = battery.daily_cycles(cohort.average_draw_w(level))
+                if cycles != 0.0:
+                    cycles_per_day[row] = cycles
+                    cycle_life[row] = battery.cycle_life
 
         width = self.width
         count = self.count[:, :width]
@@ -354,13 +354,13 @@ class ChurnTable:
         live_counts = count[live]
         live_p = p_fail[live]
         failed_live = np.empty_like(live_counts)
-        ends = np.cumsum(live_per_row).tolist()
+        n_live = live_per_row.tolist()
         rate = self.arrivals_per_day * dt_days
         rates = rate.tolist()
         arrivals = np.zeros(rows, dtype=np.int64)
         start = 0
         for row, rng in enumerate(self._rngs):
-            end = ends[row]
+            end = start + n_live[row]
             if self.slots[row] is None:
                 failed_live[start:end] = rng.binomial(
                     live_counts[start:end], live_p[start:end]
@@ -386,12 +386,10 @@ class ChurnTable:
             arrivals[steady] = whole
 
         # 2. Battery cycling and wear-out: a cell's common cycle counter
-        # crosses cycle_life for every member at once.  A row with a zero
-        # draw accrues no cycles and wears nothing out this step.
+        # crosses cycle_life for every member at once.
         cycles = self.battery_cycles[:, :width]
-        cycles += (cycles_per_day * dt_days)[:, None]
-        cycle_life = np.where(cycles_per_day != 0.0, self.cycle_life, np.inf)
-        worn = (count > 0) & (cycles >= cycle_life[:, None])
+        cycles += (np.array(cycles_per_day) * dt_days)[:, None]
+        worn = (count > 0) & (cycles >= np.array(cycle_life)[:, None])
         battery_swaps = np.zeros(rows, dtype=np.int64)
         retirements = np.zeros(rows, dtype=np.int64)
         if worn.any():
