@@ -230,7 +230,7 @@ class ChurnTable:
 
         rows = len(cohorts)
         self.width = max(
-            (c._table.width for c in cohorts if c._table is not None), default=0
+            (c._table.width for c in cohorts if c._table is not None), default=1
         )
         capacity = max(16, self.width)
         for name, dtype in _COLUMN_FIELDS.items():
@@ -242,10 +242,16 @@ class ChurnTable:
         for row, cohort in enumerate(cohorts):
             source, at = cohort._table, cohort._row
             if source is None:
+                # A new cohort: its initial deploy fills column 0.
+                deploy = cohort._initial_size
+                self.count[row, 0] = self.active[row] = deploy
+                self.total_deployed[row] = deploy
                 self.spares[row] = cohort.intake.initial_spares
                 if cohort.sampler == "device":
-                    size = max(16, 2 * cohort.policy.target_size)
+                    size = max(16, 2 * cohort.policy.target_size, deploy)
                     self.slots[row] = np.full(size, -1, dtype=np.int64)
+                    self.slots[row][:deploy] = 0
+                    self.n_slots[row] = deploy
             else:
                 used = source.width
                 for name in _COLUMN_FIELDS:
@@ -445,7 +451,7 @@ class _RowState:
     def __get__(self, cohort, owner=None):
         if cohort is None:
             return self
-        return self.cast(getattr(cohort._table, self.field)[cohort._row])
+        return self.cast(getattr(cohort._state(), self.field)[cohort._row])
 
 
 class DeviceCohort:
@@ -521,29 +527,37 @@ class DeviceCohort:
         self.load_profile = load_profile
         self.sampler = sampler
         self._rng = np.random.default_rng(seed)
+        self._initial_size = deploy
+        #: The table holding this cohort's row; built on first use.
         self._table: Optional[ChurnTable] = None
         self._row = 0
-        ChurnTable([self])._open_column(np.array([deploy], dtype=np.int64))
 
     # ------------------------------------------------------------------
     # State inspection
     # ------------------------------------------------------------------
 
+    def _state(self) -> ChurnTable:
+        """The table holding this cohort's row: its own one-row table until
+        a fleet joins it."""
+        if self._table is None:
+            ChurnTable([self])
+        return self._table
+
     @property
     def buckets_live(self) -> int:
         """Number of live columns (distinct device states) right now."""
-        table = self._table
+        table = self._state()
         return int(np.count_nonzero(table.count[self._row, : table.width]))
 
     @property
     def buckets_peak(self) -> int:
         """High-water mark of live columns (the ``churn.buckets_peak`` gauge)."""
-        return max(int(self._table.peak_live[self._row]), self.buckets_live)
+        return max(int(self._state().peak_live[self._row]), self.buckets_live)
 
     @property
     def battery_cycles(self) -> np.ndarray:
         """Battery cycles per column of this cohort's row (a writable view)."""
-        table = self._table
+        table = self._state()
         return table.battery_cycles[self._row, : table.width]
 
     @property
@@ -561,7 +575,7 @@ class DeviceCohort:
         total = self.active_count
         if total == 0:
             return 0.0
-        table, row = self._table, self._row
+        table, row = self._state(), self._row
         slots = table.slots[row]
         if slots is not None:
             held = slots[: table.n_slots[row]]
@@ -572,13 +586,13 @@ class DeviceCohort:
 
     def mean_age_days(self) -> float:
         """Mean age of the active devices (0 when none are active)."""
-        return self._device_mean(self._table.age_days[self._row])
+        return self._device_mean(self._state().age_days[self._row])
 
     def mean_battery_wear(self) -> float:
         """Mean fraction of battery cycle life consumed by active devices."""
         if self.device.battery is None:
             return 0.0
-        cycles = self._table.battery_cycles[self._row]
+        cycles = self._state().battery_cycles[self._row]
         return self._device_mean(cycles) / self.device.battery.cycle_life
 
     # ------------------------------------------------------------------

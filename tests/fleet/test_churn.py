@@ -68,7 +68,7 @@ def step_tuples(steps):
 
 def slot_index(cohort):
     """The cohort's slot -> column index and its row's live column counts."""
-    table, row = cohort._table, cohort._row
+    table, row = cohort._state(), cohort._row
     slots = table.slots[row]
     return slots, slots[: table.n_slots[row]], table.count[row, : table.width]
 

@@ -160,7 +160,7 @@ def test_buckets_empty_and_stay_in_place():
     for _ in range(80):
         cohort.step(1.0, utilization=0.5)
         oracle.step(1.0, utilization=0.5)
-        table = cohort._table
+        table = cohort._state()
         counts = table.count[cohort._row, : table.width]
         emptied = max(emptied, int(np.count_nonzero(counts == 0)))
         assert np.array_equal(counts[counts > 0], oracle._count[: oracle._m])
