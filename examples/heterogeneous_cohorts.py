@@ -50,24 +50,20 @@ def mixed_equals_colocated_twins() -> None:
     """The mixed site reproduces its two-co-located-sites approximation."""
     demand = DiurnalDemand(mean_rps=1500.0)
 
-    def entries():
-        return (
-            build_site_cohort(PIXEL_3A, 60, seed=4),
-            build_site_cohort(NEXUS_4, 60, seed=(4, 1), requests_per_device_s=8.0),
-        )
-
-    trace = lambda: regional_trace("caiso-like", n_days=7, seed=2025)
-    pixel, nexus = entries()
+    # Cohorts are configuration: each run builds its own churn state from
+    # them, so both layouts share the same two entries.
+    pixel = build_site_cohort(PIXEL_3A, 60, seed=4)
+    nexus = build_site_cohort(NEXUS_4, 60, seed=(4, 1), requests_per_device_s=8.0)
+    trace = regional_trace("caiso-like", n_days=7, seed=2025)
     mixed = FleetSimulation(
-        [site_from_cohorts("junkyard", trace(), [pixel, nexus])],
+        [site_from_cohorts("junkyard", trace, [pixel, nexus])],
         CapacityAwareMarginalCciRouting(),
         demand,
     ).run(7)
-    pixel, nexus = entries()
     split = FleetSimulation(
         [
-            site_from_cohorts("pixel-rack", trace(), [pixel]),
-            site_from_cohorts("nexus-rack", trace(), [nexus]),
+            site_from_cohorts("pixel-rack", trace, [pixel]),
+            site_from_cohorts("nexus-rack", trace, [nexus]),
         ],
         CapacityAwareMarginalCciRouting(),
         demand,

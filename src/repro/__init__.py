@@ -82,6 +82,7 @@ from repro.devices import (
     get_device,
 )
 from repro.fleet import (
+    ChurnTable,
     DeviceCohort,
     DiurnalDemand,
     FleetReport,
@@ -132,6 +133,7 @@ __all__ = [
     "MEMORY_COPY",
     "LIGHT_MEDIUM",
     # fleet
+    "ChurnTable",
     "DeviceCohort",
     "FleetSite",
     "DiurnalDemand",

@@ -5,10 +5,11 @@ package models a *fleet*: populations of reused devices arriving, aging,
 failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
-* :mod:`repro.fleet.population` — every cohort's churn as one row of a
-  :class:`ChurnTable` (one column per deploy step; intake, battery aging,
+* :mod:`repro.fleet.population` — :class:`DeviceCohort` configuration
+  records and the :class:`ChurnTable` that holds their churn state, one
+  row per cohort (one column per deploy step; intake, battery aging,
   stochastic churn, replacement policies), stepped fleet-wide in array
-  passes, each cohort with its own independent seeded stream;
+  passes, each row with its own independent seeded stream;
   ``churn.sampler`` on the scenario spec picks the failure draw — one
   uniform per device (the reference) or one binomial per live column
   (O(days) instead of O(devices) per step);
@@ -43,7 +44,6 @@ from repro.fleet.dispatch import (
 from repro.fleet.population import (
     CHURN_SAMPLERS,
     ChurnTable,
-    CohortStep,
     DeviceCohort,
     FailureModel,
     IntakeStream,
@@ -86,7 +86,6 @@ __all__ = [
     # population
     "DeviceCohort",
     "ChurnTable",
-    "CohortStep",
     "IntakeStream",
     "FailureModel",
     "ReplacementPolicy",

@@ -20,8 +20,8 @@ each day's start-of-day device count per pack, and :func:`replay_dispatch`
 then steps the policy and the ledger over those recordings.  Every
 count-dependent term — pack capacity, charge rate, a forecast policy's
 demand estimate — is one array product of the recorded counts with a
-:class:`PackTable` of per-device constants, never read from the live cohort
-populations, which by then have moved on.
+:class:`PackTable` of per-device constants, never read from the run's
+:class:`~repro.fleet.population.ChurnTable`, which by then has moved on.
 
 The decision reuses the paper's charging heuristic at trace level
 (:func:`repro.charging.smart_charging.threshold_from_intensities`): the
@@ -32,8 +32,8 @@ charging simulator enforces — SoC floor and ceiling, rated charge power,
 never charging and discharging simultaneously — but vectorized across sites
 so the fleet's hot loop stays a handful of NumPy ops per hour.
 
-Battery-wear accounting: the cohort model already cycle-counts *every*
-device-joule through the pack (:meth:`~repro.fleet.population.DeviceCohort.step`
+Battery-wear accounting: the churn model already cycle-counts *every*
+device-joule through the pack (:meth:`~repro.fleet.population.ChurnTable.step`
 converts the realised per-device draw into daily equivalent full cycles
 regardless of charging policy — the phones run through their batteries
 either way), so dispatch discharge adds no cycles beyond that convention

@@ -14,24 +14,24 @@ well under a second:
 * :class:`ReplacementPolicy` — what happens when a battery wears out or a
   device fails: swap the battery (re-introducing its embodied carbon, paper
   Equation 10) and/or deploy a spare from the intake pool;
-* :class:`ChurnTable` — the one churn engine: every cohort's population as
-  one row of a table whose column ``k`` holds the devices deployed on step
-  ``k`` (identical device state for life; a cell never moves, it only
-  empties), stepped in whole-table array passes with only the random
-  draws and the power lookup left per row;
-* :class:`DeviceCohort` — one cohort, a view on its table row, reporting
-  failures / swaps / deployments / replacement carbon per step as
-  :class:`CohortStep` records when stepped alone.  Its ``sampler`` (one of
-  :data:`CHURN_SAMPLERS`) picks only the hardware-failure draw: one uniform
-  per device, or one binomial per live column.
+* :class:`DeviceCohort` — the configuration of one cohort: device,
+  policy, intake, failure model, load profile, seed and ``sampler`` (one
+  of :data:`CHURN_SAMPLERS`, which picks only the hardware-failure draw:
+  one uniform per device, or one binomial per live column);
+* :class:`ChurnTable` — the one churn engine and the only holder of churn
+  state: every cohort's population as one row of a table whose column
+  ``k`` holds the devices deployed on step ``k`` (identical device state
+  for life; a cell never moves, it only empties), stepped in whole-table
+  array passes with only the random draws and the power lookup left per
+  row.
 
 A site holds one or more typed cohorts (a mixed Pixel 3A / Nexus 4 rack is
 the realistic junkyard deployment; see :class:`~repro.fleet.sites.FleetSite`),
-and a fleet steps all of its sites' cohorts as one table.  All
-stochasticity flows from per-cohort ``numpy`` generators seeded at
-construction, each drawn in the order it would be stepped alone, so a fixed
-seed reproduces the fleet trajectory exactly and adding or re-seeding one
-cohort never perturbs another.
+and a fleet run builds one fresh table from all of its sites' cohorts.  All
+stochasticity flows from per-row ``numpy`` generators seeded from each
+cohort's ``seed`` when the table is built, each drawn in the order the row
+would be stepped alone, so a fixed seed reproduces the fleet trajectory
+exactly and adding or re-seeding one cohort never perturbs another.
 """
 
 from __future__ import annotations
@@ -115,27 +115,71 @@ class ReplacementPolicy:
             raise ValueError("max battery swaps must be non-negative")
 
 
-@dataclass(frozen=True)
-class CohortStep:
-    """What happened to a cohort during one simulation step."""
-
-    day: float
-    failures: int
-    battery_swaps: int
-    retirements: int
-    deployed: int
-    active: int
-    spares: int
-    replacement_carbon_g: float
-
-    @property
-    def churn(self) -> int:
-        """Devices leaving the active fleet this step."""
-        return self.failures + self.retirements
-
-
 #: Failure draws a :class:`DeviceCohort` may use (the ``churn.sampler`` names).
 CHURN_SAMPLERS = ("device", "bucket")
+
+
+@dataclass(frozen=True)
+class DeviceCohort:
+    """The configuration of one device type's population at one site.
+
+    A cohort holds no state: it is one row's worth of inputs to a
+    :class:`ChurnTable`, which deploys ``policy.target_size`` devices at
+    build time and owns every count, age and battery counter from there.
+    Every device deployed on the same step shares its age, battery cycles
+    and swap count for life: ages advance uniformly, cycles accrue at the
+    cohort's common realised utilisation, and a failure removes a device
+    without touching its peers.  Battery wear-out is a whole-cell event
+    (swap in place, or retire once the swap budget is spent), and intake,
+    deploy and shortfall are exact integer counting, so
+    ``deployed - failures - retirements == delta(active)`` and
+    ``replacement carbon == swaps x embodied`` hold exactly every step.
+
+    ``seed`` seeds the row's generator each time a table is built, so every
+    table built from the same cohorts steps the same trajectory.
+    ``sampler`` picks only how hardware failures are drawn:
+
+    * ``"device"`` — the per-device reference: one uniform per slot ever
+      deployed, in slot order, against its column's hazard.  The row keeps
+      a slot -> column index (``-1`` once the device is gone), sized at
+      twice the target and doubled as intake outgrows it.
+    * ``"bucket"`` — one ``Binomial(count, p(age))`` per live column,
+      exactly the distribution of ``count`` i.i.d. Bernoulli draws at the
+      column's age, at O(columns) instead of O(devices) per step.
+
+    The two samplers are distributionally equivalent but consume the RNG
+    differently, so single trajectories differ; that is why the choice
+    lives on the scenario spec and in its hash.
+    """
+
+    device: DeviceSpec
+    policy: ReplacementPolicy
+    intake: IntakeStream = IntakeStream()
+    failure_model: FailureModel = FailureModel()
+    load_profile: LoadProfile = LIGHT_MEDIUM
+    seed: int = 0
+    sampler: str = "device"
+
+    def __post_init__(self) -> None:
+        if self.sampler not in CHURN_SAMPLERS:
+            known = ", ".join(CHURN_SAMPLERS)
+            raise ValueError(
+                f"unknown churn sampler {self.sampler!r}; expected one of: {known}"
+            )
+
+    def average_draw_w(self, utilization: Optional[float] = None) -> float:
+        """Per-device wall draw at the given mean utilisation.
+
+        Defaults to the cohort's load profile average; the fleet scheduler
+        passes the realised utilisation so battery cycling tracks the load
+        actually routed to the site.
+        """
+        if utilization is None:
+            return self.device.average_power_w(self.load_profile)
+        if not 0.0 <= utilization <= 1.0:
+            raise ValueError(f"utilization {utilization} outside [0, 1]")
+        return self.device.power_model.power_at(utilization)
+
 
 #: Per-column state of a :class:`ChurnTable`, each ``(rows, capacity)``.
 _COLUMN_FIELDS = {
@@ -145,60 +189,44 @@ _COLUMN_FIELDS = {
     "battery_swaps": np.int64,
 }
 
-#: Per-row state of a :class:`ChurnTable`, each ``(rows,)``.
-_ROW_FIELDS = {
-    "active": np.int64,
-    "spares": np.int64,
-    "fractional_arrivals": float,
-    "day": float,
-    "peak_live": np.int64,
-    "total_failures": np.int64,
-    "total_battery_swaps": np.int64,
-    "total_retirements": np.int64,
-    "total_deployed": np.int64,
-    "total_replacement_carbon_g": float,
-}
-
 
 class ChurnTable:
     """Every cohort's churn state in one table, stepped in whole-table passes.
 
-    Rows are cohorts.  Column ``k`` holds the devices a row deployed on the
-    table's ``k``-th step (column 0 is the initial deploy).  Devices in one
-    cell share their age, battery cycles and swap count for life, and a
-    cell never moves: failures and retirements only lower its count, so an
-    emptied cell just reads zero.  ``count``, ``age_days``,
-    ``battery_cycles`` and ``battery_swaps`` are ``(rows, capacity)``
-    arrays grown by amortised doubling, of which ``width`` columns are in
-    use; the per-row constants (hazard, embodied grams, target, swap
-    budget, intake) are built once from the cohorts.
+    Rows are cohorts, in the order given.  Column ``k`` holds the devices
+    a row deployed on the table's ``k``-th step (column 0 is the initial
+    deploy of each row's target).  Devices in one cell share their age,
+    battery cycles and swap count for life, and a cell never moves:
+    failures and retirements only lower its count, so an emptied cell
+    just reads zero.  ``count``, ``age_days``, ``battery_cycles`` and
+    ``battery_swaps`` are ``(rows, capacity)`` arrays grown by amortised
+    doubling, of which ``width`` columns are in use; ``active``, ``spares``
+    and ``peak_live`` are ``(rows,)``; the per-row constants (hazard,
+    embodied grams, cycle life, target, swap budget, intake) are built
+    once from the cohorts.  The table is the only holder of this state:
+    building it reads the cohorts and never writes them, so every table
+    built from the same cohorts starts from the same state and RNG seeds.
 
-    A step keeps three things per row: the row's random draws on its
-    cohort's own generator (one binomial over its live columns, or one
-    uniform per device slot, then its Poisson intake), the scalar
+    A step keeps three things per row: the row's random draws on its own
+    generator (one binomial over its live columns, or one uniform per
+    device slot, then its Poisson intake), the scalar
     ``power_at``/``daily_cycles`` lookup at its utilisation, and, on
-    request, the live-column reductions behind the cohort means.  Hazard,
-    wear and swap/retire, ageing, shortfall and deploy, and the totals are
-    each one array operation over the table.  Each cohort draws what it
-    would draw stepped alone, in the same order, so joining cohorts into a
-    table moves no trajectory.
+    request, the live-column reductions behind :meth:`mean_age_days` and
+    :meth:`mean_battery_wear`.  Hazard, wear and swap/retire, ageing,
+    shortfall and deploy are each one array operation over the table.
+    Each row draws what it would draw stepped alone, in the same order, so
+    a row's trajectory does not depend on the rows beside it.
 
     The device sampler keeps a slot index per row: one entry per device
     ever deployed, holding its column, or ``-1`` once the device is gone.
-
-    Each :class:`DeviceCohort` is a view on its row.  Building a table
-    from cohorts copies their rows out of the tables they were in and
-    repoints the views, so a cohort belongs to one table at a time.
     """
 
-    def __init__(self, cohorts: Sequence["DeviceCohort"]) -> None:
-        cohorts = list(cohorts)
+    def __init__(self, cohorts: Sequence[DeviceCohort]) -> None:
+        cohorts = tuple(cohorts)
         if not cohorts:
             raise ValueError("a churn table needs at least one cohort")
-        if len({id(cohort) for cohort in cohorts}) != len(cohorts):
-            raise ValueError("a cohort can be only one row of a churn table")
         self.cohorts = cohorts
-        self._rngs = [cohort._rng for cohort in cohorts]
+        self._rngs = [np.random.default_rng(cohort.seed) for cohort in cohorts]
         batteries = [cohort.device.battery for cohort in cohorts]
         self.annual_rate = np.array([c.failure_model.annual_rate for c in cohorts])
         self.age_acceleration = np.array(
@@ -211,6 +239,10 @@ class ChurnTable:
                 else units.kg_to_grams(battery.embodied_carbon_kgco2e)
                 for battery in batteries
             ]
+        )
+        #: Battery cycle life per row (infinite for a battery-less row).
+        self.cycle_life = np.array(
+            [math.inf if battery is None else battery.cycle_life for battery in batteries]
         )
         self.target = np.array([c.policy.target_size for c in cohorts], dtype=np.int64)
         #: Swaps a device may still take before wear-out retires it (0 when
@@ -228,57 +260,65 @@ class ChurnTable:
         self._steady_rows = ~poisson & has_intake
         self._any_steady = bool(self._steady_rows.any())
 
+        # Every row deploys its target into column 0.
         rows = len(cohorts)
-        self.width = max(
-            (c._table.width for c in cohorts if c._table is not None), default=1
-        )
-        capacity = max(16, self.width)
+        self.width = 1
         for name, dtype in _COLUMN_FIELDS.items():
-            setattr(self, name, np.zeros((rows, capacity), dtype=dtype))
-        for name, dtype in _ROW_FIELDS.items():
-            setattr(self, name, np.zeros(rows, dtype=dtype))
+            setattr(self, name, np.zeros((rows, 16), dtype=dtype))
+        self.count[:, 0] = self.target
+        #: Devices currently active, per row.
+        self.active = self.target.copy()
+        #: Devices waiting in each row's spare pool.
+        self.spares = np.array(
+            [c.intake.initial_spares for c in cohorts], dtype=np.int64
+        )
+        self.fractional_arrivals = np.zeros(rows)
+        #: Live columns each row had at the start of its busiest step.
+        self.peak_live = np.zeros(rows, dtype=np.int64)
         self.slots: List[Optional[np.ndarray]] = [None] * rows
         self.n_slots = [0] * rows
-        for row, cohort in enumerate(cohorts):
-            source, at = cohort._table, cohort._row
-            if source is None:
-                # A new cohort: its initial deploy fills column 0.
-                deploy = cohort._initial_size
-                self.count[row, 0] = self.active[row] = deploy
-                self.total_deployed[row] = deploy
-                self.spares[row] = cohort.intake.initial_spares
-                if cohort.sampler == "device":
-                    size = max(16, 2 * cohort.policy.target_size, deploy)
-                    self.slots[row] = np.full(size, -1, dtype=np.int64)
-                    self.slots[row][:deploy] = 0
-                    self.n_slots[row] = deploy
-            else:
-                used = source.width
-                for name in _COLUMN_FIELDS:
-                    getattr(self, name)[row, :used] = getattr(source, name)[at, :used]
-                for name in _ROW_FIELDS:
-                    getattr(self, name)[row] = getattr(source, name)[at]
-                if source.slots[at] is not None:
-                    self.slots[row] = source.slots[at].copy()
-                self.n_slots[row] = source.n_slots[at]
-            cohort._table, cohort._row = self, row
-        self._slot_rows = [row for row, slots in enumerate(self.slots) if slots is not None]
+        self._slot_rows = [row for row, c in enumerate(cohorts) if c.sampler == "device"]
+        for row in self._slot_rows:
+            deploy = cohorts[row].policy.target_size
+            self.slots[row] = np.full(max(16, 2 * deploy), -1, dtype=np.int64)
+            self.slots[row][:deploy] = 0
+            self.n_slots[row] = deploy
 
-    @classmethod
-    def joined(cls, cohorts: Sequence["DeviceCohort"]) -> "ChurnTable":
-        """The table whose rows are ``cohorts``, in order.
+    def buckets_peak(self) -> np.ndarray:
+        """Each row's high-water mark of live columns (distinct device states)."""
+        live = np.count_nonzero(self.count[:, : self.width], axis=1)
+        return np.maximum(self.peak_live, live)
 
-        Reuses the table they already form; otherwise builds one.
+    def _device_means(self, values: np.ndarray) -> np.ndarray:
+        """Each row's mean of a ``(rows, capacity)`` quantity over its active
+        devices (0 for a row with none).
+
+        A device-sampler row averages its per-slot values in slot order
+        and a bucket-sampler row weights each live column by its count; the
+        two forms differ in the last bits, and each sampler keeps its own.
         """
-        cohorts = list(cohorts)
-        table = cohorts[0]._table if cohorts else None
-        if (
-            table is not None
-            and len(table.cohorts) == len(cohorts)
-            and all(c._table is table and c._row == row for row, c in enumerate(cohorts))
-        ):
-            return table
-        return cls(cohorts)
+        means = np.zeros(len(self.cohorts))
+        width = self.width
+        for row in np.flatnonzero(self.active).tolist():
+            slots = self.slots[row]
+            if slots is not None:
+                held = slots[: self.n_slots[row]]
+                means[row] = np.mean(values[row][held[held >= 0]])
+            else:
+                count = self.count[row, :width]
+                live = count > 0
+                total = np.sum(count[live] * values[row, :width][live])
+                means[row] = total / self.active[row]
+        return means
+
+    def mean_age_days(self) -> np.ndarray:
+        """Each row's mean age of its active devices (0 when none are active)."""
+        return self._device_means(self.age_days)
+
+    def mean_battery_wear(self) -> np.ndarray:
+        """Each row's mean fraction of battery cycle life its active devices
+        consumed (0 for a battery-less row)."""
+        return self._device_means(self.battery_cycles) / self.cycle_life
 
     def _open_column(self, deployed: np.ndarray) -> None:
         """Deploy ``deployed[row]`` fresh devices into each row's new column."""
@@ -292,7 +332,6 @@ class ChurnTable:
         self.count[:, column] = deployed
         self.width = column + 1
         self.active += deployed
-        self.total_deployed += deployed
         for row in self._slot_rows:
             slots, n, count = self.slots[row], self.n_slots[row], int(deployed[row])
             if n + count > len(slots):
@@ -323,9 +362,9 @@ class ChurnTable:
         ``utilization[row]`` is the row's mean per-device CPU utilisation
         over the step (drives battery cycling); ``None``, for the table or
         for one row, applies the row's load-profile average.  Returns one
-        ``(rows,)`` array per :class:`CohortStep` count:
-        ``failures``, ``battery_swaps``, ``retirements``, ``deployed``,
-        ``active``, ``spares`` and ``replacement_carbon_g``.
+        ``(rows,)`` array per step count: ``failures``, ``battery_swaps``,
+        ``retirements``, ``deployed``, ``active``, ``spares`` and
+        ``replacement_carbon_g``.
         """
         if not (math.isfinite(dt_days) and dt_days > 0):
             raise ValueError(f"time step must be positive and finite, got {dt_days!r}")
@@ -334,15 +373,13 @@ class ChurnTable:
         # utilisation before any state moves.  A row with no battery or a
         # zero draw accrues no cycles and wears nothing out this step.
         cycles_per_day = [0.0] * rows
-        cycle_life = [math.inf] * rows
         for row, cohort in enumerate(self.cohorts):
             battery = cohort.device.battery
             if battery is not None:
                 level = None if utilization is None else utilization[row]
-                cycles = battery.daily_cycles(cohort.average_draw_w(level))
-                if cycles != 0.0:
-                    cycles_per_day[row] = cycles
-                    cycle_life[row] = battery.cycle_life
+                cycles_per_day[row] = battery.daily_cycles(cohort.average_draw_w(level))
+        cycles_per_day = np.array(cycles_per_day)
+        cycle_life = np.where(cycles_per_day != 0.0, self.cycle_life, math.inf)
 
         width = self.width
         count = self.count[:, :width]
@@ -394,8 +431,8 @@ class ChurnTable:
         # 2. Battery cycling and wear-out: a cell's common cycle counter
         # crosses cycle_life for every member at once.
         cycles = self.battery_cycles[:, :width]
-        cycles += (np.array(cycles_per_day) * dt_days)[:, None]
-        worn = (count > 0) & (cycles >= np.array(cycle_life)[:, None])
+        cycles += (cycles_per_day * dt_days)[:, None]
+        worn = (count > 0) & (cycles >= cycle_life[:, None])
         battery_swaps = np.zeros(rows, dtype=np.int64)
         retirements = np.zeros(rows, dtype=np.int64)
         if worn.any():
@@ -422,11 +459,6 @@ class ChurnTable:
         self.spares -= deployed
         self._open_column(deployed)
 
-        self.day += dt_days
-        self.total_failures += failures
-        self.total_battery_swaps += battery_swaps
-        self.total_retirements += retirements
-        self.total_replacement_carbon_g += replacement_carbon_g
         return {
             "failures": failures,
             "battery_swaps": battery_swaps,
@@ -436,209 +468,6 @@ class ChurnTable:
             "spares": self.spares.copy(),
             "replacement_carbon_g": replacement_carbon_g,
         }
-
-
-class _RowState:
-    """A cohort attribute read from its row of one :class:`ChurnTable` array."""
-
-    def __init__(self, cast, field: Optional[str] = None) -> None:
-        self.cast = cast
-        self.field = field
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.field = self.field or name
-
-    def __get__(self, cohort, owner=None):
-        if cohort is None:
-            return self
-        return self.cast(getattr(cohort._state(), self.field)[cohort._row])
-
-
-class DeviceCohort:
-    """A population of one device type at one site: a row of a churn table.
-
-    Every device deployed on the same step shares its age, battery cycles
-    and swap count for life: ages advance uniformly, cycles accrue at the
-    cohort's common realised utilisation, and a failure removes a device
-    without touching its peers.  The cohort's state is therefore one row
-    of a :class:`ChurnTable`, one column per deploy step; the cohort is a
-    view on that row, so its reads always see live state.  Battery
-    wear-out is a whole-cell event (swap in place, or retire once the swap
-    budget is spent), and intake, deploy and shortfall are exact integer
-    counting, so ``deployed - failures - retirements == delta(active)``
-    and ``replacement carbon == swaps x embodied`` hold exactly every
-    step.
-
-    ``sampler`` picks only how hardware failures are drawn:
-
-    * ``"device"`` — the per-device reference: one uniform per slot ever
-      deployed, in slot order, against its column's hazard.  The row keeps
-      a slot -> column index (``-1`` once the device is gone), sized at
-      twice the target and doubled as intake outgrows it.
-    * ``"bucket"`` — one ``Binomial(count, p(age))`` per live column,
-      exactly the distribution of ``count`` i.i.d. Bernoulli draws at the
-      column's age, at O(columns) instead of O(devices) per step.
-
-    The two samplers are distributionally equivalent but consume the RNG
-    differently, so single trajectories differ; that is why the choice
-    lives on the scenario spec and in its hash.
-
-    A cohort built alone is the one row of its own table, and
-    :meth:`step` steps that one-row table; a fleet joins its cohorts'
-    rows into one table (:meth:`ChurnTable.joined`) and steps them all
-    at once.
-    """
-
-    #: Virtual days stepped so far.
-    day = _RowState(float)
-    #: Devices waiting in the spare pool.
-    spares = _RowState(int)
-    #: Number of currently-active devices.
-    active_count = _RowState(int, "active")
-    total_failures = _RowState(int)
-    total_battery_swaps = _RowState(int)
-    total_retirements = _RowState(int)
-    total_deployed = _RowState(int)
-    total_replacement_carbon_g = _RowState(float)
-
-    def __init__(
-        self,
-        device: DeviceSpec,
-        policy: ReplacementPolicy,
-        intake: Optional[IntakeStream] = None,
-        failure_model: Optional[FailureModel] = None,
-        load_profile: LoadProfile = LIGHT_MEDIUM,
-        seed: int = 0,
-        initial_size: Optional[int] = None,
-        sampler: str = "device",
-    ) -> None:
-        if sampler not in CHURN_SAMPLERS:
-            known = ", ".join(CHURN_SAMPLERS)
-            raise ValueError(
-                f"unknown churn sampler {sampler!r}; expected one of: {known}"
-            )
-        deploy = policy.target_size if initial_size is None else initial_size
-        if deploy < 0:
-            raise ValueError("initial size must be non-negative")
-        self.device = device
-        self.policy = policy
-        self.intake = intake or IntakeStream()
-        self.failure_model = failure_model or FailureModel()
-        self.load_profile = load_profile
-        self.sampler = sampler
-        self._rng = np.random.default_rng(seed)
-        self._initial_size = deploy
-        #: The table holding this cohort's row; built on first use.
-        self._table: Optional[ChurnTable] = None
-        self._row = 0
-
-    # ------------------------------------------------------------------
-    # State inspection
-    # ------------------------------------------------------------------
-
-    def _state(self) -> ChurnTable:
-        """The table holding this cohort's row: its own one-row table until
-        a fleet joins it."""
-        if self._table is None:
-            ChurnTable([self])
-        return self._table
-
-    @property
-    def buckets_live(self) -> int:
-        """Number of live columns (distinct device states) right now."""
-        table = self._state()
-        return int(np.count_nonzero(table.count[self._row, : table.width]))
-
-    @property
-    def buckets_peak(self) -> int:
-        """High-water mark of live columns (the ``churn.buckets_peak`` gauge)."""
-        return max(int(self._state().peak_live[self._row]), self.buckets_live)
-
-    @property
-    def battery_cycles(self) -> np.ndarray:
-        """Battery cycles per column of this cohort's row (a writable view)."""
-        table = self._state()
-        return table.battery_cycles[self._row, : table.width]
-
-    @property
-    def availability(self) -> float:
-        """Active devices as a fraction of the policy's target size."""
-        return self.active_count / self.policy.target_size
-
-    def _device_mean(self, values: np.ndarray) -> float:
-        """Mean of a per-column quantity over the active devices (0 when none).
-
-        The device sampler averages the per-slot values in slot order and
-        the bucket sampler weights each live column by its count; the two
-        forms differ in the last bits, and each sampler keeps its own.
-        """
-        total = self.active_count
-        if total == 0:
-            return 0.0
-        table, row = self._state(), self._row
-        slots = table.slots[row]
-        if slots is not None:
-            held = slots[: table.n_slots[row]]
-            return float(np.mean(values[held[held >= 0]]))
-        count = table.count[row, : table.width]
-        live = count > 0
-        return float(np.sum(count[live] * values[: table.width][live]) / total)
-
-    def mean_age_days(self) -> float:
-        """Mean age of the active devices (0 when none are active)."""
-        return self._device_mean(self._state().age_days[self._row])
-
-    def mean_battery_wear(self) -> float:
-        """Mean fraction of battery cycle life consumed by active devices."""
-        if self.device.battery is None:
-            return 0.0
-        cycles = self._state().battery_cycles[self._row]
-        return self._device_mean(cycles) / self.device.battery.cycle_life
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-
-    def average_draw_w(self, utilization: Optional[float] = None) -> float:
-        """Per-device wall draw at the given mean utilisation.
-
-        Defaults to the cohort's load profile average; the fleet scheduler
-        passes the realised utilisation so battery cycling tracks the load
-        actually routed to the site.
-        """
-        if utilization is None:
-            return self.device.average_power_w(self.load_profile)
-        if not 0.0 <= utilization <= 1.0:
-            raise ValueError(f"utilization {utilization} outside [0, 1]")
-        return self.device.power_model.power_at(utilization)
-
-    def step(self, dt_days: float = 1.0, utilization: Optional[float] = None) -> CohortStep:
-        """Advance the population by ``dt_days`` of virtual time.
-
-        ``utilization`` is the mean per-device CPU utilisation over the step
-        (drives battery cycling); when omitted the load profile's average
-        applies.  Steps the cohort's own one-row table (moving the cohort
-        out of a fleet table first) and returns the step's
-        :class:`CohortStep` record.
-        """
-        out = ChurnTable.joined([self]).step(dt_days, [utilization])
-        return CohortStep(
-            day=self.day,
-            failures=int(out["failures"][0]),
-            battery_swaps=int(out["battery_swaps"][0]),
-            retirements=int(out["retirements"][0]),
-            deployed=int(out["deployed"][0]),
-            active=int(out["active"][0]),
-            spares=int(out["spares"][0]),
-            replacement_carbon_g=float(out["replacement_carbon_g"][0]),
-        )
-
-    def run(self, n_days: int, utilization: Optional[float] = None) -> List[CohortStep]:
-        """Step the cohort one day at a time for ``n_days``."""
-        if n_days <= 0:
-            raise ValueError("n_days must be positive")
-        return [self.step(1.0, utilization=utilization) for _ in range(n_days)]
-
 
 def steady_state_intake_rate(
     device: DeviceSpec,

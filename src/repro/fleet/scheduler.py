@@ -31,9 +31,11 @@ hourly path and the latency probe), so cohorts with nearly-spent packs
 shed load (and battery cycling) to healthier sites.
 
 :class:`FleetSimulation` couples the hourly routing path with the daily
-population dynamics of :mod:`repro.fleet.population`: capacity follows the
-live device count, realised utilisation drives battery cycling, and churn
-feeds replacement carbon into the fleet ledger.  With a
+population dynamics of :mod:`repro.fleet.population`: each run steps one
+fresh :class:`~repro.fleet.population.ChurnTable` built from its sites'
+cohorts, so capacity follows the live device count, realised utilisation
+drives battery cycling, churn feeds replacement carbon into the fleet
+ledger, and the sites themselves never change.  With a
 :class:`~repro.fleet.dispatch.DispatchPolicy` in the loop, each site also
 carries a battery state-of-charge ledger: clean hours charge the packs from
 idle headroom, dirty hours serve device load from the packs
@@ -100,8 +102,12 @@ class DiurnalDemand:
     weekly_amplitude: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.mean_rps <= 0:
-            raise ValueError("mean demand must be positive")
+        if not (math.isfinite(self.mean_rps) and self.mean_rps > 0):
+            raise ValueError(
+                f"mean_rps must be positive and finite, got {self.mean_rps!r}"
+            )
+        if not math.isfinite(self.peak_hour):
+            raise ValueError(f"peak_hour must be finite, got {self.peak_hour!r}")
         if not 0.0 <= self.daily_amplitude < 1.0:
             raise ValueError("daily amplitude must be within [0, 1)")
         if not 0.0 <= self.weekly_amplitude < 1.0:
@@ -301,7 +307,11 @@ class FleetSimulation:
     *wall* energy (grid serving + battery charging) against its trace, and
     (4) each cohort steps one day of aging, failures, battery wear, and
     spare deployment at the utilisation the routing actually produced on
-    *that* device type, with its own independent RNG stream.
+    *that* device type, with its own independent RNG stream.  The churn
+    state lives in one :class:`~repro.fleet.population.ChurnTable` that
+    every :meth:`run` builds afresh from the cohorts (kept afterwards as
+    :attr:`churn`), so rerunning a simulation, or simulating the same
+    sites again, reproduces the report bit for bit.
 
     Without a dispatch policy the batteries stay full (the decoupled
     baseline) and the grid/battery/charge series degenerate to
@@ -341,6 +351,9 @@ class FleetSimulation:
         #: way, and a disabled audit never even imports the module.
         self.audit = bool(audit)
         self.audit_report = None
+        #: The last :meth:`run`'s churn table: every cohort's state at the
+        #: end of that run (``None`` before the first run).
+        self.churn: Optional[ChurnTable] = None
         #: The last :meth:`run`'s dispatch inputs — per-pack intensity,
         #: device energy (kWh), physical utilisation and day-start counts —
         #: and its report, for :meth:`replay_avoided_g`.
@@ -394,8 +407,8 @@ class FleetSimulation:
             demand_all, intensity_sites, intensity_packs, marginal_all = (
                 self._precompute_inputs(n_steps, step_s)
             )
-        # Every cohort is a row of one churn table, stepped once per day.
-        churn = ChurnTable.joined(entry.cohort for entry in self.packs.entries)
+        # Every cohort is a row of one fresh churn table, stepped once per day.
+        self.churn = churn = ChurnTable(entry.cohort for entry in self.packs.entries)
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
             # Day-start counts — what the allocation's live capability
@@ -441,10 +454,7 @@ class FleetSimulation:
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
             )
-            tele.gauge(
-                "churn.buckets_peak",
-                max(entry.cohort.buckets_peak for entry in self.packs.entries),
-            )
+            tele.gauge("churn.buckets_peak", int(churn.buckets_peak().max()))
 
         # -- Pass B: dispatch replay over the recordings ------------------
         dropped = demand_all - alloc_all.sum(axis=1)
@@ -661,7 +671,7 @@ class FleetSimulation:
         start; the routed capacity is its wear-derated share.
         """
         capacity = np.tile(
-            _effective_capacity(self.packs, physical, self.policy.wear_derate),
+            _effective_capacity(self.churn, physical, self.policy.wear_derate),
             (hours_per_day, 1),
         )
         alloc = self.policy.allocate(demand_rps, capacity, intensity, marginal)
@@ -779,20 +789,19 @@ class FleetSimulation:
 
 
 def _effective_capacity(
-    packs: PackTable, capacity: np.ndarray, wear_derate: float
+    churn: ChurnTable, capacity: np.ndarray, wear_derate: float
 ) -> np.ndarray:
     """Each pack's request ``capacity`` after battery-wear load shedding.
 
     A policy with ``wear_derate = k`` treats each pack as if its capacity
-    were scaled by ``max(0, 1 - k * mean_battery_wear)`` of its live
-    cohort: packs whose batteries are near end-of-life shed load, trading a
-    little operational carbon for fewer replacement packs (and their
-    embodied carbon).  ``k = 0`` returns ``capacity`` itself.
+    were scaled by ``max(0, 1 - k * mean_battery_wear)`` of its row of
+    ``churn``: packs whose batteries are near end-of-life shed load,
+    trading a little operational carbon for fewer replacement packs (and
+    their embodied carbon).  ``k = 0`` returns ``capacity`` itself.
     """
     if wear_derate <= 0.0:
         return capacity
-    wear = np.array([entry.cohort.mean_battery_wear() for entry in packs.entries])
-    return capacity * np.maximum(0.0, 1.0 - wear_derate * wear)
+    return capacity * np.maximum(0.0, 1.0 - wear_derate * churn.mean_battery_wear())
 
 
 def _site_sums(packs: PackTable, column: np.ndarray) -> List[float]:
@@ -816,6 +825,7 @@ def simulate_latency_aware(
     queue_penalty_g: float = 5e-6,
     service_distribution: str = "deterministic",
     telemetry=None,
+    churn: Optional[ChurnTable] = None,
 ) -> Tuple[LatencySummary, Dict[str, int]]:
     """Serve a Poisson request stream through the sites, one request at a time.
 
@@ -853,6 +863,12 @@ def simulate_latency_aware(
     one scalar draw and one key per request.  A mixed site serves at its
     target-weighted mean per-device rate (``PackTable.site_rate``).
 
+    ``churn`` is the fleet state the probe serves from: one row per
+    ``(site, cohort)`` pack in site-major order, built from these sites'
+    cohorts (a :class:`FleetSimulation`'s :attr:`~FleetSimulation.churn`
+    after its run).  Its live counts set each site's slots and its wear
+    means the derate; the default is a fresh table, the sites as deployed.
+
     Returns the overall latency summary and the per-site served counts.
     Sites are keyed by name, so ``sites`` must be non-empty and its names
     unique (as :class:`FleetSimulation` requires), and at least one must
@@ -884,6 +900,15 @@ def simulate_latency_aware(
     recorder = LatencyRecorder()
 
     packs = PackTable.from_sites(sites)
+    cohorts = [entry.cohort for entry in packs.entries]
+    if churn is None:
+        churn = ChurnTable(cohorts)
+    elif len(churn.cohorts) != len(cohorts) or any(
+        row is not cohort for row, cohort in zip(churn.cohorts, cohorts)
+    ):
+        raise ValueError(
+            "the churn table's rows must be the sites' cohorts, in pack order"
+        )
     site_rate = packs.site_rate[packs.site_starts].tolist()
     # The probe sees the same (wear-derated) capacity the hourly path
     # routes against: a policy shedding load from a worn cohort also offers
@@ -892,9 +917,8 @@ def simulate_latency_aware(
     # truncated) so ``active * rate / rate`` cannot drop a device to
     # representation error; a site with no live capacity offers no slot,
     # any other at least one.
-    counts = np.array([entry.cohort.active_count for entry in packs.entries])
     capacity = _effective_capacity(
-        packs, counts * packs.requests_per_device_s, policy.wear_derate
+        churn, churn.active * packs.requests_per_device_s, policy.wear_derate
     )
     slots = [
         max(1, int(round(capacity_rps / rate))) if capacity_rps > 0 else 0

@@ -9,9 +9,14 @@ needs to know about a location:
   *different* carbon-intensity time series, which is what makes carbon-aware
   routing pay off;
 * its ``cohorts`` tuple of :class:`SiteCohort` entries — typed
-  :class:`~repro.fleet.population.DeviceCohort` populations deployed there
-  (deploy-day buckets; ``sampler`` picks the failure draw), each with its
-  own intake/churn dynamics, request rate, and battery pack.
+  :class:`~repro.fleet.population.DeviceCohort` configurations deployed
+  there (device, replacement policy, intake, failure model, seed;
+  ``sampler`` picks the failure draw), each with its own request rate and
+  battery pack.
+
+A site is configuration only: the devices' churn state lives in the
+:class:`~repro.fleet.population.ChurnTable` a fleet run builds from its
+sites' cohorts, so simulating a site never changes it.
 
 A junkyard cloudlet is built from whatever arrives, so the realistic rack is
 *mixed*: a site may hold a Pixel 3A cohort and a Nexus 4 cohort side by
@@ -19,10 +24,10 @@ side.  A uniform rack is simply the one-entry case of the same model.
 Every per-device-type quantity (capacity, idle/peak power, dynamic energy
 per request, marginal CCI) lives on :class:`SiteCohort`, so routing can
 prefer the efficient device type inside a site and the battery ledger can
-track each pack type separately.  Terms at a recorded device count — the
-dispatch pass replays the counts the routing and churn pass recorded, never
-the live population — are one array product of the counts with the
-per-device constants of a :class:`~repro.fleet.dispatch.PackTable`.
+track each pack type separately.  Terms at a device count — the counts the
+routing and churn pass recorded, or a churn table's live counts — are one
+array product of the counts with the per-device constants of a
+:class:`~repro.fleet.dispatch.PackTable`.
 
 Three regional trace-generator presets accompany the paper's CAISO-like
 generator so multi-site scenarios span realistically different grids:
@@ -139,8 +144,8 @@ def regional_trace(region: str, n_days: int = 30, seed: int = 2021) -> GridTrace
 class SiteCohort:
     """One typed device cohort deployed at a site.
 
-    Binds a :class:`~repro.fleet.population.DeviceCohort` to the per-type
-    service rate it delivers.  A :class:`FleetSite` holds one entry per
+    Binds a :class:`~repro.fleet.population.DeviceCohort` configuration to
+    the per-type service rate it delivers.  A :class:`FleetSite` holds one entry per
     device type.  The per-device-type quantities the scheduler and dispatch
     layers consume (idle power, dynamic energy and wear carbon per request,
     battery energy, marginal CCI) are columns of a

@@ -32,7 +32,7 @@ from repro.fleet.dispatch import (
     estimate_fleet_savings,
 )
 from repro.forecast.models import PerfectForecast, forecast_model_by_name
-from repro.fleet.population import FailureModel, ReplacementPolicy
+from repro.fleet.population import ChurnTable, FailureModel, ReplacementPolicy
 from repro.fleet.reporting import FleetReport
 from repro.fleet.scheduler import (
     DiurnalDemand,
@@ -450,7 +450,7 @@ class ScenarioRunner:
             with tele.span("economics"):
                 site_costs = self._price_churn(sites, report)
             with tele.span("latency_probe"):
-                latency = self._probe_latency(sites, policy)
+                latency = self._probe_latency(sites, policy, simulation.churn)
             with tele.span("charging_savings"):
                 charging_savings = self._charging_savings(sites, report)
         return ScenarioResult(
@@ -554,18 +554,17 @@ class ScenarioRunner:
         return costs
 
     def _probe_latency(
-        self, sites: List[FleetSite], policy
+        self, sites: List[FleetSite], policy, churn: ChurnTable
     ) -> Optional[LatencySummary]:
+        """The latency probe over the fleet as ``churn`` left it."""
         routing = self.spec.routing
         if routing.latency_probe_s <= 0:
             return None
         # Python's left-to-right sum, site by site: the probe's demand, and
         # so every arrival time, depends on this exact float.
+        counts = iter(churn.active.tolist())
         live_capacity = sum(
-            sum(
-                entry.cohort.active_count * entry.requests_per_device_s
-                for entry in site.cohorts
-            )
+            sum(next(counts) * entry.requests_per_device_s for entry in site.cohorts)
             for site in sites
         )
         if live_capacity <= 0:
@@ -579,6 +578,7 @@ class ScenarioRunner:
             queue_penalty_g=routing.queue_penalty_g,
             service_distribution=self.spec.demand.service_distribution,
             telemetry=self.telemetry,
+            churn=churn,
         )
         return summary
 

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 class Span:
     """One completed wall-clock span.
 
-    ``path`` is the slash-joined nesting chain (``"scenario/main_run/
+    ``path`` is the slash-separated nesting chain (``"scenario/main_run/
     allocate_day"``); ``index`` is the global completion order (children
     complete before their parents); ``start_s`` is relative to the owning
     :class:`Telemetry` object's creation, so spans from one run are

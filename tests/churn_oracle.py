@@ -7,8 +7,14 @@ step, and the device sampler's slot index remapped on each compaction.
 ``tests/fleet/test_churn_table_oracle.py`` steps random multi-row tables
 and holds every row to this cohort stepped alone, field by field, under
 ``float.hex`` and the final RNG state.
+
+:class:`Step` is the per-step record both sides are compared in:
+:meth:`OracleCohort.step` returns one, and :func:`table_step` reads one
+out of a table step's ``(rows,)`` arrays.  :func:`run_alone` steps a
+cohort as a fresh one-row table, the way the churn tests drive it.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,10 +22,54 @@ import numpy as np
 from repro import units
 from repro.devices.power import LIGHT_MEDIUM
 from repro.fleet.population import (
-    CohortStep,
+    ChurnTable,
     FailureModel,
     IntakeStream,
 )
+
+
+@dataclass(frozen=True)
+class Step:
+    """What happened to one cohort during one step."""
+
+    day: float
+    failures: int
+    battery_swaps: int
+    retirements: int
+    deployed: int
+    active: int
+    spares: int
+    replacement_carbon_g: float
+
+    @property
+    def churn(self) -> int:
+        """Devices leaving the active fleet this step."""
+        return self.failures + self.retirements
+
+
+def table_step(out, row, day):
+    """Row ``row`` of a :meth:`ChurnTable.step` result, ending on ``day``."""
+    return Step(
+        day=day,
+        failures=int(out["failures"][row]),
+        battery_swaps=int(out["battery_swaps"][row]),
+        retirements=int(out["retirements"][row]),
+        deployed=int(out["deployed"][row]),
+        active=int(out["active"][row]),
+        spares=int(out["spares"][row]),
+        replacement_carbon_g=float(out["replacement_carbon_g"][row]),
+    )
+
+
+def run_alone(cohort, n_steps, utilization=None, dt_days=1.0):
+    """``cohort`` as a fresh one-row table stepped ``n_steps`` times at one
+    utilisation: the table and one :class:`Step` per step."""
+    table = ChurnTable([cohort])
+    steps, day = [], 0.0
+    for _ in range(n_steps):
+        day += dt_days
+        steps.append(table_step(table.step(dt_days, [utilization]), 0, day))
+    return table, steps
 
 #: Per-bucket state arrays, one row per live deploy-day group.
 _BUCKET_FIELDS = ("_count", "_age_days", "_battery_cycles", "_battery_swaps")
@@ -45,7 +95,6 @@ class OracleCohort:
         failure_model: Optional[FailureModel] = None,
         load_profile=LIGHT_MEDIUM,
         seed: int = 0,
-        initial_size: Optional[int] = None,
         sampler: str = "device",
     ) -> None:
         self.device = device
@@ -76,8 +125,7 @@ class OracleCohort:
         self.total_deployed = 0
         self.total_replacement_carbon_g = 0.0
 
-        deploy = policy.target_size if initial_size is None else initial_size
-        self._deploy(deploy)
+        self._deploy(policy.target_size)
 
     @property
     def active_count(self) -> int:
@@ -160,7 +208,7 @@ class OracleCohort:
             return self.device.average_power_w(self.load_profile)
         return self.device.power_model.power_at(utilization)
 
-    def step(self, dt_days=1.0, utilization=None) -> CohortStep:
+    def step(self, dt_days=1.0, utilization=None) -> Step:
         m = self._m
         counts = self._count[:m]
 
@@ -215,7 +263,7 @@ class OracleCohort:
         self.total_battery_swaps += battery_swaps
         self.total_retirements += retirements
         self.total_replacement_carbon_g += replacement_carbon_g
-        return CohortStep(
+        return Step(
             day=self.day,
             failures=failures,
             battery_swaps=battery_swaps,

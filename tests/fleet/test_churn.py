@@ -6,9 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from churn_oracle import run_alone
 from repro.devices.catalog import PIXEL_3A
 from repro.fleet.population import (
     CHURN_SAMPLERS,
+    ChurnTable,
     DeviceCohort,
     FailureModel,
     IntakeStream,
@@ -50,27 +52,14 @@ def build_cohort(
     )
 
 
-def step_tuples(steps):
-    return [
-        (
-            step.day,
-            step.failures,
-            step.battery_swaps,
-            step.retirements,
-            step.deployed,
-            step.active,
-            step.spares,
-            step.replacement_carbon_g,
-        )
-        for step in steps
-    ]
+def total(steps, field):
+    return sum(getattr(step, field) for step in steps)
 
 
-def slot_index(cohort):
-    """The cohort's slot -> column index and its row's live column counts."""
-    table, row = cohort._state(), cohort._row
-    slots = table.slots[row]
-    return slots, slots[: table.n_slots[row]], table.count[row, : table.width]
+def slot_index(table):
+    """A one-row table's slot -> column index and its live column counts."""
+    slots = table.slots[0]
+    return slots, slots[: table.n_slots[0]], table.count[0, : table.width]
 
 
 class TestSamplerRegistry:
@@ -79,7 +68,7 @@ class TestSamplerRegistry:
     def test_known_samplers(self):
         assert CHURN_SAMPLERS == ("device", "bucket")
         for sampler in CHURN_SAMPLERS:
-            assert build_cohort(sampler).active_count == 300
+            assert ChurnTable([build_cohort(sampler)]).active.tolist() == [300]
 
     def test_unknown_sampler_raises(self):
         with pytest.raises(ValueError, match="unknown churn sampler.*device, bucket"):
@@ -92,10 +81,10 @@ class TestSamplerRegistry:
 
 class TestBucketConservation:
     def test_counts_and_carbon_conserved_every_step(self):
-        cohort = build_cohort("bucket", seed=3)
+        _, steps = run_alone(build_cohort("bucket", seed=3), 200, utilization=0.9)
         embodied_g = 1_000.0 * FAST_WEAR_PIXEL.battery.embodied_carbon_kgco2e
-        previous_active = cohort.active_count
-        for step in cohort.run(200, utilization=0.9):
+        previous_active = 300
+        for step in steps:
             assert (
                 step.deployed - step.failures - step.retirements
                 == step.active - previous_active
@@ -103,21 +92,22 @@ class TestBucketConservation:
             assert step.replacement_carbon_g == step.battery_swaps * embodied_g
             previous_active = step.active
         # The shrunk cycle life must actually exercise every lifecycle path.
-        assert cohort.total_failures > 0
-        assert cohort.total_battery_swaps > 0
-        assert cohort.total_retirements > 0
+        assert total(steps, "failures") > 0
+        assert total(steps, "battery_swaps") > 0
+        assert total(steps, "retirements") > 0
 
     def test_bucket_count_bounded_by_days(self):
-        cohort = build_cohort("bucket", seed=5)
         n_days = 250
-        cohort.run(n_days, utilization=0.9)
+        table, _ = run_alone(build_cohort("bucket", seed=5), n_days, utilization=0.9)
+        live = np.count_nonzero(table.count[0, : table.width])
+        peak = int(table.buckets_peak()[0])
         # Only deployment fills a column (one per step, plus the initial
         # one), and emptied columns stop counting as live.
-        assert cohort.buckets_peak <= n_days + 1
-        assert cohort.buckets_live <= cohort.buckets_peak
+        assert peak <= n_days + 1
+        assert live <= peak
         # At steady state the population spans far fewer distinct states
         # than it has members.
-        assert cohort.buckets_live < cohort.active_count
+        assert live < table.active[0]
 
     def test_wear_hits_whole_bucket_at_once(self):
         # No failures, no swaps allowed: the initial bucket crosses its
@@ -132,23 +122,31 @@ class TestBucketConservation:
             seed=0,
             sampler="bucket",
         )
-        steps = cohort.run(120, utilization=1.0)
+        table, steps = run_alone(cohort, 120, utilization=1.0)
         retire_days = [s.day for s in steps if s.retirements]
         assert len(retire_days) == 1
         assert steps[int(retire_days[0]) - 1].retirements == 100
-        assert cohort.active_count == 0
+        assert table.active[0] == 0
 
 
 class TestBucketDeterminism:
     def test_same_seed_is_bitwise_identical(self):
-        first = build_cohort("bucket", seed=11).run(150, utilization=0.8)
-        second = build_cohort("bucket", seed=11).run(150, utilization=0.8)
-        assert step_tuples(first) == step_tuples(second)
+        _, first = run_alone(build_cohort("bucket", seed=11), 150, utilization=0.8)
+        _, second = run_alone(build_cohort("bucket", seed=11), 150, utilization=0.8)
+        assert first == second
+
+    def test_one_cohort_rebuilt_is_bitwise_identical(self):
+        """A table reads its cohort, never writes it: a second table built
+        from the same cohort steps the same trajectory."""
+        cohort = build_cohort("device", seed=11)
+        _, first = run_alone(cohort, 150, utilization=0.8)
+        _, second = run_alone(cohort, 150, utilization=0.8)
+        assert first == second
 
     def test_different_seeds_diverge(self):
-        first = build_cohort("bucket", seed=11).run(150, utilization=0.8)
-        second = build_cohort("bucket", seed=12).run(150, utilization=0.8)
-        assert step_tuples(first) != step_tuples(second)
+        _, first = run_alone(build_cohort("bucket", seed=11), 150, utilization=0.8)
+        _, second = run_alone(build_cohort("bucket", seed=12), 150, utilization=0.8)
+        assert first != second
 
 
 class TestDistributionalEquivalence:
@@ -164,14 +162,15 @@ class TestDistributionalEquivalence:
     N_DAYS = 220
 
     def _totals(self, sampler, seed, utilization):
-        cohort = build_cohort(sampler, seed=seed)
-        steps = cohort.run(self.N_DAYS, utilization=utilization)
+        _, steps = run_alone(
+            build_cohort(sampler, seed=seed), self.N_DAYS, utilization=utilization
+        )
         tail = steps[self.N_DAYS // 2 :]
         return np.array(
             [
-                cohort.total_failures,
-                cohort.total_battery_swaps,
-                cohort.total_retirements,
+                total(steps, "failures"),
+                total(steps, "battery_swaps"),
+                total(steps, "retirements"),
                 float(np.mean([s.active for s in tail])),
             ]
         )
@@ -227,23 +226,26 @@ class TestDeviceSamplerMicroOpts:
     def test_slot_index_tracks_bucket_counts(self):
         # Every live slot holds its column and every gone slot is -1,
         # through failures, swaps and retirements.
-        cohort = build_cohort("device", seed=6, max_battery_swaps=0)
+        table = ChurnTable([build_cohort("device", seed=6, max_battery_swaps=0)])
+        retirements = failures = 0
         for _ in range(150):
-            cohort.step(1.0, utilization=0.9)
-            _, slots, counts = slot_index(cohort)
+            out = table.step(1.0, [0.9])
+            retirements += int(out["retirements"][0])
+            failures += int(out["failures"][0])
+            _, slots, counts = slot_index(table)
             live = np.bincount(slots[slots >= 0], minlength=len(counts))
             assert np.array_equal(live, counts)
-        assert cohort.total_retirements > 0 and cohort.total_failures > 0
+        assert retirements > 0 and failures > 0
 
     def test_slot_index_grows_past_its_initial_size(self):
         # The index starts at twice the target; 200 days of intake deploy
         # more devices than that, so it must grow and keep every slot on
         # its column.
         cohort = build_cohort("device", seed=9)
-        initial = len(slot_index(cohort)[0])
+        initial = len(slot_index(ChurnTable([cohort]))[0])
         assert initial == 2 * 300
-        cohort.run(200, utilization=0.9)
-        index, slots, counts = slot_index(cohort)
+        table, _ = run_alone(cohort, 200, utilization=0.9)
+        index, slots, counts = slot_index(table)
         assert len(slots) > initial
         assert len(index) >= len(slots)
         live = np.bincount(slots[slots >= 0], minlength=len(counts))
@@ -265,11 +267,11 @@ class TestDeviceSamplerMicroOpts:
             intake=IntakeStream(arrivals_per_day=2.0, initial_spares=5),
             seed=4,
         )
-        cohort.run(100, utilization=0.0)
-        assert cohort.total_battery_swaps == 0
-        assert cohort.total_retirements == 0
-        assert cohort.total_failures > 0
-        assert float(cohort.battery_cycles.max()) == 0.0
+        table, steps = run_alone(cohort, 100, utilization=0.0)
+        assert total(steps, "battery_swaps") == 0
+        assert total(steps, "retirements") == 0
+        assert total(steps, "failures") > 0
+        assert float(table.battery_cycles.max()) == 0.0
 
 
 class TestBucketSamplerSurface:
@@ -277,26 +279,19 @@ class TestBucketSamplerSurface:
 
     def test_means_and_availability(self):
         cohort = build_cohort("bucket", seed=2)
-        cohort.run(60, utilization=0.7)
-        assert 0.0 < cohort.availability <= 1.5
-        assert cohort.mean_age_days() > 0.0
-        assert 0.0 <= cohort.mean_battery_wear() <= 1.0
+        table, _ = run_alone(cohort, 60, utilization=0.7)
+        assert 0.0 < table.active[0] / cohort.policy.target_size <= 1.5
+        assert table.mean_age_days()[0] > 0.0
+        assert 0.0 <= table.mean_battery_wear()[0] <= 1.0
         assert cohort.average_draw_w(0.5) == FAST_WEAR_PIXEL.power_model.power_at(
             0.5
         )
 
     def test_invalid_arguments(self):
-        cohort = build_cohort("bucket")
+        table = ChurnTable([build_cohort("bucket")])
         with pytest.raises(ValueError):
-            cohort.step(0.0)
+            table.step(0.0)
         with pytest.raises(ValueError):
-            cohort.step(1.0, utilization=1.5)
-        with pytest.raises(ValueError):
-            cohort.run(0)
-        with pytest.raises(ValueError):
-            DeviceCohort(
-                FAST_WEAR_PIXEL,
-                ReplacementPolicy(target_size=10),
-                initial_size=-1,
-                sampler="bucket",
-            )
+            table.step(1.0, [1.5])
+        with pytest.raises(ValueError, match="at least one cohort"):
+            ChurnTable([])

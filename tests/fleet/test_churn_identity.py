@@ -3,16 +3,18 @@
 The report digests in ``test_execution_identity.py`` never reach battery
 wear-out (stock cycle life is ~2,500 cycles), so they leave the swap and
 retire paths of the churn engine unpinned.  ``data/churn_digests.json``
-holds one SHA-256 per case over a 120-step cohort run: every
-:class:`~repro.fleet.population.CohortStep` field, the per-step
-``active_count``, ``mean_age_days().hex()`` and ``mean_battery_wear().hex()``,
-and the final RNG state.  The grid crosses both samplers with fast-wearing
-and battery-less devices, swap budgets of 2 and 0 and no-swap retirement,
-Poisson, deterministic and no intake, half-day steps and sizes 1 to 3000.
+holds one SHA-256 per case over a 120-step run of the cohort as a one-row
+:class:`~repro.fleet.population.ChurnTable`: every field of the step's
+:class:`churn_oracle.Step` record (ints as ``int``, floats as ``float.hex``),
+the per-step active count, ``mean_age_days()`` and ``mean_battery_wear()``
+as ``float.hex``, and the final RNG state.  The grid crosses both
+samplers with fast-wearing and battery-less devices, swap budgets of 2
+and 0 and no-swap retirement, Poisson, deterministic and no intake,
+half-day steps and sizes 1 to 3000.
 
 Re-record (only for a change that is *meant* to move results) with::
 
-    PYTHONPATH=src python tests/fleet/test_churn_identity.py --record
+    PYTHONPATH=src:tests python tests/fleet/test_churn_identity.py --record
 """
 
 import dataclasses
@@ -24,8 +26,10 @@ import os
 import numpy as np
 import pytest
 
+from churn_oracle import table_step
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet.population import (
+    ChurnTable,
     DeviceCohort,
     FailureModel,
     IntakeStream,
@@ -111,19 +115,21 @@ def _build(sampler, device, policy, intake, size):
 
 
 def _run_case(sampler, device, policy, intake, dt, size):
-    cohort = _build(sampler, device, policy, intake, size)
+    table = ChurnTable([_build(sampler, device, policy, intake, size)])
     digest = hashlib.sha256()
+    day = 0.0
     for utilization in UTILIZATIONS:
-        step = cohort.step(dt, utilization=utilization)
+        day += dt
+        step = table_step(table.step(dt, [utilization]), 0, day)
         for field in dataclasses.fields(step):
             value = getattr(step, field.name)
             text = value.hex() if isinstance(value, float) else repr(value)
             digest.update(f"{field.name}={text};".encode())
         digest.update(
-            f"{cohort.active_count}|{cohort.mean_age_days().hex()}"
-            f"|{cohort.mean_battery_wear().hex()};".encode()
+            f"{int(table.active[0])}|{float(table.mean_age_days()[0]).hex()}"
+            f"|{float(table.mean_battery_wear()[0]).hex()};".encode()
         )
-    state = cohort._rng.bit_generator.state
+    state = table._rngs[0].bit_generator.state
     digest.update(json.dumps(state, sort_keys=True).encode())
     return digest.hexdigest()
 
@@ -154,16 +160,21 @@ class TestChurnTrajectoryIdentity:
         """The locked grid really fires failures, swaps, retirements and extinction."""
 
         def run(*case):
-            cohort = _build(*case)
+            table = ChurnTable([_build(*case)])
+            day = 0.0
+            steps = []
             for utilization in UTILIZATIONS:
-                cohort.step(1.0, utilization=utilization)
-            return cohort
+                day += 1.0
+                steps.append(table_step(table.step(1.0, [utilization]), 0, day))
+            return steps
 
         churned = run("device", "pixel3a-cl3", "swap2", "poisson", 40)
-        assert churned.total_failures > 0
-        assert churned.total_battery_swaps > 0 and churned.total_retirements > 0
+        assert sum(step.failures for step in churned) > 0
+        assert sum(step.battery_swaps for step in churned) > 0
+        assert sum(step.retirements for step in churned) > 0
         extinct = run("bucket", "nexus4-cl7.5", "noswap", "none", 3000)
-        assert extinct.total_retirements > 0 and extinct.active_count == 0
+        assert sum(step.retirements for step in extinct) > 0
+        assert extinct[-1].active == 0
 
 
 if __name__ == "__main__":

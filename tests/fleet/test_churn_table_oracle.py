@@ -1,12 +1,11 @@
 """The fleet-wide churn table against each cohort stepped alone.
 
 A random table of 1-6 cohorts (mixed samplers, devices, swap budgets and
-intake kinds, some stepped alone before they join) is stepped as one
-table, and every row must match :class:`churn_oracle.OracleCohort` — the
-per-cohort engine over compacted buckets — stepped alone: every
-per-step field, the active count, the live and peak bucket counts,
-``mean_age_days().hex()``, ``mean_battery_wear().hex()`` and the final
-RNG state.
+intake kinds) is stepped as one table, and every row must match
+:class:`churn_oracle.OracleCohort` — the per-cohort engine over compacted
+buckets — stepped alone: every field of the step record, the active and
+spare counts, the live and peak bucket counts, ``mean_age_days()`` and
+``mean_battery_wear()`` under ``float.hex``, and the final RNG state.
 """
 
 import dataclasses
@@ -14,11 +13,10 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from churn_oracle import OracleCohort
+from churn_oracle import OracleCohort, Step, table_step
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet.population import (
     ChurnTable,
-    CohortStep,
     DeviceCohort,
     FailureModel,
     IntakeStream,
@@ -46,7 +44,7 @@ HAZARDS = (
     FailureModel(annual_rate=0.06, age_acceleration_per_year=0.03),
 )
 
-FIELDS = [field.name for field in dataclasses.fields(CohortStep)]
+FIELDS = [field.name for field in dataclasses.fields(Step)]
 
 
 def _intake(kind, size):
@@ -68,7 +66,6 @@ rows_strategy = st.fixed_dictionaries(
         "hazard": st.sampled_from(range(len(HAZARDS))),
         "size": st.integers(1, 60),
         "seed": st.integers(0, 2**32 - 1),
-        "alone": st.integers(0, 4),
     }
 )
 
@@ -91,13 +88,16 @@ def _bits(value):
     return value.hex() if isinstance(value, float) else repr(value)
 
 
-def _assert_state_matches(cohort, oracle):
-    assert cohort.active_count == oracle.active_count
-    assert cohort.spares == oracle.spares
-    assert cohort.buckets_live == oracle._m
-    assert cohort.buckets_peak == oracle.buckets_peak
-    assert cohort.mean_age_days().hex() == oracle.mean_age_days().hex()
-    assert cohort.mean_battery_wear().hex() == oracle.mean_battery_wear().hex()
+def _assert_state_matches(table, row, oracle):
+    assert int(table.active[row]) == oracle.active_count
+    assert int(table.spares[row]) == oracle.spares
+    assert np.count_nonzero(table.count[row, : table.width]) == oracle._m
+    assert int(table.buckets_peak()[row]) == oracle.buckets_peak
+    assert float(table.mean_age_days()[row]).hex() == oracle.mean_age_days().hex()
+    assert (
+        float(table.mean_battery_wear()[row]).hex()
+        == oracle.mean_battery_wear().hex()
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -109,76 +109,38 @@ def _assert_state_matches(cohort, oracle):
 )
 def test_table_rows_match_each_cohort_stepped_alone(rows, dt, n_steps, data):
     levels = st.one_of(st.none(), st.floats(0.0, 1.0))
-    cohorts = [_build(DeviceCohort, row) for row in rows]
+    table = ChurnTable([_build(DeviceCohort, row) for row in rows])
     oracles = [_build(OracleCohort, row) for row in rows]
-
-    # Some cohorts step alone first, so the table joins rows of different
-    # widths.
-    for row, cohort, oracle in zip(rows, cohorts, oracles):
-        for _ in range(row["alone"]):
-            level = data.draw(levels)
-            step = cohort.step(dt, utilization=level)
-            expected = oracle.step(dt, utilization=level)
-            assert [_bits(getattr(step, f)) for f in FIELDS] == [
-                _bits(getattr(expected, f)) for f in FIELDS
-            ]
-
-    table = ChurnTable.joined(cohorts)
-    assert ChurnTable.joined(cohorts) is table
+    day = 0.0
     for _ in range(n_steps):
         utilization = data.draw(st.lists(levels, min_size=len(rows), max_size=len(rows)))
         out = table.step(dt, utilization)
-        for index, (cohort, oracle) in enumerate(zip(cohorts, oracles)):
+        day += dt
+        for index, oracle in enumerate(oracles):
             expected = oracle.step(dt, utilization=utilization[index])
-            for field in FIELDS:
-                value = cohort.day if field == "day" else out[field][index]
-                assert _bits(type(getattr(expected, field))(value)) == _bits(
-                    getattr(expected, field)
-                ), field
-            _assert_state_matches(cohort, oracle)
+            step = table_step(out, index, day)
+            assert [_bits(getattr(step, f)) for f in FIELDS] == [
+                _bits(getattr(expected, f)) for f in FIELDS
+            ]
+            _assert_state_matches(table, index, oracle)
 
-    for cohort, oracle in zip(cohorts, oracles):
-        assert cohort.total_failures == oracle.total_failures
-        assert cohort.total_battery_swaps == oracle.total_battery_swaps
-        assert cohort.total_retirements == oracle.total_retirements
-        assert cohort.total_deployed == oracle.total_deployed
-        assert (
-            cohort.total_replacement_carbon_g.hex()
-            == oracle.total_replacement_carbon_g.hex()
-        )
-        assert cohort._rng.bit_generator.state == oracle._rng.bit_generator.state
+    for rng, oracle in zip(table._rngs, oracles):
+        assert rng.bit_generator.state == oracle._rng.bit_generator.state
 
 
 def test_buckets_empty_and_stay_in_place():
     """A dead column keeps its place; the live ones keep their order."""
     row = {
         "sampler": "bucket", "device": "pixel3a", "policy": "swap2",
-        "intake": "poisson", "hazard": 0, "size": 3, "seed": 7, "alone": 0,
+        "intake": "poisson", "hazard": 0, "size": 3, "seed": 7,
     }
-    cohort, oracle = _build(DeviceCohort, row), _build(OracleCohort, row)
+    table, oracle = ChurnTable([_build(DeviceCohort, row)]), _build(OracleCohort, row)
     emptied = 0
     for _ in range(80):
-        cohort.step(1.0, utilization=0.5)
+        table.step(1.0, [0.5])
         oracle.step(1.0, utilization=0.5)
-        table = cohort._state()
-        counts = table.count[cohort._row, : table.width]
+        counts = table.count[0, : table.width]
         emptied = max(emptied, int(np.count_nonzero(counts == 0)))
         assert np.array_equal(counts[counts > 0], oracle._count[: oracle._m])
-        _assert_state_matches(cohort, oracle)
+        _assert_state_matches(table, 0, oracle)
     assert emptied > 0
-
-
-def test_stepping_a_fleet_cohort_alone_moves_it_to_its_own_table():
-    row = {
-        "sampler": "device", "device": "pixel3a", "policy": "swap2",
-        "intake": "poisson", "hazard": 0, "size": 20, "seed": 3, "alone": 0,
-    }
-    first, second = _build(DeviceCohort, row), _build(DeviceCohort, {**row, "seed": 4})
-    fleet = ChurnTable.joined([first, second])
-    fleet.step(1.0)
-    first.step(1.0)
-    assert first._table is not fleet and first._table.cohorts == [first]
-    assert second._table is fleet
-    rejoined = ChurnTable.joined([first, second])
-    assert rejoined is not fleet
-    assert [first._row, second._row] == [0, 1]

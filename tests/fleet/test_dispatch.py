@@ -1,5 +1,6 @@
 """Energy-dispatch core: ledger physics, conservation, and determinism."""
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fleet_oracles as oracle
-from fleet_specs import fleet_spec, site_spec, two_site_spec
+from fleet_specs import fleet_spec, site_spec, two_site_spec, worn_churn
 from repro.charging import charge_percentile
 from repro.fleet import (
     CarbonBufferDispatch,
+    ChurnTable,
     DiurnalDemand,
     EnergyLedger,
     FleetSimulation,
@@ -182,7 +184,7 @@ class TestEnergyLedger:
         """A one-pack ledger at state of charge ``soc`` and its
         ``(capacity_j, charge_rate_w)`` at the site's live count."""
         packs = PackTable.from_sites([site])
-        counts = np.array([entry.cohort.active_count for entry in site.cohorts])
+        counts = ChurnTable(entry.cohort for entry in site.cohorts).active
         ledger = EnergyLedger(packs, **kwargs)
         ledger.soc[:] = soc
         return ledger, counts * packs.battery_j, counts * packs.charge_w
@@ -517,28 +519,26 @@ def test_step_block_matches_the_per_pack_reference_bitwise(block):
 
 class TestWearDerate:
     @staticmethod
-    def _live_capacity(packs):
-        counts = np.array([entry.cohort.active_count for entry in packs.entries])
-        return counts * packs.requests_per_device_s
+    def _live_capacity(churn, packs):
+        return churn.active * packs.requests_per_device_s
 
     def test_zero_derate_is_identity(self):
         site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
         packs = PackTable.from_sites([site])
-        capacity = self._live_capacity(packs)
-        assert _effective_capacity(packs, capacity, 0.0) is capacity
+        churn = worn_churn([site], [0.5])
+        capacity = self._live_capacity(churn, packs)
+        assert _effective_capacity(churn, capacity, 0.0) is capacity
 
     def test_derate_scales_with_mean_wear(self):
         site = ScenarioRunner(two_site_spec(5, seed=1, n_trace_days=2)).build_sites()[0]
-        site.cohorts[0].cohort.battery_cycles[:] = (
-            0.5 * site.cohorts[0].cohort.device.battery.cycle_life
-        )
-        assert site.cohorts[0].cohort.mean_battery_wear() == pytest.approx(0.5)
+        churn = worn_churn([site], [0.5])
+        assert churn.mean_battery_wear()[0] == pytest.approx(0.5)
         packs = PackTable.from_sites([site])
-        capacity = self._live_capacity(packs)
-        assert _effective_capacity(packs, capacity, 1.0)[0] == pytest.approx(
+        capacity = self._live_capacity(churn, packs)
+        assert _effective_capacity(churn, capacity, 1.0)[0] == pytest.approx(
             0.5 * capacity[0]
         )
-        assert _effective_capacity(packs, capacity, 0.5)[0] == pytest.approx(
+        assert _effective_capacity(churn, capacity, 0.5)[0] == pytest.approx(
             0.75 * capacity[0]
         )
 
@@ -561,15 +561,18 @@ class TestWearDerate:
         sites = ScenarioRunner(fleet_spec(mixed, no_swap)).build_sites()
         packs = PackTable.from_sites(sites)
         # Distinct wear per pack, one pack past the point a full derate zeroes.
-        for entry, wear in zip(packs.entries, (0.35, 1.2, 0.0, 0.8)):
-            cohort = entry.cohort
-            if cohort.device.battery is not None:
-                cohort.battery_cycles[:] = (
-                    wear * cohort.device.battery.cycle_life
-                )
-        derated = _effective_capacity(packs, self._live_capacity(packs), wear_derate)
+        churn = worn_churn(sites, (0.35, 1.2, 0.0, 0.8))
+        derated = _effective_capacity(
+            churn, self._live_capacity(churn, packs), wear_derate
+        )
+        rows = zip(
+            packs.entries, churn.active.tolist(), churn.mean_battery_wear().tolist()
+        )
         assert oracle.bits(derated) == oracle.bits(
-            [oracle.effective_capacity_rps(e, wear_derate) for e in packs.entries]
+            [
+                oracle.effective_capacity_rps(entry, count, wear, wear_derate)
+                for entry, count, wear in rows
+            ]
         )
 
     def test_policy_carries_the_derate(self):
@@ -586,22 +589,33 @@ class TestWearDerate:
         assert np.allclose(report.grid_kwh, report.energy_kwh)
 
     @staticmethod
-    def _worn_sites():
+    def _fast_wearing_sites():
+        """The two-site fleet on batteries that wear ~10% of their life a day."""
         spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
-        sites = ScenarioRunner(spec).build_sites()
-        for site in sites:
-            site.cohorts[0].cohort.battery_cycles[:] = (
-                0.5 * site.cohorts[0].cohort.device.battery.cycle_life
+        sites = []
+        for site in ScenarioRunner(spec).build_sites():
+            (entry,) = site.cohorts
+            device = entry.device
+            battery = dataclasses.replace(device.battery, cycle_life=40.0)
+            cohort = dataclasses.replace(
+                entry.cohort, device=dataclasses.replace(device, battery=battery)
+            )
+            sites.append(
+                dataclasses.replace(
+                    site, cohorts=(dataclasses.replace(entry, cohort=cohort),)
+                )
             )
         return sites
 
     def test_derate_and_dispatch_compose(self):
         """Idle headroom is physical: shed-but-idle devices still charge."""
+        sites = self._fast_wearing_sites()
         policy = GreedyLowestIntensityRouting(wear_derate=0.8)
-        base = FleetSimulation(self._worn_sites(), policy, DEMAND).run(N_DAYS)
-        policy = GreedyLowestIntensityRouting(wear_derate=0.8)
+        derated = FleetSimulation(sites, policy, DEMAND)
+        base = derated.run(N_DAYS)
+        assert derated.churn.mean_battery_wear().min() > 0.1
         dispatched = FleetSimulation(
-            self._worn_sites(), policy, DEMAND, dispatch=CarbonBufferDispatch()
+            sites, policy, DEMAND, dispatch=CarbonBufferDispatch()
         ).run(N_DAYS)
         assert np.allclose(
             base.energy_kwh, dispatched.grid_kwh + dispatched.battery_kwh
@@ -613,23 +627,17 @@ class TestWearDerate:
         """The latency probe offers the same derated slots the hourly path does."""
         from repro.fleet import simulate_latency_aware
 
-        def sites_with_worn_clean_site():
-            spec = two_site_spec(5, seed=4, n_trace_days=7)
-            sites = ScenarioRunner(spec).build_sites()
-            clean = sites[1]  # cascadia, the preferred site under greedy
-            clean.cohorts[0].cohort.battery_cycles[:] = (
-                0.5 * clean.cohorts[0].cohort.device.battery.cycle_life
-            )
-            return sites
-
+        sites = ScenarioRunner(two_site_spec(5, seed=4, n_trace_days=7)).build_sites()
+        # Cascadia, the preferred site under greedy, is half worn.
+        churn = worn_churn(sites, (0.0, 0.5))
         _, plain = simulate_latency_aware(
-            sites_with_worn_clean_site(), GreedyLowestIntensityRouting(),
-            demand_rps=300.0, duration_s=10.0, seed=9,
+            sites, GreedyLowestIntensityRouting(),
+            demand_rps=300.0, duration_s=10.0, seed=9, churn=churn,
         )
         _, derated = simulate_latency_aware(
-            sites_with_worn_clean_site(),
+            sites,
             GreedyLowestIntensityRouting(wear_derate=1.0),
-            demand_rps=300.0, duration_s=10.0, seed=9,
+            demand_rps=300.0, duration_s=10.0, seed=9, churn=churn,
         )
         # Half the clean site's slots are shed, so load spills to texas.
         assert derated["cascadia"] < plain["cascadia"]

@@ -18,6 +18,7 @@ from fleet_specs import fleet_spec, site_spec
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet import (
     CarbonBufferDispatch,
+    ChurnTable,
     DeviceCohort,
     DiurnalDemand,
     FleetSimulation,
@@ -26,7 +27,6 @@ from repro.fleet import (
     CapacityAwareMarginalCciRouting,
     PackTable,
     ReplacementPolicy,
-    SiteCohort,
     build_site_cohort,
     site_from_cohorts,
 )
@@ -265,24 +265,17 @@ class TestPerCohortChurn:
 
     def test_cohort_streams_are_independent(self):
         """Re-seeding cohort B never consumes cohort A's random draws."""
-        def entries(b_seed):
-            a = SiteCohort(
-                DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=50), seed=5)
+        def a_steps(b_seed):
+            table = ChurnTable(
+                [
+                    DeviceCohort(PIXEL_3A, ReplacementPolicy(target_size=50), seed=5),
+                    DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=50), seed=b_seed),
+                ]
             )
-            b = SiteCohort(
-                DeviceCohort(NEXUS_4, ReplacementPolicy(target_size=50), seed=b_seed)
-            )
-            return a, b
+            steps = [table.step(1.0, [0.5, 0.5]) for _ in range(30)]
+            return [(int(s["failures"][0]), int(s["active"][0])) for s in steps]
 
-        first = entries(b_seed=1)
-        second = entries(b_seed=99)
-        steps = {id(entry): [] for entry in (*first, *second)}
-        for _ in range(30):
-            for entry in (*first, *second):
-                steps[id(entry)].append(entry.cohort.step(1.0, utilization=0.5))
-        a_first, a_second = steps[id(first[0])], steps[id(second[0])]
-        assert [s.failures for s in a_first] == [s.failures for s in a_second]
-        assert [s.active for s in a_first] == [s.active for s in a_second]
+        assert a_steps(b_seed=1) == a_steps(b_seed=99)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +295,7 @@ class TestMixedSiteConstruction:
     def test_capacity_aggregates_across_cohorts(self):
         mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
         packs = PackTable.from_sites([mixed])
-        counts = np.array([entry.cohort.active_count for entry in mixed.cohorts])
+        counts = ChurnTable(entry.cohort for entry in mixed.cohorts).active
         assert (counts * packs.requests_per_device_s).sum() == pytest.approx(
             30 * 20.0 + 30 * 8.0
         )

@@ -3,14 +3,20 @@
 import numpy as np
 import pytest
 
+from churn_oracle import run_alone
 from repro.devices.catalog import PIXEL_3A, PROLIANT_DL380_G6
 from repro.fleet.population import (
+    ChurnTable,
     DeviceCohort,
     FailureModel,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
 )
+
+
+def total(steps, field):
+    return sum(getattr(step, field) for step in steps)
 
 
 def make_cohort(**overrides):
@@ -27,32 +33,39 @@ def make_cohort(**overrides):
 
 class TestCohortBasics:
     def test_initial_deployment_hits_target(self):
-        cohort = make_cohort()
-        assert cohort.active_count == 100
-        assert cohort.availability == 1.0
-        assert cohort.spares == 10
+        table = ChurnTable([make_cohort()])
+        assert table.active.tolist() == [100]
+        assert table.spares.tolist() == [10]
+        assert table.count[0, : table.width].tolist() == [100]
 
     def test_step_produces_consistent_records(self):
-        cohort = make_cohort()
-        steps = cohort.run(60)
+        table, steps = run_alone(make_cohort(), 60)
         assert len(steps) == 60
-        assert cohort.day == pytest.approx(60.0)
+        assert steps[-1].day == pytest.approx(60.0)
         for step in steps:
             assert step.active <= 100
             assert step.churn == step.failures + step.retirements
-        assert cohort.total_failures == sum(s.failures for s in steps)
-        assert cohort.total_deployed >= 100  # initial deployment counts
+        # Every device ever deployed is active or has left.
+        assert 100 + total(steps, "deployed") == (
+            table.active[0] + total(steps, "failures") + total(steps, "retirements")
+        )
 
     def test_aging_accumulates_on_survivors(self):
-        cohort = make_cohort(failure_model=FailureModel(0.0, 0.0))
-        cohort.run(30)
-        assert cohort.mean_age_days() == pytest.approx(30.0)
+        table, _ = run_alone(make_cohort(failure_model=FailureModel(0.0, 0.0)), 30)
+        assert table.mean_age_days()[0] == pytest.approx(30.0)
 
     def test_determinism(self):
-        first = make_cohort().run(120)
-        second = make_cohort().run(120)
+        _, first = run_alone(make_cohort(), 120)
+        _, second = run_alone(make_cohort(), 120)
         assert [s.failures for s in first] == [s.failures for s in second]
         assert [s.deployed for s in first] == [s.deployed for s in second]
+
+    def test_a_cohort_is_frozen_config(self):
+        cohort = make_cohort()
+        with pytest.raises(AttributeError):
+            cohort.seed = 7
+        run_alone(cohort, 30)
+        assert cohort == make_cohort()
 
 
 class TestFailuresAndReplacement:
@@ -61,25 +74,25 @@ class TestFailuresAndReplacement:
             intake=IntakeStream(arrivals_per_day=0.0, initial_spares=0),
             failure_model=FailureModel(annual_rate=2.0),
         )
-        cohort.run(365)
-        assert cohort.active_count < 100
-        assert cohort.total_failures > 0
+        table, steps = run_alone(cohort, 365)
+        assert table.active[0] < 100
+        assert total(steps, "failures") > 0
 
     def test_intake_refills_the_fleet(self):
         cohort = make_cohort(
             intake=IntakeStream(arrivals_per_day=5.0, initial_spares=50),
             failure_model=FailureModel(annual_rate=1.0),
         )
-        availability = [cohort.step().active for _ in range(180)]
-        assert min(availability) >= 95  # spares cover the churn
+        _, steps = run_alone(cohort, 180)
+        assert min(step.active for step in steps) >= 95  # spares cover the churn
 
     def test_deterministic_intake_without_poisson(self):
         cohort = make_cohort(
             intake=IntakeStream(arrivals_per_day=0.5, initial_spares=0, poisson=False),
             failure_model=FailureModel(0.0, 0.0),
         )
-        cohort.run(10)
-        assert cohort.spares == 5  # 0.5/day accumulates to one device every 2 days
+        table, _ = run_alone(cohort, 10)
+        assert table.spares[0] == 5  # 0.5/day accumulates to one device every 2 days
 
 
 class TestBatteryWear:
@@ -87,13 +100,13 @@ class TestBatteryWear:
         # At full utilisation a Pixel 3A draws 2.5 W -> ~4.8 cycles/day ->
         # the 2,500-cycle pack wears out in ~520 days.
         cohort = make_cohort(failure_model=FailureModel(0.0, 0.0))
-        for _ in range(540):
-            cohort.step(1.0, utilization=1.0)
-        assert cohort.total_battery_swaps > 0
-        assert cohort.total_replacement_carbon_g > 0
+        _, steps = run_alone(cohort, 540, utilization=1.0)
+        swaps = total(steps, "battery_swaps")
+        assert swaps > 0
+        assert total(steps, "replacement_carbon_g") > 0
         battery = PIXEL_3A.battery
-        assert cohort.total_replacement_carbon_g == pytest.approx(
-            cohort.total_battery_swaps * battery.embodied_carbon_kgco2e * 1_000.0
+        assert total(steps, "replacement_carbon_g") == pytest.approx(
+            swaps * battery.embodied_carbon_kgco2e * 1_000.0
         )
 
     def test_no_swap_policy_retires_devices(self):
@@ -102,11 +115,10 @@ class TestBatteryWear:
             intake=IntakeStream(arrivals_per_day=0.0, initial_spares=0),
             failure_model=FailureModel(0.0, 0.0),
         )
-        for _ in range(540):
-            cohort.step(1.0, utilization=1.0)
-        assert cohort.total_battery_swaps == 0
-        assert cohort.total_retirements > 0
-        assert cohort.total_replacement_carbon_g == 0.0
+        _, steps = run_alone(cohort, 540, utilization=1.0)
+        assert total(steps, "battery_swaps") == 0
+        assert total(steps, "retirements") > 0
+        assert total(steps, "replacement_carbon_g") == 0.0
 
     def test_batteryless_device_never_cycles(self):
         cohort = make_cohort(
@@ -114,17 +126,17 @@ class TestBatteryWear:
             policy=ReplacementPolicy(target_size=10, swap_batteries=False),
             failure_model=FailureModel(0.0, 0.0),
         )
-        cohort.run(365)
-        assert cohort.total_battery_swaps == 0
-        assert cohort.mean_battery_wear() == 0.0
+        table, steps = run_alone(cohort, 365)
+        assert total(steps, "battery_swaps") == 0
+        assert table.mean_battery_wear().tolist() == [0.0]
 
     def test_mean_battery_wear_grows(self):
-        cohort = make_cohort(failure_model=FailureModel(0.0, 0.0))
-        cohort.step(1.0, utilization=1.0)
-        wear_early = cohort.mean_battery_wear()
+        table = ChurnTable([make_cohort(failure_model=FailureModel(0.0, 0.0))])
+        table.step(1.0, [1.0])
+        wear_early = table.mean_battery_wear()[0]
         for _ in range(100):
-            cohort.step(1.0, utilization=1.0)
-        assert cohort.mean_battery_wear() > wear_early > 0
+            table.step(1.0, [1.0])
+        assert table.mean_battery_wear()[0] > wear_early > 0
 
 
 class TestValidation:
@@ -136,9 +148,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             FailureModel(annual_rate=-0.1)
         with pytest.raises(ValueError):
-            make_cohort().step(0.0)
+            ChurnTable([make_cohort()]).step(0.0)
         with pytest.raises(ValueError):
-            make_cohort().step(1.0, utilization=1.5)
+            ChurnTable([make_cohort()]).step(1.0, [1.5])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["annual_rate", "age_acceleration_per_year"])
@@ -153,33 +165,29 @@ class TestValidation:
 
     @pytest.mark.parametrize("dt_days", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_step_moves_no_state(self, dt_days):
-        cohort = make_cohort()
-        cohort.run(5)
-        before = (
-            cohort.active_count,
-            cohort.spares,
-            cohort.day,
-            cohort.mean_age_days(),
-            cohort._rng.bit_generator.state,
-        )
+        table, _ = run_alone(make_cohort(), 5)
+
+        def state():
+            return (
+                table.active.tolist(),
+                table.spares.tolist(),
+                table.width,
+                table.mean_age_days().tolist(),
+                table._rngs[0].bit_generator.state,
+            )
+
+        before = state()
         with pytest.raises(ValueError, match="positive and finite"):
-            cohort.step(dt_days)
-        after = (
-            cohort.active_count,
-            cohort.spares,
-            cohort.day,
-            cohort.mean_age_days(),
-            cohort._rng.bit_generator.state,
-        )
-        assert after == before
+            table.step(dt_days)
+        assert state() == before
 
     def test_bad_utilization_moves_no_state(self):
-        cohort = make_cohort()
-        state = cohort._rng.bit_generator.state
+        table = ChurnTable([make_cohort()])
+        state = table._rngs[0].bit_generator.state
         with pytest.raises(ValueError, match="outside"):
-            cohort.step(1.0, utilization=1.5)
-        assert cohort._rng.bit_generator.state == state
-        assert (cohort.active_count, cohort.day) == (100, 0.0)
+            table.step(1.0, [1.5])
+        assert table._rngs[0].bit_generator.state == state
+        assert (table.active.tolist(), table.width) == ([100], 1)
 
 
 def test_steady_state_intake_rate_sustains_fleet():
@@ -194,5 +202,5 @@ def test_steady_state_intake_rate_sustains_fleet():
         failure_model=model,
         seed=5,
     )
-    availability = [cohort.step().active / 200 for _ in range(365)]
-    assert np.mean(availability) > 0.97
+    _, steps = run_alone(cohort, 365)
+    assert np.mean([step.active / 200 for step in steps]) > 0.97

@@ -24,6 +24,7 @@ import repro.fleet.scheduler as scheduler_module
 from des_oracle import Resource, Simulator, Timeout, exponential, lognormal_factor
 from fleet_oracles import device_slots, site_marginal_g, site_rate
 from fleet_specs import fleet_spec, site_spec, two_site_spec
+from repro.fleet.population import ChurnTable
 from repro.fleet.scheduler import (
     SERVICE_DISTRIBUTIONS,
     _BLOCK,
@@ -60,9 +61,16 @@ def simulate_per_request(
     recorder = LatencyRecorder()
     served_by_site = {site.name: 0 for site in sites}
     routed_by_site = {site.name: 0 for site in sites}
-    effective_devices = {
-        site.name: device_slots(site, policy.wear_derate) for site in sites
-    }
+    # The probe's default state: the sites as deployed.
+    churn = ChurnTable(entry.cohort for site in sites for entry in site.cohorts)
+    counts, wears = churn.active.tolist(), churn.mean_battery_wear().tolist()
+    effective_devices = {}
+    for site in sites:
+        n = len(site.cohorts)
+        effective_devices[site.name] = device_slots(
+            site, counts[:n], wears[:n], policy.wear_derate
+        )
+        counts, wears = counts[n:], wears[n:]
     pools = {
         site.name: Resource(
             simulator, capacity=effective_devices[site.name], name=site.name

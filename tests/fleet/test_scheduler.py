@@ -1,11 +1,14 @@
 """Routing policies, demand model, and the fleet simulation loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fleet_oracles import bits, site_marginal_g
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.fleet.dispatch import PackTable
+from repro.fleet.population import ChurnTable
 from repro.fleet.scheduler import (
     POLICIES,
     CapacityAwareMarginalCciRouting,
@@ -18,8 +21,16 @@ from repro.fleet.scheduler import (
     simulate_latency_aware,
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
-from repro.scenarios import ScenarioRunner
+from repro.scenarios import ScenarioRunner, get_scenario
 from repro.scenarios.spec import ChurnSpec, DeviceMixSpec
+
+
+def report_bits(report):
+    """Every field of a report, arrays as their bytes."""
+    return [
+        value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+        for value in (getattr(report, f.name) for f in dataclasses.fields(report))
+    ]
 
 
 class TestDiurnalDemand:
@@ -39,6 +50,20 @@ class TestDiurnalDemand:
         demand = DiurnalDemand(mean_rps=1000.0, daily_amplitude=0.0, weekly_amplitude=0.3)
         fortnight = demand.series(24 * 14)
         assert fortnight.min() < fortnight.max()
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("mean_rps", {"mean_rps": float("nan")}),
+            ("mean_rps", {"mean_rps": float("inf")}),
+            ("peak_hour", {"mean_rps": 100.0, "peak_hour": float("nan")}),
+            ("peak_hour", {"mean_rps": 100.0, "peak_hour": float("inf")}),
+        ],
+    )
+    def test_non_finite_fields_rejected_by_name(self, field, kwargs):
+        """A NaN demand used to construct and fail a day later in the churn step."""
+        with pytest.raises(ValueError, match=field):
+            DiurnalDemand(**kwargs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -138,16 +163,34 @@ class TestFleetSimulation:
         assert len(report.site_summaries()) == 2
 
     def test_carbon_aware_beats_round_robin(self, scenario):
+        sites = ScenarioRunner(two_site_spec(30, seed=1, n_trace_days=7)).build_sites()
         rr, greedy = (
-            FleetSimulation(
-                ScenarioRunner(two_site_spec(30, seed=1, n_trace_days=7)).build_sites(),
-                policy,
-                scenario,
-            ).run(14)
+            FleetSimulation(sites, policy, scenario).run(14)
             for policy in (RoundRobinRouting(), GreedyLowestIntensityRouting())
         )
         assert np.isclose(rr.total_served_requests, greedy.total_served_requests)
         assert greedy.total_operational_carbon_g < rr.total_operational_carbon_g
+
+    def test_reruns_are_bitwise_identical(self):
+        """A run builds its churn state afresh: two simulations over one
+        sites list, and two runs of one simulation, report the same bits."""
+        spec = get_scenario("two-site-asymmetric").with_overrides(
+            {"churn.annual_failure_rate": 3.0}
+        )
+        runner = ScenarioRunner(spec)
+        sites = runner.build_sites()
+        policy = policy_by_name(spec.routing.policy)
+
+        def simulation():
+            return FleetSimulation(sites, policy, runner.build_demand())
+
+        first = simulation()
+        reports = [first.run(60), first.run(60), simulation().run(60)]
+        assert reports[0].cohort_failures.sum() > 0
+        assert report_bits(reports[1]) == report_bits(reports[0])
+        assert report_bits(reports[2]) == report_bits(reports[0])
+        fresh = FleetSimulation(runner.build_sites(), policy, runner.build_demand())
+        assert report_bits(fresh.run(60)) == report_bits(reports[0])
 
     def test_duplicate_site_names_rejected(self, scenario):
         sites = ScenarioRunner(two_site_spec(10, seed=0, n_trace_days=7)).build_sites()
@@ -267,8 +310,8 @@ class TestLatencyAwarePath:
 
     @staticmethod
     def _sites(*dead):
-        """Texas and cascadia; each site named in ``dead`` has no spares or
-        intake and has lost every device."""
+        """Texas and cascadia, and their churn table stepped until each
+        site named in ``dead`` (no spares or intake) has lost every device."""
         dying = ChurnSpec(
             intake_per_day=0.0, initial_spares=0, annual_failure_rate=200.0
         )
@@ -280,27 +323,39 @@ class TestLatencyAwarePath:
             for name, region in (("texas", "ercot-like"), ("cascadia", "hydro-heavy"))
         ))
         sites = ScenarioRunner(spec).build_sites()
-        for site in sites:
-            while site.name in dead and site.cohorts[0].cohort.active_count > 0:
-                site.cohorts[0].cohort.step(1.0)
-        return sites
+        churn = ChurnTable(site.cohorts[0].cohort for site in sites)
+        rows = [index for index, site in enumerate(sites) if site.name in dead]
+        while churn.active[rows].any():
+            churn.step(1.0)
+        return sites, churn
 
     @pytest.mark.parametrize(
         "policy", [GreedyLowestIntensityRouting(), RoundRobinRouting()]
     )
     def test_site_without_live_devices_gets_no_requests(self, policy):
         """It used to keep one phantom slot and serve the clean-grid share."""
+        sites, churn = self._sites("cascadia")
         summary, by_site = simulate_latency_aware(
-            self._sites("cascadia"), policy, demand_rps=300.0, duration_s=2.0, seed=9
+            sites, policy, demand_rps=300.0, duration_s=2.0, seed=9, churn=churn
         )
         assert by_site == {"texas": summary.offered, "cascadia": 0}
         assert summary.offered > 0
 
     def test_fleet_without_live_devices_rejected(self):
-        sites = self._sites("texas", "cascadia")
+        sites, churn = self._sites("texas", "cascadia")
         with pytest.raises(ValueError, match="site with live devices"):
             simulate_latency_aware(
-                sites, GreedyLowestIntensityRouting(), demand_rps=300.0, duration_s=2.0
+                sites, GreedyLowestIntensityRouting(), demand_rps=300.0,
+                duration_s=2.0, churn=churn,
+            )
+
+    def test_churn_table_must_be_the_sites_cohorts(self):
+        sites, _ = self._sites()
+        other = ChurnTable([sites[1].cohorts[0].cohort, sites[0].cohorts[0].cohort])
+        with pytest.raises(ValueError, match="sites' cohorts"):
+            simulate_latency_aware(
+                sites, GreedyLowestIntensityRouting(), demand_rps=300.0,
+                duration_s=2.0, churn=other,
             )
 
     def test_empty_site_list_rejected(self):

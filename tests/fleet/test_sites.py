@@ -12,7 +12,7 @@ from fleet_oracles import (
 from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.devices.catalog import PIXEL_3A
 from repro.fleet.dispatch import PackTable
-from repro.fleet.population import ReplacementPolicy
+from repro.fleet.population import ChurnTable, ReplacementPolicy
 from repro.fleet.sites import (
     REGIONAL_GENERATORS,
     FleetSite,
@@ -64,8 +64,8 @@ class TestFleetSite:
     def test_capacity_follows_population(self, site):
         (entry,) = site.cohorts
         packs = PackTable.from_sites([site])
-        counts = np.array([entry.cohort.active_count])
-        expected = entry.cohort.active_count * entry.requests_per_device_s
+        counts = ChurnTable([entry.cohort]).active
+        expected = entry.cohort.policy.target_size * entry.requests_per_device_s
         assert (counts * packs.requests_per_device_s)[0] == expected
 
     def test_design_matches_paper_recipe(self, site):
@@ -75,7 +75,7 @@ class TestFleetSite:
 
     def test_power_model_is_affine_in_load(self, site):
         (entry,) = site.cohorts
-        count = entry.cohort.active_count
+        (count,) = ChurnTable([entry.cohort]).active.tolist()
         packs = PackTable.from_sites([site])
 
         def site_power_w(served_rps):
@@ -162,5 +162,5 @@ def test_two_site_asymmetric_fleet_shape():
     assert [site.name for site in sites] == ["texas", "cascadia"]
     texas, cascadia = sites
     assert texas.trace.mean_intensity() > cascadia.trace.mean_intensity()
-    assert [entry.cohort.active_count for entry in texas.cohorts] == [25]
-    assert [entry.cohort.active_count for entry in cascadia.cohorts] == [25]
+    churn = ChurnTable(entry.cohort for site in sites for entry in site.cohorts)
+    assert churn.active.tolist() == [25, 25]

@@ -43,12 +43,13 @@ def site_marginal_g(site, intensity, include_wear=True):
     )
 
 
-def effective_capacity_rps(entry, wear_derate):
-    """``entry``'s live capacity scaled by ``max(0, 1 - k * mean wear)``."""
-    capacity = entry.cohort.active_count * entry.requests_per_device_s
+def effective_capacity_rps(entry, count, wear, wear_derate):
+    """``entry``'s capacity at ``count`` live devices scaled by
+    ``max(0, 1 - k * wear)`` for their mean battery ``wear``."""
+    capacity = count * entry.requests_per_device_s
     if wear_derate <= 0.0:
         return capacity
-    return capacity * max(0.0, 1.0 - wear_derate * entry.cohort.mean_battery_wear())
+    return capacity * max(0.0, 1.0 - wear_derate * wear)
 
 
 def site_rate(site):
@@ -62,10 +63,12 @@ def site_rate(site):
     )
 
 
-def device_slots(site, wear_derate):
-    """Concurrent request slots the latency probe offers ``site``."""
+def device_slots(site, counts, wears, wear_derate):
+    """Concurrent request slots the latency probe offers ``site``, its
+    cohorts at live ``counts`` and mean battery ``wears``."""
     capacity = sum(
-        effective_capacity_rps(entry, wear_derate) for entry in site.cohorts
+        effective_capacity_rps(entry, count, wear, wear_derate)
+        for entry, count, wear in zip(site.cohorts, counts, wears)
     )
     if capacity <= 0:
         return 0

@@ -3,8 +3,11 @@
 Sites come from one builder, ``ScenarioRunner(spec).build_sites()``, so a
 test's fleet is seeded and stocked exactly as a scenario run's is.  These
 helpers only spell the specs; they hold no seeding or intake logic.
+:func:`worn_churn` builds the churn state wear tests hand to the routing
+and the latency probe.
 """
 
+from repro.fleet.population import ChurnTable
 from repro.scenarios import ScenarioSpec, get_scenario
 from repro.scenarios.spec import ChurnSpec, DeviceMixSpec, SiteSpec, TraceSpec
 
@@ -47,3 +50,15 @@ def site_spec(
 def fleet_spec(*sites: SiteSpec, seed: int = 0) -> ScenarioSpec:
     """A scenario holding ``sites`` in order, seeded at ``seed``."""
     return ScenarioSpec(name="test-fleet", sites=sites, seed=seed)
+
+
+def worn_churn(sites, wear):
+    """The sites' churn table as deployed, each battery-backed pack's cells
+    worn to its level in ``wear`` (pack order)."""
+    churn = ChurnTable(entry.cohort for site in sites for entry in site.cohorts)
+    for row, (cohort, level) in enumerate(zip(churn.cohorts, wear)):
+        if cohort.device.battery is not None:
+            churn.battery_cycles[row, : churn.width] = (
+                level * cohort.device.battery.cycle_life
+            )
+    return churn

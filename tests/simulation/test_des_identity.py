@@ -29,7 +29,7 @@ a single bit of these outputs fails here.
 
 Re-record (only for a change that is *meant* to move results) with::
 
-    PYTHONPATH=src python tests/simulation/test_des_identity.py --record
+    PYTHONPATH=src:tests python tests/simulation/test_des_identity.py --record
 """
 
 import contextlib
@@ -44,6 +44,7 @@ import pytest
 
 import repro.fleet.scheduler as scheduler_module
 import repro.microservices.cluster as cluster_module
+from fleet_specs import worn_churn
 from repro.fleet.scheduler import policy_by_name, simulate_latency_aware
 from repro.microservices.apps import COMPOSE_POST, READ_USER_TIMELINE, social_network
 from repro.microservices.cluster import pixel_cloudlet
@@ -88,6 +89,10 @@ def _two_site_sites(n_devices):
     return ScenarioRunner(spec).build_sites()
 
 
+def _fresh(sites):
+    return sites, None
+
+
 def _mixed_cohort_sites():
     spec = ScenarioSpec(
         name="mixed-cohort",
@@ -105,18 +110,17 @@ def _mixed_cohort_sites():
         ),
         seed=1,
     )
-    return ScenarioRunner(spec).build_sites()
+    return _fresh(ScenarioRunner(spec).build_sites())
 
 
 def _worn_clean_site_sites():
     sites = _two_site_sites(5)
-    cohort = sites[1].cohorts[0].cohort  # cascadia, the preferred site
-    cohort.battery_cycles[:] = 0.5 * cohort.device.battery.cycle_life
-    return sites
+    # Cascadia, the preferred site, half worn.
+    return sites, worn_churn(sites, (0.0, 0.5))
 
 
 def _many_blocks_sites():
-    return _two_site_sites(50)
+    return _fresh(_two_site_sites(50))
 
 
 def _three_cohort_spec(**fields):
@@ -153,14 +157,12 @@ def _three_cohort_spec(**fields):
 def _three_cohort_sites():
     """The three-cohort fleet, each mixed-site cohort worn to its own level."""
     sites = ScenarioRunner(_three_cohort_spec()).build_sites()
-    for entry, wear in zip(sites[1].cohorts, (0.6, 0.2, 0.45)):
-        cohort = entry.cohort
-        cohort.battery_cycles[:] = wear * cohort.device.battery.cycle_life
-    return sites
+    return sites, worn_churn(sites, (0.0, 0.6, 0.2, 0.45))
 
 
-#: Extra probe cases: label -> (sites factory, policy, wear derate,
-#: demand rps, service distribution), each run for 10 s at seed 3.
+#: Extra probe cases: label -> (factory of the sites and their churn table,
+#: or ``None`` for the sites as deployed; policy, wear derate, demand rps,
+#: service distribution), each run for 10 s at seed 3.
 PROBE_CASES = {
     "probe-case/mixed-cohort": (
         _mixed_cohort_sites, "marginal-cci", 0.0, 150.0, "exponential"
@@ -271,7 +273,7 @@ def serving_digest(label):
     return digest.hexdigest()
 
 
-def _run_probe(sites, policy, demand_rps, distribution):
+def _run_probe(sites, policy, demand_rps, distribution, churn=None):
     with _capturing_recorders(scheduler_module) as recorders:
         summary, served_by_site = simulate_latency_aware(
             sites,
@@ -280,6 +282,7 @@ def _run_probe(sites, policy, demand_rps, distribution):
             duration_s=10.0,
             seed=3,
             service_distribution=distribution,
+            churn=churn,
         )
     (recorder,) = recorders
     return summary, served_by_site, recorder
@@ -303,8 +306,9 @@ def probe_digest(distribution, policy):
 
 def probe_case_digest(label):
     make_sites, policy, wear_derate, demand_rps, distribution = PROBE_CASES[label]
+    sites, churn = make_sites()
     summary, served_by_site, recorder = _run_probe(
-        make_sites(), policy_by_name(policy, wear_derate), demand_rps, distribution
+        sites, policy_by_name(policy, wear_derate), demand_rps, distribution, churn
     )
     if label == "probe-case/many-blocks":
         assert summary.offered > MANY_BLOCKS_ARRIVALS
