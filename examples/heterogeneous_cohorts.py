@@ -28,10 +28,13 @@ from repro.analysis import render_scenario_result, render_sweep_result
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet import (
     CapacityAwareMarginalCciRouting,
+    DeviceCohort,
     DiurnalDemand,
+    FailureModel,
     FleetSimulation,
-    build_site_cohort,
-    site_from_cohorts,
+    FleetSite,
+    ReplacementPolicy,
+    default_intake_stream,
 )
 from repro.fleet.sites import regional_trace
 from repro.scenarios import get_scenario, run_scenario, sweep_scenario
@@ -51,19 +54,31 @@ def mixed_equals_colocated_twins() -> None:
     demand = DiurnalDemand(mean_rps=1500.0)
 
     # Cohorts are configuration: each run builds its own churn state from
-    # them, so both layouts share the same two entries.
-    pixel = build_site_cohort(PIXEL_3A, 60, seed=4)
-    nexus = build_site_cohort(NEXUS_4, 60, seed=(4, 1), requests_per_device_s=8.0)
+    # them, so both layouts share the same two cohorts.
+    policy = ReplacementPolicy(target_size=60)
+    pixel = DeviceCohort(
+        PIXEL_3A,
+        policy,
+        intake=default_intake_stream(PIXEL_3A, policy, FailureModel()),
+        seed=4,
+    )
+    nexus = DeviceCohort(
+        NEXUS_4,
+        policy,
+        intake=default_intake_stream(NEXUS_4, policy, FailureModel()),
+        seed=(4, 1),
+        requests_per_device_s=8.0,
+    )
     trace = regional_trace("caiso-like", n_days=7, seed=2025)
     mixed = FleetSimulation(
-        [site_from_cohorts("junkyard", trace, [pixel, nexus])],
+        [FleetSite("junkyard", trace, (pixel, nexus))],
         CapacityAwareMarginalCciRouting(),
         demand,
     ).run(7)
     split = FleetSimulation(
         [
-            site_from_cohorts("pixel-rack", trace, [pixel]),
-            site_from_cohorts("nexus-rack", trace, [nexus]),
+            FleetSite("pixel-rack", trace, (pixel,)),
+            FleetSite("nexus-rack", trace, (nexus,)),
         ],
         CapacityAwareMarginalCciRouting(),
         demand,

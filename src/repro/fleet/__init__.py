@@ -6,18 +6,19 @@ failing, and being replaced across geo-distributed sites with different
 grid mixes, with request routing policies that exploit the differences.
 
 * :mod:`repro.fleet.population` — :class:`DeviceCohort` configuration
-  records and the :class:`ChurnTable` that holds their churn state, one
+  records (device, policy, intake, failure model, seed, request rate)
+  and the :class:`ChurnTable` that holds their churn state, one
   row per cohort (one column per deploy step; intake, battery aging,
   stochastic churn, replacement policies), stepped fleet-wide in array
   passes, each row with its own independent seeded stream;
   ``churn.sampler`` on the scenario spec picks the failure draw — one
   uniform per device (the reference) or one binomial per live column
   (O(days) instead of O(devices) per step);
-* :mod:`repro.fleet.sites` — multi-site cloudlets, each a
-  :class:`~repro.cluster.cloudlet.CloudletDesign` bound to its own
-  :class:`~repro.grid.traces.GridTrace`; a :class:`FleetSite` *is* its
-  tuple of typed :class:`SiteCohort` entries (one for a uniform rack, more
-  for mixed Pixel 3A / Nexus 4 racks), plus regional trace presets;
+* :mod:`repro.fleet.sites` — multi-site cloudlets: a :class:`FleetSite`
+  *is* its tuple of typed :class:`DeviceCohort` records (one for a uniform
+  rack, more for mixed Pixel 3A / Nexus 4 racks) bound to its own
+  :class:`~repro.grid.traces.GridTrace`, its peripherals derived from
+  the cohorts; plus regional trace presets;
 * :mod:`repro.fleet.scheduler` — pluggable carbon-aware routing policies
   allocating over per-device-type cohort segments, with a vectorized
   hourly path and a per-request FIFO-queue latency probe;
@@ -43,6 +44,7 @@ from repro.fleet.dispatch import (
 )
 from repro.fleet.population import (
     CHURN_SAMPLERS,
+    DEFAULT_REQUESTS_PER_DEVICE_S,
     ChurnTable,
     DeviceCohort,
     FailureModel,
@@ -69,17 +71,13 @@ from repro.fleet.scheduler import (
     simulate_latency_aware,
 )
 from repro.fleet.sites import (
-    DEFAULT_REQUESTS_PER_DEVICE_S,
     REGIONAL_GENERATORS,
     FleetSite,
-    SiteCohort,
-    build_site_cohort,
     caiso_like_generator,
     default_intake_stream,
     ercot_like_generator,
     hydro_heavy_generator,
     regional_trace,
-    site_from_cohorts,
 )
 
 __all__ = [
@@ -91,18 +89,15 @@ __all__ = [
     "ReplacementPolicy",
     "steady_state_intake_rate",
     "CHURN_SAMPLERS",
+    "DEFAULT_REQUESTS_PER_DEVICE_S",
     # sites
     "FleetSite",
-    "SiteCohort",
-    "build_site_cohort",
-    "site_from_cohorts",
     "default_intake_stream",
     "regional_trace",
     "caiso_like_generator",
     "ercot_like_generator",
     "hydro_heavy_generator",
     "REGIONAL_GENERATORS",
-    "DEFAULT_REQUESTS_PER_DEVICE_S",
     # scheduler
     "RoutingPolicy",
     "RoundRobinRouting",

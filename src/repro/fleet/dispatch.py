@@ -2,7 +2,7 @@
 
 The paper studies smart charging (Section 4.3) and cluster operation as
 separate experiments.  This module closes that gap — UPS-as-carbon-buffer:
-every :class:`~repro.fleet.sites.SiteCohort` of every
+every :class:`~repro.fleet.population.DeviceCohort` of every
 :class:`~repro.fleet.sites.FleetSite` carries its own aggregate
 state-of-charge ledger entry (one pack fraction per device type, since every
 device of a type holds its own battery at the cohort-wide SoC — a Pixel 3A
@@ -85,7 +85,8 @@ from repro.charging.smart_charging import (
     charge_percentile,
     threshold_from_intensities,
 )
-from repro.fleet.sites import FleetSite, SiteCohort
+from repro.fleet.population import DeviceCohort
+from repro.fleet.sites import FleetSite
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.forecast imports the
     # DISPATCH_* constants from this module, so a top-level import would cycle.
@@ -114,8 +115,8 @@ class PackTable:
     """
 
     sites: Tuple[FleetSite, ...]
-    #: The :class:`~repro.fleet.sites.SiteCohort` of each column.
-    entries: Tuple[SiteCohort, ...]
+    #: The :class:`~repro.fleet.population.DeviceCohort` of each column.
+    entries: Tuple[DeviceCohort, ...]
     #: Index into ``sites`` of each pack's site, and each site's first column.
     site_index: np.ndarray
     site_starts: np.ndarray
@@ -156,7 +157,7 @@ class PackTable:
         ]
         wear = [
             0.0
-            if battery is None or not entry.cohort.policy.swap_batteries
+            if battery is None or not entry.policy.swap_batteries
             else units.kg_to_grams(battery.embodied_carbon_kgco2e)
             / (battery.cycle_life * battery.capacity_joules)
             * dynamic_j
@@ -201,7 +202,7 @@ class PackTable:
                     if battery is None
                     else charge_percentile(
                         battery,
-                        entry.device.average_power_w(entry.cohort.load_profile),
+                        entry.device.average_power_w(entry.load_profile),
                     )
                     for entry, battery in zip(entries, batteries)
                 ],
@@ -700,7 +701,7 @@ def replay_dispatch(
 
 
 def estimate_cohort_savings(
-    site: FleetSite, entry: SiteCohort, min_state_of_charge: float = 0.25
+    site: FleetSite, cohort: DeviceCohort, min_state_of_charge: float = 0.25
 ) -> Optional[float]:
     """Detached smart-charging study for one cohort on its site's trace.
 
@@ -709,14 +710,14 @@ def estimate_cohort_savings(
     load profile, returning the median fractional daily savings — or
     ``None`` when the device has no battery.
     """
-    if entry.device.battery is None:
+    if cohort.device.battery is None:
         return None
     from repro.charging import smart_charging_savings
 
     study = smart_charging_savings(
-        entry.device,
+        cohort.device,
         site.trace,
-        load_profile=entry.cohort.load_profile,
+        load_profile=cohort.load_profile,
         min_state_of_charge=min_state_of_charge,
     )
     return study.median_savings

@@ -15,9 +15,10 @@ well under a second:
   device fails: swap the battery (re-introducing its embodied carbon, paper
   Equation 10) and/or deploy a spare from the intake pool;
 * :class:`DeviceCohort` — the configuration of one cohort: device,
-  policy, intake, failure model, load profile, seed and ``sampler`` (one
+  policy, intake, failure model, load profile, seed, ``sampler`` (one
   of :data:`CHURN_SAMPLERS`, which picks only the hardware-failure draw:
-  one uniform per device, or one binomial per live column);
+  one uniform per device, or one binomial per live column) and the
+  per-device request rate it serves;
 * :class:`ChurnTable` — the one churn engine and the only holder of churn
   state: every cohort's population as one row of a table whose column
   ``k`` holds the devices deployed on step ``k`` (identical device state
@@ -46,6 +47,16 @@ from repro import units
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
 
+#: Default sustained request service rate of one phone (requests/s).  Matches
+#: the order of magnitude of the paper's DeathStarBench phone-cloudlet runs.
+DEFAULT_REQUESTS_PER_DEVICE_S = 20.0
+
+
+def _require_count(name: str, value) -> None:
+    """Reject a device count that is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class IntakeStream:
@@ -67,6 +78,7 @@ class IntakeStream:
             raise ValueError(
                 f"intake rate must be non-negative and finite, got {self.arrivals_per_day!r}"
             )
+        _require_count("initial_spares", self.initial_spares)
         if self.initial_spares < 0:
             raise ValueError("initial spare count must be non-negative")
 
@@ -109,6 +121,8 @@ class ReplacementPolicy:
     max_battery_swaps: int = 3
 
     def __post_init__(self) -> None:
+        _require_count("target_size", self.target_size)
+        _require_count("max_battery_swaps", self.max_battery_swaps)
         if self.target_size <= 0:
             raise ValueError("target fleet size must be positive")
         if self.max_battery_swaps < 0:
@@ -150,6 +164,12 @@ class DeviceCohort:
     The two samplers are distributionally equivalent but consume the RNG
     differently, so single trajectories differ; that is why the choice
     lives on the scenario spec and in its hash.
+
+    ``requests_per_device_s`` is the rate one device of the cohort serves.
+    The per-device-type quantities the scheduler and dispatch layers consume
+    (idle power, dynamic energy and wear carbon per request, battery energy,
+    marginal CCI) are a :class:`~repro.fleet.dispatch.PackTable` column per
+    cohort.
     """
 
     device: DeviceSpec
@@ -159,6 +179,7 @@ class DeviceCohort:
     load_profile: LoadProfile = LIGHT_MEDIUM
     seed: int = 0
     sampler: str = "device"
+    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S
 
     def __post_init__(self) -> None:
         if self.sampler not in CHURN_SAMPLERS:
@@ -166,6 +187,16 @@ class DeviceCohort:
             raise ValueError(
                 f"unknown churn sampler {self.sampler!r}; expected one of: {known}"
             )
+        rate = self.requests_per_device_s
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(
+                f"per-device request rate must be positive and finite, got {rate!r}"
+            )
+
+    @property
+    def target_size(self) -> int:
+        """The deployment this cohort tries to keep active."""
+        return self.policy.target_size
 
     def average_draw_w(self, utilization: Optional[float] = None) -> float:
         """Per-device wall draw at the given mean utilisation.

@@ -2,7 +2,7 @@
 
 Routing policies decide, hour by hour, how much of the fleet's request
 demand each *cohort segment* serves.  A segment is one
-:class:`~repro.fleet.sites.SiteCohort` of one site — one column of the
+:class:`~repro.fleet.population.DeviceCohort` of one site — one column of the
 fleet's :class:`~repro.fleet.dispatch.PackTable`.  Sites mixing several
 device types expose one segment per type, each with its own capacity and
 marginal-CCI column (:meth:`~repro.fleet.dispatch.PackTable.marginal_g`),
@@ -408,7 +408,7 @@ class FleetSimulation:
                 self._precompute_inputs(n_steps, step_s)
             )
         # Every cohort is a row of one fresh churn table, stepped once per day.
-        self.churn = churn = ChurnTable(entry.cohort for entry in self.packs.entries)
+        self.churn = churn = ChurnTable(self.packs.entries)
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
             # Day-start counts — what the allocation's live capability
@@ -449,7 +449,7 @@ class FleetSimulation:
         if tele.enabled:
             # Which failure draw stepped this run, and how many distinct
             # device-state buckets it peaked at.
-            samplers = {entry.cohort.sampler for entry in self.packs.entries}
+            samplers = {cohort.sampler for cohort in self.packs.entries}
             tele.gauge(
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
@@ -567,16 +567,7 @@ class FleetSimulation:
                     cohort_swaps_day=cohort_swaps,
                     cohort_deployed=cohort_deployed,
                     cohort_replacement_g=cohort_replacement_g,
-                    cohort_swap_embodied_g=np.array(
-                        [
-                            units.kg_to_grams(
-                                entry.device.battery.embodied_carbon_kgco2e
-                            )
-                            if entry.device.battery is not None
-                            else 0.0
-                            for entry in self.packs.entries
-                        ]
-                    ),
+                    cohort_swap_embodied_g=churn.embodied_g,
                     telemetry=tele if tele.enabled else None,
                 )
 
@@ -900,7 +891,7 @@ def simulate_latency_aware(
     recorder = LatencyRecorder()
 
     packs = PackTable.from_sites(sites)
-    cohorts = [entry.cohort for entry in packs.entries]
+    cohorts = packs.entries
     if churn is None:
         churn = ChurnTable(cohorts)
     elif len(churn.cohorts) != len(cohorts) or any(

@@ -1,18 +1,18 @@
 """Geo-distributed cloudlet sites with regional grid-intensity traces.
 
-A :class:`FleetSite` binds together the three things the fleet scheduler
-needs to know about a location:
+A :class:`FleetSite` binds together what the fleet scheduler needs to know
+about a location:
 
-* a :class:`~repro.cluster.cloudlet.CloudletDesign` (peripherals, network
-  topology, primary device type) sized at the site's target fleet;
 * the site's own :class:`~repro.grid.traces.GridTrace` — every site sees a
   *different* carbon-intensity time series, which is what makes carbon-aware
   routing pay off;
-* its ``cohorts`` tuple of :class:`SiteCohort` entries — typed
+* its ``cohorts`` tuple of typed
   :class:`~repro.fleet.population.DeviceCohort` configurations deployed
-  there (device, replacement policy, intake, failure model, seed;
-  ``sampler`` picks the failure draw), each with its own request rate and
-  battery pack.
+  there (device, replacement policy, intake, failure model, seed, request
+  rate; ``sampler`` picks the failure draw), each with its own battery
+  pack;
+* its network round-trip time, and the peripheral bill (smart plugs and
+  fans) derived from its cohorts.
 
 A site is configuration only: the devices' churn state lives in the
 :class:`~repro.fleet.population.ChurnTable` a fleet run builds from its
@@ -22,7 +22,7 @@ A junkyard cloudlet is built from whatever arrives, so the realistic rack is
 *mixed*: a site may hold a Pixel 3A cohort and a Nexus 4 cohort side by
 side.  A uniform rack is simply the one-entry case of the same model.
 Every per-device-type quantity (capacity, idle/peak power, dynamic energy
-per request, marginal CCI) lives on :class:`SiteCohort`, so routing can
+per request, marginal CCI) follows from its cohort, so routing can
 prefer the efficient device type inside a site and the battery ledger can
 track each pack type separately.  Terms at a device count — the counts the
 routing and churn pass recorded, or a churn table's live counts — are one
@@ -48,28 +48,22 @@ interface (see ROADMAP open items).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
-from repro.cluster.cloudlet import CloudletDesign
 from repro.cluster.peripherals import PeripheralSet
-from repro.cluster.topology import wifi_tree_topology
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
-from repro.fleet.population import (
+from repro.fleet.population import (  # the rate default is re-exported here
+    DEFAULT_REQUESTS_PER_DEVICE_S,
     DeviceCohort,
     FailureModel,
     IntakeStream,
     ReplacementPolicy,
     steady_state_intake_rate,
 )
-from repro.grid.mix import EnergyMix
 from repro.grid.traces import CaisoLikeTraceGenerator, GridTrace
 from repro.thermal.cooling import plan_cooling
-
-#: Default sustained request service rate of one phone (requests/s).  Matches
-#: the order of magnitude of the paper's DeathStarBench phone-cloudlet runs.
-DEFAULT_REQUESTS_PER_DEVICE_S = 20.0
 
 
 # ---------------------------------------------------------------------------
@@ -140,59 +134,30 @@ def regional_trace(region: str, n_days: int = 30, seed: int = 2021) -> GridTrace
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SiteCohort:
-    """One typed device cohort deployed at a site.
-
-    Binds a :class:`~repro.fleet.population.DeviceCohort` configuration to
-    the per-type service rate it delivers.  A :class:`FleetSite` holds one entry per
-    device type.  The per-device-type quantities the scheduler and dispatch
-    layers consume (idle power, dynamic energy and wear carbon per request,
-    battery energy, marginal CCI) are columns of a
-    :class:`~repro.fleet.dispatch.PackTable`, one row per entry.
-    """
-
-    cohort: DeviceCohort
-    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S
-
-    def __post_init__(self) -> None:
-        rate = self.requests_per_device_s
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(
-                f"per-device request rate must be positive and finite, got {rate!r}"
-            )
-
-    @property
-    def device(self) -> DeviceSpec:
-        """The device type this cohort deploys."""
-        return self.cohort.device
-
-    @property
-    def target_size(self) -> int:
-        """The deployment this cohort tries to keep active."""
-        return self.cohort.policy.target_size
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FleetSite:
     """One cloudlet location participating in multi-site orchestration.
 
-    A site is its ``cohorts`` tuple — one :class:`SiteCohort` per device
-    type, a single entry for a uniform rack — bound to a cloudlet design and
-    a grid trace.  The per-type terms are the site's columns of a
-    :class:`~repro.fleet.dispatch.PackTable`.  Scenarios build their sites
-    through :meth:`~repro.scenarios.runner.ScenarioRunner.build_sites`,
-    which calls :func:`site_from_cohorts` to size the design's peripherals
-    to the cohorts.
+    A site is its ``cohorts`` tuple — one
+    :class:`~repro.fleet.population.DeviceCohort` per device type, a single
+    entry for a uniform rack — bound to a grid trace.  The per-type terms
+    are the site's columns of a :class:`~repro.fleet.dispatch.PackTable`.
+    Scenarios build their sites through
+    :meth:`~repro.scenarios.runner.ScenarioRunner.build_sites`.
+
+    ``peripherals`` is derived from the cohorts by the paper's recipe — a
+    smart plug per phone and fans sized per device type by the thermal
+    model — summed across cohorts, so a mixed Pixel 3A / Nexus 4 site
+    carries exactly the peripherals its two racks would carry side by side.
     """
 
     name: str
-    design: CloudletDesign
     trace: GridTrace
-    cohorts: Tuple[SiteCohort, ...]
+    cohorts: Tuple[DeviceCohort, ...]
     #: Round-trip network latency between the fleet's clients and this site;
     #: the scheduler's latency probe adds it once per request.
     network_rtt_s: float = 0.010
+    peripherals: PeripheralSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         rtt = self.network_rtt_s
@@ -200,26 +165,28 @@ class FleetSite:
             raise ValueError(
                 f"network RTT must be non-negative and finite, got {rtt!r}"
             )
-        self.cohorts = tuple(self.cohorts)
-        if not self.cohorts:
+        cohorts = tuple(self.cohorts)
+        if not cohorts:
             raise ValueError(f"site {self.name!r} needs at least one cohort")
-        cohort_devices = [entry.device.name for entry in self.cohorts]
-        if self.design.device.name not in cohort_devices:
-            raise ValueError(
-                f"site {self.name!r}: design device {self.design.device.name!r} "
-                f"differs from cohort devices {cohort_devices}"
-            )
+        object.__setattr__(self, "cohorts", cohorts)
+        peripherals = PeripheralSet.for_smartphone_cloudlet(
+            n_devices=sum(cohort.target_size for cohort in cohorts),
+            n_fans=sum(
+                plan_cooling(cohort.device, cohort.target_size).fans
+                for cohort in cohorts
+            ),
+            include_smart_plugs=True,
+        )
+        object.__setattr__(self, "peripherals", peripherals)
 
     def cohort_labels(self) -> Tuple[str, ...]:
         """One stable label per cohort: ``site/device``."""
-        return tuple(
-            f"{self.name}/{entry.device.name}" for entry in self.cohorts
-        )
+        return tuple(f"{self.name}/{cohort.device.name}" for cohort in self.cohorts)
 
     @property
     def peripheral_power_w(self) -> float:
-        """Constant peripheral draw (fans, plugs, APs) — never battery-backed."""
-        return self.design.peripherals.total_power_w
+        """Constant peripheral draw (fans, plugs) — never battery-backed."""
+        return self.peripherals.total_power_w
 
 
 def default_intake_stream(
@@ -233,10 +200,9 @@ def default_intake_stream(
 ) -> IntakeStream:
     """The intake stream a site uses unless told otherwise.
 
-    The single source of the fleet's intake defaults (:func:`build_site_cohort`
-    and the scenario runner both call it): 25 % headroom over the analytic
-    steady-state replacement rate, plus a small spare pool proportional to
-    the target size, both overridable individually.
+    The single source of the fleet's intake defaults: 25 % headroom over
+    the analytic steady-state replacement rate, plus a small spare pool
+    proportional to the target size, both overridable individually.
     """
     if arrivals_per_day is None:
         arrivals_per_day = 1.25 * steady_state_intake_rate(
@@ -249,93 +215,3 @@ def default_intake_stream(
         initial_spares=initial_spares,
         poisson=poisson,
     )
-
-
-def site_from_cohorts(
-    name: str,
-    trace: GridTrace,
-    entries: Sequence[SiteCohort],
-    grid_label: str = "custom",
-    network_rtt_s: float = 0.010,
-) -> FleetSite:
-    """Build a (possibly mixed) smartphone cloudlet site from typed cohorts.
-
-    The cloudlet design follows the paper's recipe — smart plugs per phone,
-    fans sized per device type by the thermal model, a WiFi tree topology —
-    summed across cohorts, so a mixed Pixel 3A / Nexus 4 site carries
-    exactly the peripherals its two racks would carry side by side.  The
-    design names one device, its primary: the cohort with the largest
-    target deployment, ties broken by entry order.
-    """
-    entries = tuple(entries)
-    if not entries:
-        raise ValueError("site needs at least one cohort")
-    total_devices = sum(entry.target_size for entry in entries)
-    primary = max(entries, key=lambda entry: entry.target_size)
-    total_fans = sum(
-        plan_cooling(entry.device, entry.target_size).fans for entry in entries
-    )
-    mix = " + ".join(
-        f"{entry.target_size}x {entry.device.name}" for entry in entries
-    )
-    peripherals = PeripheralSet.for_smartphone_cloudlet(
-        n_devices=total_devices, n_fans=total_fans, include_smart_plugs=True
-    )
-    design = CloudletDesign(
-        name=f"{name} ({mix})",
-        device=primary.device,
-        n_devices=total_devices,
-        energy_mix=EnergyMix(name=grid_label, trace=trace),
-        topology=wifi_tree_topology(),
-        peripherals=peripherals,
-        load_profile=primary.cohort.load_profile,
-        reused=True,
-    )
-    return FleetSite(
-        name=name,
-        design=design,
-        trace=trace,
-        cohorts=entries,
-        network_rtt_s=network_rtt_s,
-    )
-
-
-def build_site_cohort(
-    device: DeviceSpec,
-    n_devices: int,
-    seed: int = 0,
-    requests_per_device_s: float = DEFAULT_REQUESTS_PER_DEVICE_S,
-    load_profile: LoadProfile = LIGHT_MEDIUM,
-    intake: Optional[IntakeStream] = None,
-    failure_model: Optional[FailureModel] = None,
-    replacement_policy: Optional[ReplacementPolicy] = None,
-    sampler: str = "device",
-) -> SiteCohort:
-    """Build one typed :class:`SiteCohort` with the fleet's intake defaults.
-
-    ``sampler`` picks the cohort's failure draw (``device`` — one uniform
-    per device, the reference — or ``bucket``, one binomial per deploy-day
-    bucket at O(days) per step).  A ``replacement_policy`` must target
-    exactly ``n_devices``.
-    """
-    if n_devices <= 0:
-        raise ValueError("site needs a positive device count")
-    policy = replacement_policy or ReplacementPolicy(target_size=n_devices)
-    if policy.target_size != n_devices:
-        raise ValueError(
-            f"replacement policy targets {policy.target_size} devices, "
-            f"but the cohort deploys {n_devices}"
-        )
-    failures = failure_model or FailureModel()
-    if intake is None:
-        intake = default_intake_stream(device, policy, failures, load_profile)
-    cohort = DeviceCohort(
-        device=device,
-        policy=policy,
-        intake=intake,
-        failure_model=failures,
-        load_profile=load_profile,
-        seed=seed,
-        sampler=sampler,
-    )
-    return SiteCohort(cohort=cohort, requests_per_device_s=requests_per_device_s)

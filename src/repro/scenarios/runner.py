@@ -32,7 +32,12 @@ from repro.fleet.dispatch import (
     estimate_fleet_savings,
 )
 from repro.forecast.models import PerfectForecast, forecast_model_by_name
-from repro.fleet.population import ChurnTable, FailureModel, ReplacementPolicy
+from repro.fleet.population import (
+    ChurnTable,
+    DeviceCohort,
+    FailureModel,
+    ReplacementPolicy,
+)
 from repro.fleet.reporting import FleetReport
 from repro.fleet.scheduler import (
     DiurnalDemand,
@@ -40,14 +45,7 @@ from repro.fleet.scheduler import (
     policy_by_name,
     simulate_latency_aware,
 )
-from repro.fleet.sites import (
-    FleetSite,
-    SiteCohort,
-    build_site_cohort,
-    default_intake_stream,
-    regional_trace,
-    site_from_cohorts,
-)
+from repro.fleet.sites import FleetSite, default_intake_stream, regional_trace
 from repro.grid.traces import DATA_DIR, GridTrace
 from repro.scenarios.spec import (
     LOAD_PROFILE_REGISTRY,
@@ -247,7 +245,7 @@ class ScenarioRunner:
 
     def build_cohort(
         self, site: SiteSpec, mix: DeviceMixSpec, index: int, cohort_index: int
-    ) -> SiteCohort:
+    ) -> DeviceCohort:
         """Materialise cohort ``cohort_index`` of site ``index``, seeded as
         the class docstring states."""
         try:
@@ -280,31 +278,27 @@ class ScenarioRunner:
             poisson=churn.poisson_intake,
         )
         base_seed = self.spec.seed + index
-        return build_site_cohort(
+        return DeviceCohort(
             device=device,
-            n_devices=mix.count,
-            seed=base_seed if cohort_index == 0 else (base_seed, cohort_index),
-            requests_per_device_s=mix.requests_per_device_s,
-            load_profile=load_profile,
+            policy=replacement_policy,
             intake=intake,
             failure_model=failure_model,
-            replacement_policy=replacement_policy,
+            load_profile=load_profile,
+            seed=base_seed if cohort_index == 0 else (base_seed, cohort_index),
             sampler=churn.sampler,
+            requests_per_device_s=mix.requests_per_device_s,
         )
 
     def build_site(self, site: SiteSpec, index: int) -> FleetSite:
         """Materialise one (possibly mixed) :class:`~repro.fleet.sites.FleetSite`."""
-        entries = [
+        cohorts = tuple(
             self.build_cohort(site, mix, index, cohort_index)
             for cohort_index, mix in enumerate(site.device_mixes)
-        ]
-        return site_from_cohorts(
+        )
+        return FleetSite(
             name=site.name,
             trace=self.build_trace(site, index),
-            entries=entries,
-            grid_label=(
-                site.trace.region if site.trace.kind == "regional" else site.trace.kind
-            ),
+            cohorts=cohorts,
             network_rtt_s=site.network_rtt_s,
         )
 
@@ -498,13 +492,13 @@ class ScenarioRunner:
                 )
         return dataclasses.replace(report, hindsight_avoided_g=hindsight_avoided)
 
-    def _cost_model(self, entry) -> FleetCostModel:
+    def _cost_model(self, cohort: DeviceCohort) -> FleetCostModel:
         """A cost model for one cohort, priced from the scenario's economics."""
         economics = self.spec.economics
         return FleetCostModel(
-            device=entry.device,
-            n_devices=entry.target_size,
-            load_profile=entry.cohort.load_profile,
+            device=cohort.device,
+            n_devices=cohort.target_size,
+            load_profile=cohort.load_profile,
             electricity_usd_per_kwh=economics.electricity_usd_per_kwh,
             battery_replacement_usd=economics.battery_replacement_usd,
             battery_swap_labor_min=economics.battery_swap_labor_min,
@@ -534,10 +528,10 @@ class ScenarioRunner:
             site = sites[index]
             purchase_usd = 0.0
             maintenance_usd = 0.0
-            for j, entry in enumerate(site.cohorts, start=int(site_starts[index])):
+            for j, cohort in enumerate(site.cohorts, start=int(site_starts[index])):
                 cohort_summary = cohort_summaries[j]
-                model = self._cost_model(entry)
-                purchase_usd += entry.target_size * entry.device.purchase_price_usd
+                model = self._cost_model(cohort)
+                purchase_usd += cohort.target_size * cohort.device.purchase_price_usd
                 maintenance_usd += model.churn_cost_usd(
                     cohort_summary.battery_swaps, cohort_summary.deployed
                 )
@@ -546,7 +540,7 @@ class ScenarioRunner:
                 )
             costs[summary.name] = OwnershipCost(
                 purchase_usd=purchase_usd,
-                peripherals_usd=site.design.peripherals.total_cost_usd,
+                peripherals_usd=site.peripherals.total_cost_usd,
                 energy_usd=float(energy_kwh[:, index].sum())
                 * economics.electricity_usd_per_kwh,
                 maintenance_usd=maintenance_usd,

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fleet_oracles as oracle
-from fleet_specs import fleet_spec, site_spec, two_site_spec, worn_churn
+from fleet_specs import (
+    fleet_spec,
+    junkyard_cohort,
+    site_spec,
+    two_site_spec,
+    worn_churn,
+)
 from repro.charging import charge_percentile
 from repro.fleet import (
     CarbonBufferDispatch,
@@ -26,12 +32,7 @@ from repro.fleet.dispatch import (
     DISPATCH_HOLD,
 )
 from repro.fleet.scheduler import _effective_capacity
-from repro.fleet.sites import (
-    DEFAULT_REQUESTS_PER_DEVICE_S,
-    build_site_cohort,
-    regional_trace,
-    site_from_cohorts,
-)
+from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S, FleetSite, regional_trace
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.spec import ChurnSpec, DeviceMixSpec
 
@@ -184,7 +185,7 @@ class TestEnergyLedger:
         """A one-pack ledger at state of charge ``soc`` and its
         ``(capacity_j, charge_rate_w)`` at the site's live count."""
         packs = PackTable.from_sites([site])
-        counts = ChurnTable(entry.cohort for entry in site.cohorts).active
+        counts = ChurnTable(site.cohorts).active
         ledger = EnergyLedger(packs, **kwargs)
         ledger.soc[:] = soc
         return ledger, counts * packs.battery_j, counts * packs.charge_w
@@ -323,7 +324,7 @@ class TestPackTable:
             assert packs.site_rate[j].hex() == float(oracle.site_rate(site)).hex()
             battery = entry.device.battery
             if battery is not None:
-                draw = entry.device.average_power_w(entry.cohort.load_profile)
+                draw = entry.device.average_power_w(entry.load_profile)
                 assert packs.charge_percentile[j] == charge_percentile(battery, draw)
         # The battery-less server and the no-swap cohort carry no wear.
         assert packs.wear_g[2] == 0.0 and packs.wear_g[4] == 0.0
@@ -412,11 +413,10 @@ def _pack_site(has_battery: bool):
     device = PIXEL_3A if has_battery else PIXEL_3A.with_overrides(battery=None)
     # No catalog name (so no spec) describes a battery-less Pixel: build the
     # site straight from its cohort.
-    return site_from_cohorts(
+    return FleetSite(
         "pack" if has_battery else "no-battery",
         regional_trace("caiso-like", n_days=1),
-        [build_site_cohort(device, 4)],
-        grid_label="caiso-like",
+        (junkyard_cohort(device, 4),),
     )
 
 
@@ -594,17 +594,13 @@ class TestWearDerate:
         spec = two_site_spec(N_DEVICES, seed=6, n_trace_days=7)
         sites = []
         for site in ScenarioRunner(spec).build_sites():
-            (entry,) = site.cohorts
-            device = entry.device
+            (cohort,) = site.cohorts
+            device = cohort.device
             battery = dataclasses.replace(device.battery, cycle_life=40.0)
             cohort = dataclasses.replace(
-                entry.cohort, device=dataclasses.replace(device, battery=battery)
+                cohort, device=dataclasses.replace(device, battery=battery)
             )
-            sites.append(
-                dataclasses.replace(
-                    site, cohorts=(dataclasses.replace(entry, cohort=cohort),)
-                )
-            )
+            sites.append(dataclasses.replace(site, cohorts=(cohort,)))
         return sites
 
     def test_derate_and_dispatch_compose(self):

@@ -14,7 +14,8 @@ The acceptance properties of the multi-cohort site model:
 import numpy as np
 import pytest
 
-from fleet_specs import fleet_spec, site_spec
+from fleet_oracles import bits, site_rate
+from fleet_specs import fleet_spec, junkyard_cohort, pixel_rack_spec, site_spec
 from repro.devices.catalog import NEXUS_4, PIXEL_3A
 from repro.fleet import (
     CarbonBufferDispatch,
@@ -27,8 +28,6 @@ from repro.fleet import (
     CapacityAwareMarginalCciRouting,
     PackTable,
     ReplacementPolicy,
-    build_site_cohort,
-    site_from_cohorts,
 )
 from repro.fleet.sites import regional_trace
 from repro.scenarios import ScenarioRunner
@@ -38,12 +37,12 @@ N_DAYS = 5
 DEMAND = DiurnalDemand(mean_rps=500.0)
 
 
-def _pixel_entry(seed=3, n=30):
-    return build_site_cohort(PIXEL_3A, n, seed=seed)
+def _pixel_cohort(seed=3, n=30):
+    return junkyard_cohort(PIXEL_3A, n, seed=seed)
 
 
-def _nexus_entry(seed=(3, 1), n=30):
-    return build_site_cohort(NEXUS_4, n, seed=seed, requests_per_device_s=8.0)
+def _nexus_cohort(seed=(3, 1), n=30):
+    return junkyard_cohort(NEXUS_4, n, seed=seed, requests_per_device_s=8.0)
 
 
 def _trace(seed=2024):
@@ -88,13 +87,11 @@ class TestMixedSiteEquivalence:
     def _pair(self):
         """The same cohorts as one mixed site and as co-located twins."""
         mixed = self._run([
-            site_from_cohorts(
-                "mixed", _trace(), [_pixel_entry(), _nexus_entry()],
-            )
+            FleetSite("mixed", _trace(), (_pixel_cohort(), _nexus_cohort())),
         ])
         split = self._run([
-            site_from_cohorts("pixel", _trace(), [_pixel_entry()]),
-            site_from_cohorts("nexus", _trace(), [_nexus_entry()]),
+            FleetSite("pixel", _trace(), (_pixel_cohort(),)),
+            FleetSite("nexus", _trace(), (_nexus_cohort(),)),
         ])
         return mixed, split
 
@@ -142,7 +139,7 @@ class TestMixedSiteEquivalence:
         from repro.fleet import RoundRobinRouting
 
         report = self._run(
-            [site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])],
+            [FleetSite("m", _trace(), (_pixel_cohort(), _nexus_cohort()))],
             policy_cls=RoundRobinRouting, dispatch=False,
         )
         served = report.cohort_served_rps.sum(axis=0)
@@ -159,9 +156,9 @@ class TestPerTypeLedger:
     @pytest.fixture(scope="class")
     def reports(self):
         def build():
-            return [site_from_cohorts(
-                "mixed", _trace(), [_pixel_entry(), _nexus_entry()],
-            )]
+            return [
+                FleetSite("mixed", _trace(), (_pixel_cohort(), _nexus_cohort()))
+            ]
         return {
             "none": FleetSimulation(
                 build(), GreedyLowestIntensityRouting(), DEMAND
@@ -173,7 +170,7 @@ class TestPerTypeLedger:
         }
 
     def test_two_packs_for_one_mixed_site(self):
-        site = site_from_cohorts("mixed", _trace(), [_pixel_entry(), _nexus_entry()])
+        site = FleetSite("mixed", _trace(), (_pixel_cohort(), _nexus_cohort()))
         packs = PackTable.from_sites([site])
         assert len(packs) == 2
         assert packs.entries[0].device.name == "Pixel 3A"
@@ -285,24 +282,24 @@ class TestPerCohortChurn:
 
 class TestMixedSiteConstruction:
     def test_peripherals_sum_across_cohorts(self):
-        mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
-        pixel = site_from_cohorts("p", _trace(), [_pixel_entry()])
-        nexus = site_from_cohorts("n", _trace(), [_nexus_entry()])
+        mixed = FleetSite("m", _trace(), (_pixel_cohort(), _nexus_cohort()))
+        pixel = FleetSite("p", _trace(), (_pixel_cohort(),))
+        nexus = FleetSite("n", _trace(), (_nexus_cohort(),))
         assert mixed.peripheral_power_w == pytest.approx(
             pixel.peripheral_power_w + nexus.peripheral_power_w
         )
 
     def test_capacity_aggregates_across_cohorts(self):
-        mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
+        mixed = FleetSite("m", _trace(), (_pixel_cohort(), _nexus_cohort()))
         packs = PackTable.from_sites([mixed])
-        counts = ChurnTable(entry.cohort for entry in mixed.cohorts).active
+        counts = ChurnTable(mixed.cohorts).active
         assert (counts * packs.requests_per_device_s).sum() == pytest.approx(
             30 * 20.0 + 30 * 8.0
         )
         assert packs.site_rate.tolist() == pytest.approx([14.0, 14.0])
 
     def test_marginal_is_the_best_cohort(self):
-        mixed = site_from_cohorts("m", _trace(), [_pixel_entry(), _nexus_entry()])
+        mixed = FleetSite("m", _trace(), (_pixel_cohort(), _nexus_cohort()))
         packs = PackTable.from_sites([mixed])
         per_cohort = packs.marginal_g(np.array([[300.0, 300.0]]))[0]
         keys = CapacityAwareMarginalCciRouting().request_keys(
@@ -312,17 +309,41 @@ class TestMixedSiteConstruction:
         assert keys[0, 0] == per_cohort.min()
 
     def test_site_needs_at_least_one_cohort(self):
-        site = site_from_cohorts("m", _trace(), [_pixel_entry()])
         with pytest.raises(ValueError, match="at least one cohort"):
-            FleetSite(name="bad", design=site.design, trace=site.trace, cohorts=())
+            FleetSite(name="bad", trace=_trace(), cohorts=())
 
-    def test_design_device_must_match_some_cohort(self):
-        pixel = site_from_cohorts("p", _trace(), [_pixel_entry()])
-        with pytest.raises(ValueError, match="differs from cohort"):
-            FleetSite(
-                name="bad", design=pixel.design, trace=pixel.trace,
-                cohorts=(_nexus_entry(),),
-            )
+
+class TestSameDeviceRack:
+    """Two Pixel 3A cohorts at one site, serving 20 and 10 req/s each."""
+
+    @pytest.fixture(scope="class")
+    def site(self):
+        spec = pixel_rack_spec(counts=(30, 15), n_trace_days=N_DAYS, seed=4)
+        (site,) = ScenarioRunner(spec).build_sites()
+        return site
+
+    def test_two_packs_keep_their_own_rates(self, site):
+        packs = PackTable.from_sites([site])
+        assert [cohort.device.name for cohort in packs.entries] == ["Pixel 3A"] * 2
+        assert packs.requests_per_device_s.tolist() == [20.0, 10.0]
+        assert packs.target.tolist() == [30, 15]
+        assert site.cohort_labels() == ("rack/Pixel 3A", "rack/Pixel 3A")
+
+    def test_site_rate_is_the_target_weighted_mean(self, site):
+        packs = PackTable.from_sites([site])
+        assert bits(packs.site_rate) == bits([site_rate(site)] * 2)
+        assert packs.site_rate.tolist() == pytest.approx([(600.0 + 150.0) / 45] * 2)
+
+    def test_audit_passes(self, site):
+        simulation = FleetSimulation(
+            [site], CapacityAwareMarginalCciRouting(), DEMAND,
+            dispatch=CarbonBufferDispatch(), audit=True,
+        )
+        report = simulation.run(N_DAYS)
+        assert simulation.audit_report.ok, simulation.audit_report.render()
+        # Both packs served and cycled their batteries.
+        assert np.all(report.cohort_served_rps.sum(axis=0) > 0)
+        assert np.all(report.cohort_battery_discharge_kwh() > 0)
 
 
 class TestForecastDispatchOnMixedSites:
@@ -340,8 +361,8 @@ class TestForecastDispatchOnMixedSites:
                 return super().windows(truth, site_index, start_h, horizon_h)
 
         sites = [
-            site_from_cohorts("mixed", _trace(), [_pixel_entry(), _nexus_entry()]),
-            site_from_cohorts("solo", _trace(seed=2030), [_pixel_entry(seed=9)]),
+            FleetSite("mixed", _trace(), (_pixel_cohort(), _nexus_cohort())),
+            FleetSite("solo", _trace(seed=2030), (_pixel_cohort(seed=9),)),
         ]
         from repro.telemetry import Telemetry
 

@@ -15,6 +15,14 @@ from repro.fleet.population import (
 )
 
 
+#: Count field -> a record built with that field set to a value.
+COUNT_FIELDS = {
+    "target_size": lambda value: ReplacementPolicy(target_size=value),
+    "max_battery_swaps": lambda value: ReplacementPolicy(10, max_battery_swaps=value),
+    "initial_spares": lambda value: IntakeStream(initial_spares=value),
+}
+
+
 def total(steps, field):
     return sum(getattr(step, field) for step in steps)
 
@@ -157,6 +165,30 @@ class TestValidation:
     def test_failure_rates_must_be_finite(self, field, value):
         with pytest.raises(ValueError, match="non-negative and finite"):
             FailureModel(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, np.bool_(True)])
+    @pytest.mark.parametrize("field", sorted(COUNT_FIELDS))
+    def test_counts_must_be_integers(self, field, value):
+        """A fractional or boolean count used to construct and then deploy
+        a truncated fleet, or fail later inside the churn step."""
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            COUNT_FIELDS[field](value)
+
+    def test_counts_accept_numpy_integers(self):
+        cohort = make_cohort(
+            policy=ReplacementPolicy(np.int64(5), max_battery_swaps=np.int32(2)),
+            intake=IntakeStream(initial_spares=np.int64(3)),
+        )
+        table = ChurnTable([cohort])
+        assert (table.active.tolist(), table.spares.tolist()) == ([5], [3])
+        assert table.swap_budget.tolist() == [2]
+
+    @pytest.mark.parametrize(
+        "rate", [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    )
+    def test_request_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make_cohort(requests_per_device_s=rate)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_intake_rate_must_be_finite(self, value):

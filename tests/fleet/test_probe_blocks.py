@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import repro.fleet.scheduler as scheduler_module
 from des_oracle import Resource, Simulator, Timeout, exponential, lognormal_factor
 from fleet_oracles import device_slots, site_marginal_g, site_rate
-from fleet_specs import fleet_spec, site_spec, two_site_spec
+from fleet_specs import fleet_spec, pixel_rack_spec, site_spec, two_site_spec
 from repro.fleet.population import ChurnTable
 from repro.fleet.scheduler import (
     SERVICE_DISTRIBUTIONS,
@@ -62,7 +62,7 @@ def simulate_per_request(
     served_by_site = {site.name: 0 for site in sites}
     routed_by_site = {site.name: 0 for site in sites}
     # The probe's default state: the sites as deployed.
-    churn = ChurnTable(entry.cohort for site in sites for entry in site.cohorts)
+    churn = ChurnTable(cohort for site in sites for cohort in site.cohorts)
     counts, wears = churn.active.tolist(), churn.mean_battery_wear().tolist()
     effective_devices = {}
     for site in sites:
@@ -168,6 +168,8 @@ def _fleet(kind):
     """Probe fleets; the probe never mutates its sites, so they are shared."""
     if kind == "two-site":
         spec = two_site_spec(5, seed=1, n_trace_days=2)
+    elif kind == "pixel-rack":
+        spec = pixel_rack_spec(seed=1)
     elif kind == "three-cohort":
         # Distinct non-integer rates, so the site's sums have unequal terms.
         spec = fleet_spec(
@@ -306,6 +308,26 @@ def test_block_edges_are_bitwise_equal_to_the_per_request_loop(
     duration_s = end if on_the_next_arrival else (times[count - 1] + end) / 2.0
     summary = _assert_probe_matches_oracle(duration_s=duration_s, **case)
     assert summary.offered == count
+
+
+def test_same_device_rack_offers_the_oracle_slots():
+    """Two Pixel 3A cohorts at 20 and 10 req/s: the site serves at their
+    target-weighted mean rate through ``device_slots`` slots, and demand
+    above its 80 req/s capacity makes requests queue for them."""
+    (site,) = _fleet("pixel-rack")
+    assert device_slots(site, [3, 2], [0.0, 0.0], 0.0) == 5
+    summary = _assert_probe_matches_oracle(
+        "pixel-rack", "marginal-cci", 0.0, demand_rps=120.0, duration_s=2.0,
+        seed=5, penalty=1e-6, distribution="lognormal",
+    )
+    assert summary.offered > 0
+    tele = Telemetry()
+    simulate_latency_aware(
+        [site], policy_by_name("marginal-cci"), demand_rps=120.0, duration_s=2.0,
+        seed=5, queue_penalty_g=1e-6, service_distribution="lognormal",
+        telemetry=tele,
+    )
+    assert tele.counters["probe.queued"] > 0
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])

@@ -194,7 +194,7 @@ class TestFleetSimulation:
 
     def test_duplicate_site_names_rejected(self, scenario):
         sites = ScenarioRunner(two_site_spec(10, seed=0, n_trace_days=7)).build_sites()
-        sites[1].name = sites[0].name
+        sites[1] = dataclasses.replace(sites[1], name=sites[0].name)
         with pytest.raises(ValueError, match="unique"):
             FleetSimulation(sites, RoundRobinRouting(), scenario)
 
@@ -238,7 +238,7 @@ class TestLatencyAwarePath:
     def test_duplicate_site_names_rejected(self):
         """Two sites named alike would share one served count and one pool."""
         sites = ScenarioRunner(two_site_spec(20, n_trace_days=2)).build_sites()
-        sites[1].name = sites[0].name
+        sites[1] = dataclasses.replace(sites[1], name=sites[0].name)
         with pytest.raises(ValueError, match="site names must be unique"):
             simulate_latency_aware(
                 sites,
@@ -323,7 +323,7 @@ class TestLatencyAwarePath:
             for name, region in (("texas", "ercot-like"), ("cascadia", "hydro-heavy"))
         ))
         sites = ScenarioRunner(spec).build_sites()
-        churn = ChurnTable(site.cohorts[0].cohort for site in sites)
+        churn = ChurnTable(site.cohorts[0] for site in sites)
         rows = [index for index, site in enumerate(sites) if site.name in dead]
         while churn.active[rows].any():
             churn.step(1.0)
@@ -351,7 +351,7 @@ class TestLatencyAwarePath:
 
     def test_churn_table_must_be_the_sites_cohorts(self):
         sites, _ = self._sites()
-        other = ChurnTable([sites[1].cohorts[0].cohort, sites[0].cohorts[0].cohort])
+        other = ChurnTable([sites[1].cohorts[0], sites[0].cohorts[0]])
         with pytest.raises(ValueError, match="sites' cohorts"):
             simulate_latency_aware(
                 sites, GreedyLowestIntensityRouting(), demand_rps=300.0,

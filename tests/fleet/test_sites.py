@@ -1,5 +1,7 @@
 """Fleet sites: regional grid presets and site power/carbon accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,19 +12,19 @@ from fleet_oracles import (
     dynamic_energy_per_request_j,
 )
 from fleet_specs import fleet_spec, site_spec, two_site_spec
-from repro.devices.catalog import PIXEL_3A
+from repro.cluster.peripherals import SERVER_FAN, SMART_PLUG
 from repro.fleet.dispatch import PackTable
-from repro.fleet.population import ChurnTable, ReplacementPolicy
+from repro.fleet.population import ChurnTable
 from repro.fleet.sites import (
     REGIONAL_GENERATORS,
     FleetSite,
-    SiteCohort,
-    build_site_cohort,
     ercot_like_generator,
     hydro_heavy_generator,
     regional_trace,
 )
 from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import DeviceMixSpec
+from repro.thermal.cooling import plan_cooling
 
 
 class TestRegionalPresets:
@@ -62,20 +64,42 @@ class TestFleetSite:
         return ScenarioRunner(spec).build_sites()[0]
 
     def test_capacity_follows_population(self, site):
-        (entry,) = site.cohorts
+        (cohort,) = site.cohorts
         packs = PackTable.from_sites([site])
-        counts = ChurnTable([entry.cohort]).active
-        expected = entry.cohort.policy.target_size * entry.requests_per_device_s
+        counts = ChurnTable(site.cohorts).active
+        expected = cohort.target_size * cohort.requests_per_device_s
         assert (counts * packs.requests_per_device_s)[0] == expected
 
-    def test_design_matches_paper_recipe(self, site):
-        assert site.design.device.name == PIXEL_3A.name
-        assert site.design.reused is True
-        assert site.design.peripherals.total_power_w > 0  # plugs + fans + AP
+    def test_peripherals_follow_the_paper_recipe_per_cohort(self, site):
+        """A smart plug per phone and each cohort's own fans, summed."""
+        mixed = ScenarioRunner(
+            fleet_spec(
+                site_spec(
+                    "mixed", "caiso-like",
+                    cohorts=(DeviceMixSpec(count=30), DeviceMixSpec("Nexus 4", 20)),
+                )
+            )
+        ).build_sites()[0]
+        for each in (site, mixed):
+            bill = {p.name: count for p, count in each.peripherals.items}
+            assert bill == {
+                SMART_PLUG.name: sum(c.target_size for c in each.cohorts),
+                SERVER_FAN.name: sum(
+                    plan_cooling(c.device, c.target_size).fans for c in each.cohorts
+                ),
+            }
+            assert each.peripheral_power_w == each.peripherals.total_power_w
+            assert each.peripheral_power_w > 0  # plugs + fans
+        # Each cohort brings its own fan, though 50 pooled phones need one.
+        assert plan_cooling(mixed.cohorts[0].device, 50).fans == 1
+        assert {p.name: count for p, count in mixed.peripherals.items} == {
+            SMART_PLUG.name: 50,
+            SERVER_FAN.name: 2,
+        }
 
     def test_power_model_is_affine_in_load(self, site):
         (entry,) = site.cohorts
-        (count,) = ChurnTable([entry.cohort]).active.tolist()
+        (count,) = ChurnTable(site.cohorts).active.tolist()
         packs = PackTable.from_sites([site])
 
         def site_power_w(served_rps):
@@ -89,7 +113,7 @@ class TestFleetSite:
         assert full - half == pytest.approx(half - idle)
         # Fully loaded, each phone draws its peak power.
         expected_device_draw = count * entry.device.power_model.peak_power_w
-        assert full - site.design.peripherals.total_power_w == pytest.approx(
+        assert full - site.peripherals.total_power_w == pytest.approx(
             expected_device_draw
         )
 
@@ -119,42 +143,22 @@ class TestFleetSite:
             [cohort_marginal_g(entry, value) for value in intensities.tolist()]
         )
 
-    def test_device_mismatch_rejected(self):
-        site, nexus_site = ScenarioRunner(
-            fleet_spec(
-                site_spec("a", "caiso-like", 10),
-                site_spec("b", "hydro-heavy", 10, device="Nexus 4"),
-            )
-        ).build_sites()
-        with pytest.raises(ValueError, match="differs from cohort"):
-            FleetSite(
-                name="broken",
-                design=site.design,
-                trace=site.trace,
-                cohorts=nexus_site.cohorts,
-            )
-
-    def test_request_rate_must_be_positive_and_finite(self, site):
-        for rate in (0.0, float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match="must be positive and finite"):
-                SiteCohort(cohort=site.cohorts[0].cohort, requests_per_device_s=rate)
-
     def test_network_rtt_must_be_non_negative_and_finite(self, site):
         for rtt in (-1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError, match="non-negative and finite"):
                 FleetSite(
                     name="broken",
-                    design=site.design,
                     trace=site.trace,
                     cohorts=site.cohorts,
                     network_rtt_s=rtt,
                 )
 
-    def test_cohort_policy_must_target_the_device_count(self):
-        with pytest.raises(ValueError, match="targets 50 devices.*deploys 10"):
-            build_site_cohort(
-                PIXEL_3A, 10, replacement_policy=ReplacementPolicy(target_size=50)
-            )
+    def test_site_is_frozen_and_rederives_its_peripherals(self, site):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            site.name = "renamed"
+        doubled = dataclasses.replace(site, cohorts=site.cohorts * 2)
+        (count,) = [n for p, n in doubled.peripherals.items if p is SMART_PLUG]
+        assert count == 2 * site.cohorts[0].target_size
 
 
 def test_two_site_asymmetric_fleet_shape():
@@ -162,5 +166,5 @@ def test_two_site_asymmetric_fleet_shape():
     assert [site.name for site in sites] == ["texas", "cascadia"]
     texas, cascadia = sites
     assert texas.trace.mean_intensity() > cascadia.trace.mean_intensity()
-    churn = ChurnTable(entry.cohort for site in sites for entry in site.cohorts)
+    churn = ChurnTable(cohort for site in sites for cohort in site.cohorts)
     assert churn.active.tolist() == [25, 25]

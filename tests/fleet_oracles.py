@@ -20,7 +20,7 @@ def dynamic_energy_per_request_j(entry):
 def battery_wear_g_per_request(entry):
     """Embodied battery carbon (g) amortised per request; 0 without swaps."""
     battery = entry.device.battery
-    if battery is None or not entry.cohort.policy.swap_batteries:
+    if battery is None or not entry.policy.swap_batteries:
         return 0.0
     wear_g_per_joule = units.kg_to_grams(battery.embodied_carbon_kgco2e) / (
         battery.cycle_life * battery.capacity_joules

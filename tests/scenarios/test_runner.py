@@ -182,11 +182,11 @@ def test_explicit_churn_and_intake_flow_through():
         }
     )
     sites = ScenarioRunner(spec).build_sites()
-    assert sites[0].cohorts[0].cohort.intake.arrivals_per_day == 0.0
-    assert sites[0].cohorts[0].cohort.intake.initial_spares == 0
-    assert sites[0].cohorts[0].cohort.policy.swap_batteries is False
+    assert sites[0].cohorts[0].intake.arrivals_per_day == 0.0
+    assert sites[0].cohorts[0].intake.initial_spares == 0
+    assert sites[0].cohorts[0].policy.swap_batteries is False
     # site 1 keeps the steady-state default
-    assert sites[1].cohorts[0].cohort.intake.arrivals_per_day > 0.0
+    assert sites[1].cohorts[0].intake.arrivals_per_day > 0.0
 
 
 def test_csv_trace_source_resolves():
