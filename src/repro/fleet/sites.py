@@ -180,8 +180,16 @@ class FleetSite:
         object.__setattr__(self, "peripherals", peripherals)
 
     def cohort_labels(self) -> Tuple[str, ...]:
-        """One stable label per cohort: ``site/device``."""
-        return tuple(f"{self.name}/{cohort.device.name}" for cohort in self.cohorts)
+        """One unique label per cohort: ``site/device``.
+
+        When cohorts at the site share a device type, each adds its index,
+        ``site/device#j``, so every pack keeps its own label.
+        """
+        names = [cohort.device.name for cohort in self.cohorts]
+        return tuple(
+            f"{self.name}/{name}" + (f"#{j}" if names.count(name) > 1 else "")
+            for j, name in enumerate(names)
+        )
 
     @property
     def peripheral_power_w(self) -> float:

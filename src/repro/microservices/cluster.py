@@ -14,11 +14,14 @@ evaluates are provided as factories:
 
 A run compiles each request type's call tree once into a flat program of
 ops (hold, acquire, release, noise draw, fan-out, end) and drives every
-request through one event loop over plain ``(time, seq, kind, thread)``
-tuples.  Node cores, per-service I/O pools and the shared network medium
-are FIFO multi-server stations.  Event-time ties break by scheduling order
-(``seq``), and every named random stream is drawn in event order, so a seed
-reproduces a run bit for bit.
+request through one event loop.  An event due later is a plain
+``(time, seq, kind, thread)`` heap tuple; an event due now (a grant, a
+fan-out child, a join, a hold that adds nothing to the clock) is a
+``(kind, thread)`` entry of a FIFO lane beside the heap.  Node cores,
+per-service I/O pools and the shared network medium are FIFO multi-server
+stations.  Event-time ties break by scheduling order, and every named
+random stream is drawn in event order, so a seed reproduces a run bit for
+bit.
 
 A run produces a :class:`RunResult` with per-request-type latency summaries,
 achieved throughput, per-node CPU-utilisation timelines (Figure 8), and the
@@ -29,6 +32,7 @@ carbon-per-request analysis).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -304,18 +308,43 @@ class ServingCluster:
         cpus = {node.name: _station(node.cores) for node in self.nodes}
         programs = _Compiler(self, app, plan, cpus, rng).programs(mix)
         type_names = list(mix)
-        probabilities = [mix[name] for name in type_names]
         next_gap_s = _draws(partial(rng.stream("arrivals").exponential, 1.0 / qps))
+        # A mix picks its type as Generator.choice does: one uniform, placed
+        # in the normalised CDF.  A one-type mix draws nothing; the
+        # request-mix stream feeds nothing else, so skipping it leaves every
+        # other stream alone.
+        mix_cdf = np.asarray([mix[name] for name in type_names]).cumsum()
+        mix_cdf /= mix_cdf[-1]
+        mix_cdf = mix_cdf.tolist()
+        next_mix = (
+            _draws(rng.stream("request-mix").random) if len(type_names) > 1 else None
+        )
 
-        # Events are (time, seq, kind, thread) tuples; seq is unique, so ties
-        # break by scheduling order and comparison never reaches the kind.
-        # Seq 1 is the arrival process's own start.
-        heap: list = [(0.0, 1, _START, None)]
+        # Events due later are (time, seq, kind, thread) heap tuples; seq is
+        # unique, so ties break by scheduling order and comparison never
+        # reaches the kind.  Seq 1 is the arrival process's own start.
+        # Events due now, including a delay that rounds to zero, are
+        # (kind, thread) entries of a FIFO lane.  A heap entry due now was
+        # scheduled at an earlier time, so it runs before the whole lane.
+        # The heap never empties: an entry at infinity outlasts every run.
+        heap: list = [(0.0, 1, _START, None), (math.inf, 0, None, None)]
+        lane: deque = deque()
+        due_now = lane.append
+        next_due = lane.popleft
+        now = 0.0
         seq = 1
         events = 0
         network_bytes = 0.0
-        while heap and heap[0][0] <= duration_s:
-            now, _, kind, thread = heappop(heap)
+        while True:
+            if lane:
+                if heap[0][0] <= now:
+                    _, _, kind, thread = heappop(heap)
+                else:
+                    kind, thread = next_due()
+            elif heap[0][0] <= duration_s:
+                now, _, kind, thread = heappop(heap)
+            else:
+                break
             events += 1
             if kind == _JOIN:
                 # A fan-out child finished; the last one resumes its parent.
@@ -329,22 +358,21 @@ class ServingCluster:
                 if kind == _ARRIVE:
                     if now >= duration_s:
                         continue
-                    # A one-type mix needs no draw; the request-mix stream
-                    # feeds nothing else, so skipping it leaves every other
-                    # stream alone.
                     name = (
-                        type_names[0]
-                        if len(type_names) == 1
-                        else str(rng.choice("request-mix", type_names, probabilities))
+                        type_names[bisect_right(mix_cdf, next_mix())]
+                        if next_mix
+                        else type_names[0]
                     )
                     measured = name if now >= warmup_s else None
                     if measured is not None:
                         offered[name] += 1
-                    root = [programs[name], 0, None, 0.0, now, measured]
+                    due_now((_RESUME, [programs[name], 0, None, 0.0, now, measured]))
+                at = now + next_gap_s()
+                if at > now:
                     seq += 1
-                    heappush(heap, (now, seq, _RESUME, root))
-                seq += 1
-                heappush(heap, (now + next_gap_s(), seq, _ARRIVE, None))
+                    heappush(heap, (at, seq, _ARRIVE, None))
+                else:
+                    due_now((_ARRIVE, None))
                 continue
             ops = thread[0]
             pc = thread[1]
@@ -353,16 +381,19 @@ class ServingCluster:
                 pc += 1
                 code = op[0]
                 if code == _HOLD:
-                    seq += 1
-                    heappush(heap, (now + op[1], seq, _RESUME, thread))
+                    at = now + op[1]
+                    if at > now:
+                        seq += 1
+                        heappush(heap, (at, seq, _RESUME, thread))
+                    else:
+                        due_now((_RESUME, thread))
                     break
                 if code == _ACQ:
                     station = op[1]
                     if station[1] < station[0]:
                         station[1] += 1
                         station[3].append((now, station[1]))
-                        seq += 1
-                        heappush(heap, (now, seq, _RESUME, thread))
+                        due_now((_RESUME, thread))
                     else:
                         station[2].append(thread)
                     break
@@ -373,8 +404,7 @@ class ServingCluster:
                     if station[2]:
                         station[1] += 1
                         station[3].append((now, station[1]))
-                        seq += 1
-                        heappush(heap, (now, seq, _RESUME, station[2].popleft()))
+                        due_now((_RESUME, station[2].popleft()))
                     network_bytes += op[2]
                 elif code == _DRAW:
                     work_ms = op[2] * op[1]()
@@ -383,25 +413,26 @@ class ServingCluster:
                     else:
                         pc += 3
                 elif code == _HOLD_DRAWN:
-                    seq += 1
-                    heappush(heap, (now + thread[3], seq, _RESUME, thread))
+                    at = now + thread[3]
+                    if at > now:
+                        seq += 1
+                        heappush(heap, (at, seq, _RESUME, thread))
+                    else:
+                        due_now((_RESUME, thread))
                     break
                 elif code == _FORK:
                     children = op[1]
                     if children:
                         join = [len(children), thread]
                         for child in children:
-                            seq += 1
-                            heappush(heap, (now, seq, _RESUME, [child, 0, join, 0.0]))
+                            due_now((_RESUME, [child, 0, join, 0.0]))
                     else:
-                        seq += 1
-                        heappush(heap, (now, seq, _RESUME, thread))
+                        due_now((_RESUME, thread))
                     break
                 else:  # _END
                     join = thread[2]
                     if join is not None:
-                        seq += 1
-                        heappush(heap, (now, seq, _JOIN, join))
+                        due_now((_JOIN, join))
                     elif thread[5] is not None:
                         recorder.record(thread[5], now - thread[4])
                     break
@@ -460,11 +491,13 @@ def _normalise_mix(app: Application, workload_mix: Mapping[str, float]) -> Dict[
         if name not in app.request_types:
             known = ", ".join(sorted(app.request_types))
             raise ValueError(f"unknown request type {name!r}; known: {known}")
-        if weight < 0:
-            raise ValueError(f"negative weight for {name!r}")
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(
+                f"weight for {name!r} must be non-negative and finite, got {weight}"
+            )
     total = sum(workload_mix.values())
-    if total <= 0:
-        raise ValueError("workload mix weights must sum to a positive value")
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError("workload mix weights must sum to a positive finite value")
     return {name: weight / total for name, weight in workload_mix.items()}
 
 

@@ -34,10 +34,3 @@ class RandomStreams:
             )
             self._streams[name] = np.random.default_rng(seed_seq)
         return self._streams[name]
-
-    def choice(self, name: str, options, probabilities) -> object:
-        """Pick one of ``options`` with the given probabilities."""
-        rng = self.stream(name)
-        index = rng.choice(len(options), p=probabilities)
-        return options[int(index)]
-

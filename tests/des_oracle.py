@@ -15,8 +15,9 @@ loop to it bit for bit:
   processor with a relative speed factor; and :class:`NetworkMedium`, a
   shared medium that serialises transfers at its bandwidth and then adds a
   propagation latency that is not subject to queueing;
-* :func:`exponential` and :func:`lognormal_factor`, one scalar draw at a
-  time from a named :class:`~repro.simulation.RandomStreams` stream;
+* :func:`exponential`, :func:`choice` and :func:`lognormal_factor`, one
+  scalar draw at a time from a named
+  :class:`~repro.simulation.RandomStreams` stream;
 * :func:`oracle_run`, the body of ``ServingCluster.run`` on this engine:
   one generator process per request and per fan-out child.
 
@@ -448,6 +449,12 @@ def exponential(streams: RandomStreams, name: str, mean: float) -> float:
     return float(streams.stream(name).exponential(mean))
 
 
+def choice(streams: RandomStreams, name: str, options, probabilities) -> object:
+    """Pick one of ``options`` with the given probabilities from stream ``name``."""
+    index = streams.stream(name).choice(len(options), p=probabilities)
+    return options[int(index)]
+
+
 def lognormal_factor(streams: RandomStreams, name: str, sigma: float) -> float:
     """A multiplicative noise factor with median 1.0 and log-sigma ``sigma``."""
     if sigma < 0:
@@ -580,7 +587,7 @@ def oracle_run(
             chosen = (
                 type_names[0]
                 if len(type_names) == 1
-                else rng.choice("request-mix", type_names, probabilities)
+                else choice(rng, "request-mix", type_names, probabilities)
             )
             request_type = app.request_type(str(chosen))
             in_measurement = sim.now >= warmup_s

@@ -327,7 +327,7 @@ class TestSameDeviceRack:
         assert [cohort.device.name for cohort in packs.entries] == ["Pixel 3A"] * 2
         assert packs.requests_per_device_s.tolist() == [20.0, 10.0]
         assert packs.target.tolist() == [30, 15]
-        assert site.cohort_labels() == ("rack/Pixel 3A", "rack/Pixel 3A")
+        assert site.cohort_labels() == ("rack/Pixel 3A#0", "rack/Pixel 3A#1")
 
     def test_site_rate_is_the_target_weighted_mean(self, site):
         packs = PackTable.from_sites([site])

@@ -252,6 +252,21 @@ class TestRunResults:
                 utilization_window_s=window_s,
             )
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -1.0])
+    def test_mix_weights_must_be_non_negative_and_finite(
+        self, phones, sn, no_simulation, weight
+    ):
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            phones.run(
+                sn, {COMPOSE_POST: 1.0, READ_USER_TIMELINE: weight}, qps=100
+            )
+
+    def test_mix_weights_must_sum_to_a_finite_value(self, phones, sn, no_simulation):
+        with pytest.raises(ValueError, match="positive finite value"):
+            phones.run(
+                sn, {COMPOSE_POST: 1e308, READ_USER_TIMELINE: 1e308}, qps=100
+            )
+
     def test_zero_warmup_is_accepted(self, phones, sn):
         result = phones.run(
             sn, {COMPOSE_POST: 1.0}, qps=100, duration_s=0.1, warmup_s=0.0

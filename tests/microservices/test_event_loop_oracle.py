@@ -11,12 +11,14 @@ small random apps and clusters: fan-out widths 0-3 (an empty stage
 included), call depth up to 3, zero and non-zero CPU and I/O, I/O
 concurrency 1-3, zero-byte payloads, same-node and cross-node
 placements, a co-located client with its own CPU, service-time noise on
-and off, and a zero network latency.
+and off, and a zero network latency.  Fixed cases add zero and sub-ulp
+latencies, which fall due at once, under a two-type mix.
 """
 
 import contextlib
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.microservices.cluster as cluster_module
@@ -200,3 +202,78 @@ def test_a_fixed_fan_out_case_matches_the_oracle():
         got.node_utilization["node-1"].utilization,
         want.node_utilization["node-1"].utilization,
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "network_latency_s, loopback_latency_s",
+    [(0.0, 0.0), (1e-20, 1e-20), (1e-300, 1e-300), (1.5e-3, 1e-20), (1.5e-3, 0.0)],
+)
+def test_holds_due_at_once_keep_their_scheduling_order(
+    network_latency_s, loopback_latency_s, seed
+):
+    """Zero and sub-ulp latencies against the oracle, over a two-type mix.
+
+    Past time zero, ``now + 1e-20`` and ``now + 1e-300`` equal ``now``, so
+    such a latency is due at once, like a zero one.  In ``beta``'s fan-out a
+    relay reaches the medium only after a loopback hold, while its sibling
+    takes the medium at once; the medium's order then shows whether the
+    hold queued behind the sibling.  With a real network latency, a
+    forking child and its sibling land at one instant; the sibling must
+    draw its CPU noise before the fork's children do.
+    """
+    leaf = CallNode("store", cpu_ms=0.5, io_ms=1.0, request_bytes=0.0)
+    fan_out = CallNode(
+        "front",
+        cpu_ms=1.0,
+        stages=((), (leaf, leaf, leaf), (CallNode("cache", cpu_ms=0.0),)),
+    )
+    remote = CallNode("store", cpu_ms=0.3, request_bytes=500.0)
+    lookup = CallNode("cache", cpu_ms=0.8, request_bytes=500.0)
+    relay = CallNode("logic", cpu_ms=0.0, stages=((lookup,),))
+    forker = CallNode("cache", cpu_ms=0.0, request_bytes=0.0, stages=((leaf, leaf),))
+    race = CallNode("front", cpu_ms=0.4, stages=((relay, remote, forker, leaf),))
+    app = Application(
+        "due-at-once",
+        {name: Microservice(name, io_concurrency=2) for name in SERVICES},
+        {
+            "alpha": RequestType("alpha", root=fan_out),
+            "beta": RequestType("beta", root=race),
+        },
+    )
+    nodes = [NodeSpec(f"node-{i}", PIXEL_3A, 2, core_speed=1.0) for i in range(2)]
+    cluster = ServingCluster(
+        "pair",
+        nodes,
+        network_bandwidth_bytes_per_s=20e6,
+        network_latency_s=network_latency_s,
+        loopback_latency_s=loopback_latency_s,
+        service_time_sigma=0.35,
+    )
+    placement = Placement(
+        {"front": "node-0", "logic": "node-0", "store": "node-1", "cache": "node-1"}
+    )
+    mix = {"alpha": 0.4, "beta": 0.6}
+    run = dict(
+        qps=1_000.0, duration_s=0.08, warmup_s=0.02, seed=seed, placement=placement
+    )
+    with _capturing() as (recorders, occupancy):
+        got = cluster.run(app, mix, **run)
+    oracle = oracle_run(cluster, app, mix, **run)
+    want = oracle.result
+    (recorder,) = recorders
+
+    assert set(recorder.samples) == set(oracle.recorder.samples) == set(mix)
+    for name, samples in oracle.recorder.samples.items():
+        assert _bits(recorder.samples[name]) == _bits(samples), name
+    assert got.offered_requests == want.offered_requests
+    assert occupancy == [oracle.occupancy[node.name] for node in cluster.nodes]
+    scalars = ("network_bytes", "energy_j", "mean_power_w")
+    for name in scalars:
+        assert _bits([getattr(got, name)]) == _bits([getattr(want, name)]), name
+    for node in cluster.nodes:
+        assert _bits(got.node_utilization[node.name].utilization) == _bits(
+            want.node_utilization[node.name].utilization
+        )
+    assert got.summaries == want.summaries
+    assert got.events == want.events > 0

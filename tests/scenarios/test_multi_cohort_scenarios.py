@@ -164,6 +164,18 @@ class TestMixedRunner:
         assert [s.site for s in summaries] == ["junkyard", "junkyard"]
         assert all(s.served_requests > 0 for s in summaries)
 
+    def test_two_cohorts_of_one_device_keep_distinct_labels(self):
+        spec = get_scenario("heterogeneous-cohorts").with_overrides(
+            {"duration_days": 1, "sites.0.cohorts.1.device": "Pixel 3A"}
+        )
+        report = run_scenario(spec).report
+        assert report.cohort_labels == (
+            "junkyard/Pixel 3A#0",
+            "junkyard/Pixel 3A#1",
+        )
+        summaries = report.cohort_summaries()
+        assert [s.label for s in summaries] == list(report.cohort_labels)
+
     def test_economics_prices_each_device_type(self):
         """Mixed-site purchase = sum of per-type purchases + peripherals."""
         from repro.devices.catalog import get_device

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from des_oracle import exponential, lognormal_factor
+from des_oracle import choice, exponential, lognormal_factor
 from repro.simulation.random_streams import RandomStreams
 
 
@@ -52,7 +52,7 @@ def test_lognormal_factor_median_near_one():
 
 def test_choice_respects_probabilities():
     streams = RandomStreams(seed=0)
-    picks = [streams.choice("mix", ["a", "b"], [0.9, 0.1]) for _ in range(2_000)]
+    picks = [choice(streams, "mix", ["a", "b"], [0.9, 0.1]) for _ in range(2_000)]
     assert picks.count("a") > picks.count("b") * 4
 
 
