@@ -7,7 +7,7 @@ paper's evaluation section.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.analysis.tables import (
     Table1Row,
@@ -19,21 +19,7 @@ from repro.analysis.tables import (
     table4_datacenter,
 )
 from repro.core.lifetime import LifetimeSweep
-
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render a simple fixed-width text table."""
-    materialised = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in materialised:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-    header_line = line(list(headers))
-    separator = "  ".join("-" * w for w in widths)
-    body = "\n".join(line(row) for row in materialised)
-    return "\n".join([header_line, separator, body])
+from repro.ioutils import format_table
 
 
 def render_table1(rows: Sequence[Table1Row] = None) -> str:

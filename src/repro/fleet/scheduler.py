@@ -64,7 +64,7 @@ from repro.fleet.population import ChurnTable
 from repro.fleet.reporting import FleetReport
 from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
-from repro.simulation.metrics import LatencyRecorder, LatencySummary, summarize
+from repro.simulation.metrics import LatencySummary, summarize
 from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import ensure_telemetry
 
@@ -847,7 +847,8 @@ def simulate_latency_aware(
     at its arrival or when the earliest slot falls free, whichever is
     later, and its response lands one service time plus the RTT after
     that.  A site's queue length is its count of requests not yet started.
-    Latencies are recorded in completion order.  Gaps, arrival times,
+    The latencies, sorted into completion order, go straight to
+    :func:`~repro.simulation.metrics.summarize`.  Gaps, arrival times,
     site intensities, keys (one :meth:`~RoutingPolicy.request_keys` call
     over the probe's :class:`~repro.fleet.dispatch.PackTable`) and service
     times come a block of ``_BLOCK`` arrivals at a time, bitwise equal to
@@ -888,7 +889,6 @@ def simulate_latency_aware(
             f"expected one of: {known}"
         )
     streams = RandomStreams(seed=seed)
-    recorder = LatencyRecorder()
 
     packs = PackTable.from_sites(sites)
     cohorts = packs.entries
@@ -991,14 +991,13 @@ def simulate_latency_aware(
             landed.append(finish + sites[best].network_rtt_s)
 
     landed_s = np.array(landed)
-    latencies = landed_s - np.array(arrived)
-    for latency in latencies[np.argsort(landed_s, kind="stable")].tolist():
-        recorder.record("request", latency)
+    order = np.argsort(landed_s, kind="stable")
+    latencies = (landed_s - np.array(arrived))[order]
     tele = ensure_telemetry(telemetry)
     tele.count("probe.offered", len(arrived))
-    tele.count("probe.completed", recorder.count())
+    tele.count("probe.completed", len(latencies))
     tele.count("probe.queued", queued)
-    summaries = summarize(recorder, offered={"request": len(arrived)})
+    summaries = summarize({"request": latencies}, offered={"request": len(arrived)})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
     return summaries["request"], dict(zip(names, routed))

@@ -1,4 +1,4 @@
-"""Crash-safe file writing shared by every layer that persists artifacts.
+"""Output helpers shared by every layer: crash-safe files and text tables.
 
 The durable experiment store and the telemetry JSONL sink both promise that a
 killed process never leaves a half-written file behind: a reader either sees
@@ -7,12 +7,16 @@ between.  The standard POSIX recipe delivers that promise — write the full
 payload to a temporary file in the *same directory* (so the final rename
 cannot cross filesystems), flush and fsync it, then :func:`os.replace` it
 over the destination, which is atomic on every platform Python supports.
+
+:func:`format_table` renders the fixed-width text tables that the paper
+figures, the profiler, the bench log, run diffs and store reports print.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
+from typing import Iterable, Sequence
 
 
 def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
@@ -44,3 +48,20 @@ def atomic_write_text(path: str, text: str, encoding: str = "utf-8") -> None:
 def atomic_write_lines(path: str, lines, encoding: str = "utf-8") -> None:
     """Atomically write an iterable of lines (newlines appended) to ``path``."""
     atomic_write_text(path, "".join(f"{line}\n" for line in lines), encoding)
+
+
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Render a simple fixed-width text table (cells pass through ``str``)."""
+    materialised = [[str(cell) for cell in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in materialised:
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+
+    def line(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
+
+    header_line = line(list(headers))
+    separator = "  ".join("-" * w for w in widths)
+    body = "\n".join(line(row) for row in materialised)
+    return "\n".join([header_line, separator, body])

@@ -23,7 +23,9 @@ stations.  Event-time ties break by scheduling order, and every named
 random stream is drawn in event order, so a seed reproduces a run bit for
 bit.
 
-A run produces a :class:`RunResult` with per-request-type latency summaries,
+A run produces a :class:`RunResult` with per-request-type latency summaries
+(a request's end op appends its latency to its type's list, which
+:func:`~repro.simulation.metrics.summarize` reads once at the end),
 achieved throughput, per-node CPU-utilisation timelines (Figure 8), and the
 cluster's energy consumption during the run (used by the Figure 9
 carbon-per-request analysis).
@@ -51,7 +53,6 @@ from repro.microservices.placement import (
 )
 from repro.microservices.service_graph import Application, CallNode
 from repro.simulation.metrics import (
-    LatencyRecorder,
     LatencySummary,
     UtilizationTimeline,
     busy_time,
@@ -144,13 +145,17 @@ class RunResult:
     measurement_duration_s: float
     summaries: Mapping[str, LatencySummary]
     offered_requests: Mapping[str, int]
-    completed_requests: int
     node_utilization: Mapping[str, UtilizationTimeline]
     mean_power_w: float
     energy_j: float
     network_bytes: float
     #: Events the serving event loop processed: the DES's unit of work.
     events: int
+
+    @property
+    def completed_requests(self) -> int:
+        """Requests completed during the measurement window."""
+        return sum(summary.completed for summary in self.summaries.values())
 
     @property
     def achieved_qps(self) -> float:
@@ -303,8 +308,8 @@ class ServingCluster:
         plan.validate_against(app)
 
         rng = RandomStreams(seed)
-        recorder = LatencyRecorder()
         offered: Dict[str, int] = {name: 0 for name in mix}
+        latencies: Dict[str, List[float]] = {name: [] for name in mix}
         cpus = {node.name: _station(node.cores) for node in self.nodes}
         programs = _Compiler(self, app, plan, cpus, rng).programs(mix)
         type_names = list(mix)
@@ -434,7 +439,7 @@ class ServingCluster:
                     if join is not None:
                         due_now((_JOIN, join))
                     elif thread[5] is not None:
-                        recorder.record(thread[5], now - thread[4])
+                        latencies[thread[5]].append(now - thread[4])
                     break
             thread[1] = pc
 
@@ -454,9 +459,8 @@ class ServingCluster:
             application=app.name,
             offered_qps=qps,
             measurement_duration_s=duration_s - warmup_s,
-            summaries=summarize(recorder, offered),
+            summaries=summarize(latencies, offered),
             offered_requests=offered,
-            completed_requests=recorder.count(),
             node_utilization=utilization,
             mean_power_w=mean_power,
             energy_j=energy,

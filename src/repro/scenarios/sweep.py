@@ -325,18 +325,7 @@ def sweep_scenario(
     Progress observes; it never feeds back, so results are identical with
     or without it.
     """
-    if not axes:
-        raise ScenarioValidationError("a sweep needs at least one --set axis")
-    names = list(axes)
-    for name in names:
-        if not isinstance(axes[name], (list, tuple)) or len(axes[name]) == 0:
-            raise ScenarioValidationError(
-                f"sweep axis {name!r} must list at least one value"
-            )
-    grid = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(axes[name] for name in names))
-    ]
+    axis_values, grid = sweep_grid(axes)
     specs = [spec.with_overrides(overrides) for overrides in grid]
     # Routing-policy names only resolve at run time; check them here so a
     # typo in the last axis value cannot waste the rest of the grid.
@@ -360,11 +349,31 @@ def sweep_scenario(
         SweepCell(overrides=tuple(overrides.items()), result=result)
         for overrides, result in zip(grid, results)
     ]
-    return SweepResult(
-        base=spec,
-        axes=tuple((name, tuple(axes[name])) for name in names),
-        cells=tuple(cells),
-    )
+    return SweepResult(base=spec, axes=axis_values, cells=tuple(cells))
+
+
+def sweep_grid(
+    axes: Mapping[str, Sequence[Any]],
+) -> Tuple[Tuple[Tuple[str, Tuple[Any, ...]], ...], List[Dict[str, Any]]]:
+    """A sweep's ``axes`` tuple and its row-major grid of override dicts.
+
+    Axis order follows the mapping's insertion order, the last axis
+    fastest.  Raises :class:`ScenarioValidationError` when there is no
+    axis or an axis lists no value.
+    """
+    if not axes:
+        raise ScenarioValidationError("a sweep needs at least one --set axis")
+    for name, values in axes.items():
+        if not isinstance(values, (list, tuple)) or len(values) == 0:
+            raise ScenarioValidationError(
+                f"sweep axis {name!r} must list at least one value"
+            )
+    axis_values = tuple((name, tuple(values)) for name, values in axes.items())
+    grid = [
+        dict(zip(axes, combo))
+        for combo in itertools.product(*(values for _, values in axis_values))
+    ]
+    return axis_values, grid
 
 
 def parse_sweep_override(text: str) -> Tuple[str, List[Any]]:

@@ -1,7 +1,6 @@
-"""Serving-simulation support: latency and utilisation metrics, RNG streams."""
+"""Serving-simulation support: latency summaries, utilisation, RNG streams."""
 
 from repro.simulation.metrics import (
-    LatencyRecorder,
     LatencySummary,
     UtilizationTimeline,
     busy_time,
@@ -11,7 +10,6 @@ from repro.simulation.metrics import (
 from repro.simulation.random_streams import RandomStreams
 
 __all__ = [
-    "LatencyRecorder",
     "LatencySummary",
     "UtilizationTimeline",
     "busy_time",

@@ -1,53 +1,12 @@
-"""Metric collection for serving simulations: latencies and utilisation."""
+"""Metrics for serving simulations: latency summaries and utilisation."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass
-class LatencyRecorder:
-    """Collects per-request-type end-to-end latencies."""
-
-    samples: Dict[str, List[float]] = field(default_factory=lambda: defaultdict(list))
-
-    def record(self, request_type: str, latency_s: float) -> None:
-        """Record a completed request's latency in seconds."""
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
-        self.samples[request_type].append(latency_s)
-
-    def count(self, request_type: Optional[str] = None) -> int:
-        """Completed request count, for one type or all types."""
-        if request_type is not None:
-            return len(self.samples.get(request_type, []))
-        return sum(len(values) for values in self.samples.values())
-
-    def percentile_ms(self, request_type: str, percentile: float) -> float:
-        """Latency percentile in milliseconds for one request type."""
-        values = self.samples.get(request_type)
-        if not values:
-            raise ValueError(f"no samples recorded for {request_type!r}")
-        if not 0.0 <= percentile <= 100.0:
-            raise ValueError("percentile must be within [0, 100]")
-        return float(np.percentile(np.asarray(values), percentile) * 1_000.0)
-
-    def median_ms(self, request_type: str) -> float:
-        """Median latency in milliseconds."""
-        return self.percentile_ms(request_type, 50.0)
-
-    def tail_ms(self, request_type: str, percentile: float = 90.0) -> float:
-        """Tail latency in milliseconds (90th percentile, matching Figure 7)."""
-        return self.percentile_ms(request_type, percentile)
-
-    def request_types(self) -> Tuple[str, ...]:
-        """Request types with at least one sample."""
-        return tuple(sorted(self.samples))
 
 
 @dataclass(frozen=True)
@@ -71,12 +30,24 @@ class LatencySummary:
 
 
 def summarize(
-    recorder: LatencyRecorder, offered: Dict[str, int]
+    samples: Mapping[str, Sequence[float]], offered: Mapping[str, int]
 ) -> Dict[str, LatencySummary]:
-    """Build :class:`LatencySummary` objects for every recorded request type."""
+    """Summarise each request type's latencies (seconds), in sorted type order.
+
+    A type with no samples is skipped; one with a negative latency is
+    rejected.  ``offered`` defaults a type's offered count to its completed
+    count.
+    """
     summaries = {}
-    for request_type in recorder.request_types():
-        values = np.asarray(recorder.samples[request_type]) * 1_000.0
+    for request_type in sorted(samples):
+        values = np.asarray(samples[request_type], float)
+        if values.size == 0:
+            continue
+        # count_nonzero, not any(): a process's first logical-or reduction
+        # allocates a reduction buffer that shows up in its peak RSS.
+        if np.count_nonzero(values < 0):
+            raise ValueError("latency must be non-negative")
+        values = values * 1_000.0
         summaries[request_type] = LatencySummary(
             request_type=request_type,
             completed=len(values),

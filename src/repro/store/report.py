@@ -17,12 +17,12 @@ then render any cross-cutting table from the accumulated store.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Dict, Mapping, Sequence, Tuple
 
 from repro.analysis.report import render_store_summary, render_sweep_result
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.sweep import SweepCell, SweepResult
+from repro.ioutils import format_table
+from repro.scenarios.spec import ScenarioSpec, ScenarioValidationError
+from repro.scenarios.sweep import SweepCell, SweepResult, sweep_grid
 from repro.store.core import ExperimentStore, StoreError
 
 #: Report name -> (description, renderer taking the store).
@@ -57,8 +57,6 @@ def _summary_report(store: ExperimentStore) -> str:
     "scenarios", "per-scenario entry counts and best stored CCI"
 )
 def _scenarios_report(store: ExperimentStore) -> str:
-    from repro.analysis.report import format_table
-
     by_scenario: Dict[str, list] = {}
     for entry in store.entries():
         by_scenario.setdefault(entry.scenario, []).append(entry)
@@ -87,8 +85,6 @@ def _scenarios_report(store: ExperimentStore) -> str:
     "regret", "forecast regret accounting across stored forecast runs"
 )
 def _regret_report(store: ExperimentStore) -> str:
-    from repro.analysis.report import format_table
-
     headers = [
         "Key",
         "Scenario",
@@ -130,13 +126,10 @@ def sweep_from_store(
     missing cells (with the override values that produced them), so a
     partially swept grid fails loudly instead of rendering a partial table.
     """
-    if not axes:
-        raise StoreError("a grid report needs at least one --set axis")
-    names = list(axes)
-    grid = [
-        dict(zip(names, combo))
-        for combo in itertools.product(*(axes[name] for name in names))
-    ]
+    try:
+        axis_values, grid = sweep_grid(axes)
+    except ScenarioValidationError as error:
+        raise StoreError(f"grid report: {error}") from None
     cells = []
     missing = []
     for overrides in grid:
@@ -159,11 +152,7 @@ def sweep_from_store(
             f"{detail}{'...' if len(missing) > 4 else ''} — run the sweep "
             f"with --store first"
         )
-    return SweepResult(
-        base=spec,
-        axes=tuple((name, tuple(axes[name])) for name in names),
-        cells=tuple(cells),
-    )
+    return SweepResult(base=spec, axes=axis_values, cells=tuple(cells))
 
 
 def render_grid_report(

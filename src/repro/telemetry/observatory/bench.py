@@ -22,7 +22,7 @@ import subprocess
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.telemetry.profile import _format_table
+from repro.ioutils import format_table
 
 #: Default locations, relative to the repo root / current directory.
 BENCH_JSON_DEFAULT = ".bench_out/BENCH_fleet_scaling.json"
@@ -219,6 +219,6 @@ def render_history(
         )
     if not rows:
         return "(no bench history)"
-    return _format_table(
+    return format_table(
         ["case", "wall (s)", "device-days/s", "git sha", "recorded at"], rows
     )

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.telemetry.profile import _format_table
+from repro.ioutils import format_table
 from repro.telemetry.sink import read_jsonl
 
 
@@ -220,7 +220,7 @@ def render_diff(diff: RunDiff) -> str:
             )
         lines.append(f"{section}:")
         lines.append(
-            _format_table(["field", "A", "B", "Δ", "Δ%", "eq"], rows)
+            format_table(["field", "A", "B", "Δ", "Δ%", "eq"], rows)
         )
         lines.append("")
     equal = len(diff.fields) - len(diff.differing)

@@ -25,7 +25,9 @@ for everything else.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List
+
+from repro.ioutils import format_table
 
 #: The fleet loop's per-day phases: one span call covers one simulated day.
 FLEET_DAY_PHASES = frozenset(
@@ -37,19 +39,6 @@ CHURN_PHASE = "step_population"
 
 #: The latency probe's span; its throughput is offered requests/s.
 PROBE_PHASE = "latency_probe"
-
-
-def _format_table(headers: Sequence[str], rows: List[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-
-    def line(cells: Sequence[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(cells))
-
-    separator = "  ".join("-" * w for w in widths)
-    return "\n".join([line(list(headers)), separator] + [line(row) for row in rows])
 
 
 def _sorted_phase_rows(phases: List[Dict[str, object]]) -> List[Dict[str, object]]:
@@ -136,7 +125,7 @@ def render_profile(manifest: Dict[str, object]) -> str:
         )
     if rows:
         lines.append(
-            _format_table(
+            format_table(
                 ["phase", "calls", "total (s)", "share", "throughput"], rows
             )
         )

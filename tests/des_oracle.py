@@ -55,7 +55,7 @@ from repro.microservices.cluster import (
 )
 from repro.microservices.placement import Placement
 from repro.microservices.service_graph import Application, CallNode, RequestType
-from repro.simulation.metrics import LatencyRecorder, UtilizationTimeline, summarize
+from repro.simulation.metrics import UtilizationTimeline, summarize
 from repro.simulation.random_streams import RandomStreams
 
 
@@ -474,7 +474,8 @@ class OracleRun:
     """What :func:`oracle_run` returns: the result and the engine's state."""
 
     result: RunResult
-    recorder: LatencyRecorder
+    #: Each request type's latencies (seconds), in completion order.
+    samples: Dict[str, List[float]]
     #: Each node's CPU ``(time, in_use)`` change points, in node order.
     occupancy: Dict[str, List[Tuple[float, int]]]
 
@@ -502,8 +503,8 @@ def oracle_run(
 
     sim = Simulator()
     rng = RandomStreams(seed)
-    recorder = LatencyRecorder()
     offered: Dict[str, int] = {name: 0 for name in mix}
+    samples: Dict[str, List[float]] = {name: [] for name in mix}
 
     cpus: Dict[str, CpuResource] = {
         node.name: CpuResource(sim, cores=node.cores, speed=node.core_speed, name=node.name)
@@ -573,7 +574,7 @@ def oracle_run(
             yield from cpus[client_location].execute(request_type.client_cpu_ms * noise)
         yield from execute_call(request_type.root, client_location)
         if in_measurement:
-            recorder.record(request_type.name, sim.now - start)
+            samples[request_type.name].append(sim.now - start)
 
     type_names = list(mix)
     probabilities = [mix[name] for name in type_names]
@@ -616,9 +617,8 @@ def oracle_run(
         application=app.name,
         offered_qps=qps,
         measurement_duration_s=duration_s - warmup_s,
-        summaries=summarize(recorder, offered),
+        summaries=summarize(samples, offered),
         offered_requests=offered,
-        completed_requests=recorder.count(),
         node_utilization=utilization,
         mean_power_w=total_power,
         energy_j=total_power * (duration_s - warmup_s),
@@ -626,4 +626,4 @@ def oracle_run(
         events=sim.events_processed,
     )
     occupancy = {name: cpu.occupancy_events for name, cpu in cpus.items()}
-    return OracleRun(result=result, recorder=recorder, occupancy=occupancy)
+    return OracleRun(result=result, samples=samples, occupancy=occupancy)

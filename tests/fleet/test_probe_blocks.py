@@ -35,7 +35,7 @@ from repro.grid.traces import GridTrace
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.spec import DeviceMixSpec
-from repro.simulation.metrics import LatencyRecorder, summarize
+from repro.simulation.metrics import summarize
 from repro.simulation.random_streams import RandomStreams
 from repro.telemetry import Telemetry
 
@@ -58,7 +58,7 @@ def simulate_per_request(
     """
     simulator = Simulator()
     streams = RandomStreams(seed=seed)
-    recorder = LatencyRecorder()
+    latencies = []
     served_by_site = {site.name: 0 for site in sites}
     routed_by_site = {site.name: 0 for site in sites}
     # The probe's default state: the sites as deployed.
@@ -123,7 +123,7 @@ def simulate_per_request(
         yield Timeout(draw_service_s(site))
         pool.release()
         yield Timeout(site.network_rtt_s)
-        recorder.record("request", simulator.now - start_s)
+        latencies.append(simulator.now - start_s)
         served_by_site[site.name] += 1
 
     spawned = {"count": 0}
@@ -139,28 +139,28 @@ def simulate_per_request(
 
     simulator.spawn(arrivals(), name="arrivals")
     simulator.run()
-    summaries = summarize(recorder, offered={"request": spawned["count"]})
+    samples = {"request": latencies}
+    summaries = summarize(samples, offered={"request": spawned["count"]})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
-    return summaries["request"], served_by_site, recorder, routed_at, queued["count"]
+    return summaries["request"], served_by_site, samples, routed_at, queued["count"]
 
 
 @contextlib.contextmanager
-def _capturing_recorders():
-    """Swap the probe's ``LatencyRecorder`` for one that keeps its instances."""
-    recorders = []
+def _capturing_samples():
+    """Wrap the probe's ``summarize`` to keep the latencies it summarises."""
+    captured = []
+    original = scheduler_module.summarize
 
-    class CapturingRecorder(LatencyRecorder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorders.append(self)
+    def capturing_summarize(samples, *args, **kwargs):
+        captured.append(samples)
+        return original(samples, *args, **kwargs)
 
-    original = scheduler_module.LatencyRecorder
-    scheduler_module.LatencyRecorder = CapturingRecorder
+    scheduler_module.summarize = capturing_summarize
     try:
-        yield recorders
+        yield captured
     finally:
-        scheduler_module.LatencyRecorder = original
+        scheduler_module.summarize = original
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,7 +242,7 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
 
     try:
         (
-            want_summary, want_served, want_recorder, routed_at, want_queued
+            want_summary, want_served, want_samples, routed_at, want_queued
         ) = simulate_per_request(
             sites, policy_by_name(policy_name, wear_derate),
             demand_rps, duration_s, seed, penalty, distribution,
@@ -251,12 +251,10 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
         with pytest.raises(RuntimeError, match="no requests completed"):
             probe()
         return None
-    with _capturing_recorders() as recorders:
+    with _capturing_samples() as captured:
         summary, served = probe()
-    (recorder,) = recorders
-    assert _bits(recorder.samples["request"]) == _bits(
-        want_recorder.samples["request"]
-    )
+    (samples,) = captured
+    assert _bits(samples["request"]) == _bits(want_samples["request"])
     assert dataclasses.astuple(summary) == dataclasses.astuple(want_summary)
     assert served == want_served
     assert tele.counters["probe.queued"] == want_queued

@@ -33,7 +33,6 @@ from repro.microservices import (
     RequestType,
     ServingCluster,
 )
-from repro.simulation.metrics import LatencyRecorder
 
 SERVICES = ("front", "logic", "store", "cache")
 
@@ -116,26 +115,25 @@ def serving_cases(draw):
 
 @contextlib.contextmanager
 def _capturing():
-    """Keep the loop's latency recorder and the occupancy series it reports."""
-    recorders, occupancy = [], []
+    """Keep the latencies the loop summarises and the occupancy it reports."""
+    samples, occupancy = [], []
 
-    class CapturingRecorder(LatencyRecorder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorders.append(self)
+    def capturing_summarize(latencies, *args, **kwargs):
+        samples.append(latencies)
+        return summarize(latencies, *args, **kwargs)
 
     def capturing_timeline(series, *args, **kwargs):
         occupancy.append(list(series))
         return timeline(series, *args, **kwargs)
 
-    recorder_class = cluster_module.LatencyRecorder
+    summarize = cluster_module.summarize
     timeline = cluster_module.utilization_timeline
-    cluster_module.LatencyRecorder = CapturingRecorder
+    cluster_module.summarize = capturing_summarize
     cluster_module.utilization_timeline = capturing_timeline
     try:
-        yield recorders, occupancy
+        yield samples, occupancy
     finally:
-        cluster_module.LatencyRecorder = recorder_class
+        cluster_module.summarize = summarize
         cluster_module.utilization_timeline = timeline
 
 
@@ -147,15 +145,15 @@ def _bits(values):
 @given(serving_cases())
 def test_event_loop_is_bitwise_equal_to_the_generator_oracle(case):
     cluster, app, mix, run = case
-    with _capturing() as (recorders, occupancy):
+    with _capturing() as (captured, occupancy):
         got = cluster.run(app, mix, **run)
     oracle = oracle_run(cluster, app, mix, **run)
     want = oracle.result
-    (recorder,) = recorders
+    (samples,) = captured
 
-    assert sorted(recorder.samples) == sorted(oracle.recorder.samples)
-    for name, samples in oracle.recorder.samples.items():
-        assert _bits(recorder.samples[name]) == _bits(samples), name
+    assert sorted(samples) == sorted(oracle.samples)
+    for name, want_samples in oracle.samples.items():
+        assert _bits(samples[name]) == _bits(want_samples), name
     assert got.offered_requests == want.offered_requests
     assert got.completed_requests == want.completed_requests
     assert occupancy == [oracle.occupancy[node.name] for node in cluster.nodes]
@@ -257,15 +255,16 @@ def test_holds_due_at_once_keep_their_scheduling_order(
     run = dict(
         qps=1_000.0, duration_s=0.08, warmup_s=0.02, seed=seed, placement=placement
     )
-    with _capturing() as (recorders, occupancy):
+    with _capturing() as (captured, occupancy):
         got = cluster.run(app, mix, **run)
     oracle = oracle_run(cluster, app, mix, **run)
     want = oracle.result
-    (recorder,) = recorders
+    (samples,) = captured
 
-    assert set(recorder.samples) == set(oracle.recorder.samples) == set(mix)
-    for name, samples in oracle.recorder.samples.items():
-        assert _bits(recorder.samples[name]) == _bits(samples), name
+    assert set(samples) == set(oracle.samples) == set(mix)
+    for name, want_samples in oracle.samples.items():
+        assert want_samples, name
+        assert _bits(samples[name]) == _bits(want_samples), name
     assert got.offered_requests == want.offered_requests
     assert occupancy == [oracle.occupancy[node.name] for node in cluster.nodes]
     scalars = ("network_bytes", "energy_j", "mean_power_w")

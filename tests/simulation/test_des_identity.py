@@ -56,7 +56,7 @@ from repro.scenarios.spec import (
     SiteSpec,
     TraceSpec,
 )
-from repro.simulation.metrics import LatencyRecorder, LatencySummary
+from repro.simulation.metrics import LatencySummary
 
 DIGESTS_PATH = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "data", "des_digests.json"
@@ -203,21 +203,20 @@ def _labels():
 
 
 @contextlib.contextmanager
-def _capturing_recorders(module):
-    """Swap ``module.LatencyRecorder`` for one that keeps its instances."""
-    recorders = []
+def _capturing_samples(module):
+    """Wrap ``module.summarize`` to keep the latencies each call summarises."""
+    captured = []
+    original = module.summarize
 
-    class CapturingRecorder(LatencyRecorder):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            recorders.append(self)
+    def capturing_summarize(samples, *args, **kwargs):
+        captured.append(samples)
+        return original(samples, *args, **kwargs)
 
-    original = module.LatencyRecorder
-    module.LatencyRecorder = CapturingRecorder
+    module.summarize = capturing_summarize
     try:
-        yield recorders
+        yield captured
     finally:
-        module.LatencyRecorder = original
+        module.summarize = original
 
 
 def _update_value(digest, value):
@@ -230,10 +229,12 @@ def _update_value(digest, value):
         digest.update(repr(value).encode())
 
 
-def _update_samples(digest, recorder):
-    for request_type in sorted(recorder.samples):
-        digest.update(request_type.encode())
-        _update_value(digest, np.asarray(recorder.samples[request_type]))
+def _update_samples(digest, samples):
+    # A type with no latencies is skipped, as summarize skips it.
+    for request_type in sorted(samples):
+        if len(samples[request_type]):
+            digest.update(request_type.encode())
+            _update_value(digest, np.asarray(samples[request_type]))
 
 
 def _update_summary(digest, summary: LatencySummary):
@@ -244,7 +245,7 @@ def _update_summary(digest, summary: LatencySummary):
 
 def serving_digest(label):
     request_type, qps, duration_s, warmup_s, seed = SERVING_CASES[label]
-    with _capturing_recorders(cluster_module) as recorders:
+    with _capturing_samples(cluster_module) as captured:
         result = pixel_cloudlet().run(
             social_network(),
             {request_type: 1.0},
@@ -253,9 +254,9 @@ def serving_digest(label):
             warmup_s=warmup_s,
             seed=seed,
         )
-    (recorder,) = recorders
+    (samples,) = captured
     digest = hashlib.sha256()
-    _update_samples(digest, recorder)
+    _update_samples(digest, samples)
     for name in ("cluster_name", "application", "offered_qps", "measurement_duration_s",
                  "completed_requests", "mean_power_w", "energy_j", "network_bytes"):
         digest.update(name.encode())
@@ -274,7 +275,7 @@ def serving_digest(label):
 
 
 def _run_probe(sites, policy, demand_rps, distribution, churn=None):
-    with _capturing_recorders(scheduler_module) as recorders:
+    with _capturing_samples(scheduler_module) as captured:
         summary, served_by_site = simulate_latency_aware(
             sites,
             policy,
@@ -284,13 +285,13 @@ def _run_probe(sites, policy, demand_rps, distribution, churn=None):
             service_distribution=distribution,
             churn=churn,
         )
-    (recorder,) = recorders
-    return summary, served_by_site, recorder
+    (samples,) = captured
+    return summary, served_by_site, samples
 
 
-def _probe_result_digest(summary, served_by_site, recorder):
+def _probe_result_digest(summary, served_by_site, samples):
     digest = hashlib.sha256()
-    _update_samples(digest, recorder)
+    _update_samples(digest, samples)
     _update_summary(digest, summary)
     for name in sorted(served_by_site):
         digest.update(f"served:{name}={served_by_site[name]}".encode())
@@ -307,12 +308,12 @@ def probe_digest(distribution, policy):
 def probe_case_digest(label):
     make_sites, policy, wear_derate, demand_rps, distribution = PROBE_CASES[label]
     sites, churn = make_sites()
-    summary, served_by_site, recorder = _run_probe(
+    summary, served_by_site, samples = _run_probe(
         sites, policy_by_name(policy, wear_derate), demand_rps, distribution, churn
     )
     if label == "probe-case/many-blocks":
         assert summary.offered > MANY_BLOCKS_ARRIVALS
-    return _probe_result_digest(summary, served_by_site, recorder)
+    return _probe_result_digest(summary, served_by_site, samples)
 
 
 def runner_probe_digest():
@@ -321,11 +322,11 @@ def runner_probe_digest():
         demand=DemandSpec(service_distribution="lognormal"),
         duration_days=2,
     )
-    with _capturing_recorders(scheduler_module) as recorders:
+    with _capturing_samples(scheduler_module) as captured:
         result = ScenarioRunner(spec).run()
-    (recorder,) = recorders
+    (samples,) = captured
     digest = hashlib.sha256()
-    _update_samples(digest, recorder)
+    _update_samples(digest, samples)
     _update_summary(digest, result.latency)
     return digest.hexdigest()
 

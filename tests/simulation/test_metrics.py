@@ -1,44 +1,23 @@
-"""Latency recording and utilisation timelines."""
+"""Latency summaries and utilisation timelines."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.simulation.metrics import LatencyRecorder, UtilizationTimeline, summarize
-
-
-class TestLatencyRecorder:
-    def test_record_and_percentiles(self):
-        recorder = LatencyRecorder()
-        for value in [0.010, 0.020, 0.030, 0.040, 0.100]:
-            recorder.record("read", value)
-        assert recorder.count("read") == 5
-        assert recorder.median_ms("read") == pytest.approx(30.0)
-        assert recorder.tail_ms("read", 90) > recorder.median_ms("read")
-
-    def test_multiple_request_types(self):
-        recorder = LatencyRecorder()
-        recorder.record("read", 0.01)
-        recorder.record("write", 0.02)
-        assert recorder.count() == 2
-        assert recorder.request_types() == ("read", "write")
-
-    def test_invalid_inputs(self):
-        recorder = LatencyRecorder()
-        with pytest.raises(ValueError):
-            recorder.record("read", -0.1)
-        with pytest.raises(ValueError):
-            recorder.percentile_ms("missing", 50)
-        recorder.record("read", 0.01)
-        with pytest.raises(ValueError):
-            recorder.percentile_ms("read", 150)
+from repro.simulation.metrics import UtilizationTimeline, summarize
 
 
 class TestSummarize:
+    def test_percentiles(self):
+        summary = summarize({"read": [0.010, 0.020, 0.030, 0.040, 0.100]}, {})["read"]
+        assert summary.completed == 5
+        assert summary.median_ms == pytest.approx(30.0)
+        assert summary.p90_ms > summary.median_ms
+
     def test_summary_fields(self):
-        recorder = LatencyRecorder()
-        for value in [0.010, 0.020, 0.030, 0.040]:
-            recorder.record("read", value)
-        summaries = summarize(recorder, offered={"read": 5})
+        samples = {"read": [0.010, 0.020, 0.030, 0.040]}
+        summaries = summarize(samples, offered={"read": 5})
         summary = summaries["read"]
         assert summary.completed == 4
         assert summary.offered == 5
@@ -47,11 +26,37 @@ class TestSummarize:
         assert summary.p90_ms <= summary.p99_ms
         assert summary.mean_ms == pytest.approx(25.0)
 
+    def test_types_in_sorted_order(self):
+        summaries = summarize({"write": [0.02], "read": [0.01]}, {})
+        assert list(summaries) == ["read", "write"]
+        assert sum(summary.completed for summary in summaries.values()) == 2
+
+    def test_a_type_with_no_samples_is_skipped(self):
+        summaries = summarize({"read": [], "write": np.array([0.05])}, {"read": 3})
+        assert list(summaries) == ["write"]
+
+    def test_negative_latency_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            summarize({"read": [0.01, -0.1]}, {})
+        with pytest.raises(ValueError, match="non-negative"):
+            summarize({"read": np.array([0.01, -0.1])}, {})
+
     def test_offered_defaults_to_completed(self):
-        recorder = LatencyRecorder()
-        recorder.record("write", 0.05)
-        summaries = summarize(recorder, offered={})
+        summaries = summarize({"write": [0.05]}, offered={})
+        assert summaries["write"].offered == 1
         assert summaries["write"].completion_ratio == 1.0
+
+    def test_list_and_array_inputs_are_bitwise_equal(self):
+        latencies = np.random.default_rng(7).lognormal(-4.0, 0.8, size=1001)
+
+        def bits(samples):
+            (summary,) = summarize({"read": samples}, {"read": 1200}).values()
+            return [
+                value.hex() if isinstance(value, float) else value
+                for value in dataclasses.astuple(summary)
+            ]
+
+        assert bits(latencies.tolist()) == bits(latencies)
 
 
 class TestUtilizationTimeline:

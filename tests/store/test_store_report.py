@@ -61,6 +61,12 @@ def test_grid_report_requires_axes(warmed):
         sweep_from_store(store, spec, {})
 
 
+def test_grid_report_rejects_an_axis_with_no_values(warmed):
+    store, spec, _ = warmed
+    with pytest.raises(StoreError, match="at least one value"):
+        sweep_from_store(store, spec, {"demand.fraction_of_capacity": []})
+
+
 def test_registered_reports_render_without_simulation(warmed, monkeypatch):
     store, _, _ = warmed
     _forbid_simulation(monkeypatch)
