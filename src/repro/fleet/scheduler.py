@@ -51,7 +51,6 @@ import abc
 import collections
 import dataclasses
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -852,8 +851,17 @@ def simulate_latency_aware(
     site intensities, keys (one :meth:`~RoutingPolicy.request_keys` call
     over the probe's :class:`~repro.fleet.dispatch.PackTable`) and service
     times come a block of ``_BLOCK`` arrivals at a time, bitwise equal to
-    one scalar draw and one key per request.  A mixed site serves at its
-    target-weighted mean per-device rate (``PackTable.site_rate``).
+    one scalar draw and one key per request; only a block's arrivals before
+    the horizon are keyed.  A mixed site serves at its target-weighted mean
+    per-device rate (``PackTable.site_rate``).
+
+    Once the clock passes the latest start of any request that waited, no
+    site has a backlog, so every penalised key is its raw key: such an
+    arrival goes to the block's precomputed per-row argmin, which takes the
+    first minimum just as the penalty scan does.  Only arrivals during a
+    backlog run the scan over the live sites.  Keys must be finite (NaN is
+    where ``argmin`` and ``min`` disagree); a non-finite key raises
+    ``ValueError``.
 
     ``churn`` is the fleet state the probe serves from: one row per
     ``(site, cohort)`` pack in site-major order, built from these sites'
@@ -867,7 +875,8 @@ def simulate_latency_aware(
     have live devices.  ``demand_rps``, ``duration_s`` and
     ``queue_penalty_g`` must be finite.  ``telemetry`` (default none)
     counts the probe's work: the ``probe.offered`` and ``probe.completed``
-    requests, and the ``probe.queued`` ones that waited for a slot.
+    requests, the ``probe.queued`` ones that waited for a slot, and the
+    ``probe.scanned`` ones routed by the penalty scan.
     """
     if not sites:
         raise ValueError("the latency probe needs at least one site")
@@ -944,60 +953,86 @@ def simulate_latency_aware(
                 block = np.full(_BLOCK, mean)
             yield from block.tolist()
 
-    service = [service_times(site, rate) for site, rate in zip(sites, site_rate)]
-    arrived: List[float] = []
+    draw = [
+        service_times(site, rate).__next__ for site, rate in zip(sites, site_rate)
+    ]
+    rtt = [site.network_rtt_s for site in sites]
+    arrived: List[np.ndarray] = []
     landed: List[float] = []
-    queued = 0
+    queued = scanned = 0
+    # The latest start time of any request that waited for a slot: from
+    # then on every site's queue is empty until another request waits.
+    backlog_until = -math.inf
+    live_sites = np.asarray(live)
     rng = streams.stream("arrivals")
     mean_gap = 1.0 / demand_rps
     now = 0.0
-    while now < duration_s:
+    while True:
         gaps = rng.exponential(mean_gap, size=_BLOCK)
         # add.accumulate is sequential, so each time is bitwise the scalar
         # sum ``now + gap`` (``now + cumsum(gaps)`` is not).
         times = np.cumsum(np.concatenate(([now], gaps)))[1:]
-        intensity = np.empty((times.size, len(sites)))
+        # Only arrivals before the horizon are keyed and served.
+        cut = int(np.searchsorted(times, duration_s))
+        times = times[:cut]
+        arrived.append(times)
+        if not cut:
+            break
+        intensity = np.empty((cut, len(sites)))
         for j, site in enumerate(sites):
             intensity[:, j] = site.trace.intensities_at(times, wrap=True)
         keys = policy.request_keys(packs, intensity)
-        if keys is None:
-            rows = itertools.repeat(None)
-        else:
-            rows = zip(*keys[:, live].T.tolist())
-        for now, row in zip(times.tolist(), rows):
-            if now >= duration_s:
-                break
-            if row is None:
+        if keys is not None:
+            keys = keys[:, live]
+            if not np.isfinite(keys).all():
+                raise ValueError(
+                    f"policy {policy.name!r} returned a non-finite request key"
+                )
+            # With every queue empty each penalised key is its raw key, and
+            # argmin, like ``list.index(min(...))``, takes the first minimum.
+            shortcut = live_sites[keys.argmin(axis=1)].tolist()
+        for i, now in enumerate(times.tolist()):
+            if keys is None:
                 # Capacity-weighted rotation: send the request to the site
                 # that has served the smallest share of its capacity so far.
                 shares = [routed[j] / capacities[j] for j in live]
                 best = live[shares.index(min(shares))]
+            elif now >= backlog_until:
+                best = shortcut[i]
             else:
+                scanned += 1
                 penalized = []
-                for key, j in zip(row, live):
+                for key, j in zip(keys[i].tolist(), live):
                     queue = waiting[j]
                     while queue and queue[0] <= now:
                         queue.popleft()
                     penalized.append(key + len(queue) * queue_penalty_g)
                 best = live[penalized.index(min(penalized))]
             routed[best] += 1
-            start = max(now, free_at[best][0])
-            finish = start + next(service[best])
-            heapq.heapreplace(free_at[best], finish)
+            slots_free = free_at[best]
+            start = slots_free[0]
             if start > now:
                 queued += 1
                 waiting[best].append(start)
-            arrived.append(now)
-            landed.append(finish + sites[best].network_rtt_s)
+                if start > backlog_until:
+                    backlog_until = start
+            else:
+                start = now
+            finish = start + draw[best]()
+            heapq.heapreplace(slots_free, finish)
+            landed.append(finish + rtt[best])
+        if cut < _BLOCK:
+            break
 
     landed_s = np.array(landed)
     order = np.argsort(landed_s, kind="stable")
-    latencies = (landed_s - np.array(arrived))[order]
+    latencies = (landed_s - np.concatenate(arrived))[order]
     tele = ensure_telemetry(telemetry)
-    tele.count("probe.offered", len(arrived))
+    tele.count("probe.offered", len(latencies))
     tele.count("probe.completed", len(latencies))
     tele.count("probe.queued", queued)
-    summaries = summarize({"request": latencies}, offered={"request": len(arrived)})
+    tele.count("probe.scanned", scanned)
+    summaries = summarize({"request": latencies}, offered={"request": len(latencies)})
     if "request" not in summaries:
         raise RuntimeError("no requests completed; increase duration or demand")
     return summaries["request"], dict(zip(names, routed))

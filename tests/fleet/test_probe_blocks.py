@@ -28,6 +28,7 @@ from repro.fleet.population import ChurnTable
 from repro.fleet.scheduler import (
     SERVICE_DISTRIBUTIONS,
     _BLOCK,
+    GreedyLowestIntensityRouting,
     policy_by_name,
     simulate_latency_aware,
 )
@@ -184,6 +185,19 @@ def _fleet(kind):
             ),
             seed=1,
         )
+    elif kind == "four-site":
+        # ``hydro`` and ``twin`` are two Pixel 3A racks on one trace, so
+        # their keys tie on every arrival.
+        texas, hydro, twin, caiso = ScenarioRunner(
+            fleet_spec(
+                site_spec("texas", "ercot-like", 3, n_trace_days=2),
+                site_spec("hydro", "hydro-heavy", 2, n_trace_days=2),
+                site_spec("twin", "hydro-heavy", 2, n_trace_days=2),
+                site_spec("caiso", "caiso-like", 3, n_trace_days=2),
+                seed=1,
+            )
+        ).build_sites()
+        return (texas, hydro, dataclasses.replace(twin, trace=hydro.trace), caiso)
     else:
         spec = fleet_spec(
             site_spec("texas", "ercot-like", 4, n_trace_days=2),
@@ -258,15 +272,23 @@ def _assert_probe_matches_oracle(fleet, policy_name, wear_derate, demand_rps,
     assert dataclasses.astuple(summary) == dataclasses.astuple(want_summary)
     assert served == want_served
     assert tele.counters["probe.queued"] == want_queued
-    # Keys are computed at the engine's own arrival times, bit for bit.
-    keyed_at = np.concatenate(asked)[: len(routed_at)]
-    assert _bits(keyed_at) == _bits(routed_at)
-    return summary
+    # Only a backlog sends an arrival through the penalty scan, and
+    # rotation never scans.
+    scanned = tele.counters["probe.scanned"]
+    assert scanned <= summary.offered
+    if want_queued == 0 or policy_name == "round-robin":
+        assert scanned == 0
+    # Keys are computed at the engine's own arrival times, bit for bit, and
+    # only for the arrivals before the horizon.
+    assert _bits(np.concatenate(asked)) == _bits(routed_at)
+    return summary, served, tele.counters
 
 
 probe_case = st.fixed_dictionaries(
     {
-        "fleet": st.sampled_from(["two-site", "mixed-cohort", "three-cohort"]),
+        "fleet": st.sampled_from(
+            ["two-site", "mixed-cohort", "three-cohort", "four-site"]
+        ),
         "policy_name": st.sampled_from(
             ["round-robin", "greedy-lowest-intensity", "marginal-cci"]
         ),
@@ -304,7 +326,7 @@ def test_block_edges_are_bitwise_equal_to_the_per_request_loop(
     times = _arrival_times(case["seed"], case["demand_rps"], count + 1)
     end = times[count]
     duration_s = end if on_the_next_arrival else (times[count - 1] + end) / 2.0
-    summary = _assert_probe_matches_oracle(duration_s=duration_s, **case)
+    summary, _, _ = _assert_probe_matches_oracle(duration_s=duration_s, **case)
     assert summary.offered == count
 
 
@@ -314,18 +336,50 @@ def test_same_device_rack_offers_the_oracle_slots():
     above its 80 req/s capacity makes requests queue for them."""
     (site,) = _fleet("pixel-rack")
     assert device_slots(site, [3, 2], [0.0, 0.0], 0.0) == 5
-    summary = _assert_probe_matches_oracle(
+    summary, _, counters = _assert_probe_matches_oracle(
         "pixel-rack", "marginal-cci", 0.0, demand_rps=120.0, duration_s=2.0,
         seed=5, penalty=1e-6, distribution="lognormal",
     )
     assert summary.offered > 0
-    tele = Telemetry()
-    simulate_latency_aware(
-        [site], policy_by_name("marginal-cci"), demand_rps=120.0, duration_s=2.0,
-        seed=5, queue_penalty_g=1e-6, service_distribution="lognormal",
-        telemetry=tele,
+    assert counters["probe.queued"] > 0
+
+
+@pytest.mark.parametrize("policy_name", ["greedy-lowest-intensity", "marginal-cci"])
+def test_overloaded_four_site_fleet_scans_and_shortcuts(policy_name):
+    """Demand above the cleanest site's 40 req/s queues requests there and
+    spills them to its tied twin and on to a dirtier site.  Backlog-free
+    arrivals take the per-block argmin and the rest the penalty scan; both
+    stay bitwise equal to the oracle."""
+    summary, served, counters = _assert_probe_matches_oracle(
+        "four-site", policy_name, 0.0, demand_rps=60.0, duration_s=3.0,
+        seed=11, penalty=5e-6, distribution="exponential",
     )
-    assert tele.counters["probe.queued"] > 0
+    assert counters["probe.queued"] > 0
+    assert 0 < counters["probe.scanned"] < summary.offered
+    assert sum(1 for count in served.values() if count > 0) >= 2
+
+
+class _KeyedPolicy(GreedyLowestIntensityRouting):
+    """Greedy keys with ``bad`` written into one arrival's key."""
+
+    def __init__(self, bad):
+        super().__init__()
+        self.bad = bad
+
+    def request_keys(self, packs, intensity):
+        keys = super().request_keys(packs, intensity)
+        keys[0, 0] = self.bad
+        return keys
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_request_keys_are_rejected(bad):
+    """NaN is where argmin and ``min`` disagree, so no key may be non-finite."""
+    with pytest.raises(ValueError, match="non-finite request key"):
+        simulate_latency_aware(
+            list(_fleet("two-site")), _KeyedPolicy(bad), demand_rps=50.0,
+            duration_s=1.0,
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12345])

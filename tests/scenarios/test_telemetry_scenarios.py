@@ -154,11 +154,13 @@ def test_latency_probe_counts_its_queued_requests():
     # Carbon-aware routing queues requests at the clean site before it
     # spills to the dirty one; a request is counted at most once.
     assert 0 < tele.counters["probe.queued"] <= tele.counters["probe.offered"]
+    # Only arrivals during a backlog take the penalty scan.
+    assert 0 < tele.counters["probe.scanned"] < tele.counters["probe.offered"]
 
 
 def test_probe_counters_absent_when_the_probe_is_off():
     tele = Telemetry()
     result = ScenarioRunner(_fast_spec("two-site-asymmetric"), telemetry=tele).run()
     assert result.latency is None
-    for name in ("probe.queued", "probe.offered", "probe.completed"):
+    for name in ("probe.queued", "probe.scanned", "probe.offered", "probe.completed"):
         assert tele.counters.get(name, 0) == 0, name
