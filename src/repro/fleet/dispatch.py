@@ -324,8 +324,11 @@ class ForecastDispatch(DispatchPolicy):
     A day is planned in one batched pass over every battery-backed,
     non-empty pack: carried plan tails first, then, per refresh, one
     :meth:`~repro.forecast.models.ForecastModel.windows` call and one
-    ``(packs, horizon)`` planner call, and one vectorized SoC projection
-    that seeds the next refresh.  :meth:`start_run` builds the run's
+    ``(packs, horizon)`` planner call.  Packs that plan again the same day
+    (a carried tail or a refresh chunk that ends before midnight) take one
+    vectorized SoC projection that seeds that next refresh; a plan that
+    reaches midnight is not projected, so at ``refresh_h == horizon_h ==
+    24`` no pack projects.  :meth:`start_run` builds the run's
     :func:`~repro.forecast.models.hourly_truth` table once (every site's
     trace over the run plus one horizon), or takes the one another replay
     of the same run built (:attr:`truth`), and each refresh asks the model
@@ -387,6 +390,10 @@ class ForecastDispatch(DispatchPolicy):
         #: Per-run observability counter: pack windows the planner planned
         #: (one per pack per forecast refresh).
         self.planned_windows = 0
+        #: Per-run observability counter: pack windows whose SoC was
+        #: projected to seed a later refresh of the same day (carried tails
+        #: and refresh chunks that end before midnight).
+        self.projected_windows = 0
         #: Per-run observability counter: distinct ``(site, start)`` windows
         #: the model produced, blind ones included (packs at one site share
         #: theirs).
@@ -401,6 +408,7 @@ class ForecastDispatch(DispatchPolicy):
         self._pending = {}
         self.fallback_pack_days = 0
         self.planned_windows = 0
+        self.projected_windows = 0
         self.forecast_windows = 0
         shape = (len(packs.sites), n_steps + self.horizon_h)
         if truth is None:
@@ -451,10 +459,11 @@ class ForecastDispatch(DispatchPolicy):
         demand_j = np.broadcast_to(
             demand_step_j[:, None], (planned_packs.size, max(hours, self.horizon_h))
         )
-        if covered.any():
-            plan_soc = self.planner.project_state_of_charge(
-                planned, demand_j[:, :hours], capacity_j, charge_step_j, plan_soc
-            )
+        # A carried tail that ends before midnight seeds today's first refresh.
+        again = np.flatnonzero((covered > 0) & (covered < hours))
+        self._project(
+            again, planned[again], demand_j, capacity_j, charge_step_j, plan_soc
+        )
 
         offsets = np.arange(self.refresh_h)
         while True:
@@ -488,16 +497,35 @@ class ForecastDispatch(DispatchPolicy):
                 self._pending[int(planned_packs[rows[row]])] = chunk[
                     row, take[row] :
                 ].copy()
-            plan_soc[rows] = self.planner.project_state_of_charge(
-                np.where(executes, chunk, DISPATCH_HOLD),
-                demand_j[rows, : self.refresh_h],
-                capacity_j[rows],
-                charge_step_j[rows],
-                plan_soc[rows],
-            )
             covered[rows] += take
+            # A row still short of midnight executed its whole chunk
+            # (``take == refresh_h``) and refreshes again from there.
+            again = np.flatnonzero(covered[rows] < hours)
+            self._project(
+                rows[again], chunk[again], demand_j, capacity_j, charge_step_j,
+                plan_soc,
+            )
         modes[:, planned_packs] = planned.T
         return modes
+
+    def _project(self, rows, executed, demand_j, capacity_j, charge_step_j, plan_soc):
+        """Advance ``plan_soc[rows]`` through their ``executed`` modes.
+
+        The projected SoC only seeds a later refresh of the same day, and
+        ``plan_soc`` lives for one :meth:`day_modes` call, so callers pass
+        only the rows that plan again today; a row whose plan reaches
+        midnight is never projected.
+        """
+        if not rows.size:
+            return
+        self.projected_windows += rows.size
+        plan_soc[rows] = self.planner.project_state_of_charge(
+            executed,
+            demand_j[rows, : executed.shape[1]],
+            capacity_j[rows],
+            charge_step_j[rows],
+            plan_soc[rows],
+        )
 
     def _take_pending(self, planned_packs: np.ndarray, planned: np.ndarray) -> np.ndarray:
         """Move each planning pack's carried plan tail into ``planned``.
@@ -603,30 +631,33 @@ class EnergyLedger:
         charge_j = np.empty(shape)
         soc = np.empty(shape)
         state = self.soc
+        min_soc = self.min_soc
+        maximum, minimum, where, clip = np.maximum, np.minimum, np.where, np.clip
         # On a tie ``np.minimum(a, b)`` returns ``b``, as Python's
         # ``min(b, a)`` does: the operands are ordered so a +0.0 / -0.0 tie
         # (an idle fraction of -0.0) gives the same signed zero as the
         # scalar ``min(device_j, available)`` and ``min(headroom, deliverable)``.
+        # The one-sided floors are ``np.maximum`` (what ``np.clip(x, 0.0,
+        # None)`` calls); the two-sided SoC clip stays ``np.clip``, which a
+        # ``minimum(maximum(...))`` pair does not match on a -0.0 input.
         with np.errstate(invalid="ignore", divide="ignore"):
             for row in range(n_rows):
-                forced = usable[row] & (state < self.min_soc)
+                forced = usable[row] & (state < min_soc)
                 capacity = capacity_j[row]
-                available = np.clip(state - self.min_soc, 0.0, None) * capacity
-                battery = np.where(
+                available = maximum(state - min_soc, 0.0) * capacity
+                battery = where(
                     wants_discharge[row] & ~forced,
-                    np.minimum(available, device_energy_j[row]),
+                    minimum(available, device_energy_j[row]),
                     0.0,
                 )
-                headroom = np.clip(1.0 - state, 0.0, None) * capacity
-                charge = np.where(
+                headroom = maximum(1.0 - state, 0.0) * capacity
+                charge = where(
                     wants_charge[row] | forced,
-                    np.minimum(deliverable_j[row], headroom),
+                    minimum(deliverable_j[row], headroom),
                     0.0,
                 )
-                delta = np.where(
-                    has_capacity[row], (charge - battery) / capacity, 0.0
-                )
-                state = np.clip(state + delta, 0.0, 1.0)
+                delta = where(has_capacity[row], (charge - battery) / capacity, 0.0)
+                state = clip(state + delta, 0.0, 1.0)
                 battery_j[row] = battery
                 charge_j[row] = charge
                 soc[row] = state

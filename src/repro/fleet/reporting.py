@@ -25,6 +25,17 @@ from repro import units
 from repro.core.cci import computational_carbon_intensity
 
 
+def _column_rows(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``'s columns as the rows of one C-contiguous array.
+
+    A summary reduces every column at once along ``axis=1`` of this array:
+    a contiguous row reduces with the same 1-D pairwise sum as the strided
+    column ``matrix[:, j]``, so each row's ``sum``/``mean`` is bitwise the
+    per-column one (``axis=0`` on ``matrix`` itself adds in another order).
+    """
+    return np.ascontiguousarray(np.transpose(matrix))
+
+
 @dataclass(frozen=True)
 class SiteSummary:
     """Aggregates for one site over the simulated horizon."""
@@ -358,32 +369,29 @@ class FleetReport:
 
     def cohort_summaries(self) -> List[CohortSummary]:
         """Per-cohort aggregate rows, in site-major cohort order."""
-        discharge = self.cohort_battery_discharge_kwh()
-        summaries = []
-        for j, label in enumerate(self.cohort_labels):
-            site = self.site_names[int(self.cohort_site_index[j])]
-            target = float(self.cohort_target[j])
-            summaries.append(
-                CohortSummary(
-                    label=label,
-                    site=site,
-                    served_requests=float(
-                        self.cohort_served_rps[:, j].sum() * self.step_s
-                    ),
-                    replacement_carbon_g=float(
-                        self.cohort_replacement_carbon_g[:, j].sum()
-                    ),
-                    availability=float(
-                        np.mean(self.cohort_active[:, j] / target)
-                    ),
-                    failures=int(self.cohort_failures[:, j].sum()),
-                    battery_swaps=int(self.cohort_battery_swaps[:, j].sum()),
-                    deployed=int(self.cohort_deployed[:, j].sum()),
-                    battery_discharge_kwh=float(discharge[j]),
-                    device_energy_kwh=float(self.cohort_energy_kwh[:, j].sum()),
-                )
+        target = np.asarray(self.cohort_target, dtype=float)
+        columns = zip(
+            self.cohort_labels,
+            np.asarray(self.cohort_site_index).tolist(),
+            (_column_rows(self.cohort_served_rps).sum(axis=1) * self.step_s).tolist(),
+            _column_rows(self.cohort_replacement_carbon_g).sum(axis=1).tolist(),
+            _column_rows(self.cohort_active / target).mean(axis=1).tolist(),
+            _column_rows(self.cohort_failures).sum(axis=1).tolist(),
+            _column_rows(self.cohort_battery_swaps).sum(axis=1).tolist(),
+            _column_rows(self.cohort_deployed).sum(axis=1).tolist(),
+            self.cohort_battery_discharge_kwh().tolist(),
+            _column_rows(self.cohort_energy_kwh).sum(axis=1).tolist(),
+        )
+        return [
+            CohortSummary(
+                label, self.site_names[site], served, replacement, availability,
+                int(failures), int(swaps), int(deployed), discharge, energy,
             )
-        return summaries
+            for (
+                label, site, served, replacement, availability, failures,
+                swaps, deployed, discharge, energy,
+            ) in columns
+        ]
 
     def site_carbon_avoided_g(self) -> np.ndarray:
         """Per-site operational carbon the dispatch ledger avoided (grams).
@@ -510,32 +518,29 @@ class FleetReport:
 
     def site_summaries(self) -> List[SiteSummary]:
         """Per-site aggregate rows, in site order."""
-        target = self.target_devices
-        served = self.served_rps
-        operational = self.operational_g
-        replacement = self.replacement_carbon_g
-        active = self.active_devices
-        failures = self.failures
-        battery_swaps = self.battery_swaps
-        deployed = self.deployed
-        summaries = []
-        for j, name in enumerate(self.site_names):
-            summaries.append(
-                SiteSummary(
-                    name=name,
-                    served_requests=float(served[:, j].sum() * self.step_s),
-                    operational_carbon_g=float(operational[:, j].sum()),
-                    replacement_carbon_g=float(replacement[:, j].sum()),
-                    mean_intensity_g_per_kwh=float(
-                        np.mean(self.intensity_g_per_kwh[:, j])
-                    ),
-                    availability=float(np.mean(active[:, j] / float(target[j]))),
-                    failures=int(failures[:, j].sum()),
-                    battery_swaps=int(battery_swaps[:, j].sum()),
-                    deployed=int(deployed[:, j].sum()),
-                )
+        columns = zip(
+            self.site_names,
+            (_column_rows(self.served_rps).sum(axis=1) * self.step_s).tolist(),
+            _column_rows(self.operational_g).sum(axis=1).tolist(),
+            _column_rows(self.replacement_carbon_g).sum(axis=1).tolist(),
+            _column_rows(self.intensity_g_per_kwh).mean(axis=1).tolist(),
+            _column_rows(
+                self.active_devices / self.target_devices.astype(float)
+            ).mean(axis=1).tolist(),
+            _column_rows(self.failures).sum(axis=1).tolist(),
+            _column_rows(self.battery_swaps).sum(axis=1).tolist(),
+            _column_rows(self.deployed).sum(axis=1).tolist(),
+        )
+        return [
+            SiteSummary(
+                name, served, operational, replacement, intensity, availability,
+                int(failures), int(swaps), int(deployed),
             )
-        return summaries
+            for (
+                name, served, operational, replacement, intensity,
+                availability, failures, swaps, deployed,
+            ) in columns
+        ]
 
     def summary_dict(self) -> Dict[str, float]:
         """Headline numbers, convenient for asserts and JSON dumps."""

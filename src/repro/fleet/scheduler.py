@@ -497,6 +497,10 @@ class FleetSimulation:
                     "dispatch.planned_windows",
                     getattr(self.dispatch, "planned_windows", 0),
                 )
+                tele.count(
+                    "dispatch.projected_windows",
+                    getattr(self.dispatch, "projected_windows", 0),
+                )
 
         report = FleetReport(
             policy_name=self.policy.name,

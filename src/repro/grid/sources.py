@@ -94,6 +94,25 @@ def all_sources() -> Tuple[EnergySource, ...]:
     return tuple(_SOURCES_BY_NAME.values())
 
 
+def _raise_bad_generation(name: str, generation: np.ndarray) -> None:
+    """Raise the ``ValueError`` naming ``name``'s first bad sample.
+
+    A non-finite sample anywhere in the source outranks a negative one.
+    """
+    non_finite = np.flatnonzero(~np.isfinite(generation))
+    if non_finite.size:
+        index = int(non_finite[0])
+        raise ValueError(
+            f"generation for {name!r} is not finite at index {index}: "
+            f"{generation.flat[index]}"
+        )
+    index = int(np.flatnonzero(generation < 0)[0])
+    raise ValueError(
+        f"generation for {name!r} is negative at index {index}: "
+        f"{generation.flat[index]}"
+    )
+
+
 def blended_intensity(
     generation_mw_by_source: Mapping[str, Union[float, np.ndarray]]
 ) -> Union[float, np.ndarray]:
@@ -114,20 +133,12 @@ def blended_intensity(
     weighted = 0.0
     for name, generation in generation_mw_by_source.items():
         generation = np.asarray(generation, dtype=float)
-        non_finite = np.flatnonzero(~np.isfinite(generation))
-        if non_finite.size:
-            index = int(non_finite[0])
-            raise ValueError(
-                f"generation for {name!r} is not finite at index {index}: "
-                f"{generation.flat[index]}"
-            )
-        negative = np.flatnonzero(generation < 0)
-        if negative.size:
-            index = int(negative[0])
-            raise ValueError(
-                f"generation for {name!r} is negative at index {index}: "
-                f"{generation.flat[index]}"
-            )
+        # One pass tells whether any sample is NaN, infinite or negative;
+        # only then do the scans run that name the first bad sample.
+        if generation.size and not (
+            0.0 <= generation.min() <= generation.max() < math.inf
+        ):
+            _raise_bad_generation(name, generation)
         source = source_by_name(name)
         total = total + generation
         weighted = weighted + generation * source.carbon_intensity_g_per_kwh

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _datetime
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -56,6 +57,30 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 #: A small checked-in sample of hourly CAISO-style intensities (3 days),
 #: in the column layout :meth:`GridTrace.from_csv` defaults to.
 CAISO_SAMPLE_CSV = os.path.join(DATA_DIR, "caiso_sample.csv")
+
+
+@functools.lru_cache(maxsize=None)
+def _hour_curves() -> Tuple[np.ndarray, ...]:
+    """The fixed ``(288,)`` hour curves every synthetic day shares.
+
+    The morning demand ramp, the unit evening peak, the daylight sine² and
+    the night-biased wind factor depend on neither the seed nor the
+    generator's parameters, so they are built once, on the first synthesis
+    rather than at import (a process that never synthesises a trace never
+    pays for them), and shared read-only.
+    """
+    hours = _DAY_HOURS
+    sunrise, sunset = SOLAR_HOURS
+    daylight = np.clip((hours - sunrise) / (sunset - sunrise), 0.0, 1.0)
+    curves = (
+        2.0 * np.exp(-0.5 * ((hours - 9.0) / 2.5) ** 2),
+        np.exp(-0.5 * ((hours - 19.5) / 2.2) ** 2),
+        np.sin(np.pi * daylight) ** 2,
+        1.0 + 0.35 * np.cos(2.0 * np.pi * (hours - 2.0) / 24.0),
+    )
+    for curve in curves:
+        curve.setflags(write=False)
+    return curves
 
 
 def _parse_time_cell(cell: str, column: str, row_number: int) -> float:
@@ -374,8 +399,7 @@ class CaisoLikeTraceGenerator:
         """
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        hours = _DAY_HOURS
-        n = len(hours)
+        n = len(_DAY_HOURS)
         scales = np.empty((2, n_days, 1))
         noise = np.empty((3, n_days, n))
         for day in range(n_days):
@@ -392,26 +416,19 @@ class CaisoLikeTraceGenerator:
         day_scale, cloud_factor = scales
         demand_noise, solar_noise, wind_noise = noise
 
+        ramp, evening_peak, daylight_sine2, night_wind = _hour_curves()
         # Demand: morning ramp, mid-day plateau, evening peak around 19:00.
-        demand = (
-            self.base_demand_gw
-            + 2.0 * np.exp(-0.5 * ((hours - 9.0) / 2.5) ** 2)
-            + self.evening_peak_gw * np.exp(-0.5 * ((hours - 19.5) / 2.2) ** 2)
-        )
+        demand = self.base_demand_gw + ramp + self.evening_peak_gw * evening_peak
         demand = demand * (1.0 + demand_noise * 0.5)
-        demand = np.clip(demand, 15.0, None)
+        demand = np.maximum(demand, 15.0)
 
         # Solar: half-sine between sunrise and sunset, scaled by cloud cover.
-        sunrise, sunset = SOLAR_HOURS
-        daylight = np.clip((hours - sunrise) / (sunset - sunrise), 0.0, 1.0)
-        solar = self.solar_peak_gw * cloud_factor * np.sin(np.pi * daylight) ** 2
-        solar = np.clip(solar + solar_noise, 0.0, None)
+        solar = self.solar_peak_gw * cloud_factor * daylight_sine2
+        solar = np.maximum(solar + solar_noise, 0.0)
 
         # Wind: noisy, slightly stronger at night.
-        wind = self.wind_mean_gw * day_scale * (
-            1.0 + 0.35 * np.cos(2.0 * np.pi * (hours - 2.0) / 24.0)
-        )
-        wind = np.clip(wind + wind_noise, 0.2, None)
+        wind = self.wind_mean_gw * day_scale * night_wind
+        wind = np.maximum(wind + wind_noise, 0.2)
 
         hydro = np.repeat(self.hydro_gw * day_scale, n, axis=1)
         nuclear = np.full((n_days, n), self.nuclear_gw)
@@ -421,7 +438,7 @@ class CaisoLikeTraceGenerator:
         # CAISO never dispatches below a few GW of thermal + import supply even
         # at the solar peak (minimum generation constraints), which keeps the
         # mid-day carbon-intensity floor around 120-170 gCO2e/kWh.
-        residual = np.clip(residual, 3.0, None)
+        residual = np.maximum(residual, 3.0)
         # Imports take roughly 40 % of the residual, gas the rest.
         imports = 0.40 * residual
         gas = residual - imports

@@ -78,7 +78,12 @@ def bench_records(
     sha: Optional[str] = None,
     recorded_at: Optional[str] = None,
 ) -> List[Dict[str, object]]:
-    """One history record per case in a bench snapshot."""
+    """One history record per case in a bench snapshot.
+
+    Besides the wall clock, a record keeps every throughput (``*_per_s``
+    field) its case carries, such as a probe case's
+    ``probe_requests_per_s``: the layer's own unit of work.
+    """
     sha = sha if sha is not None else git_sha()
     recorded_at = recorded_at if recorded_at is not None else utc_timestamp()
     records = []
@@ -92,6 +97,11 @@ def bench_records(
                 "n_days": case.get("n_days"),
                 "wall_s": case["wall_s"],
                 "device_days_per_s": case.get("device_days_per_s"),
+                **{
+                    key: value
+                    for key, value in case.items()
+                    if key.endswith("_per_s")
+                },
                 "git_sha": sha,
                 "recorded_at": recorded_at,
             }

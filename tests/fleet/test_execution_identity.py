@@ -39,6 +39,7 @@ from repro.fleet import (
 )
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario, scenario_names
 from repro.scenarios.spec import DeviceMixSpec, SiteSpec, TraceSpec
+from repro.telemetry import Telemetry
 
 from fleet_specs import fleet_spec, site_spec
 
@@ -331,12 +332,14 @@ def report_digest(result) -> str:
     return digest.hexdigest()
 
 
-def _run_case(label):
+def _run_case(label, telemetry=None):
     """Run one case: a preset name or a spec, under ``FAST`` and its overrides."""
     base, overrides = _cases()[label]
     if isinstance(base, str):
         base = get_scenario(base)
-    return ScenarioRunner(base.with_overrides({**FAST, **overrides})).run()
+    return ScenarioRunner(
+        base.with_overrides({**FAST, **overrides}), telemetry=telemetry
+    ).run()
 
 
 def _digest_case(label):
@@ -397,6 +400,26 @@ class TestPlanTailIdentity:
         # not a plan start opens inside the previous plan's tail.
         hours_per_day = report.hours.shape[0] // report.days.shape[0]
         assert (empty_days[0] * hours_per_day) % TAIL_CADENCE["forecast.refresh_h"]
+
+
+class TestProjectedWindows:
+    """Only a pack that plans again the same day projects its SoC: none at
+    the preset's 24 h horizon and refresh, some under plan tails."""
+
+    @pytest.mark.parametrize(
+        "label", ["forecast=noisy/24h/24h", "twelve-sites/tails/forecast=noisy/6d"]
+    )
+    def test_projections_follow_the_cadence(self, label):
+        tele = Telemetry()
+        result = _run_case(label, telemetry=tele)
+        assert report_digest(result) == _recorded()[label], label
+        planned = tele.counters["dispatch.planned_windows"]
+        projected = tele.counters["dispatch.projected_windows"]
+        assert planned > 0
+        if "tails" in label:
+            assert 1 <= projected < planned
+        else:
+            assert projected == 0
 
 
 def _site_soc_loop(report):

@@ -307,6 +307,9 @@ class TestBlindDays:
         assert np.all(report.cohort_charge_kwh[36:] == 0)
         assert dispatch.fallback_pack_days == 0
         assert dispatch.planned_windows == 2 * (4 + 2)  # two packs
+        # A chunk that ends before midnight seeds the next refresh: three on
+        # day 0, and on day 1 the two that precede the blind window.
+        assert dispatch.projected_windows == 2 * (3 + 2)
 
 
 class _BlindFrom(ForecastModel):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from fleet_specs import two_site_spec
+from fleet_oracles import cohort_summaries_loop, site_summaries_loop, summary_bits
+from fleet_specs import fleet_spec, site_spec, two_site_spec
 from repro.analysis import fig10_fleet_orchestration, render_fleet_report
 from repro.fleet import (
     DiurnalDemand,
@@ -13,6 +14,7 @@ from repro.fleet import (
 )
 from repro.fleet.sites import DEFAULT_REQUESTS_PER_DEVICE_S
 from repro.scenarios import ScenarioRunner
+from repro.scenarios.spec import DeviceMixSpec
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +83,54 @@ def test_fig10_builder_end_to_end():
     curves = data.daily_cci_curves()
     assert all(len(curve) == 7 for curve in curves.values())
     assert data.cci("greedy-lowest-intensity") < data.cci("round-robin")
+
+
+@pytest.fixture(scope="module")
+def mixed_report():
+    """Three sites over 12 churning days with coupled dispatch: a Pixel 3A /
+    Nexus 4 rack, a battery-less server site and a plain Pixel site."""
+    spec = fleet_spec(
+        site_spec(
+            "rack",
+            "caiso-like",
+            n_trace_days=2,
+            cohorts=(
+                DeviceMixSpec(count=30),
+                DeviceMixSpec("Nexus 4", 20, requests_per_device_s=8.0),
+            ),
+        ),
+        site_spec("servers", "ercot-like", count=3, device="HP ProLiant DL380 G6",
+                  n_trace_days=2),
+        site_spec("phones", "hydro-heavy", count=25, n_trace_days=2),
+        seed=5,
+    ).with_overrides(
+        {
+            "duration_days": 12,
+            "routing.latency_probe_s": 0.0,
+            "charging.policy": "smart",
+            "charging.coupling": "dispatch",
+            "churn.annual_failure_rate": 3.0,
+            "churn.age_acceleration_per_year": 6.0,
+            "churn.intake_per_day": 0.5,
+        }
+    )
+    return ScenarioRunner(spec).run().report
+
+
+class TestSummariesMatchTheColumnLoop:
+    def test_the_fixture_covers_the_layouts(self, mixed_report):
+        assert mixed_report.n_cohorts == 4
+        assert list(mixed_report.cohort_site_index) == [0, 0, 1, 2]
+        discharge = mixed_report.cohort_battery_discharge_kwh()
+        assert discharge[2] == 0.0 and discharge[[0, 1, 3]].min() > 0
+        assert mixed_report.cohort_failures.sum() > 0
+
+    def test_site_summaries(self, mixed_report):
+        assert summary_bits(mixed_report.site_summaries()) == summary_bits(
+            site_summaries_loop(mixed_report)
+        )
+
+    def test_cohort_summaries(self, mixed_report):
+        assert summary_bits(mixed_report.cohort_summaries()) == summary_bits(
+            cohort_summaries_loop(mixed_report)
+        )

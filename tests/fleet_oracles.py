@@ -78,3 +78,74 @@ def device_slots(site, counts, wears, wear_derate):
 def bits(values):
     """Each value's exact bit pattern, for bitwise comparisons."""
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def site_summaries_loop(report):
+    """:meth:`FleetReport.site_summaries` one site column at a time."""
+    from repro.fleet.reporting import SiteSummary
+
+    target = report.target_devices
+    summaries = []
+    for j, name in enumerate(report.site_names):
+        summaries.append(
+            SiteSummary(
+                name=name,
+                served_requests=float(report.served_rps[:, j].sum() * report.step_s),
+                operational_carbon_g=float(report.operational_g[:, j].sum()),
+                replacement_carbon_g=float(report.replacement_carbon_g[:, j].sum()),
+                mean_intensity_g_per_kwh=float(
+                    np.mean(report.intensity_g_per_kwh[:, j])
+                ),
+                availability=float(
+                    np.mean(report.active_devices[:, j] / float(target[j]))
+                ),
+                failures=int(report.failures[:, j].sum()),
+                battery_swaps=int(report.battery_swaps[:, j].sum()),
+                deployed=int(report.deployed[:, j].sum()),
+            )
+        )
+    return summaries
+
+
+def cohort_summaries_loop(report):
+    """:meth:`FleetReport.cohort_summaries` one pack column at a time."""
+    from repro.fleet.reporting import CohortSummary
+
+    discharge = report.cohort_battery_kwh.sum(axis=0)
+    summaries = []
+    for j, label in enumerate(report.cohort_labels):
+        target = float(report.cohort_target[j])
+        summaries.append(
+            CohortSummary(
+                label=label,
+                site=report.site_names[int(report.cohort_site_index[j])],
+                served_requests=float(
+                    report.cohort_served_rps[:, j].sum() * report.step_s
+                ),
+                replacement_carbon_g=float(
+                    report.cohort_replacement_carbon_g[:, j].sum()
+                ),
+                availability=float(np.mean(report.cohort_active[:, j] / target)),
+                failures=int(report.cohort_failures[:, j].sum()),
+                battery_swaps=int(report.cohort_battery_swaps[:, j].sum()),
+                deployed=int(report.cohort_deployed[:, j].sum()),
+                battery_discharge_kwh=float(discharge[j]),
+                device_energy_kwh=float(report.cohort_energy_kwh[:, j].sum()),
+            )
+        )
+    return summaries
+
+
+def summary_bits(summaries):
+    """Each summary's fields with their types, floats as exact bit patterns."""
+    import dataclasses
+
+    return [
+        [
+            (field.name, type(value).__name__,
+             value.hex() if isinstance(value, float) else value)
+            for field in dataclasses.fields(summary)
+            for value in (getattr(summary, field.name),)
+        ]
+        for summary in summaries
+    ]

@@ -147,3 +147,83 @@ class TestBlendedIntensity:
         assert [float(value).hex() for value in blend] == [
             float(value).hex() for value in expected
         ]
+
+
+def _stack(shape, bad=(), levels=(1.0, 2.0, 3.0)):
+    """A three-source stack of ``shape`` with the ``bad`` samples set.
+
+    ``bad`` holds ``(source, flat index, value)`` triples; the sources are
+    in mapping order wind, solar, natural gas.  Shape ``()`` gives Python
+    floats.
+    """
+    stack = {
+        name: np.full(shape, level)
+        for name, level in zip(("wind", "solar", "natural gas"), levels)
+    }
+    for name, index, value in bad:
+        stack[name].flat[index] = value
+    if shape == ():
+        stack = {name: float(values) for name, values in stack.items()}
+    return stack
+
+
+_SHAPES = pytest.mark.parametrize(
+    "shape", [(), (288,), (3, 288)], ids=["scalar", "day", "days"]
+)
+
+
+class TestBlendedIntensityErrors:
+    """The exact error text of every rejected stack, for every input shape."""
+
+    @staticmethod
+    def _message(stack):
+        with pytest.raises(ValueError) as info:
+            sources.blended_intensity(stack)
+        return str(info.value)
+
+    @_SHAPES
+    @pytest.mark.parametrize(
+        "value, text",
+        [(np.nan, "not finite"), (np.inf, "not finite"),
+         (-np.inf, "not finite"), (-0.5, "negative")],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    def test_names_the_first_bad_sample(self, shape, value, text):
+        first, last = (0, 0) if shape == () else (7, int(np.prod(shape)) - 1)
+        stack = _stack(shape, [("solar", first, value), ("solar", last, value)])
+        assert self._message(stack) == (
+            f"generation for 'solar' is {text} at index {first}: {value}"
+        )
+
+    @_SHAPES
+    def test_names_the_first_bad_source_in_mapping_order(self, shape):
+        late, early = (0, 0) if shape == () else (int(np.prod(shape)) - 1, 2)
+        stack = _stack(
+            shape,
+            [("wind", late, -1.0), ("solar", early, np.nan),
+             ("natural gas", early, np.inf)],
+        )
+        assert self._message(stack) == (
+            f"generation for 'wind' is negative at index {late}: -1.0"
+        )
+
+    @pytest.mark.parametrize("shape", [(288,), (3, 288)], ids=["day", "days"])
+    def test_non_finite_outranks_an_earlier_negative_of_one_source(self, shape):
+        stack = _stack(shape, [("solar", 4, -1.0), ("solar", 9, np.inf)])
+        assert self._message(stack) == (
+            "generation for 'solar' is not finite at index 9: inf"
+        )
+
+    @_SHAPES
+    def test_zero_total(self, shape):
+        index, last = (0, 0) if shape == () else (5, int(np.prod(shape)) - 1)
+        zeros = [(name, i, 0.0) for name in ("wind", "solar") for i in (index, last)]
+        stack = _stack(shape, zeros, levels=(1.0, 2.0, 0.0))
+        assert self._message(stack) == (
+            f"total generation is zero at index {index}; "
+            "cannot compute blended intensity"
+        )
+
+    def test_an_empty_stack_blends_to_an_empty_array(self):
+        blend = sources.blended_intensity(_stack((0,)))
+        assert isinstance(blend, np.ndarray) and blend.shape == (0,)

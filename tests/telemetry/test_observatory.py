@@ -301,6 +301,18 @@ def test_bench_records_carry_provenance():
     assert "block_days" not in record and "shards" not in record
 
 
+def test_history_keeps_every_throughput_a_case_carries(tmp_path):
+    payload = _bench_payload()
+    payload["cases"][0]["probe_requests_per_s"] = 812345.6
+    payload["cases"][0]["probe_s"] = 2.4  # not a throughput: not copied
+    path = str(tmp_path / "hist.jsonl")
+    append_history(path, bench_records(payload, sha="s"))
+    (record,) = read_history(path)
+    assert record["probe_requests_per_s"] == 812345.6
+    assert record["device_days_per_s"] == 10000 * 366
+    assert "probe_s" not in record
+
+
 def test_history_lines_with_retired_execution_fields_still_parse(tmp_path):
     path = str(tmp_path / "hist.jsonl")
     old = {**bench_records(_bench_payload(2.0), sha="s")[0], "block_days": 1}
