@@ -15,12 +15,12 @@ dirty hours drain.  Ledger columns are *packs* — ``(site, cohort)`` pairs in
 site-major order (:attr:`PackTable.entries`); a fleet of single-cohort sites
 has exactly one pack per site.
 
-Dispatch runs as a replay: the fleet loop routes and churns first, recording
-each day's start-of-day device count per pack, and :func:`replay_dispatch`
-then steps the policy and the ledger over those recordings.  Every
-count-dependent term — pack capacity, charge rate, a forecast policy's
-demand estimate — is one array product of the recorded counts with a
-:class:`PackTable` of per-device constants, never read from the run's
+Dispatch runs as a replay: the fleet loop routes and churns first, filling
+the run's report, and :func:`replay_dispatch` then steps the policy and the
+ledger over the report's fields, each day's start-of-day device count per
+pack among them.  Every count-dependent term — pack capacity, charge rate,
+a forecast policy's demand estimate — is one array product of those counts
+with a :class:`PackTable` of per-device constants, never read from the run's
 :class:`~repro.fleet.population.ChurnTable`, which by then has moved on.
 
 The decision reuses the paper's charging heuristic at trace level
@@ -58,7 +58,7 @@ realise after a full cycle-life crossing.
   :meth:`DispatchPolicy.start_run`);
 * :func:`replay_dispatch` — the fleet loop's dispatch pass: it builds the
   run's only ledger and steps it and one policy day by day over a run's
-  recorded inputs;
+  report fields;
 * :class:`CarbonBufferDispatch` — the percentile-threshold policy;
 * :class:`ForecastDispatch` — the forecast-aware policy: a
   :class:`~repro.forecast.planner.LookaheadPlanner` ranks every pack's
@@ -251,10 +251,9 @@ class DispatchPolicy(abc.ABC):
         ``packs`` is the run's :class:`PackTable`.  ``intensity`` is the
         day's ``(H, C)`` per-pack intensity matrix and
         ``previous_intensity`` the previous day's (``None`` on day 0).
-        ``counts`` (the day-start device count of each pack, recorded while
-        churn was live) and ``soc`` (the ledger's state of charge at the
-        start of the day) have shape ``(C,)``.  Returns an ``(H, C)`` int8
-        array of ``DISPATCH_*`` modes.
+        ``counts`` (the day-start device count of each pack) and ``soc``
+        (the ledger's state of charge at the start of the day) have shape
+        ``(C,)``.  Returns an ``(H, C)`` int8 array of ``DISPATCH_*`` modes.
         """
 
     def start_run(
@@ -665,69 +664,88 @@ class EnergyLedger:
         return battery_j, charge_j, soc
 
 
+def physical_utilization(served_rps: np.ndarray, physical: np.ndarray) -> np.ndarray:
+    """Per-``(hour, pack)`` utilisation against *non-derated* capacity.
+
+    Battery cycling and charge headroom both follow what the devices
+    physically do, so utilisation is measured against each pack's
+    day-start ``physical`` capacity regardless of any routing-level wear
+    derate.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        util = np.where(physical > 0, served_rps / physical, 0.0)
+    return np.clip(util, 0.0, 1.0)
+
+
 def replay_dispatch(
     packs: PackTable,
     dispatch: DispatchPolicy,
-    intensity: np.ndarray,
-    device_j: np.ndarray,
-    idle_fraction: np.ndarray,
-    counts_day: np.ndarray,
+    intensity_g_per_kwh: np.ndarray,
+    cohort_energy_kwh: np.ndarray,
+    cohort_served_rps: np.ndarray,
+    cohort_day_start: np.ndarray,
     step_s: float,
     truth: Optional[np.ndarray] = None,
 ):
-    """Replay a run's dispatch timeline, day by day, over recorded inputs.
+    """Replay a run's dispatch timeline, day by day, over its report.
 
-    The fleet loop records routing and churn first; the battery ledger
-    only consumes what that pass left behind.  All matrices are ``(n_steps,
-    n_packs)``; ``counts_day`` is the ``(n_days, n_packs)`` day-start
-    device counts, whose products with ``packs`` give each day's pack
-    capabilities.  The replay builds the run's one :class:`EnergyLedger`
-    and starts the policy (:meth:`DispatchPolicy.start_run`, handing it
-    ``truth``, a truth table another replay of this run built); each day the
-    policy sets that day's modes from the day index, the
-    previous day's intensity, the day's counts and the ledger's SoC at the
-    start of the day, and the ledger steps the day's rows.
+    The fleet loop routes and churns first; the battery ledger only
+    consumes :class:`~repro.fleet.reporting.FleetReport` fields of that
+    pass, named as there.  ``cohort_day_start`` holds the ``(n_days,
+    n_packs)`` day-start device counts, whose products with ``packs`` give
+    each day's pack capabilities; each pack reads its site's intensity
+    column, and idles (can charge) one minus its
+    :func:`physical_utilization`.  The replay builds the run's one
+    :class:`EnergyLedger` and starts the policy
+    (:meth:`DispatchPolicy.start_run`, handing it ``truth``, a truth table
+    another replay of this run built); each day the policy sets that day's
+    modes from the day index, the previous day's intensity, the day's
+    counts and the ledger's SoC at the start of the day, and the ledger
+    steps the day's rows.
 
     Returns ``(battery_j, charge_j, soc, shortfall_j)``; ``shortfall_j`` is
     the per-``(hour, pack)`` discharge energy the ledger could not deliver
     against the *policy's* (pre-override) modes, for clip accounting.
     """
-    n_steps, n_packs = intensity.shape
-    n_days = counts_day.shape[0]
+    n_steps, n_packs = cohort_served_rps.shape
+    n_days = cohort_day_start.shape[0]
     hours_per_day = n_steps // n_days
     ledger = EnergyLedger(packs, min_state_of_charge=dispatch.min_state_of_charge)
     dispatch.start_run(packs, n_steps, truth)
-    capacity_j = counts_day * packs.battery_j
-    charge_rate_w = counts_day * packs.charge_w
-    modes = np.empty((n_steps, n_packs), dtype=np.int8)
+    capacity_j = cohort_day_start * packs.battery_j
+    charge_rate_w = cohort_day_start * packs.charge_w
+    physical = cohort_day_start * packs.requests_per_device_s
     battery_j = np.empty((n_steps, n_packs))
     charge_j = np.empty((n_steps, n_packs))
     soc = np.empty((n_steps, n_packs))
+    shortfall_j = np.empty((n_steps, n_packs))
     previous_intensity: Optional[np.ndarray] = None
     for day in range(n_days):
         rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
-        modes[rows] = dispatch.day_modes(
+        intensity = intensity_g_per_kwh[rows][:, packs.site_index]
+        device_j = cohort_energy_kwh[rows] * units.JOULES_PER_KWH
+        modes = dispatch.day_modes(
             day,
             packs,
             previous_intensity,
-            intensity[rows],
-            counts_day[day],
+            intensity,
+            cohort_day_start[day],
             ledger.soc,
         )
         battery_j[rows], charge_j[rows], soc[rows] = ledger.step_block(
-            modes[rows],
-            device_j[rows],
+            modes,
+            device_j,
             step_s,
             capacity_j[day],
             charge_rate_w[day],
-            idle_fraction[rows],
+            1.0 - physical_utilization(cohort_served_rps[rows], physical[day]),
         )
-        previous_intensity = intensity[rows]
-    shortfall_j = np.where(
-        modes == DISPATCH_DISCHARGE,
-        np.maximum(device_j - battery_j, 0.0),
-        0.0,
-    )
+        shortfall_j[rows] = np.where(
+            modes == DISPATCH_DISCHARGE,
+            np.maximum(device_j - battery_j[rows], 0.0),
+            0.0,
+        )
+        previous_intensity = intensity
     return battery_j, charge_j, soc, shortfall_j
 
 

@@ -47,8 +47,11 @@ from repro import units
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
 
-#: Default sustained request service rate of one phone (requests/s).  Matches
-#: the order of magnitude of the paper's DeathStarBench phone-cloudlet runs.
+#: Default sustained request service rate of one phone (requests/s): the
+#: fleet model's assumed unit of work, not a measured rate.  The serving
+#: simulator's DeathStarBench cloudlet sustains 300-450 req/s per phone
+#: (the fig7 sweep), so a fleet "request" is not a fig7/fig9 request;
+#: ROADMAP item 10 calibrates or renames it.
 DEFAULT_REQUESTS_PER_DEVICE_S = 20.0
 
 

@@ -36,6 +36,15 @@ def _column_rows(matrix: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(matrix))
 
 
+def day_start_counts(target: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Live devices at the start of each day of a run, ``(D, C)``.
+
+    A run starts every pack at its ``target`` (a fresh churn table), and
+    day ``d`` starts where day ``d - 1`` ended (``active[d - 1]``).
+    """
+    return np.concatenate((target[None, :], active[:-1]))
+
+
 @dataclass(frozen=True)
 class SiteSummary:
     """Aggregates for one site over the simulated horizon."""
@@ -87,9 +96,12 @@ class FleetReport:
     of shape ``(T, C)`` and daily arrays ``(D, C)``, each column one
     ``site/device`` pack (``cohort_labels``, site-major order) owned by the
     site ``cohort_site_index`` names.  The site series (``(T, S)`` /
-    ``(D, S)``) and ``target_devices``, ``hours``, ``days`` and
-    ``cohort_grid_kwh`` are read-only views derived from them on every
-    access, so a loop over sites binds each view to a local once.
+    ``(D, S)``) and ``target_devices``, ``hours``, ``days``,
+    ``cohort_grid_kwh`` and ``cohort_day_start`` are read-only views
+    derived from them on every access, so a loop over sites binds each
+    view to a local once.  A fleet simulation's report is its run's one
+    record: the run's dispatch pass, its hindsight replay and its audit
+    all read it.
 
     ``cohort_energy_kwh`` is *device-only* energy; peripherals belong to
     the site (``site_peripheral_kwh``) and are never battery-backed.  Runs
@@ -215,6 +227,11 @@ class FleetReport:
     def target_devices(self) -> np.ndarray:
         """Deployment each site tries to keep active, shape ``(S,)``."""
         return self.site_sum(self.cohort_target)
+
+    @property
+    def cohort_day_start(self) -> np.ndarray:
+        """Live devices in each pack at the start of each day, ``(D, C)``."""
+        return day_start_counts(self.cohort_target, self.cohort_active)
 
     @property
     def served_rps(self) -> np.ndarray:

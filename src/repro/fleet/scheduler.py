@@ -58,9 +58,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import units
-from repro.fleet.dispatch import DispatchPolicy, PackTable, replay_dispatch
+from repro.fleet.dispatch import (
+    DispatchPolicy,
+    PackTable,
+    physical_utilization,
+    replay_dispatch,
+)
 from repro.fleet.population import ChurnTable
-from repro.fleet.reporting import FleetReport
+from repro.fleet.reporting import FleetReport, day_start_counts
 from repro.fleet.sites import FleetSite
 from repro.microservices.calibration import SERVICE_TIME_SIGMA
 from repro.simulation.metrics import LatencySummary, summarize
@@ -77,6 +82,14 @@ SERVICE_DISTRIBUTIONS = ("deterministic", "exponential", "lognormal")
 #: Arrivals (and per-site service times) the latency probe draws, keys and
 #: routes per vector pass.
 _BLOCK = 4096
+
+#: Slack (requests/s) a routing policy's allocation may exceed its bounds
+#: by: zero, each segment's capacity, and (relatively too) the demand.
+ALLOC_TOL_RPS = 1e-6
+
+#: Undelivered discharge energy (J) above which a dispatch hour counts as
+#: a clipped setpoint.
+CLIP_TOL_J = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +334,18 @@ class FleetSimulation:
     allocation and population stepping must alternate day by day — but the
     purely time-indexed inputs (demand series, grid intensities, marginal
     CCI) are precomputed once for the whole run.  Pass B replays the
-    dispatch timeline afterwards from what Pass A recorded
-    (:func:`~repro.fleet.dispatch.replay_dispatch`), one day of the
-    ledger's :meth:`~repro.fleet.dispatch.EnergyLedger.step_block` at a
-    time.  Every report is locked bitwise against recorded digests
+    dispatch timeline afterwards (:func:`~repro.fleet.dispatch.
+    replay_dispatch`), one day of the ledger's :meth:`~repro.fleet.
+    dispatch.EnergyLedger.step_block` at a time, from the fields Pass A
+    fills in the report: site intensities, served load, device energy and
+    the day-start counts the churn series imply.  Every report is locked
+    bitwise against recorded digests
     (``tests/fleet/test_execution_identity.py``).
 
-    Pass A never reads the dispatch policy, so its recordings are kept
-    after :meth:`run`: :meth:`replay_avoided_g` prices another policy on
-    the same fleet by re-running Pass B's dispatch alone.
+    The report is the run's one record.  After :meth:`run` the simulation
+    keeps only that :attr:`report` and the :attr:`churn` table; Pass A
+    never reads the dispatch policy, so :meth:`replay_avoided_g` prices
+    another policy on the same fleet by re-running Pass B over the report.
     """
 
     def __init__(
@@ -346,17 +362,16 @@ class FleetSimulation:
         #: Opt-in invariant audit: after Pass B, re-derive the conservation
         #: laws the report must obey (see
         #: :mod:`repro.telemetry.observatory.audit`).  The auditor only
-        #: reads finished matrices — results are bitwise-identical either
+        #: reads the finished report — results are bitwise-identical either
         #: way, and a disabled audit never even imports the module.
         self.audit = bool(audit)
         self.audit_report = None
         #: The last :meth:`run`'s churn table: every cohort's state at the
         #: end of that run (``None`` before the first run).
         self.churn: Optional[ChurnTable] = None
-        #: The last :meth:`run`'s dispatch inputs — per-pack intensity,
-        #: device energy (kWh), physical utilisation and day-start counts —
-        #: and its report, for :meth:`replay_avoided_g`.
-        self._recorded = None
+        #: The last :meth:`run`'s report: the run's one record, which
+        #: :meth:`replay_avoided_g` replays (``None`` before the first run).
+        self.report: Optional[FleetReport] = None
         names = [site.name for site in sites]
         if len(set(names)) != len(names):
             raise ValueError(f"site names must be unique, got {names}")
@@ -376,16 +391,13 @@ class FleetSimulation:
         """Simulate ``n_days`` of virtual time and return the fleet report."""
         if n_days <= 0:
             raise ValueError("n_days must be positive")
-        n_cohorts = len(self.packs)
+        packs = self.packs
+        n_cohorts = len(packs)
         hours_per_day = 24
         step_s = units.SECONDS_PER_HOUR
         n_steps = n_days * hours_per_day
 
-        # Pass A recordings: what the deferred dispatch replay will consume.
         alloc_all = np.empty((n_steps, n_cohorts))
-        utilization_all = np.empty((n_steps, n_cohorts))
-        counts_day = np.zeros((n_days, n_cohorts), dtype=np.int64)
-
         cohort_active = np.zeros((n_days, n_cohorts), dtype=np.int64)
         cohort_replacement_g = np.zeros((n_days, n_cohorts))
         cohort_swaps = np.zeros((n_days, n_cohorts), dtype=np.int64)
@@ -403,23 +415,21 @@ class FleetSimulation:
         # (calls=0: setup time folds into the phase without inflating its
         # invocation count).
         with tele.span("allocate_day", calls=0):
-            demand_all, intensity_sites, intensity_packs, marginal_all = (
-                self._precompute_inputs(n_steps, step_s)
+            demand_all, intensity_sites, marginal_all = self._precompute_inputs(
+                n_steps, step_s
             )
         # Every cohort is a row of one fresh churn table, stepped once per day.
-        self.churn = churn = ChurnTable(self.packs.entries)
+        self.churn = churn = ChurnTable(packs.entries)
         for day in range(n_days):
             rows = slice(day * hours_per_day, (day + 1) * hours_per_day)
-            # Day-start counts — what the allocation's live capability
-            # reads see — recorded before churn moves them.
-            counts_day[day] = churn.active
-            physical = counts_day[day] * self.packs.requests_per_device_s
+            # Day-start capacity, read before churn moves the counts.
+            physical = churn.active * packs.requests_per_device_s
             with tele.span("allocate_day"):
                 alloc = self._allocate_day(
                     hours_per_day,
                     step_s,
                     demand_all[rows],
-                    intensity_packs[rows],
+                    intensity_sites[rows][:, packs.site_index],
                     marginal_all[rows],
                     physical,
                 )
@@ -432,12 +442,16 @@ class FleetSimulation:
                     int(np.count_nonzero(alloc)),
                 )
 
-            # Daily population step at the realised utilisation; the same
-            # matrix feeds dispatch idle headroom in Pass B.
+            # Daily population step at the realised utilisation.  Each
+            # cohort's mean reduces one contiguous row of the transpose, the
+            # 1-D pairwise sum ``np.mean(utilization[:, j])`` takes
+            # (``mean(axis=0)`` adds the hours in another order).
             with tele.span("step_population"):
-                utilization = self._physical_utilization(alloc, physical)
-                day_step = self._step_population(churn, utilization)
-            utilization_all[rows] = utilization
+                utilization = physical_utilization(alloc, physical)
+                means = np.ascontiguousarray(utilization.T).mean(axis=1)
+                if tele.enabled:
+                    tele.count("churn.cohort_days", len(means))
+                day_step = churn.step(1.0, means.tolist())
             cohort_active[day] = day_step["active"]
             cohort_replacement_g[day] = day_step["replacement_carbon_g"]
             cohort_swaps[day] = day_step["battery_swaps"]
@@ -448,22 +462,27 @@ class FleetSimulation:
         if tele.enabled:
             # Which failure draw stepped this run, and how many distinct
             # device-state buckets it peaked at.
-            samplers = {cohort.sampler for cohort in self.packs.entries}
+            samplers = {cohort.sampler for cohort in packs.entries}
             tele.gauge(
                 "churn.sampler",
                 samplers.pop() if len(samplers) == 1 else "mixed",
             )
             tele.gauge("churn.buckets_peak", int(churn.buckets_peak().max()))
 
-        # -- Pass B: dispatch replay over the recordings ------------------
-        dropped = demand_all - alloc_all.sum(axis=1)
-        # Device energy each cohort needs per hour; the report adds each
-        # site's (never battery-backed) peripheral draw once.
+        # -- Pass B: dispatch over the report's fields ---------------------
+        counts_day = day_start_counts(packs.target, cohort_active)
+        # Device-only energy each cohort needs per hour: the idle floor of
+        # its day-start devices plus each served request's dynamic energy.
+        # The report adds each site's (never battery-backed) peripheral
+        # draw once.
         with tele.span("site_energy_kwh", calls=n_days):
-            device_kwh = self._cohort_energy_kwh(
-                alloc_all, counts_day, hours_per_day, step_s
+            if np.any(alloc_all < 0):
+                raise ValueError("served rate must be non-negative")
+            power_w = (
+                np.repeat(counts_day, hours_per_day, axis=0) * packs.idle_w
+                + alloc_all * packs.dynamic_j
             )
-        recorded = (intensity_packs, device_kwh, utilization_all, counts_day)
+            device_kwh = power_w * step_s / units.JOULES_PER_KWH
 
         clipped_setpoints = 0
         clipped_energy_kwh = 0.0
@@ -474,8 +493,14 @@ class FleetSimulation:
             cohort_soc = np.ones((n_steps, n_cohorts))
         else:
             with tele.span("dispatch_day", calls=n_days):
-                battery_j, charge_j, cohort_soc, shortfall_j = self._run_dispatch(
-                    self.dispatch, recorded, step_s
+                battery_j, charge_j, cohort_soc, shortfall_j = replay_dispatch(
+                    packs,
+                    self.dispatch,
+                    intensity_sites,
+                    device_kwh,
+                    alloc_all,
+                    counts_day,
+                    step_s,
                 )
             cohort_battery_kwh = battery_j / units.JOULES_PER_KWH
             cohort_charge_kwh = charge_j / units.JOULES_PER_KWH
@@ -505,7 +530,7 @@ class FleetSimulation:
         report = FleetReport(
             policy_name=self.policy.name,
             site_names=tuple(site.name for site in self.sites),
-            dropped_rps=dropped,
+            dropped_rps=demand_all - alloc_all.sum(axis=1),
             intensity_g_per_kwh=intensity_sites,
             site_peripheral_kwh=np.array(
                 [site.peripheral_power_w for site in self.sites]
@@ -515,14 +540,14 @@ class FleetSimulation:
             cohort_labels=tuple(
                 label for site in self.sites for label in site.cohort_labels()
             ),
-            cohort_site_index=self.packs.site_index.copy(),
-            cohort_target=self.packs.target.copy(),
+            cohort_site_index=packs.site_index.copy(),
+            cohort_target=packs.target.copy(),
             cohort_served_rps=alloc_all,
             cohort_energy_kwh=device_kwh,
             cohort_battery_kwh=cohort_battery_kwh,
             cohort_charge_kwh=cohort_charge_kwh,
             cohort_soc=cohort_soc,
-            cohort_battery_capacity_j=counts_day * self.packs.battery_j,
+            cohort_battery_capacity_j=counts_day * packs.battery_j,
             cohort_active=cohort_active,
             cohort_replacement_carbon_g=cohort_replacement_g,
             cohort_battery_swaps=cohort_swaps,
@@ -537,44 +562,21 @@ class FleetSimulation:
 
             with tele.span("audit"):
                 self.audit_report = audit_fleet_run(
-                    alloc=alloc_all,
-                    demand=demand_all,
-                    capacity_rows=np.repeat(
-                        counts_day * self.packs.requests_per_device_s,
-                        hours_per_day,
-                        axis=0,
-                    ),
-                    energy_kwh=report.energy_kwh,
-                    grid_kwh=report.grid_kwh,
-                    battery_kwh=report.battery_kwh,
-                    charge_kwh=report.charge_kwh,
-                    total_kwh=report.site_sum(device_kwh)
-                    + report.site_peripheral_kwh,
-                    cohort_energy_kwh=device_kwh,
-                    cohort_grid_kwh=report.cohort_grid_kwh,
-                    cohort_battery_kwh=cohort_battery_kwh,
-                    cohort_charge_kwh=cohort_charge_kwh,
-                    cohort_soc=cohort_soc,
+                    report,
+                    demand_rps=demand_all,
+                    retirements=cohort_retirements,
+                    shortfall_j=shortfall_j,
                     min_soc=(
                         self.dispatch.min_state_of_charge
                         if self.dispatch is not None
                         else None
                     ),
-                    shortfall_j=shortfall_j,
-                    clipped_setpoints=clipped_setpoints,
-                    clipped_energy_kwh=clipped_energy_kwh,
-                    cohort_counts_day=counts_day,
-                    cohort_active=cohort_active,
-                    cohort_failures=cohort_failures,
-                    cohort_retirements=cohort_retirements,
-                    cohort_swaps_day=cohort_swaps,
-                    cohort_deployed=cohort_deployed,
-                    cohort_replacement_g=cohort_replacement_g,
-                    cohort_swap_embodied_g=churn.embodied_g,
+                    requests_per_device_s=packs.requests_per_device_s,
+                    swap_embodied_g=churn.embodied_g,
                     telemetry=tele if tele.enabled else None,
                 )
 
-        self._recorded = (recorded, report)
+        self.report = report
         return report
 
     def replay_avoided_g(
@@ -584,18 +586,27 @@ class FleetSimulation:
 
         Routing and churn never read the dispatch policy, so running the
         same fleet under another policy changes Pass B alone: this replays
-        the dispatch over the recorded Pass A inputs and reduces it with
-        the report's own :meth:`~repro.fleet.reporting.FleetReport.
+        the dispatch over the last :attr:`report`'s fields, the same path
+        and inputs the run's own dispatch pass took, and reduces it with
+        the report's :meth:`~repro.fleet.reporting.FleetReport.
         carbon_avoided_g`.  Bitwise-identical to re-simulating the whole
         fleet under ``dispatch``; records no telemetry.  ``truth`` hands
         the replay the hourly truth table the run's own forecast dispatch
         built (:attr:`~repro.fleet.dispatch.ForecastDispatch.truth`).
+        Raises ``RuntimeError`` before the first :meth:`run`.
         """
-        if self._recorded is None:
+        report = self.report
+        if report is None:
             raise RuntimeError("replay_avoided_g needs a finished run()")
-        recorded, report = self._recorded
-        battery_j, charge_j, *_ = self._run_dispatch(
-            dispatch, recorded, report.step_s, truth
+        battery_j, charge_j, *_ = replay_dispatch(
+            self.packs,
+            dispatch,
+            report.intensity_g_per_kwh,
+            report.cohort_energy_kwh,
+            report.cohort_served_rps,
+            report.cohort_day_start,
+            report.step_s,
+            truth,
         )
         return dataclasses.replace(
             report,
@@ -603,36 +614,12 @@ class FleetSimulation:
             cohort_charge_kwh=charge_j / units.JOULES_PER_KWH,
         ).carbon_avoided_g()
 
-    def _run_dispatch(
-        self,
-        dispatch: DispatchPolicy,
-        recorded: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        step_s: float,
-        truth: Optional[np.ndarray] = None,
-    ):
-        """Pass B's dispatch: :func:`~repro.fleet.dispatch.replay_dispatch`
-        of ``dispatch`` over the ``(intensity, device_kwh, utilization,
-        counts_day)`` Pass A recorded."""
-        intensity, device_kwh, utilization, counts_day = recorded
-        # Idle headroom is physical: a device the routing derate shed is
-        # sitting idle and can charge.
-        return replay_dispatch(
-            self.packs,
-            dispatch,
-            intensity,
-            device_kwh * units.JOULES_PER_KWH,
-            1.0 - utilization,
-            counts_day,
-            step_s,
-            truth,
-        )
-
     # -- per-day phases ----------------------------------------------------
 
     def _precompute_inputs(self, n_hours: int, step_s: float):
         """Hoisted time-indexed inputs for the run's first ``n_hours`` hours.
 
-        Demand, per-site and per-pack intensity, and marginal CCI depend
+        Demand, per-site intensity, and per-pack marginal CCI depend
         only on the hour index — never on live population state — so one
         call covers the whole run.  Hour timestamps are exactly
         representable integers and every series is elementwise in them, so
@@ -643,9 +630,8 @@ class FleetSimulation:
         site_intensity = np.empty((n_hours, len(self.sites)))
         for j, site in enumerate(self.sites):
             site_intensity[:, j] = site.trace.intensities_at(times_s, wrap=True)
-        intensity = site_intensity[:, self.packs.site_index]
-        marginal = self.packs.marginal_g(intensity)
-        return demand_rps, site_intensity, intensity, marginal
+        marginal = self.packs.marginal_g(site_intensity[:, self.packs.site_index])
+        return demand_rps, site_intensity, marginal
 
     def _allocate_day(
         self,
@@ -680,25 +666,6 @@ class FleetSimulation:
             )
         return alloc
 
-    def _cohort_energy_kwh(
-        self,
-        alloc: np.ndarray,
-        counts_day: np.ndarray,
-        hours_per_day: int,
-        step_s: float,
-    ) -> np.ndarray:
-        """Device-only energy (kWh) each cohort needs per hour, whole run.
-
-        The idle floor follows the recorded day-start counts and each
-        served request adds its dynamic energy; peripherals belong to the
-        site, not the cohort.
-        """
-        if np.any(alloc < 0):
-            raise ValueError("served rate must be non-negative")
-        counts_rows = np.repeat(counts_day, hours_per_day, axis=0)
-        power_w = counts_rows * self.packs.idle_w + alloc * self.packs.dynamic_j
-        return power_w * step_s / units.JOULES_PER_KWH
-
     def _clip_accounting(
         self, shortfall_j: np.ndarray, hours_per_day: int
     ) -> Tuple[int, float]:
@@ -714,8 +681,7 @@ class FleetSimulation:
         exactly: masked joule sums per hot hour in hour order, one kWh
         conversion per day in day order.
         """
-        clip_tol_j = 1e-9
-        infeasible = shortfall_j > clip_tol_j
+        infeasible = shortfall_j > CLIP_TOL_J
         hot_rows = np.nonzero(infeasible.any(axis=1))[0]
         n_days = shortfall_j.shape[0] // hours_per_day
         day_counts = [0] * n_days
@@ -733,47 +699,14 @@ class FleetSimulation:
         return clipped, clipped_kwh
 
     @staticmethod
-    def _physical_utilization(
-        alloc: np.ndarray, physical: np.ndarray
-    ) -> np.ndarray:
-        """Per-``(hour, segment)`` utilisation against *non-derated* capacity.
-
-        Battery cycling and charge headroom both follow what the devices
-        physically do, so utilisation is measured against each segment's
-        day-start ``physical`` capacity regardless of any routing-level
-        wear derate.
-        """
-        with np.errstate(invalid="ignore", divide="ignore"):
-            util = np.where(physical > 0, alloc / physical, 0.0)
-        return np.clip(util, 0.0, 1.0)
-
-    def _step_population(
-        self, churn: ChurnTable, utilization: np.ndarray
-    ) -> Dict[str, np.ndarray]:
-        """Phase 4: one day of churn for every cohort at its realised utilisation.
-
-        Takes the day's ``(hours, segment)`` utilisation matrix directly so
-        the caller can share one :meth:`_physical_utilization` pass between
-        churn and the recorded dispatch idle headroom.  Each cohort's mean
-        reduces one contiguous row of the transpose, the 1-D pairwise sum
-        ``np.mean(utilization[:, j])`` takes (``mean(axis=0)`` adds the
-        hours in another order).
-        """
-        means = np.ascontiguousarray(utilization.T).mean(axis=1)
-        if self.telemetry.enabled:
-            self.telemetry.count("churn.cohort_days", len(means))
-        return churn.step(1.0, means.tolist())
-
-    @staticmethod
     def _validate_allocation(
         alloc: np.ndarray, demand: np.ndarray, capacity: np.ndarray
     ) -> None:
-        tol = 1e-6
-        if np.any(alloc < -tol):
+        if np.any(alloc < -ALLOC_TOL_RPS):
             raise ValueError("policy produced a negative allocation")
-        if np.any(alloc > capacity + tol):
+        if np.any(alloc > capacity + ALLOC_TOL_RPS):
             raise ValueError("policy allocated beyond segment capacity")
-        if np.any(alloc.sum(axis=1) > demand * (1 + tol) + tol):
+        if np.any(alloc.sum(axis=1) > demand * (1 + ALLOC_TOL_RPS) + ALLOC_TOL_RPS):
             raise ValueError("policy served more than the offered demand")
 
 

@@ -108,12 +108,26 @@ def _parse_time_cell(cell: str, column: str, row_number: int) -> float:
     return stamp.timestamp()
 
 
+def _gap_slack(first_gap: float) -> float:
+    """How far any gap between samples may stray from the first: the one
+    uniform-spacing rule (:func:`numpy.allclose` at rtol = atol = 1e-6)."""
+    return 1e-6 + 1e-6 * abs(first_gap)
+
+
+def _uneven_gap(gaps: np.ndarray) -> Optional[int]:
+    """Index of the first gap that breaks the spacing rule, or ``None``."""
+    off = np.abs(gaps - gaps[0]) > _gap_slack(gaps[0])
+    return int(np.argmax(off)) if off.any() else None
+
+
 @dataclass(frozen=True)
 class GridTrace:
     """A time series of grid carbon intensity.
 
     ``times_s`` are seconds since the start of the trace (uniformly spaced),
     and ``intensity_g_per_kwh`` the corresponding carbon intensities.
+    Interval, period, wrap-around lookups and carbon integration all assume
+    the spacing, so the constructor rejects uneven times.
     """
 
     times_s: np.ndarray
@@ -130,13 +144,38 @@ class GridTrace:
             )
         if len(times) < 2:
             raise ValueError("a trace requires at least two samples")
-        for label, values in (("times_s", times), ("intensity_g_per_kwh", intensity)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{label} must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("trace times must be strictly increasing")
-        if np.any(intensity < 0):
-            raise ValueError("carbon intensities must be non-negative")
+        # One diff pass and four reductions pass a valid trace: a finite
+        # start and positive gaps within the slack of a finite first gap
+        # make finite, increasing, uniform times.  The scans that name a
+        # fault run only when this test fails.
+        gaps = np.diff(times)
+        first, low = gaps[0], gaps.min()
+        slack = _gap_slack(first)
+        if not (
+            math.isfinite(times[0])
+            and 0.0 < low
+            and first - low <= slack
+            and gaps.max() - first <= slack
+            and 0.0 <= intensity.min()
+            and intensity.max() < math.inf
+        ):
+            for label, values in (
+                ("times_s", times),
+                ("intensity_g_per_kwh", intensity),
+            ):
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"{label} must be finite")
+            if np.any(gaps <= 0):
+                raise ValueError("trace times must be strictly increasing")
+            if np.any(intensity < 0):
+                raise ValueError("carbon intensities must be non-negative")
+            bad = _uneven_gap(gaps)
+            if bad is not None:
+                raise ValueError(
+                    f"trace times must be uniformly spaced; expected {first:g} s "
+                    f"between samples but sample {bad + 1} is {gaps[bad]:g} s "
+                    "after its predecessor"
+                )
         object.__setattr__(self, "times_s", times)
         object.__setattr__(self, "intensity_g_per_kwh", intensity)
 
@@ -205,12 +244,11 @@ class GridTrace:
                 f"{os.path.basename(path)}: a trace requires at least two data rows"
             )
         series = np.asarray(times) - times[0]
-        # GridTrace's interval_s/period_s/wrap-around math assumes uniform
-        # sampling; a gapped export (DST jump, data outage) must fail loudly
-        # rather than silently skew every wrapped lookup.
+        # A gapped export (DST jump, data outage) fails here, naming its
+        # row, before the constructor rejects it without one.
         gaps = np.diff(series)
-        if gaps.size and not np.allclose(gaps, gaps[0], rtol=1e-6, atol=1e-6):
-            bad = int(np.argmax(np.abs(gaps - gaps[0]) > 1e-6 * max(1.0, abs(gaps[0]))))
+        bad = _uneven_gap(gaps)
+        if bad is not None:
             raise ValueError(
                 f"{os.path.basename(path)}: rows must be uniformly spaced; "
                 f"expected {gaps[0]:.0f} s between samples but row "

@@ -471,7 +471,7 @@ class ScenarioRunner:
         routing — dispatched by the lookahead planner with a *perfect*
         forecast, so the only difference is forecast skill.  Routing and
         churn never read the dispatch policy, so the baseline replays only
-        the dispatch over the main run's own recordings
+        the dispatch over the main run's own report
         (:meth:`~repro.fleet.scheduler.FleetSimulation.replay_avoided_g`).
         A perfect forecast is its own baseline (regret 0, no replay).
         """

@@ -109,6 +109,24 @@ def _cell_manifest(
     )
 
 
+def _run_cell(
+    spec: ScenarioSpec, with_telemetry: bool = False
+) -> Tuple[ScenarioResult, Optional[Dict[str, Any]]]:
+    """Run one cell, on the serial path or in a pool worker.
+
+    With ``with_telemetry`` the run is instrumented by its own child
+    :class:`Telemetry` and the cell manifest comes back with the result
+    (spans stay in the child manifest — a worker's clock is not comparable
+    to the parent's).
+    """
+    telemetry = Telemetry() if with_telemetry else None
+    result = ScenarioRunner(spec, telemetry=telemetry).run()
+    manifest = (
+        _cell_manifest(telemetry, spec, spec.sha256()) if with_telemetry else None
+    )
+    return result, manifest
+
+
 def _run_spec_json(
     text: str, with_telemetry: bool = False
 ) -> Tuple[ScenarioResult, Optional[Dict[str, Any]]]:
@@ -116,18 +134,9 @@ def _run_spec_json(
 
     Ships the spec as JSON rather than a pickled object so a worker always
     re-validates through the same :meth:`ScenarioSpec.from_json` path the
-    CLI and registry use.  With ``with_telemetry`` the worker instruments
-    its run and ships the cell manifest back for the parent to reassemble
-    (spans stay in the child manifest — a worker's clock is not comparable
-    to the parent's).
+    CLI and registry use.
     """
-    spec = ScenarioSpec.from_json(text)
-    telemetry = Telemetry() if with_telemetry else None
-    result = ScenarioRunner(spec, telemetry=telemetry).run()
-    manifest = (
-        _cell_manifest(telemetry, spec, spec.sha256()) if with_telemetry else None
-    )
-    return result, manifest
+    return _run_cell(ScenarioSpec.from_json(text), with_telemetry)
 
 
 def _run_unique(
@@ -140,9 +149,9 @@ def _run_unique(
     """Run each unique spec once, serially or over a process pool.
 
     Returns ``key -> (result, manifest)`` where the manifest is ``None``
-    unless ``with_telemetry``; the serial path builds the same per-cell
-    child :class:`Telemetry` a pool worker would, so both paths produce
-    identical manifests (modulo wall-clock timings).
+    unless ``with_telemetry``; both paths run each cell through
+    :func:`_run_cell`, so they produce identical manifests (modulo
+    wall-clock timings).
 
     ``persist`` is an optional ``(key, result, manifest)`` callback invoked
     as each cell's result materialises in *this* process (per completed run
@@ -156,34 +165,27 @@ def _run_unique(
     observes completions only — it never feeds anything back, so results
     are bitwise-identical with or without it.
     """
+    out: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
+
+    def collect(key: str, pair) -> None:
+        if persist is not None:
+            persist(key, *pair)
+        if progress is not None:
+            progress.cell_done()
+        out[key] = pair
+
     if jobs is None or jobs == 1 or len(unique) <= 1:
-        out: Dict[str, Tuple[ScenarioResult, Optional[Dict[str, Any]]]] = {}
         for key, cell_spec in unique.items():
-            child = Telemetry() if with_telemetry else None
-            result = ScenarioRunner(cell_spec, telemetry=child).run()
-            manifest = (
-                _cell_manifest(child, cell_spec, key) if with_telemetry else None
-            )
-            if persist is not None:
-                persist(key, result, manifest)
-            if progress is not None:
-                progress.cell_done()
-            out[key] = (result, manifest)
+            collect(key, _run_cell(cell_spec, with_telemetry))
         return out
     with ProcessPoolExecutor(max_workers=min(jobs, len(unique))) as pool:
         futures = {
             key: pool.submit(_run_spec_json, cell_spec.to_json(), with_telemetry)
             for key, cell_spec in unique.items()
         }
-        out = {}
         for key, future in futures.items():
-            result, manifest = future.result()
-            if persist is not None:
-                persist(key, result, manifest)
-            if progress is not None:
-                progress.cell_done()
-            out[key] = (result, manifest)
-        return out
+            collect(key, future.result())
+    return out
 
 
 def _fold_sweep_telemetry(

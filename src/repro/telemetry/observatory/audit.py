@@ -1,9 +1,12 @@
 """Invariant audit mode: conservation checks over one finished fleet run.
 
-Opt-in via ``ExecutionSpec.audit`` / the CLI ``--audit`` flag.  After the
-simulation's vectorized Pass B has produced the whole-run matrices, the
-auditor re-derives every conservation law the report's numbers must obey
-and records violations as structured telemetry events:
+Opt-in via ``ExecutionSpec.audit`` / the CLI ``--audit`` flag.  The
+:class:`~repro.fleet.reporting.FleetReport` is the run's record: after the
+simulation's vectorized Pass B has filled it, the auditor re-derives every
+conservation law the report's fields and views must obey, given only what
+the report does not hold (offered demand, retirements, the dispatch
+shortfall and SoC floor, per-device request rates and grams per battery
+swap), and records violations as structured telemetry events:
 
 * **meter balance** — wall energy each site pays == grid serving energy
   plus battery charging energy;
@@ -20,7 +23,7 @@ and records violations as structured telemetry events:
   an integer identity both churn engines must satisfy) and replacement
   carbon is exactly ``battery swaps x embodied battery carbon``.
 
-The auditor only *reads* Pass A/B outputs — it runs after all numerics
+The auditor only *reads* the report — it runs after all numerics
 are done, draws no random numbers, and mutates nothing, so an audit-on
 run is bitwise-identical to a plain run (locked by
 ``tests/scenarios/test_observatory_scenarios.py``) and costs nothing
@@ -30,15 +33,13 @@ when disabled (the scheduler never imports this module then).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro import units
-
-#: Absolute tolerance (requests/s) for allocation feasibility — matches the
-#: scheduler's own ``_validate_allocation``.
-ALLOC_TOL_RPS = 1e-6
+from repro.fleet.reporting import FleetReport
+from repro.fleet.scheduler import ALLOC_TOL_RPS, CLIP_TOL_J
 
 #: SoC bound slack; the ledger guarantees the floor to ~1 ulp.
 SOC_TOL = 1e-9
@@ -48,10 +49,6 @@ SOC_TOL = 1e-9
 #: to absorb a few ulps.
 ENERGY_RTOL = 1e-9
 ENERGY_ATOL = 1e-12
-
-#: Threshold (joules) above which a dispatch shortfall counts as a clipped
-#: setpoint — must match the scheduler's ``_clip_accounting``.
-CLIP_TOL_J = 1e-9
 
 
 @dataclass(frozen=True)
@@ -124,87 +121,76 @@ class _Auditor:
             name, np.abs(diff) > ENERGY_ATOL + ENERGY_RTOL * scale, diff
         )
 
-    def check_scalar(self, name: str, actual: float, expected: float) -> None:
-        self.checks += 1
-        diff = float(actual) - float(expected)
-        scale = max(abs(actual), abs(expected))
-        if abs(diff) > ENERGY_ATOL + ENERGY_RTOL * scale:
-            self.violations.append(
-                AuditViolation(check=name, count=1, max_error=abs(diff))
-            )
-
 
 def audit_fleet_run(
+    report: FleetReport,
     *,
-    alloc: np.ndarray,
-    demand: np.ndarray,
-    capacity_rows: np.ndarray,
-    energy_kwh: np.ndarray,
-    grid_kwh: np.ndarray,
-    battery_kwh: np.ndarray,
-    charge_kwh: np.ndarray,
-    total_kwh: np.ndarray,
-    cohort_energy_kwh: np.ndarray,
-    cohort_grid_kwh: np.ndarray,
-    cohort_battery_kwh: np.ndarray,
-    cohort_charge_kwh: np.ndarray,
-    cohort_soc: np.ndarray,
-    min_soc: Optional[float] = None,
+    demand_rps: np.ndarray,
+    retirements: np.ndarray,
     shortfall_j: Optional[np.ndarray] = None,
-    clipped_setpoints: int = 0,
-    clipped_energy_kwh: float = 0.0,
-    cohort_counts_day: Optional[np.ndarray] = None,
-    cohort_active: Optional[np.ndarray] = None,
-    cohort_failures: Optional[np.ndarray] = None,
-    cohort_retirements: Optional[np.ndarray] = None,
-    cohort_swaps_day: Optional[np.ndarray] = None,
-    cohort_deployed: Optional[np.ndarray] = None,
-    cohort_replacement_g: Optional[np.ndarray] = None,
-    cohort_swap_embodied_g: Optional[np.ndarray] = None,
+    min_soc: Optional[float] = None,
+    requests_per_device_s: np.ndarray,
+    swap_embodied_g: np.ndarray,
     telemetry=None,
 ) -> AuditReport:
-    """Run every invariant check over one finished run's matrices.
+    """Run every invariant check over one finished run's report.
 
-    ``capacity_rows`` is the per-``(hour, segment)`` *physical* capacity of
-    the live population (requests/s); ``min_soc`` is the dispatch policy's
-    SoC floor (``None`` without dispatch); ``shortfall_j`` is the dispatch
-    replay's per-``(hour, pack)`` undelivered discharge energy.  Violations
-    are recorded on ``telemetry`` as ``audit.violation`` events plus the
-    ``audit.checks`` / ``audit.violations`` counters.
+    The report is the run's record; the arguments are what it does not
+    hold.  ``demand_rps`` is the ``(T,)`` demand routing was offered;
+    ``retirements`` the ``(D, C)`` devices retired per cohort-day;
+    ``shortfall_j`` the dispatch replay's per-``(hour, pack)`` undelivered
+    discharge energy and ``min_soc`` the dispatch policy's SoC floor (both
+    ``None`` without dispatch); ``requests_per_device_s`` each pack's
+    per-device request rate, which turns the report's day-start counts into
+    physical capacity; ``swap_embodied_g`` each pack's grams per battery
+    swap.  Violations are recorded on ``telemetry`` as ``audit.violation``
+    events plus the ``audit.checks`` / ``audit.violations`` counters.
 
-    The churn matrices (all ``(n_days, n_cohorts)``, plus the per-cohort
-    ``cohort_swap_embodied_g`` vector of grams per battery swap) are
-    optional as a group: when provided, the device-conservation and
-    replacement-carbon identities are checked per cohort-day.  They hold
-    *exactly* — integer counting for devices, one float product per day
-    for carbon — for both the ``device`` and ``bucket`` churn engines.
+    The churn identities hold *exactly* — integer counting for devices,
+    one float product per day for carbon — for both the ``device`` and
+    ``bucket`` churn engines.
     """
     auditor = _Auditor()
+    alloc = report.cohort_served_rps
+    counts_day = report.cohort_day_start
+    hours_per_day = len(alloc) // len(counts_day)
 
     # Allocation feasibility: never negative, never beyond the physical
     # capacity of the live population, never more than the offered demand.
     auditor.check_mask("allocation_nonnegative", alloc < -ALLOC_TOL_RPS, alloc)
-    over = alloc - capacity_rows
+    capacity = np.repeat(counts_day * requests_per_device_s, hours_per_day, axis=0)
+    over = alloc - capacity
     auditor.check_mask("allocation_within_capacity", over > ALLOC_TOL_RPS, over)
-    row_over = alloc.sum(axis=1) - (demand * (1.0 + ALLOC_TOL_RPS) + ALLOC_TOL_RPS)
+    row_over = alloc.sum(axis=1) - (
+        demand_rps * (1.0 + ALLOC_TOL_RPS) + ALLOC_TOL_RPS
+    )
     auditor.check_mask("allocation_within_demand", row_over > 0, row_over)
 
     # Meter balance: the wall energy each site pays is exactly its grid
     # serving draw plus its battery charging draw.
-    auditor.check_close("site_meter_balance", energy_kwh, grid_kwh + charge_kwh)
+    grid_kwh = report.grid_kwh
+    battery_kwh = report.battery_kwh
+    auditor.check_close(
+        "site_meter_balance", report.energy_kwh, grid_kwh + report.charge_kwh
+    )
     # Serving balance: site energy demand == grid + battery out.
-    auditor.check_close("site_serving_balance", total_kwh, grid_kwh + battery_kwh)
+    cohort_energy_kwh = report.cohort_energy_kwh
+    cohort_battery_kwh = report.cohort_battery_kwh
+    auditor.check_close(
+        "site_serving_balance",
+        report.site_sum(cohort_energy_kwh) + report.site_peripheral_kwh,
+        grid_kwh + battery_kwh,
+    )
     auditor.check_close(
         "cohort_serving_balance",
         cohort_energy_kwh,
-        cohort_grid_kwh + cohort_battery_kwh,
+        report.cohort_grid_kwh + cohort_battery_kwh,
     )
     # Nothing flows backwards through the meter, and a pack cannot serve
     # more device energy than the devices drew.
     auditor.check_mask("grid_nonnegative", grid_kwh < -ENERGY_ATOL, grid_kwh)
-    auditor.check_mask(
-        "charge_nonnegative", cohort_charge_kwh < -ENERGY_ATOL, cohort_charge_kwh
-    )
+    charge = report.cohort_charge_kwh
+    auditor.check_mask("charge_nonnegative", charge < -ENERGY_ATOL, charge)
     over_served = cohort_battery_kwh - cohort_energy_kwh
     auditor.check_mask(
         "battery_within_device_load",
@@ -213,58 +199,50 @@ def audit_fleet_run(
     )
 
     # SoC bounds: every pack stays inside [floor, ceiling].
+    soc = report.cohort_soc
     floor = 0.0 if min_soc is None else float(min_soc)
-    auditor.check_mask(
-        "soc_floor", cohort_soc < floor - SOC_TOL, cohort_soc - floor
-    )
-    auditor.check_mask(
-        "soc_ceiling", cohort_soc > 1.0 + SOC_TOL, cohort_soc - 1.0
-    )
+    auditor.check_mask("soc_floor", soc < floor - SOC_TOL, soc - floor)
+    auditor.check_mask("soc_ceiling", soc > 1.0 + SOC_TOL, soc - 1.0)
 
     # Clip accounting: the report's clipped figures match a recount of the
     # replay's shortfall matrix.
     if shortfall_j is not None:
         infeasible = shortfall_j > CLIP_TOL_J
-        auditor.check_scalar(
+        auditor.check_close(
             "clip_count_consistent",
-            float(clipped_setpoints),
-            float(np.count_nonzero(infeasible)),
+            report.clipped_setpoints,
+            np.count_nonzero(infeasible),
         )
-        recounted_kwh = (
-            float(shortfall_j[infeasible].sum()) / units.JOULES_PER_KWH
-        )
-        auditor.check_scalar(
-            "clip_energy_consistent", clipped_energy_kwh, recounted_kwh
+        auditor.check_close(
+            "clip_energy_consistent",
+            report.clipped_energy_kwh,
+            float(shortfall_j[infeasible].sum()) / units.JOULES_PER_KWH,
         )
 
     # Churn conservation: devices are counted, not summed — the identity
     # deployed - failures - retirements == active - day_start_count holds
     # exactly per cohort-day for every churn engine, as does replacement
     # carbon == swaps x embodied.
-    if cohort_counts_day is not None:
-        flow = cohort_deployed - cohort_failures - cohort_retirements
-        drift = (cohort_active - cohort_counts_day) - flow
-        auditor.check_mask("churn_count_conservation", drift != 0, drift)
-        auditor.check_mask(
-            "churn_counts_nonnegative", cohort_active < 0, cohort_active
-        )
-        auditor.check_close(
-            "churn_carbon_conservation",
-            cohort_replacement_g,
-            cohort_swaps_day * cohort_swap_embodied_g[None, :],
-        )
-
-    report = AuditReport(
-        checks=auditor.checks, violations=tuple(auditor.violations)
+    active = report.cohort_active
+    flow = report.cohort_deployed - report.cohort_failures - retirements
+    drift = (active - counts_day) - flow
+    auditor.check_mask("churn_count_conservation", drift != 0, drift)
+    auditor.check_mask("churn_counts_nonnegative", active < 0, active)
+    auditor.check_close(
+        "churn_carbon_conservation",
+        report.cohort_replacement_carbon_g,
+        report.cohort_battery_swaps * swap_embodied_g[None, :],
     )
+
+    audit = AuditReport(checks=auditor.checks, violations=tuple(auditor.violations))
     if telemetry is not None:
-        telemetry.count("audit.checks", report.checks)
-        telemetry.count("audit.violations", report.total_violations)
-        for violation in report.violations:
+        telemetry.count("audit.checks", audit.checks)
+        telemetry.count("audit.violations", audit.total_violations)
+        for violation in audit.violations:
             telemetry.event(
                 "audit.violation",
                 check=violation.check,
                 count=violation.count,
                 max_error=violation.max_error,
             )
-    return report
+    return audit

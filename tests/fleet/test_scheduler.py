@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fleet_oracles import bits, site_marginal_g
-from fleet_specs import fleet_spec, site_spec, two_site_spec
-from repro.fleet.dispatch import PackTable
+from fleet_specs import fleet_spec, pixel_rack_spec, site_spec, two_site_spec
+from repro.fleet.dispatch import CarbonBufferDispatch, PackTable
 from repro.fleet.population import ChurnTable
 from repro.fleet.scheduler import (
     POLICIES,
@@ -204,6 +204,78 @@ class TestFleetSimulation:
         report = FleetSimulation(sites, GreedyLowestIntensityRouting(), demand).run(3)
         assert report.total_dropped_requests > 0
         assert report.served_fraction() < 1.0
+
+
+def _arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` through containers and
+    instance attributes."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        children = vars(obj).values()
+    else:
+        return
+    for child in children:
+        yield from _arrays(child, seen)
+
+
+class TestTheReportIsTheRecord:
+    """A finished simulation keeps its report and churn table, and the
+    hindsight replay reads that report."""
+
+    @pytest.fixture(scope="class")
+    def runner(self):
+        return ScenarioRunner(
+            pixel_rack_spec(counts=(30, 15), n_trace_days=2).with_overrides(
+                {"charging.coupling": "dispatch", "forecast.model": "noisy"}
+            )
+        )
+
+    def _simulation(self, runner, dispatch=None):
+        return FleetSimulation(
+            runner.build_sites(),
+            GreedyLowestIntensityRouting(),
+            runner.build_demand(),
+            dispatch=dispatch,
+        )
+
+    def test_replay_before_any_run_raises(self, runner):
+        simulation = self._simulation(runner)
+        with pytest.raises(RuntimeError, match="finished run"):
+            simulation.replay_avoided_g(CarbonBufferDispatch())
+
+    @pytest.mark.parametrize("lengths", [(3, 5), (5, 3)])
+    def test_replay_prices_the_latest_run(self, runner, lengths):
+        simulation = self._simulation(runner)
+        for n_days in lengths:
+            simulation.run(n_days)
+        replayed = simulation.replay_avoided_g(CarbonBufferDispatch())
+        simulated = self._simulation(runner, CarbonBufferDispatch()).run(lengths[-1])
+        assert simulated.carbon_avoided_g() > 0
+        assert bits([replayed]) == bits([simulated.carbon_avoided_g()])
+
+    def test_no_hourly_pack_matrix_outside_the_report(self, runner):
+        simulation = self._simulation(runner, runner.build_dispatch())
+        report = simulation.run(4)
+        hourly = report.cohort_served_rps.shape
+        assert hourly[1] != len(report.site_names)  # a mixed site: C != S
+        fields = [getattr(report, f.name) for f in dataclasses.fields(report)]
+        # The report itself, the pack constants and the churn state aside.
+        seen = {id(report), id(simulation.packs), id(simulation.churn)}
+        stray = [
+            array
+            for array in _arrays(vars(simulation), seen)
+            if array.shape == hourly and not any(array is f for f in fields)
+        ]
+        assert stray == []
 
 
 class TestLatencyAwarePath:

@@ -221,6 +221,58 @@ class TestTraceEdgeCases:
         )
 
 
+class TestUniformSpacing:
+    """The constructor holds every trace to the one uniform-spacing rule
+    ``from_csv`` applies, after the historical checks in their order."""
+
+    def test_uneven_times_are_rejected(self):
+        with pytest.raises(ValueError) as error:
+            GridTrace(times_s=[0, 100, 1000], intensity_g_per_kwh=[100, 200, 300])
+        assert str(error.value) == (
+            "trace times must be uniformly spaced; expected 100 s between "
+            "samples but sample 2 is 900 s after its predecessor"
+        )
+
+    @pytest.mark.parametrize(
+        "times, intensity, message",
+        [
+            ([0, np.nan, 2], [1, -1, 1], "times_s must be finite"),
+            ([0, 1, 2], [1, np.inf, -1], "intensity_g_per_kwh must be finite"),
+            ([0, 2, 1], [1, -1, 1], "trace times must be strictly increasing"),
+            ([0, 1, 1], [1, 1, 1], "trace times must be strictly increasing"),
+            # A repeat within the spacing slack of a tiny first gap.
+            ([0, 1e-7, 1e-7], [1, 1, 1], "trace times must be strictly increasing"),
+            ([0, 1, 5], [1, -1, 1], "carbon intensities must be non-negative"),
+        ],
+    )
+    def test_earlier_faults_keep_their_messages(self, times, intensity, message):
+        with pytest.raises(ValueError) as error:
+            GridTrace(times_s=times, intensity_g_per_kwh=intensity)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize(
+        "last, uniform", [("7200.0035", True), ("7200.0037", False)]
+    )
+    def test_constructor_and_csv_share_the_tolerance(self, tmp_path, last, uniform):
+        """Gaps of 3600 s tolerate 1e-6 + 1e-6 * 3600 = 0.003601 s."""
+        path = tmp_path / "grid.csv"
+        path.write_text(f"timestamp,intensity_gco2_per_kwh\n0,1\n3600,2\n{last},3\n")
+        times = np.array([0.0, 3600.0, float(last)])
+        if uniform:
+            GridTrace.from_csv(str(path))
+            GridTrace(times_s=times, intensity_g_per_kwh=[1.0, 2.0, 3.0])
+            return
+        with pytest.raises(ValueError, match="uniformly spaced.*row 4"):
+            GridTrace.from_csv(str(path))
+        with pytest.raises(ValueError, match="uniformly spaced.*sample 2"):
+            GridTrace(times_s=times, intensity_g_per_kwh=[1.0, 2.0, 3.0])
+
+    def test_a_uniform_trace_keeps_its_lookups(self):
+        trace = GridTrace(times_s=[0, 100, 200], intensity_g_per_kwh=[100, 200, 300])
+        assert (trace.interval_s, trace.period_s) == (100.0, 300.0)
+        assert trace.intensity_at(250, wrap=True) == pytest.approx(200.0)
+
+
 class TestFromCsv:
     def test_bundled_sample_loads(self):
         from repro.grid.traces import CAISO_SAMPLE_CSV

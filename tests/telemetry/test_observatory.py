@@ -1,28 +1,24 @@
-"""Unit tests for the run observatory: trace, diff, progress, bench, audit.
+"""Unit tests for the run observatory: trace, diff, progress, bench.
 
 Everything here runs on synthetic telemetry/manifests — no simulation.
 The bitwise-identity guarantees (progress-on / audit-on runs equal plain
-runs) live in ``tests/scenarios/test_observatory_scenarios.py``; this file
-covers each tool's own mechanics.
+runs) live in ``tests/scenarios/test_observatory_scenarios.py``, and the
+audit's checks in ``test_audit.py``; this file covers each tool's own
+mechanics.
 """
 
 import io
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro import units
 from repro.telemetry import Telemetry, build_manifest, dump_run
 from repro.telemetry.observatory import (
-    AuditReport,
-    AuditViolation,
     DiffError,
     DiffField,
     ProgressReporter,
     ProgressTelemetry,
-    audit_fleet_run,
     append_history,
     bench_records,
     check_bench,
@@ -389,150 +385,3 @@ def test_render_history_filters_by_case():
     filtered = render_history(history, case="other")
     assert "greedy-year" not in filtered
     assert render_history([]) == "(no bench history)"
-
-
-# ---------------------------------------------------------------------------
-# Invariant audit
-# ---------------------------------------------------------------------------
-
-
-def _consistent_run():
-    """Small matrices obeying every invariant (2 hours x 2 segments)."""
-    alloc = np.array([[1.0, 2.0], [0.0, 1.0]])
-    capacity = np.array([[2.0, 2.0], [1.0, 1.0]])
-    demand = alloc.sum(axis=1)
-    grid = np.array([3.0, 1.0])
-    battery = np.array([0.5, 0.0])
-    charge = np.array([0.0, 0.25])
-    shortfall = np.zeros((2, 2))
-    shortfall[0, 1] = 7.2e6  # one genuinely clipped setpoint
-    return dict(
-        alloc=alloc,
-        demand=demand,
-        capacity_rows=capacity,
-        energy_kwh=grid + charge,
-        grid_kwh=grid,
-        battery_kwh=battery,
-        charge_kwh=charge,
-        total_kwh=grid + battery,
-        cohort_energy_kwh=grid + battery,
-        cohort_grid_kwh=grid,
-        cohort_battery_kwh=battery,
-        cohort_charge_kwh=charge,
-        cohort_soc=np.array([[0.4, 0.9], [0.25, 1.0]]),
-        min_soc=0.25,
-        shortfall_j=shortfall,
-        clipped_setpoints=1,
-        clipped_energy_kwh=7.2e6 / units.JOULES_PER_KWH,
-    )
-
-
-def test_audit_passes_on_consistent_run():
-    report = audit_fleet_run(**_consistent_run())
-    assert report.ok
-    assert report.checks == 13
-    assert report.total_violations == 0
-    assert report.render() == (
-        "audit: all 13 invariant checks passed (0 violations)"
-    )
-
-
-def test_audit_without_dispatch_runs_fewer_checks():
-    run = _consistent_run()
-    run.update(min_soc=None, shortfall_j=None)
-    run["cohort_soc"] = np.array([[0.0, 0.5], [0.1, 1.0]])  # floor is now 0
-    report = audit_fleet_run(**run)
-    assert report.ok
-    assert report.checks == 11  # no clip accounting without a replay
-
-
-def test_audit_catches_doctored_violations():
-    run = _consistent_run()
-    run["alloc"] = run["alloc"] + 10.0  # beyond capacity and demand
-    run["cohort_soc"] = np.array([[0.1, 0.9], [0.25, 1.2]])  # floor + ceiling
-    run["clipped_setpoints"] = 5  # disagrees with the shortfall recount
-    tele = Telemetry()
-    report = audit_fleet_run(**run, telemetry=tele)
-    assert not report.ok
-    failed = {violation.check for violation in report.violations}
-    assert "allocation_within_capacity" in failed
-    assert "allocation_within_demand" in failed
-    assert "soc_floor" in failed and "soc_ceiling" in failed
-    assert "clip_count_consistent" in failed
-    assert "FAILED" in report.render()
-    # Violations land in telemetry as counters plus structured events.
-    assert tele.counters["audit.checks"] == 13
-    assert tele.counters["audit.violations"] == report.total_violations
-    kinds = {event["kind"] for event in tele.events}
-    assert kinds == {"audit.violation"}
-    checks_in_events = {event["check"] for event in tele.events}
-    assert checks_in_events == failed
-
-
-def test_audit_catches_energy_imbalance():
-    run = _consistent_run()
-    run["energy_kwh"] = run["energy_kwh"] + 1e-3  # break the meter balance
-    report = audit_fleet_run(**run)
-    assert not report.ok
-    assert [v.check for v in report.violations] == ["site_meter_balance"]
-    assert report.violations[0].max_error == pytest.approx(1e-3)
-
-
-def test_audit_report_rendering_lists_each_failure():
-    report = AuditReport(
-        checks=13,
-        violations=(
-            AuditViolation(check="soc_floor", count=3, max_error=0.01),
-        ),
-    )
-    text = report.render()
-    assert "1 of 13 invariant checks FAILED" in text
-    assert "soc_floor: 3 cells" in text
-
-
-def _churn_matrices():
-    """Consistent (3 days x 2 cohorts) churn matrices for the audit."""
-    counts_day = np.array([[100, 50], [99, 50], [98, 49]])
-    failures = np.array([[1, 0], [2, 1], [0, 0]])
-    retirements = np.array([[0, 0], [0, 0], [3, 0]])
-    deployed = np.array([[0, 0], [1, 0], [0, 2]])
-    active = counts_day + deployed - failures - retirements
-    swaps = np.array([[0, 0], [4, 0], [0, 1]])
-    embodied = np.array([45_000.0, 16_000.0])
-    return dict(
-        cohort_counts_day=counts_day,
-        cohort_active=active,
-        cohort_failures=failures,
-        cohort_retirements=retirements,
-        cohort_swaps_day=swaps,
-        cohort_deployed=deployed,
-        cohort_replacement_g=swaps * embodied[None, :],
-        cohort_swap_embodied_g=embodied,
-    )
-
-
-def test_audit_churn_conservation_passes_on_consistent_matrices():
-    report = audit_fleet_run(**_consistent_run(), **_churn_matrices())
-    assert report.ok
-    assert report.checks == 16  # 13 energy/alloc checks + 3 churn checks
-
-
-def test_audit_catches_churn_count_drift():
-    churn = _churn_matrices()
-    churn["cohort_active"] = churn["cohort_active"] + np.array(
-        [[0, 0], [0, 0], [1, 0]]
-    )  # one device appears from nowhere on day 3
-    report = audit_fleet_run(**_consistent_run(), **churn)
-    assert not report.ok
-    failed = {violation.check for violation in report.violations}
-    assert "churn_count_conservation" in failed
-
-
-def test_audit_catches_churn_carbon_mismatch():
-    churn = _churn_matrices()
-    churn["cohort_replacement_g"] = churn["cohort_replacement_g"] + 1.0
-    report = audit_fleet_run(**_consistent_run(), **churn)
-    assert not report.ok
-    assert [v.check for v in report.violations] == [
-        "churn_carbon_conservation"
-    ]
