@@ -59,7 +59,6 @@ from repro.core import (
     CarbonLedger,
     DeviceCarbonModel,
     LifetimeSweep,
-    WorkRate,
     computational_carbon_intensity,
     crossover_month,
     default_lifetimes,
@@ -110,7 +109,6 @@ __all__ = [
     # core
     "computational_carbon_intensity",
     "DeviceCarbonModel",
-    "WorkRate",
     "CarbonComponents",
     "CarbonLedger",
     "LifetimeSweep",

@@ -111,11 +111,7 @@ def _fig6() -> str:
     from repro.analysis import fig6_energy_mix
     from repro.analysis.report import render_lifetime_sweep
 
-    panels = fig6_energy_mix()
-    return "\n\n".join(
-        f"Figure 6 ({mix}):\n{render_lifetime_sweep(sweep)}"
-        for mix, sweep in panels.items()
-    )
+    return f"Figure 6 (SGEMM):\n{render_lifetime_sweep(fig6_energy_mix())}"
 
 
 def _fig7() -> str:

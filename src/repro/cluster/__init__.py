@@ -4,7 +4,6 @@ from repro.cluster.cloudlet import (
     DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S,
     LAPTOP_SMART_CHARGING_DISCOUNT,
     PHONE_SMART_CHARGING_DISCOUNT,
-    CloudletDesign,
     nexus4_cloudlet_design,
     paper_cloudlets,
     pixel_cloudlet_design,
@@ -56,7 +55,6 @@ __all__ = [
     "lte_uplink_topology",
     "shared_wifi_topology",
     "wired_topology",
-    "CloudletDesign",
     "paper_cloudlets",
     "poweredge_baseline",
     "proliant_cloudlet",

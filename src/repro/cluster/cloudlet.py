@@ -1,11 +1,13 @@
 """Cloudlet-scale carbon modelling (paper Section 5.2, Figure 5).
 
-A :class:`CloudletDesign` describes a cluster built from one device type plus
-whatever peripherals and networking the design needs, and evaluates the
-cluster-level CCI of Equations 12-13: device embodied carbon (zero for reused
-hardware), battery replacements, peripheral embodied carbon, operational
-carbon for devices and peripherals (optionally discounted by smart charging),
-and the C_N networking term for the cluster's sustained data rate.
+A cloudlet is a :class:`~repro.core.cci.DeviceCarbonModel` with
+``n_devices`` of one device type plus whatever peripherals and networking
+the design needs; the model evaluates the cluster-level CCI of Equations
+12-13: device embodied carbon (zero for reused hardware), battery
+replacements, peripheral embodied carbon, operational carbon for devices
+and peripherals (the smart-charging discount applies to device draw only),
+and the C_N networking term for the cluster's sustained data rate over its
+topology.
 
 :func:`paper_cloudlets` builds the five comparison points of the paper's
 Figure 5 for a given benchmark and power regime:
@@ -23,18 +25,12 @@ replaced — exactly the assumption behind the second row of Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Sequence, Union
+from typing import Dict, Union
 
-import numpy as np
-
-from repro import units
 from repro.cluster.peripherals import PeripheralSet
-from repro.cluster.sizing import cluster_throughput, devices_needed
-from repro.cluster.topology import NetworkTopology, wifi_tree_topology, wired_topology
-from repro.core.carbon import CarbonComponents, networking_carbon_g, operational_carbon_g
-from repro.core.cci import computational_carbon_intensity
-from repro.devices.battery import replacement_carbon_kg
+from repro.cluster.sizing import devices_needed
+from repro.cluster.topology import wifi_tree_topology, wired_topology
+from repro.core.cci import DeviceCarbonModel
 from repro.devices.benchmarks import MicroBenchmark
 from repro.devices.catalog import (
     NEXUS_4,
@@ -43,7 +39,6 @@ from repro.devices.catalog import (
     PROLIANT_DL380_G6,
     THINKPAD_X1_CARBON_G3,
 )
-from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
 from repro.grid.mix import EnergyMix, california, solar_24_7
 from repro.thermal.cooling import plan_cooling
@@ -56,177 +51,32 @@ DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S = 0.1e9 / 8.0
 PHONE_SMART_CHARGING_DISCOUNT = 0.07
 LAPTOP_SMART_CHARGING_DISCOUNT = 0.04
 
-
-@dataclass(frozen=True)
-class CloudletDesign:
-    """A cluster of one device type with its peripherals and networking."""
-
-    name: str
-    device: DeviceSpec
-    n_devices: int
-    energy_mix: EnergyMix
-    topology: NetworkTopology
-    peripherals: PeripheralSet = field(default_factory=PeripheralSet.empty)
-    load_profile: LoadProfile = LIGHT_MEDIUM
-    reused: bool = True
-    smart_charging: bool = False
-    include_battery_replacement: bool = False
-    network_rate_bytes_per_s: float = DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S
-
-    def __post_init__(self) -> None:
-        if self.n_devices <= 0:
-            raise ValueError("device count must be positive")
-        if self.network_rate_bytes_per_s < 0:
-            raise ValueError("network rate must be non-negative")
-        if self.smart_charging and self.device.battery is None:
-            raise ValueError(
-                f"{self.device.name} has no battery; smart charging is not applicable"
-            )
-        if self.include_battery_replacement and self.device.battery is None:
-            raise ValueError(
-                f"{self.device.name} has no battery; battery replacement is not applicable"
-            )
-
-    # ------------------------------------------------------------------
-    # Power
-    # ------------------------------------------------------------------
-
-    @property
-    def device_average_power_w(self) -> float:
-        """Average power of one device under the design's load profile."""
-        return self.device.average_power_w(self.load_profile)
-
-    @property
-    def total_average_power_w(self) -> float:
-        """Average power of the whole cloudlet including peripherals."""
-        return (
-            self.n_devices * self.device_average_power_w
-            + self.peripherals.total_power_w
-        )
-
-    # ------------------------------------------------------------------
-    # Carbon components (Equations 12, 13, 5)
-    # ------------------------------------------------------------------
-
-    def embodied_carbon_g(self, lifetime_months: float) -> float:
-        """C_M for the cloudlet: devices (if new) + battery packs + peripherals."""
-        kg = 0.0 if self.reused else self.n_devices * self.device.embodied_carbon_kgco2e
-        if self.include_battery_replacement and self.device.battery is not None:
-            kg += self.n_devices * replacement_carbon_kg(
-                self.device.battery, self.device_average_power_w, lifetime_months
-            )
-        kg += self.peripherals.total_embodied_kg
-        return units.kg_to_grams(kg)
-
-    def operational_carbon_g(self, lifetime_months: float) -> float:
-        """C_C for the cloudlet.
-
-        The smart-charging discount applies only to the battery-backed
-        devices' draw; peripheral draw (fans, plugs) is charged at the plain
-        grid intensity.
-        """
-        duration_s = units.months_to_seconds(lifetime_months)
-        device_intensity = self.energy_mix.effective_intensity_g_per_kwh(
-            smart_charging=self.smart_charging
-        )
-        plain_intensity = self.energy_mix.effective_intensity_g_per_kwh(smart_charging=False)
-        device_part = operational_carbon_g(
-            self.n_devices * self.device_average_power_w, duration_s, device_intensity
-        )
-        peripheral_part = operational_carbon_g(
-            self.peripherals.total_power_w, duration_s, plain_intensity
-        )
-        return device_part + peripheral_part
-
-    def networking_carbon_g(self, lifetime_months: float) -> float:
-        """C_N for the cloudlet's sustained external data rate."""
-        duration_s = units.months_to_seconds(lifetime_months)
-        intensity = self.energy_mix.effective_intensity_g_per_kwh(smart_charging=False)
-        return networking_carbon_g(
-            self.network_rate_bytes_per_s,
-            self.topology.energy_intensity_j_per_byte,
-            duration_s,
-            intensity,
-        )
-
-    def carbon_components(self, lifetime_months: float) -> CarbonComponents:
-        """All three carbon terms for the given service lifetime."""
-        if lifetime_months <= 0:
-            raise ValueError("lifetime must be positive")
-        return CarbonComponents(
-            embodied_g=self.embodied_carbon_g(lifetime_months),
-            operational_g=self.operational_carbon_g(lifetime_months),
-            networking_g=self.networking_carbon_g(lifetime_months),
-        )
-
-    # ------------------------------------------------------------------
-    # Work and CCI
-    # ------------------------------------------------------------------
-
-    def throughput(self, benchmark: Union[MicroBenchmark, str]) -> float:
-        """Aggregate cluster throughput at full load (benchmark units per second)."""
-        return cluster_throughput(self.device, self.n_devices, benchmark)
-
-    def total_work(
-        self, benchmark: Union[MicroBenchmark, str], lifetime_months: float
-    ) -> float:
-        """Useful work over the lifetime under the design's load profile."""
-        if lifetime_months <= 0:
-            raise ValueError("lifetime must be positive")
-        average = self.load_profile.average_throughput(self.throughput(benchmark))
-        return average * units.months_to_seconds(lifetime_months)
-
-    def cci(self, benchmark: Union[MicroBenchmark, str], lifetime_months: float) -> float:
-        """Cluster-level CCI (g CO2e per benchmark work unit)."""
-        components = self.carbon_components(lifetime_months)
-        return computational_carbon_intensity(
-            components.total_g, self.total_work(benchmark, lifetime_months)
-        )
-
-    def cci_series(
-        self, benchmark: Union[MicroBenchmark, str], lifetime_months: Sequence[float]
-    ) -> np.ndarray:
-        """CCI evaluated over a lifetime grid (a Figure 5 curve)."""
-        return np.array([self.cci(benchmark, m) for m in lifetime_months])
-
-    def with_energy_mix(self, energy_mix: EnergyMix) -> "CloudletDesign":
-        """Return a copy of this design supplied by a different energy mix."""
-        return replace(self, energy_mix=energy_mix)
-
-
 # ---------------------------------------------------------------------------
 # The paper's five comparison cloudlets.
 # ---------------------------------------------------------------------------
 
 
-def poweredge_baseline(energy_mix: EnergyMix = None) -> CloudletDesign:
+def poweredge_baseline(energy_mix: EnergyMix = None) -> DeviceCarbonModel:
     """A single brand-new PowerEdge R740 on wired infrastructure."""
-    return CloudletDesign(
-        name="PowerEdge R740 (new)",
+    return DeviceCarbonModel(
         device=POWEREDGE_R740,
-        n_devices=1,
         energy_mix=energy_mix or california(),
-        topology=wired_topology(),
-        peripherals=PeripheralSet.empty(),
         reused=False,
-        smart_charging=False,
-        include_battery_replacement=False,
+        network_rate_bytes_per_s=DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S,
+        network_energy_intensity_j_per_byte=wired_topology().energy_intensity_j_per_byte,
     )
 
 
 def proliant_cloudlet(
     benchmark: Union[MicroBenchmark, str], energy_mix: EnergyMix = None
-) -> CloudletDesign:
+) -> DeviceCarbonModel:
     """N reused ProLiant DL380 G6 servers on wired infrastructure."""
-    n = devices_needed(PROLIANT_DL380_G6, benchmark)
-    return CloudletDesign(
-        name=f"{n}x ProLiant DL380 G6",
+    return DeviceCarbonModel(
         device=PROLIANT_DL380_G6,
-        n_devices=n,
+        n_devices=devices_needed(PROLIANT_DL380_G6, benchmark),
         energy_mix=energy_mix or california(),
-        topology=wired_topology(),
-        peripherals=PeripheralSet.empty(),
-        reused=True,
+        network_rate_bytes_per_s=DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S,
+        network_energy_intensity_j_per_byte=wired_topology().energy_intensity_j_per_byte,
     )
 
 
@@ -234,23 +84,19 @@ def thinkpad_cloudlet(
     benchmark: Union[MicroBenchmark, str],
     energy_mix: EnergyMix = None,
     smart_charging: bool = True,
-) -> CloudletDesign:
+) -> DeviceCarbonModel:
     """N reused ThinkPad laptops with per-device smart plugs."""
     n = devices_needed(THINKPAD_X1_CARBON_G3, benchmark)
-    mix = energy_mix or california(smart_charging_discount=LAPTOP_SMART_CHARGING_DISCOUNT)
-    peripherals = (
-        PeripheralSet.for_laptop_cloudlet(n) if smart_charging else PeripheralSet.empty()
-    )
-    return CloudletDesign(
-        name=f"{n}x ThinkPad X1 Carbon G3",
+    return DeviceCarbonModel(
         device=THINKPAD_X1_CARBON_G3,
         n_devices=n,
-        energy_mix=mix,
-        topology=wired_topology(),
-        peripherals=peripherals,
-        reused=True,
+        energy_mix=energy_mix
+        or california(smart_charging_discount=LAPTOP_SMART_CHARGING_DISCOUNT),
         smart_charging=smart_charging,
         include_battery_replacement=smart_charging,
+        peripherals=PeripheralSet.for_laptop_cloudlet(n, include_smart_plugs=smart_charging),
+        network_rate_bytes_per_s=DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S,
+        network_energy_intensity_j_per_byte=wired_topology().energy_intensity_j_per_byte,
     )
 
 
@@ -259,22 +105,21 @@ def _smartphone_cloudlet(
     benchmark: Union[MicroBenchmark, str],
     energy_mix: EnergyMix,
     smart_charging: bool,
-) -> CloudletDesign:
+) -> DeviceCarbonModel:
     n = devices_needed(device, benchmark)
     cooling = plan_cooling(device, n)
     peripherals = PeripheralSet.for_smartphone_cloudlet(
         n_devices=n, n_fans=cooling.fans, include_smart_plugs=smart_charging
     )
-    return CloudletDesign(
-        name=f"{n}x {device.name}",
+    return DeviceCarbonModel(
         device=device,
         n_devices=n,
         energy_mix=energy_mix,
-        topology=wifi_tree_topology(),
-        peripherals=peripherals,
-        reused=True,
         smart_charging=smart_charging,
         include_battery_replacement=smart_charging,
+        peripherals=peripherals,
+        network_rate_bytes_per_s=DEFAULT_CLUSTER_NET_RATE_BYTES_PER_S,
+        network_energy_intensity_j_per_byte=wifi_tree_topology().energy_intensity_j_per_byte,
     )
 
 
@@ -282,7 +127,7 @@ def pixel_cloudlet_design(
     benchmark: Union[MicroBenchmark, str],
     energy_mix: EnergyMix = None,
     smart_charging: bool = True,
-) -> CloudletDesign:
+) -> DeviceCarbonModel:
     """N reused Pixel 3A phones with smart plugs and fan cooling."""
     mix = energy_mix or california(smart_charging_discount=PHONE_SMART_CHARGING_DISCOUNT)
     return _smartphone_cloudlet(PIXEL_3A, benchmark, mix, smart_charging)
@@ -292,7 +137,7 @@ def nexus4_cloudlet_design(
     benchmark: Union[MicroBenchmark, str],
     energy_mix: EnergyMix = None,
     smart_charging: bool = True,
-) -> CloudletDesign:
+) -> DeviceCarbonModel:
     """N reused Nexus 4 phones with smart plugs and fan cooling."""
     mix = energy_mix or california(smart_charging_discount=PHONE_SMART_CHARGING_DISCOUNT)
     return _smartphone_cloudlet(NEXUS_4, benchmark, mix, smart_charging)
@@ -300,7 +145,7 @@ def nexus4_cloudlet_design(
 
 def paper_cloudlets(
     benchmark: Union[MicroBenchmark, str], regime: str = "california"
-) -> Dict[str, CloudletDesign]:
+) -> Dict[str, DeviceCarbonModel]:
     """The five Figure 5 comparison systems for one benchmark and power regime.
 
     ``regime`` is ``"california"`` (smart charging, battery replacement,

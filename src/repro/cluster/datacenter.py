@@ -22,13 +22,13 @@ its units carry no new embodied carbon and draw a quarter of the power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Union
 
 from repro import units
-from repro.cluster.cloudlet import CloudletDesign, pixel_cloudlet_design, poweredge_baseline
+from repro.cluster.cloudlet import pixel_cloudlet_design, poweredge_baseline
 from repro.core.carbon import CarbonComponents
-from repro.core.cci import computational_carbon_intensity
+from repro.core.cci import DeviceCarbonModel, computational_carbon_intensity
 from repro.devices.benchmarks import MicroBenchmark, TABLE1_BENCHMARKS
 
 #: Cooling power as a fraction of IT power (compressor work scales with heat).
@@ -48,7 +48,7 @@ class DatacenterDesign:
     """A datacenter filled with identical compute units."""
 
     name: str
-    unit: CloudletDesign
+    unit: DeviceCarbonModel
     rack_units_per_unit: float
     it_power_w: float = 50e6
 
@@ -65,7 +65,7 @@ class DatacenterDesign:
     @property
     def unit_power_w(self) -> float:
         """Average power of one unit (device cluster plus its peripherals)."""
-        return self.unit.total_average_power_w
+        return self.unit.average_power_w
 
     @property
     def n_units(self) -> int:

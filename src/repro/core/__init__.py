@@ -11,7 +11,6 @@ from repro.core.carbon import (
 )
 from repro.core.cci import (
     DeviceCarbonModel,
-    WorkRate,
     computational_carbon_intensity,
     second_life_cci,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "LTE_ENERGY_INTENSITY_J_PER_BYTE",
     "WIRED_ENERGY_INTENSITY_J_PER_BYTE",
     "computational_carbon_intensity",
-    "WorkRate",
     "DeviceCarbonModel",
     "second_life_cci",
     "reuse_factor",

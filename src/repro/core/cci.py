@@ -16,11 +16,13 @@ work so that devices of very different scales can be compared.
 This module provides:
 
 * :func:`computational_carbon_intensity` — the bare Equation 1 ratio;
-* :class:`DeviceCarbonModel` — lifetime carbon and work for a single device
-  under a load profile and an energy mix, including battery replacements and
-  attached peripherals, with :meth:`~DeviceCarbonModel.cci` /
-  :meth:`~DeviceCarbonModel.cci_series` producing the Figure 2/6-style
-  lifetime curves;
+* :class:`DeviceCarbonModel` — lifetime carbon and work for ``n_devices``
+  identical devices (one by default) under a load profile and an energy
+  mix, including battery replacements, attached peripherals and a sustained
+  network rate, with :meth:`~DeviceCarbonModel.cci` /
+  :meth:`~DeviceCarbonModel.cci_series` producing the Figure 2/5/6-style
+  lifetime curves (the Figure 5 cloudlets are built in
+  :mod:`repro.cluster.cloudlet`);
 * :func:`second_life_cci` — the alternate two-life formulation of
   Equation 7, which charges the original manufacturing carbon but also
   credits the work performed during the device's first life.
@@ -28,8 +30,8 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +48,9 @@ from repro.devices.power import LIGHT_MEDIUM, LoadProfile
 from repro.devices.specs import DeviceSpec
 from repro.grid.mix import EnergyMix, california
 
+if TYPE_CHECKING:  # repro.cluster imports this module, so no load-time import
+    from repro.cluster.peripherals import PeripheralSet
+
 
 def computational_carbon_intensity(total_carbon_g: float, total_work: float) -> float:
     """CCI = total carbon / total useful work (Equation 1).
@@ -61,84 +66,63 @@ def computational_carbon_intensity(total_carbon_g: float, total_work: float) -> 
 
 
 @dataclass(frozen=True)
-class WorkRate:
-    """Useful work performed per second at 100 % utilisation.
-
-    This generalises the micro-benchmark throughputs of Table 1 (Gflop/s,
-    Mpixel/s, ...) to arbitrary work units such as served requests, so the
-    same CCI machinery covers both Figure 2 and Figure 9.
-    """
-
-    unit: str
-    per_second_at_full_load: float
-
-    def __post_init__(self) -> None:
-        if self.per_second_at_full_load <= 0:
-            raise ValueError("work rate must be positive")
-
-    @classmethod
-    def from_benchmark(cls, device: DeviceSpec, benchmark: Union[MicroBenchmark, str]) -> "WorkRate":
-        """Derive the work rate from a device's multi-core benchmark score."""
-        if device.benchmark_suite is None:
-            raise ValueError(f"{device.name} has no benchmark suite")
-        score = device.benchmark_suite.score(benchmark)
-        return cls(
-            unit=score.benchmark.work_unit,
-            per_second_at_full_load=score.throughput,
-        )
-
-
-@dataclass(frozen=True)
 class DeviceCarbonModel:
-    """Lifetime carbon and work model for a single device.
+    """Lifetime carbon and work of ``n_devices`` identical devices.
+
+    With the default single device and no peripherals this is the
+    single-device model of Figures 2 and 6.  With N devices, their
+    peripherals and a sustained network rate it is the cloudlet of
+    Equations 12-13 (Figure 5, Table 4): the same C_M + C_C + C_N sum taken
+    over every device plus the accessories the cluster needs.
 
     Parameters
     ----------
     device:
         The device spec being operated.
+    n_devices:
+        How many identical devices (default 1).
     load_profile:
         Time-in-mode distribution; defaults to the paper's light-medium
         regime.
     energy_mix:
-        Grid scenario supplying the device (defaults to the Californian mean).
+        Grid scenario supplying the devices (defaults to the Californian mean).
     reused:
-        When True (the junkyard case) the device's own embodied carbon is
+        When True (the junkyard case) the devices' own embodied carbon is
         treated as already paid and contributes zero to C_M.
     smart_charging:
-        Apply the energy mix's smart-charging discount to operational carbon.
+        Apply the energy mix's smart-charging discount to the devices' draw.
         Only meaningful for battery-backed devices; requesting it for a
         device without a battery raises.
     include_battery_replacement:
         Charge the embodied carbon of replacement battery packs per
         Equation 10 (requires a battery spec).
+    peripherals:
+        New-bought accessories (fans, smart plugs), a
+        :class:`~repro.cluster.peripherals.PeripheralSet` whose embodied
+        carbon is charged to C_M and whose draw to C_C; ``None`` for none.
     network_rate_bytes_per_s / network_energy_intensity_j_per_byte:
         Sustained networking rate and technology energy intensity for the
         C_N term; both default to zero / WiFi so single-device analyses can
         simply omit networking as the paper does in Section 3.4.
-    extra_embodied_kg:
-        Additional one-off embodied carbon attributed to this device (e.g.
-        its share of a shared fan or a per-device smart plug).
-    extra_power_w:
-        Additional constant power draw attributed to this device (e.g. its
-        share of fan power).
+
+    Peripherals and the network are charged at the plain grid intensity:
+    the smart-charging discount applies only to the devices' own draw.
     """
 
     device: DeviceSpec
+    n_devices: int = 1
     load_profile: LoadProfile = LIGHT_MEDIUM
     energy_mix: EnergyMix = field(default_factory=california)
     reused: bool = True
     smart_charging: bool = False
     include_battery_replacement: bool = False
+    peripherals: Optional[PeripheralSet] = None
     network_rate_bytes_per_s: float = 0.0
     network_energy_intensity_j_per_byte: float = WIFI_ENERGY_INTENSITY_J_PER_BYTE
-    extra_embodied_kg: float = 0.0
-    extra_power_w: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.extra_embodied_kg < 0:
-            raise ValueError("extra embodied carbon must be non-negative")
-        if self.extra_power_w < 0:
-            raise ValueError("extra power must be non-negative")
+        if self.n_devices <= 0:
+            raise ValueError("device count must be positive")
         if self.network_rate_bytes_per_s < 0:
             raise ValueError("network rate must be non-negative")
         if self.smart_charging and self.device.battery is None:
@@ -151,54 +135,62 @@ class DeviceCarbonModel:
             )
 
     # ------------------------------------------------------------------
-    # Power and energy
+    # Power
     # ------------------------------------------------------------------
 
     @property
-    def average_power_w(self) -> float:
-        """Average wall power of the device (plus attributed extras)."""
-        return self.device.average_power_w(self.load_profile) + self.extra_power_w
+    def _peripheral_power_w(self) -> float:
+        return 0.0 if self.peripherals is None else self.peripherals.total_power_w
 
-    def energy_kwh(self, lifetime_months: float) -> float:
-        """Wall energy drawn over the lifetime, in kWh."""
-        duration_s = units.months_to_seconds(lifetime_months)
-        return units.joules_to_kwh(self.average_power_w * duration_s)
+    @property
+    def average_power_w(self) -> float:
+        """Average wall power of every device plus the peripherals."""
+        return (
+            self.n_devices * self.device.average_power_w(self.load_profile)
+            + self._peripheral_power_w
+        )
 
     # ------------------------------------------------------------------
-    # Carbon
+    # Carbon (Equations 2-5, 12-13)
     # ------------------------------------------------------------------
 
     def embodied_carbon_g(self, lifetime_months: float) -> float:
-        """C_M: device embodied carbon (if new) + batteries + extras, in grams."""
-        kg = 0.0 if self.reused else self.device.embodied_carbon_kgco2e
-        kg += self.extra_embodied_kg
-        if self.include_battery_replacement and self.device.battery is not None:
-            kg += replacement_carbon_kg(
-                self.device.battery, self.average_power_w, lifetime_months
+        """C_M: devices (if new) + replacement batteries + peripherals, in grams."""
+        kg = 0.0 if self.reused else self.n_devices * self.device.embodied_carbon_kgco2e
+        if self.include_battery_replacement:
+            kg += self.n_devices * replacement_carbon_kg(
+                self.device.battery,
+                self.device.average_power_w(self.load_profile),
+                lifetime_months,
             )
+        if self.peripherals is not None:
+            kg += self.peripherals.total_embodied_kg
         return units.kg_to_grams(kg)
 
     def operational_carbon_g(self, lifetime_months: float) -> float:
-        """C_C: operational carbon over the lifetime, in grams."""
-        intensity = self.energy_mix.effective_intensity_g_per_kwh(
+        """C_C: device draw (smart-charging discounted) + peripheral draw, in grams."""
+        duration_s = units.months_to_seconds(lifetime_months)
+        device_intensity = self.energy_mix.effective_intensity_g_per_kwh(
             smart_charging=self.smart_charging
         )
-        duration_s = units.months_to_seconds(lifetime_months)
-        return operational_carbon_g(self.average_power_w, duration_s, intensity)
+        plain_intensity = self.energy_mix.effective_intensity_g_per_kwh(smart_charging=False)
+        device_part = operational_carbon_g(
+            self.n_devices * self.device.average_power_w(self.load_profile),
+            duration_s,
+            device_intensity,
+        )
+        peripheral_part = operational_carbon_g(
+            self._peripheral_power_w, duration_s, plain_intensity
+        )
+        return device_part + peripheral_part
 
     def networking_carbon_g(self, lifetime_months: float) -> float:
-        """C_N: networking carbon over the lifetime, in grams."""
-        if self.network_rate_bytes_per_s == 0.0:
-            return 0.0
-        intensity = self.energy_mix.effective_intensity_g_per_kwh(
-            smart_charging=self.smart_charging
-        )
-        duration_s = units.months_to_seconds(lifetime_months)
+        """C_N: networking carbon of the sustained data rate, in grams."""
         return networking_carbon_g(
             self.network_rate_bytes_per_s,
             self.network_energy_intensity_j_per_byte,
-            duration_s,
-            intensity,
+            units.months_to_seconds(lifetime_months),
+            self.energy_mix.effective_intensity_g_per_kwh(smart_charging=False),
         )
 
     def carbon_components(self, lifetime_months: float) -> CarbonComponents:
@@ -215,67 +207,45 @@ class DeviceCarbonModel:
     # Work and CCI
     # ------------------------------------------------------------------
 
-    def work_rate(self, benchmark: Union[MicroBenchmark, str, WorkRate]) -> WorkRate:
-        """Resolve a benchmark name/object or explicit :class:`WorkRate`."""
-        if isinstance(benchmark, WorkRate):
-            return benchmark
-        return WorkRate.from_benchmark(self.device, benchmark)
+    def throughput(self, benchmark: Union[MicroBenchmark, str]) -> float:
+        """Aggregate multi-core throughput at full load (benchmark units per second)."""
+        if self.device.benchmark_suite is None:
+            raise ValueError(f"{self.device.name} has no benchmark suite")
+        return self.n_devices * self.device.benchmark_suite.throughput(benchmark)
 
     def total_work(
-        self, benchmark: Union[MicroBenchmark, str, WorkRate], lifetime_months: float
+        self, benchmark: Union[MicroBenchmark, str], lifetime_months: float
     ) -> float:
         """Useful work over the lifetime (Equation 6's average throughput x time)."""
         if lifetime_months <= 0:
             raise ValueError("lifetime must be positive")
-        rate = self.work_rate(benchmark)
-        average_per_second = self.load_profile.average_throughput(
-            rate.per_second_at_full_load
-        )
+        average_per_second = self.load_profile.average_throughput(self.throughput(benchmark))
         return average_per_second * units.months_to_seconds(lifetime_months)
 
-    def cci(
-        self, benchmark: Union[MicroBenchmark, str, WorkRate], lifetime_months: float
-    ) -> float:
+    def cci(self, benchmark: Union[MicroBenchmark, str], lifetime_months: float) -> float:
         """CCI (g CO2e per unit of work) at the given lifetime."""
         components = self.carbon_components(lifetime_months)
         work = self.total_work(benchmark, lifetime_months)
         return computational_carbon_intensity(components.total_g, work)
 
     def cci_series(
-        self,
-        benchmark: Union[MicroBenchmark, str, WorkRate],
-        lifetime_months: Sequence[float],
+        self, benchmark: Union[MicroBenchmark, str], lifetime_months: Sequence[float]
     ) -> np.ndarray:
-        """CCI evaluated at each lifetime in ``lifetime_months`` (Figure 2/6 curves)."""
+        """CCI evaluated at each lifetime in ``lifetime_months`` (Figure 2/5/6 curves)."""
         months = np.asarray(list(lifetime_months), dtype=float)
         if np.any(months <= 0):
             raise ValueError("all lifetimes must be positive")
         return np.array([self.cci(benchmark, m) for m in months])
 
-    # ------------------------------------------------------------------
-    # Variants
-    # ------------------------------------------------------------------
-
     def as_new(self) -> "DeviceCarbonModel":
-        """Return a copy that charges the device's own embodied carbon (not reused)."""
-        return DeviceCarbonModel(
-            device=self.device,
-            load_profile=self.load_profile,
-            energy_mix=self.energy_mix,
-            reused=False,
-            smart_charging=self.smart_charging,
-            include_battery_replacement=self.include_battery_replacement,
-            network_rate_bytes_per_s=self.network_rate_bytes_per_s,
-            network_energy_intensity_j_per_byte=self.network_energy_intensity_j_per_byte,
-            extra_embodied_kg=self.extra_embodied_kg,
-            extra_power_w=self.extra_power_w,
-        )
+        """Return a copy that charges the devices' own embodied carbon (not reused)."""
+        return replace(self, reused=False)
 
 
 def second_life_cci(
     first_life: DeviceCarbonModel,
     second_life: DeviceCarbonModel,
-    benchmark: Union[MicroBenchmark, str, WorkRate],
+    benchmark: Union[MicroBenchmark, str],
     first_life_months: float,
     second_life_months: float,
 ) -> float:

@@ -165,6 +165,9 @@ class GridTrace:
             ):
                 if not np.all(np.isfinite(values)):
                     raise ValueError(f"{label} must be finite")
+            # Finite times far apart can still overflow their difference.
+            if not np.all(np.isfinite(gaps)):
+                raise ValueError("gaps between trace times must be finite")
             if np.any(gaps <= 0):
                 raise ValueError("trace times must be strictly increasing")
             if np.any(intensity < 0):

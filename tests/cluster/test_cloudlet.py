@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.cluster.cloudlet import (
-    CloudletDesign,
     nexus4_cloudlet_design,
     paper_cloudlets,
     pixel_cloudlet_design,
@@ -12,12 +11,12 @@ from repro.cluster.cloudlet import (
     proliant_cloudlet,
     thinkpad_cloudlet,
 )
-from repro.cluster.peripherals import PeripheralSet
-from repro.cluster.topology import wired_topology
+from repro.cluster.peripherals import SERVER_FAN, PeripheralSet
+from repro.core.cci import DeviceCarbonModel
 from repro.core.lifetime import crossover_month, default_lifetimes
 from repro.devices.benchmarks import DIJKSTRA, PDF_RENDER, SGEMM
-from repro.devices.catalog import PIXEL_3A, POWEREDGE_R740
-from repro.grid.mix import california, solar_24_7, zero_carbon
+from repro.devices.catalog import NEXUS_4, PIXEL_3A, POWEREDGE_R740
+from repro.grid.mix import california, zero_carbon
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +37,16 @@ class TestDesignConstruction:
         # the 309 W PowerEdge, yet still wins on carbon for short lifetimes.
         nexus = california_designs["Nexus 4"]
         server = california_designs["PowerEdge R740"]
-        assert nexus.n_devices * nexus.device_average_power_w > server.total_average_power_w
+        nexus_device_w = nexus.n_devices * NEXUS_4.average_power_w(nexus.load_profile)
+        assert nexus_device_w > server.average_power_w
 
     def test_pixel_cloudlet_device_power_near_84w(self, california_designs):
         pixel = california_designs["Pixel 3A"]
-        assert pixel.n_devices * pixel.device_average_power_w == pytest.approx(83, abs=2)
+        device_w = pixel.n_devices * PIXEL_3A.average_power_w(pixel.load_profile)
+        assert device_w == pytest.approx(83, abs=2)
+        assert pixel.average_power_w == pytest.approx(
+            device_w + pixel.peripherals.total_power_w
+        )
 
     def test_smartphone_designs_have_fans_and_plugs(self, california_designs):
         pixel = california_designs["Pixel 3A"]
@@ -63,22 +67,20 @@ class TestDesignConstruction:
             paper_cloudlets(SGEMM, regime="mars")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CloudletDesign(
-                name="bad",
-                device=PIXEL_3A,
-                n_devices=0,
-                energy_mix=california(),
-                topology=wired_topology(),
-            )
-        with pytest.raises(ValueError):
-            CloudletDesign(
-                name="bad",
-                device=POWEREDGE_R740,
+        with pytest.raises(ValueError, match="device count must be positive"):
+            DeviceCarbonModel(PIXEL_3A, n_devices=0, energy_mix=california())
+        with pytest.raises(ValueError, match="network rate must be non-negative"):
+            DeviceCarbonModel(PIXEL_3A, n_devices=3, network_rate_bytes_per_s=-1.0)
+        with pytest.raises(ValueError, match="smart charging is not applicable"):
+            DeviceCarbonModel(
+                POWEREDGE_R740,
                 n_devices=1,
                 energy_mix=california(),
-                topology=wired_topology(),
                 smart_charging=True,
+            )
+        with pytest.raises(ValueError, match="cannot include battery replacement"):
+            DeviceCarbonModel(
+                POWEREDGE_R740, n_devices=2, include_battery_replacement=True
             )
 
 
@@ -107,11 +109,34 @@ class TestCarbonBehaviour:
         for name in ("Pixel 3A", "ThinkPad", "ProLiant"):
             assert california_designs[name].throughput(SGEMM) >= server.throughput(SGEMM)
 
-    def test_with_energy_mix_returns_copy(self, california_designs):
-        pixel = california_designs["Pixel 3A"]
-        solar = pixel.with_energy_mix(solar_24_7())
-        assert solar.energy_mix.name == "24/7 solar"
-        assert pixel.energy_mix.name == "California"
+    def test_smart_charging_discounts_device_draw_only(self):
+        # Peripherals and the network are charged at the plain grid
+        # intensity; only the battery-backed devices' draw is discounted.
+        fans = PeripheralSet.empty().with_item(SERVER_FAN, 2)
+        kwargs = dict(
+            n_devices=10,
+            energy_mix=california(smart_charging_discount=0.5),
+            peripherals=fans,
+            network_rate_bytes_per_s=1e6,
+        )
+        plain = DeviceCarbonModel(PIXEL_3A, **kwargs)
+        smart = DeviceCarbonModel(PIXEL_3A, smart_charging=True, **kwargs)
+        bare = DeviceCarbonModel(PIXEL_3A, n_devices=10, energy_mix=kwargs["energy_mix"])
+        assert smart.networking_carbon_g(12.0) == plain.networking_carbon_g(12.0)
+        assert plain.operational_carbon_g(12.0) > bare.operational_carbon_g(12.0)
+        device_saving = 0.5 * bare.operational_carbon_g(12.0)
+        assert smart.operational_carbon_g(12.0) == pytest.approx(
+            plain.operational_carbon_g(12.0) - device_saving
+        )
+
+    def test_n_devices_scale_work_and_device_carbon(self):
+        one = DeviceCarbonModel(PIXEL_3A, reused=False, include_battery_replacement=True)
+        many = DeviceCarbonModel(
+            PIXEL_3A, n_devices=7, reused=False, include_battery_replacement=True
+        )
+        assert many.total_work(SGEMM, 24.0) == pytest.approx(7 * one.total_work(SGEMM, 24.0))
+        assert many.embodied_carbon_g(24.0) == pytest.approx(7 * one.embodied_carbon_g(24.0))
+        assert many.cci(SGEMM, 24.0) == pytest.approx(one.cci(SGEMM, 24.0))
 
 
 class TestFigure5Shape:

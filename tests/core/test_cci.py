@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.cci import (
     DeviceCarbonModel,
-    WorkRate,
     computational_carbon_intensity,
     second_life_cci,
 )
 from repro.devices.benchmarks import DIJKSTRA, PDF_RENDER, SGEMM
-from repro.devices.catalog import NEXUS_4, PIXEL_3A, POWEREDGE_R740, PROLIANT_DL380_G6
+from repro.devices.catalog import (
+    NEXUS_4,
+    NEXUS_5,
+    PIXEL_3A,
+    POWEREDGE_R740,
+    PROLIANT_DL380_G6,
+)
 from repro.grid.mix import california, solar_24_7, zero_carbon
 
 
@@ -29,14 +34,25 @@ class TestBareCCI:
 
 
 class TestWorkRate:
-    def test_from_benchmark(self):
-        rate = WorkRate.from_benchmark(PIXEL_3A, SGEMM)
-        assert rate.per_second_at_full_load == pytest.approx(39.0)
-        assert rate.unit == "Gflop"
+    def test_throughput_from_benchmark_name(self):
+        model = DeviceCarbonModel(PIXEL_3A)
+        assert model.throughput("SGEMM") == pytest.approx(39.0)
+        assert model.throughput(SGEMM) == model.throughput("SGEMM")
+        assert PIXEL_3A.benchmark_suite.score("SGEMM").benchmark.work_unit == "Gflop"
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            WorkRate(unit="ops", per_second_at_full_load=0.0)
+    def test_throughput_scales_with_device_count(self):
+        assert DeviceCarbonModel(PIXEL_3A, n_devices=54).throughput("SGEMM") == (
+            pytest.approx(54 * 39.0)
+        )
+
+    def test_rejects_device_without_benchmark_suite(self):
+        model = DeviceCarbonModel(NEXUS_5)
+        with pytest.raises(ValueError, match="has no benchmark suite"):
+            model.total_work("SGEMM", 12.0)
+
+    def test_rejects_unknown_benchmark(self):
+        with pytest.raises(KeyError, match="no score for 'Bogus'"):
+            DeviceCarbonModel(PIXEL_3A).cci("Bogus", 12.0)
 
 
 class TestDeviceCarbonModel:

@@ -233,6 +233,13 @@ class TestUniformSpacing:
             "samples but sample 2 is 900 s after its predecessor"
         )
 
+    def test_overflowing_gap_is_rejected(self):
+        # Each gap is +inf; every gap equal used to pass the spacing rule.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as error:
+                GridTrace(times_s=[-1e308, 1e308], intensity_g_per_kwh=[1.0, 2.0])
+        assert str(error.value) == "gaps between trace times must be finite"
+
     @pytest.mark.parametrize(
         "times, intensity, message",
         [

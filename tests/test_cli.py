@@ -1,8 +1,12 @@
 """Smoke tests for the ``python -m repro`` command-line surface."""
 
+from functools import partial
+
 import pytest
 
-from repro.__main__ import main
+import repro.analysis
+from repro.__main__ import REGISTRY, main
+from repro.analysis.figures import FIGURE7_DEFAULT_QPS
 
 
 def test_list_shows_targets_and_scenario_hint(capsys):
@@ -176,6 +180,31 @@ def test_set_rejected_for_figure_targets(capsys):
 def test_run_fast_figure_target(capsys):
     assert main(["run", "fig1"]) == 0
     assert "Figure 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", sorted(REGISTRY))
+def test_every_registry_target_exits_0(target, capsys, monkeypatch):
+    # Figures 7 and 8 run the serving simulation for seconds of virtual
+    # time per point; a shortened grid drives the same builders and text.
+    monkeypatch.setattr(
+        repro.analysis,
+        "fig7_deathstarbench",
+        partial(
+            repro.analysis.fig7_deathstarbench,
+            qps_grid={name: qps[:2] for name, qps in FIGURE7_DEFAULT_QPS.items()},
+            duration_s=0.2,
+            warmup_s=0.05,
+        ),
+    )
+    monkeypatch.setattr(
+        repro.analysis,
+        "fig8_cpu_utilization",
+        partial(repro.analysis.fig8_cpu_utilization, duration_s=0.3, warmup_s=0.05),
+    )
+    assert main(["run", target]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"=== {target}: {REGISTRY[target][0]} ===\n")
+    assert len(out.splitlines()) > 2
 
 
 FAST_SCENARIO_ARGS = [

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from des_oracle import CpuResource, Simulator
 from repro import units
 from repro.core.carbon import CarbonComponents, operational_carbon_g
-from repro.core.cci import DeviceCarbonModel, WorkRate, computational_carbon_intensity
+from repro.core.cci import DeviceCarbonModel, computational_carbon_intensity
 from repro.core.lifetime import crossover_month
 from repro.devices.catalog import NEXUS_4, PIXEL_3A, POWEREDGE_R740, TABLE1_DEVICES
 from repro.devices.power import LIGHT_MEDIUM, LoadProfile
@@ -30,8 +30,9 @@ def test_cci_scales_linearly_with_grid_intensity_for_reused_devices(months, inte
     double = DeviceCarbonModel(
         PIXEL_3A, reused=True, energy_mix=constant_mix("b", 2 * intensity)
     )
-    rate = WorkRate(unit="op", per_second_at_full_load=100.0)
-    assert double.cci(rate, months) == pytest.approx(2 * base.cci(rate, months), abs=1e-12)
+    assert double.cci("SGEMM", months) == pytest.approx(
+        2 * base.cci("SGEMM", months), abs=1e-12
+    )
 
 
 @settings(max_examples=30, deadline=None)
